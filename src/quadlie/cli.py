@@ -102,7 +102,10 @@ def _make_algebra(args):
     if args.algebra != "gl2n1":
         raise CliError(f"unknown algebra {args.algebra!r}")
     central = _parse_value(args.c, "c") if args.c is not None else None
-    return build(args.n, central)
+    try:
+        return build(args.n, central)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def _parse_order(spec: str, alphabet) -> GeneratorOrder:

@@ -1,5 +1,5 @@
-"""Normal-ordering rewrite engine for enveloping algebras of quadratic
-graded presentations.
+"""Normal ordering for enveloping algebras of quadratic graded
+presentations.
 
 A RewriteSystem pairs a presentation with a total generator order.  The
 order is *admissible* when every even pair in the support of the d-tensor
@@ -7,10 +7,17 @@ strictly precedes the odd pair it rewrites to; under an admissible order
 the ordered monomials (evens weakly increasing, odds strictly increasing)
 form a basis and `normal_form` computes coordinates in it.
 
-Also provided: a Serre-style module-action verifier (the action on the
-free span of ordered words must satisfy the defining relations; this is
-equivalent to the Jacobi identities of the presentation), a witness of
-linear dependence for inadmissible orders, and ordered-monomial counting.
+There is one normal-ordering engine: the action of the generators on the
+free span of ordered words (`_ModuleAction`).  `normal_form` folds a word
+into the empty ordered word through that action, and `serre_module_check`
+verifies the defining relations on the same action (equivalently, the
+Jacobi identities of the presentation).  By Bergman's diamond lemma
+(Adv. Math. 29, 1978) a passing check certifies that the reductions are
+confluent, so the normal forms `normal_form` returns are well defined;
+they are defined only when the check passes.
+
+Also provided: a witness of linear dependence for inadmissible orders, and
+ordered-monomial counting.
 """
 
 from __future__ import annotations
@@ -70,8 +77,17 @@ def check_admissible(
 
 
 class RewriteSystem:
-    """Immutable presentation + generator order; caches admissibility and
-    normal forms."""
+    """Immutable presentation + generator order.
+
+    `normal_form` folds each word into the empty ordered word through the
+    module action `_ModuleAction.act`; the system owns one action, created
+    on first use, so its cache serves every later call.
+    `serre_module_check` verifies the defining relations on the same action
+    (Bergman's diamond lemma, Adv. Math. 29, 1978).  Normal forms are
+    defined only when that check passes: otherwise the action need not
+    vanish on the relations, and the result depends on the word chosen to
+    represent an element.
+    """
 
     def __init__(self, pres: QlsPresentation, order: Optional[GeneratorOrder] = None):
         self.presentation = pres
@@ -79,14 +95,15 @@ class RewriteSystem:
         self.admissible, self.admissibility_witness = check_admissible(
             pres, self.order
         )
-        self._nf_cache: Dict[Word, NCPoly] = {}
         self._rules = self._build_rules()
+        self._action: Optional[_ModuleAction] = None
 
-    # replacement table: unordered adjacent pair -> list of (middle word, coeff)
+    # lower-order table: unordered adjacent pair (g1, g2) -> list of
+    # (middle word, coeff) with g1 g2 = (sign) g2 g1 + sum coeff * middle,
+    # and y y = sum coeff * middle for an odd square
     def _build_rules(self):
         ab = self.presentation.alphabet
         pres = self.presentation
-        pos = self.order.pos
         rules: Dict[Tuple[int, int], List[Tuple[Word, Scalar]]] = {}
         size = ab.size
         for g1 in range(size):
@@ -96,27 +113,22 @@ class RewriteSystem:
                 out: List[Tuple[Word, Scalar]] = []
                 p1, p2 = ab.parity(g1), ab.parity(g2)
                 if p1 == 0 and p2 == 0:
-                    out.append(((g2, g1), srat(1)))
                     for (i, j, k), v in pres.c.items():
                         if (i, j) == (g1, g2):
                             out.append(((ab.even(k),), v))
                 elif p1 == 0:
                     # x_i y_p = y_p x_i + cbar_ip^q y_q
-                    out.append(((g2, g1), srat(1)))
                     for (i, p, q), v in pres.cbar.items():
                         if (i, p) == (g1, g2 - ab.n_even):
                             out.append(((ab.odd(q),), v))
                 elif p2 == 0:
                     # y_p x_i = x_i y_p - cbar_ip^q y_q
-                    out.append(((g2, g1), srat(1)))
                     for (i, p, q), v in pres.cbar.items():
                         if (i, p) == (g2, g1 - ab.n_even):
                             out.append(((ab.odd(q),), -v))
                 else:
                     p, q = g1 - ab.n_even, g2 - ab.n_even
                     half = srat(1, 2) if p == q else srat(1)
-                    if p != q:
-                        out.append(((g2, g1), srat(-1)))
                     for (pp, qq, k, l), v in pres.d.items():
                         if (pp, qq) == (p, q):
                             out.append(((ab.even(k), ab.even(l)), v * half))
@@ -142,44 +154,7 @@ class RewriteSystem:
                 return False
         return True
 
-    def _measure(self, word: Word):
-        # well-founded rewrite measure: (odd letters, length, inversions)
-        ab = self.presentation.alphabet
-        pos = self.order.pos
-        odd = sum(1 for g in word if ab.parity(g) == 1)
-        inv = sum(
-            1
-            for s in range(len(word))
-            for t in range(s + 1, len(word))
-            if pos(word[s]) > pos(word[t])
-        )
-        return (odd, len(word), inv)
-
     # -- normal forms -------------------------------------------------
-
-    def _nf_word(self, word: Word) -> NCPoly:
-        cached = self._nf_cache.get(word)
-        if cached is not None:
-            return cached
-        ab = self.presentation.alphabet
-        pos = self.order.pos
-        spot = None
-        for t, (g1, g2) in enumerate(zip(word, word[1:])):
-            if (g1 == g2 and ab.parity(g1) == 1) or (g1 != g2 and pos(g1) > pos(g2)):
-                spot = t
-                break
-        if spot is None:
-            result = NCPoly.monomial(ab, word)
-        else:
-            prefix, suffix = word[:spot], word[spot + 2 :]
-            measure = self._measure(word)
-            result = NCPoly.zero(ab)
-            for middle, coeff in self._rules[(word[spot], word[spot + 1])]:
-                replacement = prefix + middle + suffix
-                assert self._measure(replacement) < measure
-                result = result + self._nf_word(replacement).scale(coeff)
-        self._nf_cache[word] = result
-        return result
 
     def normal_form(self, elem: NCPoly) -> NCPoly:
         if not self.admissible:
@@ -187,10 +162,13 @@ class RewriteSystem:
                 f"order is not admissible (witness d-index "
                 f"{self.admissibility_witness}); normal forms not defined"
             )
-        out = NCPoly.zero(self.presentation.alphabet)
+        if self._action is None:
+            self._action = _ModuleAction(self)
+        out: Dict[Word, Scalar] = {}
         for word, coeff in elem.terms.items():
-            out = out + self._nf_word(word).scale(coeff)
-        return out
+            for w, v in self._action.apply_word(word, ()).items():
+                _bump(out, w, v * coeff)
+        return NCPoly(self.presentation.alphabet, out)
 
 
 def normal_form(elem: NCPoly, rs: RewriteSystem) -> NCPoly:
@@ -234,67 +212,80 @@ def inadmissible_dependence_witness(
     return out
 
 
-class _ModuleAction:
-    """Serre-style action of generators on the free span of ordered words."""
+def _bump(out: Dict[Word, Scalar], word: Word, value: Scalar) -> None:
+    """Add value to out[word], dropping the entry when it cancels."""
+    prev = out.get(word)
+    new = value if prev is None else prev + value
+    if new.is_zero():
+        out.pop(word, None)
+    else:
+        out[word] = new
 
-    def __init__(self, rs: RewriteSystem, max_len: int):
+
+class _ModuleAction:
+    """Serre-style action of generators on the free span of ordered words.
+
+    `max_len` is ignored: the action is defined on words of any length.
+    """
+
+    def __init__(self, rs: RewriteSystem, max_len: Optional[int] = None):
         self.rs = rs
-        self.max_len = max_len
         self.ab = rs.presentation.alphabet
         self.pos = rs.order.pos
         self._cache: Dict[Tuple[int, Word], Dict[Word, Scalar]] = {}
-        # lower-order bracket data for unordered pairs, mirroring the
-        # rewrite rules but acting on basis vectors z_N
-        self._lower: Dict[Tuple[int, int], List[Tuple[Word, Scalar]]] = {}
-        for (g1, g2), rule in rs._rules.items():
-            self._lower[(g1, g2)] = [
-                (mid, coeff) for mid, coeff in rule if mid not in ((g2, g1),)
-            ]
+        # lower-order bracket data for unordered pairs, acting on basis
+        # vectors z_N
+        self._lower = rs._rules
+
+    def _before(self, a: int, b: int) -> bool:
+        """True iff the two-letter word (a, b) is ordered."""
+        if a == b:
+            return self.ab.parity(a) == 0
+        return self.pos(a) < self.pos(b)
 
     def _precedes(self, a: int, word: Word) -> bool:
-        if not word:
-            return True
-        if a == word[0]:
-            return self.ab.parity(a) == 0
-        return self.pos(a) < self.pos(word[0])
+        return not word or self._before(a, word[0])
 
     def act(self, a: int, word: Word) -> Dict[Word, Scalar]:
-        key = (a, word)
-        cached = self._cache.get(key)
+        """w_a z_word for an ordered word, as a map ordered word -> coeff.
+
+        The letter a sinks rightwards past the prefix word[:stop] of
+        letters it does not precede.  act(a, word[i:]) is built from
+        act(a, word[i + 1:]) in a loop from the right, so the call depth
+        does not grow with the length of word.
+        """
+        cache = self._cache
+        cached = cache.get((a, word))
         if cached is not None:
             return cached
-        out: Dict[Word, Scalar] = {}
-
-        def bump(w, v):
-            prev = out.get(w)
-            new = v if prev is None else prev + v
-            if new.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = new
-
-        if self._precedes(a, word):
-            bump((a,) + word, srat(1))
+        stop = 0
+        while stop < len(word) and not self._before(a, word[stop]):
+            stop += 1
+        # resume from the longest suffix already in the cache
+        for i in range(1, stop + 1):
+            out = cache.get((a, word[i:]))
+            if out is not None:
+                break
         else:
-            b, rest = word[0], word[1:]
-            if a == b:  # odd square: no swap term
-                for mid, coeff in self._lower[(a, b)]:
-                    for w2, v2 in self.apply_word(mid, rest).items():
-                        bump(w2, v2 * coeff)
-            else:
+            i, out = stop, {(a,) + word[stop:]: srat(1)}
+            cache[(a, word[stop:])] = out
+        while i > 0:
+            i -= 1
+            b, rest = word[i], word[i + 1 :]
+            inner, out = out, {}
+            if a != b:  # an odd square has no swap term
                 sign = (
                     -1
                     if self.ab.parity(a) == 1 and self.ab.parity(b) == 1
                     else 1
                 )
-                inner = self.act(a, rest)
                 for w1, v1 in inner.items():
                     for w2, v2 in self.act(b, w1).items():
-                        bump(w2, v2 * v1 * sign)
-                for mid, coeff in self._lower[(a, b)]:
-                    for w2, v2 in self.apply_word(mid, rest).items():
-                        bump(w2, v2 * coeff)
-        self._cache[key] = out
+                        _bump(out, w2, v2 * v1 * sign)
+            for mid, coeff in self._lower[(a, b)]:
+                for w2, v2 in self.apply_word(mid, rest).items():
+                    _bump(out, w2, v2 * coeff)
+            cache[(a, word[i:])] = out
         return out
 
     def apply_word(self, gens: Word, word: Word) -> Dict[Word, Scalar]:
@@ -327,7 +318,7 @@ def serre_module_check(
         raise ValueError("module check requires an admissible order")
     ab = rs.presentation.alphabet
     pos = rs.order.pos
-    action = _ModuleAction(rs, max_len)
+    action = _ModuleAction(rs)
 
     words: List[Word] = [()]
     frontier: List[Word] = [()]
@@ -351,24 +342,15 @@ def serre_module_check(
             lhs = action.apply_word((a, b), nword)
             sign = -1 if ab.parity(a) == 1 and ab.parity(b) == 1 else 1
             rhs: Dict[Word, Scalar] = {}
-
-            def bump(w, v):
-                prev = rhs.get(w)
-                new = v if prev is None else prev + v
-                if new.is_zero():
-                    rhs.pop(w, None)
-                else:
-                    rhs[w] = new
-
             if a != b:
                 for w, v in action.apply_word((b, a), nword).items():
-                    bump(w, v * sign)
+                    _bump(rhs, w, v * sign)
             # for an odd square the relation reads 2 w_a w_a z_N = (full
             # lower terms) z_N; the lower table already carries the 1/2
             # factor, so the swap contribution is dropped on both sides
             for mid, coeff in action._lower[(a, b)]:
                 for w, v in action.apply_word(mid, nword).items():
-                    bump(w, v * coeff)
+                    _bump(rhs, w, v * coeff)
             if lhs != rhs:
                 return False, (a, b, nword)
     return True, None

@@ -212,6 +212,8 @@ class QlsPresentation:
 
     @staticmethod
     def from_json_dict(data: dict) -> "QlsPresentation":
+        if not isinstance(data, dict):
+            raise ValueError("presentation must be a JSON object")
         if data.get("format") != FORMAT_TAG:
             raise ValueError(f"unrecognized presentation format {data.get('format')!r}")
 

@@ -1,12 +1,19 @@
 """Command-line interface: exit codes, determinism, structured output."""
 
 import json
+import os
 
 import pytest
 
 from quadlie.cli import run
 from quadlie.gl2n1 import build
 from quadlie.presentation import QlsPresentation
+
+
+EXAMPLE = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "examples", "gl2_3_1.qls",
+)
 
 
 def _run(capsys, *argv):
@@ -165,3 +172,29 @@ def test_serre_check_file(tmp_path, capsys):
     code, out, _ = _run(capsys, "serre-check", path, "--max-len", "3")
     assert code == 1
     assert "result: FAIL" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("normal-form", "--n", "1", "E[1,1]"),
+    ("serre-check", "--n", "0"),
+])
+def test_bad_n_exits_2(capsys, argv):
+    code, _, err = _run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["verify-presentation", "serre-check"])
+def test_json_list_file_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "list.qls"
+    path.write_text("[1, 2]")
+    code, _, err = _run(capsys, command, str(path))
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_readme_example_file(capsys):
+    code, out, _ = _run(capsys, "verify-presentation", EXAMPLE)
+    assert code == 0 and "result: PASS" in out
+    code, out, _ = _run(capsys, "serre-check", EXAMPLE, "--max-len", "3")
+    assert code == 0 and "result: PASS" in out

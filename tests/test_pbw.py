@@ -1,6 +1,8 @@
 """Normal-ordering rewrite engine and PBW spanning checks."""
 
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -104,6 +106,109 @@ def _random_words(rng, size, max_len, count):
         length = rng.randint(0, max_len)
         out.append(tuple(rng.randrange(size) for _ in range(length)))
     return out
+
+
+def _reference_rules(pres, order):
+    """Leftmost-inversion rewrite rules read off the structure tensors:
+    unordered adjacent pair (g1, g2) -> [(replacement word, coeff)], from
+    g1 g2 = (sign) g2 g1 + [g1, g2} and, for an odd square,
+    y y = (1/2) {y, y}."""
+    ab = pres.alphabet
+    n = ab.n_even
+    pos = order.pos
+
+    def bracket(g1, g2):
+        if g1 < n and g2 < n:
+            return [((k,), v) for (i, j, k), v in pres.c.items()
+                    if (i, j) == (g1, g2)]
+        if g1 < n:
+            return [((n + q,), v) for (i, p, q), v in pres.cbar.items()
+                    if (i, p) == (g1, g2 - n)]
+        if g2 < n:
+            return [((n + q,), -v) for (i, p, q), v in pres.cbar.items()
+                    if (i, p) == (g2, g1 - n)]
+        pq = (g1 - n, g2 - n)
+        out = [((k, l), v) for (p, q, k, l), v in pres.d.items() if (p, q) == pq]
+        out += [((k,), v) for (p, q, k), v in pres.b.items() if (p, q) == pq]
+        if pq in pres.a:
+            out.append(((), pres.a[pq]))
+        return out
+
+    rules = {}
+    for g1 in range(ab.size):
+        for g2 in range(ab.size):
+            if g1 == g2 and g1 >= n:
+                rules[(g1, g2)] = [(w, v * srat(1, 2)) for w, v in bracket(g1, g2)]
+            elif g1 != g2 and pos(g1) > pos(g2):
+                sign = -1 if g1 >= n and g2 >= n else 1
+                rules[(g1, g2)] = [((g2, g1), srat(sign))] + bracket(g1, g2)
+    return rules
+
+
+def _reference_normal_form(rules, word, memo):
+    """Rewrite the leftmost inversion until the word is ordered."""
+    if word in memo:
+        return memo[word]
+    spot = next(
+        (t for t in range(len(word) - 1) if (word[t], word[t + 1]) in rules),
+        None,
+    )
+    if spot is None:
+        out = {word: srat(1)}
+    else:
+        out = {}
+        prefix, suffix = word[:spot], word[spot + 2:]
+        for middle, coeff in rules[(word[spot], word[spot + 1])]:
+            for w, v in _reference_normal_form(
+                rules, prefix + middle + suffix, memo
+            ).items():
+                out[w] = out.get(w, srat(0)) + v * coeff
+        out = {w: v for w, v in out.items() if not v.is_zero()}
+    memo[word] = out
+    return out
+
+
+def _shuffled_admissible_order(pres, rng):
+    """Random order with the evens of the d-support moved to the front."""
+    seq = list(range(pres.alphabet.size))
+    rng.shuffle(seq)
+    front = {g for (_, _, k, l) in pres.d for g in (k, l)}
+    order = GeneratorOrder(
+        [g for g in seq if g in front] + [g for g in seq if g not in front]
+    )
+    assert check_admissible(pres, order)[0]
+    return order
+
+
+def test_normal_form_matches_reference_rewriter():
+    rng = random.Random(2010)
+    systems = [(QlsPresentation(1, 1, b={(0, 0, 0): 2}, a={(0, 0): 4}), None)]
+    for n in (2, 3, 4):
+        for c in (None, Fraction(5, 3)):
+            pres = build(n, c).presentation
+            systems.append((pres, None))
+            systems.append((pres, _shuffled_admissible_order(pres, rng)))
+    checked = 0
+    for pres, order in systems:
+        rs = RewriteSystem(pres, order)
+        rules = _reference_rules(pres, rs.order)
+        memo = {}
+        for word in _random_words(rng, pres.alphabet.size, 6, 50):
+            got = rs.normal_form(NCPoly.monomial(pres.alphabet, word))
+            assert got.terms == _reference_normal_form(rules, word, memo), word
+            checked += 1
+    assert checked >= 600
+
+
+def test_long_word_does_not_hit_recursion_limit():
+    alg = build(2, 1)
+    rs = RewriteSystem(alg.presentation)
+    e11, e22 = alg.E(1, 1), alg.E(2, 2)
+    power = NCPoly.one(alg.alphabet)
+    for _ in range(2999):
+        power = power * e11
+    assert sys.getrecursionlimit() <= 1000
+    assert rs.normal_form(e22 * power) == power * e22
 
 
 def test_idempotence_and_multiplicativity():
