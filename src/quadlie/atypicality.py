@@ -15,18 +15,19 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
-from .gl2n1 import FamilyParams, Weight, casimirs, family_data, lam_prime
+from .gl2n1 import (
+    FamilyParams,
+    Weight,
+    _adjoint_coeffs,
+    _composite_coeffs,
+    _rect_casimirs,
+    casimirs,
+    family_data,
+    lam_prime,
+)
 from .scalars import Scalar
 
 ZeroStepResult = Union[bool, Scalar]
-
-
-def _general_coeffs(n: int, c1p: Scalar, c2p: Scalar, central) -> Tuple[Scalar, Scalar]:
-    """a1 and a0 of the adjoint polynomial E^2 - a1 E + a0."""
-    c = Scalar.coerce(central)
-    a1 = c1p + n - 2
-    a0 = c - (n - 1) - (c2p - c1p * c1p - c1p * (n - 3)) / 2
-    return a1, a0
 
 
 def level1_poly(w: Weight, central, s: int) -> Scalar:
@@ -46,7 +47,7 @@ def level1_poly(w: Weight, central, s: int) -> Scalar:
         raise ValueError(f"root {s} is not retained (shift not dominant)")
     wp = lam_prime(w)
     c1p, c2p = casimirs(wp)
-    a1, a0 = _general_coeffs(n, c1p, c2p, central)
+    a1, a0, _, _ = _adjoint_coeffs(n, c1p, c2p, Scalar.coerce(central))
     alpha = Scalar.coerce(w.components[s - 1] - 1 + n - s)
     return alpha * alpha - a1 * alpha + a0
 
@@ -123,22 +124,12 @@ def one_step_analysis(n: int, scan_bound: Optional[int] = None) -> dict:
     if n < 3:
         raise ValueError("analysis requires n >= 3")
     mb, nb, r, c = (Scalar.var(v) for v in ("mubar", "nubar", "r", "c"))
-    s_p = mb + nb - 2
-    p_p = (mb - 1) * (nb - 1)
-    c1p = r * mb + (Scalar.coerce(n) - r) * nb - r * (Scalar.coerce(n) - r) - n
-    c2p = s_p * c1p - p_p * n
-    a1 = c1p + n - 2
-    a0 = c - (n - 1) - (c2p - c1p * c1p - c1p * (n - 3)) / 2
-    b1 = a1 - 1
-    bbar1 = Scalar.coerce(-1)
-    b0 = c - (n - 2) - (c2p - c1p * c1p - c1p * (n - 5)) / 2
-
-    coeffs = {
-        "EE": (s_p - a1) * (s_p - b1),
-        "Edelta": (a0 - p_p) * (s_p - b1),
-        "deltaE": (s_p - a1) * (b0 + s_p - p_p) - (a0 - p_p) * bbar1,
-        "deltadelta": (a0 - p_p) * (b0 - p_p) + p_p * (s_p - a1),
-    }
+    s_p, p_p, c1p, c2p = _rect_casimirs(n, r, mb, nb)
+    a1, a0, b1, b0 = _adjoint_coeffs(n, c1p, c2p, c)
+    coeffs = dict(zip(
+        ("EE", "Edelta", "deltaE", "deltadelta"),
+        _composite_coeffs(s_p, p_p, a1, a0, b1, b0),
+    ))
 
     # branch s' = a1: then s' - b1 = 1, so the (E delta) coefficient forces
     # a0 = p', which is exactly the zero-step degeneration
@@ -172,29 +163,19 @@ def one_step_analysis(n: int, scan_bound: Optional[int] = None) -> dict:
         for rr in range(1, n):
             for mbv in span:
                 for nbv in span:
-                    # numeric closed forms (c-independent parts)
-                    sp = mbv + nbv - 2
-                    ppv = (mbv - 1) * (nbv - 1)
-                    c1pv = rr * mbv + (n - rr) * nbv - rr * (n - rr) - n
-                    c2pv = sp * c1pv - ppv * n
-                    a1v = c1pv + n - 2
-                    b1v = a1v - 1
-                    base = Fraction(c2pv - c1pv * c1pv - c1pv * (n - 3), 2)
-                    base_b = Fraction(c2pv - c1pv * c1pv - c1pv * (n - 5), 2)
+                    sp, ppv, c1pv, c2pv = _rect_casimirs(n, rr, mbv, nbv)
+                    # (EE) does not involve c: skip the c loop when nonzero
+                    a1v, _, b1v, _ = _adjoint_coeffs(n, c1pv, c2pv, 0)
+                    if _composite_coeffs(sp, ppv, a1v, 0, b1v, 0)[0]:
+                        continue
                     for cv in span:
-                        a0v = cv - (n - 1) - base
-                        b0v = cv - (n - 2) - base_b
-                        vals = (
-                            (sp - a1v) * (sp - b1v),
-                            (a0v - ppv) * (sp - b1v),
-                            (sp - a1v) * (b0v + sp - ppv) + (a0v - ppv),
-                            (a0v - ppv) * (b0v - ppv) + ppv * (sp - a1v),
-                        )
-                        if all(v == 0 for v in vals):
-                            # exclude zero-step degenerations (s'=a1, a0=p')
-                            if a1v == sp and a0v == ppv:
-                                continue
-                            hits.append((rr, mbv, nbv, Fraction(cv)))
+                        a1v, a0v, b1v, b0v = _adjoint_coeffs(n, c1pv, c2pv, cv)
+                        if any(_composite_coeffs(sp, ppv, a1v, a0v, b1v, b0v)):
+                            continue
+                        # exclude zero-step degenerations (s'=a1, a0=p')
+                        if a1v == sp and a0v == ppv:
+                            continue
+                        hits.append((rr, mbv, nbv, Fraction(cv)))
         result["scan_bound"] = scan_bound
         result["scan_counterexamples"] = hits
     return result

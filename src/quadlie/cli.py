@@ -240,15 +240,12 @@ def _cmd_fock_check(args) -> int:
         raise CliError("fock-check is implemented for --n 4")
     bracket = bracket_polynomial_check(args.n)
     demo = zero_step_demo(args.n)
-    factor = bracket["overall_factor"]
-    bracket_ok = bracket["holds"] or factor is not None
-    passed = bracket_ok and demo["passed"]
+    passed = bracket["holds"] and demo["passed"]
     report = {
         "command": "fock-check",
         "n": args.n,
         "bracket_identity": {
             "holds_as_printed": bracket["holds"],
-            "overall_factor": None if factor is None else str(factor),
             "components_checked": bracket["components_checked"],
         },
         "zero_step_demo": {
@@ -257,14 +254,7 @@ def _cmd_fock_check(args) -> int:
         "passed": passed,
     }
     lines = [f"fock-space checks, n = {args.n}"]
-    if bracket["holds"]:
-        lines.append("  bracket identity: exact")
-    elif factor is not None:
-        lines.append(
-            f"  bracket identity: exact up to constant factor {factor}"
-        )
-    else:
-        lines.append("  bracket identity: FAIL (no constant factor)")
+    lines.append(f"  bracket identity: {'exact' if bracket['holds'] else 'FAIL'}")
     for key in ("q_annihilates", "qbar_annihilates", "char_identity_holds",
                 "root_1_attained", "root_4_attained", "rhs_vanishes"):
         lines.append(f"  {key}: {'pass' if demo[key] else 'FAIL'}")

@@ -104,8 +104,6 @@ class _Parser:
             k2, v2 = self.take()
             if k2 != "num":
                 raise ParseError("exponent must be a number")
-            out = base
-            result = None
             exp = int(v2)
             if exp == 0:
                 return self._one()
@@ -168,6 +166,8 @@ class _ScalarParser(_Parser):
     def _divide(self, a: Scalar, b: Scalar) -> Scalar:
         if not b.is_rational():
             raise ParseError("division only by rationals")
+        if b.is_zero():
+            raise ParseError("division by zero")
         return a / b.as_rational()
 
 

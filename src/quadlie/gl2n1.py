@@ -22,12 +22,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ncpoly import Alphabet, NCPoly
 from .pbw import GeneratorOrder, RewriteSystem
 from .presentation import QlsPresentation
-from .scalars import Scalar, srat
+from .scalars import Scalar, accumulate, srat
 
 Uni = List[Scalar]  # univariate polynomial, coefficients low to high
 
@@ -319,10 +320,7 @@ class Gl2n1:
         if len(set(indices)) != k:
             return NCPoly.zero(self.alphabet)
         rest = [i for i in range(1, n + 1) if i not in set(indices)]
-        sign_pref = Fraction((-1) ** ((k * (k - 1)) // 2), 1)
-        pref = sign_pref / Fraction(
-            _factorial(n - k)
-        )
+        pref = Fraction((-1) ** ((k * (k - 1)) // 2), factorial(n - k))
         out = NCPoly.zero(self.alphabet)
         for perm in permutations(rest):
             eps = _perm_sign(tuple(indices) + perm)
@@ -399,21 +397,56 @@ class Gl2n1:
         return family_data(params, self.central)
 
 
+# -- family formulas --------------------------------------------------
+#
+# Each takes Scalar, int or Fraction arguments; halving multiplies by
+# Fraction(1, 2) so integer input never turns into floats.
+
+
+def _rect_casimirs(n: int, r, mubar, nubar) -> tuple:
+    """(s', p', C1', C2') on V_0(Lambda') for Lambda = (mu^r, nu^{n-r}):
+    the sum and product of the two retained roots mubar-1, nubar-1 and
+    the Casimir eigenvalues of Lambda'."""
+    s_prime = mubar + nubar - 2
+    p_prime = (mubar - 1) * (nubar - 1)
+    c1p = mubar * r + nubar * (n - r) - r * (n - r) - n
+    c2p = s_prime * c1p - p_prime * n
+    return s_prime, p_prime, c1p, c2p
+
+
+def _adjoint_coeffs(n: int, c1p, c2p, central) -> tuple:
+    """(a1, a0, b1, b0) of the adjoint operators on V_0(Lambda'), from the
+    Casimirs of Lambda': A = E^2 - a1 E + a0, and b1, b0 the matching
+    coefficients of B (its third coefficient bbar1 is the constant -1)."""
+    half = Fraction(1, 2)
+    a1 = c1p + n - 2
+    a0 = central - (n - 1) - (c2p - c1p * c1p - c1p * (n - 3)) * half
+    b1 = a1 - 1
+    b0 = central - (n - 2) - (c2p - c1p * c1p - c1p * (n - 5)) * half
+    return a1, a0, b1, b0
+
+
+def _composite_coeffs(s_prime, p_prime, a1, a0, b1, b0) -> tuple:
+    """Coefficients (EE, E delta, delta E, delta delta) of B o A over the
+    operator basis, with E^2 = s' E - p' and bbar1 = -1."""
+    a_e, a_delta = s_prime - a1, a0 - p_prime
+    b_e = s_prime - b1
+    return (
+        a_e * b_e,
+        a_delta * b_e,
+        a_e * (b0 + s_prime - p_prime) + a_delta,
+        a_delta * (b0 - p_prime) + p_prime * a_e,
+    )
+
+
 def family_data(params: FamilyParams, central) -> dict:
     """All printed closed-form quantities for Lambda = (mu^r, nu^{n-r}),
     as exact polynomials in mubar, nubar and the central charge."""
     n, r = params.n, params.r
     mb, nb = params.mubar, params.nubar
-    c = Scalar.coerce(central)
-    s_prime = mb + nb - 2
-    p_prime = (mb - 1) * (nb - 1)
-    c1p = mb * r + nb * (n - r) - r * (n - r) - n
-    c2p = s_prime * c1p - p_prime * n
-    a1 = c1p + n - 2
-    a0 = c - (n - 1) - (c2p - c1p * c1p - c1p * (n - 3)) / 2
-    b1 = a1 - 1
+    s_prime, p_prime, c1p, c2p = _rect_casimirs(n, r, mb, nb)
+    a1, a0, b1, b0 = _adjoint_coeffs(n, c1p, c2p, Scalar.coerce(central))
     bbar1 = Scalar.coerce(-1)
-    b0 = c - (n - 2) - (c2p - c1p * c1p - c1p * (n - 5)) / 2
     return {
         "n": n,
         "r": r,
@@ -438,20 +471,45 @@ def family_data(params: FamilyParams, central) -> dict:
     }
 
 
-def _factorial(k: int) -> int:
-    out = 1
-    for t in range(2, k + 1):
-        out *= t
-    return out
-
-
-def _perm_sign(seq: Tuple[int, ...]) -> int:
+def _perm_sign(seq: Sequence[int]) -> int:
     inv = 0
     for s in range(len(seq)):
         for t in range(s + 1, len(seq)):
             if seq[s] > seq[t]:
                 inv += 1
     return -1 if inv % 2 else 1
+
+
+def gl_structure_constants(n: int) -> Dict[tuple, Fraction]:
+    """gl(n) brackets on the Gel'fand generators E^a_b, indexed row-major:
+    [E^a_b, E^c_d] = delta(b,c) E^a_d - delta(d,a) E^c_b."""
+
+    def eid(i, j):
+        return n * (i - 1) + (j - 1)
+
+    c_tensor: Dict[tuple, Fraction] = {}
+    rng = range(1, n + 1)
+    for a in rng:
+        for b in rng:
+            for cc in rng:
+                for d in rng:
+                    i, j = eid(a, b), eid(cc, d)
+                    if b == cc:
+                        accumulate(c_tensor, (i, j, eid(a, d)), Fraction(1))
+                    if d == a:
+                        accumulate(c_tensor, (i, j, eid(cc, b)), Fraction(-1))
+    return c_tensor
+
+
+def _mirror_odd(tensor: dict) -> dict:
+    """Nonzero entries of a tensor keyed (p, q, ...), made symmetric in the
+    odd pair (p, q)."""
+    out = {}
+    for (p, q, *rest), v in tensor.items():
+        if v:
+            out[(p, q, *rest)] = v
+            out[(q, p, *rest)] = v
+    return out
 
 
 def build(n: int, central=None) -> Gl2n1:
@@ -471,21 +529,6 @@ def build(n: int, central=None) -> Gl2n1:
     def eid(i, j):
         return n * (i - 1) + (j - 1)
 
-    # gl(n): [E^a_b, E^c_d] = delta(b,c) E^a_d - delta(d,a) E^c_b
-    c_tensor: Dict[tuple, Fraction] = {}
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            for cc in range(1, n + 1):
-                for d in range(1, n + 1):
-                    i, j = eid(a, b), eid(cc, d)
-                    if b == cc:
-                        key = (i, j, eid(a, d))
-                        c_tensor[key] = c_tensor.get(key, Fraction(0)) + 1
-                    if d == a:
-                        key = (i, j, eid(cc, b))
-                        c_tensor[key] = c_tensor.get(key, Fraction(0)) - 1
-    c_tensor = {k: v for k, v in c_tensor.items() if v}
-
     # vector / contragredient actions
     cbar: Dict[tuple, Fraction] = {}
     for i in range(1, n + 1):
@@ -493,9 +536,7 @@ def build(n: int, central=None) -> Gl2n1:
             # [E^i_j, Qbar^k] = delta(k,j) Qbar^i
             cbar[(eid(i, j), j - 1, i - 1)] = Fraction(1)
             # [E^i_j, Q_k] = -delta(i,k) Q_j
-            key = (eid(i, j), n + i - 1, n + j - 1)
-            cbar[key] = cbar.get(key, Fraction(0)) - 1
-    cbar = {k: v for k, v in cbar.items() if v}
+            cbar[(eid(i, j), n + i - 1, n + j - 1)] = Fraction(-1)
 
     # {Qbar^i, Q_j}: quadratic part symmetrized into d, with the commutator
     # correction from symmetrization absorbed into b
@@ -507,60 +548,36 @@ def build(n: int, central=None) -> Gl2n1:
             p, q = i - 1, n + j - 1  # odd indices of Qbar^i, Q_j
             # raw quadratic coefficient tensor T[(even a, even b)]
             T: Dict[tuple, Fraction] = {}
-
-            def add_T(a, b, v):
-                T[(a, b)] = T.get((a, b), Fraction(0)) + v
-
             for k in range(1, n + 1):
-                add_T(eid(i, k), eid(k, j), Fraction(1))  # (E^2)^i_j
-                add_T(eid(k, k), eid(i, j), Fraction(-1))  # -<E> E^i_j
+                accumulate(T, (eid(i, k), eid(k, j)), Fraction(1))  # (E^2)^i_j
+                accumulate(T, (eid(k, k), eid(i, j)), Fraction(-1))  # -<E> E^i_j
             if i == j:
                 for k in range(1, n + 1):
                     for l in range(1, n + 1):
-                        add_T(eid(k, l), eid(l, k), Fraction(-1, 2))  # -<E^2>/2
-                        add_T(eid(k, k), eid(l, l), Fraction(1, 2))  # +<E>^2/2
+                        # -<E^2>/2 + <E>^2/2
+                        accumulate(T, (eid(k, l), eid(l, k)), Fraction(-1, 2))
+                        accumulate(T, (eid(k, k), eid(l, l)), Fraction(1, 2))
             # symmetrize in the even pair
             for (a, b), v in T.items():
                 for key in ((p, q, a, b), (p, q, b, a)):
-                    d_tensor[key] = d_tensor.get(key, Fraction(0)) + v / 2
+                    accumulate(d_tensor, key, v / 2)
 
             # linear part: printed -(n-1)/2 delta <E> plus the symmetrization
             # correction (1/2) sum_ab T_ab [x_a, x_b] = (n/2) E^i_j - delta <E>/2
-            def add_b(k_even, v):
-                key = (p, q, k_even)
-                b_tensor[key] = b_tensor.get(key, Scalar()) + Scalar.coerce(v)
-
-            add_b(eid(i, j), Fraction(n, 2))
-            for k in range(1, n + 1):
-                add_b(eid(k, k), Fraction(-n, 2) if i == j else Fraction(0))
+            accumulate(b_tensor, (p, q, eid(i, j)), srat(n, 2))
             if i == j:
+                for k in range(1, n + 1):
+                    accumulate(b_tensor, (p, q, eid(k, k)), srat(-n, 2))
                 a_tensor[(p, q)] = c_scalar
-
-    # mirror odd symmetry and drop zeros
-    d_full = {}
-    for (p, q, a, b), v in d_tensor.items():
-        if v:
-            d_full[(p, q, a, b)] = v
-            d_full[(q, p, a, b)] = v
-    b_full = {}
-    for (p, q, k), v in b_tensor.items():
-        if not v.is_zero():
-            b_full[(p, q, k)] = v
-            b_full[(q, p, k)] = v
-    a_full = {}
-    for (p, q), v in a_tensor.items():
-        if not v.is_zero():
-            a_full[(p, q)] = v
-            a_full[(q, p)] = v
 
     pres = QlsPresentation(
         n2,
         2 * n,
-        c=c_tensor,
+        c=gl_structure_constants(n),
         cbar=cbar,
-        d=d_full,
-        b=b_full,
-        a=a_full,
+        d=_mirror_odd(d_tensor),
+        b=_mirror_odd(b_tensor),
+        a=_mirror_odd(a_tensor),
         names=names,
     )
     return Gl2n1(n, c_scalar, pres)

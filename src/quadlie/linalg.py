@@ -101,8 +101,12 @@ def invert_matrix(mat: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    return [
-        [sum((a[r][t] * b[t][c] for t in range(k)), Fraction(0)) for c in range(m)]
-        for r in range(n)
-    ]
+    """Product of two dense rational matrices, skipping zero entries."""
+    out = [[Fraction(0)] * len(b[0]) for _ in a]
+    for row, ai in zip(out, a):
+        for v, bk in zip(ai, b):
+            if v:
+                for j, w in enumerate(bk):
+                    if w:
+                        row[j] += v * w
+    return out

@@ -144,12 +144,6 @@ class NCPoly:
         """Maximal word length; -1 for the zero element."""
         return max((len(w) for w in self._terms), default=-1)
 
-    def homogeneous_part(self, degree: int) -> "NCPoly":
-        return NCPoly(
-            self.alphabet,
-            {w: c for w, c in self._terms.items() if len(w) == degree},
-        )
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "NCPoly") -> "NCPoly":

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ncpoly import Alphabet, NCPoly, Word
 from .presentation import QlsPresentation
-from .scalars import Scalar, srat
+from .scalars import Scalar, accumulate, srat
 
 
 class GeneratorOrder:
@@ -167,7 +167,7 @@ class RewriteSystem:
         out: Dict[Word, Scalar] = {}
         for word, coeff in elem.terms.items():
             for w, v in self._action.apply_word(word, ()).items():
-                _bump(out, w, v * coeff)
+                accumulate(out, w, v * coeff)
         return NCPoly(self.presentation.alphabet, out)
 
 
@@ -210,16 +210,6 @@ def inadmissible_dependence_witness(
         if (pp, qq) == (p, q):
             out = out - NCPoly.monomial(ab, (ya, ab.even(k), ab.even(l)), v)
     return out
-
-
-def _bump(out: Dict[Word, Scalar], word: Word, value: Scalar) -> None:
-    """Add value to out[word], dropping the entry when it cancels."""
-    prev = out.get(word)
-    new = value if prev is None else prev + value
-    if new.is_zero():
-        out.pop(word, None)
-    else:
-        out[word] = new
 
 
 class _ModuleAction:
@@ -281,10 +271,10 @@ class _ModuleAction:
                 )
                 for w1, v1 in inner.items():
                     for w2, v2 in self.act(b, w1).items():
-                        _bump(out, w2, v2 * v1 * sign)
+                        accumulate(out, w2, v2 * v1 * sign)
             for mid, coeff in self._lower[(a, b)]:
                 for w2, v2 in self.apply_word(mid, rest).items():
-                    _bump(out, w2, v2 * coeff)
+                    accumulate(out, w2, v2 * coeff)
             cache[(a, word[i:])] = out
         return out
 
@@ -344,13 +334,13 @@ def serre_module_check(
             rhs: Dict[Word, Scalar] = {}
             if a != b:
                 for w, v in action.apply_word((b, a), nword).items():
-                    _bump(rhs, w, v * sign)
+                    accumulate(rhs, w, v * sign)
             # for an odd square the relation reads 2 w_a w_a z_N = (full
             # lower terms) z_N; the lower table already carries the 1/2
             # factor, so the swap contribution is dropped on both sides
             for mid, coeff in action._lower[(a, b)]:
                 for w, v in action.apply_word(mid, nword).items():
-                    _bump(rhs, w, v * coeff)
+                    accumulate(rhs, w, v * coeff)
             if lhs != rhs:
                 return False, (a, b, nword)
     return True, None

@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence
 
 from .exprparse import parse_scalar
 from .ncpoly import Alphabet, NCPoly, Word
-from .scalars import Scalar, srat
+from .scalars import Scalar, accumulate, srat
 
 # An ideal pair labels one quadratic generator of the defining ideal:
 #   ("ee", i, j) i<j : x_i x_j - x_j x_i - c-part
@@ -220,8 +220,10 @@ class QlsPresentation:
         def load(entries, arity):
             out = {}
             for row in entries:
-                if len(row) != arity + 1:
+                if not isinstance(row, list) or len(row) != arity + 1:
                     raise ValueError(f"bad tensor row {row}")
+                if not isinstance(row[-1], str):
+                    raise ValueError(f"tensor entry in row {row} is not a string")
                 out[tuple(int(t) for t in row[:-1])] = parse_scalar(row[-1])
             return out
 
@@ -338,54 +340,45 @@ class QlsPresentation:
         n = ab.n_even
         residual: Dict[Word, Scalar] = {}
         lam: Dict[Pair, Scalar] = {}
-
-        def bump(store, key, val):
-            prev = store.get(key)
-            new = val if prev is None else prev + val
-            if new.is_zero():
-                store.pop(key, None)
-            else:
-                store[key] = new
-
         work = list(poly.terms.items())
         while work:
             word, coeff = work.pop()
             if len(word) != 2:
-                bump(residual, word, coeff)
+                accumulate(residual, word, coeff)
                 continue
             g1, g2 = word
             p1, p2 = ab.parity(g1), ab.parity(g2)
             if p1 == 0 and p2 == 0:
                 if g1 <= g2:
-                    bump(residual, word, coeff)
+                    accumulate(residual, word, coeff)
                 else:
                     # x_j x_i = x_i x_j - e_ee(i,j)   (i<j)
                     work.append(((g2, g1), coeff))
-                    bump(lam, ("ee", g2, g1), -coeff)
+                    accumulate(lam, ("ee", g2, g1), -coeff)
             elif p1 == 0:  # even then odd: ordered
-                bump(residual, word, coeff)
+                accumulate(residual, word, coeff)
             elif p2 == 0:
                 # y_p x_i = x_i y_p - e_mx(i,p)
                 work.append(((g2, g1), coeff))
-                bump(lam, ("mx", g2, g1 - n), -coeff)
+                accumulate(lam, ("mx", g2, g1 - n), -coeff)
             else:
                 u, v = g1 - n, g2 - n
                 if u < v:
-                    bump(residual, word, coeff)
+                    accumulate(residual, word, coeff)
                 elif u == v:
                     # y_p y_p = (1/2) d-part + (1/2) e_oo(p,p)
                     half = coeff / 2
                     for (p, q, k, l), val in self.d.items():
                         if (p, q) == (u, u):
                             work.append(((ab.even(k), ab.even(l)), half * val))
-                    bump(lam, ("oo", u, u), half)
+                    accumulate(lam, ("oo", u, u), half)
                 else:
                     # y_p y_q = -y_q y_p + d-part + e_oo(q,p)   (q<p)
                     work.append(((g2, g1), -coeff))
                     for (p, q, k, l), val in self.d.items():
                         if (p, q) == (v, u):
                             work.append(((ab.even(k), ab.even(l)), coeff * val))
-                    bump(lam, ("oo", v, u), coeff)
+                    accumulate(lam, ("oo", v, u), coeff)
         return NCPoly(ab, residual), lam
 
     def alpha_beta(self, poly: NCPoly) -> Tuple[NCPoly, Scalar]:
@@ -428,14 +421,6 @@ class QlsPresentation:
         for (p, q, k), v in self.b.items():
             b_by_first.setdefault(p, []).append((q, k, v))
 
-        def bump(store, key, val):
-            prev = store.get(key)
-            new = val if prev is None else prev + val
-            if new.is_zero():
-                store.pop(key, None)
-            else:
-                store[key] = new
-
         def emit(family, residuals, canonical=None):
             for idx in sorted(residuals):
                 if canonical is not None and not canonical(idx):
@@ -447,20 +432,20 @@ class QlsPresentation:
         res: Dict[tuple, Scalar] = {}
         for (x, y, l), v in self.c.items():
             for z, w, v2 in c_by_first.get(l, ()):
-                bump(res, (x, y, z, w), v * v2)
-                bump(res, (x, z, y, w), -(v * v2))
-                bump(res, (z, x, y, w), v * v2)
+                accumulate(res, (x, y, z, w), v * v2)
+                accumulate(res, (x, z, y, w), -(v * v2))
+                accumulate(res, (z, x, y, w), v * v2)
         emit("even-even-even", res, canonical=lambda t: t[0] < t[1] < t[2])
 
         # (2) even-even-odd: c_ij^l cbar_lp^q - cbar_i.^q cbar_jp^. + (i<->j)
         res = {}
         for (i, j, l), v in self.c.items():
             for p, q, v2 in cbar_by_even.get(l, ()):
-                bump(res, (i, j, p, q), v * v2)
+                accumulate(res, (i, j, p, q), v * v2)
         for (i, r, q), v in self.cbar.items():
             for j, p, v2 in cbar_by_out.get(r, ()):
-                bump(res, (i, j, p, q), -(v * v2))
-                bump(res, (j, i, p, q), v * v2)
+                accumulate(res, (i, j, p, q), -(v * v2))
+                accumulate(res, (j, i, p, q), v * v2)
         emit("even-even-odd", res, canonical=lambda t: t[0] < t[1])
 
         # (3) even action on d:
@@ -468,12 +453,12 @@ class QlsPresentation:
         res = {}
         for (p, q, m, l), v in self.d.items():
             for i, k, v2 in c_by_second.get(m, ()):
-                bump(res, (i, p, q, k, l), v * v2)
-                bump(res, (i, p, q, l, k), v * v2)
+                accumulate(res, (i, p, q, k, l), v * v2)
+                accumulate(res, (i, p, q, l, k), v * v2)
         for (i, p, s), v in self.cbar.items():
             for q, k, l, v2 in d_by_first.get(s, ()):
-                bump(res, (i, p, q, k, l), -(v * v2))
-                bump(res, (i, q, p, k, l), -(v * v2))
+                accumulate(res, (i, p, q, k, l), -(v * v2))
+                accumulate(res, (i, q, p, k, l), -(v * v2))
         emit(
             "even-odd-odd-d",
             res,
@@ -484,18 +469,18 @@ class QlsPresentation:
         res = {}
         for (p, q, m), v in self.b.items():
             for i, k, v2 in c_by_second.get(m, ()):
-                bump(res, (i, p, q, k), v * v2)
+                accumulate(res, (i, p, q, k), v * v2)
         for (i, p, s), v in self.cbar.items():
             for q, k, v2 in b_by_first.get(s, ()):
-                bump(res, (i, p, q, k), -(v * v2))
-                bump(res, (i, q, p, k), -(v * v2))
+                accumulate(res, (i, p, q, k), -(v * v2))
+                accumulate(res, (i, q, p, k), -(v * v2))
         emit("even-odd-odd-b", res, canonical=lambda t: t[1] <= t[2])
 
         # (5) odd cyclic identity for b: sum_cyc cbar_mp^s b_qr^m = 0
         part: Dict[tuple, Scalar] = {}
         for (q, r, mm), v in self.b.items():
             for p, s, v2 in cbar_by_even.get(mm, ()):
-                bump(part, (p, q, r, s), v * v2)
+                accumulate(part, (p, q, r, s), v * v2)
         res = {}
         m_odd = self.m_odd
         for p in range(m_odd):
@@ -508,14 +493,14 @@ class QlsPresentation:
                             + part.get((r, p, q, s), Scalar())
                         )
                         if not total.is_zero():
-                            bump(res, (p, q, r, s), total)
+                            accumulate(res, (p, q, r, s), total)
         emit("odd-odd-odd-b", res)
 
         # (6) odd cyclic identity for d: sum_cyc cbar_mp^s d_qr^ml = 0
         part = {}
         for (q, r, mm, l), v in self.d.items():
             for p, s, v2 in cbar_by_even.get(mm, ()):
-                bump(part, (p, q, r, s, l), v * v2)
+                accumulate(part, (p, q, r, s, l), v * v2)
         res = {}
         outs = sorted({(s, l) for (_, _, _, s, l) in part})
         for p in range(m_odd):
@@ -528,31 +513,23 @@ class QlsPresentation:
                             + part.get((r, p, q, s, l), Scalar())
                         )
                         if not total.is_zero():
-                            bump(res, (p, q, r, s, l), total)
+                            accumulate(res, (p, q, r, s, l), total)
         emit("odd-odd-odd-d", res)
 
         return JacobiReport("component", viols)
 
     # -- abstract checker ---------------------------------------------
 
-    def _overlap_elements(self, verify_spans: bool):
+    def _overlap_elements(self):
         """Yield (indices, zL, zR) spanning the degree-3 overlap space.
 
         zL is a dict (generator, pair) -> Scalar representing
         sum coeff . generator (x) e2(pair); zR the mirror dict
-        (pair, generator) -> Scalar.  When verify_spans is set, the two
-        tensor expansions are checked to agree word by word.
+        (pair, generator) -> Scalar.  As a self-check, the two tensor
+        expansions are verified to agree word by word.
         """
         ab = self.alphabet
         n, m = self.n_even, self.m_odd
-
-        def bumpd(store, key, val):
-            prev = store.get(key)
-            new = val if prev is None else prev + val
-            if new.is_zero():
-                store.pop(key, None)
-            else:
-                store[key] = new
 
         def ee(i, j):
             # signed even pair: [x_i, x_j]
@@ -561,22 +538,21 @@ class QlsPresentation:
             return ("ee", j, i), -1
 
         def check(indices, zL, zR):
-            if verify_spans:
-                left = NCPoly.zero(ab)
-                for (g, pair), coeff in zL.items():
-                    left = left + (
-                        NCPoly.generator(ab, g) * self.e2(pair)
-                    ).scale(coeff)
-                right = NCPoly.zero(ab)
-                for (pair, g), coeff in zR.items():
-                    right = right + (
-                        self.e2(pair) * NCPoly.generator(ab, g)
-                    ).scale(coeff)
-                if left != right:
-                    raise AssertionError(
-                        f"overlap element mismatch at {indices}: "
-                        f"{(left - right).render()}"
-                    )
+            left = NCPoly.zero(ab)
+            for (g, pair), coeff in zL.items():
+                left = left + (
+                    NCPoly.generator(ab, g) * self.e2(pair)
+                ).scale(coeff)
+            right = NCPoly.zero(ab)
+            for (pair, g), coeff in zR.items():
+                right = right + (
+                    self.e2(pair) * NCPoly.generator(ab, g)
+                ).scale(coeff)
+            if left != right:
+                raise AssertionError(
+                    f"overlap element mismatch at {indices}: "
+                    f"{(left - right).render()}"
+                )
             return indices, zL, zR
 
         one = srat(1)
@@ -589,9 +565,9 @@ class QlsPresentation:
                     zR: Dict[tuple, Scalar] = {}
                     for (aa, bb, cc) in ((i, j, k), (j, k, i), (k, i, j)):
                         pair_bc, sign_bc = ee(bb, cc)
-                        bumpd(zL, (ab.even(aa), pair_bc), srat(sign_bc))
+                        accumulate(zL, (ab.even(aa), pair_bc), srat(sign_bc))
                         pair_ab, sign_ab = ee(aa, bb)
-                        bumpd(zR, (pair_ab, ab.even(cc)), srat(sign_ab))
+                        accumulate(zR, (pair_ab, ab.even(cc)), srat(sign_ab))
                     yield check((i, j, k), zL, zR)
 
         # even-even-odd
@@ -619,21 +595,21 @@ class QlsPresentation:
                         (ab.even(i), ("oo", p, q)): one,
                         (ab.odd(p), ("mx", i, q)): -one,
                     }
-                    bumpd(zL, (ab.odd(q), ("mx", i, p)), -one)
+                    accumulate(zL, (ab.odd(q), ("mx", i, p)), -one)
                     zR = {
                         (("oo", p, q), ab.even(i)): one,
                         (("mx", i, q), ab.odd(p)): one,
                     }
-                    bumpd(zR, (("mx", i, p), ab.odd(q)), one)
+                    accumulate(zR, (("mx", i, p), ab.odd(q)), one)
                     for (pp, qq, k, l), val in self.d.items():
                         if (pp, qq) != (p, q):
                             continue
                         pair_il, sign_il = ee(i, l)
                         if i != l:
-                            bumpd(zL, (ab.even(k), pair_il), val * sign_il)
+                            accumulate(zL, (ab.even(k), pair_il), val * sign_il)
                         pair_ik, sign_ik = ee(i, k)
                         if i != k:
-                            bumpd(zR, (pair_ik, ab.even(l)), -(val * sign_ik))
+                            accumulate(zR, (pair_ik, ab.even(l)), -(val * sign_ik))
                     yield check((i, n + p, n + q), zL, zR)
 
         # odd-odd-odd
@@ -644,26 +620,28 @@ class QlsPresentation:
                     zR = {}
                     for (aa, bb, cc) in ((p, q, r), (q, r, p), (r, p, q)):
                         pair_bc = ("oo", min(bb, cc), max(bb, cc))
-                        bumpd(zL, (ab.odd(aa), pair_bc), one)
-                        bumpd(zR, (pair_bc, ab.odd(aa)), one)
+                        accumulate(zL, (ab.odd(aa), pair_bc), one)
+                        accumulate(zR, (pair_bc, ab.odd(aa)), one)
                         for (pp, qq, k, l), val in self.d.items():
                             if (pp, qq) != (min(bb, cc), max(bb, cc)):
                                 continue
-                            bumpd(zL, (ab.even(k), ("mx", l, aa)), -val)
-                            bumpd(zR, (("mx", k, aa), ab.even(l)), val)
+                            accumulate(zL, (ab.even(k), ("mx", l, aa)), -val)
+                            accumulate(zR, (("mx", k, aa), ab.even(l)), val)
                     yield check((n + p, n + q, n + r), zL, zR)
 
-    def check_abstract_jacobi(self, verify_spans: bool = True) -> JacobiReport:
+    def check_abstract_jacobi(self) -> JacobiReport:
         """Overlap-reduction consistency check on the defining ideal.
 
         For each spanning element z of the degree-3 overlap space the two
         ways of substituting bracket values must agree; the obstructions
         split by degree into J1 (quadratic), J2 (linear), J3 (scalar).
+        These are the PBW conditions for quadratic-linear-scalar algebras
+        of Braverman and Gaitsgory (J. Algebra 181, 1996).
         """
         ab = self.alphabet
         viols: List[JacobiViolation] = []
 
-        for indices, zL, zR in self._overlap_elements(verify_spans):
+        for indices, zL, zR in self._overlap_elements():
             t = NCPoly.zero(ab)
             s = NCPoly.zero(ab)
             for (pair, g), coeff in zR.items():
@@ -705,13 +683,6 @@ class QlsPresentation:
                 viols.append(JacobiViolation("J3", indices, j3))
 
         return JacobiReport("abstract", viols)
-
-    def check_jacobi(self, method: str = "component", **kwargs) -> JacobiReport:
-        if method == "component":
-            return self.check_component_jacobi()
-        if method == "abstract":
-            return self.check_abstract_jacobi(**kwargs)
-        raise ValueError(f"unknown method {method!r}")
 
 
 class BalancedData:
@@ -764,26 +735,13 @@ def build_from_casimirs(c: Mapping, c2: Mapping, c3: Mapping, bal: BalancedData)
     """
     m = bal.m_odd
     b_tensor: Dict[tuple, Scalar] = {}
-    for (i, j), coeff in c2.items():
-        cval = Scalar.coerce(coeff)
-        mat = bal.pi[j]
-        for p in range(m):
-            for r in range(m):
-                if mat[p][r].is_zero():
-                    continue
-                for q in range(m):
-                    om = bal.omega[r][q]
-                    if om:
-                        key = (p, q, i)
-                        val = b_tensor.get(key, Scalar()) + cval * mat[p][r] * om
-                        if val.is_zero():
-                            b_tensor.pop(key, None)
-                        else:
-                            b_tensor[key] = val
     d_tensor: Dict[tuple, Scalar] = {}
-    for (mm, k, l), coeff in c3.items():
+    # (even index of pi, trailing even indices of the key, coeff, output)
+    jobs = [(j, (i,), coeff, b_tensor) for (i, j), coeff in c2.items()]
+    jobs += [(mm, (k, l), coeff, d_tensor) for (mm, k, l), coeff in c3.items()]
+    for x, rest, coeff, out in jobs:
         cval = Scalar.coerce(coeff)
-        mat = bal.pi[mm]
+        mat = bal.pi[x]
         for p in range(m):
             for r in range(m):
                 if mat[p][r].is_zero():
@@ -791,10 +749,5 @@ def build_from_casimirs(c: Mapping, c2: Mapping, c3: Mapping, bal: BalancedData)
                 for q in range(m):
                     om = bal.omega[r][q]
                     if om:
-                        key = (p, q, k, l)
-                        val = d_tensor.get(key, Scalar()) + cval * mat[p][r] * om
-                        if val.is_zero():
-                            d_tensor.pop(key, None)
-                        else:
-                            d_tensor[key] = val
+                        accumulate(out, (p, q) + rest, cval * mat[p][r] * om)
     return b_tensor, d_tensor

@@ -214,3 +214,14 @@ ONE = Scalar.from_rational(1)
 def srat(num: Union[int, Fraction], den: int = 1) -> Scalar:
     """Shorthand for a rational scalar num/den."""
     return Scalar.from_rational(Fraction(num, den))
+
+
+def accumulate(store: dict, key, value) -> None:
+    """Add value to store[key] in a sparse map, dropping the entry when the
+    sum cancels; values may be Scalars, Fractions or ints."""
+    prev = store.get(key)
+    new = value if prev is None else prev + value
+    if new:
+        store[key] = new
+    else:
+        store.pop(key, None)

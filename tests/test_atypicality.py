@@ -14,7 +14,14 @@ from quadlie.atypicality import (
     zero_step,
     zero_step_equivalence_check,
 )
-from quadlie.gl2n1 import FamilyParams, Weight, family_data
+from quadlie.gl2n1 import (
+    FamilyParams,
+    Weight,
+    _adjoint_coeffs,
+    _composite_coeffs,
+    _rect_casimirs,
+    family_data,
+)
 from quadlie.scalars import Scalar
 
 # all (n, r, k) with (r-1)(k+n-r) = r(n-r), k >= 1, 2 <= r <= n-1, n <= 10
@@ -173,6 +180,59 @@ def test_one_step_grid_scan_empty():
     res = one_step_analysis(3, scan_bound=10)
     assert res["scan_bound"] == 10
     assert res["scan_counterexamples"] == []
+
+
+def _numeric_composites(n, r, mubar, nubar, c):
+    s_p, p_p, c1p, c2p = _rect_casimirs(n, r, mubar, nubar)
+    return _composite_coeffs(s_p, p_p, *_adjoint_coeffs(n, c1p, c2p, c))
+
+
+def test_family_formulas_agree_across_paths():
+    """The symbolic B o A coefficients, the integer scan path and the
+    reduced operator forms of family_data give the same values."""
+    rng = random.Random(7)
+    keys = ("EE", "Edelta", "deltaE", "deltadelta")
+    for n in range(3, 7):
+        symbolic = one_step_analysis(n)["coefficients"]
+        for _ in range(15):
+            r = rng.randint(1, n - 1)
+            mubar, nubar, c = (rng.randint(-10, 10) for _ in range(3))
+            point = {"r": r, "mubar": mubar, "nubar": nubar, "c": c}
+            from_symbolic = tuple(
+                symbolic[k].substitute(point).as_rational() for k in keys
+            )
+            numeric = _numeric_composites(n, r, mubar, nubar, c)
+            assert all(isinstance(v, (int, Fraction)) for v in numeric)
+            d = family_data(FamilyParams(n, r, mubar - (n - r), nubar), c)
+            from_family = (
+                d["A_E"] * d["B_Edelta"],
+                d["A_delta"] * d["B_Edelta"],
+                d["A_E"] * (d["B_deltadelta"] + d["s_prime"])
+                + d["A_delta"] * d["B_deltaE"],
+                d["A_delta"] * d["B_deltadelta"] + d["p_prime"] * d["A_E"],
+            )
+            assert from_symbolic == numeric
+            assert tuple(v.as_rational() for v in from_family) == numeric
+
+
+def test_one_step_scan_gate_can_fail():
+    """Zero-step rows inside the scan grid make every B o A coefficient
+    vanish, so only the zero-step exclusion keeps the scan empty."""
+    inside = 0
+    for n, r, k in table_zero_step(10):
+        params = FamilyParams(n, r, k, 0)
+        c = _solved_central(params)
+        mubar = params.mubar.as_rational()
+        if not (c.denominator == 1 and abs(c) <= 10 and abs(mubar) <= 10):
+            continue
+        inside += 1
+        point = {"r": r, "mubar": mubar, "nubar": 0, "c": c}
+        coeffs = one_step_analysis(n)["coefficients"]
+        assert all(v.substitute(point).is_zero() for v in coeffs.values())
+        assert not any(_numeric_composites(n, r, int(mubar), 0, int(c)))
+        scan = one_step_analysis(n, scan_bound=10)["scan_counterexamples"]
+        assert (r, mubar, 0, c) not in scan
+    assert inside == 3  # (3,2,1), (4,2,2) and (5,3,1)
 
 
 def test_one_step_requires_n_at_least_three():

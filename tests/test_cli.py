@@ -157,8 +157,10 @@ def test_zero_step_table(capsys):
 def test_fock_check(capsys):
     code, out, _ = _run(capsys, "fock-check", "--n", "4")
     assert code == 0
-    assert "constant factor 1/6" in out
+    assert "bracket identity: exact" in out
     assert "result: PASS" in out
+    code, out, _ = _run(capsys, "--format", "structured", "fock-check", "--n", "4")
+    assert json.loads(out)["bracket_identity"]["holds_as_printed"] is True
 
 
 def test_serre_check_builtin(capsys):
@@ -189,6 +191,17 @@ def test_json_list_file_exits_2(tmp_path, capsys, command):
     path = tmp_path / "list.qls"
     path.write_text("[1, 2]")
     code, _, err = _run(capsys, command, str(path))
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("entry", ["1/0", 5])
+def test_bad_tensor_entry_exits_2(tmp_path, capsys, entry):
+    data = build(2, 1).presentation.to_json_dict()
+    data["c"][0][-1] = entry
+    path = tmp_path / "bad_entry.qls"
+    path.write_text(json.dumps(data))
+    code, _, err = _run(capsys, "verify-presentation", str(path))
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
 

@@ -76,13 +76,11 @@ def test_occupation_basis():
     assert all(bin(b).count("1") == 2 for b in occupation_basis(4, 2))
 
 
-def test_bracket_polynomial_constant_factor():
+def test_bracket_polynomial_exact():
     report = bracket_polynomial_check(4)
     assert report["components_checked"] == 16
-    # the displayed -3/2 normalization overstates the exact bracket by a
-    # constant factor: the matrices satisfy it with 1/6 of the right side
-    assert report["holds"] is False
-    assert report["overall_factor"] == Fraction(1, 6)
+    # {Q, Qbar} = -1/4 (E_script^2 - (n+3-N) E_script + 4 delta), exactly
+    assert report["holds"] is True
 
 
 def test_zero_step_demo_passes():

@@ -120,7 +120,7 @@ def test_checker_equivalence_on_random_presentations():
 def _overlap_span_rank(pres: QlsPresentation) -> int:
     ab = pres.alphabet
     rows = []
-    for _, zL, _ in pres._overlap_elements(verify_spans=True):
+    for _, zL, _ in pres._overlap_elements():
         poly = NCPoly.zero(ab)
         for (g, pair), coeff in zL.items():
             poly = poly + (NCPoly.generator(ab, g) * pres.e2(pair)).scale(coeff)
