@@ -41,7 +41,6 @@ from .pbw import (
     RewriteSystem,
     check_admissible,
     inadmissible_dependence_witness,
-    normal_form,
     pbw_monomial_count,
     serre_module_check,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "inadmissible_dependence_witness",
     "lambda3_presentation",
     "level1_poly",
-    "normal_form",
     "one_step_analysis",
     "parse_ncpoly",
     "parse_scalar",

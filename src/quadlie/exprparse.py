@@ -20,6 +20,12 @@ class ParseError(ValueError):
     pass
 
 
+# deepest nesting of parentheses and unary minus signs the parser accepts;
+# each level costs a few Python frames, so this keeps parsing well inside
+# the interpreter's recursion limit
+MAX_NESTING = 100
+
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()\[\],]))"
 )
@@ -49,6 +55,7 @@ class _Parser:
     def __init__(self, tokens, atom_handler):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.atom_handler = atom_handler
 
     def peek(self):
@@ -115,14 +122,18 @@ class _Parser:
 
     def parse_atom(self):
         kind, val = self.peek()
-        if val == "(":
+        if val in ("(", "-"):
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"expression nested deeper than {MAX_NESTING} levels")
             self.take()
-            inner = self.parse_expr()
-            self.take(")")
+            self.depth += 1
+            if val == "(":
+                inner = self.parse_expr()
+                self.take(")")
+            else:
+                inner = -self.parse_atom()
+            self.depth -= 1
             return inner
-        if val == "-":
-            self.take()
-            return -self.parse_atom()
         if kind == "num":
             self.take()
             return self._number(int(val))

@@ -11,7 +11,9 @@ exact matrix computations.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations
 from typing import Dict, List, Optional, Tuple
 
@@ -394,44 +396,23 @@ def presentation_cross_check() -> dict:
     for u in triples:
         mats.append(gens["Q"][u])
 
-    def srat_val(s) -> Fraction:
-        return s.as_rational()
-
     failures = []
-    ne, mo = pres.n_even, pres.m_odd
-    # even-even commutators
-    for i in range(ne):
-        for j in range(ne):
-            rhs = SparseOp(dim)
-            for (a1, b1, k1), val in pres.c.items():
-                if (a1, b1) == (i, j):
-                    rhs = rhs + mats[k1] * srat_val(val)
-            if commutator(mats[i], mats[j]) != rhs:
-                failures.append(("ee", i, j))
-    # even-odd commutators
-    for i in range(ne):
-        for p in range(mo):
-            rhs = SparseOp(dim)
-            for (a1, p1, q1), val in pres.cbar.items():
-                if (a1, p1) == (i, p):
-                    rhs = rhs + mats[ne + q1] * srat_val(val)
-            if commutator(mats[i], mats[ne + p]) != rhs:
-                failures.append(("mx", i, p))
-    # odd-odd anticommutators: {y_p, y_q} = d_pq^{ab} x_a x_b + b_pq^k x_k + a_pq
-    for p in range(mo):
-        for q in range(mo):
-            rhs = SparseOp(dim)
-            for (p1, q1, a1, b1), val in pres.d.items():
-                if (p1, q1) == (p, q):
-                    rhs = rhs + mats[a1] * mats[b1] * srat_val(val)
-            for (p1, q1, k1), val in pres.b.items():
-                if (p1, q1) == (p, q):
-                    rhs = rhs + mats[k1] * srat_val(val)
-            aval = pres.a.get((p, q))
-            if aval is not None:
-                rhs = rhs + SparseOp.identity(dim) * srat_val(aval)
-            if anticommutator(mats[ne + p], mats[ne + q]) != rhs:
-                failures.append(("oo", p, q))
+    ne = pres.n_even
+    evens, odds = range(ne), range(ne, ne + pres.m_odd)
+    # {y_p, y_q} for odd pairs, [., .] otherwise; pairs (odd, even) are
+    # the (even, odd) relations again
+    for kind, firsts, seconds in (("ee", evens, evens), ("mx", evens, odds),
+                                  ("oo", odds, odds)):
+        bracket_op = anticommutator if kind == "oo" else commutator
+        for g1 in firsts:
+            for g2 in seconds:
+                rhs = SparseOp(dim)
+                for word, val in pres.bracket(g1, g2).items():
+                    op = (reduce(operator.mul, (mats[g] for g in word))
+                          if word else SparseOp.identity(dim))
+                    rhs = rhs + op * val.as_rational()
+                if bracket_op(mats[g1], mats[g2]) != rhs:
+                    failures.append((kind, g1 - firsts.start, g2 - seconds.start))
     return {"n": n, "relations_hold": not failures, "failures": failures,
             "presentation": pres}
 

@@ -100,45 +100,18 @@ class RewriteSystem:
 
     # lower-order table: unordered adjacent pair (g1, g2) -> list of
     # (middle word, coeff) with g1 g2 = (sign) g2 g1 + sum coeff * middle,
-    # and y y = sum coeff * middle for an odd square
+    # and y y = sum coeff * middle = (1/2) {y, y} for an odd square
     def _build_rules(self):
-        ab = self.presentation.alphabet
         pres = self.presentation
         rules: Dict[Tuple[int, int], List[Tuple[Word, Scalar]]] = {}
-        size = ab.size
+        size = pres.alphabet.size
         for g1 in range(size):
             for g2 in range(size):
-                if self.word_is_ordered((g1, g2)):
-                    continue
-                out: List[Tuple[Word, Scalar]] = []
-                p1, p2 = ab.parity(g1), ab.parity(g2)
-                if p1 == 0 and p2 == 0:
-                    for (i, j, k), v in pres.c.items():
-                        if (i, j) == (g1, g2):
-                            out.append(((ab.even(k),), v))
-                elif p1 == 0:
-                    # x_i y_p = y_p x_i + cbar_ip^q y_q
-                    for (i, p, q), v in pres.cbar.items():
-                        if (i, p) == (g1, g2 - ab.n_even):
-                            out.append(((ab.odd(q),), v))
-                elif p2 == 0:
-                    # y_p x_i = x_i y_p - cbar_ip^q y_q
-                    for (i, p, q), v in pres.cbar.items():
-                        if (i, p) == (g2, g1 - ab.n_even):
-                            out.append(((ab.odd(q),), -v))
-                else:
-                    p, q = g1 - ab.n_even, g2 - ab.n_even
-                    half = srat(1, 2) if p == q else srat(1)
-                    for (pp, qq, k, l), v in pres.d.items():
-                        if (pp, qq) == (p, q):
-                            out.append(((ab.even(k), ab.even(l)), v * half))
-                    for (pp, qq, k), v in pres.b.items():
-                        if (pp, qq) == (p, q):
-                            out.append(((ab.even(k),), v * half))
-                    av = pres.a.get((p, q))
-                    if av is not None:
-                        out.append(((), av * half))
-                rules[(g1, g2)] = out
+                if not self.word_is_ordered((g1, g2)):
+                    half = srat(1, 2) if g1 == g2 else srat(1)
+                    rules[(g1, g2)] = [
+                        (w, v * half) for w, v in pres.bracket(g1, g2).items()
+                    ]
         return rules
 
     # -- ordering predicates ------------------------------------------
@@ -171,10 +144,6 @@ class RewriteSystem:
         return NCPoly(self.presentation.alphabet, out)
 
 
-def normal_form(elem: NCPoly, rs: RewriteSystem) -> NCPoly:
-    return rs.normal_form(elem)
-
-
 def pbw_monomial_count(rs: RewriteSystem, degree: int) -> int:
     """Number of ordered monomials of exactly the given degree."""
     n = rs.presentation.n_even
@@ -202,13 +171,12 @@ def inadmissible_dependence_witness(
     ab = pres.alphabet
     ya, yb = ab.odd(p), ab.odd(q)
     out = NCPoly.monomial(ab, (ya, yb, ya))
-    for (pp, qq, k, l), v in pres.d.items():
-        if (pp, qq) == (p, p):
-            out = out + NCPoly.monomial(
-                ab, (ab.even(k), ab.even(l), yb), v / 2
-            )
-        if (pp, qq) == (p, q):
-            out = out - NCPoly.monomial(ab, (ya, ab.even(k), ab.even(l)), v)
+    for w, v in pres.bracket(ya, ya).items():
+        if len(w) == 2:
+            out = out + NCPoly.monomial(ab, w + (yb,), v / 2)
+    for w, v in pres.bracket(ya, yb).items():
+        if len(w) == 2:
+            out = out - NCPoly.monomial(ab, (ya,) + w, v)
     return out
 
 

@@ -9,7 +9,9 @@ brackets
 
 (evens x_i, odds y_p, summation implied).  The anticommutators are allowed
 to close on quadratic expressions, so associativity of the enveloping
-algebra is not automatic; two independent checkers decide it:
+algebra is not automatic.  `QlsPresentation.bracket(g1, g2)` is the one
+place where the bracket of a generator pair is read: a table built once
+from the five tensors.  Two independent checkers decide associativity:
 
   * check_component_jacobi -- six families of index-wise tensor identities,
   * check_abstract_jacobi  -- reduces overlap elements of the defining ideal
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .exprparse import parse_scalar
@@ -36,6 +39,8 @@ from .scalars import Scalar, accumulate, srat
 Pair = Tuple[str, int, int]
 
 FORMAT_TAG = "quadlie-presentation-1"
+
+_NO_TERMS: Mapping[Word, Scalar] = MappingProxyType({})
 
 
 class JacobiViolation(NamedTuple):
@@ -71,6 +76,10 @@ class JacobiReport:
 
     def __repr__(self):
         return f"JacobiReport({self.method}, passed={self.passed})"
+
+
+def _is_json_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _coerce_tensor(entries, arity: int, label: str) -> Dict[tuple, Scalar]:
@@ -123,6 +132,7 @@ class QlsPresentation:
             n_even, m_odd, names=names, indeterminates=self.indeterminates
         )
         self._validate()
+        self._brackets = self._build_brackets()
         self._alpha_cache: Dict[Pair, NCPoly] = {}
         self._e2_cache: Dict[Pair, NCPoly] = {}
 
@@ -155,6 +165,33 @@ class QlsPresentation:
                 raise ValueError(f"a index {(p, q)} out of range")
             if self.a.get((q, p), Scalar()) != v:
                 raise ValueError(f"a not symmetric at {(p, q)}")
+
+    # -- bracket table ------------------------------------------------
+
+    def _build_brackets(self) -> Dict[Tuple[int, int], Mapping[Word, Scalar]]:
+        n = self.n_even
+        table: Dict[Tuple[int, int], Dict[Word, Scalar]] = {}
+
+        def put(g1, g2, word, val):
+            table.setdefault((g1, g2), {})[word] = val
+
+        for (i, j, k), v in self.c.items():
+            put(i, j, (k,), v)
+        for (i, p, q), v in self.cbar.items():
+            put(i, n + p, (n + q,), v)
+            put(n + p, i, (n + q,), -v)
+        for (p, q, k, l), v in self.d.items():
+            put(n + p, n + q, (k, l), v)
+        for (p, q, k), v in self.b.items():
+            put(n + p, n + q, (k,), v)
+        for (p, q), v in self.a.items():
+            put(n + p, n + q, (), v)
+        return {pair: MappingProxyType(terms) for pair, terms in table.items()}
+
+    def bracket(self, g1: int, g2: int) -> Mapping[Word, Scalar]:
+        """[g1, g2} = g1 g2 - (-1)^{|g1||g2|} g2 g1 as a read-only map
+        word -> coeff over words of length 0, 1 or 2."""
+        return self._brackets.get((g1, g2), _NO_TERMS)
 
     # -- equality / serialization -------------------------------------
 
@@ -217,26 +254,45 @@ class QlsPresentation:
         if data.get("format") != FORMAT_TAG:
             raise ValueError(f"unrecognized presentation format {data.get('format')!r}")
 
-        def load(entries, arity):
+        def count(key):
+            value = data.get(key)
+            if not _is_json_int(value):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            return value
+
+        def load(key, arity):
+            entries = data.get(key, [])
+            if not isinstance(entries, list):
+                raise ValueError(f"tensor section {key!r} is not a list")
             out = {}
             for row in entries:
                 if not isinstance(row, list) or len(row) != arity + 1:
                     raise ValueError(f"bad tensor row {row}")
+                if not all(_is_json_int(t) for t in row[:-1]):
+                    raise ValueError(f"tensor index in row {row} is not an integer")
                 if not isinstance(row[-1], str):
                     raise ValueError(f"tensor entry in row {row} is not a string")
-                out[tuple(int(t) for t in row[:-1])] = parse_scalar(row[-1])
+                out[tuple(row[:-1])] = parse_scalar(row[-1])
             return out
 
+        def strings(key, default):
+            if key not in data:
+                return default
+            value = data[key]
+            if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+                raise ValueError(f"{key} must be a list of strings")
+            return value
+
         return QlsPresentation(
-            int(data["n_even"]),
-            int(data["m_odd"]),
-            c=load(data.get("c", []), 3),
-            cbar=load(data.get("cbar", []), 3),
-            d=load(data.get("d", []), 4),
-            b=load(data.get("b", []), 3),
-            a=load(data.get("a", []), 2),
-            names=data.get("names"),
-            indeterminates=data.get("indeterminates", ()),
+            count("n_even"),
+            count("m_odd"),
+            c=load("c", 3),
+            cbar=load("cbar", 3),
+            d=load("d", 4),
+            b=load("b", 3),
+            a=load("a", 2),
+            names=strings("names", None),
+            indeterminates=strings("indeterminates", ()),
         )
 
     @staticmethod
@@ -258,75 +314,47 @@ class QlsPresentation:
         pairs += [("oo", p, q) for p in range(m) for q in range(p, m)]
         return pairs
 
-    def e2(self, pair: Pair) -> NCPoly:
-        """Quadratic part of the ideal generator labelled by `pair`."""
-        cached = self._e2_cache.get(pair)
-        if cached is not None:
-            return cached
+    def _pair_generators(self, pair: Pair) -> Tuple[int, int]:
+        """The generators (g1, g2) whose bracket the pair labels."""
         ab = self.alphabet
         kind, u, v = pair
         if kind == "ee":
-            i, j = ab.even(u), ab.even(v)
-            poly = NCPoly(ab, {(i, j): srat(1), (j, i): srat(-1)})
-        elif kind == "mx":
-            i, p = ab.even(u), ab.odd(v)
-            poly = NCPoly(ab, {(i, p): srat(1), (p, i): srat(-1)})
-        elif kind == "oo":
-            p, q = ab.odd(u), ab.odd(v)
-            terms: Dict[Word, Scalar] = {(p, q): srat(1)}
-            terms[(q, p)] = terms.get((q, p), Scalar()) + 1
-            poly = NCPoly(ab, terms)
-            dpart: Dict[Word, Scalar] = {}
-            for (p2, q2, k, l), val in self.d.items():
-                if (p2, q2) == (u, v):
-                    w = (ab.even(k), ab.even(l))
-                    dpart[w] = dpart.get(w, Scalar()) + val
-            poly = poly - NCPoly(ab, dpart)
-        else:
-            raise ValueError(f"unknown pair kind {kind!r}")
-        self._e2_cache[pair] = poly
+            return ab.even(u), ab.even(v)
+        if kind == "mx":
+            return ab.even(u), ab.odd(v)
+        if kind == "oo":
+            return ab.odd(u), ab.odd(v)
+        raise ValueError(f"unknown pair kind {kind!r}")
+
+    def _bracket_part(self, pair: Pair, length: int) -> Dict[Word, Scalar]:
+        return {
+            w: v
+            for w, v in self.bracket(*self._pair_generators(pair)).items()
+            if len(w) == length
+        }
+
+    def e2(self, pair: Pair) -> NCPoly:
+        """Quadratic part of the ideal generator labelled by `pair`."""
+        poly = self._e2_cache.get(pair)
+        if poly is None:
+            g1, g2 = self._pair_generators(pair)
+            terms = {w: -v for w, v in self._bracket_part(pair, 2).items()}
+            accumulate(terms, (g1, g2), srat(1))
+            accumulate(terms, (g2, g1), srat(1 if pair[0] == "oo" else -1))
+            poly = self._e2_cache[pair] = NCPoly(self.alphabet, terms)
         return poly
 
     def alpha(self, pair: Pair) -> NCPoly:
         """Degree-1 bracket value of the ideal generator."""
-        cached = self._alpha_cache.get(pair)
-        if cached is not None:
-            return cached
-        ab = self.alphabet
-        kind, u, v = pair
-        acc: Dict[Word, Scalar] = {}
-        if kind == "ee":
-            for (i, j, k), val in self.c.items():
-                if (i, j) == (u, v):
-                    w = (ab.even(k),)
-                    acc[w] = acc.get(w, Scalar()) + val
-        elif kind == "mx":
-            for (i, p, q), val in self.cbar.items():
-                if (i, p) == (u, v):
-                    w = (ab.odd(q),)
-                    acc[w] = acc.get(w, Scalar()) + val
-        elif kind == "oo":
-            for (p, q, k), val in self.b.items():
-                if (p, q) == (u, v):
-                    w = (ab.even(k),)
-                    acc[w] = acc.get(w, Scalar()) + val
-        else:
-            raise ValueError(f"unknown pair kind {kind!r}")
-        poly = NCPoly(ab, acc)
-        self._alpha_cache[pair] = poly
+        poly = self._alpha_cache.get(pair)
+        if poly is None:
+            poly = NCPoly(self.alphabet, self._bracket_part(pair, 1))
+            self._alpha_cache[pair] = poly
         return poly
 
     def beta(self, pair: Pair) -> Scalar:
         """Scalar bracket value of the ideal generator (odd pairs only)."""
-        kind, u, v = pair
-        if kind == "oo":
-            return self.a.get((u, v), Scalar())
-        return Scalar()
-
-    def ideal_generator(self, pair: Pair) -> NCPoly:
-        """Full generator: quadratic part minus its bracket value."""
-        g = self.e2(pair) - self.alpha(pair)
-        return g - NCPoly.one(self.alphabet).scale(self.beta(pair))
+        return self.bracket(*self._pair_generators(pair)).get((), Scalar())
 
     # -- reduction of degree-2 elements --------------------------------
 
@@ -336,50 +364,34 @@ class QlsPresentation:
         Ordered words: x_u x_v with u<=v, x_i y_p, and y_p y_q with p<q.
         Returns the residual and the bookkeeping coefficients lam.
         """
-        ab = self.alphabet
-        n = ab.n_even
+        n = self.n_even
         residual: Dict[Word, Scalar] = {}
         lam: Dict[Pair, Scalar] = {}
         work = list(poly.terms.items())
         while work:
             word, coeff = work.pop()
-            if len(word) != 2:
+            if len(word) != 2 or word[0] < word[1] or word[0] == word[1] < n:
                 accumulate(residual, word, coeff)
                 continue
-            g1, g2 = word
-            p1, p2 = ab.parity(g1), ab.parity(g2)
-            if p1 == 0 and p2 == 0:
-                if g1 <= g2:
-                    accumulate(residual, word, coeff)
-                else:
-                    # x_j x_i = x_i x_j - e_ee(i,j)   (i<j)
-                    work.append(((g2, g1), coeff))
-                    accumulate(lam, ("ee", g2, g1), -coeff)
-            elif p1 == 0:  # even then odd: ordered
-                accumulate(residual, word, coeff)
-            elif p2 == 0:
-                # y_p x_i = x_i y_p - e_mx(i,p)
-                work.append(((g2, g1), coeff))
-                accumulate(lam, ("mx", g2, g1 - n), -coeff)
+            h, g = word  # g < h, or an odd square
+            if g == h:
+                # y_p y_p = (1/2) d-part + (1/2) e_oo(p,p)
+                t = coeff / 2
             else:
-                u, v = g1 - n, g2 - n
-                if u < v:
-                    accumulate(residual, word, coeff)
-                elif u == v:
-                    # y_p y_p = (1/2) d-part + (1/2) e_oo(p,p)
-                    half = coeff / 2
-                    for (p, q, k, l), val in self.d.items():
-                        if (p, q) == (u, u):
-                            work.append(((ab.even(k), ab.even(l)), half * val))
-                    accumulate(lam, ("oo", u, u), half)
-                else:
-                    # y_p y_q = -y_q y_p + d-part + e_oo(q,p)   (q<p)
-                    work.append(((g2, g1), -coeff))
-                    for (p, q, k, l), val in self.d.items():
-                        if (p, q) == (v, u):
-                            work.append(((ab.even(k), ab.even(l)), coeff * val))
-                    accumulate(lam, ("oo", v, u), coeff)
-        return NCPoly(ab, residual), lam
+                # h g = s g h - s d-part - s e(g,h), s the swap sign
+                t = coeff if g >= n else -coeff
+                work.append(((g, h), -t))
+            for w, v in self.bracket(g, h).items():
+                if len(w) == 2:
+                    work.append((w, t * v))
+            if h < n:
+                pair = ("ee", g, h)
+            elif g < n:
+                pair = ("mx", g, h - n)
+            else:
+                pair = ("oo", g - n, h - n)
+            accumulate(lam, pair, t)
+        return NCPoly(self.alphabet, residual), lam
 
     def alpha_beta(self, poly: NCPoly) -> Tuple[NCPoly, Scalar]:
         """Bracket value of an element of the quadratic ideal span.
@@ -525,8 +537,8 @@ class QlsPresentation:
 
         zL is a dict (generator, pair) -> Scalar representing
         sum coeff . generator (x) e2(pair); zR the mirror dict
-        (pair, generator) -> Scalar.  As a self-check, the two tensor
-        expansions are verified to agree word by word.
+        (pair, generator) -> Scalar.  The two expand to the same degree-3
+        element of the free algebra.
         """
         ab = self.alphabet
         n, m = self.n_even, self.m_odd
@@ -536,24 +548,6 @@ class QlsPresentation:
             if i < j:
                 return ("ee", i, j), 1
             return ("ee", j, i), -1
-
-        def check(indices, zL, zR):
-            left = NCPoly.zero(ab)
-            for (g, pair), coeff in zL.items():
-                left = left + (
-                    NCPoly.generator(ab, g) * self.e2(pair)
-                ).scale(coeff)
-            right = NCPoly.zero(ab)
-            for (pair, g), coeff in zR.items():
-                right = right + (
-                    self.e2(pair) * NCPoly.generator(ab, g)
-                ).scale(coeff)
-            if left != right:
-                raise AssertionError(
-                    f"overlap element mismatch at {indices}: "
-                    f"{(left - right).render()}"
-                )
-            return indices, zL, zR
 
         one = srat(1)
 
@@ -568,7 +562,7 @@ class QlsPresentation:
                         accumulate(zL, (ab.even(aa), pair_bc), srat(sign_bc))
                         pair_ab, sign_ab = ee(aa, bb)
                         accumulate(zR, (pair_ab, ab.even(cc)), srat(sign_ab))
-                    yield check((i, j, k), zL, zR)
+                    yield (i, j, k), zL, zR
 
         # even-even-odd
         for i in range(n):
@@ -585,7 +579,7 @@ class QlsPresentation:
                         (("mx", j, p), ab.even(i)): one,
                         (("mx", i, p), ab.even(j)): -one,
                     }
-                    yield check((i, j, n + p), zL, zR)
+                    yield (i, j, n + p), zL, zR
 
         # even-odd-odd
         for p in range(m):
@@ -601,16 +595,17 @@ class QlsPresentation:
                         (("mx", i, q), ab.odd(p)): one,
                     }
                     accumulate(zR, (("mx", i, p), ab.odd(q)), one)
-                    for (pp, qq, k, l), val in self.d.items():
-                        if (pp, qq) != (p, q):
+                    for w, val in self.bracket(ab.odd(p), ab.odd(q)).items():
+                        if len(w) != 2:
                             continue
+                        k, l = w
                         pair_il, sign_il = ee(i, l)
                         if i != l:
                             accumulate(zL, (ab.even(k), pair_il), val * sign_il)
                         pair_ik, sign_ik = ee(i, k)
                         if i != k:
                             accumulate(zR, (pair_ik, ab.even(l)), -(val * sign_ik))
-                    yield check((i, n + p, n + q), zL, zR)
+                    yield (i, n + p, n + q), zL, zR
 
         # odd-odd-odd
         for p in range(m):
@@ -622,12 +617,13 @@ class QlsPresentation:
                         pair_bc = ("oo", min(bb, cc), max(bb, cc))
                         accumulate(zL, (ab.odd(aa), pair_bc), one)
                         accumulate(zR, (pair_bc, ab.odd(aa)), one)
-                        for (pp, qq, k, l), val in self.d.items():
-                            if (pp, qq) != (min(bb, cc), max(bb, cc)):
+                        for w, val in self.bracket(ab.odd(bb), ab.odd(cc)).items():
+                            if len(w) != 2:
                                 continue
+                            k, l = w
                             accumulate(zL, (ab.even(k), ("mx", l, aa)), -val)
                             accumulate(zR, (("mx", k, aa), ab.even(l)), val)
-                    yield check((n + p, n + q, n + r), zL, zR)
+                    yield (n + p, n + q, n + r), zL, zR
 
     def check_abstract_jacobi(self) -> JacobiReport:
         """Overlap-reduction consistency check on the defining ideal.

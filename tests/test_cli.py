@@ -195,13 +195,45 @@ def test_json_list_file_exits_2(tmp_path, capsys, command):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("entry", ["1/0", 5])
+@pytest.mark.parametrize("entry", [
+    "1/0", 5, pytest.param("-" * 5000 + "1", id="5000-minus-signs"),
+])
 def test_bad_tensor_entry_exits_2(tmp_path, capsys, entry):
     data = build(2, 1).presentation.to_json_dict()
     data["c"][0][-1] = entry
     path = tmp_path / "bad_entry.qls"
     path.write_text(json.dumps(data))
     code, _, err = _run(capsys, "verify-presentation", str(path))
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key, value", [
+    ("c", 5),
+    ("c", [[None, 1, 0, "1"]]),
+    ("a", [[0.7, 0.2, "1"]]),
+    ("n_even", None),
+    ("n_even", 4.9),
+    ("names", 5),
+    ("indeterminates", 5),
+], ids=["section-not-list", "null-index", "float-index", "null-count",
+        "float-count", "names-not-list", "indeterminates-not-list"])
+def test_malformed_document_exits_2(tmp_path, capsys, key, value):
+    data = build(2, 1).presentation.to_json_dict()
+    data[key] = value
+    path = tmp_path / "malformed.qls"
+    path.write_text(json.dumps(data))
+    code, _, err = _run(capsys, "verify-presentation", str(path))
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_normal_form_nesting_budget(capsys):
+    nested = "(" * 100 + "E[1,1]" + ")" * 100
+    code, out, _ = _run(capsys, "normal-form", "--n", "2", nested)
+    assert code == 0 and out.strip() == "E1_1"
+    deep = "(" * 3000 + "E[1,1]" + ")" * 3000
+    code, _, err = _run(capsys, "normal-form", "--n", "2", deep)
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
 

@@ -14,7 +14,6 @@ from quadlie.pbw import (
     RewriteSystem,
     check_admissible,
     inadmissible_dependence_witness,
-    normal_form,
     pbw_monomial_count,
     serre_module_check,
 )
@@ -108,6 +107,38 @@ def _random_words(rng, size, max_len, count):
     return out
 
 
+def _reference_bracket(pres, g1, g2):
+    """[g1, g2} as [(word, coeff)], read straight off the structure tensors
+    (independently of QlsPresentation.bracket)."""
+    n = pres.alphabet.n_even
+    if g1 < n and g2 < n:
+        return [((k,), v) for (i, j, k), v in pres.c.items()
+                if (i, j) == (g1, g2)]
+    if g1 < n:
+        return [((n + q,), v) for (i, p, q), v in pres.cbar.items()
+                if (i, p) == (g1, g2 - n)]
+    if g2 < n:
+        return [((n + q,), -v) for (i, p, q), v in pres.cbar.items()
+                if (i, p) == (g2, g1 - n)]
+    pq = (g1 - n, g2 - n)
+    out = [((k, l), v) for (p, q, k, l), v in pres.d.items() if (p, q) == pq]
+    out += [((k,), v) for (p, q, k), v in pres.b.items() if (p, q) == pq]
+    if pq in pres.a:
+        out.append(((), pres.a[pq]))
+    return out
+
+
+def test_bracket_table_matches_reference():
+    from test_presentation import _sample_presentations
+
+    for pres in _sample_presentations():
+        size = pres.alphabet.size
+        for g1 in range(size):
+            for g2 in range(size):
+                want = dict(_reference_bracket(pres, g1, g2))
+                assert dict(pres.bracket(g1, g2)) == want, (g1, g2)
+
+
 def _reference_rules(pres, order):
     """Leftmost-inversion rewrite rules read off the structure tensors:
     unordered adjacent pair (g1, g2) -> [(replacement word, coeff)], from
@@ -116,32 +147,15 @@ def _reference_rules(pres, order):
     ab = pres.alphabet
     n = ab.n_even
     pos = order.pos
-
-    def bracket(g1, g2):
-        if g1 < n and g2 < n:
-            return [((k,), v) for (i, j, k), v in pres.c.items()
-                    if (i, j) == (g1, g2)]
-        if g1 < n:
-            return [((n + q,), v) for (i, p, q), v in pres.cbar.items()
-                    if (i, p) == (g1, g2 - n)]
-        if g2 < n:
-            return [((n + q,), -v) for (i, p, q), v in pres.cbar.items()
-                    if (i, p) == (g2, g1 - n)]
-        pq = (g1 - n, g2 - n)
-        out = [((k, l), v) for (p, q, k, l), v in pres.d.items() if (p, q) == pq]
-        out += [((k,), v) for (p, q, k), v in pres.b.items() if (p, q) == pq]
-        if pq in pres.a:
-            out.append(((), pres.a[pq]))
-        return out
-
     rules = {}
     for g1 in range(ab.size):
         for g2 in range(ab.size):
+            bracket = _reference_bracket(pres, g1, g2)
             if g1 == g2 and g1 >= n:
-                rules[(g1, g2)] = [(w, v * srat(1, 2)) for w, v in bracket(g1, g2)]
+                rules[(g1, g2)] = [(w, v * srat(1, 2)) for w, v in bracket]
             elif g1 != g2 and pos(g1) > pos(g2):
                 sign = -1 if g1 >= n and g2 >= n else 1
-                rules[(g1, g2)] = [((g2, g1), srat(sign))] + bracket(g1, g2)
+                rules[(g1, g2)] = [((g2, g1), srat(sign))] + bracket
     return rules
 
 

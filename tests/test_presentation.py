@@ -1,10 +1,14 @@
 """Structure-tensor presentations and the two Jacobi checkers."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quadlie.fock import lambda3_presentation
 from quadlie.gl2n1 import build
 from quadlie.linalg import intersection_dimension, rank_of_rows
 from quadlie.ncpoly import NCPoly
@@ -117,15 +121,43 @@ def test_checker_equivalence_on_random_presentations():
         assert pres.check_component_jacobi().passed
 
 
-def _overlap_span_rank(pres: QlsPresentation) -> int:
+def _sample_presentations():
+    """gl2(n/1) for n = 2, 3, 4 (symbolic and c = 5/3), the Fock Lambda^3
+    presentation and 50 seeded random presentations."""
+    samples = [build(n, c).presentation
+               for n in (2, 3, 4) for c in (None, Fraction(5, 3))]
+    samples.append(lambda3_presentation())
+    rng = random.Random(20261017)
+    samples += [_random_presentation(rng) for _ in range(50)]
+    return samples
+
+
+def _expand(pres: QlsPresentation, z: dict, left: bool) -> NCPoly:
+    """sum coeff . g e2(pair) for a zL dict, or coeff . e2(pair) g for zR."""
     ab = pres.alphabet
+    poly = NCPoly.zero(ab)
+    for key, coeff in z.items():
+        g, pair = key if left else key[::-1]
+        gen = NCPoly.generator(ab, g)
+        prod = gen * pres.e2(pair) if left else pres.e2(pair) * gen
+        poly = poly + prod.scale(coeff)
+    return poly
+
+
+def _overlap_span_rank(pres: QlsPresentation) -> int:
     rows = []
     for _, zL, _ in pres._overlap_elements():
-        poly = NCPoly.zero(ab)
-        for (g, pair), coeff in zL.items():
-            poly = poly + (NCPoly.generator(ab, g) * pres.e2(pair)).scale(coeff)
+        poly = _expand(pres, zL, left=True)
         rows.append({w: v.as_rational() for w, v in poly.terms.items()})
     return rank_of_rows(rows)
+
+
+def test_overlap_elements_agree_on_both_sides():
+    for pres in _sample_presentations():
+        for indices, zL, zR in pres._overlap_elements():
+            left = _expand(pres, zL, left=True)
+            right = _expand(pres, zR, left=False)
+            assert left == right, (indices, (left - right).render())
 
 
 def _brute_force_intersection_dim(pres: QlsPresentation) -> int:
@@ -200,6 +232,48 @@ def test_serialization_round_trip():
     again = QlsPresentation.loads(pres.dumps())
     assert again == pres
     assert again.dumps() == pres.dumps()
+
+
+_GL2_2_1 = build(2, 1).presentation.dumps()
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _value_paths(doc, prefix=()):
+    yield prefix
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield from _value_paths(value, prefix + (key,))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_loader_raises_only_value_errors(data):
+    doc = json.loads(_GL2_2_1)
+    path = data.draw(st.sampled_from(list(_value_paths(doc))))
+    value = data.draw(_json_values)
+    if path:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        doc = value
+    try:
+        QlsPresentation.from_json_dict(doc)
+    except ValueError:  # ParseError is a ValueError
+        pass
 
 
 # -- Casimir construction -------------------------------------------------
