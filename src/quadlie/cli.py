@@ -213,11 +213,7 @@ def _cmd_atypicality_report(args) -> int:
     lines.append(f"  zero-step: {report['zero_step']}")
     for lvl in sorted(rep["levels"]):
         lines.append(f"  level {lvl}: {rep['levels'][lvl]}")
-    return _finish(report, args.format, lines)
-
-
-def _finish(report: dict, fmt: str, lines: List[str]) -> int:
-    _emit(report, fmt, lines)
+    _emit(report, args.format, lines)
     return PASS
 
 

@@ -167,8 +167,6 @@ def uni_mod(p: Uni, modulus: Uni) -> Uni:
         for k in range(d + 1):
             p[len(p) - 1 - d + k] = p[len(p) - 1 - d + k] - lead * modulus[k]
         uni_trim(p)
-        if len(p) > d and p[-1].is_zero():
-            uni_trim(p)
     return uni_trim(p)
 
 

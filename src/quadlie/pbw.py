@@ -107,7 +107,7 @@ class RewriteSystem:
         size = pres.alphabet.size
         for g1 in range(size):
             for g2 in range(size):
-                if not self.word_is_ordered((g1, g2)):
+                if not self._pair_is_ordered(g1, g2):
                     half = srat(1, 2) if g1 == g2 else srat(1)
                     rules[(g1, g2)] = [
                         (w, v * half) for w, v in pres.bracket(g1, g2).items()
@@ -116,16 +116,14 @@ class RewriteSystem:
 
     # -- ordering predicates ------------------------------------------
 
+    def _pair_is_ordered(self, a: int, b: int) -> bool:
+        """True iff the two-letter word (a, b) is ordered."""
+        if a == b:
+            return self.presentation.alphabet.parity(a) == 0
+        return self.order.pos(a) < self.order.pos(b)
+
     def word_is_ordered(self, word: Word) -> bool:
-        ab = self.presentation.alphabet
-        pos = self.order.pos
-        for g1, g2 in zip(word, word[1:]):
-            if g1 == g2:
-                if ab.parity(g1) == 1:
-                    return False
-            elif pos(g1) > pos(g2):
-                return False
-        return True
+        return all(map(self._pair_is_ordered, word, word[1:]))
 
     # -- normal forms -------------------------------------------------
 
@@ -189,17 +187,11 @@ class _ModuleAction:
     def __init__(self, rs: RewriteSystem, max_len: Optional[int] = None):
         self.rs = rs
         self.ab = rs.presentation.alphabet
-        self.pos = rs.order.pos
+        self._before = rs._pair_is_ordered
         self._cache: Dict[Tuple[int, Word], Dict[Word, Scalar]] = {}
         # lower-order bracket data for unordered pairs, acting on basis
         # vectors z_N
         self._lower = rs._rules
-
-    def _before(self, a: int, b: int) -> bool:
-        """True iff the two-letter word (a, b) is ordered."""
-        if a == b:
-            return self.ab.parity(a) == 0
-        return self.pos(a) < self.pos(b)
 
     def _precedes(self, a: int, word: Word) -> bool:
         return not word or self._before(a, word[0])
@@ -253,12 +245,7 @@ class _ModuleAction:
             nxt: Dict[Word, Scalar] = {}
             for w, v in dist.items():
                 for w2, v2 in self.act(g, w).items():
-                    prev = nxt.get(w2)
-                    new = v * v2 if prev is None else prev + v * v2
-                    if new.is_zero():
-                        nxt.pop(w2, None)
-                    else:
-                        nxt[w2] = new
+                    accumulate(nxt, w2, v * v2)
             dist = nxt
         return dist
 
@@ -275,7 +262,6 @@ def serre_module_check(
     if not rs.admissible:
         raise ValueError("module check requires an admissible order")
     ab = rs.presentation.alphabet
-    pos = rs.order.pos
     action = _ModuleAction(rs)
 
     words: List[Word] = [()]
@@ -293,7 +279,7 @@ def serre_module_check(
         (a, b)
         for a in range(ab.size)
         for b in range(ab.size)
-        if pos(a) > pos(b) or (a == b and ab.parity(a) == 1)
+        if not rs._pair_is_ordered(a, b)
     ]
     for nword in words:
         for a, b in pairs:

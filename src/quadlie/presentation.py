@@ -11,7 +11,9 @@ brackets
 to close on quadratic expressions, so associativity of the enveloping
 algebra is not automatic.  `QlsPresentation.bracket(g1, g2)` is the one
 place where the bracket of a generator pair is read: a table built once
-from the five tensors.  Two independent checkers decide associativity:
+from the five tensors.  The defining ideal is generated by
+e(g1, g2) = g1 g2 - (-1)^{|g1||g2|} g2 g1 - bracket(g1, g2), keyed by the
+generator pair itself.  Two independent checkers decide associativity:
 
   * check_component_jacobi -- six families of index-wise tensor identities,
   * check_abstract_jacobi  -- reduces overlap elements of the defining ideal
@@ -25,18 +27,13 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain, combinations, combinations_with_replacement
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .exprparse import parse_scalar
 from .ncpoly import Alphabet, NCPoly, Word
 from .scalars import Scalar, accumulate, srat
-
-# An ideal pair labels one quadratic generator of the defining ideal:
-#   ("ee", i, j) i<j : x_i x_j - x_j x_i - c-part
-#   ("mx", i, p)     : x_i y_p - y_p x_i - cbar-part
-#   ("oo", p, q) p<=q: y_p y_q + y_q y_p - d-part - b-part - a-part
-Pair = Tuple[str, int, int]
 
 FORMAT_TAG = "quadlie-presentation-1"
 
@@ -133,8 +130,6 @@ class QlsPresentation:
         )
         self._validate()
         self._brackets = self._build_brackets()
-        self._alpha_cache: Dict[Pair, NCPoly] = {}
-        self._e2_cache: Dict[Pair, NCPoly] = {}
 
     # -- validation ---------------------------------------------------
 
@@ -272,7 +267,10 @@ class QlsPresentation:
                     raise ValueError(f"tensor index in row {row} is not an integer")
                 if not isinstance(row[-1], str):
                     raise ValueError(f"tensor entry in row {row} is not a string")
-                out[tuple(row[:-1])] = parse_scalar(row[-1])
+                idx = tuple(row[:-1])
+                if idx in out:
+                    raise ValueError(f"{key} index {list(idx)} appears twice")
+                out[idx] = parse_scalar(row[-1])
             return out
 
         def strings(key, default):
@@ -297,7 +295,11 @@ class QlsPresentation:
 
     @staticmethod
     def loads(text: str) -> "QlsPresentation":
-        return QlsPresentation.from_json_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except RecursionError as exc:
+            raise ValueError("JSON nested too deeply") from exc
+        return QlsPresentation.from_json_dict(data)
 
     @staticmethod
     def load(path: str) -> "QlsPresentation":
@@ -306,67 +308,37 @@ class QlsPresentation:
 
     # -- ideal generators ---------------------------------------------
 
-    def ideal_pairs(self) -> List[Pair]:
-        n, m = self.n_even, self.m_odd
-        pairs: List[Pair] = []
-        pairs += [("ee", i, j) for i in range(n) for j in range(i + 1, n)]
-        pairs += [("mx", i, p) for i in range(n) for p in range(m)]
-        pairs += [("oo", p, q) for p in range(m) for q in range(p, m)]
-        return pairs
+    def e2(self, g1: int, g2: int) -> NCPoly:
+        """Quadratic part of the ideal generator e(g1, g2)."""
+        terms = {w: -v for w, v in self.bracket(g1, g2).items() if len(w) == 2}
+        accumulate(terms, (g1, g2), srat(1))
+        n = self.n_even
+        accumulate(terms, (g2, g1), srat(1 if g1 >= n and g2 >= n else -1))
+        return NCPoly(self.alphabet, terms)
 
-    def _pair_generators(self, pair: Pair) -> Tuple[int, int]:
-        """The generators (g1, g2) whose bracket the pair labels."""
-        ab = self.alphabet
-        kind, u, v = pair
-        if kind == "ee":
-            return ab.even(u), ab.even(v)
-        if kind == "mx":
-            return ab.even(u), ab.odd(v)
-        if kind == "oo":
-            return ab.odd(u), ab.odd(v)
-        raise ValueError(f"unknown pair kind {kind!r}")
-
-    def _bracket_part(self, pair: Pair, length: int) -> Dict[Word, Scalar]:
-        return {
-            w: v
-            for w, v in self.bracket(*self._pair_generators(pair)).items()
-            if len(w) == length
-        }
-
-    def e2(self, pair: Pair) -> NCPoly:
-        """Quadratic part of the ideal generator labelled by `pair`."""
-        poly = self._e2_cache.get(pair)
-        if poly is None:
-            g1, g2 = self._pair_generators(pair)
-            terms = {w: -v for w, v in self._bracket_part(pair, 2).items()}
-            accumulate(terms, (g1, g2), srat(1))
-            accumulate(terms, (g2, g1), srat(1 if pair[0] == "oo" else -1))
-            poly = self._e2_cache[pair] = NCPoly(self.alphabet, terms)
-        return poly
-
-    def alpha(self, pair: Pair) -> NCPoly:
-        """Degree-1 bracket value of the ideal generator."""
-        poly = self._alpha_cache.get(pair)
-        if poly is None:
-            poly = NCPoly(self.alphabet, self._bracket_part(pair, 1))
-            self._alpha_cache[pair] = poly
-        return poly
-
-    def beta(self, pair: Pair) -> Scalar:
-        """Scalar bracket value of the ideal generator (odd pairs only)."""
-        return self.bracket(*self._pair_generators(pair)).get((), Scalar())
+    def _add_lower(
+        self, out: Dict[Word, Scalar], lam: Mapping[Tuple[int, int], Scalar]
+    ) -> None:
+        """Add sum lam[(g1, g2)] * (degree <= 1 part of bracket(g1, g2)) to out."""
+        for (g1, g2), coeff in lam.items():
+            for w, v in self.bracket(g1, g2).items():
+                if len(w) < 2:
+                    accumulate(out, w, coeff * v)
 
     # -- reduction of degree-2 elements --------------------------------
 
-    def normalize2(self, poly: NCPoly) -> Tuple[NCPoly, Dict[Pair, Scalar]]:
-        """Split a degree<=2 element as (ordered residual) + sum lam.e2(pair).
+    def normalize2(
+        self, poly: NCPoly
+    ) -> Tuple[NCPoly, Dict[Tuple[int, int], Scalar]]:
+        """Split a degree<=2 element as (ordered residual) + sum lam.e2(g, h).
 
         Ordered words: x_u x_v with u<=v, x_i y_p, and y_p y_q with p<q.
-        Returns the residual and the bookkeeping coefficients lam.
+        Returns the residual and the bookkeeping coefficients lam, keyed by
+        generator pairs (g, h) with g < h, or g = h odd.
         """
         n = self.n_even
         residual: Dict[Word, Scalar] = {}
-        lam: Dict[Pair, Scalar] = {}
+        lam: Dict[Tuple[int, int], Scalar] = {}
         work = list(poly.terms.items())
         while work:
             word, coeff = work.pop()
@@ -375,7 +347,7 @@ class QlsPresentation:
                 continue
             h, g = word  # g < h, or an odd square
             if g == h:
-                # y_p y_p = (1/2) d-part + (1/2) e_oo(p,p)
+                # y_p y_p = (1/2) d-part + (1/2) e(y_p, y_p)
                 t = coeff / 2
             else:
                 # h g = s g h - s d-part - s e(g,h), s the swap sign
@@ -384,13 +356,7 @@ class QlsPresentation:
             for w, v in self.bracket(g, h).items():
                 if len(w) == 2:
                     work.append((w, t * v))
-            if h < n:
-                pair = ("ee", g, h)
-            elif g < n:
-                pair = ("mx", g, h - n)
-            else:
-                pair = ("oo", g - n, h - n)
-            accumulate(lam, pair, t)
+            accumulate(lam, (g, h), t)
         return NCPoly(self.alphabet, residual), lam
 
     def alpha_beta(self, poly: NCPoly) -> Tuple[NCPoly, Scalar]:
@@ -403,12 +369,10 @@ class QlsPresentation:
             raise ValueError(
                 f"element is not in the quadratic ideal: residual {residual.render()}"
             )
-        out = NCPoly.zero(self.alphabet)
-        scalar = Scalar()
-        for pair, coeff in lam.items():
-            out = out + self.alpha(pair).scale(coeff)
-            scalar = scalar + coeff * self.beta(pair)
-        return out, scalar
+        out: Dict[Word, Scalar] = {}
+        self._add_lower(out, lam)
+        scalar = out.pop((), Scalar())
+        return NCPoly(self.alphabet, out), scalar
 
     # -- component checker --------------------------------------------
 
@@ -535,95 +499,39 @@ class QlsPresentation:
     def _overlap_elements(self):
         """Yield (indices, zL, zR) spanning the degree-3 overlap space.
 
-        zL is a dict (generator, pair) -> Scalar representing
-        sum coeff . generator (x) e2(pair); zR the mirror dict
-        (pair, generator) -> Scalar.  The two expand to the same degree-3
-        element of the free algebra.
+        zL maps a generator triple (g, g1, g2) to the coefficient of
+        g . e2(g1, g2), zR maps (g1, g2, g) to that of e2(g1, g2) . g.  The
+        two expand to the same degree-3 element of the free algebra.  There
+        is one element per triple (a, b, c) of generators, evens first and
+        no even repeated: the graded-cyclic sum of u e(v, w) on the left and
+        of e(u, v) w on the right, plus the terms that carry the d-part of
+        an odd pair (v, w) past u.
         """
-        ab = self.alphabet
-        n, m = self.n_even, self.m_odd
-
-        def ee(i, j):
-            # signed even pair: [x_i, x_j]
-            if i < j:
-                return ("ee", i, j), 1
-            return ("ee", j, i), -1
-
-        one = srat(1)
-
-        # even-even-even
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    zL: Dict[tuple, Scalar] = {}
-                    zR: Dict[tuple, Scalar] = {}
-                    for (aa, bb, cc) in ((i, j, k), (j, k, i), (k, i, j)):
-                        pair_bc, sign_bc = ee(bb, cc)
-                        accumulate(zL, (ab.even(aa), pair_bc), srat(sign_bc))
-                        pair_ab, sign_ab = ee(aa, bb)
-                        accumulate(zR, (pair_ab, ab.even(cc)), srat(sign_ab))
-                    yield (i, j, k), zL, zR
-
-        # even-even-odd
-        for i in range(n):
-            for j in range(i + 1, n):
-                for p in range(m):
-                    pair_ij, sign_ij = ee(i, j)
-                    zL = {
-                        (ab.even(i), ("mx", j, p)): one,
-                        (ab.even(j), ("mx", i, p)): -one,
-                        (ab.odd(p), pair_ij): srat(sign_ij),
-                    }
-                    zR = {
-                        (pair_ij, ab.odd(p)): srat(sign_ij),
-                        (("mx", j, p), ab.even(i)): one,
-                        (("mx", i, p), ab.even(j)): -one,
-                    }
-                    yield (i, j, n + p), zL, zR
-
-        # even-odd-odd
-        for p in range(m):
-            for q in range(p, m):
-                for i in range(n):
-                    zL = {
-                        (ab.even(i), ("oo", p, q)): one,
-                        (ab.odd(p), ("mx", i, q)): -one,
-                    }
-                    accumulate(zL, (ab.odd(q), ("mx", i, p)), -one)
-                    zR = {
-                        (("oo", p, q), ab.even(i)): one,
-                        (("mx", i, q), ab.odd(p)): one,
-                    }
-                    accumulate(zR, (("mx", i, p), ab.odd(q)), one)
-                    for w, val in self.bracket(ab.odd(p), ab.odd(q)).items():
-                        if len(w) != 2:
-                            continue
-                        k, l = w
-                        pair_il, sign_il = ee(i, l)
-                        if i != l:
-                            accumulate(zL, (ab.even(k), pair_il), val * sign_il)
-                        pair_ik, sign_ik = ee(i, k)
-                        if i != k:
-                            accumulate(zR, (pair_ik, ab.even(l)), -(val * sign_ik))
-                    yield (i, n + p, n + q), zL, zR
-
-        # odd-odd-odd
-        for p in range(m):
-            for q in range(p, m):
-                for r in range(q, m):
-                    zL = {}
-                    zR = {}
-                    for (aa, bb, cc) in ((p, q, r), (q, r, p), (r, p, q)):
-                        pair_bc = ("oo", min(bb, cc), max(bb, cc))
-                        accumulate(zL, (ab.odd(aa), pair_bc), one)
-                        accumulate(zR, (pair_bc, ab.odd(aa)), one)
-                        for w, val in self.bracket(ab.odd(bb), ab.odd(cc)).items():
-                            if len(w) != 2:
-                                continue
-                            k, l = w
-                            accumulate(zL, (ab.even(k), ("mx", l, aa)), -val)
-                            accumulate(zR, (("mx", k, aa), ab.even(l)), val)
-                    yield (n + p, n + q, n + r), zL, zR
+        n = self.n_even
+        evens, odds = range(n), range(n, self.alphabet.size)
+        triples = chain(
+            combinations(evens, 3),
+            ((i, j, y) for i, j in combinations(evens, 2) for y in odds),
+            ((i, y1, y2) for y1, y2 in combinations_with_replacement(odds, 2)
+             for i in evens),
+            combinations_with_replacement(odds, 3),
+        )
+        for a, b, c in triples:
+            zL: Dict[tuple, Scalar] = {}
+            zR: Dict[tuple, Scalar] = {}
+            for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
+                # graded Jacobi sign (-1)^{|u||w|}, normalized to +1 on (a, b, c)
+                s = srat(-1 if (u >= n and w >= n) != (a >= n and c >= n) else 1)
+                accumulate(zL, (u, v, w), s)
+                accumulate(zR, (u, v, w), s)
+                # u d-part(v, w) - d-part(v, w) u, rewritten as
+                # k e2(u, l) + e2(u, k) l for each d-word k l
+                for word, val in self.bracket(v, w).items():
+                    if len(word) == 2:
+                        k, l = word
+                        accumulate(zL, (k, u, l), s * val)
+                        accumulate(zR, (u, k, l), -(s * val))
+            yield (a, b, c), zL, zR
 
     def check_abstract_jacobi(self) -> JacobiReport:
         """Overlap-reduction consistency check on the defining ideal.
@@ -638,40 +546,28 @@ class QlsPresentation:
         viols: List[JacobiViolation] = []
 
         for indices, zL, zR in self._overlap_elements():
-            t = NCPoly.zero(ab)
-            s = NCPoly.zero(ab)
-            for (pair, g), coeff in zR.items():
-                gen = NCPoly.generator(ab, g)
-                t = t + (self.alpha(pair) * gen).scale(coeff)
-                s = s + gen.scale(coeff * self.beta(pair))
-            for (g, pair), coeff in zL.items():
-                gen = NCPoly.generator(ab, g)
-                t = t - (gen * self.alpha(pair)).scale(coeff)
-                s = s - gen.scale(coeff * self.beta(pair))
-            residual, lam = self.normalize2(t)
+            # the degree <= 1 bracket parts substituted into zR minus zL,
+            # split into degree 2 (for normalize2) and degree <= 1 (J2
+            # words and the J3 scalar at ())
+            quad: Dict[Word, Scalar] = {}
+            low: Dict[Word, Scalar] = {}
+            terms = [((g1, g2), (), (g,), cf) for (g1, g2, g), cf in zR.items()]
+            terms += [((g1, g2), (g,), (), -cf) for (g, g1, g2), cf in zL.items()]
+            for pair, left, right, coeff in terms:
+                for w, v in self.bracket(*pair).items():
+                    if len(w) < 2:
+                        accumulate(quad if w else low, left + w + right, coeff * v)
+            residual, lam = self.normalize2(NCPoly(ab, quad))
+            self._add_lower(low, lam)
+            j3 = low.pop((), Scalar())
 
-            if not residual.is_zero():
-                for w in sorted(residual.terms):
+            for family, part in (("J1", residual.terms), ("J2", low)):
+                for w in sorted(part):
                     viols.append(
                         JacobiViolation(
-                            "J1",
+                            family,
                             indices,
-                            residual.terms[w],
-                            detail="*".join(ab.names[g] for g in w),
-                        )
-                    )
-            u = s
-            j3 = Scalar()
-            for pair, coeff in lam.items():
-                u = u + self.alpha(pair).scale(coeff)
-                j3 = j3 + coeff * self.beta(pair)
-            if not u.is_zero():
-                for w in sorted(u.terms):
-                    viols.append(
-                        JacobiViolation(
-                            "J2",
-                            indices,
-                            u.terms[w],
+                            part[w],
                             detail="*".join(ab.names[g] for g in w),
                         )
                     )

@@ -216,14 +216,25 @@ def test_bad_tensor_entry_exits_2(tmp_path, capsys, entry):
     ("n_even", 4.9),
     ("names", 5),
     ("indeterminates", 5),
+    ("c", [[0, 1, 1, "12345"]] + build(2, 1).presentation.to_json_dict()["c"]),
 ], ids=["section-not-list", "null-index", "float-index", "null-count",
-        "float-count", "names-not-list", "indeterminates-not-list"])
+        "float-count", "names-not-list", "indeterminates-not-list",
+        "duplicate-row"])
 def test_malformed_document_exits_2(tmp_path, capsys, key, value):
     data = build(2, 1).presentation.to_json_dict()
     data[key] = value
     path = tmp_path / "malformed.qls"
     path.write_text(json.dumps(data))
     code, _, err = _run(capsys, "verify-presentation", str(path))
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["verify-presentation", "serre-check"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "nested.qls"
+    path.write_text("[" * 100_000)
+    code, _, err = _run(capsys, command, str(path))
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
 

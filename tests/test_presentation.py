@@ -61,6 +61,26 @@ def test_perturbed_d_entry_fails_both_checkers():
     assert not abst.passed and abst.violations
 
 
+@pytest.mark.parametrize("tensor, orbit, families", [
+    ("d", (0, 3, 5, 7), ["J1", "J2"]),
+    ("b", (0, 3, 4), ["J2"]),
+    ("a", (0, 3), ["J3"]),
+])
+def test_orbit_shift_lands_in_its_abstract_family(tensor, orbit, families):
+    """On gl2(3/1) a shifted d-orbit shows in J1, a b-orbit only in J2 and
+    an a-orbit only in J3; the component checker has no family for a."""
+    pres = build(3).presentation
+    fields = {name: getattr(pres, name) for name in ("c", "cbar", "d", "b", "a")}
+    shifted = dict(fields[tensor])
+    p, q, *rest = orbit
+    for idx in {(p, q, *rest), (q, p, *rest), (p, q, *rest[::-1]), (q, p, *rest[::-1])}:
+        shifted[idx] = shifted.get(idx, Scalar()) + 1
+    fields[tensor] = shifted
+    bad = QlsPresentation(pres.n_even, pres.m_odd, **fields)
+    assert sorted({v.family for v in bad.check_abstract_jacobi().violations}) == families
+    assert bad.check_component_jacobi().passed == (tensor == "a")
+
+
 def _random_presentation(rng: random.Random) -> QlsPresentation:
     n = rng.randint(1, 3)
     m = rng.randint(1, 3)
@@ -133,13 +153,17 @@ def _sample_presentations():
 
 
 def _expand(pres: QlsPresentation, z: dict, left: bool) -> NCPoly:
-    """sum coeff . g e2(pair) for a zL dict, or coeff . e2(pair) g for zR."""
+    """sum coeff . g e2(g1, g2) for a zL dict keyed (g, g1, g2), or
+    coeff . e2(g1, g2) g for a zR dict keyed (g1, g2, g)."""
     ab = pres.alphabet
     poly = NCPoly.zero(ab)
     for key, coeff in z.items():
-        g, pair = key if left else key[::-1]
+        if left:
+            g, g1, g2 = key
+        else:
+            g1, g2, g = key
         gen = NCPoly.generator(ab, g)
-        prod = gen * pres.e2(pair) if left else pres.e2(pair) * gen
+        prod = gen * pres.e2(g1, g2) if left else pres.e2(g1, g2) * gen
         poly = poly + prod.scale(coeff)
     return poly
 
@@ -165,12 +189,13 @@ def _brute_force_intersection_dim(pres: QlsPresentation) -> int:
     rows_a, rows_b = [], []
     for g in range(ab.size):
         gen = NCPoly.generator(ab, g)
-        for pair in pres.ideal_pairs():
-            e2 = pres.e2(pair)
-            left = gen * e2
-            right = e2 * gen
-            rows_a.append({w: v.as_rational() for w, v in left.terms.items()})
-            rows_b.append({w: v.as_rational() for w, v in right.terms.items()})
+        for g1 in range(ab.size):
+            for g2 in range(g1, ab.size):
+                e2 = pres.e2(g1, g2)
+                left = gen * e2
+                right = e2 * gen
+                rows_a.append({w: v.as_rational() for w, v in left.terms.items()})
+                rows_b.append({w: v.as_rational() for w, v in right.terms.items()})
     return intersection_dimension(rows_b, rows_a)
 
 
