@@ -18,7 +18,7 @@ def _clean(row: Row) -> Row:
 
 
 class RowSpace:
-    """Incrementally built row space; supports rank queries and membership."""
+    """Incrementally built row space; supports rank queries."""
 
     def __init__(self):
         # pivot column -> reduced row with 1 at that column
@@ -58,9 +58,6 @@ class RowSpace:
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-    def contains(self, row: Row) -> bool:
-        return not self.reduce(row)
 
 
 def rank_of_rows(rows: Iterable[Row]) -> int:

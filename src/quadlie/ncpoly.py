@@ -44,6 +44,8 @@ class Alphabet:
             ]
         if len(names) != n_even + m_odd:
             raise ValueError("wrong number of generator names")
+        if len(set(names)) != len(names):
+            raise ValueError("generator names must be distinct")
         self.names = tuple(names)
         self.indeterminates = frozenset(indeterminates)
 

@@ -14,7 +14,22 @@ verifies the defining relations on the same action (equivalently, the
 Jacobi identities of the presentation).  By Bergman's diamond lemma
 (Adv. Math. 29, 1978) a passing check certifies that the reductions are
 confluent, so the normal forms `normal_form` returns are well defined;
-they are defined only when the check passes.
+they are defined only when the check passes.  Words of length 3 carry
+every overlap of the quadratic rules, so `max_len` must be at least 3.
+
+The action runs in one coefficient ring per system.  With o(w) the number
+of odd letters of w, scaling each odd generator by an integer D > 0 sends
+z_N to D^o(N) z_N and a rule coefficient c of g1 g2 -> w to
+c D^(o(g1 g2) - o(w)); brackets keep parity, so the exponent is 2 on
+odd-odd pairs and 0 elsewhere.  If every c is rational and some D makes
+all of them integers, the action runs in Python ints with the least such
+D (searched up to 2**16, else the lcm of the odd-odd denominators): 2 for
+gl2(3/1) at c = 1, 10 at c = 7/5.  Otherwise it runs in `Scalar`.
+Exactness: by induction over `_act`, the scaled coefficient of z_w in
+w_a ... w_b z_N is the unscaled one times D^(o(a ... b N) - o(w)), never
+0.  So a relation (a, b, N) vanishes in both bases or in neither (same
+verdict, same first witness), and `apply_word` maps back by
+D^(o(w) - o(a ... b N)).
 
 Also provided: a witness of linear dependence for inadmissible orders, and
 ordered-monomial counting.
@@ -22,12 +37,19 @@ ordered-monomial counting.
 
 from __future__ import annotations
 
-from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from fractions import Fraction
+from math import comb, lcm
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .ncpoly import Alphabet, NCPoly, Word
 from .presentation import QlsPresentation
 from .scalars import Scalar, accumulate, srat
+
+Coeff = Union[int, Scalar]  # a coefficient in a system's ring
+
+
+def _odd_letters(n_even: int, word: Word) -> int:
+    return sum(g >= n_even for g in word)
 
 
 class GeneratorOrder:
@@ -80,7 +102,7 @@ class RewriteSystem:
     """Immutable presentation + generator order.
 
     `normal_form` folds each word into the empty ordered word through the
-    module action `_ModuleAction.act`; the system owns one action, created
+    module action `_ModuleAction`; the system owns one action, created
     on first use, so its cache serves every later call.
     `serre_module_check` verifies the defining relations on the same action
     (Bergman's diamond lemma, Adv. Math. 29, 1978).  Normal forms are
@@ -95,12 +117,13 @@ class RewriteSystem:
         self.admissible, self.admissibility_witness = check_admissible(
             pres, self.order
         )
-        self._rules = self._build_rules()
+        self._rules, self._odd_scale = self._build_rules()
         self._action: Optional[_ModuleAction] = None
 
     # lower-order table: unordered adjacent pair (g1, g2) -> list of
     # (middle word, coeff) with g1 g2 = (sign) g2 g1 + sum coeff * middle,
-    # and y y = sum coeff * middle = (1/2) {y, y} for an odd square
+    # and y y = sum coeff * middle = (1/2) {y, y} for an odd square;
+    # returned with D: Scalar coefficients if D is None, else scaled ints
     def _build_rules(self):
         pres = self.presentation
         rules: Dict[Tuple[int, int], List[Tuple[Word, Scalar]]] = {}
@@ -112,7 +135,23 @@ class RewriteSystem:
                     rules[(g1, g2)] = [
                         (w, v * half) for w, v in pres.bracket(g1, g2).items()
                     ]
-        return rules
+        n = pres.n_even
+        try:  # (word, coeff, exponent of D); an indeterminate keeps Scalar
+            fracs = {pair: [(w, v.as_rational(),
+                             _odd_letters(n, pair) - _odd_letters(n, w))
+                            for w, v in terms] for pair, terms in rules.items()}
+        except ValueError:
+            return rules, None
+        # the least D <= 2**16 with den | D * D, else den itself
+        den = lcm(*(f.denominator for terms in fracs.values()
+                    for _, f, e in terms if e))
+        scale = next((d for d in range(1, min(den, 1 << 16) + 1)
+                      if d * d % den == 0), den)
+        scaled = {pair: [(w, f * scale**e) for w, f, e in terms] for pair, terms in fracs.items()}
+        if any(f.denominator != 1 for terms in scaled.values() for _, f in terms):
+            return rules, None
+        return {pair: [(w, int(f)) for w, f in terms]
+                for pair, terms in scaled.items()}, scale
 
     # -- ordering predicates ------------------------------------------
 
@@ -181,6 +220,8 @@ def inadmissible_dependence_witness(
 class _ModuleAction:
     """Serre-style action of generators on the free span of ordered words.
 
+    The rules, the cache, `_act` and `_apply` work in the system's ring;
+    `apply_word` maps back to `Scalar`s in the presentation's own basis.
     `max_len` is ignored: the action is defined on words of any length.
     """
 
@@ -188,15 +229,25 @@ class _ModuleAction:
         self.rs = rs
         self.ab = rs.presentation.alphabet
         self._before = rs._pair_is_ordered
-        self._cache: Dict[Tuple[int, Word], Dict[Word, Scalar]] = {}
-        # lower-order bracket data for unordered pairs, acting on basis
-        # vectors z_N
-        self._lower = rs._rules
+        self._cache: Dict[Tuple[int, Word], Dict[Word, Coeff]] = {}
+        self._lower = rs._rules  # acting on basis vectors z_N
+        self._one: Coeff = srat(1) if rs._odd_scale is None else 1
 
     def _precedes(self, a: int, word: Word) -> bool:
         return not word or self._before(a, word[0])
 
-    def act(self, a: int, word: Word) -> Dict[Word, Scalar]:
+    def apply_word(self, gens: Word, word: Word) -> Dict[Word, Scalar]:
+        """Act with w_{gens[0]} ... w_{gens[-1]} on z_word; a scaled
+        coefficient maps back by D^(odd letters out - odd letters in)."""
+        dist = self._apply(gens, word)
+        if self.rs._odd_scale is None:
+            return dist
+        n, scale = self.ab.n_even, Fraction(self.rs._odd_scale)
+        odd_in = _odd_letters(n, gens + word)
+        return {w: srat(v * scale ** (_odd_letters(n, w) - odd_in))
+                for w, v in dist.items()}
+
+    def _act(self, a: int, word: Word) -> Dict[Word, Coeff]:
         """w_a z_word for an ordered word, as a map ordered word -> coeff.
 
         The letter a sinks rightwards past the prefix word[:stop] of
@@ -217,34 +268,30 @@ class _ModuleAction:
             if out is not None:
                 break
         else:
-            i, out = stop, {(a,) + word[stop:]: srat(1)}
+            i, out = stop, {(a,) + word[stop:]: self._one}
             cache[(a, word[stop:])] = out
         while i > 0:
             i -= 1
             b, rest = word[i], word[i + 1 :]
             inner, out = out, {}
             if a != b:  # an odd square has no swap term
-                sign = (
-                    -1
-                    if self.ab.parity(a) == 1 and self.ab.parity(b) == 1
-                    else 1
-                )
+                sign = -1 if self.ab.parity(a) == self.ab.parity(b) == 1 else 1
                 for w1, v1 in inner.items():
-                    for w2, v2 in self.act(b, w1).items():
+                    for w2, v2 in self._act(b, w1).items():
                         accumulate(out, w2, v2 * v1 * sign)
             for mid, coeff in self._lower[(a, b)]:
-                for w2, v2 in self.apply_word(mid, rest).items():
+                for w2, v2 in self._apply(mid, rest).items():
                     accumulate(out, w2, v2 * coeff)
             cache[(a, word[i:])] = out
         return out
 
-    def apply_word(self, gens: Word, word: Word) -> Dict[Word, Scalar]:
-        """Act with w_{gens[0]} ... w_{gens[-1]} on z_word."""
-        dist: Dict[Word, Scalar] = {word: srat(1)}
+    def _apply(self, gens: Word, word: Word) -> Dict[Word, Coeff]:
+        """`apply_word` in the system's ring."""
+        dist: Dict[Word, Coeff] = {word: self._one}
         for g in reversed(gens):
-            nxt: Dict[Word, Scalar] = {}
+            nxt: Dict[Word, Coeff] = {}
             for w, v in dist.items():
-                for w2, v2 in self.act(g, w).items():
+                for w2, v2 in self._act(g, w).items():
                     accumulate(nxt, w2, v * v2)
             dist = nxt
         return dist
@@ -258,7 +305,11 @@ def serre_module_check(
     Checks w_a w_b z_N = (sign) w_b w_a z_N + (lower-order terms) z_N for
     all generator pairs and all ordered words N of length <= max_len - 2.
     Returns (True, None) or (False, (a, b, N)) on the first failure.
+    Raises ValueError for max_len < 3, which would check only N = ().
     """
+    if max_len < 3:
+        raise ValueError(f"max_len must be at least 3, got {max_len}: "
+                         "shorter checks cover only the empty word")
     if not rs.admissible:
         raise ValueError("module check requires an admissible order")
     ab = rs.presentation.alphabet
@@ -266,34 +317,24 @@ def serre_module_check(
 
     words: List[Word] = [()]
     frontier: List[Word] = [()]
-    for _ in range(max(0, max_len - 2)):
-        nxt = []
-        for w in frontier:
-            for g in range(ab.size):
-                if action._precedes(g, w):
-                    nxt.append((g,) + w)
-        words += nxt
-        frontier = nxt
+    for _ in range(max_len - 2):
+        frontier = [(g,) + w for w in frontier for g in range(ab.size)
+                    if action._precedes(g, w)]
+        words += frontier
 
-    pairs = [
-        (a, b)
-        for a in range(ab.size)
-        for b in range(ab.size)
-        if not rs._pair_is_ordered(a, b)
-    ]
     for nword in words:
-        for a, b in pairs:
-            lhs = action.apply_word((a, b), nword)
+        for a, b in action._lower:  # the unordered pairs
+            lhs = action._apply((a, b), nword)
             sign = -1 if ab.parity(a) == 1 and ab.parity(b) == 1 else 1
-            rhs: Dict[Word, Scalar] = {}
+            rhs: Dict[Word, Coeff] = {}
             if a != b:
-                for w, v in action.apply_word((b, a), nword).items():
+                for w, v in action._apply((b, a), nword).items():
                     accumulate(rhs, w, v * sign)
             # for an odd square the relation reads 2 w_a w_a z_N = (full
             # lower terms) z_N; the lower table already carries the 1/2
             # factor, so the swap contribution is dropped on both sides
             for mid, coeff in action._lower[(a, b)]:
-                for w, v in action.apply_word(mid, nword).items():
+                for w, v in action._apply(mid, nword).items():
                     accumulate(rhs, w, v * coeff)
             if lhs != rhs:
                 return False, (a, b, nword)

@@ -176,6 +176,14 @@ def test_serre_check_file(tmp_path, capsys):
     assert "result: FAIL" in out
 
 
+@pytest.mark.parametrize("max_len", ["2", "1", "0"])
+def test_serre_check_vacuous_length_exits_2(capsys, max_len):
+    code, out, err = _run(capsys, "serre-check", "--n", "2", "--max-len", max_len)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "at least 3" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("normal-form", "--n", "1", "E[1,1]"),
     ("serre-check", "--n", "0"),
@@ -217,17 +225,19 @@ def test_bad_tensor_entry_exits_2(tmp_path, capsys, entry):
     ("names", 5),
     ("indeterminates", 5),
     ("c", [[0, 1, 1, "12345"]] + build(2, 1).presentation.to_json_dict()["c"]),
+    ("names", ["E1_1", "E1_1", *build(2, 1).presentation.alphabet.names[2:]]),
 ], ids=["section-not-list", "null-index", "float-index", "null-count",
         "float-count", "names-not-list", "indeterminates-not-list",
-        "duplicate-row"])
+        "duplicate-row", "duplicate-name"])
 def test_malformed_document_exits_2(tmp_path, capsys, key, value):
     data = build(2, 1).presentation.to_json_dict()
     data[key] = value
     path = tmp_path / "malformed.qls"
     path.write_text(json.dumps(data))
-    code, _, err = _run(capsys, "verify-presentation", str(path))
-    assert code == 2
-    assert err.startswith("error:") and err.count("\n") == 1
+    for command in ("verify-presentation", "serre-check"):
+        code, _, err = _run(capsys, command, str(path))
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["verify-presentation", "serre-check"])

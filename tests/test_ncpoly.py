@@ -21,6 +21,12 @@ def test_free_product_words():
     assert p.terms == {(0, 1): srat(1)}
 
 
+def test_alphabet_rejects_repeated_names():
+    with pytest.raises(ValueError, match="distinct"):
+        Alphabet(1, 1, names=["g", "g"])
+    assert Alphabet(1, 1, names=["g", "h"]).names == ("g", "h")
+
+
 def test_bilinearity():
     p = (gen(0) + gen(1)) * gen(0)
     assert p.terms == {(0, 0): srat(1), (1, 0): srat(1)}

@@ -12,6 +12,7 @@ from quadlie.ncpoly import NCPoly
 from quadlie.pbw import (
     GeneratorOrder,
     RewriteSystem,
+    _ModuleAction,
     check_admissible,
     inadmissible_dependence_witness,
     pbw_monomial_count,
@@ -334,3 +335,99 @@ def test_rewrite_refuses_inadmissible_system():
         RewriteSystem(pres, _qbar_first_order(pres)).normal_form(
             NCPoly.one(pres.alphabet)
         )
+
+
+def test_serre_module_check_rejects_vacuous_lengths():
+    # below length 3 only N = () is checked, where the relations hold by
+    # construction: a presentation that fails at length 3 would pass
+    rs = build(2).rewrite
+    for max_len in (2, 1, 0, -1):
+        with pytest.raises(ValueError, match="at least 3"):
+            serre_module_check(rs, max_len=max_len)
+
+
+def test_odd_scale_is_the_least_integral_one():
+    for c, scale in ((None, None), (1, 2), (Fraction(7, 5), 10), (Fraction(5, 3), 6)):
+        assert RewriteSystem(build(3, c).presentation)._odd_scale == scale
+    # the odd square carries 1/2, so y y -> 1/4: D = 2 already clears it
+    assert RewriteSystem(QlsPresentation(1, 1, a={(0, 0): srat(1, 2)}))._odd_scale == 2
+    # an even-even coefficient 1/2 is untouched by any odd scale
+    half = QlsPresentation(2, 1, c={(0, 1, 0): srat(1, 2), (1, 0, 0): srat(-1, 2)})
+    assert RewriteSystem(half)._odd_scale is None
+
+
+def test_serre_length_3_matches_abstract_checker():
+    from test_presentation import _random_presentation
+
+    rng = random.Random(300)
+    verdicts = []
+    for _ in range(300):
+        pres = _random_presentation(rng)
+        rs = _rs(pres)  # evens first: admissible
+        assert rs._odd_scale is not None  # every one runs in the int ring
+        ok, _ = serre_module_check(rs, max_len=3)
+        assert ok == pres.check_abstract_jacobi().passed
+        verdicts.append(ok)
+    assert 0 < sum(verdicts) < len(verdicts)  # both verdicts occur
+
+
+def _orbit_shifted(pres, name, index):
+    """Copy of pres with the symmetric orbit of one d-, b- or a-index
+    shifted by 1/3."""
+    tensor = dict(getattr(pres, name))
+    p, q, *rest = index
+    orbit = {(p, q, *rest), (q, p, *rest)}
+    if name == "d":
+        k, l = rest
+        orbit |= {(p, q, l, k), (q, p, l, k)}
+    for idx in orbit:
+        tensor[idx] = tensor.get(idx, Scalar()) + srat(1, 3)
+    fields = {t: getattr(pres, t) for t in ("c", "cbar", "d", "b", "a")}
+    fields[name] = tensor
+    return QlsPresentation(pres.n_even, pres.m_odd, **fields)
+
+
+# first witnesses of gl2(3/1) with the first / last orbit of a tensor
+# shifted, as the Scalar-only engine reported them
+_SHIFTED_WITNESSES = {
+    ("d", 0): (12, 9, (1,)), ("d", -1): (14, 11, (1,)),
+    ("b", 0): (12, 9, (1,)), ("b", -1): (14, 11, (1,)),
+    ("a", 0): (12, 10, (1,)), ("a", -1): (12, 11, (2,)),
+}
+
+
+@pytest.mark.parametrize("c", [1, Fraction(7, 5), None],
+                         ids=["c=1", "c=7/5", "c=symbolic"])
+def test_serre_witnesses_agree_across_rings(c):
+    pres = build(3, c).presentation
+    for (name, pick), witness in _SHIFTED_WITNESSES.items():
+        rs = _rs(_orbit_shifted(pres, name, sorted(getattr(pres, name))[pick]))
+        assert (rs._odd_scale is None) == (c is None)
+        for max_len in (3, 4):
+            assert serre_module_check(rs, max_len) == (False, witness), (name, pick)
+
+
+def test_rational_presentation_without_integral_scale_keeps_scalar():
+    c = {(0, 1, 0): srat(1, 2), (1, 0, 0): srat(-1, 2)}  # [x1, x2] = x1 / 2
+    cases = [
+        ({}, (True, None)),
+        ({"b": {(0, 0, 0): 1}}, (False, (2, 2, (1,)))),
+        ({"cbar": {(1, 0, 0): srat(1, 3)}, "b": {(0, 0, 1): 1}},
+         (False, (2, 2, (0,)))),
+    ]
+    for extra, want in cases:
+        rs = _rs(QlsPresentation(2, 1, c=c, **extra))
+        assert rs._odd_scale is None
+        for max_len in (3, 4):
+            assert serre_module_check(rs, max_len) == want
+
+
+def test_module_action_returns_scalars_in_own_basis():
+    # y y = (1/2) {y, y} = 1/4 runs as the int 1 with D = 2
+    pres = QlsPresentation(1, 1, a={(0, 0): srat(1, 2)})
+    rs = _rs(pres)
+    action = _ModuleAction(rs)
+    assert action.apply_word((1, 1), ()) == {(): srat(1, 4)}
+    assert action.apply_word((1,), (0,)) == {(0, 1): srat(1)}
+    assert rs.normal_form(NCPoly.monomial(pres.alphabet, (1, 0, 1))) == NCPoly(
+        pres.alphabet, {(0,): srat(1, 4)})

@@ -259,6 +259,13 @@ def test_serialization_round_trip():
     assert again.dumps() == pres.dumps()
 
 
+def test_repeated_generator_name_rejected():
+    doc = build(2, 1).presentation.to_json_dict()
+    doc["names"][1] = doc["names"][0]
+    with pytest.raises(ValueError, match="distinct"):
+        QlsPresentation.from_json_dict(doc)
+
+
 _GL2_2_1 = build(2, 1).presentation.dumps()
 
 _json_values = st.recursive(
