@@ -81,18 +81,6 @@ class SparseOp:
     def apply_basis(self, col: int) -> Dict[int, Fraction]:
         return {r: v for (r, c), v in self.data.items() if c == col}
 
-    def restrict(self, basis: List[int]) -> List[List[Fraction]]:
-        """Dense matrix of the operator on the span of the given basis
-        columns; raises if the operator does not preserve the span."""
-        pos = {b: i for i, b in enumerate(basis)}
-        mat = [[Fraction(0)] * len(basis) for _ in basis]
-        for (r, c), val in self.data.items():
-            if c in pos:
-                if r not in pos:
-                    raise ValueError("operator does not preserve the subspace")
-                mat[pos[r]][pos[c]] = val
-        return mat
-
     def __repr__(self):
         entries = ", ".join(f"({r},{c}): {v}" for (r, c), v in sorted(self.data.items()))
         return f"SparseOp(dim={self.dim}, {{{entries}}})"

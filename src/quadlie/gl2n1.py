@@ -21,6 +21,7 @@ family data for highest weights of rectangular shape (mu^r, nu^{n-r}).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
 from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -64,11 +65,6 @@ class Weight:
 
     def __repr__(self):
         return f"Weight({list(self.components)})"
-
-
-def rho0(n: int) -> Weight:
-    """Half-sum of positive even roots: ((n-1)/2, (n-3)/2, ...)."""
-    return Weight([Fraction(n + 1 - 2 * r, 2) for r in range(1, n + 1)])
 
 
 def rho1(n: int) -> Weight:
@@ -237,7 +233,12 @@ class Gl2n1:
         self.central = central
         self.presentation = pres
         self.alphabet = pres.alphabet
-        self.rewrite = RewriteSystem(pres, GeneratorOrder.default(pres.alphabet))
+
+    @cached_property
+    def rewrite(self) -> RewriteSystem:
+        """The rewrite system in the default order, built on first use."""
+        return RewriteSystem(self.presentation,
+                             GeneratorOrder.default(self.alphabet))
 
     # -- generator bookkeeping ----------------------------------------
 

@@ -1,78 +1,10 @@
-"""Small exact linear algebra over Fraction, on sparse dict rows.
-
-Rows are dicts column-key -> Fraction.  Column keys can be any hashable
-(words, index tuples).  Everything here is desk-scale Gaussian elimination;
-no floating point anywhere.
-"""
+"""Small exact linear algebra over Fraction on dense matrices: desk-scale
+Gaussian elimination, no floating point anywhere."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
-
-Row = Dict[Hashable, Fraction]
-
-
-def _clean(row: Row) -> Row:
-    return {k: v for k, v in row.items() if v != 0}
-
-
-class RowSpace:
-    """Incrementally built row space; supports rank queries."""
-
-    def __init__(self):
-        # pivot column -> reduced row with 1 at that column
-        self.pivots: Dict[Hashable, Row] = {}
-
-    def reduce(self, row: Row) -> Row:
-        row = dict(row)
-        for col in list(row):
-            if row.get(col, 0) == 0:
-                continue
-            piv = self.pivots.get(col)
-            if piv is not None:
-                factor = row[col]
-                for c2, v2 in piv.items():
-                    row[c2] = row.get(c2, Fraction(0)) - factor * v2
-        return _clean(row)
-
-    def add(self, row: Row) -> bool:
-        """Insert a row; returns True if it increased the rank."""
-        red = self.reduce(row)
-        if not red:
-            return False
-        # pick a deterministic pivot column
-        col = min(red, key=repr)
-        inv = Fraction(1) / red[col]
-        red = {c: v * inv for c, v in red.items()}
-        # back-substitute into existing pivot rows
-        for pcol, prow in self.pivots.items():
-            if col in prow:
-                factor = prow[col]
-                for c2, v2 in red.items():
-                    prow[c2] = prow.get(c2, Fraction(0)) - factor * v2
-                self.pivots[pcol] = _clean(prow)
-        self.pivots[col] = red
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-
-def rank_of_rows(rows: Iterable[Row]) -> int:
-    space = RowSpace()
-    for row in rows:
-        space.add(row)
-    return space.rank
-
-
-def intersection_dimension(rows_a: Sequence[Row], rows_b: Sequence[Row]) -> int:
-    """dim(span A  ∩  span B) = rank A + rank B - rank (A ∪ B)."""
-    ra = rank_of_rows(rows_a)
-    rb = rank_of_rows(rows_b)
-    rab = rank_of_rows(list(rows_a) + list(rows_b))
-    return ra + rb - rab
+from typing import List, Sequence
 
 
 def invert_matrix(mat: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:

@@ -31,6 +31,27 @@ w_a ... w_b z_N is the unscaled one times D^(o(a ... b N) - o(w)), never
 verdict, same first witness), and `apply_word` maps back by
 D^(o(w) - o(a ... b N)).
 
+Rules that hold indeterminates x_1 .. x_k are Serre-checked by evaluation
+(`normal_form` keeps `Scalar`s).  Let Phi(w) = 2 len(w) + o(w).  A swap
+keeps Phi and has coefficient +-1; a lower-order term g1 g2 -> coeff * w
+lowers Phi by dPhi = Phi(g1 g2) - Phi(w) >= 2 (2 for a linear even
+bracket, 2 / 4 / 6 for the d / b / a part of an odd pair).  Let kappa =
+max deg(coeff) / dPhi over the rule terms (1/6 for gl2(n/1): c sits only
+in a).  Degree bound: unfolding `_act`, each coefficient of a relation on
+(a, b, N) is a sum over reduction paths from a b N (or from mid N after
+one lower term) of +-products of the lower terms' coefficients, whose
+dPhi add up to at most Phi(a b N) <= 3 max_len; so it has degree at most
+delta = floor(3 kappa max_len), which is floor(max_len / 2) for gl2(n/1).
+Grid lemma: a polynomial of degree <= delta in each of k variables that
+vanishes on {0 .. delta}^k is zero (by induction on k, as a nonzero
+univariate polynomial of degree <= delta has at most delta roots).
+Evaluation at a point commutes with the action, so `serre_module_check`
+runs the relation loop once per grid point on the evaluated rules, in the
+ring `_build_rules` would pick for them.  First witness: relations run in
+one fixed (N, (a, b)) order; the one the `Scalar` engine reports, the
+first that is nonzero as a polynomial, is the earliest of the points'
+first failures, so each point stops there.
+
 Also provided: a witness of linear dependence for inadmissible orders, and
 ordered-monomial counting.
 """
@@ -38,18 +59,65 @@ ordered-monomial counting.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from itertools import product
+from math import comb, floor, lcm
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .ncpoly import Alphabet, NCPoly, Word
 from .presentation import QlsPresentation
 from .scalars import Scalar, accumulate, srat
 
 Coeff = Union[int, Scalar]  # a coefficient in a system's ring
+Rules = Dict[Tuple[int, int], List[Tuple[Word, Coeff]]]
+
+# (pair, word) relations one `serre_module_check` may run: gl2(5/1) at
+# length 4 has 396,880, gl2(3/1) at length 7 has 1,204,128
+MAX_RELATIONS = 500_000
 
 
 def _odd_letters(n_even: int, word: Word) -> int:
     return sum(g >= n_even for g in word)
+
+
+def _int_ring(fracs: Dict[Tuple[int, int], List[Tuple[Word, Fraction]]],
+              n_even: int) -> Optional[Tuple[Rules, int]]:
+    """(int rules, D) for a rule table with rational coefficients, when the
+    odd rescaling by D makes every coefficient an integer; else None."""
+    exps = {pair: [(w, f, _odd_letters(n_even, pair) - _odd_letters(n_even, w))
+                   for w, f in terms] for pair, terms in fracs.items()}
+    # the least D <= 2**16 with den | D * D, else den itself
+    den = lcm(*(f.denominator for terms in exps.values()
+                for _, f, e in terms if e))
+    scale = next((d for d in range(1, min(den, 1 << 16) + 1)
+                  if d * d % den == 0), den)
+    scaled = {pair: [(w, f * scale**e) for w, f, e in terms] for pair, terms in exps.items()}
+    if any(f.denominator != 1 for terms in scaled.values() for _, f in terms):
+        return None
+    return {pair: [(w, int(f)) for w, f in terms]
+            for pair, terms in scaled.items()}, scale
+
+
+def _ring_at(rules: Rules, n_even: int,
+             point: Mapping[str, int]) -> Tuple[Rules, Optional[int]]:
+    """The Scalar rule table with its indeterminates set to the point, in
+    the ring `RewriteSystem._build_rules` would pick for the result."""
+    fracs = {pair: [(w, f) for w, v in terms
+                    if (f := v.substitute(point).as_rational())]
+             for pair, terms in rules.items()}
+    return _int_ring(fracs, n_even) or (
+        {pair: [(w, srat(f)) for w, f in terms] for pair, terms in fracs.items()},
+        None)
+
+
+def _degree_bound(rules: Rules, n_even: int, max_len: int) -> int:
+    """delta = floor(3 kappa max_len), kappa = max deg(coeff) / dPhi."""
+    def phi(w):
+        return 2 * len(w) + _odd_letters(n_even, w)
+    kappa = max((Fraction(max(sum(e for _, e in m) for m in v.terms),
+                          phi(pair) - phi(w))
+                 for pair, terms in rules.items() for w, v in terms if v),
+                default=0)
+    return floor(kappa * 3 * max_len)
 
 
 class GeneratorOrder:
@@ -135,23 +203,12 @@ class RewriteSystem:
                     rules[(g1, g2)] = [
                         (w, v * half) for w, v in pres.bracket(g1, g2).items()
                     ]
-        n = pres.n_even
-        try:  # (word, coeff, exponent of D); an indeterminate keeps Scalar
-            fracs = {pair: [(w, v.as_rational(),
-                             _odd_letters(n, pair) - _odd_letters(n, w))
-                            for w, v in terms] for pair, terms in rules.items()}
+        try:  # an indeterminate keeps Scalar
+            fracs = {pair: [(w, v.as_rational()) for w, v in terms]
+                     for pair, terms in rules.items()}
         except ValueError:
             return rules, None
-        # the least D <= 2**16 with den | D * D, else den itself
-        den = lcm(*(f.denominator for terms in fracs.values()
-                    for _, f, e in terms if e))
-        scale = next((d for d in range(1, min(den, 1 << 16) + 1)
-                      if d * d % den == 0), den)
-        scaled = {pair: [(w, f * scale**e) for w, f, e in terms] for pair, terms in fracs.items()}
-        if any(f.denominator != 1 for terms in scaled.values() for _, f in terms):
-            return rules, None
-        return {pair: [(w, int(f)) for w, f in terms]
-                for pair, terms in scaled.items()}, scale
+        return _int_ring(fracs, pres.n_even) or (rules, None)
 
     # -- ordering predicates ------------------------------------------
 
@@ -225,24 +282,24 @@ class _ModuleAction:
     `max_len` is ignored: the action is defined on words of any length.
     """
 
-    def __init__(self, rs: RewriteSystem, max_len: Optional[int] = None):
+    def __init__(self, rs: RewriteSystem, max_len: Optional[int] = None,
+                 ring: Optional[Tuple[Rules, Optional[int]]] = None):
         self.rs = rs
         self.ab = rs.presentation.alphabet
         self._before = rs._pair_is_ordered
         self._cache: Dict[Tuple[int, Word], Dict[Word, Coeff]] = {}
-        self._lower = rs._rules  # acting on basis vectors z_N
-        self._one: Coeff = srat(1) if rs._odd_scale is None else 1
-
-    def _precedes(self, a: int, word: Word) -> bool:
-        return not word or self._before(a, word[0])
+        # rules acting on basis vectors z_N and their D: the system's own
+        # unless a (rules, D) pair is given
+        self._lower, self._scale = ring or (rs._rules, rs._odd_scale)
+        self._one: Coeff = srat(1) if self._scale is None else 1
 
     def apply_word(self, gens: Word, word: Word) -> Dict[Word, Scalar]:
         """Act with w_{gens[0]} ... w_{gens[-1]} on z_word; a scaled
         coefficient maps back by D^(odd letters out - odd letters in)."""
         dist = self._apply(gens, word)
-        if self.rs._odd_scale is None:
+        if self._scale is None:
             return dist
-        n, scale = self.ab.n_even, Fraction(self.rs._odd_scale)
+        n, scale = self.ab.n_even, Fraction(self._scale)
         odd_in = _odd_letters(n, gens + word)
         return {w: srat(v * scale ** (_odd_letters(n, w) - odd_in))
                 for w, v in dist.items()}
@@ -297,6 +354,32 @@ class _ModuleAction:
         return dist
 
 
+def _first_failure(action: _ModuleAction,
+                   relations: Iterable[Tuple[Word, Tuple[int, int]]],
+                   stop: int) -> Optional[int]:
+    """Index of the first relation (N, (a, b)) below stop that fails on
+    the action, or None."""
+    ab = action.ab
+    for i, (nword, (a, b)) in enumerate(relations):
+        if i == stop:
+            return None
+        lhs = action._apply((a, b), nword)
+        sign = -1 if ab.parity(a) == 1 and ab.parity(b) == 1 else 1
+        rhs: Dict[Word, Coeff] = {}
+        if a != b:
+            for w, v in action._apply((b, a), nword).items():
+                accumulate(rhs, w, v * sign)
+        # for an odd square the relation reads 2 w_a w_a z_N = (full
+        # lower terms) z_N; the lower table already carries the 1/2
+        # factor, so the swap contribution is dropped on both sides
+        for mid, coeff in action._lower[(a, b)]:
+            for w, v in action._apply(mid, nword).items():
+                accumulate(rhs, w, v * coeff)
+        if lhs != rhs:
+            return i
+    return None
+
+
 def serre_module_check(
     rs: RewriteSystem, max_len: int = 4
 ) -> Tuple[bool, Optional[Tuple[int, int, Word]]]:
@@ -305,37 +388,46 @@ def serre_module_check(
     Checks w_a w_b z_N = (sign) w_b w_a z_N + (lower-order terms) z_N for
     all generator pairs and all ordered words N of length <= max_len - 2.
     Returns (True, None) or (False, (a, b, N)) on the first failure.
-    Raises ValueError for max_len < 3, which would check only N = ().
+    Raises ValueError for max_len < 3, which would check only N = (), and
+    past MAX_RELATIONS relations.  A system whose rules hold indeterminates
+    is checked at the integer points of a grid, as the module docstring
+    proves exact.
     """
     if max_len < 3:
         raise ValueError(f"max_len must be at least 3, got {max_len}: "
                          "shorter checks cover only the empty word")
     if not rs.admissible:
         raise ValueError("module check requires an admissible order")
-    ab = rs.presentation.alphabet
-    action = _ModuleAction(rs)
-
+    pairs = list(rs._rules)  # the unordered pairs
     words: List[Word] = [()]
     frontier: List[Word] = [()]
     for _ in range(max_len - 2):
-        frontier = [(g,) + w for w in frontier for g in range(ab.size)
-                    if action._precedes(g, w)]
+        frontier = [(g,) + w for w in frontier
+                    for g in range(rs.presentation.alphabet.size)
+                    if not w or rs._pair_is_ordered(g, w[0])]
         words += frontier
+        if len(words) * len(pairs) > MAX_RELATIONS:
+            raise ValueError(
+                f"max_len {max_len} gives more than {MAX_RELATIONS} "
+                "(pair, word) relations to check")
 
-    for nword in words:
-        for a, b in action._lower:  # the unordered pairs
-            lhs = action._apply((a, b), nword)
-            sign = -1 if ab.parity(a) == 1 and ab.parity(b) == 1 else 1
-            rhs: Dict[Word, Coeff] = {}
-            if a != b:
-                for w, v in action._apply((b, a), nword).items():
-                    accumulate(rhs, w, v * sign)
-            # for an odd square the relation reads 2 w_a w_a z_N = (full
-            # lower terms) z_N; the lower table already carries the 1/2
-            # factor, so the swap contribution is dropped on both sides
-            for mid, coeff in action._lower[(a, b)]:
-                for w, v in action._apply(mid, nword).items():
-                    accumulate(rhs, w, v * coeff)
-            if lhs != rhs:
-                return False, (a, b, nword)
-    return True, None
+    rings: Iterable = [None]  # the system's own int ring
+    if rs._odd_scale is None:  # Scalar rules: one ring per grid point
+        names = sorted(set().union(*(v.variables() for terms in rs._rules.values()
+                                     for _, v in terms)))
+        n = rs.presentation.n_even
+        delta = _degree_bound(rs._rules, n, max_len)
+        rings = (_ring_at(rs._rules, n, dict(zip(names, point)))
+                 for point in product(range(delta + 1), repeat=len(names)))
+    # a relation fails as a polynomial iff it fails at some point, so the
+    # first witness is the earliest of the points' first failures
+    total = stop = len(words) * len(pairs)
+    for ring in rings:
+        first = _first_failure(_ModuleAction(rs, None, ring),
+                               product(words, pairs), stop)
+        if first is not None:
+            stop = first
+    if stop == total:
+        return True, None
+    (a, b), nword = pairs[stop % len(pairs)], words[stop // len(pairs)]
+    return False, (a, b, nword)

@@ -359,21 +359,6 @@ class QlsPresentation:
             accumulate(lam, (g, h), t)
         return NCPoly(self.alphabet, residual), lam
 
-    def alpha_beta(self, poly: NCPoly) -> Tuple[NCPoly, Scalar]:
-        """Bracket value of an element of the quadratic ideal span.
-
-        Raises ValueError when the degree-2 input is not in the span.
-        """
-        residual, lam = self.normalize2(poly)
-        if not residual.is_zero():
-            raise ValueError(
-                f"element is not in the quadratic ideal: residual {residual.render()}"
-            )
-        out: Dict[Word, Scalar] = {}
-        self._add_lower(out, lam)
-        scalar = out.pop((), Scalar())
-        return NCPoly(self.alphabet, out), scalar
-
     # -- component checker --------------------------------------------
 
     def check_component_jacobi(self) -> JacobiReport:

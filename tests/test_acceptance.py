@@ -35,7 +35,6 @@ from quadlie.gl2n1 import (
     uni_mul,
     uni_trim,
 )
-from quadlie.linalg import rank_of_rows
 from quadlie.ncpoly import NCPoly
 from quadlie.pbw import (
     GeneratorOrder,
@@ -47,7 +46,7 @@ from quadlie.pbw import (
 )
 from quadlie.scalars import Scalar, srat
 
-from test_presentation import _random_presentation, _verdicts_agree
+from test_presentation import _random_presentation, _verdicts_agree, rank_of_rows
 
 
 def _report(k, passed, summary):

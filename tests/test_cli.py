@@ -184,6 +184,15 @@ def test_serre_check_vacuous_length_exits_2(capsys, max_len):
     assert "at least 3" in err
 
 
+def test_serre_check_past_relation_budget_exits_2(capsys):
+    # gl2(3/1) at length 7 has 1,204,128 relations; refused before any work
+    code, out, err = _run(capsys, "serre-check", "--n", "3", "--c", "1",
+                          "--max-len", "7")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "relations" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("normal-form", "--n", "1", "E[1,1]"),
     ("serre-check", "--n", "0"),

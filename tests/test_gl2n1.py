@@ -17,7 +17,6 @@ from quadlie.gl2n1 import (
     lam_prime,
     projector,
     reduced_char_poly,
-    rho0,
     rho1,
     uni_eval,
     uni_mod,
@@ -179,6 +178,11 @@ def test_adjoint_A_exact_closed_form():
 
 
 # -- weights, Casimirs, characteristic identities ---------------------
+
+
+def rho0(n):
+    """Half-sum of positive even roots: ((n-1)/2, (n-3)/2, ...)."""
+    return Weight([Fraction(n + 1 - 2 * r, 2) for r in range(1, n + 1)])
 
 
 def test_rho_vectors():

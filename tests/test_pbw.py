@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from quadlie.gl2n1 import build
-from quadlie.linalg import rank_of_rows
 from quadlie.ncpoly import NCPoly
 from quadlie.pbw import (
+    MAX_RELATIONS,
     GeneratorOrder,
     RewriteSystem,
     _ModuleAction,
@@ -20,6 +20,8 @@ from quadlie.pbw import (
 )
 from quadlie.presentation import QlsPresentation
 from quadlie.scalars import Scalar, srat
+
+from test_presentation import rank_of_rows
 
 
 def _rs(pres, order=None):
@@ -371,9 +373,12 @@ def test_serre_length_3_matches_abstract_checker():
     assert 0 < sum(verdicts) < len(verdicts)  # both verdicts occur
 
 
-def _orbit_shifted(pres, name, index):
+_TENSORS = ("c", "cbar", "d", "b", "a")
+
+
+def _orbit_shifted(pres, name, index, shift=srat(1, 3)):
     """Copy of pres with the symmetric orbit of one d-, b- or a-index
-    shifted by 1/3."""
+    shifted by shift."""
     tensor = dict(getattr(pres, name))
     p, q, *rest = index
     orbit = {(p, q, *rest), (q, p, *rest)}
@@ -381,8 +386,8 @@ def _orbit_shifted(pres, name, index):
         k, l = rest
         orbit |= {(p, q, l, k), (q, p, l, k)}
     for idx in orbit:
-        tensor[idx] = tensor.get(idx, Scalar()) + srat(1, 3)
-    fields = {t: getattr(pres, t) for t in ("c", "cbar", "d", "b", "a")}
+        tensor[idx] = tensor.get(idx, Scalar()) + shift
+    fields = {t: getattr(pres, t) for t in _TENSORS}
     fields[name] = tensor
     return QlsPresentation(pres.n_even, pres.m_odd, **fields)
 
@@ -431,3 +436,107 @@ def test_module_action_returns_scalars_in_own_basis():
     assert action.apply_word((1,), (0,)) == {(0, 1): srat(1)}
     assert rs.normal_form(NCPoly.monomial(pres.alphabet, (1, 0, 1))) == NCPoly(
         pres.alphabet, {(0,): srat(1, 4)})
+
+
+def _scalar_serre(rs, max_len):
+    """Reference: the relation loop run once on the Scalar rule table,
+    with no evaluation at points."""
+    assert rs._odd_scale is None
+    action = _ModuleAction(rs, None, (rs._rules, None))
+    ab = rs.presentation.alphabet
+    words, frontier = [()], [()]
+    for _ in range(max_len - 2):
+        frontier = [(g,) + w for w in frontier for g in range(ab.size)
+                    if not w or rs._pair_is_ordered(g, w[0])]
+        words += frontier
+    for nword in words:
+        for a, b in rs._rules:
+            lhs = action._apply((a, b), nword)
+            sign = -1 if ab.parity(a) == ab.parity(b) == 1 else 1
+            rhs = {}
+            if a != b:
+                for w, v in action._apply((b, a), nword).items():
+                    rhs[w] = rhs.get(w, Scalar()) + v * sign
+            for mid, coeff in rs._rules[(a, b)]:
+                for w, v in action._apply(mid, nword).items():
+                    rhs[w] = rhs.get(w, Scalar()) + v * coeff
+            if lhs != {w: v for w, v in rhs.items() if v}:
+                return False, (a, b, nword)
+    return True, None
+
+
+def _c_plus_u(pres):
+    """The gl2(n/1) family with c replaced by c + u: two indeterminates."""
+    shift = {"c": Scalar.var("c") + Scalar.var("u")}
+    fields = {t: {i: Scalar.coerce(v).substitute(shift)
+                  for i, v in getattr(pres, t).items()} for t in _TENSORS}
+    return QlsPresentation(pres.n_even, pres.m_odd, **fields)
+
+
+def _symbolic_cases():
+    pres3 = build(3).presentation
+    cases = [(f"n={n}", build(n).presentation) for n in (2, 3, 4)]
+    for name in ("d", "b", "a"):
+        indices = sorted(getattr(pres3, name))
+        for pick in (0, -1):
+            cases.append((f"{name}[{pick}]",
+                          _orbit_shifted(pres3, name, indices[pick])))
+    pres2 = _c_plus_u(build(2).presentation)
+    u_times_c = Scalar.var("u") * Scalar.var("c")
+    cases.append(("n=2, c+u", pres2))
+    cases.append(("n=2, c+u, a[0] + u c",
+                  _orbit_shifted(pres2, "a", sorted(pres2.a)[0], u_times_c)))
+    return cases
+
+
+@pytest.mark.parametrize("label, pres", _symbolic_cases(),
+                         ids=[label for label, _ in _symbolic_cases()])
+def test_serre_evaluation_matches_scalar_reference(label, pres):
+    rs = _rs(pres)
+    assert rs._odd_scale is None
+    names = set().union(*(v.variables() for t in _TENSORS
+                          for v in getattr(pres, t).values()
+                          if isinstance(v, Scalar)))
+    assert names == ({"c", "u"} if "u" in label else {"c"})
+    # gl2(4/1) at length 4 takes about 12 s on the Scalar reference
+    for max_len in (3,) if label == "n=4" else (3, 4):
+        want = _scalar_serre(rs, max_len)
+        assert serre_module_check(rs, max_len) == want, max_len
+        assert want[0] is (label in ("n=2", "n=3", "n=4", "n=2, c+u"))
+
+
+def test_serre_grid_catches_residual_vanishing_at_two_points():
+    # a[0] + c (c - 1) vanishes at c = 0 and 1; the grid {0, ..., delta}
+    # must reach c = 2 (here delta = max_len, since kappa = 2/6)
+    pres = build(3).presentation
+    shift = Scalar.var("c") * (Scalar.var("c") - 1)
+    rs = _rs(_orbit_shifted(pres, "a", sorted(pres.a)[0], shift))
+    for max_len in (3, 4):
+        got = serre_module_check(rs, max_len)
+        assert not got[0]
+        assert got == _scalar_serre(rs, max_len)
+
+
+def test_symbolic_serre_check_stays_off_scalar_multiplication(monkeypatch):
+    rs = RewriteSystem(build(3).presentation)
+    calls = []
+    original = Scalar.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", counting)
+    monkeypatch.setattr(Scalar, "__rmul__", counting)
+    assert serre_module_check(rs, max_len=4) == (True, None)
+    # only substituting the c-dependent rule coefficients at 3 points
+    # multiplies Scalars (27 times); the Scalar engine did 255,899
+    assert len(calls) < 100
+
+
+def test_serre_check_refuses_past_relation_budget():
+    rs = build(3, 1).rewrite
+    with pytest.raises(ValueError, match="relations"):
+        serre_module_check(rs, max_len=7)  # 1,204,128 relations
+    # gl2(5/1) at the default length 4 has 396,880 and is admitted
+    assert MAX_RELATIONS >= 396_880
