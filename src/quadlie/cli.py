@@ -77,8 +77,11 @@ def _cmd_verify_presentation(args) -> int:
         pres = QlsPresentation.load(args.file)
     except (OSError, ValueError, KeyError) as exc:
         raise CliError(f"cannot read presentation {args.file!r}: {exc}") from exc
-    comp = pres.check_component_jacobi()
-    abst = pres.check_abstract_jacobi()
+    try:
+        comp = pres.check_component_jacobi()
+        abst = pres.check_abstract_jacobi()
+    except ValueError as exc:
+        raise CliError(f"cannot check presentation {args.file!r}: {exc}") from exc
     passed = comp.passed and abst.passed
     report = {
         "command": "verify-presentation",

@@ -25,10 +25,21 @@ class ParseError(ValueError):
 # the interpreter's recursion limit
 MAX_NESTING = 100
 
+# largest exponent after ^: a power is computed by repeated squaring, and
+# this bounds its size (c^1000, or a word of 1000 letters) before any work
+MAX_EXPONENT = 1000
+
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()\[\],]))"
 )
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:  # past the interpreter's digit limit
+        raise ParseError(f"number of {len(text)} digits is too long") from exc
 
 
 def _tokenize(text: str) -> List[Tuple[str, str]]:
@@ -111,14 +122,21 @@ class _Parser:
             k2, v2 = self.take()
             if k2 != "num":
                 raise ParseError("exponent must be a number")
-            exp = int(v2)
-            if exp == 0:
-                return self._one()
-            result = base
-            for _ in range(exp - 1):
-                result = result * base
-            return result
+            if len(v2) > len(str(MAX_EXPONENT)) or int(v2) > MAX_EXPONENT:
+                raise ParseError(f"exponent after ^ is larger than {MAX_EXPONENT}")
+            return self._power(base, int(v2))
         return base
+
+    def _power(self, base, exp: int):
+        """base^exp by repeated squaring."""
+        result = self._one()
+        while exp:
+            if exp & 1:
+                result = result * base
+            exp >>= 1
+            if exp:
+                base = base * base
+        return result
 
     def parse_atom(self):
         kind, val = self.peek()
@@ -136,7 +154,7 @@ class _Parser:
             return inner
         if kind == "num":
             self.take()
-            return self._number(int(val))
+            return self._number(_integer(val))
         if kind == "name":
             self.take()
             indices: Optional[List[int]] = None
@@ -147,7 +165,7 @@ class _Parser:
                     k2, v2 = self.take()
                     if k2 != "num":
                         raise ParseError("index must be a number")
-                    indices.append(int(v2))
+                    indices.append(_integer(v2))
                     k3, v3 = self.take()
                     if v3 == "]":
                         break

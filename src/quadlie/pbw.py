@@ -23,8 +23,8 @@ z_N to D^o(N) z_N and a rule coefficient c of g1 g2 -> w to
 c D^(o(g1 g2) - o(w)); brackets keep parity, so the exponent is 2 on
 odd-odd pairs and 0 elsewhere.  If every c is rational and some D makes
 all of them integers, the action runs in Python ints with the least such
-D (searched up to 2**16, else the lcm of the odd-odd denominators): 2 for
-gl2(3/1) at c = 1, 10 at c = 7/5.  Otherwise it runs in `Scalar`.
+D (`presentation.odd_scale` of the lcm of the odd-odd denominators): 2
+for gl2(3/1) at c = 1, 10 at c = 7/5.  Otherwise it runs in `Scalar`.
 Exactness: by induction over `_act`, the scaled coefficient of z_w in
 w_a ... w_b z_N is the unscaled one times D^(o(a ... b N) - o(w)), never
 0.  So a relation (a, b, N) vanishes in both bases or in neither (same
@@ -61,13 +61,12 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import comb, floor, lcm
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .ncpoly import Alphabet, NCPoly, Word
-from .presentation import QlsPresentation
+from .presentation import Coeff, QlsPresentation, odd_scale
 from .scalars import Scalar, accumulate, srat
 
-Coeff = Union[int, Scalar]  # a coefficient in a system's ring
 Rules = Dict[Tuple[int, int], List[Tuple[Word, Coeff]]]
 
 # (pair, word) relations one `serre_module_check` may run: gl2(5/1) at
@@ -85,11 +84,8 @@ def _int_ring(fracs: Dict[Tuple[int, int], List[Tuple[Word, Fraction]]],
     odd rescaling by D makes every coefficient an integer; else None."""
     exps = {pair: [(w, f, _odd_letters(n_even, pair) - _odd_letters(n_even, w))
                    for w, f in terms] for pair, terms in fracs.items()}
-    # the least D <= 2**16 with den | D * D, else den itself
-    den = lcm(*(f.denominator for terms in exps.values()
-                for _, f, e in terms if e))
-    scale = next((d for d in range(1, min(den, 1 << 16) + 1)
-                  if d * d % den == 0), den)
+    scale = odd_scale(lcm(*(f.denominator for terms in exps.values()
+                            for _, f, e in terms if e)))
     scaled = {pair: [(w, f * scale**e) for w, f, e in terms] for pair, terms in exps.items()}
     if any(f.denominator != 1 for terms in scaled.values() for _, f in terms):
         return None

@@ -20,22 +20,55 @@ generator pair itself.  Two independent checkers decide associativity:
     and verifies the degree-2/1/0 obstructions all vanish.
 
 Both return a JacobiReport listing every violated identity with its exact
-residual.
+residual, and how many identities of each family it checked.
+
+Both run in one coefficient ring per presentation (`_ring`).  With o(w)
+the number of odd letters of w, scaling every odd generator by an integer
+D > 0 keeps c and cbar and multiplies d, b and a by D^2.  When c and cbar
+hold integers and d and b rationals, the checkers run in Python ints with
+D = `odd_scale` of the denominators of d and b; otherwise in `Scalar`.
+`a` never enters the loops: the component families do not read it, and
+the abstract checker is linear in it, so it keeps one coefficient per
+(odd pair, word of length <= 1) and dots them with D^2 a, as Scalars, at
+the end of each triple (a symbolic c in a leaves the rest in ints).
+Exactness:
+  * families (1) and (2) are products of c and cbar, so unscaled; (3)-(6)
+    are linear in d or b, so their residuals map back by D^-2;
+  * abstract: a substituted bracket g1 g2 -> w' carries D^(o(g1 g2) - o(w'))
+    and a swap keeps the letters, so by induction over the substitutions
+    and `_reduce2` the scaled coefficient of a word w in the reduction of
+    the overlap element of (a, b, c) is the unscaled one times
+    D^(o(abc) - o(w)); a residual maps back by D^(o(w) - o(abc)).  The
+    factors are nonzero, so the same identities fail;
+  * odd squares: `_reduce2` halves the coefficient of y y.  Only the
+    overlap of (x_i, y, y') makes one, from the two rotations where an
+    even-odd bracket yields y, whose graded-cyclic signs agree: the
+    coefficient is 2 cbar_{i y'}^{y} (4 cbar_{i y}^{y} if y' = y), even
+    in ints.  Its d-part words are even-even, never halved again; `_half`
+    raises rather than round.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, combinations, combinations_with_replacement
+from math import comb, lcm
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exprparse import parse_scalar
 from .ncpoly import Alphabet, NCPoly, Word
-from .scalars import Scalar, accumulate, srat
+from .scalars import ZERO, Scalar, accumulate, srat
 
 FORMAT_TAG = "quadlie-presentation-1"
+
+Coeff = Union[int, Scalar]  # a coefficient in a checker's or action's ring
+
+# overlap elements one `check_abstract_jacobi` may reduce: gl2(8/1) has
+# 83,440, gl2(5/1) 6,895, Lambda^3 2,216
+MAX_TRIPLES = 100_000
 
 _NO_TERMS: Mapping[Word, Scalar] = MappingProxyType({})
 
@@ -48,11 +81,18 @@ class JacobiViolation(NamedTuple):
 
 
 class JacobiReport:
-    """Outcome of a Jacobi consistency check."""
+    """Outcome of a Jacobi consistency check.
 
-    def __init__(self, method: str, violations: Sequence[JacobiViolation]):
+    `checked` maps each family to the number of its identities that
+    received at least one nonzero term; every other identity of the family
+    vanishes term by term.
+    """
+
+    def __init__(self, method: str, violations: Sequence[JacobiViolation],
+                 checked: Optional[Mapping[str, int]] = None):
         self.method = method
         self.violations = list(violations)
+        self.checked = dict(checked or {})
 
     @property
     def passed(self) -> bool:
@@ -77,6 +117,27 @@ class JacobiReport:
 
 def _is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _bracket_table(n: int, c, cbar, d, b, a) -> Dict[Tuple[int, int], Dict[Word, Coeff]]:
+    """Bracket words of each generator pair, from the five tensors."""
+    table: Dict[Tuple[int, int], Dict[Word, Coeff]] = {}
+
+    def put(g1, g2, word, val):
+        table.setdefault((g1, g2), {})[word] = val
+
+    for (i, j, k), v in c.items():
+        put(i, j, (k,), v)
+    for (i, p, q), v in cbar.items():
+        put(i, n + p, (n + q,), v)
+        put(n + p, i, (n + q,), -v)
+    for (p, q, k, l), v in d.items():
+        put(n + p, n + q, (k, l), v)
+    for (p, q, k), v in b.items():
+        put(n + p, n + q, (k,), v)
+    for (p, q), v in a.items():
+        put(n + p, n + q, (), v)
+    return table
 
 
 def _coerce_tensor(entries, arity: int, label: str) -> Dict[tuple, Scalar]:
@@ -129,7 +190,8 @@ class QlsPresentation:
             n_even, m_odd, names=names, indeterminates=self.indeterminates
         )
         self._validate()
-        self._brackets = self._build_brackets()
+        table = _bracket_table(n_even, self.c, self.cbar, self.d, self.b, self.a)
+        self._brackets = {pair: MappingProxyType(terms) for pair, terms in table.items()}
 
     # -- validation ---------------------------------------------------
 
@@ -162,26 +224,6 @@ class QlsPresentation:
                 raise ValueError(f"a not symmetric at {(p, q)}")
 
     # -- bracket table ------------------------------------------------
-
-    def _build_brackets(self) -> Dict[Tuple[int, int], Mapping[Word, Scalar]]:
-        n = self.n_even
-        table: Dict[Tuple[int, int], Dict[Word, Scalar]] = {}
-
-        def put(g1, g2, word, val):
-            table.setdefault((g1, g2), {})[word] = val
-
-        for (i, j, k), v in self.c.items():
-            put(i, j, (k,), v)
-        for (i, p, q), v in self.cbar.items():
-            put(i, n + p, (n + q,), v)
-            put(n + p, i, (n + q,), -v)
-        for (p, q, k, l), v in self.d.items():
-            put(n + p, n + q, (k, l), v)
-        for (p, q, k), v in self.b.items():
-            put(n + p, n + q, (k,), v)
-        for (p, q), v in self.a.items():
-            put(n + p, n + q, (), v)
-        return {pair: MappingProxyType(terms) for pair, terms in table.items()}
 
     def bracket(self, g1: int, g2: int) -> Mapping[Word, Scalar]:
         """[g1, g2} = g1 g2 - (-1)^{|g1||g2|} g2 g1 as a read-only map
@@ -316,14 +358,17 @@ class QlsPresentation:
         accumulate(terms, (g2, g1), srat(1 if g1 >= n and g2 >= n else -1))
         return NCPoly(self.alphabet, terms)
 
-    def _add_lower(
-        self, out: Dict[Word, Scalar], lam: Mapping[Tuple[int, int], Scalar]
-    ) -> None:
-        """Add sum lam[(g1, g2)] * (degree <= 1 part of bracket(g1, g2)) to out."""
-        for (g1, g2), coeff in lam.items():
-            for w, v in self.bracket(g1, g2).items():
-                if len(w) < 2:
-                    accumulate(out, w, coeff * v)
+    # -- the checkers' ring -------------------------------------------
+
+    @cached_property
+    def _scalar_ring(self) -> "_Ring":
+        return _Ring.build(self, (self.c, self.cbar, self.d, self.b), None)
+
+    def _ring(self) -> "_Ring":
+        """Python ints after the odd rescaling when `_int_tensors` allows
+        it, else the presentation's own Scalars."""
+        found = _int_tensors(self)
+        return _Ring.build(self, *found) if found else self._scalar_ring
 
     # -- reduction of degree-2 elements --------------------------------
 
@@ -336,152 +381,147 @@ class QlsPresentation:
         Returns the residual and the bookkeeping coefficients lam, keyed by
         generator pairs (g, h) with g < h, or g = h odd.
         """
+        residual, lam = self._reduce2(poly.terms, self._scalar_ring.quad)
+        return NCPoly(self.alphabet, residual), {k: v for k, v in lam.items() if v}
+
+    def _reduce2(self, terms: Mapping[Word, Coeff], quad: Mapping) -> Tuple[dict, dict]:
+        """`normalize2` on a word -> coeff map in the checkers' ring, with
+        the d-part words of each pair from quad; entries that cancel stay
+        in the result as zeros."""
         n = self.n_even
-        residual: Dict[Word, Scalar] = {}
-        lam: Dict[Tuple[int, int], Scalar] = {}
-        work = list(poly.terms.items())
+        residual: Dict[Word, Coeff] = {}
+        lam: Dict[Tuple[int, int], Coeff] = {}
+        work = list(terms.items())
         while work:
             word, coeff = work.pop()
+            if not coeff:
+                continue
             if len(word) != 2 or word[0] < word[1] or word[0] == word[1] < n:
-                accumulate(residual, word, coeff)
+                _add(residual, word, coeff)
                 continue
             h, g = word  # g < h, or an odd square
             if g == h:
                 # y_p y_p = (1/2) d-part + (1/2) e(y_p, y_p)
-                t = coeff / 2
+                t = _half(coeff)
             else:
                 # h g = s g h - s d-part - s e(g,h), s the swap sign
                 t = coeff if g >= n else -coeff
                 work.append(((g, h), -t))
-            for w, v in self.bracket(g, h).items():
-                if len(w) == 2:
-                    work.append((w, t * v))
-            accumulate(lam, (g, h), t)
-        return NCPoly(self.alphabet, residual), lam
+            for w, v in quad.get((g, h), ()):
+                work.append((w, t * v))
+            _add(lam, (g, h), t)
+        return residual, lam
 
     # -- component checker --------------------------------------------
 
     def check_component_jacobi(self) -> JacobiReport:
-        """Index-wise tensor identities, checked family by family."""
+        """Index-wise tensor identities, checked family by family, in the
+        ring of `_ring`; residuals of families (3)-(6), which are linear in
+        d or b, map back by D**-2."""
+        ring = self._ring()
         viols: List[JacobiViolation] = []
+        checked: Dict[str, int] = {}
 
         c_by_first: Dict[int, list] = {}
         c_by_second: Dict[int, list] = {}
-        for (i, j, k), v in self.c.items():
+        for (i, j, k), v in ring.c.items():
             c_by_first.setdefault(i, []).append((j, k, v))
             c_by_second.setdefault(j, []).append((i, k, v))
         cbar_by_even: Dict[int, list] = {}
         cbar_by_out: Dict[int, list] = {}
-        for (i, p, q), v in self.cbar.items():
+        for (i, p, q), v in ring.cbar.items():
             cbar_by_even.setdefault(i, []).append((p, q, v))
             cbar_by_out.setdefault(q, []).append((i, p, v))
         d_by_first: Dict[int, list] = {}
-        for (p, q, k, l), v in self.d.items():
+        for (p, q, k, l), v in ring.d.items():
             d_by_first.setdefault(p, []).append((q, k, l, v))
         b_by_first: Dict[int, list] = {}
-        for (p, q, k), v in self.b.items():
+        for (p, q, k), v in ring.b.items():
             b_by_first.setdefault(p, []).append((q, k, v))
 
-        def emit(family, residuals, canonical=None):
-            for idx in sorted(residuals):
-                if canonical is not None and not canonical(idx):
-                    continue
-                viols.append(JacobiViolation(family, idx, residuals[idx]))
+        def emit(family, residuals, exponent, canonical=None):
+            keys = [idx for idx in sorted(residuals)
+                    if canonical is None or canonical(idx)]
+            checked[family] = len(keys)
+            for idx in keys:
+                if residuals[idx]:
+                    viols.append(JacobiViolation(
+                        family, idx, ring.back(residuals[idx], exponent)))
 
         # (1) even-even-even: c_ij^l c_lk^m = c_ik^l c_lj^m - c_jk^l c_li^m
         # (the adjoint-representation form of the classical Jacobi identity)
-        res: Dict[tuple, Scalar] = {}
-        for (x, y, l), v in self.c.items():
+        res: Dict[tuple, Coeff] = {}
+        for (x, y, l), v in ring.c.items():
             for z, w, v2 in c_by_first.get(l, ()):
-                accumulate(res, (x, y, z, w), v * v2)
-                accumulate(res, (x, z, y, w), -(v * v2))
-                accumulate(res, (z, x, y, w), v * v2)
-        emit("even-even-even", res, canonical=lambda t: t[0] < t[1] < t[2])
+                t = v * v2
+                _add(res, (x, y, z, w), t)
+                _add(res, (x, z, y, w), -t)
+                _add(res, (z, x, y, w), t)
+        emit("even-even-even", res, 0, canonical=lambda t: t[0] < t[1] < t[2])
 
         # (2) even-even-odd: c_ij^l cbar_lp^q - cbar_i.^q cbar_jp^. + (i<->j)
         res = {}
-        for (i, j, l), v in self.c.items():
+        for (i, j, l), v in ring.c.items():
             for p, q, v2 in cbar_by_even.get(l, ()):
-                accumulate(res, (i, j, p, q), v * v2)
-        for (i, r, q), v in self.cbar.items():
+                _add(res, (i, j, p, q), v * v2)
+        for (i, r, q), v in ring.cbar.items():
             for j, p, v2 in cbar_by_out.get(r, ()):
-                accumulate(res, (i, j, p, q), -(v * v2))
-                accumulate(res, (j, i, p, q), v * v2)
-        emit("even-even-odd", res, canonical=lambda t: t[0] < t[1])
+                t = v * v2
+                _add(res, (i, j, p, q), -t)
+                _add(res, (j, i, p, q), t)
+        emit("even-even-odd", res, 0, canonical=lambda t: t[0] < t[1])
 
         # (3) even action on d:
         #     c_im^k d_pq^ml + c_im^l d_pq^km = cbar_ip^s d_sq^kl + cbar_iq^s d_ps^kl
         res = {}
-        for (p, q, m, l), v in self.d.items():
+        for (p, q, m, l), v in ring.d.items():
             for i, k, v2 in c_by_second.get(m, ()):
-                accumulate(res, (i, p, q, k, l), v * v2)
-                accumulate(res, (i, p, q, l, k), v * v2)
-        for (i, p, s), v in self.cbar.items():
+                t = v * v2
+                _add(res, (i, p, q, k, l), t)
+                _add(res, (i, p, q, l, k), t)
+        for (i, p, s), v in ring.cbar.items():
             for q, k, l, v2 in d_by_first.get(s, ()):
-                accumulate(res, (i, p, q, k, l), -(v * v2))
-                accumulate(res, (i, q, p, k, l), -(v * v2))
+                t = -(v * v2)
+                _add(res, (i, p, q, k, l), t)
+                _add(res, (i, q, p, k, l), t)
         emit(
             "even-odd-odd-d",
             res,
+            -2,
             canonical=lambda t: t[1] <= t[2] and t[3] <= t[4],
         )
 
         # (4) even action on b: b_pq^m c_im^k = cbar_ip^s b_sq^k + cbar_iq^s b_ps^k
         res = {}
-        for (p, q, m), v in self.b.items():
+        for (p, q, m), v in ring.b.items():
             for i, k, v2 in c_by_second.get(m, ()):
-                accumulate(res, (i, p, q, k), v * v2)
-        for (i, p, s), v in self.cbar.items():
+                _add(res, (i, p, q, k), v * v2)
+        for (i, p, s), v in ring.cbar.items():
             for q, k, v2 in b_by_first.get(s, ()):
-                accumulate(res, (i, p, q, k), -(v * v2))
-                accumulate(res, (i, q, p, k), -(v * v2))
-        emit("even-odd-odd-b", res, canonical=lambda t: t[1] <= t[2])
+                t = -(v * v2)
+                _add(res, (i, p, q, k), t)
+                _add(res, (i, q, p, k), t)
+        emit("even-odd-odd-b", res, -2, canonical=lambda t: t[1] <= t[2])
 
         # (5) odd cyclic identity for b: sum_cyc cbar_mp^s b_qr^m = 0
-        part: Dict[tuple, Scalar] = {}
-        for (q, r, mm), v in self.b.items():
+        part: Dict[tuple, Coeff] = {}
+        for (q, r, mm), v in ring.b.items():
             for p, s, v2 in cbar_by_even.get(mm, ()):
-                accumulate(part, (p, q, r, s), v * v2)
-        res = {}
-        m_odd = self.m_odd
-        for p in range(m_odd):
-            for q in range(p, m_odd):
-                for r in range(q, m_odd):
-                    for s in range(m_odd):
-                        total = (
-                            part.get((p, q, r, s), Scalar())
-                            + part.get((q, r, p, s), Scalar())
-                            + part.get((r, p, q, s), Scalar())
-                        )
-                        if not total.is_zero():
-                            accumulate(res, (p, q, r, s), total)
-        emit("odd-odd-odd-b", res)
+                _add(part, (p, q, r, s), v * v2)
+        emit("odd-odd-odd-b", _cyclic_sums(part), -2)
 
         # (6) odd cyclic identity for d: sum_cyc cbar_mp^s d_qr^ml = 0
         part = {}
-        for (q, r, mm, l), v in self.d.items():
+        for (q, r, mm, l), v in ring.d.items():
             for p, s, v2 in cbar_by_even.get(mm, ()):
-                accumulate(part, (p, q, r, s, l), v * v2)
-        res = {}
-        outs = sorted({(s, l) for (_, _, _, s, l) in part})
-        for p in range(m_odd):
-            for q in range(p, m_odd):
-                for r in range(q, m_odd):
-                    for s, l in outs:
-                        total = (
-                            part.get((p, q, r, s, l), Scalar())
-                            + part.get((q, r, p, s, l), Scalar())
-                            + part.get((r, p, q, s, l), Scalar())
-                        )
-                        if not total.is_zero():
-                            accumulate(res, (p, q, r, s, l), total)
-        emit("odd-odd-odd-d", res)
+                _add(part, (p, q, r, s, l), v * v2)
+        emit("odd-odd-odd-d", _cyclic_sums(part), -2)
 
-        return JacobiReport("component", viols)
+        return JacobiReport("component", viols, checked)
 
     # -- abstract checker ---------------------------------------------
 
-    def _overlap_elements(self):
+    def _overlap_elements(self, ring: Optional["_Ring"] = None):
         """Yield (indices, zL, zR) spanning the degree-3 overlap space.
 
         zL maps a generator triple (g, g1, g2) to the coefficient of
@@ -490,8 +530,11 @@ class QlsPresentation:
         is one element per triple (a, b, c) of generators, evens first and
         no even repeated: the graded-cyclic sum of u e(v, w) on the left and
         of e(u, v) w on the right, plus the terms that carry the d-part of
-        an odd pair (v, w) past u.
+        an odd pair (v, w) past u.  Coefficients are in the ring given,
+        by default the presentation's own Scalars.
         """
+        ring = ring or self._scalar_ring
+        one = ring.one
         n = self.n_even
         evens, odds = range(n), range(n, self.alphabet.size)
         triples = chain(
@@ -502,21 +545,24 @@ class QlsPresentation:
             combinations_with_replacement(odds, 3),
         )
         for a, b, c in triples:
-            zL: Dict[tuple, Scalar] = {}
-            zR: Dict[tuple, Scalar] = {}
+            zL: Dict[tuple, Coeff] = {}
+            zR: Dict[tuple, Coeff] = {}
             for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
                 # graded Jacobi sign (-1)^{|u||w|}, normalized to +1 on (a, b, c)
-                s = srat(-1 if (u >= n and w >= n) != (a >= n and c >= n) else 1)
+                s = -one if (u >= n and w >= n) != (a >= n and c >= n) else one
                 accumulate(zL, (u, v, w), s)
                 accumulate(zR, (u, v, w), s)
                 # u d-part(v, w) - d-part(v, w) u, rewritten as
                 # k e2(u, l) + e2(u, k) l for each d-word k l
-                for word, val in self.bracket(v, w).items():
-                    if len(word) == 2:
-                        k, l = word
-                        accumulate(zL, (k, u, l), s * val)
-                        accumulate(zR, (u, k, l), -(s * val))
+                for (k, l), val in ring.quad.get((v, w), ()):
+                    accumulate(zL, (k, u, l), s * val)
+                    accumulate(zR, (u, k, l), -(s * val))
             yield (a, b, c), zL, zR
+
+    def _overlap_count(self) -> int:
+        """Number of elements `_overlap_elements` yields, in closed form."""
+        n, m = self.n_even, self.m_odd
+        return comb(n, 3) + comb(n, 2) * m + n * comb(m + 1, 2) + comb(m + 2, 3)
 
     def check_abstract_jacobi(self) -> JacobiReport:
         """Overlap-reduction consistency check on the defining ideal.
@@ -525,41 +571,173 @@ class QlsPresentation:
         ways of substituting bracket values must agree; the obstructions
         split by degree into J1 (quadratic), J2 (linear), J3 (scalar).
         These are the PBW conditions for quadratic-linear-scalar algebras
-        of Braverman and Gaitsgory (J. Algebra 181, 1996).
+        of Braverman and Gaitsgory (J. Algebra 181, 1996).  Runs in the
+        ring of `_ring`, with the a part kept apart as one coefficient per
+        (odd pair, word of length <= 1) and dotted in per triple.  Raises
+        ValueError past MAX_TRIPLES overlap elements.
         """
-        ab = self.alphabet
+        triples = self._overlap_count()
+        if triples > MAX_TRIPLES:
+            raise ValueError(f"{triples} overlap triples to check, more than "
+                             f"{MAX_TRIPLES}")
+        ring = self._ring()
+        lin, a_part, back = ring.lin, ring.a, ring.back
+        n, names = self.n_even, self.alphabet.names
         viols: List[JacobiViolation] = []
+        checked = {"J1": 0, "J2": 0, "J3": 0}
 
-        for indices, zL, zR in self._overlap_elements():
-            # the degree <= 1 bracket parts substituted into zR minus zL,
-            # split into degree 2 (for normalize2) and degree <= 1 (J2
-            # words and the J3 scalar at ())
-            quad: Dict[Word, Scalar] = {}
-            low: Dict[Word, Scalar] = {}
+        def total(w, main, by_a, odd_abc):
+            """The residual at word w in the presentation's own basis: the
+            ring value main plus the a part, mapped back."""
+            e = sum(g >= n for g in w) - odd_abc
+            out = back(main, e) if main else ZERO
+            for pair, coeff in by_a.get(w, {}).items():
+                if coeff:
+                    out = out + a_part[pair] * back(coeff, e)
+            return out
+
+        for indices, zL, zR in self._overlap_elements(ring):
+            odd_abc = sum(g >= n for g in indices)
+            # the degree <= 1 bracket parts substituted into zR minus zL:
+            # degree 2 (for normalize2), degree 1 (J2) and, apart, the
+            # coefficient of each a_pair at each word of length <= 1
+            deg2: Dict[Word, Coeff] = {}
+            low: Dict[Word, Coeff] = {}
+            by_a: Dict[Word, Dict[Tuple[int, int], Coeff]] = {}
             terms = [((g1, g2), (), (g,), cf) for (g1, g2, g), cf in zR.items()]
             terms += [((g1, g2), (g,), (), -cf) for (g, g1, g2), cf in zL.items()]
             for pair, left, right, coeff in terms:
-                for w, v in self.bracket(*pair).items():
-                    if len(w) < 2:
-                        accumulate(quad if w else low, left + w + right, coeff * v)
-            residual, lam = self.normalize2(NCPoly(ab, quad))
-            self._add_lower(low, lam)
-            j3 = low.pop((), Scalar())
+                for w, v in lin.get(pair, ()):
+                    _add(deg2, left + w + right, coeff * v)
+                if pair in a_part:
+                    _add(by_a.setdefault(left + right, {}), pair, coeff)
+            residual, lam = self._reduce2(deg2, ring.quad)
+            for pair, coeff in lam.items():
+                if not coeff:
+                    continue
+                for w, v in lin.get(pair, ()):
+                    _add(low, w, coeff * v)
+                if pair in a_part:
+                    _add(by_a.setdefault((), {}), pair, coeff)
 
-            for family, part in (("J1", residual.terms), ("J2", low)):
-                for w in sorted(part):
-                    viols.append(
-                        JacobiViolation(
-                            family,
-                            indices,
-                            part[w],
-                            detail="*".join(ab.names[g] for g in w),
-                        )
-                    )
-            if not j3.is_zero():
+            words = sorted(residual)
+            letters = sorted((low.keys() | by_a.keys()) - {()})
+            checked["J1"] += len(words)
+            checked["J2"] += len(letters)
+            checked["J3"] += () in by_a
+            for family, part, keys in (("J1", residual, words), ("J2", low, letters)):
+                for w in keys:
+                    main = part.get(w, 0)
+                    if not main and w not in by_a:
+                        continue
+                    value = total(w, main, by_a, odd_abc)
+                    if value:
+                        viols.append(JacobiViolation(
+                            family, indices, value,
+                            detail="*".join(names[g] for g in w)))
+            j3 = total((), 0, by_a, odd_abc)
+            if j3:
                 viols.append(JacobiViolation("J3", indices, j3))
 
-        return JacobiReport("abstract", viols)
+        return JacobiReport("abstract", viols, checked)
+
+
+def _add(store: dict, key, value) -> None:
+    """store[key] += value, keeping entries that cancel to zero."""
+    prev = store.get(key)
+    store[key] = value if prev is None else prev + value
+
+
+def _cyclic_sums(part: Mapping[tuple, Coeff]) -> Dict[tuple, Coeff]:
+    """Sum of part over the cyclic rotations of the first three indices,
+    at each key whose first three indices are weakly increasing; a key none
+    of whose rotations is in part sums to zero, so only the others are
+    visited."""
+    res: Dict[tuple, Coeff] = {}
+    for p, q, r, *rest in part:
+        for x, y, z in ((p, q, r), (q, r, p), (r, p, q)):
+            key = (x, y, z, *rest)
+            if x <= y <= z and key not in res:
+                res[key] = sum(part.get((u, v, w, *rest), 0)
+                               for u, v, w in ((x, y, z), (y, z, x), (z, x, y)))
+    return res
+
+
+def _half(value: Coeff) -> Coeff:
+    """value / 2 for the coefficient of an odd square; exact in ints, where
+    the module docstring shows the coefficient is even."""
+    if isinstance(value, Scalar):
+        return value / 2
+    half, odd = divmod(value, 2)
+    if odd:
+        raise ArithmeticError(f"odd square with odd coefficient {value}")
+    return half
+
+
+def odd_scale(den: int) -> int:
+    """The least D <= 2**16 with den | D * D, else den itself (den | den * den).
+
+    Scaling every odd generator by D multiplies the coefficient of an
+    odd-odd bracket by D * D, so D clears a denominator den there."""
+    return next((d for d in range(1, min(den, 1 << 16) + 1) if d * d % den == 0), den)
+
+
+def _int_tensors(pres: QlsPresentation):
+    """((c, cbar, d, b) in Python ints after the odd rescaling y -> D y, D),
+    or None unless c and cbar hold integers and d and b rationals.  D is
+    `odd_scale` of the lcm of the denominators of d and b."""
+    try:
+        c, cbar, d, b = ({k: v.as_rational() for k, v in t.items()}
+                         for t in (pres.c, pres.cbar, pres.d, pres.b))
+    except ValueError:  # an indeterminate
+        return None
+    if any(f.denominator != 1 for t in (c, cbar) for f in t.values()):
+        return None
+    scale = odd_scale(lcm(*(f.denominator for t in (d, b) for f in t.values())))
+    sq = scale * scale
+    return ((*({k: int(f) for k, f in t.items()} for t in (c, cbar)),
+             *({k: int(f * sq) for k, f in t.items()} for t in (d, b))), scale)
+
+
+class _Ring(NamedTuple):
+    """The structure tensors as the checkers read them.
+
+    c, cbar, d and b are Python ints after the odd rescaling by `scale`, or
+    the presentation's own Scalars when `scale` is None.  lin and quad hold
+    the bracket words of length 1 and 2 of each generator pair.  The a part
+    is kept apart as Scalars, keyed by generator pair and scaled by D**2.
+    """
+
+    c: Mapping[tuple, Coeff]
+    cbar: Mapping[tuple, Coeff]
+    d: Mapping[tuple, Coeff]
+    b: Mapping[tuple, Coeff]
+    lin: Dict[Tuple[int, int], List[Tuple[Word, Coeff]]]
+    quad: Dict[Tuple[int, int], List[Tuple[Word, Coeff]]]
+    a: Dict[Tuple[int, int], Scalar]
+    scale: Optional[int]
+
+    @staticmethod
+    def build(pres: QlsPresentation, tensors, scale: Optional[int]) -> "_Ring":
+        n = pres.n_even
+        lin: Dict[Tuple[int, int], list] = {}
+        quad: Dict[Tuple[int, int], list] = {}
+        for pair, terms in _bracket_table(n, *tensors, {}).items():
+            for w, v in terms.items():
+                (quad if len(w) == 2 else lin).setdefault(pair, []).append((w, v))
+        sq = 1 if scale is None else scale * scale
+        a = {(n + p, n + q): v if sq == 1 else v * sq for (p, q), v in pres.a.items()}
+        return _Ring(*tensors, lin, quad, a, scale)
+
+    @property
+    def one(self) -> Coeff:
+        return srat(1) if self.scale is None else 1
+
+    def back(self, value: Coeff, exponent: int) -> Scalar:
+        """value * D**exponent as an exact Scalar."""
+        if self.scale is None:
+            return value
+        return srat(Fraction(value) * Fraction(self.scale) ** exponent)
 
 
 class BalancedData:
@@ -588,13 +766,17 @@ class BalancedData:
         """First (i, p, q) where Omega^{qr} pi(x_i)_r^s Omega_{sp} differs
         from -pi(x_i)_p^q, or None if balanced."""
         m = self.m_odd
+        # the nonzero Omega^{qr} of each q and Omega_{sp} of each p
+        inv_row = [[(r, x) for r, x in enumerate(row) if x] for row in self.omega_inv]
+        col = [[(s, self.omega[s][p]) for s in range(m) if self.omega[s][p]]
+               for p in range(m)]
         for i, mat in enumerate(self.pi):
             for p in range(m):
                 for q in range(m):
                     acc = Scalar()
-                    for r in range(m):
-                        for s in range(m):
-                            acc = acc + mat[r][s] * (self.omega_inv[q][r] * self.omega[s][p])
+                    for r, x in inv_row[q]:
+                        for s, y in col[p]:
+                            acc = acc + mat[r][s] * (x * y)
                     if not (acc + mat[p][q]).is_zero():
                         return (i, p, q)
         return None

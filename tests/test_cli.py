@@ -214,6 +214,7 @@ def test_json_list_file_exits_2(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("entry", [
     "1/0", 5, pytest.param("-" * 5000 + "1", id="5000-minus-signs"),
+    "c^99999999", pytest.param("1" * 5000, id="5000-digits"),
 ])
 def test_bad_tensor_entry_exits_2(tmp_path, capsys, entry):
     data = build(2, 1).presentation.to_json_dict()
@@ -266,6 +267,26 @@ def test_normal_form_nesting_budget(capsys):
     code, _, err = _run(capsys, "normal-form", "--n", "2", deep)
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("expression", [
+    "E[1,1]^99999999", pytest.param("E[1,1]^" + "9" * 5000, id="5000-digit-exponent"),
+])
+def test_normal_form_exponent_budget_exits_2(capsys, expression):
+    code, out, err = _run(capsys, "normal-form", "--n", "2", expression)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "exponent" in err
+
+
+def test_verify_presentation_past_triple_budget_exits_2(tmp_path, capsys):
+    path = tmp_path / "wide.qls"
+    path.write_text(json.dumps({"format": "quadlie-presentation-1",
+                                "n_even": 100_000, "m_odd": 0}))
+    code, out, err = _run(capsys, "verify-presentation", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "triples" in err
 
 
 def test_readme_example_file(capsys):

@@ -21,7 +21,7 @@ from quadlie.pbw import (
 from quadlie.presentation import QlsPresentation
 from quadlie.scalars import Scalar, srat
 
-from test_presentation import rank_of_rows
+from test_presentation import _TENSORS, _orbit_shifted, rank_of_rows
 
 
 def _rs(pres, order=None):
@@ -371,25 +371,6 @@ def test_serre_length_3_matches_abstract_checker():
         assert ok == pres.check_abstract_jacobi().passed
         verdicts.append(ok)
     assert 0 < sum(verdicts) < len(verdicts)  # both verdicts occur
-
-
-_TENSORS = ("c", "cbar", "d", "b", "a")
-
-
-def _orbit_shifted(pres, name, index, shift=srat(1, 3)):
-    """Copy of pres with the symmetric orbit of one d-, b- or a-index
-    shifted by shift."""
-    tensor = dict(getattr(pres, name))
-    p, q, *rest = index
-    orbit = {(p, q, *rest), (q, p, *rest)}
-    if name == "d":
-        k, l = rest
-        orbit |= {(p, q, l, k), (q, p, l, k)}
-    for idx in orbit:
-        tensor[idx] = tensor.get(idx, Scalar()) + shift
-    fields = {t: getattr(pres, t) for t in _TENSORS}
-    fields[name] = tensor
-    return QlsPresentation(pres.n_even, pres.m_odd, **fields)
 
 
 # first witnesses of gl2(3/1) with the first / last orbit of a tensor

@@ -3,16 +3,23 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadlie import presentation
 from quadlie.fock import lambda3_presentation
 from quadlie.gl2n1 import build
 from quadlie.ncpoly import NCPoly
-from quadlie.presentation import BalancedData, QlsPresentation, build_from_casimirs
-from quadlie.scalars import Scalar, srat
+from quadlie.presentation import (
+    MAX_TRIPLES,
+    BalancedData,
+    QlsPresentation,
+    build_from_casimirs,
+)
+from quadlie.scalars import Scalar, accumulate, srat
 
 
 def test_zero_tensors_pass_both_checkers():
@@ -283,8 +290,11 @@ def alpha_beta(pres, poly):
         raise ValueError(
             f"element is not in the quadratic ideal: residual {residual.render()}"
         )
-    out = {}
-    pres._add_lower(out, lam)
+    out = {}  # sum lam[(g1, g2)] * (degree <= 1 part of bracket(g1, g2))
+    for (g1, g2), coeff in lam.items():
+        for w, v in pres.bracket(g1, g2).items():
+            if len(w) < 2:
+                accumulate(out, w, coeff * v)
     scalar = out.pop((), Scalar())
     return NCPoly(pres.alphabet, out), scalar
 
@@ -527,3 +537,191 @@ def test_balanced_data_rejects_non_intertwining_pairing():
              for r in range(m)]
     with pytest.raises(ValueError):
         BalancedData(pi, omega)
+
+
+# -- the checkers' ring ---------------------------------------------------
+
+_TENSORS = ("c", "cbar", "d", "b", "a")
+
+
+def _orbit_shifted(pres, name, index, shift=srat(1, 3)):
+    """Copy of pres with the symmetric orbit of one d-, b- or a-index
+    shifted by shift."""
+    tensor = dict(getattr(pres, name))
+    p, q, *rest = index
+    orbit = {(p, q, *rest), (q, p, *rest)}
+    if name == "d":
+        k, l = rest
+        orbit |= {(p, q, l, k), (q, p, l, k)}
+    for idx in orbit:
+        tensor[idx] = tensor.get(idx, Scalar()) + shift
+    fields = {t: getattr(pres, t) for t in _TENSORS}
+    fields[name] = tensor
+    return QlsPresentation(pres.n_even, pres.m_odd, **fields)
+
+
+def _scaled_down(pres, den):
+    """Copy of pres with d, b and a divided by den."""
+    fields = {t: getattr(pres, t) for t in _TENSORS}
+    for t in ("d", "b", "a"):
+        fields[t] = {k: v / den for k, v in fields[t].items()}
+    return QlsPresentation(pres.n_even, pres.m_odd, **fields)
+
+
+def _reports(pres):
+    return [(rep.method, rep.violations, rep.checked)
+            for rep in (pres.check_component_jacobi(), pres.check_abstract_jacobi())]
+
+
+def _assert_rings_agree(pres, monkeypatch, int_ring=True):
+    """Both checkers give the same reports as on the Scalar ring."""
+    assert (presentation._int_tensors(pres) is not None) == int_ring
+    got = _reports(pres)
+    with monkeypatch.context() as mp:
+        mp.setattr(presentation, "_int_tensors", lambda pres: None)
+        want = _reports(pres)
+    assert got == want
+    for _, violations, _ in got:
+        assert all(type(v.residual) is Scalar for v in violations)
+    return got
+
+
+def _odd_square_presentation():
+    """n = 1, m = 2 with cbar_{0 0}^{1} = 1: the overlap of (x, y0, y1)
+    holds 2 y1 y1, which normalize2 halves to the odd value 1 before it
+    multiplies the d-part of {y1, y1}; d and b are off by 1/3 (D = 3)."""
+    return QlsPresentation(
+        1, 2, cbar={(0, 0, 1): 1, (0, 1, 1): 2},
+        d={(1, 1, 0, 0): srat(1, 3)}, b={(0, 1, 0): srat(2, 3), (1, 0, 0): srat(2, 3)},
+        a={(1, 1): 5})
+
+
+def test_rings_agree_on_random_presentations(monkeypatch):
+    rng = random.Random(20261018)
+    for _ in range(300):
+        pres = _random_presentation(rng)
+        _assert_rings_agree(pres, monkeypatch)
+        _assert_rings_agree(_scaled_down(pres, 6), monkeypatch)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("c", [None, Fraction(7, 5)], ids=["c=symbolic", "c=7/5"])
+def test_rings_agree_on_orbit_shifted_gl2n1(monkeypatch, n, c):
+    pres = build(n, c).presentation
+    for name in ("d", "b", "a"):
+        shifted = _orbit_shifted(pres, name, sorted(getattr(pres, name))[0])
+        reports = _assert_rings_agree(shifted, monkeypatch)
+        assert reports[1][1]  # the abstract checker sees every shift
+
+
+def test_rings_agree_on_lambda3(monkeypatch):
+    pres = lambda3_presentation()
+    assert presentation._int_tensors(pres)[1] == 4
+    _assert_rings_agree(pres, monkeypatch)
+    _assert_rings_agree(_orbit_shifted(pres, "d", sorted(pres.d)[0], srat(1, 2)),
+                        monkeypatch)
+
+
+def test_indeterminate_in_d_or_half_in_c_keeps_scalar(monkeypatch):
+    u = Scalar.var("u")
+    in_d = QlsPresentation(1, 1, cbar={(0, 0, 0): 1}, d={(0, 0, 0, 0): u})
+    assert _assert_rings_agree(in_d, monkeypatch, int_ring=False)[1][1]
+    half_c = QlsPresentation(
+        2, 1, c={(0, 1, 0): srat(1, 2), (1, 0, 0): srat(-1, 2)},
+        cbar={(0, 0, 0): 1}, b={(0, 0, 1): 3})
+    reports = _assert_rings_agree(half_c, monkeypatch, int_ring=False)
+    assert reports[0][1] and reports[1][1]
+
+
+def test_rings_agree_where_normalize2_halves_an_odd_square(monkeypatch):
+    pres = _odd_square_presentation()
+    assert presentation._int_tensors(pres)[1] == 3
+    halved = []
+    half = presentation._half
+    monkeypatch.setattr(presentation, "_half",
+                        lambda v: halved.append(v) or half(v))
+    reports = _assert_rings_agree(pres, monkeypatch)
+    assert 2 in [v for v in halved if type(v) is int]  # 2 y1 y1 -> y1 y1
+    assert any(v.detail == "x1*x1" for v in reports[1][1])
+
+
+def test_int_halving_never_rounds():
+    assert presentation._half(6) == 3
+    assert presentation._half(srat(3)) == srat(3, 2)
+    with pytest.raises(ArithmeticError):
+        presentation._half(3)
+
+
+def test_symbolic_checks_stay_off_scalar_multiplication(monkeypatch):
+    pres = build(3).presentation
+    calls = []
+    original = Scalar.__mul__
+
+    def counting(self, other):
+        calls.append((self, other))
+        return original(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", counting)
+    monkeypatch.setattr(Scalar, "__rmul__", counting)
+    assert pres.check_component_jacobi().passed
+    assert pres.check_abstract_jacobi().passed
+    # only D^2 a and its dot products multiply Scalars (24 times; the
+    # Scalar checkers did 6,570), and c sits only in a
+    assert 0 < len(calls) < 100
+    assert all("c" in x.variables() for x, _ in calls)
+
+
+@pytest.mark.parametrize("pres", [build(3).presentation, lambda3_presentation()],
+                         ids=["gl2(3/1)", "lambda3"])
+def test_reports_count_every_family(pres):
+    component = pres.check_component_jacobi()
+    abstract = pres.check_abstract_jacobi()
+    assert sorted(component.checked) == sorted([
+        "even-even-even", "even-even-odd", "even-odd-odd-d", "even-odd-odd-b",
+        "odd-odd-odd-b", "odd-odd-odd-d"])
+    assert sorted(abstract.checked) == ["J1", "J2", "J3"]
+    assert all(count > 0 for count in component.checked.values())
+    assert all(count > 0 for count in abstract.checked.values())
+    assert not QlsPresentation(2, 2).check_component_jacobi().checked["odd-odd-odd-d"]
+
+
+def _cyclic_reference(pres):
+    """Families (5) and (6) summed over every p <= q <= r, s and l."""
+    n, m = pres.n_even, pres.m_odd
+    out = []
+    for family, tensor, tails in (("odd-odd-odd-b", pres.b, [()]),
+                                  ("odd-odd-odd-d", pres.d, [(l,) for l in range(n)])):
+        for p, q, r in combinations_with_replacement(range(m), 3):
+            for s in range(m):
+                for tail in tails:
+                    total = Scalar()
+                    for u, v, w in ((p, q, r), (q, r, p), (r, p, q)):
+                        for mm in range(n):
+                            total = total + pres.cbar.get((mm, u, s), Scalar()) * \
+                                tensor.get((v, w, mm, *tail), Scalar())
+                    if total:
+                        out.append((family, (p, q, r, s, *tail), total))
+    return out
+
+
+def test_cyclic_families_match_full_index_loops():
+    rng = random.Random(20261019)
+    for _ in range(100):
+        pres = _random_presentation(rng)
+        got = [v[:3] for v in pres.check_component_jacobi().violations
+               if v.family.startswith("odd-odd-odd")]
+        assert got == _cyclic_reference(pres)
+
+
+def test_checker_cost_follows_the_tensors():
+    # all-zero tensors over 1,000 odd generators: nothing to sum
+    assert QlsPresentation(1, 1000).check_component_jacobi().passed
+
+
+def test_abstract_checker_refuses_past_triple_budget():
+    with pytest.raises(ValueError, match="triples"):
+        QlsPresentation(100_000, 0).check_abstract_jacobi()
+    for pres in (build(2).presentation, _odd_square_presentation()):
+        assert pres._overlap_count() == sum(1 for _ in pres._overlap_elements())
+    # gl2(5/1), the largest presentation the tests and the bench check
+    assert build(5).presentation._overlap_count() == 6895 <= MAX_TRIPLES
