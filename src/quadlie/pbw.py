@@ -17,18 +17,14 @@ confluent, so the normal forms `normal_form` returns are well defined;
 they are defined only when the check passes.  Words of length 3 carry
 every overlap of the quadratic rules, so `max_len` must be at least 3.
 
-The action runs in one coefficient ring per system.  With o(w) the number
-of odd letters of w, scaling each odd generator by an integer D > 0 sends
-z_N to D^o(N) z_N and a rule coefficient c of g1 g2 -> w to
-c D^(o(g1 g2) - o(w)); brackets keep parity, so the exponent is 2 on
-odd-odd pairs and 0 elsewhere.  If every c is rational and some D makes
-all of them integers, the action runs in Python ints with the least such
-D (`presentation.odd_scale` of the lcm of the odd-odd denominators): 2
-for gl2(3/1) at c = 1, 10 at c = 7/5.  Otherwise it runs in `Scalar`.
-Exactness: by induction over `_act`, the scaled coefficient of z_w in
-w_a ... w_b z_N is the unscaled one times D^(o(a ... b N) - o(w)), never
-0.  So a relation (a, b, N) vanishes in both bases or in neither (same
-verdict, same first witness), and `apply_word` maps back by
+The action runs in one coefficient ring per system: Python ints after
+`presentation.odd_rescale` of the rule table when that applies (D = 2 for
+gl2(3/1) at c = 1, 10 at c = 7/5), else `Scalar`.  The rescaling sends z_N
+to D^o(N) z_N, o counting odd letters.  Exactness: each rule term carries
+`odd_rescale`'s factor, so by induction over `_act` the scaled coefficient
+of z_w in w_a ... w_b z_N is the unscaled one times D^(o(a ... b N) - o(w)),
+never 0.  So a relation (a, b, N) vanishes in both bases or in neither
+(same verdict, same first witness), and `apply_word` maps back by
 D^(o(w) - o(a ... b N)).
 
 Rules that hold indeterminates x_1 .. x_k are Serre-checked by evaluation
@@ -60,55 +56,32 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb, floor, lcm
+from math import comb, floor
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .ncpoly import Alphabet, NCPoly, Word
-from .presentation import Coeff, QlsPresentation, odd_scale
+from .presentation import Coeff, QlsPresentation, Table, odd_rescale
 from .scalars import Scalar, accumulate, srat
 
-Rules = Dict[Tuple[int, int], List[Tuple[Word, Coeff]]]
-
-# (pair, word) relations one `serre_module_check` may run: gl2(5/1) at
-# length 4 has 396,880, gl2(3/1) at length 7 has 1,204,128
+# (pair, word) relations, times grid points, one `serre_module_check` may
+# run: rational gl2(5/1) at length 4 has 396,880, symbolic gl2(3/1) at
+# length 5 79,920 x 3 and at length 6 341,325 x 4
 MAX_RELATIONS = 500_000
 
 
-def _odd_letters(n_even: int, word: Word) -> int:
-    return sum(g >= n_even for g in word)
-
-
-def _int_ring(fracs: Dict[Tuple[int, int], List[Tuple[Word, Fraction]]],
-              n_even: int) -> Optional[Tuple[Rules, int]]:
-    """(int rules, D) for a rule table with rational coefficients, when the
-    odd rescaling by D makes every coefficient an integer; else None."""
-    exps = {pair: [(w, f, _odd_letters(n_even, pair) - _odd_letters(n_even, w))
-                   for w, f in terms] for pair, terms in fracs.items()}
-    scale = odd_scale(lcm(*(f.denominator for terms in exps.values()
-                            for _, f, e in terms if e)))
-    scaled = {pair: [(w, f * scale**e) for w, f, e in terms] for pair, terms in exps.items()}
-    if any(f.denominator != 1 for terms in scaled.values() for _, f in terms):
-        return None
-    return {pair: [(w, int(f)) for w, f in terms]
-            for pair, terms in scaled.items()}, scale
-
-
-def _ring_at(rules: Rules, n_even: int,
-             point: Mapping[str, int]) -> Tuple[Rules, Optional[int]]:
+def _ring_at(rules: Table, n_even: int,
+             point: Mapping[str, int]) -> Tuple[Table, Optional[int]]:
     """The Scalar rule table with its indeterminates set to the point, in
     the ring `RewriteSystem._build_rules` would pick for the result."""
-    fracs = {pair: [(w, f) for w, v in terms
-                    if (f := v.substitute(point).as_rational())]
+    table = {pair: [(w, s) for w, v in terms if (s := v.substitute(point))]
              for pair, terms in rules.items()}
-    return _int_ring(fracs, n_even) or (
-        {pair: [(w, srat(f)) for w, f in terms] for pair, terms in fracs.items()},
-        None)
+    return odd_rescale(table, n_even) or (table, None)
 
 
-def _degree_bound(rules: Rules, n_even: int, max_len: int) -> int:
+def _degree_bound(rules: Table, n_even: int, max_len: int) -> int:
     """delta = floor(3 kappa max_len), kappa = max deg(coeff) / dPhi."""
     def phi(w):
-        return 2 * len(w) + _odd_letters(n_even, w)
+        return 2 * len(w) + sum(g >= n_even for g in w)
     kappa = max((Fraction(max(sum(e for _, e in m) for m in v.terms),
                           phi(pair) - phi(w))
                  for pair, terms in rules.items() for w, v in terms if v),
@@ -176,6 +149,12 @@ class RewriteSystem:
     """
 
     def __init__(self, pres: QlsPresentation, order: Optional[GeneratorOrder] = None):
+        # one rule per unordered pair, C(size, 2) + m_odd, counted before
+        # _build_rules loops over every ordered pair
+        rules = comb(pres.alphabet.size, 2) + pres.m_odd
+        if rules > MAX_RELATIONS:
+            raise ValueError(f"{rules} unordered generator pairs to rewrite, "
+                             f"more than {MAX_RELATIONS}")
         self.presentation = pres
         self.order = order if order is not None else GeneratorOrder.default(pres.alphabet)
         self.admissible, self.admissibility_witness = check_admissible(
@@ -190,7 +169,7 @@ class RewriteSystem:
     # returned with D: Scalar coefficients if D is None, else scaled ints
     def _build_rules(self):
         pres = self.presentation
-        rules: Dict[Tuple[int, int], List[Tuple[Word, Scalar]]] = {}
+        rules: Table = {}
         size = pres.alphabet.size
         for g1 in range(size):
             for g2 in range(size):
@@ -199,12 +178,7 @@ class RewriteSystem:
                     rules[(g1, g2)] = [
                         (w, v * half) for w, v in pres.bracket(g1, g2).items()
                     ]
-        try:  # an indeterminate keeps Scalar
-            fracs = {pair: [(w, v.as_rational()) for w, v in terms]
-                     for pair, terms in rules.items()}
-        except ValueError:
-            return rules, None
-        return _int_ring(fracs, pres.n_even) or (rules, None)
+        return odd_rescale(rules, pres.n_even) or (rules, None)
 
     # -- ordering predicates ------------------------------------------
 
@@ -279,7 +253,7 @@ class _ModuleAction:
     """
 
     def __init__(self, rs: RewriteSystem, max_len: Optional[int] = None,
-                 ring: Optional[Tuple[Rules, Optional[int]]] = None):
+                 ring: Optional[Tuple[Table, Optional[int]]] = None):
         self.rs = rs
         self.ab = rs.presentation.alphabet
         self._before = rs._pair_is_ordered
@@ -296,8 +270,8 @@ class _ModuleAction:
         if self._scale is None:
             return dist
         n, scale = self.ab.n_even, Fraction(self._scale)
-        odd_in = _odd_letters(n, gens + word)
-        return {w: srat(v * scale ** (_odd_letters(n, w) - odd_in))
+        odd_in = sum(g >= n for g in gens + word)
+        return {w: srat(v * scale ** (sum(g >= n for g in w) - odd_in))
                 for w, v in dist.items()}
 
     def _act(self, a: int, word: Word) -> Dict[Word, Coeff]:
@@ -387,7 +361,7 @@ def serre_module_check(
     Raises ValueError for max_len < 3, which would check only N = (), and
     past MAX_RELATIONS relations.  A system whose rules hold indeterminates
     is checked at the integer points of a grid, as the module docstring
-    proves exact.
+    proves exact; each point counts against the budget.
     """
     if max_len < 3:
         raise ValueError(f"max_len must be at least 3, got {max_len}: "
@@ -395,6 +369,16 @@ def serre_module_check(
     if not rs.admissible:
         raise ValueError("module check requires an admissible order")
     pairs = list(rs._rules)  # the unordered pairs
+    rings: Iterable = [None]  # the system's own int ring
+    points = 1
+    if rs._odd_scale is None:  # Scalar rules: one ring per grid point
+        names = sorted(set().union(*(v.variables() for terms in rs._rules.values()
+                                     for _, v in terms)))
+        n = rs.presentation.n_even
+        delta = _degree_bound(rs._rules, n, max_len)
+        points = (delta + 1) ** len(names)
+        rings = (_ring_at(rs._rules, n, dict(zip(names, point)))
+                 for point in product(range(delta + 1), repeat=len(names)))
     words: List[Word] = [()]
     frontier: List[Word] = [()]
     for _ in range(max_len - 2):
@@ -402,19 +386,11 @@ def serre_module_check(
                     for g in range(rs.presentation.alphabet.size)
                     if not w or rs._pair_is_ordered(g, w[0])]
         words += frontier
-        if len(words) * len(pairs) > MAX_RELATIONS:
+        if len(words) * len(pairs) * points > MAX_RELATIONS:
             raise ValueError(
                 f"max_len {max_len} gives more than {MAX_RELATIONS} "
-                "(pair, word) relations to check")
+                "(pair, word, grid point) relations to check")
 
-    rings: Iterable = [None]  # the system's own int ring
-    if rs._odd_scale is None:  # Scalar rules: one ring per grid point
-        names = sorted(set().union(*(v.variables() for terms in rs._rules.values()
-                                     for _, v in terms)))
-        n = rs.presentation.n_even
-        delta = _degree_bound(rs._rules, n, max_len)
-        rings = (_ring_at(rs._rules, n, dict(zip(names, point)))
-                 for point in product(range(delta + 1), repeat=len(names)))
     # a relation fails as a polynomial iff it fails at some point, so the
     # first witness is the earliest of the points' first failures
     total = stop = len(words) * len(pairs)

@@ -22,22 +22,19 @@ generator pair itself.  Two independent checkers decide associativity:
 Both return a JacobiReport listing every violated identity with its exact
 residual, and how many identities of each family it checked.
 
-Both run in one coefficient ring per presentation (`_ring`).  With o(w)
-the number of odd letters of w, scaling every odd generator by an integer
-D > 0 keeps c and cbar and multiplies d, b and a by D^2.  When c and cbar
-hold integers and d and b rationals, the checkers run in Python ints with
-D = `odd_scale` of the denominators of d and b; otherwise in `Scalar`.
-`a` never enters the loops: the component families do not read it, and
-the abstract checker is linear in it, so it keeps one coefficient per
-(odd pair, word of length <= 1) and dots them with D^2 a, as Scalars, at
-the end of each triple (a symbolic c in a leaves the rest in ints).
-Exactness:
+Both run in one coefficient ring per presentation (`_ring`): the bracket
+table without its a words, in Python ints after `odd_rescale` when that
+applies (c, cbar integers, d, b rationals), else in `Scalar`.  `a` never
+enters the loops: the component families do not read it, and the abstract
+checker is linear in it, so it keeps one coefficient per odd pair at the
+empty word and dots them with D^2 a, as Scalars, at the end of each triple
+(a symbolic c in a leaves the rest in ints).  Map-back:
   * families (1) and (2) are products of c and cbar, so unscaled; (3)-(6)
     are linear in d or b, so their residuals map back by D^-2;
-  * abstract: a substituted bracket g1 g2 -> w' carries D^(o(g1 g2) - o(w'))
-    and a swap keeps the letters, so by induction over the substitutions
-    and `_reduce2` the scaled coefficient of a word w in the reduction of
-    the overlap element of (a, b, c) is the unscaled one times
+  * abstract: a substituted bracket carries `odd_rescale`'s factor and a
+    swap keeps the letters, so by induction over the substitutions and
+    `_reduce2` the scaled coefficient of a word w in the reduction of the
+    overlap element of (a, b, c) is the unscaled one times
     D^(o(abc) - o(w)); a residual maps back by D^(o(w) - o(abc)).  The
     factors are nonzero, so the same identities fail;
   * odd squares: `_reduce2` halves the coefficient of y y.  Only the
@@ -65,6 +62,7 @@ from .scalars import ZERO, Scalar, accumulate, srat
 FORMAT_TAG = "quadlie-presentation-1"
 
 Coeff = Union[int, Scalar]  # a coefficient in a checker's or action's ring
+Table = Dict[Tuple[int, int], List[Tuple[Word, Coeff]]]  # pair -> (word, coeff)
 
 # overlap elements one `check_abstract_jacobi` may reduce: gl2(8/1) has
 # 83,440, gl2(5/1) 6,895, Lambda^3 2,216
@@ -360,14 +358,19 @@ class QlsPresentation:
 
     # -- the checkers' ring -------------------------------------------
 
+    def _brackets_without_a(self) -> Table:
+        return {pair: [(w, v) for w, v in terms.items() if w]
+                for pair, terms in self._brackets.items()}
+
     @cached_property
     def _scalar_ring(self) -> "_Ring":
-        return _Ring.build(self, (self.c, self.cbar, self.d, self.b), None)
+        return _Ring.build(self, self._brackets_without_a(), None)
 
+    @cached_property
     def _ring(self) -> "_Ring":
-        """Python ints after the odd rescaling when `_int_tensors` allows
-        it, else the presentation's own Scalars."""
-        found = _int_tensors(self)
+        """`odd_rescale` of the brackets without their a words when it
+        applies, else the presentation's own Scalars."""
+        found = odd_rescale(self._brackets_without_a(), self.n_even)
         return _Ring.build(self, *found) if found else self._scalar_ring
 
     # -- reduction of degree-2 elements --------------------------------
@@ -418,7 +421,7 @@ class QlsPresentation:
         """Index-wise tensor identities, checked family by family, in the
         ring of `_ring`; residuals of families (3)-(6), which are linear in
         d or b, map back by D**-2."""
-        ring = self._ring()
+        ring = self._ring
         viols: List[JacobiViolation] = []
         checked: Dict[str, int] = {}
 
@@ -573,69 +576,57 @@ class QlsPresentation:
         These are the PBW conditions for quadratic-linear-scalar algebras
         of Braverman and Gaitsgory (J. Algebra 181, 1996).  Runs in the
         ring of `_ring`, with the a part kept apart as one coefficient per
-        (odd pair, word of length <= 1) and dotted in per triple.  Raises
-        ValueError past MAX_TRIPLES overlap elements.
+        odd pair and dotted in per triple.  Raises ValueError past
+        MAX_TRIPLES overlap elements.
         """
         triples = self._overlap_count()
         if triples > MAX_TRIPLES:
             raise ValueError(f"{triples} overlap triples to check, more than "
                              f"{MAX_TRIPLES}")
-        ring = self._ring()
+        ring = self._ring
         lin, a_part, back = ring.lin, ring.a, ring.back
         n, names = self.n_even, self.alphabet.names
         viols: List[JacobiViolation] = []
         checked = {"J1": 0, "J2": 0, "J3": 0}
 
-        def total(w, main, by_a, odd_abc):
-            """The residual at word w in the presentation's own basis: the
-            ring value main plus the a part, mapped back."""
-            e = sum(g >= n for g in w) - odd_abc
-            out = back(main, e) if main else ZERO
-            for pair, coeff in by_a.get(w, {}).items():
-                if coeff:
-                    out = out + a_part[pair] * back(coeff, e)
-            return out
-
         for indices, zL, zR in self._overlap_elements(ring):
             odd_abc = sum(g >= n for g in indices)
             # the degree <= 1 bracket parts substituted into zR minus zL:
-            # degree 2 (for normalize2), degree 1 (J2) and, apart, the
-            # coefficient of each a_pair at each word of length <= 1
+            # degree 2 (for normalize2) and degree 1 (J2).  The a part of
+            # an odd pair (u, v) would land on one-letter words and cancel
+            # there: zR (u, v | g) and zL (g | u, v) carry the same
+            # graded-cyclic sign
             deg2: Dict[Word, Coeff] = {}
             low: Dict[Word, Coeff] = {}
-            by_a: Dict[Word, Dict[Tuple[int, int], Coeff]] = {}
             terms = [((g1, g2), (), (g,), cf) for (g1, g2, g), cf in zR.items()]
             terms += [((g1, g2), (g,), (), -cf) for (g, g1, g2), cf in zL.items()]
             for pair, left, right, coeff in terms:
                 for w, v in lin.get(pair, ()):
                     _add(deg2, left + w + right, coeff * v)
-                if pair in a_part:
-                    _add(by_a.setdefault(left + right, {}), pair, coeff)
             residual, lam = self._reduce2(deg2, ring.quad)
+            by_a: Dict[Tuple[int, int], Coeff] = {}  # J3: a_pair -> coeff
             for pair, coeff in lam.items():
                 if not coeff:
                     continue
                 for w, v in lin.get(pair, ()):
                     _add(low, w, coeff * v)
                 if pair in a_part:
-                    _add(by_a.setdefault((), {}), pair, coeff)
+                    _add(by_a, pair, coeff)
 
-            words = sorted(residual)
-            letters = sorted((low.keys() | by_a.keys()) - {()})
-            checked["J1"] += len(words)
-            checked["J2"] += len(letters)
-            checked["J3"] += () in by_a
-            for family, part, keys in (("J1", residual, words), ("J2", low, letters)):
-                for w in keys:
-                    main = part.get(w, 0)
-                    if not main and w not in by_a:
-                        continue
-                    value = total(w, main, by_a, odd_abc)
-                    if value:
+            checked["J1"] += len(residual)
+            checked["J2"] += len(low)
+            checked["J3"] += bool(by_a)
+            for family, part in (("J1", residual), ("J2", low)):
+                for w in sorted(part):
+                    if part[w]:
                         viols.append(JacobiViolation(
-                            family, indices, value,
+                            family, indices,
+                            back(part[w], sum(g >= n for g in w) - odd_abc),
                             detail="*".join(names[g] for g in w)))
-            j3 = total((), 0, by_a, odd_abc)
+            j3 = ZERO
+            for pair, coeff in by_a.items():
+                if coeff:
+                    j3 = j3 + a_part[pair] * back(coeff, -odd_abc)
             if j3:
                 viols.append(JacobiViolation("J3", indices, j3))
 
@@ -675,28 +666,37 @@ def _half(value: Coeff) -> Coeff:
 
 
 def odd_scale(den: int) -> int:
-    """The least D <= 2**16 with den | D * D, else den itself (den | den * den).
-
-    Scaling every odd generator by D multiplies the coefficient of an
-    odd-odd bracket by D * D, so D clears a denominator den there."""
+    """The least D <= 2**16 with den | D * D, else den itself (den | den * den)."""
     return next((d for d in range(1, min(den, 1 << 16) + 1) if d * d % den == 0), den)
 
 
-def _int_tensors(pres: QlsPresentation):
-    """((c, cbar, d, b) in Python ints after the odd rescaling y -> D y, D),
-    or None unless c and cbar hold integers and d and b rationals.  D is
-    `odd_scale` of the lcm of the denominators of d and b."""
+def odd_rescale(table: Table, n_even: int) -> Optional[Tuple[Table, int]]:
+    """(table in Python ints after the odd rescaling by D, D), or None when
+    a coefficient holds an indeterminate or no D makes them all integers.
+
+    The table maps a generator pair g1 g2 to (word w, coeff) terms: the
+    Serre action's halved rules with a, or the checkers' brackets without
+    a.  Scaling lemma: with o(w) the number of odd letters of w, scaling
+    every odd generator y -> D y (D > 0 an integer) multiplies the
+    coefficient of w by D^(o(g1 g2) - o(w)); brackets keep parity, so the
+    factor is D^2 on odd-odd pairs and 1 elsewhere.  D is `odd_scale` of
+    the lcm of the denominators the factor multiplies.  Each consumer maps
+    its results back by the inverse factors (`pbw._ModuleAction.apply_word`,
+    `_Ring.back`).
+    """
     try:
-        c, cbar, d, b = ({k: v.as_rational() for k, v in t.items()}
-                         for t in (pres.c, pres.cbar, pres.d, pres.b))
+        exps = {pair: [(w, v.as_rational(),
+                        sum(g >= n_even for g in pair) - sum(g >= n_even for g in w))
+                       for w, v in terms] for pair, terms in table.items()}
     except ValueError:  # an indeterminate
         return None
-    if any(f.denominator != 1 for t in (c, cbar) for f in t.values()):
+    scale = odd_scale(lcm(*(f.denominator for terms in exps.values()
+                            for _, f, e in terms if e)))
+    scaled = {pair: [(w, f * scale**e) for w, f, e in terms] for pair, terms in exps.items()}
+    if any(f.denominator != 1 for terms in scaled.values() for _, f in terms):
         return None
-    scale = odd_scale(lcm(*(f.denominator for t in (d, b) for f in t.values())))
-    sq = scale * scale
-    return ((*({k: int(f) for k, f in t.items()} for t in (c, cbar)),
-             *({k: int(f * sq) for k, f in t.items()} for t in (d, b))), scale)
+    return {pair: [(w, int(f)) for w, f in terms]
+            for pair, terms in scaled.items()}, scale
 
 
 class _Ring(NamedTuple):
@@ -712,22 +712,29 @@ class _Ring(NamedTuple):
     cbar: Mapping[tuple, Coeff]
     d: Mapping[tuple, Coeff]
     b: Mapping[tuple, Coeff]
-    lin: Dict[Tuple[int, int], List[Tuple[Word, Coeff]]]
-    quad: Dict[Tuple[int, int], List[Tuple[Word, Coeff]]]
+    lin: Table
+    quad: Table
     a: Dict[Tuple[int, int], Scalar]
     scale: Optional[int]
 
     @staticmethod
-    def build(pres: QlsPresentation, tensors, scale: Optional[int]) -> "_Ring":
+    def build(pres: QlsPresentation, table: Table, scale: Optional[int]) -> "_Ring":
+        """The ring of a bracket table without a words, read back into the
+        four tensors by the parities of the pair and the word length."""
         n = pres.n_even
-        lin: Dict[Tuple[int, int], list] = {}
-        quad: Dict[Tuple[int, int], list] = {}
-        for pair, terms in _bracket_table(n, *tensors, {}).items():
-            for w, v in terms.items():
-                (quad if len(w) == 2 else lin).setdefault(pair, []).append((w, v))
+        lin: Table = {}
+        quad: Table = {}
+        c, cbar, d, b = {}, {}, {}, {}
+        kind = {(0, 0, 1): c, (0, 1, 1): cbar, (1, 1, 2): d, (1, 1, 1): b}
+        for (g1, g2), terms in table.items():
+            for w, v in terms:
+                (quad if len(w) == 2 else lin).setdefault((g1, g2), []).append((w, v))
+                tensor = kind.get((g1 >= n, g2 >= n, len(w)))
+                if tensor is not None:  # not the odd-even copy of cbar
+                    tensor[tuple(g - n if g >= n else g for g in (g1, g2, *w))] = v
         sq = 1 if scale is None else scale * scale
         a = {(n + p, n + q): v if sq == 1 else v * sq for (p, q), v in pres.a.items()}
-        return _Ring(*tensors, lin, quad, a, scale)
+        return _Ring(c, cbar, d, b, lin, quad, a, scale)
 
     @property
     def one(self) -> Coeff:

@@ -193,6 +193,25 @@ def test_serre_check_past_relation_budget_exits_2(capsys):
     assert "relations" in err
 
 
+def test_symbolic_serre_check_past_relation_budget_exits_2(capsys):
+    # symbolic gl2(3/1) at length 6: 341,325 relations at 4 grid points
+    code, out, err = _run(capsys, "serre-check", "--n", "3", "--max-len", "6")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "relations" in err
+
+
+def test_serre_check_file_past_rule_budget_exits_2(tmp_path, capsys):
+    # 3,000 evens give C(3000, 2) = 4,498,500 rules, refused before any
+    path = tmp_path / "wide.qls"
+    path.write_text(json.dumps({"format": "quadlie-presentation-1",
+                                "n_even": 3000, "m_odd": 0}))
+    code, out, err = _run(capsys, "serre-check", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "pairs" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("normal-form", "--n", "1", "E[1,1]"),
     ("serre-check", "--n", "0"),

@@ -3,6 +3,7 @@
 import random
 import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -519,5 +520,18 @@ def test_serre_check_refuses_past_relation_budget():
     rs = build(3, 1).rewrite
     with pytest.raises(ValueError, match="relations"):
         serre_module_check(rs, max_len=7)  # 1,204,128 relations
-    # gl2(5/1) at the default length 4 has 396,880 and is admitted
-    assert MAX_RELATIONS >= 396_880
+    # symbolic gl2(3/1) at length 6: 341,325 relations at 4 grid points
+    with pytest.raises(ValueError, match="relations"):
+        serre_module_check(build(3).rewrite, max_len=6)
+    # admitted: rational gl2(5/1) at the default length 4 (396,880),
+    # rational gl2(3/1) at length 6 (341,325), symbolic gl2(3/1) at
+    # length 5 (79,920 at 3 points)
+    assert MAX_RELATIONS >= max(396_880, 341_325, 79_920 * 3)
+
+
+def test_rewrite_system_refuses_past_relation_budget():
+    # C(3000, 2) = 4,498,500 rules, refused before any is built
+    with pytest.raises(ValueError, match="pairs"):
+        RewriteSystem(QlsPresentation(3000, 0))
+    rs = build(3).rewrite
+    assert len(rs._rules) == comb(rs.presentation.alphabet.size, 2) + 6

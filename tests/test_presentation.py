@@ -1,5 +1,6 @@
 """Structure-tensor presentations and the two Jacobi checkers."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -575,10 +576,10 @@ def _reports(pres):
 
 def _assert_rings_agree(pres, monkeypatch, int_ring=True):
     """Both checkers give the same reports as on the Scalar ring."""
-    assert (presentation._int_tensors(pres) is not None) == int_ring
+    assert (pres._ring.scale is not None) == int_ring
     got = _reports(pres)
     with monkeypatch.context() as mp:
-        mp.setattr(presentation, "_int_tensors", lambda pres: None)
+        mp.setattr(QlsPresentation, "_ring", property(lambda pres: pres._scalar_ring))
         want = _reports(pres)
     assert got == want
     for _, violations, _ in got:
@@ -596,12 +597,23 @@ def _odd_square_presentation():
         a={(1, 1): 5})
 
 
+# SHA-256 of every violation (family, indices, str(residual), detail) that
+# the loop below finds, recorded from the checkers before the odd rescaling
+# moved into `odd_rescale`
+_RANDOM_VIOLATIONS_SHA256 = "25f48c14bf44461ea32d5828455dbefbf0e5efc403a18e0651583b51c20e9cf0"
+
+
 def test_rings_agree_on_random_presentations(monkeypatch):
     rng = random.Random(20261018)
+    digest = hashlib.sha256()
     for _ in range(300):
         pres = _random_presentation(rng)
-        _assert_rings_agree(pres, monkeypatch)
-        _assert_rings_agree(_scaled_down(pres, 6), monkeypatch)
+        for case in (pres, _scaled_down(pres, 6)):
+            for _, violations, _ in _assert_rings_agree(case, monkeypatch):
+                for v in violations:
+                    digest.update(repr((v.family, v.indices, str(v.residual),
+                                        v.detail)).encode())
+    assert digest.hexdigest() == _RANDOM_VIOLATIONS_SHA256
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -616,7 +628,7 @@ def test_rings_agree_on_orbit_shifted_gl2n1(monkeypatch, n, c):
 
 def test_rings_agree_on_lambda3(monkeypatch):
     pres = lambda3_presentation()
-    assert presentation._int_tensors(pres)[1] == 4
+    assert pres._ring.scale == 4
     _assert_rings_agree(pres, monkeypatch)
     _assert_rings_agree(_orbit_shifted(pres, "d", sorted(pres.d)[0], srat(1, 2)),
                         monkeypatch)
@@ -635,7 +647,7 @@ def test_indeterminate_in_d_or_half_in_c_keeps_scalar(monkeypatch):
 
 def test_rings_agree_where_normalize2_halves_an_odd_square(monkeypatch):
     pres = _odd_square_presentation()
-    assert presentation._int_tensors(pres)[1] == 3
+    assert pres._ring.scale == 3
     halved = []
     half = presentation._half
     monkeypatch.setattr(presentation, "_half",
@@ -683,6 +695,9 @@ def test_reports_count_every_family(pres):
     assert all(count > 0 for count in component.checked.values())
     assert all(count > 0 for count in abstract.checked.values())
     assert not QlsPresentation(2, 2).check_component_jacobi().checked["odd-odd-odd-d"]
+    # a alone reaches no letter: its terms at one-letter words cancel
+    only_a = QlsPresentation(1, 1, a={(0, 0): 1}).check_abstract_jacobi()
+    assert only_a.checked == {"J1": 0, "J2": 0, "J3": 0}
 
 
 def _cyclic_reference(pres):
