@@ -18,7 +18,6 @@ from itertools import combinations, permutations
 from typing import Dict, List, Optional, Tuple
 
 from .gl2n1 import _perm_sign, gl_structure_constants
-from .linalg import mat_mul
 from .scalars import accumulate
 
 
@@ -163,17 +162,6 @@ def _script_e(gens: dict, upper: Tuple[int, int, int], lower: Tuple[int, int, in
     return out
 
 
-def _asym_delta(upper: Tuple[int, int, int], lower: Tuple[int, int, int]) -> Fraction:
-    """Antisymmetrized unit: signed sum over pairings of the two triples
-    (6 terms); equals 1 on matching ordered triples."""
-    total = Fraction(0)
-    for perm in permutations(range(3)):
-        low = tuple(lower[p] for p in perm)
-        if all(upper[s] == low[s] for s in range(3)):
-            total += Fraction(_perm_sign(perm))
-    return total
-
-
 def bracket_polynomial_check(n: int = 4) -> dict:
     """Verify {Q_{ijk}, Qbar^{pqr}} = -1/4 (E_script^2 - (n+3-N) E_script
     + 4 delta) component-wise as exact matrices."""
@@ -196,8 +184,9 @@ def bracket_polynomial_check(n: int = 4) -> dict:
     for u in triples:
         for l in triples:
             lhs[(u, l)] = anticommutator(gens["Q"][l], gens["Qbar"][u])
+            # on sorted triples the antisymmetrized delta is u == l
             rhs[(u, l)] = (script2[(u, l)] - coeff * script[(u, l)]
-                           + SparseOp.identity(dim) * (4 * _asym_delta(u, l))) * Fraction(-1, 4)
+                           + SparseOp.identity(dim) * (4 * (u == l))) * Fraction(-1, 4)
     return {
         "n": n,
         "holds": all(lhs[key] == rhs[key] for key in lhs),
@@ -224,29 +213,22 @@ def zero_step_demo(n: int = 4) -> dict:
         all(op.apply_basis(b) == {} for b in basis2) for op in gens["Qbar"].values()
     )
     triples = list(combinations(range(1, n + 1), 3))
-    # block matrix of the adjoint array on (ordered triples) x (occ-2 states)
+    # block operator of the adjoint array on (ordered triples) x (occ-2 states)
     size = len(triples) * len(basis2)
     pos = {b: i for i, b in enumerate(basis2)}
-    big = [[Fraction(0)] * size for _ in range(size)]
+    big = {}
     for ui, u in enumerate(triples):
         for li, l in enumerate(triples):
-            block = _script_e(gens, u, l)
-            for (r, c), val in block.data.items():
+            for (r, c), val in _script_e(gens, u, l).data.items():
                 if c in pos:
                     if r not in pos:
                         raise ValueError("adjoint array does not preserve the subspace")
-                    big[ui * len(basis2) + pos[r]][li * len(basis2) + pos[c]] = val
-
-    def shifted(k):
-        # big - k * identity
-        return [[v - k if i == j else v for j, v in enumerate(row)]
-                for i, row in enumerate(big)]
-
-    m1, m4 = shifted(1), shifted(4)
-    prod = mat_mul(m1, m4)
-    annihilated = all(all(v == 0 for v in row) for row in prod)
-    root1_attained = any(any(v != 0 for v in row) for row in m4)
-    root4_attained = any(any(v != 0 for v in row) for row in m1)
+                    big[(ui * len(basis2) + pos[r], li * len(basis2) + pos[c])] = val
+    m, one = SparseOp(size, big), SparseOp.identity(size)
+    m1, m4 = m - one, m - one * 4
+    annihilated = (m1 * m4).is_zero()
+    root1_attained = not m4.is_zero()
+    root4_attained = not m1.is_zero()
     # right side of the displayed bracket with N -> 2: -1/4 (M^2 - 5M + 4)
     rhs_vanishes = annihilated and (n + 3 - 2 == 5)
     return {

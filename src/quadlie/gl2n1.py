@@ -27,7 +27,7 @@ from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ncpoly import Alphabet, NCPoly
-from .pbw import GeneratorOrder, RewriteSystem
+from .pbw import GeneratorOrder, RewriteSystem, check_rule_count
 from .presentation import QlsPresentation
 from .scalars import Scalar, accumulate, srat
 
@@ -516,6 +516,7 @@ def build(n: int, central=None) -> Gl2n1:
     the symbolic indeterminate 'c'."""
     if n < 2:
         raise ValueError("n must be at least 2")
+    check_rule_count(n * n + 2 * n, 2 * n)  # n >= 31 is refused
     c_scalar = Scalar.var("c") if central is None else Scalar.coerce(central)
 
     n2 = n * n

@@ -28,14 +28,3 @@ def invert_matrix(mat: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
 
-
-def mat_mul(a, b):
-    """Product of two dense rational matrices, skipping zero entries."""
-    out = [[Fraction(0)] * len(b[0]) for _ in a]
-    for row, ai in zip(out, a):
-        for v, bk in zip(ai, b):
-            if v:
-                for j, w in enumerate(bk):
-                    if w:
-                        row[j] += v * w
-    return out

@@ -139,13 +139,6 @@ class NCPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def coefficient(self, word: Iterable[int]) -> Scalar:
-        return self._terms.get(tuple(word), Scalar())
-
-    def degree(self) -> int:
-        """Maximal word length; -1 for the zero element."""
-        return max((len(w) for w in self._terms), default=-1)
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "NCPoly") -> "NCPoly":

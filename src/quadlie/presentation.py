@@ -752,7 +752,7 @@ class BalancedData:
     the odd module together with an invertible pairing Omega implementing
     the equivalence with the contragredient action."""
 
-    def __init__(self, pi: Sequence[Sequence[Sequence]], omega: Sequence[Sequence], check: bool = True):
+    def __init__(self, pi: Sequence[Sequence[Sequence]], omega: Sequence[Sequence]):
         self.pi = [
             [[Scalar.coerce(entry) for entry in row] for row in mat] for mat in pi
         ]
@@ -760,10 +760,9 @@ class BalancedData:
         from .linalg import invert_matrix
 
         self.omega_inv = invert_matrix(self.omega)
-        if check:
-            bad = self.intertwiner_violation()
-            if bad is not None:
-                raise ValueError(f"pairing is not balanced: violation at {bad}")
+        bad = self.intertwiner_violation()
+        if bad is not None:
+            raise ValueError(f"pairing is not balanced: violation at {bad}")
 
     @property
     def m_odd(self) -> int:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -215,9 +216,15 @@ def test_serre_check_file_past_rule_budget_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ("normal-form", "--n", "1", "E[1,1]"),
     ("serre-check", "--n", "0"),
+    # gl2(100/1) has 52,015,100 generator pairs; refused before its
+    # tensors (about 86 M d entries) are built
+    ("normal-form", "--n", "100", "E[1,1]"),
+    ("serre-check", "--n", "100"),
 ])
 def test_bad_n_exits_2(capsys, argv):
+    start = time.perf_counter()
     code, _, err = _run(capsys, *argv)
+    assert time.perf_counter() - start < 1
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
 

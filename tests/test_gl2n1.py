@@ -2,6 +2,7 @@
 operators, Casimirs, characteristic identities and family data."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -24,6 +25,7 @@ from quadlie.gl2n1 import (
     uni_trim,
 )
 from quadlie.ncpoly import NCPoly
+from quadlie.pbw import MAX_RELATIONS
 from quadlie.scalars import Scalar, srat
 
 
@@ -322,6 +324,14 @@ def test_family_data_method_matches_function():
     alg = build(3, 2)
     params = FamilyParams(3, 2, 4, 1)
     assert alg.family_data(params) == family_data(params, 2)
+
+
+def test_build_refuses_past_rule_budget():
+    # C(n^2 + 2n, 2) + 2n rules: 522,815 at n = 31, refused before any
+    # tensor is built; n = 30 (460,380) is the largest admitted
+    with pytest.raises(ValueError, match="pairs"):
+        build(31)
+    assert comb(30 * 30 + 60, 2) + 60 <= MAX_RELATIONS < comb(31 * 31 + 62, 2)
 
 
 def test_family_params_validation():

@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 
+from quadlie import pbw
 from quadlie.gl2n1 import build
 from quadlie.ncpoly import NCPoly
 from quadlie.pbw import (
@@ -20,7 +21,7 @@ from quadlie.pbw import (
     serre_module_check,
 )
 from quadlie.presentation import QlsPresentation
-from quadlie.scalars import Scalar, srat
+from quadlie.scalars import Scalar, accumulate, srat
 
 from test_presentation import _TENSORS, _orbit_shifted, rank_of_rows
 
@@ -420,31 +421,83 @@ def test_module_action_returns_scalars_in_own_basis():
         pres.alphabet, {(0,): srat(1, 4)})
 
 
-def _scalar_serre(rs, max_len):
-    """Reference: the relation loop run once on the Scalar rule table,
-    with no evaluation at points."""
-    assert rs._odd_scale is None
-    action = _ModuleAction(rs, None, (rs._rules, None))
-    ab = rs.presentation.alphabet
+def _ordered_words(rs, max_len):
+    """The words N of the relations (a, b, N) up to max_len, in check order."""
     words, frontier = [()], [()]
     for _ in range(max_len - 2):
-        frontier = [(g,) + w for w in frontier for g in range(ab.size)
+        frontier = [(g,) + w for w in frontier
+                    for g in range(rs.presentation.alphabet.size)
                     if not w or rs._pair_is_ordered(g, w[0])]
         words += frontier
-    for nword in words:
+    return words
+
+
+def _explicit_rhs(action, a, b, nword):
+    """Right side of the relation on (a, b, N), built by hand:
+    (sign) w_b w_a z_N + (lower-order terms) z_N; an odd square a = b has
+    no swap term, as its rule already carries the 1/2."""
+    ab = action.ab
+    sign = -1 if ab.parity(a) == ab.parity(b) == 1 else 1
+    rhs = {}
+    if a != b:
+        for w, v in action._apply((b, a), nword).items():
+            accumulate(rhs, w, v * sign)
+    for mid, coeff in action._lower[(a, b)]:
+        for w, v in action._apply(mid, nword).items():
+            accumulate(rhs, w, v * coeff)
+    return rhs
+
+
+def _scalar_serre(rs, max_len):
+    """Reference: every relation, skipped ones included, run once on the
+    Scalar rule table with no evaluation at points."""
+    assert rs._odd_scale is None
+    action = _ModuleAction(rs, None, (rs._rules, None))
+    for nword in _ordered_words(rs, max_len):
         for a, b in rs._rules:
-            lhs = action._apply((a, b), nword)
-            sign = -1 if ab.parity(a) == ab.parity(b) == 1 else 1
-            rhs = {}
-            if a != b:
-                for w, v in action._apply((b, a), nword).items():
-                    rhs[w] = rhs.get(w, Scalar()) + v * sign
-            for mid, coeff in rs._rules[(a, b)]:
-                for w, v in action._apply(mid, nword).items():
-                    rhs[w] = rhs.get(w, Scalar()) + v * coeff
-            if lhs != {w: v for w, v in rhs.items() if v}:
+            if action._apply((a, b), nword) != _explicit_rhs(action, a, b, nword):
                 return False, (a, b, nword)
     return True, None
+
+
+def test_skipped_relations_hold_by_construction():
+    # the check skips (a, b, N) when b N is ordered, since there both
+    # sides are _act(a, b N); the explicit right side must agree on every
+    # one, even for the presentations that fail the check
+    from test_presentation import _random_presentation
+
+    rng = random.Random(300)  # the presentations of the length-3 test
+    skipped = 0
+    for _ in range(300):
+        rs = _rs(_random_presentation(rng))
+        action = _ModuleAction(rs)
+        for nword in _ordered_words(rs, 4):
+            for a, b in rs._rules:
+                if nword and not rs._pair_is_ordered(b, nword[0]):
+                    continue  # checked by serre_module_check
+                assert action._apply((a, b), nword) == _explicit_rhs(
+                    action, a, b, nword), (a, b, nword)
+                skipped += 1
+    assert skipped > 0
+
+
+def test_serre_check_caches_only_ordered_words(monkeypatch):
+    actions = []
+    first_failure = pbw._first_failure
+
+    def recording(action, relations, stop):
+        actions.append(action)
+        return first_failure(action, relations, stop)
+
+    monkeypatch.setattr(pbw, "_first_failure", recording)
+    pres = build(3, 1).presentation
+    shifted = _orbit_shifted(pres, "d", sorted(pres.d)[0])
+    for rs in (build(3).rewrite, _rs(pres), _rs(shifted)):
+        serre_module_check(rs, max_len=4)
+    assert len(actions) == 5  # symbolic c runs at 3 grid points
+    for action in actions:
+        assert action._cache
+        assert all(action.rs.word_is_ordered(w) for _, w in action._cache)
 
 
 def _c_plus_u(pres):
