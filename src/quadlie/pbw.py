@@ -26,36 +26,18 @@ compares `_apply((a, b), N)` with `_act(a, b N)` on the rest.  At
 `max_len` 3 it thus covers exactly Bergman's overlap words a b c, with
 both a b and b c out of order.
 
-The action runs in one coefficient ring per system: Python ints after
-`presentation.odd_rescale` of the rule table when that applies (D = 2 for
-gl2(3/1) at c = 1, 10 at c = 7/5), else `Scalar`.  The rescaling sends z_N
-to D^o(N) z_N, o counting odd letters.  Exactness: each rule term carries
-`odd_rescale`'s factor, so by induction over `_act` the scaled coefficient
-of z_w in w_a ... w_b z_N is the unscaled one times D^(o(a ... b N) - o(w)),
-never 0.  So a relation (a, b, N) vanishes in both bases or in neither
-(same verdict, same first witness), and `apply_word` maps back by
-D^(o(w) - o(a ... b N)).
-
-Rules that hold indeterminates x_1 .. x_k are Serre-checked by evaluation
-(`normal_form` keeps `Scalar`s).  Let Phi(w) = 2 len(w) + o(w).  A swap
-keeps Phi and has coefficient +-1; a lower-order term g1 g2 -> coeff * w
-lowers Phi by dPhi = Phi(g1 g2) - Phi(w) >= 2 (2 for a linear even
-bracket, 2 / 4 / 6 for the d / b / a part of an odd pair).  Let kappa =
-max deg(coeff) / dPhi over the rule terms (1/6 for gl2(n/1): c sits only
-in a).  Degree bound: unfolding `_act`, each coefficient of a relation on
-(a, b, N) is a sum over reduction paths from a b N (or from mid N after
-one lower term) of +-products of the lower terms' coefficients, whose
-dPhi add up to at most Phi(a b N) <= 3 max_len; so it has degree at most
-delta = floor(3 kappa max_len), which is floor(max_len / 2) for gl2(n/1).
-Grid lemma: a polynomial of degree <= delta in each of k variables that
-vanishes on {0 .. delta}^k is zero (by induction on k, as a nonzero
-univariate polynomial of degree <= delta has at most delta roots).
-Evaluation at a point commutes with the action, so `serre_module_check`
-runs the relation loop once per grid point on the evaluated rules, in the
-ring `_build_rules` would pick for them.  First witness: relations run in
-one fixed (N, (a, b)) order; the one the `Scalar` engine reports, the
-first that is nonzero as a polynomial, is the earliest of the points'
-first failures, so each point stops there.
+The action runs in one coefficient ring per system, picked by
+`presentation.odd_rescale` of the rule table: Python ints, with the rule
+coefficients that hold an indeterminate kept as Scalars (c sits only in a
+few a terms of gl2(n/1)), D = 2 for gl2(3/1) at c = 1 or symbolic, 10 at
+c = 7/5; `Scalar` alone when no D applies.  The rescaling sends z_N to
+D^o(N) z_N, o counting odd letters.  Exactness: each rule term, int or
+Scalar, carries `odd_rescale`'s factor, so by induction over `_act` the
+scaled coefficient of z_w in w_a ... w_b z_N is the unscaled one times
+D^(o(a ... b N) - o(w)), never 0, in any commutative coefficient ring.
+So a relation (a, b, N) vanishes in both bases or in neither (same
+verdict, same first witness, no evaluation of an indeterminate), and
+`apply_word` maps back by D^(o(w) - o(a ... b N)).
 
 Also provided: a witness of linear dependence for inadmissible orders, and
 ordered-monomial counting.
@@ -65,37 +47,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb, floor
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from math import comb
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .ncpoly import Alphabet, NCPoly, Word
-from .presentation import Coeff, QlsPresentation, Table, odd_rescale
+from .presentation import Coeff, QlsPresentation, Table, odd_rescale, unscaled
 from .scalars import Scalar, accumulate, srat
 
-# (pair, word) relations, times grid points, one `serre_module_check` may
-# run: rational gl2(5/1) at length 4 has 396,880, symbolic gl2(3/1) at
-# length 5 79,920 x 3 and at length 6 341,325 x 4
+# (pair, word) relations one `serre_module_check` may run: gl2(5/1) at
+# length 4 has 396,880, gl2(3/1) at length 6 341,325 and at length 7
+# 1,204,128
 MAX_RELATIONS = 500_000
-
-
-def _ring_at(rules: Table, n_even: int,
-             point: Mapping[str, int]) -> Tuple[Table, Optional[int]]:
-    """The Scalar rule table with its indeterminates set to the point, in
-    the ring `RewriteSystem._build_rules` would pick for the result."""
-    table = {pair: [(w, s) for w, v in terms if (s := v.substitute(point))]
-             for pair, terms in rules.items()}
-    return odd_rescale(table, n_even) or (table, None)
-
-
-def _degree_bound(rules: Table, n_even: int, max_len: int) -> int:
-    """delta = floor(3 kappa max_len), kappa = max deg(coeff) / dPhi."""
-    def phi(w):
-        return 2 * len(w) + sum(g >= n_even for g in w)
-    kappa = max((Fraction(max(sum(e for _, e in m) for m in v.terms),
-                          phi(pair) - phi(w))
-                 for pair, terms in rules.items() for w, v in terms if v),
-                default=0)
-    return floor(kappa * 3 * max_len)
 
 
 def check_rule_count(size: int, m_odd: int) -> None:
@@ -181,6 +143,7 @@ class RewriteSystem:
     # (middle word, coeff) with g1 g2 = (sign) g2 g1 + sum coeff * middle,
     # and y y = sum coeff * middle = (1/2) {y, y} for an odd square;
     # returned with D: Scalar coefficients if D is None, else scaled ints
+    # and Scalars (`odd_rescale`)
     def _build_rules(self):
         pres = self.presentation
         rules: Table = {}
@@ -188,10 +151,9 @@ class RewriteSystem:
         for g1 in range(size):
             for g2 in range(size):
                 if not self._pair_is_ordered(g1, g2):
-                    half = srat(1, 2) if g1 == g2 else srat(1)
-                    rules[(g1, g2)] = [
-                        (w, v * half) for w, v in pres.bracket(g1, g2).items()
-                    ]
+                    terms = pres.bracket(g1, g2).items()
+                    rules[(g1, g2)] = ([(w, v / 2) for w, v in terms] if g1 == g2
+                                       else list(terms))
         return odd_rescale(rules, pres.n_even) or (rules, None)
 
     # -- ordering predicates ------------------------------------------
@@ -285,7 +247,7 @@ class _ModuleAction:
             return dist
         n, scale = self.ab.n_even, Fraction(self._scale)
         odd_in = sum(g >= n for g in gens + word)
-        return {w: srat(v * scale ** (sum(g >= n for g in w) - odd_in))
+        return {w: unscaled(v, scale ** (sum(g >= n for g in w) - odd_in))
                 for w, v in dist.items()}
 
     def _act(self, a: int, word: Word) -> Dict[Word, Coeff]:
@@ -342,21 +304,19 @@ class _ModuleAction:
 
 
 def _first_failure(action: _ModuleAction,
-                   relations: Iterable[Tuple[Word, Tuple[int, int]]],
-                   stop: int) -> Optional[int]:
-    """Index of the first relation (N, (a, b)) below stop that fails on
-    the action, or None.  Relations with b N ordered hold by construction
-    and are skipped; the right side of the others is `_act(a, b N)`."""
-    for i, (nword, (a, b)) in enumerate(relations):
-        if i == stop:
-            return None
+                   relations: Iterable[Tuple[Word, Tuple[int, int]]]
+                   ) -> Optional[Tuple[int, int, Word]]:
+    """The first relation (a, b, N) that fails on the action, or None.
+    Relations with b N ordered hold by construction and are skipped; the
+    right side of the others is `_act(a, b N)`."""
+    for nword, (a, b) in relations:
         if not nword or action._before(b, nword[0]):
             continue
         word = (b,) + nword
         failed = action._apply((a, b), nword) != action._act(a, word)
         del action._cache[(a, word)]  # the cache keeps ordered words only
         if failed:
-            return i
+            return a, b, nword
     return None
 
 
@@ -372,9 +332,7 @@ def serre_module_check(
     the budget and its place in the order.
     Returns (True, None) or (False, (a, b, N)) on the first failure.
     Raises ValueError for max_len < 3, which would check only N = (), and
-    past MAX_RELATIONS relations.  A system whose rules hold indeterminates
-    is checked at the integer points of a grid, as the module docstring
-    proves exact; each point counts against the budget.
+    past MAX_RELATIONS relations.
     """
     if max_len < 3:
         raise ValueError(f"max_len must be at least 3, got {max_len}: "
@@ -382,16 +340,6 @@ def serre_module_check(
     if not rs.admissible:
         raise ValueError("module check requires an admissible order")
     pairs = list(rs._rules)  # the unordered pairs
-    rings: Iterable = [None]  # the system's own int ring
-    points = 1
-    if rs._odd_scale is None:  # Scalar rules: one ring per grid point
-        names = sorted(set().union(*(v.variables() for terms in rs._rules.values()
-                                     for _, v in terms)))
-        n = rs.presentation.n_even
-        delta = _degree_bound(rs._rules, n, max_len)
-        points = (delta + 1) ** len(names)
-        rings = (_ring_at(rs._rules, n, dict(zip(names, point)))
-                 for point in product(range(delta + 1), repeat=len(names)))
     words: List[Word] = [()]
     frontier: List[Word] = [()]
     for _ in range(max_len - 2):
@@ -399,20 +347,9 @@ def serre_module_check(
                     for g in range(rs.presentation.alphabet.size)
                     if not w or rs._pair_is_ordered(g, w[0])]
         words += frontier
-        if len(words) * len(pairs) * points > MAX_RELATIONS:
+        if len(words) * len(pairs) > MAX_RELATIONS:
             raise ValueError(
                 f"max_len {max_len} gives more than {MAX_RELATIONS} "
-                "(pair, word, grid point) relations to check")
-
-    # a relation fails as a polynomial iff it fails at some point, so the
-    # first witness is the earliest of the points' first failures
-    total = stop = len(words) * len(pairs)
-    for ring in rings:
-        first = _first_failure(_ModuleAction(rs, None, ring),
-                               product(words, pairs), stop)
-        if first is not None:
-            stop = first
-    if stop == total:
-        return True, None
-    (a, b), nword = pairs[stop % len(pairs)], words[stop // len(pairs)]
-    return False, (a, b, nword)
+                "(pair, word) relations to check")
+    first = _first_failure(_ModuleAction(rs), product(words, pairs))
+    return first is None, first

@@ -23,12 +23,13 @@ Both return a JacobiReport listing every violated identity with its exact
 residual, and how many identities of each family it checked.
 
 Both run in one coefficient ring per presentation (`_ring`): the bracket
-table without its a words, in Python ints after `odd_rescale` when that
-applies (c, cbar integers, d, b rationals), else in `Scalar`.  `a` never
-enters the loops: the component families do not read it, and the abstract
-checker is linear in it, so it keeps one coefficient per odd pair at the
-empty word and dots them with D^2 a, as Scalars, at the end of each triple
-(a symbolic c in a leaves the rest in ints).  Map-back:
+table without its a words after `odd_rescale` when that applies
+(plain-rational c and cbar entries integers, d, b any), in Python ints
+with the entries that hold an indeterminate kept as Scalars, else in
+`Scalar`.  `a` never enters the loops: the component families do not
+read it, and the abstract checker is linear in it, so it keeps one
+coefficient per odd pair at the empty word and dots them with D^2 a, as
+Scalars, at the end of each triple.  Map-back:
   * families (1) and (2) are products of c and cbar, so unscaled; (3)-(6)
     are linear in d or b, so their residuals map back by D^-2;
   * abstract: a substituted bracket carries `odd_rescale`'s factor and a
@@ -671,38 +672,57 @@ def odd_scale(den: int) -> int:
 
 
 def odd_rescale(table: Table, n_even: int) -> Optional[Tuple[Table, int]]:
-    """(table in Python ints after the odd rescaling by D, D), or None when
-    a coefficient holds an indeterminate or no D makes them all integers.
+    """(table after the odd rescaling by D, D): plain-rational coefficients
+    become Python ints, those holding an indeterminate stay Scalars; None
+    when a plain-rational coefficient the factor leaves alone is not an
+    integer.
 
     The table maps a generator pair g1 g2 to (word w, coeff) terms: the
     Serre action's halved rules with a, or the checkers' brackets without
     a.  Scaling lemma: with o(w) the number of odd letters of w, scaling
     every odd generator y -> D y (D > 0 an integer) multiplies the
     coefficient of w by D^(o(g1 g2) - o(w)); brackets keep parity, so the
-    factor is D^2 on odd-odd pairs and 1 elsewhere.  D is `odd_scale` of
-    the lcm of the denominators the factor multiplies.  Each consumer maps
-    its results back by the inverse factors (`pbw._ModuleAction.apply_word`,
-    `_Ring.back`).
+    factor is D^2 on odd-odd pairs and 1 elsewhere.  The lemma holds over
+    any commutative coefficient ring, so a Scalar term takes the same
+    factor as an int one.  D is `odd_scale` of the lcm of the
+    plain-rational denominators on odd-odd pairs.  Each consumer maps
+    its results back by the inverse factors
+    (`pbw._ModuleAction.apply_word`, `_Ring.back`).
     """
-    try:
-        exps = {pair: [(w, v.as_rational(),
-                        sum(g >= n_even for g in pair) - sum(g >= n_even for g in w))
-                       for w, v in terms] for pair, terms in table.items()}
-    except ValueError:  # an indeterminate
-        return None
-    scale = odd_scale(lcm(*(f.denominator for terms in exps.values()
-                            for _, f, e in terms if e)))
-    scaled = {pair: [(w, f * scale**e) for w, f, e in terms] for pair, terms in exps.items()}
-    if any(f.denominator != 1 for terms in scaled.values() for _, f in terms):
-        return None
-    return {pair: [(w, int(f)) for w, f in terms]
-            for pair, terms in scaled.items()}, scale
+    def odd_odd(pair):
+        return pair[0] >= n_even and pair[1] >= n_even
+
+    scale = odd_scale(lcm(*(v.as_rational().denominator
+                            for pair, terms in table.items() if odd_odd(pair)
+                            for _, v in terms if v.is_rational())))
+    out: Table = {}
+    for pair, terms in table.items():
+        factor = scale * scale if odd_odd(pair) else 1
+        row = out[pair] = []
+        for w, v in terms:
+            if not v.is_rational():
+                row.append((w, v * factor if factor != 1 else v))
+                continue
+            f = v.as_rational()
+            num, den = f.numerator * factor, f.denominator
+            if num % den:  # only where the factor is 1: den | D^2 otherwise
+                return None
+            row.append((w, num // den))
+    return out, scale
+
+
+def unscaled(value: Coeff, factor: Fraction) -> Scalar:
+    """value * factor as an exact Scalar, for mapping a coefficient of an
+    `odd_rescale`d ring back: an int through one Fraction product, a
+    Scalar multiplied by the factor."""
+    return value * factor if isinstance(value, Scalar) else srat(value * factor)
 
 
 class _Ring(NamedTuple):
     """The structure tensors as the checkers read them.
 
-    c, cbar, d and b are Python ints after the odd rescaling by `scale`, or
+    c, cbar, d and b are Python ints after the odd rescaling by `scale`,
+    but for the entries that hold an indeterminate, which stay Scalars; or
     the presentation's own Scalars when `scale` is None.  lin and quad hold
     the bracket words of length 1 and 2 of each generator pair.  The a part
     is kept apart as Scalars, keyed by generator pair and scaled by D**2.
@@ -744,7 +764,7 @@ class _Ring(NamedTuple):
         """value * D**exponent as an exact Scalar."""
         if self.scale is None:
             return value
-        return srat(Fraction(value) * Fraction(self.scale) ** exponent)
+        return unscaled(value, Fraction(self.scale) ** exponent)
 
 
 class BalancedData:

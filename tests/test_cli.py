@@ -187,16 +187,20 @@ def test_serre_check_vacuous_length_exits_2(capsys, max_len):
 
 def test_serre_check_past_relation_budget_exits_2(capsys):
     # gl2(3/1) at length 7 has 1,204,128 relations; refused before any work
+    start = time.perf_counter()
     code, out, err = _run(capsys, "serre-check", "--n", "3", "--c", "1",
                           "--max-len", "7")
+    assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "relations" in err
 
 
 def test_symbolic_serre_check_past_relation_budget_exits_2(capsys):
-    # symbolic gl2(3/1) at length 6: 341,325 relations at 4 grid points
-    code, out, err = _run(capsys, "serre-check", "--n", "3", "--max-len", "6")
+    # symbolic gl2(3/1) at length 7: 1,204,128 relations, as at any c
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "serre-check", "--n", "3", "--max-len", "7")
+    assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "relations" in err

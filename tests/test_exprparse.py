@@ -1,8 +1,10 @@
-"""Parser budgets: exponents and number literals."""
+"""Parser budgets (exponents, number literals) and fuzzing."""
 
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadlie.exprparse import MAX_EXPONENT, ParseError, parse_ncpoly, parse_scalar
 from quadlie.gl2n1 import build
@@ -41,3 +43,34 @@ def test_exponent_past_budget_is_refused_at_once(text):
 def test_overlong_number_is_a_parse_error():
     with pytest.raises(ParseError, match="digits"):
         parse_scalar("1" * 5000)
+
+
+# fuzz input: tokens of both grammars, and any character that is not a
+# digit, joined by spaces, so that a number is one of the listed ones and
+# no power grows large
+_PIECES = ["0", "1", "2", "3", "17", "c", "u", "x", "E", "Q", "Qbar", "[", "]",
+           ",", "+", "-", "*", "/", "^", "(", ")", ".", "1/0", "E[1,2]", "Q[1]"]
+_TEXTS = st.lists(st.one_of(st.sampled_from(_PIECES),
+                            st.characters(blacklist_categories=("Nd",))),
+                  max_size=24).map(" ".join)
+
+
+@given(_TEXTS)
+@settings(max_examples=100, deadline=None)
+def test_parse_scalar_raises_only_value_errors(text):
+    for names in (None, ("c", "u")):
+        try:
+            assert isinstance(parse_scalar(text, names), Scalar)
+        except ValueError:  # ParseError included
+            pass
+
+
+@given(_TEXTS)
+@settings(max_examples=100, deadline=None)
+def test_parse_ncpoly_raises_only_value_errors(text):
+    alg = build(2, 1)
+    try:
+        poly = parse_ncpoly(text, alg.alphabet, alg.resolve, ("c",))
+        assert isinstance(poly, NCPoly)
+    except ValueError:  # ParseError included
+        pass

@@ -2,6 +2,7 @@
 
 import random
 import sys
+import time
 from fractions import Fraction
 from math import comb
 
@@ -23,7 +24,13 @@ from quadlie.pbw import (
 from quadlie.presentation import QlsPresentation
 from quadlie.scalars import Scalar, accumulate, srat
 
-from test_presentation import _TENSORS, _orbit_shifted, rank_of_rows
+from test_presentation import (
+    _TENSORS,
+    _c_plus_u,
+    _mixed_ring_cases,
+    _orbit_shifted,
+    rank_of_rows,
+)
 
 
 def _rs(pres, order=None):
@@ -351,7 +358,8 @@ def test_serre_module_check_rejects_vacuous_lengths():
 
 
 def test_odd_scale_is_the_least_integral_one():
-    for c, scale in ((None, None), (1, 2), (Fraction(7, 5), 10), (Fraction(5, 3), 6)):
+    # a symbolic c sits only in a: D comes from the plain-rational terms
+    for c, scale in ((None, 2), (1, 2), (Fraction(7, 5), 10), (Fraction(5, 3), 6)):
         assert RewriteSystem(build(3, c).presentation)._odd_scale == scale
     # the odd square carries 1/2, so y y -> 1/4: D = 2 already clears it
     assert RewriteSystem(QlsPresentation(1, 1, a={(0, 0): srat(1, 2)}))._odd_scale == 2
@@ -390,7 +398,9 @@ def test_serre_witnesses_agree_across_rings(c):
     pres = build(3, c).presentation
     for (name, pick), witness in _SHIFTED_WITNESSES.items():
         rs = _rs(_orbit_shifted(pres, name, sorted(getattr(pres, name))[pick]))
-        assert (rs._odd_scale is None) == (c is None)
+        # D of the plain-rational terms; at symbolic c the a shift joins c
+        scale = {1: 6, Fraction(7, 5): 30, None: 2 if name == "a" else 6}[c]
+        assert rs._odd_scale == scale
         for max_len in (3, 4):
             assert serre_module_check(rs, max_len) == (False, witness), (name, pick)
 
@@ -448,13 +458,25 @@ def _explicit_rhs(action, a, b, nword):
     return rhs
 
 
+def _scalar_rules(rs):
+    """The system's rules in Scalars, read from the bracket table with no
+    odd rescaling: g1 g2 -> [g1, g2} for each out-of-order pair, and
+    y y -> (1/2) {y, y} for an odd square."""
+    pres = rs.presentation
+    size = pres.alphabet.size
+    return {(g1, g2): [(w, v * srat(1, 2) if g1 == g2 else v)
+                       for w, v in pres.bracket(g1, g2).items()]
+            for g1 in range(size) for g2 in range(size)
+            if not rs._pair_is_ordered(g1, g2)}
+
+
 def _scalar_serre(rs, max_len):
     """Reference: every relation, skipped ones included, run once on the
-    Scalar rule table with no evaluation at points."""
-    assert rs._odd_scale is None
-    action = _ModuleAction(rs, None, (rs._rules, None))
+    unscaled Scalar rules."""
+    rules = _scalar_rules(rs)
+    action = _ModuleAction(rs, None, (rules, None))
     for nword in _ordered_words(rs, max_len):
-        for a, b in rs._rules:
+        for a, b in rules:
             if action._apply((a, b), nword) != _explicit_rhs(action, a, b, nword):
                 return False, (a, b, nword)
     return True, None
@@ -485,27 +507,19 @@ def test_serre_check_caches_only_ordered_words(monkeypatch):
     actions = []
     first_failure = pbw._first_failure
 
-    def recording(action, relations, stop):
+    def recording(action, relations):
         actions.append(action)
-        return first_failure(action, relations, stop)
+        return first_failure(action, relations)
 
     monkeypatch.setattr(pbw, "_first_failure", recording)
     pres = build(3, 1).presentation
     shifted = _orbit_shifted(pres, "d", sorted(pres.d)[0])
     for rs in (build(3).rewrite, _rs(pres), _rs(shifted)):
         serre_module_check(rs, max_len=4)
-    assert len(actions) == 5  # symbolic c runs at 3 grid points
+    assert len(actions) == 3  # one pass per system, symbolic c included
     for action in actions:
         assert action._cache
         assert all(action.rs.word_is_ordered(w) for _, w in action._cache)
-
-
-def _c_plus_u(pres):
-    """The gl2(n/1) family with c replaced by c + u: two indeterminates."""
-    shift = {"c": Scalar.var("c") + Scalar.var("u")}
-    fields = {t: {i: Scalar.coerce(v).substitute(shift)
-                  for i, v in getattr(pres, t).items()} for t in _TENSORS}
-    return QlsPresentation(pres.n_even, pres.m_odd, **fields)
 
 
 def _symbolic_cases():
@@ -528,7 +542,9 @@ def _symbolic_cases():
                          ids=[label for label, _ in _symbolic_cases()])
 def test_serre_evaluation_matches_scalar_reference(label, pres):
     rs = _rs(pres)
-    assert rs._odd_scale is None
+    # D of the plain-rational terms (build(2) has none on odd-odd pairs)
+    assert rs._odd_scale == (1 if label.startswith("n=2")
+                             else 6 if label[0] in "db" else 2)
     names = set().union(*(v.variables() for t in _TENSORS
                           for v in getattr(pres, t).values()
                           if isinstance(v, Scalar)))
@@ -540,9 +556,9 @@ def test_serre_evaluation_matches_scalar_reference(label, pres):
         assert want[0] is (label in ("n=2", "n=3", "n=4", "n=2, c+u"))
 
 
-def test_serre_grid_catches_residual_vanishing_at_two_points():
-    # a[0] + c (c - 1) vanishes at c = 0 and 1; the grid {0, ..., delta}
-    # must reach c = 2 (here delta = max_len, since kappa = 2/6)
+def test_serre_check_catches_residual_vanishing_at_two_points():
+    # a[0] + c (c - 1) vanishes at c = 0 and 1, so a check that evaluated
+    # c at those points only would pass it; the Scalar terms keep c
     pres = build(3).presentation
     shift = Scalar.var("c") * (Scalar.var("c") - 1)
     rs = _rs(_orbit_shifted(pres, "a", sorted(pres.a)[0], shift))
@@ -558,28 +574,64 @@ def test_symbolic_serre_check_stays_off_scalar_multiplication(monkeypatch):
     original = Scalar.__mul__
 
     def counting(self, other):
-        calls.append(1)
+        calls.append((self, other))
         return original(self, other)
 
     monkeypatch.setattr(Scalar, "__mul__", counting)
     monkeypatch.setattr(Scalar, "__rmul__", counting)
     assert serre_module_check(rs, max_len=4) == (True, None)
-    # only substituting the c-dependent rule coefficients at 3 points
-    # multiplies Scalars (27 times); the Scalar engine did 255,899
-    assert len(calls) < 100
+    # every Scalar product has a c-carrying operand: the a terms and what
+    # they reach (about 4,100 products; the Scalar engine made 255,899)
+    assert 0 < len(calls) < 5000
+    assert all("c" in Scalar.coerce(x).variables() | Scalar.coerce(y).variables()
+               for x, y in calls)
+
+
+def test_serre_mixed_ring_matches_scalar_ring(monkeypatch):
+    # u in c, cbar or d, or c + u in a: ints and Scalars in one table
+    verdicts = []
+    for pres in _mixed_ring_cases():
+        rs = _rs(pres)
+        assert rs._odd_scale is not None
+        assert any(isinstance(v, Scalar) and "u" in v.variables()
+                   for terms in rs._rules.values() for _, v in terms)
+        lengths = (3, 4) if pres.alphabet.size < 10 else (3,)
+        got = [serre_module_check(rs, max_len) for max_len in lengths]
+        with monkeypatch.context() as mp:
+            mp.setattr(pbw, "odd_rescale", lambda table, n_even: None)
+            scalar_rs = _rs(pres)
+            assert scalar_rs._odd_scale is None
+            want = [serre_module_check(scalar_rs, max_len) for max_len in lengths]
+        assert got == want
+        verdicts.append(got[0][0])
+    assert 0 < sum(verdicts) < len(verdicts)  # both verdicts occur
+
+
+def test_normal_form_matches_scalar_ring_action():
+    rng = random.Random(20261021)
+    for pres in (build(3).presentation, _c_plus_u(build(2).presentation)):
+        rs = _rs(pres)
+        assert rs._odd_scale == (2 if pres.n_even == 9 else 1)
+        scalar = _ModuleAction(rs, None, (_scalar_rules(rs), None))
+        symbolic = 0
+        for word in _random_words(rng, pres.alphabet.size, 6, 60):
+            want = scalar.apply_word(word, ())
+            got = rs.normal_form(NCPoly.monomial(pres.alphabet, word))
+            assert got.terms == want, word
+            symbolic += any(not v.is_rational() for v in want.values())
+        assert symbolic
 
 
 def test_serre_check_refuses_past_relation_budget():
-    rs = build(3, 1).rewrite
-    with pytest.raises(ValueError, match="relations"):
-        serre_module_check(rs, max_len=7)  # 1,204,128 relations
-    # symbolic gl2(3/1) at length 6: 341,325 relations at 4 grid points
-    with pytest.raises(ValueError, match="relations"):
-        serre_module_check(build(3).rewrite, max_len=6)
-    # admitted: rational gl2(5/1) at the default length 4 (396,880),
-    # rational gl2(3/1) at length 6 (341,325), symbolic gl2(3/1) at
-    # length 5 (79,920 at 3 points)
-    assert MAX_RELATIONS >= max(396_880, 341_325, 79_920 * 3)
+    # gl2(3/1) at length 7 has 1,204,128 relations, at c = 1 and symbolic
+    for rs in (build(3, 1).rewrite, build(3).rewrite):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="relations"):
+            serre_module_check(rs, max_len=7)
+        assert time.perf_counter() - start < 1
+    # admitted: gl2(5/1) at the default length 4 (396,880), gl2(3/1) at
+    # length 6 (341,325), rational or symbolic
+    assert MAX_RELATIONS >= max(396_880, 341_325)
 
 
 def test_rewrite_system_refuses_past_relation_budget():

@@ -634,15 +634,79 @@ def test_rings_agree_on_lambda3(monkeypatch):
                         monkeypatch)
 
 
-def test_indeterminate_in_d_or_half_in_c_keeps_scalar(monkeypatch):
+def test_half_in_c_keeps_scalar_and_indeterminate_in_d_does_not(monkeypatch):
     u = Scalar.var("u")
     in_d = QlsPresentation(1, 1, cbar={(0, 0, 0): 1}, d={(0, 0, 0, 0): u})
-    assert _assert_rings_agree(in_d, monkeypatch, int_ring=False)[1][1]
+    assert _assert_rings_agree(in_d, monkeypatch)[1][1]
+    assert in_d._ring.scale == 1 and in_d._ring.cbar == {(0, 0, 0): 1}
+    assert in_d._ring.d == {(0, 0, 0, 0): u}
     half_c = QlsPresentation(
         2, 1, c={(0, 1, 0): srat(1, 2), (1, 0, 0): srat(-1, 2)},
         cbar={(0, 0, 0): 1}, b={(0, 0, 1): 3})
     reports = _assert_rings_agree(half_c, monkeypatch, int_ring=False)
     assert reports[0][1] and reports[1][1]
+
+
+def _c_plus_u(pres):
+    """The gl2(n/1) family with c replaced by c + u: two indeterminates."""
+    shift = {"c": Scalar.var("c") + Scalar.var("u")}
+    fields = {t: {i: Scalar.coerce(v).substitute(shift)
+                  for i, v in getattr(pres, t).items()} for t in _TENSORS}
+    return QlsPresentation(pres.n_even, pres.m_odd, **fields)
+
+
+def _u_shifted(pres, name, index):
+    """Copy of pres with an indeterminate u added at one entry: a c entry
+    and its antisymmetric partner, a cbar entry, or the symmetric orbit of
+    a d, b or a entry."""
+    u = Scalar.var("u")
+    if name not in ("c", "cbar"):
+        return _orbit_shifted(pres, name, index, u)
+    tensor = dict(getattr(pres, name))
+    tensor[index] = tensor.get(index, Scalar()) + u
+    if name == "c":
+        i, j, k = index
+        tensor[(j, i, k)] = tensor.get((j, i, k), Scalar()) - u
+    fields = {t: getattr(pres, t) for t in _TENSORS}
+    fields[name] = tensor
+    return QlsPresentation(pres.n_even, pres.m_odd, **fields)
+
+
+def _mixed_ring_cases():
+    """Presentations whose odd-rescaled tables hold ints and Scalars: u in
+    an even-even c entry, in cbar or in d of symbolic gl2(3/1), c + u in a
+    (two indeterminates), and u at a random entry of seeded random
+    presentations with d, b and a divided by 6."""
+    pres = build(3).presentation
+    cases = [_u_shifted(pres, "c", (0, 1, 1)),
+             _u_shifted(pres, "cbar", sorted(pres.cbar)[0]),
+             _u_shifted(pres, "d", sorted(pres.d)[0])]
+    pres2 = _c_plus_u(build(2).presentation)
+    cases += [pres2, _orbit_shifted(pres2, "a", sorted(pres2.a)[0], Scalar.var("c")),
+              _c_plus_u(build(3).presentation)]
+    rng = random.Random(20261020)
+    for _ in range(30):
+        pres = _scaled_down(_random_presentation(rng), 6)
+        n, m = pres.n_even, pres.m_odd
+        p, q = rng.randrange(m), rng.randrange(m)
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        index = {"c": (i, j, rng.randrange(n)), "cbar": (i, p, q),
+                 "d": (p, q, rng.randrange(n), rng.randrange(n)), "a": (p, q)}
+        name = rng.choice(["cbar", "d", "a"] + (["c"] if n > 1 else []))
+        cases.append(_u_shifted(pres, name, index[name]))
+    return cases
+
+
+def test_mixed_rings_agree_with_scalar_ring(monkeypatch):
+    verdicts = []
+    for pres in _mixed_ring_cases():
+        ring = pres._ring
+        held = [v for t in (ring.c, ring.cbar, ring.d) for v in t.values()]
+        held += ring.a.values()
+        assert any(isinstance(v, Scalar) and "u" in v.variables() for v in held)
+        reports = _assert_rings_agree(pres, monkeypatch)
+        verdicts.append(not reports[0][1] and not reports[1][1])
+    assert 0 < sum(verdicts) < len(verdicts)  # both verdicts occur
 
 
 def test_rings_agree_where_normalize2_halves_an_odd_square(monkeypatch):
