@@ -119,10 +119,13 @@ def one_step_analysis(n: int, scan_bound: Optional[int] = None) -> dict:
     Expands B o A over the operator basis (EE), (E delta), (delta E),
     (delta delta) in the reduced coefficients and walks the two branches of
     the (EE) coefficient.  Optionally scans integer (r, mubar, nubar, c) in
-    [-scan_bound, scan_bound] for counterexamples.
+    [-scan_bound, scan_bound] for counterexamples; a negative bound would
+    scan nothing and raises.
     """
     if n < 3:
         raise ValueError("analysis requires n >= 3")
+    if scan_bound is not None and scan_bound < 0:
+        raise ValueError(f"scan_bound must be >= 0, got {scan_bound}")
     mb, nb, r, c = (Scalar.var(v) for v in ("mubar", "nubar", "r", "c"))
     s_p, p_p, c1p, c2p = _rect_casimirs(n, r, mb, nb)
     a1, a0, b1, b0 = _adjoint_coeffs(n, c1p, c2p, c)

@@ -6,7 +6,9 @@ composites E^i_j = adag_i a_j, Q_{ijk} = a_i a_j a_k, Qbar^{ijk} =
 adag_i adag_j adag_k realize a quadratic superalgebra with odd generators
 in the third antisymmetric power of the fundamental; for n = 4 the
 occupation-number-2 states form a zero-step module, demonstrated here by
-exact matrix computations.
+exact matrix computations.  Matrix entries are Python ints where integral
+(the Jordan-Wigner signs and everything built from them by integer
+arithmetic) and Fractions otherwise.
 """
 
 from __future__ import annotations
@@ -15,59 +17,76 @@ import operator
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, permutations
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from .gl2n1 import _perm_sign, gl_structure_constants
 from .scalars import accumulate
 
+Entry = Union[int, Fraction]
+
 
 class SparseOp:
-    """Sparse exact-rational operator on a 2^n-dimensional Fock space."""
+    """Sparse exact operator on a 2^n-dimensional Fock space.  Entries are
+    nonzero ints where integral, else Fractions; an int and an equal
+    Fraction compare equal, so two operators compare by value."""
 
     __slots__ = ("dim", "data")
 
-    def __init__(self, dim: int, data: Optional[Dict[Tuple[int, int], Fraction]] = None):
+    def __init__(self, dim: int, data: Optional[Dict[Tuple[int, int], Entry]] = None):
         self.dim = dim
         self.data = {}
         if data:
-            for key, val in data.items():
+            for (r, c), val in data.items():
+                if not (0 <= r < dim and 0 <= c < dim):
+                    raise ValueError(f"index ({r}, {c}) outside dimension {dim}")
                 if val:
-                    self.data[key] = Fraction(val)
+                    self.data[(r, c)] = val if type(val) is int else Fraction(val)
 
     @classmethod
     def identity(cls, dim: int) -> "SparseOp":
-        return cls(dim, {(i, i): Fraction(1) for i in range(dim)})
+        return _op(dim, {(i, i): 1 for i in range(dim)})
+
+    def _same_dim(self, other: "SparseOp") -> None:
+        if self.dim != other.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} and {other.dim}")
 
     def __add__(self, other: "SparseOp") -> "SparseOp":
+        self._same_dim(other)
         out = dict(self.data)
         for key, val in other.data.items():
-            new = out.get(key, Fraction(0)) + val
+            new = out.get(key, 0) + val
             if new:
                 out[key] = new
             else:
-                out.pop(key, None)
-        return SparseOp(self.dim, out)
+                del out[key]
+        return _op(self.dim, out)
 
     def __sub__(self, other: "SparseOp") -> "SparseOp":
-        return self + (other * Fraction(-1))
+        return self + other * -1
 
     def __mul__(self, other):
         if isinstance(other, SparseOp):
-            by_row: Dict[int, List[Tuple[int, Fraction]]] = {}
+            self._same_dim(other)
+            by_row: Dict[int, List[Tuple[int, Entry]]] = {}
             for (r, c), val in other.data.items():
                 by_row.setdefault(r, []).append((c, val))
-            out: Dict[Tuple[int, int], Fraction] = {}
+            out: Dict[Tuple[int, int], Entry] = {}
             for (r, k), aval in self.data.items():
                 for c, bval in by_row.get(k, ()):
                     key = (r, c)
-                    new = out.get(key, Fraction(0)) + aval * bval
+                    new = out.get(key, 0) + aval * bval
                     if new:
                         out[key] = new
                     else:
-                        out.pop(key, None)
-            return SparseOp(self.dim, out)
-        scal = Fraction(other)
-        return SparseOp(self.dim, {k: v * scal for k, v in self.data.items()})
+                        del out[key]
+            return _op(self.dim, out)
+        if not isinstance(other, int):
+            other = Fraction(other)
+            if other.denominator == 1:
+                other = other.numerator
+        if not other:
+            return _op(self.dim, {})
+        return _op(self.dim, {k: v * other for k, v in self.data.items()})
 
     __rmul__ = __mul__
 
@@ -77,12 +96,21 @@ class SparseOp:
     def is_zero(self) -> bool:
         return not self.data
 
-    def apply_basis(self, col: int) -> Dict[int, Fraction]:
+    def apply_basis(self, col: int) -> Dict[int, Entry]:
         return {r: v for (r, c), v in self.data.items() if c == col}
 
     def __repr__(self):
         entries = ", ".join(f"({r},{c}): {v}" for (r, c), v in sorted(self.data.items()))
         return f"SparseOp(dim={self.dim}, {{{entries}}})"
+
+
+def _op(dim: int, data: Dict[Tuple[int, int], Entry]) -> SparseOp:
+    """A SparseOp around `data` as given, without the public constructor's
+    checks and coercion: for a fresh dict of nonzero in-range entries."""
+    out = object.__new__(SparseOp)
+    out.dim = dim
+    out.data = data
+    return out
 
 
 def _jw_sign(bits: int, mode: int) -> int:
@@ -105,8 +133,8 @@ def fermion_ops(n: int) -> Tuple[List[SparseOp], List[SparseOp]]:
         for b in range(dim):
             if b & bit:
                 sign = _jw_sign(b, i)
-                a_data[(b ^ bit, b)] = Fraction(sign)
-                c_data[(b, b ^ bit)] = Fraction(sign)
+                a_data[(b ^ bit, b)] = sign
+                c_data[(b, b ^ bit)] = sign
         ann.append(SparseOp(dim, a_data))
         cre.append(SparseOp(dim, c_data))
     return ann, cre
@@ -158,7 +186,7 @@ def _script_e(gens: dict, upper: Tuple[int, int, int], lower: Tuple[int, int, in
         for t in range(3):
             deltas_ok = all(upper[s] == low[s] for s in range(3) if s != t)
             if deltas_ok:
-                out = out + e[(upper[t], low[t])] * Fraction(sign)
+                out = out + e[(upper[t], low[t])] * sign
     return out
 
 
@@ -178,7 +206,7 @@ def bracket_polynomial_check(n: int = 4) -> dict:
             for m in triples:
                 acc = acc + script[(u, m)] * script[(m, l)]
             script2[(u, l)] = acc
-    coeff = SparseOp.identity(dim) * Fraction(n + 3) - num
+    coeff = SparseOp.identity(dim) * (n + 3) - num
     lhs = {}
     rhs = {}
     for u in triples:

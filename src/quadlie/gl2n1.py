@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ncpoly import Alphabet, NCPoly
 from .pbw import GeneratorOrder, RewriteSystem, check_rule_count
-from .presentation import QlsPresentation
+from .presentation import QlsPresentation, _half
 from .scalars import Scalar, accumulate, srat
 
 Uni = List[Scalar]  # univariate polynomial, coefficients low to high
@@ -398,8 +398,12 @@ class Gl2n1:
 
 # -- family formulas --------------------------------------------------
 #
-# Each takes Scalar, int or Fraction arguments; halving multiplies by
-# Fraction(1, 2) so integer input never turns into floats.
+# Each takes Scalar, int or Fraction arguments and keeps int input in ints.
+# The two halved quantities C2' - C1'^2 - C1'(n - k), k = 3 and 5, are even
+# for all integer (n, r, mubar, nubar): their parity depends only on the
+# arguments mod 2, and all 16 residue classes give an even value.  So
+# `_half` halves ints exactly (an odd int raises, never rounds) and divides
+# a Scalar or Fraction by 2.
 
 
 def _rect_casimirs(n: int, r, mubar, nubar) -> tuple:
@@ -417,11 +421,10 @@ def _adjoint_coeffs(n: int, c1p, c2p, central) -> tuple:
     """(a1, a0, b1, b0) of the adjoint operators on V_0(Lambda'), from the
     Casimirs of Lambda': A = E^2 - a1 E + a0, and b1, b0 the matching
     coefficients of B (its third coefficient bbar1 is the constant -1)."""
-    half = Fraction(1, 2)
     a1 = c1p + n - 2
-    a0 = central - (n - 1) - (c2p - c1p * c1p - c1p * (n - 3)) * half
+    a0 = central - (n - 1) - _half(c2p - c1p * c1p - c1p * (n - 3))
     b1 = a1 - 1
-    b0 = central - (n - 2) - (c2p - c1p * c1p - c1p * (n - 5)) * half
+    b0 = central - (n - 2) - _half(c2p - c1p * c1p - c1p * (n - 5))
     return a1, a0, b1, b0
 
 

@@ -199,7 +199,7 @@ class QlsPresentation:
         for (i, j, k), v in self.c.items():
             if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
                 raise ValueError(f"c index {(i, j, k)} out of range")
-            if self.c.get((j, i, k), Scalar()) != -v:
+            if self.c.get((j, i, k), ZERO) != -v:
                 raise ValueError(f"c not antisymmetric at {(i, j, k)}")
         for (i, p, q), _ in self.cbar.items():
             if not (0 <= i < n and 0 <= p < m and 0 <= q < m):
@@ -207,19 +207,19 @@ class QlsPresentation:
         for (p, q, k, l), v in self.d.items():
             if not (0 <= p < m and 0 <= q < m and 0 <= k < n and 0 <= l < n):
                 raise ValueError(f"d index {(p, q, k, l)} out of range")
-            if self.d.get((q, p, k, l), Scalar()) != v:
+            if self.d.get((q, p, k, l), ZERO) != v:
                 raise ValueError(f"d not symmetric in odd pair at {(p, q, k, l)}")
-            if self.d.get((p, q, l, k), Scalar()) != v:
+            if self.d.get((p, q, l, k), ZERO) != v:
                 raise ValueError(f"d not symmetric in even pair at {(p, q, k, l)}")
         for (p, q, k), v in self.b.items():
             if not (0 <= p < m and 0 <= q < m and 0 <= k < n):
                 raise ValueError(f"b index {(p, q, k)} out of range")
-            if self.b.get((q, p, k), Scalar()) != v:
+            if self.b.get((q, p, k), ZERO) != v:
                 raise ValueError(f"b not symmetric at {(p, q, k)}")
         for (p, q), v in self.a.items():
             if not (0 <= p < m and 0 <= q < m):
                 raise ValueError(f"a index {(p, q)} out of range")
-            if self.a.get((q, p), Scalar()) != v:
+            if self.a.get((q, p), ZERO) != v:
                 raise ValueError(f"a not symmetric at {(p, q)}")
 
     # -- bracket table ------------------------------------------------
@@ -655,14 +655,16 @@ def _cyclic_sums(part: Mapping[tuple, Coeff]) -> Dict[tuple, Coeff]:
     return res
 
 
-def _half(value: Coeff) -> Coeff:
-    """value / 2 for the coefficient of an odd square; exact in ints, where
-    the module docstring shows the coefficient is even."""
-    if isinstance(value, Scalar):
+def _half(value: Union[Coeff, Fraction]) -> Union[Coeff, Fraction]:
+    """value / 2, exact: a Scalar or Fraction is divided by 2, an int is
+    halved in ints and must be even, else ArithmeticError (never rounded).
+    Callers halve only values proven even on int input: the coefficient of
+    an odd square (module docstring) and the family formulas of gl2n1."""
+    if not isinstance(value, int):
         return value / 2
     half, odd = divmod(value, 2)
     if odd:
-        raise ArithmeticError(f"odd square with odd coefficient {value}")
+        raise ArithmeticError(f"cannot halve the odd integer {value} exactly")
     return half
 
 

@@ -47,8 +47,8 @@ class Scalar:
 
     @staticmethod
     def from_rational(value: Union[int, Fraction]) -> "Scalar":
-        f = Fraction(value)
-        return Scalar({_ONE_MONO: f}) if f != 0 else Scalar()
+        f = value if isinstance(value, Fraction) else Fraction(value)
+        return _wrap({_ONE_MONO: f}) if f else ZERO
 
     @staticmethod
     def var(name: str, exp: int = 1) -> "Scalar":
@@ -104,7 +104,7 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar({m: -c for m, c in self._terms.items()})
+        return _wrap({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: RationalLike) -> "Scalar":
         return self + (-Scalar.coerce(other))
@@ -113,16 +113,20 @@ class Scalar:
         return Scalar.coerce(other) + (-self)
 
     def __mul__(self, other: RationalLike) -> "Scalar":
+        if isinstance(other, (int, Fraction)):
+            if not other or not self._terms:
+                return ZERO
+            return _wrap({m: c * other for m, c in self._terms.items()})
         other = Scalar.coerce(other)
         if not self._terms or not other._terms:
             return ZERO
         # fast path: multiplication by a plain rational
         if other.is_rational():
             c0 = other._terms[_ONE_MONO]
-            return Scalar({m: c * c0 for m, c in self._terms.items()})
+            return _wrap({m: c * c0 for m, c in self._terms.items()})
         if self.is_rational():
             c0 = self._terms[_ONE_MONO]
-            return Scalar({m: c * c0 for m, c in other._terms.items()})
+            return _wrap({m: c * c0 for m, c in other._terms.items()})
         acc: Dict[Monomial, Fraction] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
@@ -134,7 +138,7 @@ class Scalar:
 
     def __truediv__(self, other: Union[int, Fraction]) -> "Scalar":
         f = Fraction(other)
-        return Scalar({m: c / f for m, c in self._terms.items()})
+        return _wrap({m: c / f for m, c in self._terms.items()})
 
     def __pow__(self, exp: int) -> "Scalar":
         if exp < 0:
@@ -168,7 +172,7 @@ class Scalar:
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = Scalar.from_rational(other)
-        if not isinstance(other, Scalar):
+        elif not isinstance(other, Scalar):
             return NotImplemented
         return self._terms == other._terms
 
@@ -207,13 +211,22 @@ class Scalar:
         return f"Scalar({self})"
 
 
+def _wrap(terms: Dict[Monomial, Fraction]) -> Scalar:
+    """A Scalar around `terms` as given, without `__init__`'s copy and zero
+    filter: for a fresh dict whose values are all nonzero Fractions."""
+    out = object.__new__(Scalar)
+    out._terms = terms
+    out._hash = None
+    return out
+
+
 ZERO = Scalar()
 ONE = Scalar.from_rational(1)
 
 
 def srat(num: Union[int, Fraction], den: int = 1) -> Scalar:
     """Shorthand for a rational scalar num/den."""
-    return Scalar.from_rational(Fraction(num, den))
+    return Scalar.from_rational(num if den == 1 else Fraction(num, den))
 
 
 def accumulate(store: dict, key, value) -> None:

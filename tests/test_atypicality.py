@@ -1,6 +1,7 @@
 """Level-1 atypicality: zero-step conditions, the zero-step table, and
 the one-step exclusion."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -202,7 +203,7 @@ def test_family_formulas_agree_across_paths():
                 symbolic[k].substitute(point).as_rational() for k in keys
             )
             numeric = _numeric_composites(n, r, mubar, nubar, c)
-            assert all(isinstance(v, (int, Fraction)) for v in numeric)
+            assert all(type(v) is int for v in numeric)
             d = family_data(FamilyParams(n, r, mubar - (n - r), nubar), c)
             from_family = (
                 d["A_E"] * d["B_Edelta"],
@@ -213,6 +214,34 @@ def test_family_formulas_agree_across_paths():
             )
             assert from_symbolic == numeric
             assert tuple(v.as_rational() for v in from_family) == numeric
+
+
+def test_halved_family_quantities_are_even():
+    """C2' - C1'^2 - C1'(n - k), k = 3 and 5, is an integer polynomial in
+    (n, r, mubar, nubar), so its parity depends only on the arguments mod
+    2: even on all 16 residue classes means even on every integer input,
+    which is why `_adjoint_coeffs` may halve ints exactly."""
+    for n, r, mubar, nubar in itertools.product(range(2), repeat=4):
+        _, _, c1p, c2p = _rect_casimirs(n, r, mubar, nubar)
+        # with Fraction input the halving divides: a0, b0 at c = 0 are
+        # -(n - 1) and -(n - 2) minus the two halved quantities
+        _, a0, _, b0 = _adjoint_coeffs(n, Fraction(c1p), Fraction(c2p), 0)
+        assert (a0 + n - 1).denominator == 1
+        assert (b0 + n - 2).denominator == 1
+        assert _adjoint_coeffs(n, c1p, c2p, 0) == (c1p + n - 2, a0, c1p + n - 3, b0)
+
+
+def test_adjoint_coeffs_refuses_odd_int_instead_of_rounding():
+    # C2' - C1'^2 - C1'(n - 3) = 0 - 1 - 0 at n = 3, C1' = 1, C2' = 0
+    with pytest.raises(ArithmeticError):
+        _adjoint_coeffs(3, 1, 0, 0)
+    assert _adjoint_coeffs(3, Fraction(1), Fraction(0), 0)[1] == Fraction(-3, 2)
+
+
+def test_one_step_scan_rejects_negative_bound():
+    with pytest.raises(ValueError, match="scan_bound"):
+        one_step_analysis(3, scan_bound=-1)
+    assert one_step_analysis(3, scan_bound=0)["scan_counterexamples"] == []
 
 
 def test_one_step_scan_gate_can_fail():

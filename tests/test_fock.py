@@ -132,3 +132,34 @@ def test_presentation_matches_fock_matrices():
     report = presentation_cross_check()
     assert report["relations_hold"] is True
     assert report["failures"] == []
+
+
+@pytest.mark.parametrize("op", [
+    lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y])
+def test_dimension_mismatch_raises(op):
+    with pytest.raises(ValueError, match="dimension"):
+        op(SparseOp.identity(2), SparseOp.identity(4))
+
+
+def test_constructor_rejects_index_outside_dimension():
+    for key in ((5, 7), (0, 2), (-1, 0)):
+        with pytest.raises(ValueError, match="outside dimension 2"):
+            SparseOp(2, {key: 1})
+
+
+def test_int_and_fraction_entries_compare_equal():
+    ann, cre = fermion_ops(3)
+    op = cre[0] * ann[1] + ann[2] * 3
+    assert all(type(v) is int for v in op.data.values())
+    as_fractions = SparseOp(op.dim, {k: Fraction(v) for k, v in op.data.items()})
+    assert all(type(v) is Fraction for v in as_fractions.data.values())
+    assert as_fractions == op
+    assert as_fractions - op == SparseOp(op.dim)
+    assert op * Fraction(1, 2) != op and op * Fraction(2) == op + op
+
+
+def test_float_entry_stored_as_exact_fraction():
+    op = SparseOp(2, {(0, 1): 0.1, (1, 0): 2})
+    assert op.data[(0, 1)] == Fraction(0.1) != Fraction(1, 10)
+    assert type(op.data[(0, 1)]) is Fraction and type(op.data[(1, 0)]) is int
+    assert (op * 0.5).data[(1, 0)] == 1 and (op * 0).is_zero()

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import operator
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -61,3 +63,41 @@ def test_string_rendering_deterministic():
     p = c * mu + mu * c + 1
     q = mu * c * 2 + 1
     assert str(p) == str(q)
+
+
+X = (("x", 1),)
+scalars = st.builds(
+    lambda c0, c1: Scalar({(): c0, X: c1}), rationals, rationals | st.just(0)
+)
+operands = st.integers(-6, 6) | rationals | scalars
+OPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "r+": lambda a, b: b + a, "r-": lambda a, b: b - a, "r*": lambda a, b: b * a,
+    "neg": lambda a, b: -a,
+}
+chains = st.lists(st.tuples(st.sampled_from(sorted(OPS)), operands), max_size=8)
+
+
+def _run_chain(start, steps, lift):
+    acc = lift(start)
+    for op, x in steps:
+        acc = OPS[op](acc, lift(x))
+    return acc
+
+
+@given(scalars, chains)
+@settings(max_examples=100, deadline=None)
+def test_mixed_operand_chains_stay_canonical(start, steps):
+    """Chains of +, -, * and negation over int, Fraction and Scalar
+    operands, with and without an indeterminate: the int and Fraction fast
+    paths store only nonzero Fractions and agree with the chain run on
+    Scalars throughout, and with plain Fractions at x = 3."""
+    got = _run_chain(start, steps, lambda v: v)
+    want = _run_chain(start, steps, Scalar.coerce)
+    assert all(type(c) is Fraction and c != 0 for c in got.terms.values())
+    assert got == want and hash(got) == hash(want)
+    at3 = _run_chain(start, steps, lambda v: (
+        v.substitute({"x": 3}).as_rational() if isinstance(v, Scalar) else Fraction(v)))
+    assert got.substitute({"x": 3}) == at3
+    if got.is_rational():
+        assert hash(got) == hash(Scalar.from_rational(got.as_rational()))
