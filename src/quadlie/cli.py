@@ -139,9 +139,11 @@ def _cmd_normal_form(args) -> int:
             args.expression, alg.alphabet, alg.resolve,
             indeterminates=alg.presentation.indeterminates,
         )
+        nf = rs.normal_form(elem)
     except ParseError as exc:
         raise CliError(f"malformed expression: {exc}") from exc
-    nf = rs.normal_form(elem)
+    except ValueError as exc:  # past the term budget
+        raise CliError(str(exc)) from exc
     report = {
         "command": "normal-form",
         "algebra": args.algebra,

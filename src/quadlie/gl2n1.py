@@ -329,66 +329,53 @@ class Gl2n1:
 
     # -- adjoint operators --------------------------------------------
 
+    def _adjoint_parts(self, shift: int, k: int, const) -> tuple:
+        """What the adjoint operators are built from, each piece once: the
+        table (a, b) -> (E^2)^a_b, <E> + shift, and the scalar
+        -(1/2)(<E^2> - <E>^2 - k<E>) + const of their delta slots."""
+        rng = range(1, self.n + 1)
+        e2 = {(a, b): self.E2(a, b) for a in rng for b in rng}
+        tr, one = self.E_trace(), NCPoly.one(self.alphabet)
+        tr2 = sum((e2[a, a] for a in rng), NCPoly.zero(self.alphabet))
+        scalar = (tr2 - tr * tr - tr.scale(k)).scale(srat(-1, 2))
+        return e2, tr + one.scale(shift), scalar + one.scale(const)
+
     def adjoint_A(self) -> List[List[NCPoly]]:
         """A^i_j = (E^2)^i_j - (<E>+(n-2))E^i_j
         - (1/2) delta (<E^2> - <E>^2 - (n-3)<E>) + (c-(n-1)) delta."""
         n = self.n
-        tr = self.E_trace()
-        tr2 = self.E2_trace()
-        scalar_part = (
-            tr2 - tr * tr - tr.scale(n - 3)
-        ).scale(srat(-1, 2))
-        one = NCPoly.one(self.alphabet)
-        out = []
-        for i in range(1, n + 1):
-            row = []
-            for j in range(1, n + 1):
-                entry = self.E2(i, j) - (tr + one.scale(n - 2)) * self.E(i, j)
-                if i == j:
-                    entry = entry + scalar_part
-                    entry = entry + one.scale(self.central - (n - 1))
-                row.append(entry)
-            out.append(row)
-        return out
+        e2, shift, diag = self._adjoint_parts(n - 2, n - 3, self.central - (n - 1))
+        zero = NCPoly.zero(self.alphabet)
+        rng = range(1, n + 1)
+        return [[e2[i, j] - shift * self.E(i, j) + (diag if i == j else zero)
+                 for j in rng] for i in rng]
 
     def adjoint_B(self) -> Dict[Tuple[int, int, int, int], NCPoly]:
-        """B^{kl}_{ij}, antisymmetrized in (k,l), satisfying exactly
+        """B^{kl}_{ij} = X^{kl}_{ij} - X^{lk}_{ij}, antisymmetric in (k,l):
 
-            [Q_i, Sbar_j} = sum_{k<l} Sbar_{kl} B^{kl}_{ij}
+            X^{kl}_{ij} = delta^l_j F^k_i + delta^k_i E^l_j + delta^k_i delta^l_j dd,
+            F^k_i = (E^2)^k_i - E^k_i (<E> + n - 3),
+            dd = -(1/2)(<E^2> - <E>^2 - (n-5)<E>) + c - 2(n-2).
 
-        in the enveloping algebra (graded bracket; anticommutator when
-        Sbar_j is odd).  The delta-delta scalar slot carries the constant
-        c - 2(n-2); with c - (n-2) instead, the identity above fails by
-        exactly (n-2) times the (delta delta) combination."""
+        [Q_i, Sbar_j} = sum_{k<l} Sbar_{kl} B^{kl}_{ij} holds exactly in the
+        enveloping algebra (graded bracket); with c - (n-2) in dd it fails
+        by (n-2) times the (delta delta) combination.  X fills only its
+        nonzero delta slots: F when l = j, E when k = i, dd when both hold.
+        All n^4 keys (k, l, i, j) are present, in row-major order."""
         n = self.n
-        tr = self.E_trace()
-        tr2 = self.E2_trace()
-        one = NCPoly.one(self.alphabet)
-        quad = (tr2 - tr * tr - tr.scale(n - 5)).scale(srat(-1, 2))
-        # delta-delta scalar factor
-        dd_factor = quad + one.scale(self.central - 2 * (n - 2))
+        e2, shift, dd = self._adjoint_parts(n - 3, n - 5, self.central - 2 * (n - 2))
+        F = {(a, b): sq - self.E(a, b) * shift for (a, b), sq in e2.items()}
+        zero = NCPoly.zero(self.alphabet)
 
-        def delta(a, b):
-            return 1 if a == b else 0
+        def x(k, l, i, j):
+            out = F[k, i] if l == j else zero
+            if k == i:
+                out = out + self.E(l, j) + (dd if l == j else zero)
+            return out
 
-        out: Dict[Tuple[int, int, int, int], NCPoly] = {}
-        for k in range(1, n + 1):
-            for l in range(1, n + 1):
-                for i in range(1, n + 1):
-                    for j in range(1, n + 1):
-                        entry = NCPoly.zero(self.alphabet)
-                        for (kk, ll, sgn) in ((k, l, 1), (l, k, -1)):
-                            term = self.E2(kk, i).scale(delta(ll, j))
-                            term = term - self.E(kk, i).scale(delta(ll, j)) * (
-                                tr + one.scale(n - 3)
-                            )
-                            term = term + self.E(ll, j).scale(delta(kk, i))
-                            term = term + dd_factor.scale(
-                                delta(kk, i) * delta(ll, j)
-                            )
-                            entry = entry + term.scale(sgn)
-                        out[(k, l, i, j)] = entry
-        return out
+        rng = range(1, n + 1)
+        return {(k, l, i, j): x(k, l, i, j) - x(l, k, i, j)
+                for k in rng for l in rng for i in rng for j in rng}
 
     # -- family data ---------------------------------------------------
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
-from .scalars import Scalar, srat
+from .scalars import ONE, Scalar, srat
 
 Word = Tuple[int, ...]
 
@@ -111,14 +111,15 @@ class NCPoly:
 
     @staticmethod
     def one(alphabet: Alphabet) -> "NCPoly":
-        return NCPoly(alphabet, {(): srat(1)})
+        return _ncpoly(alphabet, {(): ONE})
 
     @staticmethod
     def monomial(alphabet: Alphabet, word: Iterable[int], coeff=1) -> "NCPoly":
         w = tuple(word)
         for g in w:
             alphabet.parity(g)  # bounds check
-        return NCPoly(alphabet, {w: Scalar.coerce(coeff)})
+        c = ONE if type(coeff) is int and coeff == 1 else Scalar.coerce(coeff)
+        return _ncpoly(alphabet, {w: c} if c else {})
 
     @staticmethod
     def generator(alphabet: Alphabet, g: int) -> "NCPoly":
@@ -147,10 +148,10 @@ class NCPoly:
         for w, c in other._terms.items():
             prev = acc.get(w)
             acc[w] = c if prev is None else prev + c
-        return NCPoly(self.alphabet, acc)
+        return _ncpoly(self.alphabet, {w: c for w, c in acc.items() if c})
 
     def __neg__(self) -> "NCPoly":
-        return NCPoly(self.alphabet, {w: -c for w, c in self._terms.items()})
+        return _ncpoly(self.alphabet, {w: -c for w, c in self._terms.items()})
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
         return self + (-other)
@@ -159,7 +160,7 @@ class NCPoly:
         c0 = Scalar.coerce(coeff)
         if c0.is_zero():
             return NCPoly.zero(self.alphabet)
-        return NCPoly(self.alphabet, {w: c * c0 for w, c in self._terms.items()})
+        return _ncpoly(self.alphabet, {w: c * c0 for w, c in self._terms.items()})
 
     def __mul__(self, other: Union["NCPoly", int, Scalar]) -> "NCPoly":
         if not isinstance(other, NCPoly):
@@ -172,7 +173,7 @@ class NCPoly:
                 c = c1 * c2
                 prev = acc.get(w)
                 acc[w] = c if prev is None else prev + c
-        return NCPoly(self.alphabet, acc)
+        return _ncpoly(self.alphabet, {w: c for w, c in acc.items() if c})
 
     def __rmul__(self, other) -> "NCPoly":
         if isinstance(other, NCPoly):
@@ -215,6 +216,13 @@ class NCPoly:
 
     def __repr__(self):
         return f"NCPoly({self.render()})"
+
+
+def _ncpoly(alphabet: Alphabet, terms: Dict[Word, Scalar]) -> NCPoly:
+    """An NCPoly on a fresh dict of nonzero Scalars, not copied or filtered."""
+    out = object.__new__(NCPoly)
+    out.alphabet, out._terms = alphabet, terms
+    return out
 
 
 def super_commutator(a: Word, b: Word, alphabet: Alphabet) -> NCPoly:

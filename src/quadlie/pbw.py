@@ -58,6 +58,8 @@ from .scalars import Scalar, accumulate, srat
 # length 4 has 396,880, gl2(3/1) at length 6 341,325 and at length 7
 # 1,204,128
 MAX_RELATIONS = 500_000
+# terms after one generator step of `_ModuleAction._apply` (inputs seen: <= 138)
+MAX_TERMS = 20_000
 
 
 def check_rule_count(size: int, m_odd: int) -> None:
@@ -300,6 +302,8 @@ class _ModuleAction:
                 for w2, v2 in self._act(g, w).items():
                     accumulate(nxt, w2, v * v2)
             dist = nxt
+            if len(dist) > MAX_TERMS:
+                raise ValueError(f"more than {MAX_TERMS} terms in one action step")
         return dist
 
 

@@ -91,15 +91,7 @@ class Scalar:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: RationalLike) -> "Scalar":
-        other = Scalar.coerce(other)
-        if not self._terms:
-            return other
-        if not other._terms:
-            return self
-        acc = dict(self._terms)
-        for m, c in other._terms.items():
-            acc[m] = acc.get(m, Fraction(0)) + c
-        return Scalar(acc)
+        return self._merge(other, 1)
 
     __radd__ = __add__
 
@@ -107,17 +99,39 @@ class Scalar:
         return _wrap({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: RationalLike) -> "Scalar":
-        return self + (-Scalar.coerce(other))
+        return self._merge(other, -1)
+
+    def _merge(self, other: RationalLike, sign: int) -> "Scalar":
+        """self + sign * other in one pass, dropping a monomial that
+        cancels; an int or Fraction goes straight to the constant term."""
+        if isinstance(other, Scalar):
+            if not self._terms and sign > 0:
+                return other
+            items = other._terms.items()
+        else:
+            items = ((_ONE_MONO, f),) if (f := Fraction(other)) else ()
+        acc = dict(self._terms)
+        for m, c in items:
+            prev = acc.pop(m, None)
+            if prev is None:
+                acc[m] = c if sign > 0 else -c
+            elif new := (prev + c if sign > 0 else prev - c):
+                acc[m] = new
+        return _wrap(acc)
 
     def __rsub__(self, other: RationalLike) -> "Scalar":
-        return Scalar.coerce(other) + (-self)
+        return -self + other
 
     def __mul__(self, other: RationalLike) -> "Scalar":
+        if other is ONE:
+            return self
         if isinstance(other, (int, Fraction)):
             if not other or not self._terms:
                 return ZERO
             return _wrap({m: c * other for m, c in self._terms.items()})
         other = Scalar.coerce(other)
+        if self is ONE:
+            return other
         if not self._terms or not other._terms:
             return ZERO
         # fast path: multiplication by a plain rational

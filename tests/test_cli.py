@@ -8,6 +8,7 @@ import pytest
 
 from quadlie.cli import run
 from quadlie.gl2n1 import build
+from quadlie.pbw import MAX_TERMS
 from quadlie.presentation import QlsPresentation
 
 
@@ -307,6 +308,18 @@ def test_normal_form_exponent_budget_exits_2(capsys, expression):
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "exponent" in err
+
+
+def test_normal_form_past_term_budget_exits_2(capsys):
+    # {Qbar^1, Q_1} of gl2(8/1) has 84 quadratic words, so the
+    # fifth power passes MAX_TERMS terms in one step of the action
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "normal-form", "--n", "8",
+                          "(Q[1] Qbar[1])^5")
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"more than {MAX_TERMS} terms" in err
 
 
 def test_verify_presentation_past_triple_budget_exits_2(tmp_path, capsys):

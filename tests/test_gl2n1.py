@@ -160,23 +160,62 @@ def test_q_bracket_sbar_single_is_adjoint_B(n):
             assert got == _nf(alg, want)
 
 
+ADJOINT_GRID = [(n, c) for n in (2, 3, 4, 5) for c in (None, Fraction(5, 3))]
+
+
 def test_adjoint_A_exact_closed_form():
     # A^i_j = (E^2)^i_j - (<E>+n-2) E^i_j
     #         - (1/2) delta (<E^2> - <E>^2 - (n-3)<E>) + (c-(n-1)) delta
-    alg = build(3)
-    n = 3
+    for n, c in ADJOINT_GRID:
+        alg = build(n, c)
+        tr, tr2 = alg.E_trace(), alg.E2_trace()
+        one = NCPoly.one(alg.alphabet)
+        A = alg.adjoint_A()
+        assert len(A) == n and all(len(row) == n for row in A)
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                want = alg.E2(i, j) - (tr + one.scale(n - 2)) * alg.E(i, j)
+                if i == j:
+                    want = want + (tr2 - tr * tr - tr.scale(n - 3)).scale(
+                        srat(-1, 2)
+                    )
+                    want = want + one.scale(alg.central - (n - 1))
+                assert A[i - 1][j - 1] == want, (n, c, i, j)
+
+
+def _adjoint_B_reference(alg):
+    """The docstring's B^{kl}_{ij} = X^{kl}_{ij} - X^{lk}_{ij} over every
+    slot, each delta written out as a 0/1 factor."""
+    n = alg.n
     tr, tr2 = alg.E_trace(), alg.E2_trace()
     one = NCPoly.one(alg.alphabet)
-    A = alg.adjoint_A()
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            want = alg.E2(i, j) - (tr + one.scale(n - 2)) * alg.E(i, j)
-            if i == j:
-                want = want + (tr2 - tr * tr - tr.scale(n - 3)).scale(
-                    srat(-1, 2)
-                )
-                want = want + one.scale(alg.central - (n - 1))
-            assert A[i - 1][j - 1] == want
+    rng = range(1, n + 1)
+    F = {(a, b): alg.E2(a, b) - alg.E(a, b) * (tr + one.scale(n - 3))
+         for a in rng for b in rng}
+    dd = (tr2 - tr * tr - tr.scale(n - 5)).scale(srat(-1, 2)) + one.scale(
+        alg.central - 2 * (n - 2))
+
+    def delta(a, b):
+        return 1 if a == b else 0
+
+    def X(k, l, i, j):
+        return (F[k, i].scale(delta(l, j)) + alg.E(l, j).scale(delta(k, i))
+                + dd.scale(delta(k, i) * delta(l, j)))
+
+    return [((k, l, i, j), X(k, l, i, j) - X(l, k, i, j))
+            for k in rng for l in rng for i in rng for j in rng]
+
+
+def test_adjoint_B_exact_closed_form():
+    """Every one of the n^4 entries, zeros included, in key order, against
+    the dense reference; the delta-delta constant is c - 2(n-2)."""
+    for n, c in ADJOINT_GRID:
+        alg = build(n, c)
+        B = alg.adjoint_B()
+        want = _adjoint_B_reference(alg)
+        assert list(B) == [key for key, _ in want]
+        for key, value in want:
+            assert B[key] == value, (n, c, key)
 
 
 # -- weights, Casimirs, characteristic identities ---------------------

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadlie.ncpoly import Alphabet, AlphabetMismatch, NCPoly, super_commutator
-from quadlie.scalars import srat
+from quadlie.scalars import Scalar, srat
 
 AB = Alphabet(2, 2)  # x0, x1 even; y0, y1 odd (ids 2, 3)
 
@@ -103,3 +103,70 @@ def test_degree_additive_and_units(p):
     q = p * gen(0)
     for word in q.terms:
         assert word[-1] == 0
+
+
+C = Scalar.var("c")
+coeffs = (
+    st.sampled_from([0, 1, -1])
+    | st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    | st.builds(lambda a, b: Scalar.coerce(a) + C * b,
+                st.fractions(min_value=-2, max_value=2, max_denominator=2),
+                st.sampled_from([0, 1, -1, Fraction(1, 2)]))
+)
+monomials = st.builds(
+    lambda w, c: NCPoly.monomial(AB, w, c),
+    st.lists(st.integers(min_value=0, max_value=3), max_size=2), coeffs,
+)
+small_polys = monomials | st.lists(monomials, max_size=3).map(
+    lambda ms: sum(ms, NCPoly.zero(AB)))
+steps = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["+", "-", "*", "r*"]), small_polys),
+        st.tuples(st.just("neg"), st.none()),
+        st.tuples(st.just("scale"), coeffs),
+    ),
+    max_size=5,
+)
+
+
+def _constant(coeff) -> NCPoly:
+    return NCPoly(AB, {(): Scalar.coerce(coeff)})
+
+
+def _step(acc, op, x, via_mul):
+    if op == "+":
+        return acc + x
+    if op == "-":
+        return acc - x
+    if op == "*":
+        return acc * x
+    if op == "r*":
+        return x * acc
+    if op == "neg":
+        return acc * _constant(-1) if via_mul else -acc
+    return acc * _constant(x) if via_mul else acc.scale(x)
+
+
+def _assert_canonical(p: NCPoly) -> None:
+    assert all(type(v) is Scalar and not v.is_zero()
+               and all(type(f) is Fraction and f for f in v.terms.values())
+               for v in p.terms.values())
+    rebuilt = NCPoly(AB, dict(p.terms))
+    assert p == rebuilt and hash(p) == hash(rebuilt)
+
+
+@given(small_polys, steps)
+@settings(max_examples=100, deadline=None)
+def test_ops_stay_canonical(start, chain):
+    """Monomials and chains of +, -, *, negation and scaling over int,
+    Fraction and Scalar coefficients, with and without c and including 0,
+    1 and -1.  The constructors that skip the zero filter store only
+    nonzero Scalars: every result equals (and hashes as) its rebuild
+    through the public constructor, and agrees with the chain that scales
+    and negates through a product with a constant."""
+    _assert_canonical(start)
+    got, want = start, start
+    for op, x in chain:
+        got, want = _step(got, op, x, False), _step(want, op, x, True)
+        _assert_canonical(got)
+        assert got == want and hash(got) == hash(want)

@@ -1,5 +1,6 @@
 """Structure-tensor presentations and the two Jacobi checkers."""
 
+import functools
 import hashlib
 import json
 import random
@@ -159,9 +160,10 @@ def _sample_presentations():
     return samples
 
 
-def _expand(pres: QlsPresentation, z: dict, left: bool) -> NCPoly:
+def _expand(pres: QlsPresentation, e2, z: dict, left: bool) -> NCPoly:
     """sum coeff . g e2(g1, g2) for a zL dict keyed (g, g1, g2), or
-    coeff . e2(g1, g2) g for a zR dict keyed (g1, g2, g)."""
+    coeff . e2(g1, g2) g for a zR dict keyed (g1, g2, g); e2 is
+    `pres.e2`, memoized per pair by the caller."""
     ab = pres.alphabet
     poly = NCPoly.zero(ab)
     for key, coeff in z.items():
@@ -170,24 +172,26 @@ def _expand(pres: QlsPresentation, z: dict, left: bool) -> NCPoly:
         else:
             g1, g2, g = key
         gen = NCPoly.generator(ab, g)
-        prod = gen * pres.e2(g1, g2) if left else pres.e2(g1, g2) * gen
+        prod = gen * e2(g1, g2) if left else e2(g1, g2) * gen
         poly = poly + prod.scale(coeff)
     return poly
 
 
 def _overlap_span_rank(pres: QlsPresentation) -> int:
     rows = []
+    e2 = functools.cache(pres.e2)
     for _, zL, _ in pres._overlap_elements():
-        poly = _expand(pres, zL, left=True)
+        poly = _expand(pres, e2, zL, left=True)
         rows.append({w: v.as_rational() for w, v in poly.terms.items()})
     return rank_of_rows(rows)
 
 
 def test_overlap_elements_agree_on_both_sides():
     for pres in _sample_presentations():
+        e2 = functools.cache(pres.e2)
         for indices, zL, zR in pres._overlap_elements():
-            left = _expand(pres, zL, left=True)
-            right = _expand(pres, zR, left=False)
+            left = _expand(pres, e2, zL, left=True)
+            right = _expand(pres, e2, zR, left=False)
             assert left == right, (indices, (left - right).render())
 
 
