@@ -72,11 +72,15 @@ def _jacobi_dict(rep: JacobiReport) -> dict:
     }
 
 
-def _cmd_verify_presentation(args) -> int:
+def _load_presentation(path: str) -> QlsPresentation:
     try:
-        pres = QlsPresentation.load(args.file)
+        return QlsPresentation.load(path)
     except (OSError, ValueError, KeyError) as exc:
-        raise CliError(f"cannot read presentation {args.file!r}: {exc}") from exc
+        raise CliError(f"cannot read presentation {path!r}: {exc}") from exc
+
+
+def _cmd_verify_presentation(args) -> int:
+    pres = _load_presentation(args.file)
     try:
         comp = pres.check_component_jacobi()
         abst = pres.check_abstract_jacobi()
@@ -266,12 +270,7 @@ def _cmd_fock_check(args) -> int:
 
 def _cmd_serre_check(args) -> int:
     if args.file:
-        try:
-            pres = QlsPresentation.load(args.file)
-        except (OSError, ValueError, KeyError) as exc:
-            raise CliError(
-                f"cannot read presentation {args.file!r}: {exc}"
-            ) from exc
+        pres = _load_presentation(args.file)
     else:
         pres = _make_algebra(args).presentation
     order = (

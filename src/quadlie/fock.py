@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import combinations, permutations
 from typing import Dict, List, Optional, Tuple, Union
 
-from .gl2n1 import _perm_sign, gl_structure_constants
+from .gl2n1 import _perm_sign, even_index, gl_structure_constants
 from .scalars import accumulate
 
 Entry = Union[int, Fraction]
@@ -286,9 +286,7 @@ def lambda3_presentation():
     n = 4
     triples = list(combinations(range(1, n + 1), 3))
     tpos = {u: t for t, u in enumerate(triples)}
-
-    def eid(i, j):
-        return n * (i - 1) + (j - 1)
+    eid = partial(even_index, n)
 
     names = ([f"E{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
              + ["Qbar" + "".join(map(str, u)) for u in triples]
@@ -305,24 +303,17 @@ def lambda3_presentation():
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             for u in triples:
-                # [E^i_j, Qbar^U] replaces an index equal to j by i
-                for t in range(3):
-                    if u[t] == j:
-                        new = list(u)
-                        new[t] = i
-                        tgt, sign = sorted_signed(tuple(new))
-                        if sign:
-                            key = (eid(i, j), tpos[u], tpos[tgt])
-                            accumulate(cbar, key, Fraction(sign))
+                # [E^i_j, Qbar^U] replaces an index equal to j by i;
                 # [E^i_j, Q_U] = - (index equal to i replaced by j)
-                for t in range(3):
-                    if u[t] == i:
-                        new = list(u)
-                        new[t] = j
-                        tgt, sign = sorted_signed(tuple(new))
-                        if sign:
-                            key = (eid(i, j), 4 + tpos[u], 4 + tpos[tgt])
-                            accumulate(cbar, key, Fraction(-sign))
+                for off, old, repl, outer in ((0, j, i, 1), (4, i, j, -1)):
+                    for t in range(3):
+                        if u[t] == old:
+                            new = list(u)
+                            new[t] = repl
+                            tgt, sign = sorted_signed(tuple(new))
+                            if sign:
+                                key = (eid(i, j), off + tpos[u], off + tpos[tgt])
+                                accumulate(cbar, key, Fraction(outer * sign))
 
     # The 16-dimensional Fock module is not faithful on quadratic Casimir
     # combinations, so the odd-odd tensors cannot be read off the matrix

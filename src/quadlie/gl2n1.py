@@ -21,7 +21,7 @@ family data for highest weights of rectangular shape (mu^r, nu^{n-r}).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import permutations
 from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -32,6 +32,11 @@ from .presentation import QlsPresentation, _half
 from .scalars import Scalar, accumulate, srat
 
 Uni = List[Scalar]  # univariate polynomial, coefficients low to high
+
+
+def even_index(n: int, i: int, j: int) -> int:
+    """Row-major generator index of E^i_j in gl(n), 1 <= i, j <= n."""
+    return n * (i - 1) + (j - 1)
 
 
 class Weight:
@@ -246,7 +251,7 @@ class Gl2n1:
         n = self.n
         if not (1 <= i <= n and 1 <= j <= n):
             raise IndexError(f"E[{i},{j}] out of range")
-        return n * (i - 1) + (j - 1)
+        return even_index(n, i, j)
 
     def qbar_id(self, i: int) -> int:
         if not 1 <= i <= self.n:
@@ -472,10 +477,7 @@ def _perm_sign(seq: Sequence[int]) -> int:
 def gl_structure_constants(n: int) -> Dict[tuple, Fraction]:
     """gl(n) brackets on the Gel'fand generators E^a_b, indexed row-major:
     [E^a_b, E^c_d] = delta(b,c) E^a_d - delta(d,a) E^c_b."""
-
-    def eid(i, j):
-        return n * (i - 1) + (j - 1)
-
+    eid = partial(even_index, n)
     c_tensor: Dict[tuple, Fraction] = {}
     rng = range(1, n + 1)
     for a in rng:
@@ -515,9 +517,7 @@ def build(n: int, central=None) -> Gl2n1:
         + [f"Qbar{i}" for i in range(1, n + 1)]
         + [f"Q{i}" for i in range(1, n + 1)]
     )
-
-    def eid(i, j):
-        return n * (i - 1) + (j - 1)
+    eid = partial(even_index, n)
 
     # vector / contragredient actions
     cbar: Dict[tuple, Fraction] = {}

@@ -28,13 +28,14 @@ both a b and b c out of order.
 
 The action runs in one coefficient ring per system, picked by
 `presentation.odd_rescale` of the rule table: Python ints, with the rule
-coefficients that hold an indeterminate kept as Scalars (c sits only in a
-few a terms of gl2(n/1)), D = 2 for gl2(3/1) at c = 1 or symbolic, 10 at
-c = 7/5; `Scalar` alone when no D applies.  The rescaling sends z_N to
-D^o(N) z_N, o counting odd letters.  Exactness: each rule term, int or
-Scalar, carries `odd_rescale`'s factor, so by induction over `_act` the
-scaled coefficient of z_w in w_a ... w_b z_N is the unscaled one times
-D^(o(a ... b N) - o(w)), never 0, in any commutative coefficient ring.
+coefficients that hold an indeterminate (c sits only in a few a terms of
+gl2(n/1)) or stay non-integral (1/2 in an even-even rule, say) kept as
+Scalars; D = 2 for gl2(3/1) at c = 1 or symbolic, 10 at c = 7/5.  The
+rescaling sends z_N to D^o(N) z_N, o counting odd letters.  Exactness:
+each rule term, int or Scalar, carries `odd_rescale`'s factor, so by
+induction over `_act` the scaled coefficient of z_w in w_a ... w_b z_N
+is the unscaled one times D^(o(a ... b N) - o(w)), never 0, in any
+commutative coefficient ring.
 So a relation (a, b, N) vanishes in both bases or in neither (same
 verdict, same first witness, no evaluation of an indeterminate), and
 `apply_word` maps back by D^(o(w) - o(a ... b N)).
@@ -52,7 +53,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .ncpoly import Alphabet, NCPoly, Word
 from .presentation import Coeff, QlsPresentation, Table, odd_rescale, unscaled
-from .scalars import Scalar, accumulate, srat
+from .scalars import Scalar, accumulate
 
 # (pair, word) relations one `serre_module_check` may run: gl2(5/1) at
 # length 4 has 396,880, gl2(3/1) at length 6 341,325 and at length 7
@@ -144,8 +145,7 @@ class RewriteSystem:
     # lower-order table: unordered adjacent pair (g1, g2) -> list of
     # (middle word, coeff) with g1 g2 = (sign) g2 g1 + sum coeff * middle,
     # and y y = sum coeff * middle = (1/2) {y, y} for an odd square;
-    # returned with D: Scalar coefficients if D is None, else scaled ints
-    # and Scalars (`odd_rescale`)
+    # returned with D as scaled ints and Scalars (`odd_rescale`)
     def _build_rules(self):
         pres = self.presentation
         rules: Table = {}
@@ -156,7 +156,7 @@ class RewriteSystem:
                     terms = pres.bracket(g1, g2).items()
                     rules[(g1, g2)] = ([(w, v / 2) for w, v in terms] if g1 == g2
                                        else list(terms))
-        return odd_rescale(rules, pres.n_even) or (rules, None)
+        return odd_rescale(rules, pres.n_even)
 
     # -- ordering predicates ------------------------------------------
 
@@ -231,7 +231,7 @@ class _ModuleAction:
     """
 
     def __init__(self, rs: RewriteSystem, max_len: Optional[int] = None,
-                 ring: Optional[Tuple[Table, Optional[int]]] = None):
+                 ring: Optional[Tuple[Table, int]] = None):
         self.rs = rs
         self.ab = rs.presentation.alphabet
         self._before = rs._pair_is_ordered
@@ -239,14 +239,11 @@ class _ModuleAction:
         # rules acting on basis vectors z_N and their D: the system's own
         # unless a (rules, D) pair is given
         self._lower, self._scale = ring or (rs._rules, rs._odd_scale)
-        self._one: Coeff = srat(1) if self._scale is None else 1
 
     def apply_word(self, gens: Word, word: Word) -> Dict[Word, Scalar]:
         """Act with w_{gens[0]} ... w_{gens[-1]} on z_word; a scaled
         coefficient maps back by D^(odd letters out - odd letters in)."""
         dist = self._apply(gens, word)
-        if self._scale is None:
-            return dist
         n, scale = self.ab.n_even, Fraction(self._scale)
         odd_in = sum(g >= n for g in gens + word)
         return {w: unscaled(v, scale ** (sum(g >= n for g in w) - odd_in))
@@ -276,7 +273,7 @@ class _ModuleAction:
             if out is not None:
                 break
         else:
-            i, out = stop, {(a,) + word[stop:]: self._one}
+            i, out = stop, {(a,) + word[stop:]: 1}
             cache[(a, word[stop:])] = out
         while i > 0:
             i -= 1
@@ -295,7 +292,7 @@ class _ModuleAction:
 
     def _apply(self, gens: Word, word: Word) -> Dict[Word, Coeff]:
         """`apply_word` in the system's ring."""
-        dist: Dict[Word, Coeff] = {word: self._one}
+        dist: Dict[Word, Coeff] = {word: 1}
         for g in reversed(gens):
             nxt: Dict[Word, Coeff] = {}
             for w, v in dist.items():

@@ -23,13 +23,12 @@ Both return a JacobiReport listing every violated identity with its exact
 residual, and how many identities of each family it checked.
 
 Both run in one coefficient ring per presentation (`_ring`): the bracket
-table without its a words after `odd_rescale` when that applies
-(plain-rational c and cbar entries integers, d, b any), in Python ints
-with the entries that hold an indeterminate kept as Scalars, else in
-`Scalar`.  `a` never enters the loops: the component families do not
-read it, and the abstract checker is linear in it, so it keeps one
-coefficient per odd pair at the empty word and dots them with D^2 a, as
-Scalars, at the end of each triple.  Map-back:
+table without its a words after `odd_rescale`, in Python ints with the
+entries that hold an indeterminate or stay non-integral kept as Scalars.
+`a` never enters the loops: the component families do not read it, and
+the abstract checker is linear in it, so it keeps one coefficient per
+odd pair at the empty word and dots them with D^2 a, as Scalars, at the
+end of each triple.  Map-back:
   * families (1) and (2) are products of c and cbar, so unscaled; (3)-(6)
     are linear in d or b, so their residuals map back by D^-2;
   * abstract: a substituted bracket carries `odd_rescale`'s factor and a
@@ -365,14 +364,13 @@ class QlsPresentation:
 
     @cached_property
     def _scalar_ring(self) -> "_Ring":
-        return _Ring.build(self, self._brackets_without_a(), None)
+        """The presentation's own Scalars, unscaled: `normalize2`'s basis."""
+        return _Ring.build(self, self._brackets_without_a(), 1)
 
     @cached_property
     def _ring(self) -> "_Ring":
-        """`odd_rescale` of the brackets without their a words when it
-        applies, else the presentation's own Scalars."""
-        found = odd_rescale(self._brackets_without_a(), self.n_even)
-        return _Ring.build(self, *found) if found else self._scalar_ring
+        """`odd_rescale` of the brackets without their a words."""
+        return _Ring.build(self, *odd_rescale(self._brackets_without_a(), self.n_even))
 
     # -- reduction of degree-2 elements --------------------------------
 
@@ -538,7 +536,6 @@ class QlsPresentation:
         by default the presentation's own Scalars.
         """
         ring = ring or self._scalar_ring
-        one = ring.one
         n = self.n_even
         evens, odds = range(n), range(n, self.alphabet.size)
         triples = chain(
@@ -553,7 +550,7 @@ class QlsPresentation:
             zR: Dict[tuple, Coeff] = {}
             for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
                 # graded Jacobi sign (-1)^{|u||w|}, normalized to +1 on (a, b, c)
-                s = -one if (u >= n and w >= n) != (a >= n and c >= n) else one
+                s = -1 if (u >= n and w >= n) != (a >= n and c >= n) else 1
                 accumulate(zL, (u, v, w), s)
                 accumulate(zR, (u, v, w), s)
                 # u d-part(v, w) - d-part(v, w) u, rewritten as
@@ -673,11 +670,11 @@ def odd_scale(den: int) -> int:
     return next((d for d in range(1, min(den, 1 << 16) + 1) if d * d % den == 0), den)
 
 
-def odd_rescale(table: Table, n_even: int) -> Optional[Tuple[Table, int]]:
-    """(table after the odd rescaling by D, D): plain-rational coefficients
-    become Python ints, those holding an indeterminate stay Scalars; None
-    when a plain-rational coefficient the factor leaves alone is not an
-    integer.
+def odd_rescale(table: Table, n_even: int) -> Tuple[Table, int]:
+    """(table after the odd rescaling by D, D): a plain-rational coefficient
+    whose scaled value is an integer becomes a Python int; one that holds an
+    indeterminate, or a plain rational the factor leaves non-integral (1/2
+    in an even-even bracket, say), stays a Scalar.
 
     The table maps a generator pair g1 g2 to (word w, coeff) terms: the
     Serre action's halved rules with a, or the checkers' brackets without
@@ -687,8 +684,9 @@ def odd_rescale(table: Table, n_even: int) -> Optional[Tuple[Table, int]]:
     factor is D^2 on odd-odd pairs and 1 elsewhere.  The lemma holds over
     any commutative coefficient ring, so a Scalar term takes the same
     factor as an int one.  D is `odd_scale` of the lcm of the
-    plain-rational denominators on odd-odd pairs.  Each consumer maps
-    its results back by the inverse factors
+    plain-rational denominators on odd-odd pairs, so den | D^2 there and
+    only a coefficient off those pairs can stay non-integral.  Each
+    consumer maps its results back by the inverse factors
     (`pbw._ModuleAction.apply_word`, `_Ring.back`).
     """
     def odd_odd(pair):
@@ -702,14 +700,13 @@ def odd_rescale(table: Table, n_even: int) -> Optional[Tuple[Table, int]]:
         factor = scale * scale if odd_odd(pair) else 1
         row = out[pair] = []
         for w, v in terms:
-            if not v.is_rational():
-                row.append((w, v * factor if factor != 1 else v))
-                continue
-            f = v.as_rational()
-            num, den = f.numerator * factor, f.denominator
-            if num % den:  # only where the factor is 1: den | D^2 otherwise
-                return None
-            row.append((w, num // den))
+            if v.is_rational():
+                f = v.as_rational()
+                num, den = f.numerator * factor, f.denominator
+                if num % den == 0:  # always where the factor is D^2
+                    row.append((w, num // den))
+                    continue
+            row.append((w, v * factor if factor != 1 else v))
     return out, scale
 
 
@@ -724,8 +721,7 @@ class _Ring(NamedTuple):
     """The structure tensors as the checkers read them.
 
     c, cbar, d and b are Python ints after the odd rescaling by `scale`,
-    but for the entries that hold an indeterminate, which stay Scalars; or
-    the presentation's own Scalars when `scale` is None.  lin and quad hold
+    but for the entries `odd_rescale` keeps as Scalars.  lin and quad hold
     the bracket words of length 1 and 2 of each generator pair.  The a part
     is kept apart as Scalars, keyed by generator pair and scaled by D**2.
     """
@@ -737,10 +733,10 @@ class _Ring(NamedTuple):
     lin: Table
     quad: Table
     a: Dict[Tuple[int, int], Scalar]
-    scale: Optional[int]
+    scale: int
 
     @staticmethod
-    def build(pres: QlsPresentation, table: Table, scale: Optional[int]) -> "_Ring":
+    def build(pres: QlsPresentation, table: Table, scale: int) -> "_Ring":
         """The ring of a bracket table without a words, read back into the
         four tensors by the parities of the pair and the word length."""
         n = pres.n_even
@@ -754,18 +750,12 @@ class _Ring(NamedTuple):
                 tensor = kind.get((g1 >= n, g2 >= n, len(w)))
                 if tensor is not None:  # not the odd-even copy of cbar
                     tensor[tuple(g - n if g >= n else g for g in (g1, g2, *w))] = v
-        sq = 1 if scale is None else scale * scale
+        sq = scale * scale
         a = {(n + p, n + q): v if sq == 1 else v * sq for (p, q), v in pres.a.items()}
         return _Ring(c, cbar, d, b, lin, quad, a, scale)
 
-    @property
-    def one(self) -> Coeff:
-        return srat(1) if self.scale is None else 1
-
     def back(self, value: Coeff, exponent: int) -> Scalar:
         """value * D**exponent as an exact Scalar."""
-        if self.scale is None:
-            return value
         return unscaled(value, Fraction(self.scale) ** exponent)
 
 

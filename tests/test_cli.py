@@ -337,3 +337,36 @@ def test_readme_example_file(capsys):
     assert code == 0 and "result: PASS" in out
     code, out, _ = _run(capsys, "serre-check", EXAMPLE, "--max-len", "3")
     assert code == 0 and "result: PASS" in out
+
+
+# text output on the half-c presentation of test_presentation, recorded
+# while a plain-rational c of 1/2 still sent both commands to an all-Scalar
+# ring; it now runs on ints with the halves kept as Scalars
+_HALF_C_VERIFY = """\
+presentation: {path} (2 even, 1 odd)
+component: 3 violated identities
+  even-even-odd at (0, 1, 0, 0): residual 1/2
+  even-odd-odd-b at (0, 0, 0, 0): residual 3/2
+  even-odd-odd-b at (0, 0, 0, 1): residual -6
+abstract: 3 violated identities
+  J2 at (0, 1, 2) [y1]: residual 1/2
+  J2 at (0, 2, 2) [x1]: residual -3/2
+  J2 at (0, 2, 2) [x2]: residual 6
+result: FAIL
+"""
+_HALF_C_SERRE = """\
+module relation check up to length 3
+first failure: relation (y1, x2) on word x1
+result: FAIL
+"""
+
+
+def test_half_c_presentation_output_is_pinned(tmp_path, capsys):
+    from test_presentation import _half_c_presentation
+
+    path = str(tmp_path / "half_c.qls")
+    _half_c_presentation().save(path)
+    code, out, _ = _run(capsys, "verify-presentation", path)
+    assert (code, out) == (1, _HALF_C_VERIFY.format(path=path))
+    code, out, _ = _run(capsys, "serre-check", path, "--max-len", "3")
+    assert (code, out) == (1, _HALF_C_SERRE)

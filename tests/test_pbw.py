@@ -363,9 +363,13 @@ def test_odd_scale_is_the_least_integral_one():
         assert RewriteSystem(build(3, c).presentation)._odd_scale == scale
     # the odd square carries 1/2, so y y -> 1/4: D = 2 already clears it
     assert RewriteSystem(QlsPresentation(1, 1, a={(0, 0): srat(1, 2)}))._odd_scale == 2
-    # an even-even coefficient 1/2 is untouched by any odd scale
-    half = QlsPresentation(2, 1, c={(0, 1, 0): srat(1, 2), (1, 0, 0): srat(-1, 2)})
-    assert RewriteSystem(half)._odd_scale is None
+    # an even-even coefficient 1/2 is untouched by any odd scale: it stays
+    # a Scalar beside the ints
+    half = RewriteSystem(QlsPresentation(
+        2, 1, c={(0, 1, 0): srat(1, 2), (1, 0, 0): srat(-1, 2)}))
+    assert half._odd_scale == 1
+    assert half._rules[(1, 0)] == [((0,), srat(-1, 2))]
+    assert type(half._rules[(1, 0)][0][1]) is Scalar
 
 
 def test_serre_length_3_matches_abstract_checker():
@@ -376,7 +380,8 @@ def test_serre_length_3_matches_abstract_checker():
     for _ in range(300):
         pres = _random_presentation(rng)
         rs = _rs(pres)  # evens first: admissible
-        assert rs._odd_scale is not None  # every one runs in the int ring
+        # every one runs on ints alone
+        assert all(type(v) is int for terms in rs._rules.values() for _, v in terms)
         ok, _ = serre_module_check(rs, max_len=3)
         assert ok == pres.check_abstract_jacobi().passed
         verdicts.append(ok)
@@ -415,9 +420,11 @@ def test_rational_presentation_without_integral_scale_keeps_scalar():
     ]
     for extra, want in cases:
         rs = _rs(QlsPresentation(2, 1, c=c, **extra))
-        assert rs._odd_scale is None
+        assert rs._odd_scale == (2 if extra else 1)  # y y -> b / 2
+        assert isinstance(rs._rules[(1, 0)][0][1], Scalar)
         for max_len in (3, 4):
             assert serre_module_check(rs, max_len) == want
+            assert _scalar_serre(rs, max_len) == want
 
 
 def test_module_action_returns_scalars_in_own_basis():
@@ -474,7 +481,7 @@ def _scalar_serre(rs, max_len):
     """Reference: every relation, skipped ones included, run once on the
     unscaled Scalar rules."""
     rules = _scalar_rules(rs)
-    action = _ModuleAction(rs, None, (rules, None))
+    action = _ModuleAction(rs, None, (rules, 1))
     for nword in _ordered_words(rs, max_len):
         for a, b in rules:
             if action._apply((a, b), nword) != _explicit_rhs(action, a, b, nword):
@@ -588,19 +595,20 @@ def test_symbolic_serre_check_stays_off_scalar_multiplication(monkeypatch):
 
 
 def test_serre_mixed_ring_matches_scalar_ring(monkeypatch):
-    # u in c, cbar or d, or c + u in a: ints and Scalars in one table
+    # u in c, cbar or d, c + u in a, or non-integral c and cbar: ints and
+    # Scalars in one table
     verdicts = []
     for pres in _mixed_ring_cases():
         rs = _rs(pres)
-        assert rs._odd_scale is not None
-        assert any(isinstance(v, Scalar) and "u" in v.variables()
+        assert any(isinstance(v, Scalar)
                    for terms in rs._rules.values() for _, v in terms)
         lengths = (3, 4) if pres.alphabet.size < 10 else (3,)
         got = [serre_module_check(rs, max_len) for max_len in lengths]
         with monkeypatch.context() as mp:
-            mp.setattr(pbw, "odd_rescale", lambda table, n_even: None)
+            # the reference: the unscaled Scalar rules, D = 1
+            mp.setattr(pbw, "odd_rescale", lambda table, n_even: (table, 1))
             scalar_rs = _rs(pres)
-            assert scalar_rs._odd_scale is None
+            assert scalar_rs._rules == _scalar_rules(scalar_rs)
             want = [serre_module_check(scalar_rs, max_len) for max_len in lengths]
         assert got == want
         verdicts.append(got[0][0])
@@ -612,7 +620,7 @@ def test_normal_form_matches_scalar_ring_action():
     for pres in (build(3).presentation, _c_plus_u(build(2).presentation)):
         rs = _rs(pres)
         assert rs._odd_scale == (2 if pres.n_even == 9 else 1)
-        scalar = _ModuleAction(rs, None, (_scalar_rules(rs), None))
+        scalar = _ModuleAction(rs, None, (_scalar_rules(rs), 1))
         symbolic = 0
         for word in _random_words(rng, pres.alphabet.size, 6, 60):
             want = scalar.apply_word(word, ())

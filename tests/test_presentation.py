@@ -578,9 +578,9 @@ def _reports(pres):
             for rep in (pres.check_component_jacobi(), pres.check_abstract_jacobi())]
 
 
-def _assert_rings_agree(pres, monkeypatch, int_ring=True):
+def _assert_rings_agree(pres, monkeypatch):
     """Both checkers give the same reports as on the Scalar ring."""
-    assert (pres._ring.scale is not None) == int_ring
+    assert type(pres._ring.scale) is int
     got = _reports(pres)
     with monkeypatch.context() as mp:
         mp.setattr(QlsPresentation, "_ring", property(lambda pres: pres._scalar_ring))
@@ -644,11 +644,20 @@ def test_half_in_c_keeps_scalar_and_indeterminate_in_d_does_not(monkeypatch):
     assert _assert_rings_agree(in_d, monkeypatch)[1][1]
     assert in_d._ring.scale == 1 and in_d._ring.cbar == {(0, 0, 0): 1}
     assert in_d._ring.d == {(0, 0, 0, 0): u}
-    half_c = QlsPresentation(
+    half_c = _half_c_presentation()
+    reports = _assert_rings_agree(half_c, monkeypatch)
+    assert reports[0][1] and reports[1][1]
+    # the halves stay Scalars beside the ints of the same ring
+    assert half_c._ring.scale == 1 and half_c._ring.c == half_c.c
+    assert all(type(v) is Scalar for v in half_c._ring.c.values())
+    assert half_c._ring.cbar == {(0, 0, 0): 1} and half_c._ring.b == {(0, 0, 1): 3}
+
+
+def _half_c_presentation():
+    """[x1, x2] = x1 / 2: a plain-rational c entry no odd scale clears."""
+    return QlsPresentation(
         2, 1, c={(0, 1, 0): srat(1, 2), (1, 0, 0): srat(-1, 2)},
         cbar={(0, 0, 0): 1}, b={(0, 0, 1): 3})
-    reports = _assert_rings_agree(half_c, monkeypatch, int_ring=False)
-    assert reports[0][1] and reports[1][1]
 
 
 def _c_plus_u(pres):
@@ -659,11 +668,10 @@ def _c_plus_u(pres):
     return QlsPresentation(pres.n_even, pres.m_odd, **fields)
 
 
-def _u_shifted(pres, name, index):
-    """Copy of pres with an indeterminate u added at one entry: a c entry
-    and its antisymmetric partner, a cbar entry, or the symmetric orbit of
-    a d, b or a entry."""
-    u = Scalar.var("u")
+def _u_shifted(pres, name, index, u=Scalar.var("u")):
+    """Copy of pres with u, by default an indeterminate, added at one
+    entry: a c entry and its antisymmetric partner, a cbar entry, or the
+    symmetric orbit of a d, b or a entry."""
     if name not in ("c", "cbar"):
         return _orbit_shifted(pres, name, index, u)
     tensor = dict(getattr(pres, name))
@@ -676,15 +684,28 @@ def _u_shifted(pres, name, index):
     return QlsPresentation(pres.n_even, pres.m_odd, **fields)
 
 
+def _halved_c_cbar(pres):
+    """Copy of pres with c and cbar divided by 2; every family and overlap
+    residual is homogeneous in (c, cbar), so each Jacobi verdict stays."""
+    fields = {t: getattr(pres, t) for t in _TENSORS}
+    for t in ("c", "cbar"):
+        fields[t] = {k: v / 2 for k, v in fields[t].items()}
+    return QlsPresentation(pres.n_even, pres.m_odd, **fields)
+
+
 def _mixed_ring_cases():
     """Presentations whose odd-rescaled tables hold ints and Scalars: u in
-    an even-even c entry, in cbar or in d of symbolic gl2(3/1), c + u in a
-    (two indeterminates), and u at a random entry of seeded random
-    presentations with d, b and a divided by 6."""
+    an even-even c entry, in cbar or in d of symbolic gl2(3/1), 1/2 added
+    to a cbar entry of it, c + u in a (two indeterminates), u at a random
+    entry of seeded random presentations with d, b and a divided by 6, and
+    the first ten seeded random presentations that, with d, b and a
+    divided by 6 and c and cbar halved, keep a non-integral c or cbar
+    entry."""
     pres = build(3).presentation
     cases = [_u_shifted(pres, "c", (0, 1, 1)),
              _u_shifted(pres, "cbar", sorted(pres.cbar)[0]),
-             _u_shifted(pres, "d", sorted(pres.d)[0])]
+             _u_shifted(pres, "d", sorted(pres.d)[0]),
+             _u_shifted(pres, "cbar", sorted(pres.cbar)[0], srat(1, 2))]
     pres2 = _c_plus_u(build(2).presentation)
     cases += [pres2, _orbit_shifted(pres2, "a", sorted(pres2.a)[0], Scalar.var("c")),
               _c_plus_u(build(3).presentation)]
@@ -698,16 +719,23 @@ def _mixed_ring_cases():
                  "d": (p, q, rng.randrange(n), rng.randrange(n)), "a": (p, q)}
         name = rng.choice(["cbar", "d", "a"] + (["c"] if n > 1 else []))
         cases.append(_u_shifted(pres, name, index[name]))
-    return cases
+    rng = random.Random(20261022)
+    halved = []
+    while len(halved) < 10:
+        pres = _halved_c_cbar(_scaled_down(_random_presentation(rng), 6))
+        if any(v.as_rational().denominator > 1
+               for t in (pres.c, pres.cbar) for v in t.values()):
+            halved.append(pres)
+    return cases + halved
 
 
 def test_mixed_rings_agree_with_scalar_ring(monkeypatch):
     verdicts = []
     for pres in _mixed_ring_cases():
         ring = pres._ring
-        held = [v for t in (ring.c, ring.cbar, ring.d) for v in t.values()]
-        held += ring.a.values()
-        assert any(isinstance(v, Scalar) and "u" in v.variables() for v in held)
+        held = [v for t in (ring.c, ring.cbar, ring.d, ring.b) for v in t.values()]
+        held += [v for v in ring.a.values() if not v.is_rational()]  # a stays Scalar
+        assert any(isinstance(v, Scalar) for v in held)
         reports = _assert_rings_agree(pres, monkeypatch)
         verdicts.append(not reports[0][1] and not reports[1][1])
     assert 0 < sum(verdicts) < len(verdicts)  # both verdicts occur
