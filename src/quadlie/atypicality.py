@@ -29,6 +29,15 @@ from .scalars import Scalar
 
 ZeroStepResult = Union[bool, Scalar]
 
+# the largest n that `atypicality_report` (one level per 1..n) and
+# `table_zero_step` (quadratic in n_max: 0.68 s at 4,000) take
+MAX_N = 5_000
+
+
+def _budget(name: str, n: int) -> None:
+    if n > MAX_N:
+        raise ValueError(f"{name} = {n} is more than {MAX_N}")
+
 
 def level1_poly(w: Weight, central, s: int) -> Scalar:
     """Adjoint polynomial value at the retained root alpha'_s of Lambda'.
@@ -186,7 +195,9 @@ def one_step_analysis(n: int, scan_bound: Optional[int] = None) -> dict:
 
 def table_zero_step(n_max: int) -> List[Tuple[int, int, int]]:
     """All (n, r, k) with (r-1)(k+n-r) = r(n-r), k >= 1, 2 <= r <= n-1,
-    n <= n_max: the zero-step candidates V(k^r, 0^{n-r}) at nu = 0."""
+    n <= n_max: the zero-step candidates V(k^r, 0^{n-r}) at nu = 0.
+    Raises ValueError past n_max = MAX_N."""
+    _budget("n_max", n_max)
     out = []
     for n in range(3, n_max + 1):
         for r in range(2, n):
@@ -201,8 +212,9 @@ def table_zero_step(n_max: int) -> List[Tuple[int, int, int]]:
 
 def atypicality_report(params: FamilyParams, central) -> dict:
     """Per-root level-1 values, zero-step status and level occupancy for
-    the rectangular family."""
+    the rectangular family.  Raises ValueError past n = MAX_N."""
     n, r = params.n, params.r
+    _budget("n", n)
     data = family_data(params, central)
     a_values: Dict[int, Scalar] = {}
     roots: Dict[int, Scalar] = {}

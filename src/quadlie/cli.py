@@ -227,7 +227,10 @@ def _cmd_atypicality_report(args) -> int:
 
 
 def _cmd_zero_step_table(args) -> int:
-    rows = table_zero_step(args.n_max)
+    try:
+        rows = table_zero_step(args.n_max)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     report = {
         "command": "zero-step-table",
         "n_max": args.n_max,

@@ -357,7 +357,7 @@ def lambda3_presentation():
         for j in rng:
             accumulate(c2, (eid(i, j), eid(j, i)), l1)  # tr(EE)
             accumulate(c2, (eid(i, i), eid(j, j)), l2)  # tr(E)^2
-    b_tensor, d_tensor = build_from_casimirs(c_tensor, c2, c3, bal)
+    b_tensor, d_tensor = build_from_casimirs(c2, c3, bal)
 
     a_tensor: Dict[tuple, Fraction] = {}
     for t in range(len(triples)):

@@ -25,14 +25,13 @@ class AlphabetMismatch(ValueError):
 class Alphabet:
     """Declares the graded generator set: n even then m odd generators."""
 
-    __slots__ = ("n_even", "m_odd", "names", "indeterminates")
+    __slots__ = ("n_even", "m_odd", "names")
 
     def __init__(
         self,
         n_even: int,
         m_odd: int,
         names: Optional[Sequence[str]] = None,
-        indeterminates: Iterable[str] = (),
     ):
         if n_even < 0 or m_odd < 0:
             raise ValueError("dimensions must be nonnegative")
@@ -47,7 +46,6 @@ class Alphabet:
         if len(set(names)) != len(names):
             raise ValueError("generator names must be distinct")
         self.names = tuple(names)
-        self.indeterminates = frozenset(indeterminates)
 
     @property
     def size(self) -> int:

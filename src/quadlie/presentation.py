@@ -15,7 +15,9 @@ from the five tensors.  The defining ideal is generated by
 e(g1, g2) = g1 g2 - (-1)^{|g1||g2|} g2 g1 - bracket(g1, g2), keyed by the
 generator pair itself.  Two independent checkers decide associativity:
 
-  * check_component_jacobi -- six families of index-wise tensor identities,
+  * check_component_jacobi -- seven families of index-wise tensor
+    identities: c, cbar, d, b and a invariant under the even part, and the
+    odd cyclic identities of b and d,
   * check_abstract_jacobi  -- reduces overlap elements of the defining ideal
     and verifies the degree-2/1/0 obstructions all vanish.
 
@@ -25,12 +27,12 @@ residual, and how many identities of each family it checked.
 Both run in one coefficient ring per presentation (`_ring`): the bracket
 table without its a words after `odd_rescale`, in Python ints with the
 entries that hold an indeterminate or stay non-integral kept as Scalars.
-`a` never enters the loops: the component families do not read it, and
-the abstract checker is linear in it, so it keeps one coefficient per
-odd pair at the empty word and dots them with D^2 a, as Scalars, at the
-end of each triple.  Map-back:
-  * families (1) and (2) are products of c and cbar, so unscaled; (3)-(6)
-    are linear in d or b, so their residuals map back by D^-2;
+`a` enters as D^2 a, in Scalars: the component family (7) multiplies it
+by cbar, and the abstract checker, linear in it, keeps one coefficient
+per odd pair at the empty word and dots them with D^2 a at the end of
+each triple.  Map-back:
+  * families (1) and (2) are products of c and cbar, so unscaled; (3)-(7)
+    are linear in d, b or a, so their residuals map back by D^-2;
   * abstract: a substituted bracket carries `odd_rescale`'s factor and a
     swap keeps the letters, so by induction over the substitutions and
     `_reduce2` the scaled coefficient of a word w in the reduction of the
@@ -184,9 +186,7 @@ class QlsPresentation:
             for val in tensor.values():
                 inferred |= val.variables()
         self.indeterminates = tuple(sorted(inferred))
-        self.alphabet = Alphabet(
-            n_even, m_odd, names=names, indeterminates=self.indeterminates
-        )
+        self.alphabet = Alphabet(n_even, m_odd, names=names)
         self._validate()
         table = _bracket_table(n_even, self.c, self.cbar, self.d, self.b, self.a)
         self._brackets = {pair: MappingProxyType(terms) for pair, terms in table.items()}
@@ -418,28 +418,27 @@ class QlsPresentation:
 
     def check_component_jacobi(self) -> JacobiReport:
         """Index-wise tensor identities, checked family by family, in the
-        ring of `_ring`; residuals of families (3)-(6), which are linear in
-        d or b, map back by D**-2."""
+        ring of `_ring`.  Families (1)-(4) and (7) say that c, cbar, d, b
+        and a are invariant under the even part, (5) and (6) are the odd
+        cyclic identities of b and d; residuals of the families linear in
+        d, b or a map back by D**-2."""
         ring = self._ring
+        n = self.n_even
         viols: List[JacobiViolation] = []
         checked: Dict[str, int] = {}
 
-        c_by_first: Dict[int, list] = {}
-        c_by_second: Dict[int, list] = {}
-        for (i, j, k), v in ring.c.items():
-            c_by_first.setdefault(i, []).append((j, k, v))
-            c_by_second.setdefault(j, []).append((i, k, v))
+        # x_i on one index slot holding s, by slot kind: lower even (e)
+        # -c_ij^s, upper even (E) +c_is^k, lower odd (o) -cbar_ip^s, upper
+        # odd (O) +cbar_is^q; an image is ((i,), (new index,), coeff), its
+        # 1-tuples spliced into the residual key as they are
+        act: Dict[str, Dict[int, list]] = {kind: {} for kind in "eEoO"}
+        for lower, upper, tensor in (("e", "E", ring.c), ("o", "O", ring.cbar)):
+            for (i, j, k), v in tensor.items():
+                act[lower].setdefault(k, []).append(((i,), (j,), -v))
+                act[upper].setdefault(j, []).append(((i,), (k,), v))
         cbar_by_even: Dict[int, list] = {}
-        cbar_by_out: Dict[int, list] = {}
         for (i, p, q), v in ring.cbar.items():
             cbar_by_even.setdefault(i, []).append((p, q, v))
-            cbar_by_out.setdefault(q, []).append((i, p, v))
-        d_by_first: Dict[int, list] = {}
-        for (p, q, k, l), v in ring.d.items():
-            d_by_first.setdefault(p, []).append((q, k, l, v))
-        b_by_first: Dict[int, list] = {}
-        for (p, q, k), v in ring.b.items():
-            b_by_first.setdefault(p, []).append((q, k, v))
 
         def emit(family, residuals, exponent, canonical=None):
             keys = [idx for idx in sorted(residuals)
@@ -450,74 +449,48 @@ class QlsPresentation:
                     viols.append(JacobiViolation(
                         family, idx, ring.back(residuals[idx], exponent)))
 
-        # (1) even-even-even: c_ij^l c_lk^m = c_ik^l c_lj^m - c_jk^l c_li^m
-        # (the adjoint-representation form of the classical Jacobi identity)
-        res: Dict[tuple, Coeff] = {}
-        for (x, y, l), v in ring.c.items():
-            for z, w, v2 in c_by_first.get(l, ()):
-                t = v * v2
-                _add(res, (x, y, z, w), t)
-                _add(res, (x, z, y, w), -t)
-                _add(res, (z, x, y, w), t)
-        emit("even-even-even", res, 0, canonical=lambda t: t[0] < t[1] < t[2])
+        def invariance(family, tensor, kinds, exponent, canonical):
+            """x_i . tensor, keyed (i, *index): the sum over the slots of
+            each entry, kinds giving the kind of each slot."""
+            res: Dict[tuple, Coeff] = {}
+            slots = list(enumerate(act[kind] for kind in kinds))
+            for idx, v in tensor.items():
+                for slot, table in slots:
+                    images = table.get(idx[slot])
+                    if images:
+                        head, tail = idx[:slot], idx[slot + 1:]
+                        for i, new, w in images:  # _add inlined: the hot loop
+                            key = i + head + new + tail
+                            prev = res.get(key)
+                            res[key] = v * w if prev is None else prev + v * w
+            emit(family, res, exponent, canonical)
 
-        # (2) even-even-odd: c_ij^l cbar_lp^q - cbar_i.^q cbar_jp^. + (i<->j)
-        res = {}
-        for (i, j, l), v in ring.c.items():
-            for p, q, v2 in cbar_by_even.get(l, ()):
-                _add(res, (i, j, p, q), v * v2)
-        for (i, r, q), v in ring.cbar.items():
-            for j, p, v2 in cbar_by_out.get(r, ()):
-                t = v * v2
-                _add(res, (i, j, p, q), -t)
-                _add(res, (j, i, p, q), t)
-        emit("even-even-odd", res, 0, canonical=lambda t: t[0] < t[1])
+        def odd_cyclic(family, tensor):
+            """sum_cyc cbar_mp^s T_qr^m.. = 0 over the rotations of (p, q, r)."""
+            part: Dict[tuple, Coeff] = {}
+            for (q, r, m, *rest), v in tensor.items():
+                for p, s, w in cbar_by_even.get(m, ()):
+                    _add(part, (p, q, r, s, *rest), v * w)
+            emit(family, _cyclic_sums(part), -2)
 
-        # (3) even action on d:
-        #     c_im^k d_pq^ml + c_im^l d_pq^km = cbar_ip^s d_sq^kl + cbar_iq^s d_ps^kl
-        res = {}
-        for (p, q, m, l), v in ring.d.items():
-            for i, k, v2 in c_by_second.get(m, ()):
-                t = v * v2
-                _add(res, (i, p, q, k, l), t)
-                _add(res, (i, p, q, l, k), t)
-        for (i, p, s), v in ring.cbar.items():
-            for q, k, l, v2 in d_by_first.get(s, ()):
-                t = -(v * v2)
-                _add(res, (i, p, q, k, l), t)
-                _add(res, (i, q, p, k, l), t)
-        emit(
-            "even-odd-odd-d",
-            res,
-            -2,
-            canonical=lambda t: t[1] <= t[2] and t[3] <= t[4],
-        )
-
-        # (4) even action on b: b_pq^m c_im^k = cbar_ip^s b_sq^k + cbar_iq^s b_ps^k
-        res = {}
-        for (p, q, m), v in ring.b.items():
-            for i, k, v2 in c_by_second.get(m, ()):
-                _add(res, (i, p, q, k), v * v2)
-        for (i, p, s), v in ring.cbar.items():
-            for q, k, v2 in b_by_first.get(s, ()):
-                t = -(v * v2)
-                _add(res, (i, p, q, k), t)
-                _add(res, (i, q, p, k), t)
-        emit("even-odd-odd-b", res, -2, canonical=lambda t: t[1] <= t[2])
-
-        # (5) odd cyclic identity for b: sum_cyc cbar_mp^s b_qr^m = 0
-        part: Dict[tuple, Coeff] = {}
-        for (q, r, mm), v in ring.b.items():
-            for p, s, v2 in cbar_by_even.get(mm, ()):
-                _add(part, (p, q, r, s), v * v2)
-        emit("odd-odd-odd-b", _cyclic_sums(part), -2)
-
-        # (6) odd cyclic identity for d: sum_cyc cbar_mp^s d_qr^ml = 0
-        part = {}
-        for (q, r, mm, l), v in ring.d.items():
-            for p, s, v2 in cbar_by_even.get(mm, ()):
-                _add(part, (p, q, r, s, l), v * v2)
-        emit("odd-odd-odd-d", _cyclic_sums(part), -2)
+        # (1) and (2) report -(x_i . c) and -(x_i . cbar): for (1) the
+        # adjoint form c_ij^l c_lk^m = c_ik^l c_lj^m - c_jk^l c_li^m of the
+        # classical Jacobi identity
+        invariance("even-even-even", {k: -v for k, v in ring.c.items()}, "eeE", 0,
+                   lambda t: t[0] < t[1] < t[2])
+        invariance("even-even-odd", {k: -v for k, v in ring.cbar.items()}, "eoO", 0,
+                   lambda t: t[0] < t[1])
+        # (3) c_im^k d_pq^ml + c_im^l d_pq^km = cbar_ip^s d_sq^kl + cbar_iq^s d_ps^kl
+        invariance("even-odd-odd-d", ring.d, "ooEE", -2,
+                   lambda t: t[1] <= t[2] and t[3] <= t[4])
+        # (4) c_im^k b_pq^m = cbar_ip^s b_sq^k + cbar_iq^s b_ps^k
+        invariance("even-odd-odd-b", ring.b, "ooE", -2, lambda t: t[1] <= t[2])
+        # (5) and (6) sum_cyc cbar_mp^s b_qr^m = 0, sum_cyc cbar_mp^s d_qr^ml = 0
+        odd_cyclic("odd-odd-odd-b", ring.b)
+        odd_cyclic("odd-odd-odd-d", ring.d)
+        # (7) 0 = cbar_ip^s a_sq + cbar_iq^s a_ps, the component form of J3
+        invariance("even-odd-odd-a", {(p - n, q - n): v for (p, q), v in ring.a.items()},
+                   "oo", -2, lambda t: t[1] <= t[2])
 
         return JacobiReport("component", viols, checked)
 
@@ -723,7 +696,9 @@ class _Ring(NamedTuple):
     c, cbar, d and b are Python ints after the odd rescaling by `scale`,
     but for the entries `odd_rescale` keeps as Scalars.  lin and quad hold
     the bracket words of length 1 and 2 of each generator pair.  The a part
-    is kept apart as Scalars, keyed by generator pair and scaled by D**2.
+    is kept apart as Scalars, keyed by generator pair and scaled by D**2;
+    the component checker reads it through family (7), the abstract one
+    dots it in at J3.
     """
 
     c: Mapping[tuple, Coeff]
@@ -800,15 +775,15 @@ class BalancedData:
         return None
 
 
-def build_from_casimirs(c: Mapping, c2: Mapping, c3: Mapping, bal: BalancedData) -> Tuple[Dict, Dict]:
+def build_from_casimirs(c2: Mapping, c3: Mapping, bal: BalancedData) -> Tuple[Dict, Dict]:
     """Structure constants from invariant Casimir tensors of the even
     algebra: b_pq^i = C2^{ij} pi(x_j)_p^r Omega_rq and
     d_pq^{kl} = C3^{mkl} pi(x_m)_p^r Omega_rq.
 
     c2/c3 are sparse symmetric coefficient tensors of the quadratic and
     cubic invariants; either may be empty.  Returns (b, d) tensor dicts
-    suitable for a presentation together with the given c and the cbar
-    implied by pi.
+    suitable for a presentation together with the even algebra's c and
+    the cbar implied by pi.
     """
     m = bal.m_odd
     b_tensor: Dict[tuple, Scalar] = {}

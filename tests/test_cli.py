@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from quadlie.atypicality import MAX_N
 from quadlie.cli import run
 from quadlie.gl2n1 import build
 from quadlie.pbw import MAX_TERMS
@@ -154,6 +155,18 @@ def test_zero_step_table(capsys):
     rows = [(r["n"], r["r"], r["mu"]) for r in data["rows"]]
     assert len(rows) == 14
     assert (3, 2, 1) in rows and (5, 3, 1) in rows and (9, 3, 3) in rows
+
+
+@pytest.mark.parametrize("argv", [
+    ["zero-step-table", "--n-max", str(MAX_N + 1)],
+    ["atypicality-report", "--n", str(MAX_N + 1), "--r", "2", "--mu", "1",
+     "--nu", "0", "--c", "2"],
+], ids=["zero-step-table", "atypicality-report"])
+def test_n_past_budget_exits_2(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"= {MAX_N + 1} is more than {MAX_N}" in err
 
 
 def test_fock_check(capsys):

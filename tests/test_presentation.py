@@ -76,7 +76,7 @@ def test_perturbed_d_entry_fails_both_checkers():
 ])
 def test_orbit_shift_lands_in_its_abstract_family(tensor, orbit, families):
     """On gl2(3/1) a shifted d-orbit shows in J1, a b-orbit only in J2 and
-    an a-orbit only in J3; the component checker has no family for a."""
+    an a-orbit only in J3, and in the component family even-odd-odd-a."""
     pres = build(3).presentation
     fields = {name: getattr(pres, name) for name in ("c", "cbar", "d", "b", "a")}
     shifted = dict(fields[tensor])
@@ -86,7 +86,8 @@ def test_orbit_shift_lands_in_its_abstract_family(tensor, orbit, families):
     fields[tensor] = shifted
     bad = QlsPresentation(pres.n_even, pres.m_odd, **fields)
     assert sorted({v.family for v in bad.check_abstract_jacobi().violations}) == families
-    assert bad.check_component_jacobi().passed == (tensor == "a")
+    component = {v.family for v in bad.check_component_jacobi().violations}
+    assert component and (tensor != "a" or component == {"even-odd-odd-a"})
 
 
 def _random_presentation(rng: random.Random) -> QlsPresentation:
@@ -124,13 +125,7 @@ def _random_presentation(rng: random.Random) -> QlsPresentation:
 
 
 def _verdicts_agree(pres: QlsPresentation) -> bool:
-    comp = pres.check_component_jacobi()
-    abst = pres.check_abstract_jacobi()
-    if comp.passed == abst.passed:
-        return True
-    # the abstract checker additionally enforces invariance of the scalar
-    # part a (a J3-only failure mode absent from the printed families)
-    return comp.passed and all(v.family == "J3" for v in abst.violations)
+    return pres.check_component_jacobi().passed == pres.check_abstract_jacobi().passed
 
 
 def test_checker_equivalence_on_random_presentations():
@@ -436,7 +431,7 @@ def _gl_trace_tensors(n: int):
 def test_zero_cubic_invariant_gives_zero_d():
     pres, bal = _gl2n1_balanced(3)
     tr2, _ = _gl_trace_tensors(3)
-    b, d = build_from_casimirs(pres.c, tr2, {}, bal)
+    b, d = build_from_casimirs(tr2, {}, bal)
     assert d == {}
     assert b
 
@@ -451,7 +446,7 @@ def test_family_b_tensor_reproduced_from_quadratic_invariants():
         for key, v in tensor.items():
             c2[key] = c2.get(key, Fraction(0)) + lam * v
     c2 = {k: v for k, v in c2.items() if v}
-    b, d = build_from_casimirs(pres.c, c2, {}, bal)
+    b, d = build_from_casimirs(c2, {}, bal)
     assert d == {}
     assert b == pres.b
 
@@ -472,7 +467,7 @@ def test_sl2_doublet_with_epsilon_pairing():
     omega = [[Fraction(0), Fraction(1)], [Fraction(-1), Fraction(0)]]
     bal = BalancedData(pi, omega)
     c2 = {(0, 1): Fraction(1), (1, 0): Fraction(1), (2, 2): Fraction(2)}
-    b, d = build_from_casimirs(c, c2, {}, bal)
+    b, d = build_from_casimirs(c2, {}, bal)
     assert d == {} and b
     cbar = {}
     for i in range(3):
@@ -523,7 +518,7 @@ def test_random_invariants_satisfy_governed_families():
                     c3[key] = c3.get(key, Fraction(0)) + lam * v
             c2 = {k: v for k, v in c2.items() if v}
             c3 = {k: v for k, v in c3.items() if v}
-            b, d = build_from_casimirs(pres.c, c2, c3, bal)
+            b, d = build_from_casimirs(c2, c3, bal)
             cand = QlsPresentation(
                 pres.n_even, pres.m_odd, c=pres.c, cbar=pres.cbar, d=d, b=b,
             )
@@ -602,22 +597,25 @@ def _odd_square_presentation():
 
 
 # SHA-256 of every violation (family, indices, str(residual), detail) that
-# the loop below finds, recorded from the checkers before the odd rescaling
-# moved into `odd_rescale`
+# the loop below finds outside family even-odd-odd-a, recorded from the
+# checkers before the odd rescaling moved into `odd_rescale`; and of those
+# in even-odd-odd-a, recorded when the family was added
 _RANDOM_VIOLATIONS_SHA256 = "25f48c14bf44461ea32d5828455dbefbf0e5efc403a18e0651583b51c20e9cf0"
+_RANDOM_A_VIOLATIONS_SHA256 = "7a30922616f204e42e8e59b7fdeacbc20f5e22f5ee5bda74f6b973dc583492ab"
 
 
 def test_rings_agree_on_random_presentations(monkeypatch):
     rng = random.Random(20261018)
-    digest = hashlib.sha256()
+    digests = {False: hashlib.sha256(), True: hashlib.sha256()}
     for _ in range(300):
         pres = _random_presentation(rng)
         for case in (pres, _scaled_down(pres, 6)):
             for _, violations, _ in _assert_rings_agree(case, monkeypatch):
                 for v in violations:
-                    digest.update(repr((v.family, v.indices, str(v.residual),
-                                        v.detail)).encode())
-    assert digest.hexdigest() == _RANDOM_VIOLATIONS_SHA256
+                    digests[v.family == "even-odd-odd-a"].update(repr((
+                        v.family, v.indices, str(v.residual), v.detail)).encode())
+    assert digests[False].hexdigest() == _RANDOM_VIOLATIONS_SHA256
+    assert digests[True].hexdigest() == _RANDOM_A_VIOLATIONS_SHA256
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -779,14 +777,17 @@ def test_symbolic_checks_stay_off_scalar_multiplication(monkeypatch):
     assert all("c" in x.variables() for x, _ in calls)
 
 
+COMPONENT_FAMILIES = (
+    "even-even-even", "even-even-odd", "even-odd-odd-d", "even-odd-odd-b",
+    "odd-odd-odd-b", "odd-odd-odd-d", "even-odd-odd-a")
+
+
 @pytest.mark.parametrize("pres", [build(3).presentation, lambda3_presentation()],
                          ids=["gl2(3/1)", "lambda3"])
 def test_reports_count_every_family(pres):
     component = pres.check_component_jacobi()
     abstract = pres.check_abstract_jacobi()
-    assert sorted(component.checked) == sorted([
-        "even-even-even", "even-even-odd", "even-odd-odd-d", "even-odd-odd-b",
-        "odd-odd-odd-b", "odd-odd-odd-d"])
+    assert sorted(component.checked) == sorted(COMPONENT_FAMILIES)
     assert sorted(abstract.checked) == ["J1", "J2", "J3"]
     assert all(count > 0 for count in component.checked.values())
     assert all(count > 0 for count in abstract.checked.values())
@@ -794,6 +795,38 @@ def test_reports_count_every_family(pres):
     # a alone reaches no letter: its terms at one-letter words cancel
     only_a = QlsPresentation(1, 1, a={(0, 0): 1}).check_abstract_jacobi()
     assert only_a.checked == {"J1": 0, "J2": 0, "J3": 0}
+
+
+def test_every_component_family_can_fail():
+    """One entry or orbit of gl2(3/1) shifted by 1 fails these families;
+    together they reach all seven."""
+    pres = build(3).presentation
+    seen = set()
+    for tensor, index, families in (
+        ("c", (0, 1, 1), {"even-even-even", "even-even-odd", "even-odd-odd-d",
+                          "even-odd-odd-b"}),
+        ("cbar", (0, 0, 0), set(COMPONENT_FAMILIES) - {"even-even-even"}),
+        ("d", (0, 3, 4, 8), {"even-odd-odd-d", "odd-odd-odd-d"}),
+        ("b", (0, 3, 4), {"even-odd-odd-b", "odd-odd-odd-b"}),
+        ("a", (0, 3), {"even-odd-odd-a"}),
+    ):
+        bad = _u_shifted(pres, tensor, index, srat(1))
+        assert {v.family for v in bad.check_component_jacobi().violations} == families
+        seen |= families
+    assert seen == set(COMPONENT_FAMILIES)
+
+
+def test_a_family_residual_maps_back_by_inverse_d_squared():
+    # x . a_{y1 y1} with [x, y0] = y1: -(cbar_00^1 a_11) = -1 at (0, 0, 1)
+    pres = QlsPresentation(1, 2, cbar={(0, 0, 1): 1}, a={(1, 1): 1})
+    half_b = QlsPresentation(1, 2, cbar={(0, 0, 1): 1}, a={(1, 1): 1},
+                             b={(0, 1, 0): srat(1, 2), (1, 0, 0): srat(1, 2)})
+    assert (pres._ring.scale, half_b._ring.scale) == (1, 2)
+    for case in (pres, half_b):  # D = 2 scales a by 4; the residual is not
+        got = [v for v in case.check_component_jacobi().violations
+               if v.family == "even-odd-odd-a"]
+        assert got == [("even-odd-odd-a", (0, 0, 1), srat(-1), "")]
+    assert pres.check_component_jacobi().checked["even-odd-odd-a"] == 1
 
 
 def _cyclic_reference(pres):
