@@ -171,14 +171,6 @@ def uni_mod(p: Uni, modulus: Uni) -> Uni:
     return uni_trim(p)
 
 
-def uni_eval(p: Uni, x) -> Scalar:
-    acc = Scalar()
-    xs = Scalar.coerce(x)
-    for coeff in reversed(p):
-        acc = acc * xs + coeff
-    return acc
-
-
 def char_roots(w: Weight) -> CharIdentity:
     return CharIdentity(w)
 
@@ -282,12 +274,6 @@ class Gl2n1:
         out = NCPoly.zero(self.alphabet)
         for k in range(1, self.n + 1):
             out = out + self.E(i, k) * self.E(k, j)
-        return out
-
-    def E2_trace(self) -> NCPoly:
-        out = NCPoly.zero(self.alphabet)
-        for i in range(1, self.n + 1):
-            out = out + self.E2(i, i)
         return out
 
     def resolve(self, name: str, indices) -> Optional[int]:

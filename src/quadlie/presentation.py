@@ -9,9 +9,12 @@ brackets
 
 (evens x_i, odds y_p, summation implied).  The anticommutators are allowed
 to close on quadratic expressions, so associativity of the enveloping
-algebra is not automatic.  `QlsPresentation.bracket(g1, g2)` is the one
-place where the bracket of a generator pair is read: a table built once
-from the five tensors.  The defining ideal is generated by
+algebra is not automatic.  `TENSORS` is the one description of the five
+tensors, the kind of each index slot: validation, the bracket table, JSON
+I/O, equality, the checkers' ring and the component checker all read it.
+`QlsPresentation.bracket(g1, g2)` is the one place where the bracket of a
+generator pair is read: a table built once from the five tensors.  The
+defining ideal is generated by
 e(g1, g2) = g1 g2 - (-1)^{|g1||g2|} g2 g1 - bracket(g1, g2), keyed by the
 generator pair itself.  Two independent checkers decide associativity:
 
@@ -54,6 +57,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, combinations_with_replacement
 from math import comb, lcm
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -63,12 +67,31 @@ from .scalars import ZERO, Scalar, accumulate, srat
 
 FORMAT_TAG = "quadlie-presentation-1"
 
+# The slot kinds of each structure tensor, in the order the tensors are
+# validated, tabled and dumped: e/o is a lower even/odd index (one of the
+# bracketed pair, which comes first), E/O an upper one (a letter of the
+# bracket word).  Two adjacent slots of one kind form a pair, antisymmetric
+# for ee and symmetric otherwise.
+TENSORS = {"c": "eeE", "cbar": "eoO", "d": "ooEE", "b": "ooE", "a": "oo"}
+_PARITY = {"e": "even", "E": "even", "o": "odd", "O": "odd"}
+
+# generators a .qls file may declare, checked before any name is built:
+# past the most `RewriteSystem` admits (about 1,000) and the widest file
+# `check_abstract_jacobi` refuses by MAX_TRIPLES, at about 170 bytes a name
+MAX_GENERATORS = 100_000
+
 Coeff = Union[int, Scalar]  # a coefficient in a checker's or action's ring
 Table = Dict[Tuple[int, int], List[Tuple[Word, Coeff]]]  # pair -> (word, coeff)
 
 # overlap elements one `check_abstract_jacobi` may reduce: gl2(8/1) has
 # 83,440, gl2(5/1) 6,895, Lambda^3 2,216
 MAX_TRIPLES = 100_000
+
+# the component checker's families in report order: (1)-(4) and (7) the
+# invariance of c, cbar, d, b and a, (5) and (6) the odd cyclic identities
+COMPONENT_FAMILIES = ("even-even-even", "even-even-odd", "even-odd-odd-d",
+                      "even-odd-odd-b", "odd-odd-odd-b", "odd-odd-odd-d",
+                      "even-odd-odd-a")
 
 _NO_TERMS: Mapping[Word, Scalar] = MappingProxyType({})
 
@@ -119,24 +142,26 @@ def _is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _bracket_table(n: int, c, cbar, d, b, a) -> Dict[Tuple[int, int], Dict[Word, Coeff]]:
-    """Bracket words of each generator pair, from the five tensors."""
+def _pairs(kinds: str) -> List[Tuple[int, int, str]]:
+    """(slot, slot + 1, kind) for each two adjacent slots of one kind."""
+    return [(s, s + 1, k) for s, k in enumerate(kinds[:-1]) if kinds[s + 1] == k]
+
+
+def _bracket_table(n: int, tensors) -> Dict[Tuple[int, int], Dict[Word, Coeff]]:
+    """Bracket words of each generator pair, from (name, kinds, entries) of
+    each tensor: an entry's two lower slots give the pair and its upper
+    slots the word, odd indices shifted past the n evens; a mixed pair also
+    gives the bracket the other way round, negated."""
     table: Dict[Tuple[int, int], Dict[Word, Coeff]] = {}
-
-    def put(g1, g2, word, val):
-        table.setdefault((g1, g2), {})[word] = val
-
-    for (i, j, k), v in c.items():
-        put(i, j, (k,), v)
-    for (i, p, q), v in cbar.items():
-        put(i, n + p, (n + q,), v)
-        put(n + p, i, (n + q,), -v)
-    for (p, q, k, l), v in d.items():
-        put(n + p, n + q, (k, l), v)
-    for (p, q, k), v in b.items():
-        put(n + p, n + q, (k,), v)
-    for (p, q), v in a.items():
-        put(n + p, n + q, (), v)
+    for _, kinds, tensor in tensors:
+        s1, s2 = (n if k == "o" else 0 for k in kinds[:2])
+        up = n if "O" in kinds else 0  # the upper slots share one parity
+        for idx, v in tensor.items():
+            g1, g2 = idx[0] + s1, idx[1] + s2
+            word = tuple(g + up for g in idx[2:]) if up else idx[2:]
+            table.setdefault((g1, g2), {})[word] = v
+            if s1 != s2:
+                table.setdefault((g2, g1), {})[word] = -v
     return table
 
 
@@ -155,71 +180,66 @@ def _coerce_tensor(entries, arity: int, label: str) -> Dict[tuple, Scalar]:
 class QlsPresentation:
     """Structure tensors of a quadratic graded bracket presentation.
 
-    Tensors are sparse dicts keyed by 0-based index tuples:
-    c[(i,j,k)], cbar[(i,p,q)], d[(p,q,k,l)], b[(p,q,k)], a[(p,q)].
-    Symmetry constraints (c antisymmetric in i,j; d symmetric in p,q and in
-    k,l; b and a symmetric in p,q) are validated at construction and
-    violations rejected rather than silently symmetrized.
+    The tensors are passed by keyword and kept as attributes of the same
+    names: sparse dicts keyed by 0-based index tuples, c[(i,j,k)],
+    cbar[(i,p,q)], d[(p,q,k,l)], b[(p,q,k)], a[(p,q)].  `TENSORS` gives the
+    kind of each slot, hence its range and the pairs: c antisymmetric in
+    i,j; d symmetric in p,q and in k,l; b and a symmetric in p,q.  These are
+    validated at construction and violations rejected rather than silently
+    symmetrized.
     """
 
     def __init__(
         self,
         n_even: int,
         m_odd: int,
-        c: Mapping = (),
-        cbar: Mapping = (),
-        d: Mapping = (),
-        b: Mapping = (),
-        a: Mapping = (),
+        *,
         names: Optional[Sequence[str]] = None,
         indeterminates: Iterable[str] = (),
+        **tensors: Mapping,
     ):
+        unknown = tensors.keys() - TENSORS.keys()
+        if unknown:
+            raise TypeError(f"unknown structure tensors {sorted(unknown)}")
         self.n_even = n_even
         self.m_odd = m_odd
-        self.c = _coerce_tensor(c, 3, "c")
-        self.cbar = _coerce_tensor(cbar, 3, "cbar")
-        self.d = _coerce_tensor(d, 4, "d")
-        self.b = _coerce_tensor(b, 3, "b")
-        self.a = _coerce_tensor(a, 2, "a")
         inferred = set(indeterminates)
-        for tensor in (self.c, self.cbar, self.d, self.b, self.a):
+        for name, kinds in TENSORS.items():
+            tensor = _coerce_tensor(tensors.get(name), len(kinds), name)
+            setattr(self, name, tensor)
             for val in tensor.values():
                 inferred |= val.variables()
         self.indeterminates = tuple(sorted(inferred))
         self.alphabet = Alphabet(n_even, m_odd, names=names)
         self._validate()
-        table = _bracket_table(n_even, self.c, self.cbar, self.d, self.b, self.a)
+        table = _bracket_table(n_even, self._tensors())
         self._brackets = {pair: MappingProxyType(terms) for pair, terms in table.items()}
+
+    def _tensors(self) -> List[Tuple[str, str, Dict[tuple, Scalar]]]:
+        """(name, slot kinds, entries) of each tensor, in `TENSORS` order."""
+        return [(name, kinds, getattr(self, name)) for name, kinds in TENSORS.items()]
 
     # -- validation ---------------------------------------------------
 
     def _validate(self) -> None:
+        """Each index in range for its slots' kinds, and each tensor mapped
+        onto itself by swapping the two slots of each pair, negated on ee."""
         n, m = self.n_even, self.m_odd
-        for (i, j, k), v in self.c.items():
-            if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
-                raise ValueError(f"c index {(i, j, k)} out of range")
-            if self.c.get((j, i, k), ZERO) != -v:
-                raise ValueError(f"c not antisymmetric at {(i, j, k)}")
-        for (i, p, q), _ in self.cbar.items():
-            if not (0 <= i < n and 0 <= p < m and 0 <= q < m):
-                raise ValueError(f"cbar index {(i, p, q)} out of range")
-        for (p, q, k, l), v in self.d.items():
-            if not (0 <= p < m and 0 <= q < m and 0 <= k < n and 0 <= l < n):
-                raise ValueError(f"d index {(p, q, k, l)} out of range")
-            if self.d.get((q, p, k, l), ZERO) != v:
-                raise ValueError(f"d not symmetric in odd pair at {(p, q, k, l)}")
-            if self.d.get((p, q, l, k), ZERO) != v:
-                raise ValueError(f"d not symmetric in even pair at {(p, q, k, l)}")
-        for (p, q, k), v in self.b.items():
-            if not (0 <= p < m and 0 <= q < m and 0 <= k < n):
-                raise ValueError(f"b index {(p, q, k)} out of range")
-            if self.b.get((q, p, k), ZERO) != v:
-                raise ValueError(f"b not symmetric at {(p, q, k)}")
-        for (p, q), v in self.a.items():
-            if not (0 <= p < m and 0 <= q < m):
-                raise ValueError(f"a index {(p, q)} out of range")
-            if self.a.get((q, p), ZERO) != v:
-                raise ValueError(f"a not symmetric at {(p, q)}")
+        for name, kinds, tensor in self._tensors():
+            for s, k in enumerate(kinds):  # a slot at a time, in C
+                bound = n if k in "eE" else m
+                column = list(map(itemgetter(s), tensor))
+                if column and not 0 <= min(column) <= max(column) < bound:
+                    bad = next(idx for idx in tensor if not 0 <= idx[s] < bound)
+                    raise ValueError(f"{name} index {bad} out of range")
+            for s, t, k in _pairs(kinds):
+                swap = itemgetter(*range(s), t, s, *range(t + 1, len(kinds)))
+                anti = k == "e"
+                if {swap(idx): -v if anti else v for idx, v in tensor.items()} != tensor:
+                    bad = next(idx for idx, v in tensor.items()
+                               if tensor.get(swap(idx), ZERO) != (-v if anti else v))
+                    raise ValueError(f"{name} not {'anti' if anti else ''}symmetric "
+                                     f"in {_PARITY[k]} pair at {bad}")
 
     # -- bracket table ------------------------------------------------
 
@@ -233,57 +253,32 @@ class QlsPresentation:
     def __eq__(self, other) -> bool:
         if not isinstance(other, QlsPresentation):
             return NotImplemented
-        return (
-            self.n_even,
-            self.m_odd,
-            self.alphabet.names,
-            self.c,
-            self.cbar,
-            self.d,
-            self.b,
-            self.a,
-        ) == (
-            other.n_even,
-            other.m_odd,
-            other.alphabet.names,
-            other.c,
-            other.cbar,
-            other.d,
-            other.b,
-            other.a,
-        )
+        return (self.n_even, self.m_odd, self.alphabet.names, self._tensors()) == (
+            other.n_even, other.m_odd, other.alphabet.names, other._tensors())
 
     def __hash__(self):
         return hash((self.n_even, self.m_odd, len(self.c), len(self.d)))
 
     def to_json_dict(self) -> dict:
-        def dump(tensor):
-            return [
-                [*idx, str(tensor[idx])] for idx in sorted(tensor)
-            ]
-
-        return {
+        doc = {
             "format": FORMAT_TAG,
             "n_even": self.n_even,
             "m_odd": self.m_odd,
             "names": list(self.alphabet.names),
             "indeterminates": list(self.indeterminates),
-            "c": dump(self.c),
-            "cbar": dump(self.cbar),
-            "d": dump(self.d),
-            "b": dump(self.b),
-            "a": dump(self.a),
         }
+        for name, _, tensor in self._tensors():
+            doc[name] = [[*idx, str(tensor[idx])] for idx in sorted(tensor)]
+        return doc
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.dumps())
-
     @staticmethod
     def from_json_dict(data: dict) -> "QlsPresentation":
+        """The presentation a JSON document describes; ValueError if the
+        document is malformed, declares more than MAX_GENERATORS generators
+        or breaks a rule of `TENSORS`."""
         if not isinstance(data, dict):
             raise ValueError("presentation must be a JSON object")
         if data.get("format") != FORMAT_TAG:
@@ -321,16 +316,17 @@ class QlsPresentation:
                 raise ValueError(f"{key} must be a list of strings")
             return value
 
+        n_even, m_odd = count("n_even"), count("m_odd")
+        if n_even + m_odd > MAX_GENERATORS:
+            raise ValueError(f"{n_even + m_odd} generators declared, more than "
+                             f"{MAX_GENERATORS}")
+        tensors = {name: load(name, len(kinds)) for name, kinds in TENSORS.items()}
         return QlsPresentation(
-            count("n_even"),
-            count("m_odd"),
-            c=load("c", 3),
-            cbar=load("cbar", 3),
-            d=load("d", 4),
-            b=load("b", 3),
-            a=load("a", 2),
+            n_even,
+            m_odd,
             names=strings("names", None),
             indeterminates=strings("indeterminates", ()),
+            **tensors,
         )
 
     @staticmethod
@@ -423,9 +419,6 @@ class QlsPresentation:
         cyclic identities of b and d; residuals of the families linear in
         d, b or a map back by D**-2."""
         ring = self._ring
-        n = self.n_even
-        viols: List[JacobiViolation] = []
-        checked: Dict[str, int] = {}
 
         # x_i on one index slot holding s, by slot kind: lower even (e)
         # -c_ij^s, upper even (E) +c_is^k, lower odd (o) -cbar_ip^s, upper
@@ -440,16 +433,16 @@ class QlsPresentation:
         for (i, p, q), v in ring.cbar.items():
             cbar_by_even.setdefault(i, []).append((p, q, v))
 
-        def emit(family, residuals, exponent, canonical=None):
-            keys = [idx for idx in sorted(residuals)
-                    if canonical is None or canonical(idx)]
-            checked[family] = len(keys)
-            for idx in keys:
-                if residuals[idx]:
-                    viols.append(JacobiViolation(
-                        family, idx, ring.back(residuals[idx], exponent)))
+        def emit(family, residuals, exponent, rises):
+            """(identities checked, violations) of one family."""
+            keys = sorted(residuals)
+            for s, t, gap in rises:
+                keys = [idx for idx in keys if idx[t] >= idx[s] + gap]
+            return len(keys), [
+                JacobiViolation(family, idx, ring.back(residuals[idx], exponent))
+                for idx in keys if residuals[idx]]
 
-        def invariance(family, tensor, kinds, exponent, canonical):
+        def invariance(tensor, kinds):
             """x_i . tensor, keyed (i, *index): the sum over the slots of
             each entry, kinds giving the kind of each slot."""
             res: Dict[tuple, Coeff] = {}
@@ -463,36 +456,46 @@ class QlsPresentation:
                             key = i + head + new + tail
                             prev = res.get(key)
                             res[key] = v * w if prev is None else prev + v * w
-            emit(family, res, exponent, canonical)
+            return res
 
-        def odd_cyclic(family, tensor):
+        def odd_cyclic(tensor):
             """sum_cyc cbar_mp^s T_qr^m.. = 0 over the rotations of (p, q, r)."""
             part: Dict[tuple, Coeff] = {}
             for (q, r, m, *rest), v in tensor.items():
                 for p, s, w in cbar_by_even.get(m, ()):
                     _add(part, (p, q, r, s, *rest), v * w)
-            emit(family, _cyclic_sums(part), -2)
+            return _cyclic_sums(part)
 
-        # (1) and (2) report -(x_i . c) and -(x_i . cbar): for (1) the
-        # adjoint form c_ij^l c_lk^m = c_ik^l c_lj^m - c_jk^l c_li^m of the
-        # classical Jacobi identity
-        invariance("even-even-even", {k: -v for k, v in ring.c.items()}, "eeE", 0,
-                   lambda t: t[0] < t[1] < t[2])
-        invariance("even-even-odd", {k: -v for k, v in ring.cbar.items()}, "eoO", 0,
-                   lambda t: t[0] < t[1])
-        # (3) c_im^k d_pq^ml + c_im^l d_pq^km = cbar_ip^s d_sq^kl + cbar_iq^s d_ps^kl
-        invariance("even-odd-odd-d", ring.d, "ooEE", -2,
-                   lambda t: t[1] <= t[2] and t[3] <= t[4])
-        # (4) c_im^k b_pq^m = cbar_ip^s b_sq^k + cbar_iq^s b_ps^k
-        invariance("even-odd-odd-b", ring.b, "ooE", -2, lambda t: t[1] <= t[2])
-        # (5) and (6) sum_cyc cbar_mp^s b_qr^m = 0, sum_cyc cbar_mp^s d_qr^ml = 0
-        odd_cyclic("odd-odd-odd-b", ring.b)
-        odd_cyclic("odd-odd-odd-d", ring.d)
-        # (7) 0 = cbar_ip^s a_sq + cbar_iq^s a_ps, the component form of J3
-        invariance("even-odd-odd-a", {(p - n, q - n): v for (p, q), v in ring.a.items()},
-                   "oo", -2, lambda t: t[1] <= t[2])
-
-        return JacobiReport("component", viols, checked)
+        found: Dict[str, Tuple[int, List[JacobiViolation]]] = {}
+        for name, kinds in TENSORS.items():
+            tensor = getattr(ring, name)
+            # the scaling lemma: the ring scales T by D^(o(pair) - o(word))
+            exponent = kinds.count("O") - kinds.count("o")
+            family = "-".join(_PARITY[k] for k in "e" + kinds[:2])
+            if kinds[0] == "e":
+                # c and cbar, the even part's own action: (1) and (2) report
+                # -(x_i . c) and -(x_i . cbar), for (1) the adjoint form
+                # c_ij^l c_lk^m = c_ik^l c_lj^m - c_jk^l c_li^m of the
+                # classical Jacobi identity
+                tensor = {k: -v for k, v in tensor.items()}
+            else:
+                # (3) c_im^k d_pq^ml + c_im^l d_pq^km = cbar_ip^s d_sq^kl
+                # + cbar_iq^s d_ps^kl, (4) c_im^k b_pq^m = cbar_ip^s b_sq^k
+                # + cbar_iq^s b_ps^k, (7) 0 = cbar_ip^s a_sq + cbar_iq^s a_ps,
+                # the component form of J3
+                family += "-" + name
+            # a residual key is checked if it rises along each pair of its
+            # kinds, x_i's kind e prepended: strictly for x_i and the lower
+            # evens, weakly elsewhere
+            rises = [(s, t, int(k == "e")) for s, t, k in _pairs("e" + kinds)]
+            found[family] = emit(family, invariance(tensor, kinds), exponent, rises)
+            if kinds.startswith("ooE"):
+                # (5) and (6) sum_cyc cbar_mp^s b_qr^m = 0, sum_cyc cbar_mp^s d_qr^ml = 0
+                family = "odd-odd-odd-" + name
+                found[family] = emit(family, odd_cyclic(tensor), exponent, ())
+        return JacobiReport(
+            "component", [v for family in COMPONENT_FAMILIES for v in found[family][1]],
+            {family: found[family][0] for family in COMPONENT_FAMILIES})
 
     # -- abstract checker ---------------------------------------------
 
@@ -555,8 +558,9 @@ class QlsPresentation:
             raise ValueError(f"{triples} overlap triples to check, more than "
                              f"{MAX_TRIPLES}")
         ring = self._ring
-        lin, a_part, back = ring.lin, ring.a, ring.back
+        lin, back = ring.lin, ring.back
         n, names = self.n_even, self.alphabet.names
+        a_part = {(n + p, n + q): v for (p, q), v in ring.a.items()}
         viols: List[JacobiViolation] = []
         checked = {"J1": 0, "J2": 0, "J3": 0}
 
@@ -693,41 +697,43 @@ def unscaled(value: Coeff, factor: Fraction) -> Scalar:
 class _Ring(NamedTuple):
     """The structure tensors as the checkers read them.
 
-    c, cbar, d and b are Python ints after the odd rescaling by `scale`,
-    but for the entries `odd_rescale` keeps as Scalars.  lin and quad hold
-    the bracket words of length 1 and 2 of each generator pair.  The a part
-    is kept apart as Scalars, keyed by generator pair and scaled by D**2;
-    the component checker reads it through family (7), the abstract one
-    dots it in at J3.
+    The five tensors, keyed as in the presentation.  c, cbar, d and b are
+    Python ints after the odd rescaling by `scale`, but for the entries
+    `odd_rescale` keeps as Scalars.  The a part is kept apart as Scalars,
+    scaled by D**2; the component checker reads it through family (7), the
+    abstract one dots it in at J3.  lin and quad hold the bracket words of
+    length 1 and 2 of each generator pair.
     """
 
     c: Mapping[tuple, Coeff]
     cbar: Mapping[tuple, Coeff]
     d: Mapping[tuple, Coeff]
     b: Mapping[tuple, Coeff]
+    a: Dict[Tuple[int, int], Scalar]
     lin: Table
     quad: Table
-    a: Dict[Tuple[int, int], Scalar]
     scale: int
 
     @staticmethod
     def build(pres: QlsPresentation, table: Table, scale: int) -> "_Ring":
         """The ring of a bracket table without a words, read back into the
-        four tensors by the parities of the pair and the word length."""
+        tensors of `TENSORS` by the parities of the pair and the word
+        length."""
         n = pres.n_even
         lin: Table = {}
         quad: Table = {}
-        c, cbar, d, b = {}, {}, {}, {}
-        kind = {(0, 0, 1): c, (0, 1, 1): cbar, (1, 1, 2): d, (1, 1, 1): b}
+        tensors: Dict[str, dict] = {name: {} for name in TENSORS}
+        shape = {(kinds[0] == "o", kinds[1] == "o", len(kinds) - 2): tensors[name]
+                 for name, kinds in TENSORS.items()}
         for (g1, g2), terms in table.items():
             for w, v in terms:
                 (quad if len(w) == 2 else lin).setdefault((g1, g2), []).append((w, v))
-                tensor = kind.get((g1 >= n, g2 >= n, len(w)))
-                if tensor is not None:  # not the odd-even copy of cbar
+                tensor = shape.get((g1 >= n, g2 >= n, len(w)))
+                if tensor is not None:  # not the odd-even copy of a mixed pair
                     tensor[tuple(g - n if g >= n else g for g in (g1, g2, *w))] = v
         sq = scale * scale
-        a = {(n + p, n + q): v if sq == 1 else v * sq for (p, q), v in pres.a.items()}
-        return _Ring(c, cbar, d, b, lin, quad, a, scale)
+        tensors["a"] = {k: v if sq == 1 else v * sq for k, v in pres.a.items()}
+        return _Ring(lin=lin, quad=quad, scale=scale, **tensors)
 
     def back(self, value: Coeff, exponent: int) -> Scalar:
         """value * D**exponent as an exact Scalar."""

@@ -159,7 +159,7 @@ def test_acceptance_5_sbar_calculus():
             s = alg.sbar(K)
             ok = ok and nf(tr * s - s * tr) == nf(s.scale(n - len(K)))
         # A exactly in its closed form, and the adjoint brackets
-        tr2 = alg.E2_trace()
+        tr2 = sum((alg.E2(i, i) for i in rng), NCPoly.zero(alg.alphabet))
         one = NCPoly.one(alg.alphabet)
         A = alg.adjoint_A()
         for i in rng:

@@ -37,7 +37,7 @@ def _presentation_file(tmp_path, perturb=False):
             d=d, b=pres.b, a=pres.a, names=pres.alphabet.names,
         )
     path = tmp_path / ("bad.qls" if perturb else "good.qls")
-    pres.save(str(path))
+    path.write_text(pres.dumps())
     return str(path), pres
 
 
@@ -91,6 +91,15 @@ def test_unreadable_file_exits_2(tmp_path, capsys):
     path.write_text("not a presentation")
     code, _, err = _run(capsys, "verify-presentation", str(path))
     assert code == 2 and "error:" in err
+
+
+def test_generator_count_past_budget_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.qls"
+    path.write_text(json.dumps({"format": "quadlie-presentation-1",
+                                "n_even": 10**9, "m_odd": 0}))
+    code, out, err = _run(capsys, "verify-presentation", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_normal_form_text(capsys):
@@ -377,8 +386,9 @@ result: FAIL
 def test_half_c_presentation_output_is_pinned(tmp_path, capsys):
     from test_presentation import _half_c_presentation
 
-    path = str(tmp_path / "half_c.qls")
-    _half_c_presentation().save(path)
+    qls = tmp_path / "half_c.qls"
+    qls.write_text(_half_c_presentation().dumps())
+    path = str(qls)
     code, out, _ = _run(capsys, "verify-presentation", path)
     assert (code, out) == (1, _HALF_C_VERIFY.format(path=path))
     code, out, _ = _run(capsys, "serre-check", path, "--max-len", "3")

@@ -39,6 +39,70 @@ def test_symmetry_violations_rejected():
         QlsPresentation(2, 2, d={(0, 1, 0, 1): 1, (1, 0, 0, 1): 1})
 
 
+# each tensor's slots, n for an even index and m for an odd one, and its
+# pairs (slot, slot, sign of the mirror entry), written out apart from the
+# module's own table
+_LAYOUT = {
+    "c": ("nnn", [(0, 1, -1)]),
+    "cbar": ("nmm", []),
+    "d": ("mmnn", [(0, 1, 1), (2, 3, 1)]),
+    "b": ("mmn", [(0, 1, 1)]),
+    "a": ("mm", [(0, 1, 1)]),
+}
+_N, _M = 2, 3  # distinct, so that an even and an odd bound differ
+
+
+@pytest.mark.parametrize("name", list(_LAYOUT))
+def test_index_out_of_range_rejected(name):
+    slots, _ = _LAYOUT[name]
+    for slot, kind in enumerate(slots):
+        for bad in (-1, _N if kind == "n" else _M):
+            idx = [0] * len(slots)
+            idx[slot] = bad
+            with pytest.raises(ValueError, match=f"^{name} index .* out of range"):
+                QlsPresentation(_N, _M, **{name: {tuple(idx): 1}})
+
+
+@pytest.mark.parametrize("name", [name for name in _LAYOUT if _LAYOUT[name][1]])
+def test_missing_or_wrong_sign_mirror_rejected(name):
+    slots, pairs = _LAYOUT[name]
+    for s, t, sign in pairs:
+        idx = [0] * len(slots)
+        idx[t] = 1
+        mirror = list(idx)
+        mirror[s], mirror[t] = idx[t], idx[s]
+        idx, mirror = tuple(idx), tuple(mirror)
+        QlsPresentation(_N, _M, **{name: {idx: 1, mirror: sign}})
+        for entries in ({idx: 1}, {idx: 1, mirror: -sign}):
+            with pytest.raises(ValueError, match=f"^{name} not (anti)?symmetric"):
+                QlsPresentation(_N, _M, **{name: entries})
+        if sign < 0:  # an antisymmetric pair vanishes on its diagonal
+            with pytest.raises(ValueError, match=f"^{name} not antisymmetric"):
+                QlsPresentation(_N, _M, **{name: {(0,) * len(slots): 1}})
+
+
+def test_one_entry_of_every_tensor_round_trips():
+    u = Scalar.var("u")
+    tensors = {
+        "c": {(0, 1, 1): 1, (1, 0, 1): -1},
+        "cbar": {(1, 2, 0): srat(7, 5)},
+        "d": {key: u for key in ((0, 2, 0, 1), (2, 0, 0, 1), (0, 2, 1, 0), (2, 0, 1, 0))},
+        "b": {(1, 1, 0): -3},
+        "a": {(0, 1): srat(1, 2), (1, 0): srat(1, 2)},
+    }
+    pres = QlsPresentation(_N, _M, **tensors)
+    text = pres.dumps()
+    again = QlsPresentation.loads(text)
+    assert again == pres and again.dumps() == text
+    assert again.indeterminates == ("u",)
+    doc = json.loads(text)
+    for name, entries in tensors.items():
+        assert getattr(again, name) == {k: Scalar.coerce(v) for k, v in entries.items()}
+        assert doc[name] == [[*k, str(Scalar.coerce(entries[k]))] for k in sorted(entries)]
+        # equality reads every tensor
+        assert QlsPresentation(_N, _M, **{**tensors, name: {}}) != pres
+
+
 def test_n2_family_degenerates_to_lie_superalgebra():
     pres = build(2).presentation
     assert not pres.d
