@@ -36,12 +36,12 @@ per odd pair at the empty word and dots them with D^2 a at the end of
 each triple.  Map-back:
   * families (1) and (2) are products of c and cbar, so unscaled; (3)-(7)
     are linear in d, b or a, so their residuals map back by D^-2;
-  * abstract: a substituted bracket carries `odd_rescale`'s factor and a
-    swap keeps the letters, so by induction over the substitutions and
-    `_reduce2` the scaled coefficient of a word w in the reduction of the
-    overlap element of (a, b, c) is the unscaled one times
-    D^(o(abc) - o(w)); a residual maps back by D^(o(w) - o(abc)).  The
-    factors are nonzero, so the same identities fail;
+  * abstract: the entries of the overlap lists and the bracket letters
+    substituted into them carry `odd_rescale`'s factor, and a swap keeps
+    the letters, so by induction over the substitutions and `_reduce2` the
+    scaled coefficient of a word w in the reduction of the overlap element
+    of (a, b, c) is the unscaled one times D^(o(abc) - o(w)); a residual
+    maps back by the nonzero D^(o(w) - o(abc)), so the same identities fail;
   * odd squares: `_reduce2` halves the coefficient of y y.  Only the
     overlap of (x_i, y, y') makes one, from the two rotations where an
     even-odd bracket yields y, whose graded-cyclic signs agree: the
@@ -502,16 +502,15 @@ class QlsPresentation:
     def _overlap_elements(self, ring: Optional["_Ring"] = None):
         """Yield (indices, zL, zR) spanning the degree-3 overlap space.
 
-        zL maps a generator triple (g, g1, g2) to the coefficient of
-        g . e2(g1, g2), zR maps (g1, g2, g) to that of e2(g1, g2) . g.  The
-        two expand to the same degree-3 element of the free algebra.  There
-        is one element per triple (a, b, c) of generators, evens first and
-        no even repeated: the graded-cyclic sum of u e(v, w) on the left and
-        of e(u, v) w on the right, plus the terms that carry the d-part of
-        an odd pair (v, w) past u.  Coefficients are in the ring given,
-        by default the presentation's own Scalars.
+        zL lists (g, pair, coeff) for coeff . g e2(pair) and zR (pair, g,
+        coeff) for coeff . e2(pair) g, unmerged and with zeros kept; the two
+        expand to the same degree-3 element of the free algebra.  One element
+        per triple (a, b, c) of generators, evens first and no even repeated:
+        the graded-cyclic sum of u e(v, w) on the left and of e(u, v) w on
+        the right, plus the terms that carry the d-part of an odd pair (v, w)
+        past u.  Coefficients are in the ring given, by default Scalars.
         """
-        ring = ring or self._scalar_ring
+        quad = (ring or self._scalar_ring).quad
         n = self.n_even
         evens, odds = range(n), range(n, self.alphabet.size)
         triples = chain(
@@ -522,18 +521,17 @@ class QlsPresentation:
             combinations_with_replacement(odds, 3),
         )
         for a, b, c in triples:
-            zL: Dict[tuple, Coeff] = {}
-            zR: Dict[tuple, Coeff] = {}
+            zL, zR = [], []  # entries (g, pair, coeff) and (pair, g, coeff)
             for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
                 # graded Jacobi sign (-1)^{|u||w|}, normalized to +1 on (a, b, c)
                 s = -1 if (u >= n and w >= n) != (a >= n and c >= n) else 1
-                accumulate(zL, (u, v, w), s)
-                accumulate(zR, (u, v, w), s)
+                zL.append((u, (v, w), s))
+                zR.append(((u, v), w, s))
                 # u d-part(v, w) - d-part(v, w) u, rewritten as
                 # k e2(u, l) + e2(u, k) l for each d-word k l
-                for (k, l), val in ring.quad.get((v, w), ()):
-                    accumulate(zL, (k, u, l), s * val)
-                    accumulate(zR, (u, k, l), -(s * val))
+                for (k, l), val in quad.get((v, w), ()):
+                    zL.append((k, (u, l), s * val))
+                    zR.append(((u, k), l, -(s * val)))
             yield (a, b, c), zL, zR
 
     def _overlap_count(self) -> int:
@@ -566,25 +564,26 @@ class QlsPresentation:
 
         for indices, zL, zR in self._overlap_elements(ring):
             odd_abc = sum(g >= n for g in indices)
-            # the degree <= 1 bracket parts substituted into zR minus zL:
-            # degree 2 (for normalize2) and degree 1 (J2).  The a part of
-            # an odd pair (u, v) would land on one-letter words and cancel
-            # there: zR (u, v | g) and zL (g | u, v) carry the same
-            # graded-cyclic sign
+            # the letters of the brackets substituted into zR minus zL: (x, g)
+            # from ((g1, g2), g), (g, x) from (g, (g1, g2)) for normalize2,
+            # then degree 1 (J2).  The a part of an odd pair (u, v) would
+            # land on one-letter words and cancel there: ((u, v), g) in zR
+            # and (g, (u, v)) in zL carry the same graded-cyclic sign
             deg2: Dict[Word, Coeff] = {}
             low: Dict[Word, Coeff] = {}
-            terms = [((g1, g2), (), (g,), cf) for (g1, g2, g), cf in zR.items()]
-            terms += [((g1, g2), (g,), (), -cf) for (g, g1, g2), cf in zL.items()]
-            for pair, left, right, coeff in terms:
-                for w, v in lin.get(pair, ()):
-                    _add(deg2, left + w + right, coeff * v)
+            for pair, g, coeff in zR:  # _add inlined: the hot loop
+                for x, v in lin.get(pair, ()):
+                    deg2[x, g] = deg2.get((x, g), 0) + coeff * v
+            for g, pair, coeff in zL:
+                for x, v in lin.get(pair, ()):
+                    deg2[g, x] = deg2.get((g, x), 0) - coeff * v
             residual, lam = self._reduce2(deg2, ring.quad)
             by_a: Dict[Tuple[int, int], Coeff] = {}  # J3: a_pair -> coeff
             for pair, coeff in lam.items():
                 if not coeff:
                     continue
-                for w, v in lin.get(pair, ()):
-                    _add(low, w, coeff * v)
+                for x, v in lin.get(pair, ()):
+                    _add(low, (x,), coeff * v)
                 if pair in a_part:
                     _add(by_a, pair, coeff)
 
@@ -701,8 +700,8 @@ class _Ring(NamedTuple):
     Python ints after the odd rescaling by `scale`, but for the entries
     `odd_rescale` keeps as Scalars.  The a part is kept apart as Scalars,
     scaled by D**2; the component checker reads it through family (7), the
-    abstract one dots it in at J3.  lin and quad hold the bracket words of
-    length 1 and 2 of each generator pair.
+    abstract one dots it in at J3.  quad holds the (word, coeff) terms of
+    length 2 of each generator pair, lin its (letter, coeff) terms.
     """
 
     c: Mapping[tuple, Coeff]
@@ -710,7 +709,7 @@ class _Ring(NamedTuple):
     d: Mapping[tuple, Coeff]
     b: Mapping[tuple, Coeff]
     a: Dict[Tuple[int, int], Scalar]
-    lin: Table
+    lin: Dict[Tuple[int, int], List[Tuple[int, Coeff]]]
     quad: Table
     scale: int
 
@@ -720,14 +719,15 @@ class _Ring(NamedTuple):
         tensors of `TENSORS` by the parities of the pair and the word
         length."""
         n = pres.n_even
-        lin: Table = {}
+        lin: Dict[Tuple[int, int], List[Tuple[int, Coeff]]] = {}
         quad: Table = {}
         tensors: Dict[str, dict] = {name: {} for name in TENSORS}
         shape = {(kinds[0] == "o", kinds[1] == "o", len(kinds) - 2): tensors[name]
                  for name, kinds in TENSORS.items()}
         for (g1, g2), terms in table.items():
             for w, v in terms:
-                (quad if len(w) == 2 else lin).setdefault((g1, g2), []).append((w, v))
+                (quad if len(w) == 2 else lin).setdefault((g1, g2), []).append(
+                    (w, v) if len(w) == 2 else (*w, v))
                 tensor = shape.get((g1 >= n, g2 >= n, len(w)))
                 if tensor is not None:  # not the odd-even copy of a mixed pair
                     tensor[tuple(g - n if g >= n else g for g in (g1, g2, *w))] = v

@@ -219,21 +219,19 @@ def _sample_presentations():
     return samples
 
 
-def _expand(pres: QlsPresentation, e2, z: dict, left: bool) -> NCPoly:
-    """sum coeff . g e2(g1, g2) for a zL dict keyed (g, g1, g2), or
-    coeff . e2(g1, g2) g for a zR dict keyed (g1, g2, g); e2 is
-    `pres.e2`, memoized per pair by the caller."""
-    ab = pres.alphabet
-    poly = NCPoly.zero(ab)
-    for key, coeff in z.items():
-        if left:
-            g, g1, g2 = key
-        else:
-            g1, g2, g = key
-        gen = NCPoly.generator(ab, g)
-        prod = gen * e2(g1, g2) if left else e2(g1, g2) * gen
-        poly = poly + prod.scale(coeff)
-    return poly
+def _expand(pres: QlsPresentation, e2, z: list, left: bool) -> NCPoly:
+    """sum coeff . g e2(pair) over a zL list of (g, pair, coeff), or
+    coeff . e2(pair) g over a zR list of (pair, g, coeff), each product
+    multiplied out in NCPoly; e2 is `pres.e2`, memoized per pair by the
+    caller."""
+    terms = {}
+    for first, second, coeff in z:
+        g, pair = (first, second) if left else (second, first)
+        gen = NCPoly.generator(pres.alphabet, g)
+        prod = gen * e2(*pair) if left else e2(*pair) * gen
+        for w, v in prod.terms.items():
+            accumulate(terms, w, coeff * v)
+    return NCPoly(pres.alphabet, terms)
 
 
 def _overlap_span_rank(pres: QlsPresentation) -> int:
@@ -246,7 +244,7 @@ def _overlap_span_rank(pres: QlsPresentation) -> int:
 
 
 def test_overlap_elements_agree_on_both_sides():
-    for pres in _sample_presentations():
+    for pres in _sample_presentations() + [_odd_square_presentation()]:
         e2 = functools.cache(pres.e2)
         for indices, zL, zR in pres._overlap_elements():
             left = _expand(pres, e2, zL, left=True)
@@ -680,6 +678,36 @@ def test_rings_agree_on_random_presentations(monkeypatch):
                         v.family, v.indices, str(v.residual), v.detail)).encode())
     assert digests[False].hexdigest() == _RANDOM_VIOLATIONS_SHA256
     assert digests[True].hexdigest() == _RANDOM_A_VIOLATIONS_SHA256
+
+
+def _abstract_pin_cases():
+    """gl2(n/1) for n = 2..5 (symbolic and c = 5/3), Lambda^3, one d-, b-
+    and a-orbit shift of symbolic gl2(3/1) and gl2(4/1), and the odd-square
+    and half-c presentations."""
+    cases = [build(n, c).presentation
+             for n in range(2, 6) for c in (None, Fraction(5, 3))]
+    cases.append(lambda3_presentation())
+    for n in (3, 4):
+        pres = build(n).presentation
+        cases += [_orbit_shifted(pres, name, sorted(getattr(pres, name))[0])
+                  for name in ("d", "b", "a")]
+    return cases + [_odd_square_presentation(), _half_c_presentation()]
+
+
+# SHA-256 of every abstract violation (family, indices, str(residual),
+# detail) and of each `checked` dict over `_abstract_pin_cases`, recorded
+# while the overlap elements were still dicts built with `accumulate`
+_ABSTRACT_REPORTS_SHA256 = "11f78ebf33e7427ac833f7d33ccfc23119d6b72eede3657e6ea5e5d006878d4c"
+
+
+def test_abstract_reports_are_pinned():
+    digest = hashlib.sha256()
+    for pres in _abstract_pin_cases():
+        report = pres.check_abstract_jacobi()
+        for v in report.violations:
+            digest.update(repr((v.family, v.indices, str(v.residual), v.detail)).encode())
+        digest.update(repr(sorted(report.checked.items())).encode())
+    assert digest.hexdigest() == _ABSTRACT_REPORTS_SHA256
 
 
 @pytest.mark.parametrize("n", [3, 4])
