@@ -109,10 +109,7 @@ def _make_algebra(args):
     if args.algebra != "gl2n1":
         raise CliError(f"unknown algebra {args.algebra!r}")
     central = _parse_value(args.c, "c") if args.c is not None else None
-    try:
-        return build(args.n, central)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return build(args.n, central)
 
 
 def _parse_order(spec: str, alphabet) -> GeneratorOrder:
@@ -146,8 +143,6 @@ def _cmd_normal_form(args) -> int:
         nf = rs.normal_form(elem)
     except ParseError as exc:
         raise CliError(f"malformed expression: {exc}") from exc
-    except ValueError as exc:  # past the term budget
-        raise CliError(str(exc)) from exc
     report = {
         "command": "normal-form",
         "algebra": args.algebra,
@@ -169,10 +164,7 @@ def _cmd_normal_form(args) -> int:
 def _family_params(args) -> FamilyParams:
     mu = _parse_value(args.mu, "mu")
     nu = _parse_value(args.nu, "nu")
-    try:
-        return FamilyParams(args.n, args.r, mu, nu)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return FamilyParams(args.n, args.r, mu, nu)
 
 
 def _cmd_family_report(args) -> int:
@@ -194,10 +186,7 @@ def _cmd_family_report(args) -> int:
 def _cmd_atypicality_report(args) -> int:
     params = _family_params(args)
     central = _parse_value(args.c, "c")
-    try:
-        rep = atypicality_report(params, central)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    rep = atypicality_report(params, central)
     zs = rep["zero_step"]
     report = {
         "command": "atypicality-report",
@@ -227,10 +216,7 @@ def _cmd_atypicality_report(args) -> int:
 
 
 def _cmd_zero_step_table(args) -> int:
-    try:
-        rows = table_zero_step(args.n_max)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    rows = table_zero_step(args.n_max)
     report = {
         "command": "zero-step-table",
         "n_max": args.n_max,
@@ -280,11 +266,8 @@ def _cmd_serre_check(args) -> int:
         _parse_order(args.order, pres.alphabet)
         if args.order else GeneratorOrder.default(pres.alphabet)
     )
-    try:
-        rs = RewriteSystem(pres, order)
-        ok, witness = serre_module_check(rs, max_len=args.max_len)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    rs = RewriteSystem(pres, order)
+    ok, witness = serre_module_check(rs, max_len=args.max_len)
     report = {
         "command": "serre-check",
         "max_len": args.max_len,
@@ -387,7 +370,7 @@ def run(argv: Optional[List[str]] = None) -> int:
         return USAGE if exc.code else PASS
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:  # ValueError: refused input or budget
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
 

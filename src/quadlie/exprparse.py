@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .ncpoly import Alphabet, NCPoly
-from .scalars import Scalar, srat
+from .scalars import ZERO, Scalar, srat
 
 
 class ParseError(ValueError):
@@ -61,13 +61,25 @@ def _tokenize(text: str) -> List[Tuple[str, str]]:
 
 
 class _Parser:
-    """Recursive-descent parser shared by the scalar and word grammars."""
+    """Recursive-descent parser of one grammar: `number(n)` is the value of
+    the integer n (number(1) the unit), `atom(name, indices)` resolves a
+    name with its optional index list, and `constant(b)` gives a divisor b
+    as a Fraction, or None if b is not a rational constant."""
 
-    def __init__(self, tokens, atom_handler):
-        self.tokens = tokens
+    def __init__(self, text: str, number, atom, constant):
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
-        self.atom_handler = atom_handler
+        self.number = number
+        self.atom = atom
+        self.constant = constant
+
+    def parse(self):
+        """The whole input as one expression; trailing input is refused."""
+        out = self.parse_expr()
+        if self.pos != len(self.tokens):
+            raise ParseError(f"trailing input near {self.tokens[self.pos]}")
+        return out
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -106,8 +118,12 @@ class _Parser:
                 acc = acc * self.parse_power()
             elif val == "/":
                 self.take()
-                div = self.parse_power()
-                acc = self._divide(acc, div)
+                div = self.constant(self.parse_power())
+                if div is None:
+                    raise ParseError("division only by rational constants")
+                if not div:
+                    raise ParseError("division by zero")
+                acc = acc * (1 / div)
             elif kind in ("num", "name") or val == "(":
                 # adjacency: implicit multiplication
                 acc = acc * self.parse_power()
@@ -129,7 +145,7 @@ class _Parser:
 
     def _power(self, base, exp: int):
         """base^exp by repeated squaring."""
-        result = self._one()
+        result = self.number(1)
         while exp:
             if exp & 1:
                 result = result * base
@@ -154,7 +170,7 @@ class _Parser:
             return inner
         if kind == "num":
             self.take()
-            return self._number(_integer(val))
+            return self.number(_integer(val))
         if kind == "name":
             self.take()
             indices: Optional[List[int]] = None
@@ -171,70 +187,25 @@ class _Parser:
                         break
                     if v3 != ",":
                         raise ParseError(f"expected , or ] in index list, got {v3!r}")
-            return self.atom_handler(val, indices, self)
+            return self.atom(val, indices)
         raise ParseError(f"unexpected token {val!r}")
 
-    # hooks overridden per grammar
-    def _number(self, n: int):
-        raise NotImplementedError
 
-    def _one(self):
-        raise NotImplementedError
-
-    def _divide(self, a, b):
-        raise NotImplementedError
-
-
-class _ScalarParser(_Parser):
-    def _number(self, n: int) -> Scalar:
-        return srat(n)
-
-    def _one(self) -> Scalar:
-        return srat(1)
-
-    def _divide(self, a: Scalar, b: Scalar) -> Scalar:
-        if not b.is_rational():
-            raise ParseError("division only by rationals")
-        if b.is_zero():
-            raise ParseError("division by zero")
-        return a / b.as_rational()
+def _rational(value: Scalar) -> Optional[Fraction]:
+    return value.as_rational() if value.is_rational() else None
 
 
 def parse_scalar(text: str, indeterminates: Optional[Sequence[str]] = None) -> Scalar:
     """Parse a polynomial string with rational coefficients."""
 
-    def atom(name, indices, parser) -> Scalar:
+    def atom(name, indices) -> Scalar:
         if indices is not None:
             raise ParseError(f"indexed name {name} not allowed in scalars")
         if indeterminates is not None and name not in indeterminates:
             raise ParseError(f"unknown indeterminate {name!r}")
         return Scalar.var(name)
 
-    p = _ScalarParser(_tokenize(text), atom)
-    out = p.parse_expr()
-    if p.pos != len(p.tokens):
-        raise ParseError(f"trailing input near {p.tokens[p.pos]}")
-    return out
-
-
-class _PolyParser(_Parser):
-    def __init__(self, tokens, atom_handler, alphabet: Alphabet):
-        super().__init__(tokens, atom_handler)
-        self.alphabet = alphabet
-
-    def _number(self, n: int) -> NCPoly:
-        return NCPoly.one(self.alphabet).scale(n)
-
-    def _one(self) -> NCPoly:
-        return NCPoly.one(self.alphabet)
-
-    def _divide(self, a: NCPoly, b: NCPoly) -> NCPoly:
-        if set(b.terms) != {()}:
-            raise ParseError("division only by rational constants")
-        coeff = b.terms[()]
-        if not coeff.is_rational():
-            raise ParseError("division only by rational constants")
-        return a.scale(Scalar.coerce(Fraction(1)) / coeff.as_rational())
+    return _Parser(text, srat, atom, _rational).parse()
 
 
 GeneratorResolver = Callable[[str, Optional[List[int]]], Optional[int]]
@@ -249,7 +220,7 @@ def parse_ncpoly(
     """Parse a generator expression; names not resolved as generators are
     treated as scalar indeterminates when declared."""
 
-    def atom(name, indices, parser) -> NCPoly:
+    def atom(name, indices) -> NCPoly:
         g = resolver(name, indices)
         if g is not None:
             return NCPoly.generator(alphabet, g)
@@ -258,8 +229,9 @@ def parse_ncpoly(
         suffix = "" if indices is None else f"[{','.join(map(str, indices))}]"
         raise ParseError(f"unknown generator {name}{suffix}")
 
-    p = _PolyParser(_tokenize(text), atom, alphabet)
-    out = p.parse_expr()
-    if p.pos != len(p.tokens):
-        raise ParseError(f"trailing input near {p.tokens[p.pos]}")
-    return out
+    def constant(poly: NCPoly) -> Optional[Fraction]:
+        if set(poly.terms) - {()}:
+            return None
+        return _rational(poly.terms.get((), ZERO))
+
+    return _Parser(text, NCPoly.one(alphabet).scale, atom, constant).parse()

@@ -257,8 +257,9 @@ def zero_step_demo(n: int = 4) -> dict:
     annihilated = (m1 * m4).is_zero()
     root1_attained = not m4.is_zero()
     root4_attained = not m1.is_zero()
-    # right side of the displayed bracket with N -> 2: -1/4 (M^2 - 5M + 4)
-    rhs_vanishes = annihilated and (n + 3 - 2 == 5)
+    # right side of the displayed bracket with N -> 2:
+    # -1/4 (M^2 - (n + 1) M + 4), on the restricted operator
+    rhs_vanishes = (m * m - m * (n + 1) + one * 4).is_zero()
     return {
         "n": n,
         "occ2_dimension": len(basis2),

@@ -26,13 +26,14 @@ compares `_apply((a, b), N)` with `_act(a, b N)` on the rest.  At
 `max_len` 3 it thus covers exactly Bergman's overlap words a b c, with
 both a b and b c out of order.
 
-The action runs in one coefficient ring per system, picked by
-`presentation.odd_rescale` of the rule table: Python ints, with the rule
+The action runs in one coefficient ring per system, the presentation's
+scaled table (`QlsPresentation._scaled`, which the Jacobi checkers read
+too), with each odd square halved: Python ints, with the rule
 coefficients that hold an indeterminate (c sits only in a few a terms of
 gl2(n/1)) or stay non-integral (1/2 in an even-even rule, say) kept as
 Scalars; D = 2 for gl2(3/1) at c = 1 or symbolic, 10 at c = 7/5.  The
 rescaling sends z_N to D^o(N) z_N, o counting odd letters.  Exactness:
-each rule term, int or Scalar, carries `odd_rescale`'s factor, so by
+each rule term, int or Scalar, carries the table's factor, so by
 induction over `_act` the scaled coefficient of z_w in w_a ... w_b z_N
 is the unscaled one times D^(o(a ... b N) - o(w)), never 0, in any
 commutative coefficient ring.
@@ -52,7 +53,7 @@ from math import comb
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .ncpoly import Alphabet, NCPoly, Word
-from .presentation import Coeff, QlsPresentation, Table, odd_rescale, unscaled
+from .presentation import Coeff, QlsPresentation, Table, _half, unscaled
 from .scalars import Scalar, accumulate
 
 # (pair, word) relations one `serre_module_check` may run: gl2(5/1) at
@@ -145,18 +146,19 @@ class RewriteSystem:
     # lower-order table: unordered adjacent pair (g1, g2) -> list of
     # (middle word, coeff) with g1 g2 = (sign) g2 g1 + sum coeff * middle,
     # and y y = sum coeff * middle = (1/2) {y, y} for an odd square;
-    # returned with D as scaled ints and Scalars (`odd_rescale`)
+    # returned with D, read from the presentation's scaled table, where
+    # D was chosen so that halving an odd square is exact
     def _build_rules(self):
-        pres = self.presentation
+        table, scale = self.presentation._scaled
         rules: Table = {}
-        size = pres.alphabet.size
+        size = self.presentation.alphabet.size
         for g1 in range(size):
             for g2 in range(size):
                 if not self._pair_is_ordered(g1, g2):
-                    terms = pres.bracket(g1, g2).items()
-                    rules[(g1, g2)] = ([(w, v / 2) for w, v in terms] if g1 == g2
-                                       else list(terms))
-        return odd_rescale(rules, pres.n_even)
+                    terms = table.get((g1, g2), [])
+                    rules[(g1, g2)] = ([(w, _half(v)) for w, v in terms] if g1 == g2
+                                       else terms)
+        return rules, scale
 
     # -- ordering predicates ------------------------------------------
 
@@ -230,15 +232,13 @@ class _ModuleAction:
     `max_len` is ignored: the action is defined on words of any length.
     """
 
-    def __init__(self, rs: RewriteSystem, max_len: Optional[int] = None,
-                 ring: Optional[Tuple[Table, int]] = None):
+    def __init__(self, rs: RewriteSystem, max_len: Optional[int] = None):
         self.rs = rs
         self.ab = rs.presentation.alphabet
         self._before = rs._pair_is_ordered
         self._cache: Dict[Tuple[int, Word], Dict[Word, Coeff]] = {}
-        # rules acting on basis vectors z_N and their D: the system's own
-        # unless a (rules, D) pair is given
-        self._lower, self._scale = ring or (rs._rules, rs._odd_scale)
+        # rules acting on basis vectors z_N, and their D
+        self._lower, self._scale = rs._rules, rs._odd_scale
 
     def apply_word(self, gens: Word, word: Word) -> Dict[Word, Scalar]:
         """Act with w_{gens[0]} ... w_{gens[-1]} on z_word; a scaled

@@ -27,13 +27,14 @@ generator pair itself.  Two independent checkers decide associativity:
 Both return a JacobiReport listing every violated identity with its exact
 residual, and how many identities of each family it checked.
 
-Both run in one coefficient ring per presentation (`_ring`): the bracket
-table without its a words after `odd_rescale`, in Python ints with the
-entries that hold an indeterminate or stay non-integral kept as Scalars.
-`a` enters as D^2 a, in Scalars: the component family (7) multiplies it
-by cbar, and the abstract checker, linear in it, keeps one coefficient
-per odd pair at the empty word and dots them with D^2 a at the end of
-each triple.  Map-back:
+Both run in one coefficient ring per presentation (`_ring`), read from
+the one scaled bracket table (`_scaled`) that `pbw`'s module action reads
+too: the whole table, a included, after `odd_rescale`, in Python ints
+with the entries that hold an indeterminate or stay non-integral kept as
+Scalars.  The component family (7) multiplies a by cbar, and the
+abstract checker, linear in a, keeps one coefficient per odd pair at the
+empty word and dots them with the ring's a at the end of each triple.
+Map-back:
   * families (1) and (2) are products of c and cbar, so unscaled; (3)-(7)
     are linear in d, b or a, so their residuals map back by D^-2;
   * abstract: the entries of the overlap lists and the bracket letters
@@ -352,21 +353,27 @@ class QlsPresentation:
         accumulate(terms, (g2, g1), srat(1 if g1 >= n and g2 >= n else -1))
         return NCPoly(self.alphabet, terms)
 
-    # -- the checkers' ring -------------------------------------------
+    # -- the checkers' and the action's ring ----------------------------
 
-    def _brackets_without_a(self) -> Table:
-        return {pair: [(w, v) for w, v in terms.items() if w]
-                for pair, terms in self._brackets.items()}
+    def _table(self) -> Table:
+        """The bracket table as (word, coeff) lists, a words included."""
+        return {pair: list(terms.items()) for pair, terms in self._brackets.items()}
+
+    @cached_property
+    def _scaled(self) -> Tuple[Table, int]:
+        """(`odd_rescale` of the bracket table, D): the one ring both
+        checkers and `pbw`'s module action run in."""
+        return odd_rescale(self._table(), self.n_even)
 
     @cached_property
     def _scalar_ring(self) -> "_Ring":
         """The presentation's own Scalars, unscaled: `normalize2`'s basis."""
-        return _Ring.build(self, self._brackets_without_a(), 1)
+        return _Ring.build(self, self._table(), 1)
 
     @cached_property
     def _ring(self) -> "_Ring":
-        """`odd_rescale` of the brackets without their a words."""
-        return _Ring.build(self, *odd_rescale(self._brackets_without_a(), self.n_even))
+        """The checkers' ring, read from `_scaled`."""
+        return _Ring.build(self, *self._scaled)
 
     # -- reduction of degree-2 elements --------------------------------
 
@@ -547,8 +554,8 @@ class QlsPresentation:
         split by degree into J1 (quadratic), J2 (linear), J3 (scalar).
         These are the PBW conditions for quadratic-linear-scalar algebras
         of Braverman and Gaitsgory (J. Algebra 181, 1996).  Runs in the
-        ring of `_ring`, with the a part kept apart as one coefficient per
-        odd pair and dotted in per triple.  Raises ValueError past
+        ring of `_ring`, with the coefficients of a kept as one per odd
+        pair and dotted with the ring's a per triple.  Raises ValueError past
         MAX_TRIPLES overlap elements.
         """
         triples = self._overlap_count()
@@ -653,22 +660,26 @@ def odd_rescale(table: Table, n_even: int) -> Tuple[Table, int]:
     in an even-even bracket, say), stays a Scalar.
 
     The table maps a generator pair g1 g2 to (word w, coeff) terms: the
-    Serre action's halved rules with a, or the checkers' brackets without
-    a.  Scaling lemma: with o(w) the number of odd letters of w, scaling
-    every odd generator y -> D y (D > 0 an integer) multiplies the
-    coefficient of w by D^(o(g1 g2) - o(w)); brackets keep parity, so the
-    factor is D^2 on odd-odd pairs and 1 elsewhere.  The lemma holds over
-    any commutative coefficient ring, so a Scalar term takes the same
-    factor as an int one.  D is `odd_scale` of the lcm of the
-    plain-rational denominators on odd-odd pairs, so den | D^2 there and
-    only a coefficient off those pairs can stay non-integral.  Each
-    consumer maps its results back by the inverse factors
-    (`pbw._ModuleAction.apply_word`, `_Ring.back`).
+    presentation's whole bracket table, a included.  Scaling lemma: with
+    o(w) the number of odd letters of w, scaling every odd generator
+    y -> D y (D > 0 an integer) multiplies the coefficient of w by
+    D^(o(g1 g2) - o(w)); brackets keep parity, so the factor is D^2 on
+    odd-odd pairs and 1 elsewhere.  The lemma holds over any commutative
+    coefficient ring, so a Scalar term takes the same factor as an int one.
+    D is `odd_scale` of the lcm of the plain-rational denominators on
+    odd-odd pairs, of v / 2 on an odd square (the module action halves
+    it) and of v elsewhere, so an odd-odd entry becomes an int, even on an
+    odd square, and only a coefficient off those pairs can stay
+    non-integral.  Each consumer maps its results back by the inverse
+    factors (`pbw._ModuleAction.apply_word`, `_Ring.back`).
     """
     def odd_odd(pair):
         return pair[0] >= n_even and pair[1] >= n_even
 
-    scale = odd_scale(lcm(*(v.as_rational().denominator
+    def den(pair, f):  # of f, or of f / 2 on an odd square
+        return f.denominator * (2 if pair[0] == pair[1] and f.numerator % 2 else 1)
+
+    scale = odd_scale(lcm(*(den(pair, v.as_rational())
                             for pair, terms in table.items() if odd_odd(pair)
                             for _, v in terms if v.is_rational())))
     out: Table = {}
@@ -696,28 +707,27 @@ def unscaled(value: Coeff, factor: Fraction) -> Scalar:
 class _Ring(NamedTuple):
     """The structure tensors as the checkers read them.
 
-    The five tensors, keyed as in the presentation.  c, cbar, d and b are
-    Python ints after the odd rescaling by `scale`, but for the entries
-    `odd_rescale` keeps as Scalars.  The a part is kept apart as Scalars,
-    scaled by D**2; the component checker reads it through family (7), the
-    abstract one dots it in at J3.  quad holds the (word, coeff) terms of
-    length 2 of each generator pair, lin its (letter, coeff) terms.
+    The five tensors, keyed as in the presentation, read back from one
+    bracket table: Python ints after the odd rescaling by `scale`, but for
+    the entries `odd_rescale` keeps as Scalars.  a enters the component
+    family (7) and the abstract checker's J3 only.  quad holds the (word,
+    coeff) terms of length 2 of each generator pair, lin its (letter,
+    coeff) terms.
     """
 
     c: Mapping[tuple, Coeff]
     cbar: Mapping[tuple, Coeff]
     d: Mapping[tuple, Coeff]
     b: Mapping[tuple, Coeff]
-    a: Dict[Tuple[int, int], Scalar]
+    a: Mapping[tuple, Coeff]
     lin: Dict[Tuple[int, int], List[Tuple[int, Coeff]]]
     quad: Table
     scale: int
 
     @staticmethod
     def build(pres: QlsPresentation, table: Table, scale: int) -> "_Ring":
-        """The ring of a bracket table without a words, read back into the
-        tensors of `TENSORS` by the parities of the pair and the word
-        length."""
+        """The ring of a bracket table, read back into the tensors of
+        `TENSORS` by the parities of the pair and the word length."""
         n = pres.n_even
         lin: Dict[Tuple[int, int], List[Tuple[int, Coeff]]] = {}
         quad: Table = {}
@@ -726,13 +736,12 @@ class _Ring(NamedTuple):
                  for name, kinds in TENSORS.items()}
         for (g1, g2), terms in table.items():
             for w, v in terms:
-                (quad if len(w) == 2 else lin).setdefault((g1, g2), []).append(
-                    (w, v) if len(w) == 2 else (*w, v))
+                if w:  # the a word enters only its tensor
+                    (quad if len(w) == 2 else lin).setdefault((g1, g2), []).append(
+                        (w, v) if len(w) == 2 else (*w, v))
                 tensor = shape.get((g1 >= n, g2 >= n, len(w)))
                 if tensor is not None:  # not the odd-even copy of a mixed pair
                     tensor[tuple(g - n if g >= n else g for g in (g1, g2, *w))] = v
-        sq = scale * scale
-        tensors["a"] = {k: v if sq == 1 else v * sq for k, v in pres.a.items()}
         return _Ring(lin=lin, quad=quad, scale=scale, **tensors)
 
     def back(self, value: Coeff, exponent: int) -> Scalar:

@@ -178,6 +178,16 @@ def test_n_past_budget_exits_2(capsys, argv):
     assert f"= {MAX_N + 1} is more than {MAX_N}" in err
 
 
+def test_value_error_in_a_report_exits_2(capsys):
+    # the closed forms at a 3000-digit mu hold integers past the
+    # interpreter's digit limit for str(): refused with one line, no traceback
+    code, out, err = _run(capsys, "family-report", "--n", "3", "--r", "2",
+                          "--mu", "9" * 3000, "--nu", "0", "--c", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "digits" in err
+
+
 def test_fock_check(capsys):
     code, out, _ = _run(capsys, "fock-check", "--n", "4")
     assert code == 0

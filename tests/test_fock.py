@@ -92,6 +92,9 @@ def test_zero_step_demo_passes():
     assert demo["char_identity_holds"]
     assert demo["roots"] == (1, 4)
     assert demo["root_1_attained"] and demo["root_4_attained"]
+    assert demo["rhs_vanishes"]
+    # at n = 5 the right side reads M^2 - 6 M + 4, which M does not satisfy
+    assert not zero_step_demo(5)["rhs_vanishes"]
 
 
 def restrict(op, basis):

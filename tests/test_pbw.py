@@ -1,5 +1,6 @@
 """Normal-ordering rewrite engine and PBW spanning checks."""
 
+import copy
 import random
 import sys
 import time
@@ -21,14 +22,19 @@ from quadlie.pbw import (
     pbw_monomial_count,
     serre_module_check,
 )
-from quadlie.presentation import QlsPresentation
+from quadlie.presentation import QlsPresentation, _half
 from quadlie.scalars import Scalar, accumulate, srat
 
 from test_presentation import (
     _TENSORS,
     _c_plus_u,
+    _half_c_presentation,
     _mixed_ring_cases,
+    _odd_square_presentation,
     _orbit_shifted,
+    _random_presentation,
+    _sample_presentations,
+    _scaled_down,
     rank_of_rows,
 )
 
@@ -372,6 +378,22 @@ def test_odd_scale_is_the_least_integral_one():
     assert type(half._rules[(1, 0)][0][1]) is Scalar
 
 
+def test_checkers_and_action_share_one_scaled_table():
+    # one D per presentation, the one the checkers' ring runs in, and each
+    # odd square's rule is the scaled table's entry halved
+    rng = random.Random(20261023)
+    cases = _sample_presentations() + _mixed_ring_cases()
+    cases += [_odd_square_presentation(), _half_c_presentation()]
+    cases += [_scaled_down(_random_presentation(rng), 6) for _ in range(50)]
+    for pres in cases:
+        rs = RewriteSystem(pres)
+        assert rs._odd_scale == pres._ring.scale
+        table, scale = pres._scaled
+        assert scale == rs._odd_scale
+        for y in range(pres.n_even, pres.alphabet.size):
+            assert rs._rules[(y, y)] == [(w, _half(v)) for w, v in table.get((y, y), [])]
+
+
 def test_serre_length_3_matches_abstract_checker():
     from test_presentation import _random_presentation
 
@@ -477,13 +499,20 @@ def _scalar_rules(rs):
             if not rs._pair_is_ordered(g1, g2)}
 
 
+def _scalar_action(rs):
+    """The module action on the unscaled Scalar rules, D = 1: the action of
+    a copy of rs with its rules replaced."""
+    scalar_rs = copy.copy(rs)
+    scalar_rs._rules, scalar_rs._odd_scale = _scalar_rules(rs), 1
+    return _ModuleAction(scalar_rs)
+
+
 def _scalar_serre(rs, max_len):
     """Reference: every relation, skipped ones included, run once on the
     unscaled Scalar rules."""
-    rules = _scalar_rules(rs)
-    action = _ModuleAction(rs, None, (rules, 1))
+    action = _scalar_action(rs)
     for nword in _ordered_words(rs, max_len):
-        for a, b in rules:
+        for a, b in action._lower:
             if action._apply((a, b), nword) != _explicit_rhs(action, a, b, nword):
                 return False, (a, b, nword)
     return True, None
@@ -605,8 +634,8 @@ def test_serre_mixed_ring_matches_scalar_ring(monkeypatch):
         lengths = (3, 4) if pres.alphabet.size < 10 else (3,)
         got = [serre_module_check(rs, max_len) for max_len in lengths]
         with monkeypatch.context() as mp:
-            # the reference: the unscaled Scalar rules, D = 1
-            mp.setattr(pbw, "odd_rescale", lambda table, n_even: (table, 1))
+            # the reference: the unscaled Scalar table, D = 1
+            mp.setattr(QlsPresentation, "_scaled", property(lambda p: (p._table(), 1)))
             scalar_rs = _rs(pres)
             assert scalar_rs._rules == _scalar_rules(scalar_rs)
             want = [serre_module_check(scalar_rs, max_len) for max_len in lengths]
@@ -620,7 +649,7 @@ def test_normal_form_matches_scalar_ring_action():
     for pres in (build(3).presentation, _c_plus_u(build(2).presentation)):
         rs = _rs(pres)
         assert rs._odd_scale == (2 if pres.n_even == 9 else 1)
-        scalar = _ModuleAction(rs, None, (_scalar_rules(rs), 1))
+        scalar = _scalar_action(rs)
         symbolic = 0
         for word in _random_words(rng, pres.alphabet.size, 6, 60):
             want = scalar.apply_word(word, ())

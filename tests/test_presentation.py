@@ -651,7 +651,8 @@ def _assert_rings_agree(pres, monkeypatch):
 def _odd_square_presentation():
     """n = 1, m = 2 with cbar_{0 0}^{1} = 1: the overlap of (x, y0, y1)
     holds 2 y1 y1, which normalize2 halves to the odd value 1 before it
-    multiplies the d-part of {y1, y1}; d and b are off by 1/3 (D = 3)."""
+    multiplies the d-part of {y1, y1}; d and b are off by 1/3, and the
+    odd square halves d to 1/6 and a to 5/2 (D = 6)."""
     return QlsPresentation(
         1, 2, cbar={(0, 0, 1): 1, (0, 1, 1): 2},
         d={(1, 1, 0, 0): srat(1, 3)}, b={(0, 1, 0): srat(2, 3), (1, 0, 0): srat(2, 3)},
@@ -738,9 +739,10 @@ def test_half_in_c_keeps_scalar_and_indeterminate_in_d_does_not(monkeypatch):
     reports = _assert_rings_agree(half_c, monkeypatch)
     assert reports[0][1] and reports[1][1]
     # the halves stay Scalars beside the ints of the same ring
-    assert half_c._ring.scale == 1 and half_c._ring.c == half_c.c
+    # (b_00^1 = 3 on the odd square halves to 3/2, so D = 2)
+    assert half_c._ring.scale == 2 and half_c._ring.c == half_c.c
     assert all(type(v) is Scalar for v in half_c._ring.c.values())
-    assert half_c._ring.cbar == {(0, 0, 0): 1} and half_c._ring.b == {(0, 0, 1): 3}
+    assert half_c._ring.cbar == {(0, 0, 0): 1} and half_c._ring.b == {(0, 0, 1): 12}
 
 
 def _half_c_presentation():
@@ -824,7 +826,7 @@ def test_mixed_rings_agree_with_scalar_ring(monkeypatch):
     for pres in _mixed_ring_cases():
         ring = pres._ring
         held = [v for t in (ring.c, ring.cbar, ring.d, ring.b) for v in t.values()]
-        held += [v for v in ring.a.values() if not v.is_rational()]  # a stays Scalar
+        held += list(ring.a.values())
         assert any(isinstance(v, Scalar) for v in held)
         reports = _assert_rings_agree(pres, monkeypatch)
         verdicts.append(not reports[0][1] and not reports[1][1])
@@ -833,7 +835,7 @@ def test_mixed_rings_agree_with_scalar_ring(monkeypatch):
 
 def test_rings_agree_where_normalize2_halves_an_odd_square(monkeypatch):
     pres = _odd_square_presentation()
-    assert pres._ring.scale == 3
+    assert pres._ring.scale == 6
     halved = []
     half = presentation._half
     monkeypatch.setattr(presentation, "_half",
@@ -913,7 +915,8 @@ def test_a_family_residual_maps_back_by_inverse_d_squared():
     pres = QlsPresentation(1, 2, cbar={(0, 0, 1): 1}, a={(1, 1): 1})
     half_b = QlsPresentation(1, 2, cbar={(0, 0, 1): 1}, a={(1, 1): 1},
                              b={(0, 1, 0): srat(1, 2), (1, 0, 0): srat(1, 2)})
-    assert (pres._ring.scale, half_b._ring.scale) == (1, 2)
+    # the module action halves the odd square a_11 to 1/2: D = 2 for both
+    assert (pres._ring.scale, half_b._ring.scale) == (2, 2)
     for case in (pres, half_b):  # D = 2 scales a by 4; the residual is not
         got = [v for v in case.check_component_jacobi().violations
                if v.family == "even-odd-odd-a"]
