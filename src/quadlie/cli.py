@@ -106,8 +106,6 @@ def _cmd_verify_presentation(args) -> int:
 
 
 def _make_algebra(args):
-    if args.algebra != "gl2n1":
-        raise CliError(f"unknown algebra {args.algebra!r}")
     central = _parse_value(args.c, "c") if args.c is not None else None
     return build(args.n, central)
 
@@ -145,7 +143,7 @@ def _cmd_normal_form(args) -> int:
         raise CliError(f"malformed expression: {exc}") from exc
     report = {
         "command": "normal-form",
-        "algebra": args.algebra,
+        "algebra": "gl2n1",
         "n": args.n,
         "input": args.expression,
         "normal_form": str(nf),
@@ -320,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("normal-form",
                           help="ordered-monomial form of an expression")
-    sub.add_argument("--algebra", default="gl2n1")
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--c", help="central charge: rational or 'symbolic'")
     sub.add_argument("--order",
@@ -352,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="defining relations on ordered words")
     sub.add_argument("file", nargs="?",
                      help="presentation file (default: built-in algebra)")
-    sub.add_argument("--algebra", default="gl2n1")
     sub.add_argument("--n", type=int, default=3)
     sub.add_argument("--c", help="central charge: rational or 'symbolic'")
     sub.add_argument("--order", help="comma-separated generator names")

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import partial, reduce
+from functools import reduce
 from itertools import combinations, permutations
 from typing import Dict, List, Optional, Tuple, Union
 
-from .gl2n1 import _perm_sign, even_index, gl_structure_constants
-from .scalars import accumulate
+from .gl2n1 import _perm_sign, type_one_presentation
 
 Entry = Union[int, Fraction]
 
@@ -282,40 +281,6 @@ def lambda3_presentation():
     triples, with the odd-odd bracket read off from the verified matrix
     identity {Q, Qbar} = -1/4 (E_script^2 - (n+3-<E>) E_script + 4 delta).
     """
-    from .presentation import QlsPresentation
-
-    n = 4
-    triples = list(combinations(range(1, n + 1), 3))
-    tpos = {u: t for t, u in enumerate(triples)}
-    eid = partial(even_index, n)
-
-    names = ([f"E{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
-             + ["Qbar" + "".join(map(str, u)) for u in triples]
-             + ["Q" + "".join(map(str, u)) for u in triples])
-    c_tensor = gl_structure_constants(n)
-
-    def sorted_signed(tri):
-        if len(set(tri)) < 3:
-            return None, 0
-        perm = sorted(range(3), key=lambda t: tri[t])
-        return tuple(tri[t] for t in perm), _perm_sign(perm)
-
-    cbar: Dict[tuple, Fraction] = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for u in triples:
-                # [E^i_j, Qbar^U] replaces an index equal to j by i;
-                # [E^i_j, Q_U] = - (index equal to i replaced by j)
-                for off, old, repl, outer in ((0, j, i, 1), (4, i, j, -1)):
-                    for t in range(3):
-                        if u[t] == old:
-                            new = list(u)
-                            new[t] = repl
-                            tgt, sign = sorted_signed(tuple(new))
-                            if sign:
-                                key = (eid(i, j), off + tpos[u], off + tpos[tgt])
-                                accumulate(cbar, key, Fraction(outer * sign))
-
     # The 16-dimensional Fock module is not faithful on quadratic Casimir
     # combinations, so the odd-odd tensors cannot be read off the matrix
     # bracket alone: many tensor choices reproduce the same matrices but
@@ -325,48 +290,9 @@ def lambda3_presentation():
     # slots).  The coefficients below are the unique ones for which the
     # presentation both reproduces the matrix bracket exactly and passes
     # the Jacobi identities.
-    from .presentation import BalancedData, build_from_casimirs
-    from .scalars import Scalar
-
-    ne, mo = n * n, 2 * len(triples)
-    pi = [[[Scalar() for _ in range(mo)] for _ in range(mo)] for _ in range(ne)]
-    for (i1, p1, q1), val in cbar.items():
-        pi[i1][p1][q1] = pi[i1][p1][q1] - val
-    omega = [[Fraction(0)] * mo for _ in range(mo)]
-    for t in range(len(triples)):
-        omega[t][len(triples) + t] = Fraction(1)
-        omega[len(triples) + t][t] = Fraction(-1)
-    bal = BalancedData(pi, omega)
-
-    c3: Dict[tuple, Fraction] = {}
-    c2: Dict[tuple, Fraction] = {}
-    k1, k2, k3, k4 = (Fraction(-3, 4), Fraction(1, 8),
-                      Fraction(1, 8), Fraction(-1, 24))
-    l1, l2 = Fraction(1, 4), Fraction(-1, 12)
-    rng = range(1, n + 1)
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                # tr(EEE), tr(EE)tr(E), tr(E)tr(EE), tr(E)^3
-                accumulate(c3, (eid(i, j), eid(j, k), eid(k, i)), k1 / 2)
-                accumulate(c3, (eid(i, j), eid(k, i), eid(j, k)), k1 / 2)
-                accumulate(c3, (eid(i, j), eid(j, i), eid(k, k)), k2)
-                accumulate(c3, (eid(i, j), eid(k, k), eid(j, i)), k2)
-                accumulate(c3, (eid(k, k), eid(i, j), eid(j, i)), k3)
-                accumulate(c3, (eid(i, i), eid(j, j), eid(k, k)), k4)
-    for i in rng:
-        for j in rng:
-            accumulate(c2, (eid(i, j), eid(j, i)), l1)  # tr(EE)
-            accumulate(c2, (eid(i, i), eid(j, j)), l2)  # tr(E)^2
-    b_tensor, d_tensor = build_from_casimirs(c2, c3, bal)
-
-    a_tensor: Dict[tuple, Fraction] = {}
-    for t in range(len(triples)):
-        a_tensor[(t, len(triples) + t)] = Fraction(-1)
-        a_tensor[(len(triples) + t, t)] = Fraction(-1)
-
-    return QlsPresentation(ne, mo, c=c_tensor, cbar=cbar,
-                           d=d_tensor, b=b_tensor, a=a_tensor, names=names)
+    return type_one_presentation(
+        4, 3, (Fraction(-3, 4), Fraction(1, 8), Fraction(1, 8), Fraction(-1, 24)),
+        (Fraction(1, 4), Fraction(-1, 12)), Fraction(-1))
 
 
 def presentation_cross_check() -> dict:

@@ -8,9 +8,10 @@ E's plus a central charge c:
     {Qbar^i, Q_j} = (E^2)^i_j - <E> E^i_j
                     - (1/2) delta^i_j (<E^2> - <E>^2 + (n-1)<E>) + c delta^i_j
 
-`build` converts this to a presentation (d, b, a tensors): the quadratic
-part is symmetrized in its two even slots, and the commutator correction
-that symmetrization produces is absorbed into the linear b-tensor.
+It is a type-I presentation, built by `type_one_presentation` like the
+Lambda^3 one of `fock`: d and b come from trace invariants of E, and the
+quadratic part of {Qbar^i, Q_j} is the E^j_i-gradient of
+e3(E) = tr E^3/3 - tr E tr E^2/2 + (tr E)^3/6.
 
 Also here: the multinomial odd elements Sbar (epsilon-contracted products
 of Qbar's) and their calculus, the adjoint operators A and B, Casimir
@@ -22,13 +23,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import permutations
-from math import factorial
+from itertools import combinations, permutations
+from math import comb, factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .ncpoly import Alphabet, NCPoly
+from .ncpoly import NCPoly
 from .pbw import GeneratorOrder, RewriteSystem, check_rule_count
-from .presentation import QlsPresentation, _half
+from .presentation import BalancedData, QlsPresentation, _half, build_from_casimirs
 from .scalars import Scalar, accumulate, srat
 
 Uni = List[Scalar]  # univariate polynomial, coefficients low to high
@@ -223,7 +224,8 @@ def casimirs(w: Weight) -> Tuple[Scalar, Scalar]:
 
 
 class Gl2n1:
-    """The quadratic superalgebra gl2(n/1) with central charge c."""
+    """The quadratic superalgebra gl2(n/1) with central charge c: the
+    type-I presentation on gl(n) + V + V* that `build` makes."""
 
     def __init__(self, n: int, central: Scalar, pres: QlsPresentation):
         self.n = n
@@ -478,82 +480,86 @@ def gl_structure_constants(n: int) -> Dict[tuple, Fraction]:
     return c_tensor
 
 
-def _mirror_odd(tensor: dict) -> dict:
-    """Nonzero entries of a tensor keyed (p, q, ...), made symmetric in the
-    odd pair (p, q)."""
-    out = {}
-    for (p, q, *rest), v in tensor.items():
-        if v:
-            out[(p, q, *rest)] = v
-            out[(q, p, *rest)] = v
-    return out
+def _wedge_frame(n: int, k: int) -> tuple:
+    """(names, c, cbar) of gl(n) acting on Lambda^k V and its dual: evens
+    E^i_j with c the gl(n) brackets, then the odd block Qbar^U and the odd
+    block Q_U, U over the k-subsets of 1..n in lexicographic order.
+    [E^i_j, Qbar^U] replaces the index j of U by i, [E^i_j, Q_U] is minus
+    U with the index i replaced by j; each term is signed by the sort of
+    the new subset.  cbar entries are the ints +-1."""
+    eid = partial(even_index, n)
+    subsets = list(combinations(range(1, n + 1), k))
+    pos = {u: t for t, u in enumerate(subsets)}
+    m = len(subsets)
+    cbar: Dict[tuple, int] = {}
+    for t, u in enumerate(subsets):
+        for s, old in enumerate(u):
+            for new in range(1, n + 1):
+                if new != old and new in u:
+                    continue
+                seq = u[:s] + (new,) + u[s + 1:]
+                sign, tgt = _perm_sign(seq), pos[tuple(sorted(seq))]
+                cbar[eid(new, old), t, tgt] = sign
+                cbar[eid(old, new), m + t, m + tgt] = -sign
+    labels = ["".join(map(str, u)) for u in subsets]
+    names = ([f"E{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
+             + ["Qbar" + u for u in labels] + ["Q" + u for u in labels])
+    return names, gl_structure_constants(n), cbar
+
+
+def type_one_presentation(n: int, k: int, cubic: Sequence, quadratic: Sequence,
+                          a_value) -> QlsPresentation:
+    """The type-I presentation on gl(n) + Lambda^k V + its dual
+    (`_wedge_frame`) whose odd-odd bracket comes from trace-monomial
+    invariants through `build_from_casimirs`, with the pairing Omega +1
+    from Qbar^U to Q_U and -1 back, and a = a_value on each pair
+    (Qbar^U, Q_U).  cubic = (k1, k2, k3, k4) weighs the invariant
+    3-tensors tr(EEE), tr(EE)tr(E), tr(E)tr(EE), tr(E)^3, symmetric in the
+    last two slots (the first slot is the one pi acts by); quadratic =
+    (l1, l2) weighs tr(EE), tr(E)^2."""
+    names, c_tensor, cbar = _wedge_frame(n, k)
+    m = comb(n, k)
+    omega = [[0] * (2 * m) for _ in range(2 * m)]
+    a_tensor = {}
+    for t in range(m):
+        omega[t][m + t], omega[m + t][t] = 1, -1
+        a_tensor[t, m + t] = a_tensor[m + t, t] = a_value
+    (k1, k2, k3, k4), (l1, l2) = cubic, quadratic
+    half_k1 = k1 / 2
+    rng = range(n)
+    e = [[n * i + j for j in rng] for i in rng]  # E^{i+1}_{j+1}
+    c2: Dict[tuple, Fraction] = {}
+    c3: Dict[tuple, Fraction] = {}
+    for i in rng:
+        for j in rng:
+            ij, ji, ii, jj = e[i][j], e[j][i], e[i][i], e[j][j]
+            accumulate(c2, (ij, ji), l1)  # tr(EE)
+            accumulate(c2, (ii, jj), l2)  # tr(E)^2
+            for h in rng:
+                jh, hi, hh = e[j][h], e[h][i], e[h][h]
+                accumulate(c3, (ij, jh, hi), half_k1)  # tr(EEE)
+                accumulate(c3, (ij, hi, jh), half_k1)
+                accumulate(c3, (ij, ji, hh), k2)  # tr(EE)tr(E)
+                accumulate(c3, (ij, hh, ji), k2)
+                accumulate(c3, (hh, ij, ji), k3)  # tr(E)tr(EE)
+                accumulate(c3, (ii, jj, hh), k4)  # tr(E)^3
+    bal = BalancedData({key: -v for key, v in cbar.items()}, omega)
+    b_tensor, d_tensor = build_from_casimirs(c2, c3, bal)
+    return QlsPresentation(n * n, 2 * m, c=c_tensor, cbar=cbar, d=d_tensor,
+                           b=b_tensor, a=a_tensor, names=names)
 
 
 def build(n: int, central=None) -> Gl2n1:
     """Construct gl2(n/1) as a presentation; the central charge defaults to
-    the symbolic indeterminate 'c'."""
+    the symbolic indeterminate 'c'.  The type-I presentation on
+    V = Lambda^1: C3(E^j_i, E, E) is minus the E^j_i-gradient of e3, C2
+    carries the printed linear terms and the ordering correction, and
+    a = c (DECISIONS.md)."""
     if n < 2:
         raise ValueError("n must be at least 2")
     check_rule_count(n * n + 2 * n, 2 * n)  # n >= 31 is refused
     c_scalar = Scalar.var("c") if central is None else Scalar.coerce(central)
-
-    n2 = n * n
-    names = (
-        [f"E{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
-        + [f"Qbar{i}" for i in range(1, n + 1)]
-        + [f"Q{i}" for i in range(1, n + 1)]
-    )
-    eid = partial(even_index, n)
-
-    # vector / contragredient actions
-    cbar: Dict[tuple, Fraction] = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            # [E^i_j, Qbar^k] = delta(k,j) Qbar^i
-            cbar[(eid(i, j), j - 1, i - 1)] = Fraction(1)
-            # [E^i_j, Q_k] = -delta(i,k) Q_j
-            cbar[(eid(i, j), n + i - 1, n + j - 1)] = Fraction(-1)
-
-    # {Qbar^i, Q_j}: quadratic part symmetrized into d, with the commutator
-    # correction from symmetrization absorbed into b
-    d_tensor: Dict[tuple, Fraction] = {}
-    b_tensor: Dict[tuple, Scalar] = {}
-    a_tensor: Dict[tuple, Scalar] = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            p, q = i - 1, n + j - 1  # odd indices of Qbar^i, Q_j
-            # raw quadratic coefficient tensor T[(even a, even b)]
-            T: Dict[tuple, Fraction] = {}
-            for k in range(1, n + 1):
-                accumulate(T, (eid(i, k), eid(k, j)), Fraction(1))  # (E^2)^i_j
-                accumulate(T, (eid(k, k), eid(i, j)), Fraction(-1))  # -<E> E^i_j
-            if i == j:
-                for k in range(1, n + 1):
-                    for l in range(1, n + 1):
-                        # -<E^2>/2 + <E>^2/2
-                        accumulate(T, (eid(k, l), eid(l, k)), Fraction(-1, 2))
-                        accumulate(T, (eid(k, k), eid(l, l)), Fraction(1, 2))
-            # symmetrize in the even pair
-            for (a, b), v in T.items():
-                for key in ((p, q, a, b), (p, q, b, a)):
-                    accumulate(d_tensor, key, v / 2)
-
-            # linear part: printed -(n-1)/2 delta <E> plus the symmetrization
-            # correction (1/2) sum_ab T_ab [x_a, x_b] = (n/2) E^i_j - delta <E>/2
-            accumulate(b_tensor, (p, q, eid(i, j)), srat(n, 2))
-            if i == j:
-                for k in range(1, n + 1):
-                    accumulate(b_tensor, (p, q, eid(k, k)), srat(-n, 2))
-                a_tensor[(p, q)] = c_scalar
-
-    pres = QlsPresentation(
-        n2,
-        2 * n,
-        c=gl_structure_constants(n),
-        cbar=cbar,
-        d=_mirror_odd(d_tensor),
-        b=_mirror_odd(b_tensor),
-        a=_mirror_odd(a_tensor),
-        names=names,
-    )
+    pres = type_one_presentation(
+        n, 1, (Fraction(-1), Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2)),
+        (Fraction(-n, 2), Fraction(n, 2)), c_scalar)
     return Gl2n1(n, c_scalar, pres)

@@ -1,5 +1,5 @@
-"""Small exact linear algebra over Fraction on dense matrices: desk-scale
-Gaussian elimination, no floating point anywhere."""
+"""Small exact linear algebra over Fraction: desk-scale Gaussian
+elimination on sparse rows, no floating point anywhere."""
 
 from __future__ import annotations
 
@@ -8,23 +8,28 @@ from typing import List, Sequence
 
 
 def invert_matrix(mat: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
-    """Exact inverse of a square rational matrix; raises on singular input."""
+    """Exact inverse of a square rational matrix; raises on singular input.
+    Each row of the augmented matrix is a map {column: nonzero entry}, so
+    a sparse matrix (a signed permutation, say) costs few operations."""
     n = len(mat)
-    aug = [
-        [Fraction(mat[r][c]) for c in range(n)]
-        + [Fraction(1) if c == r else Fraction(0) for c in range(n)]
-        for r in range(n)
-    ]
+    aug = [{c: Fraction(v) for c, v in enumerate(row) if v} for row in mat]
+    for r, row in enumerate(aug):
+        row[n + r] = Fraction(1)
     for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        piv = next((r for r in range(col, n) if col in aug[r]), None)
         if piv is None:
             raise ValueError("singular matrix")
         aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
+        inv = 1 / aug[col][col]
+        pivot = aug[col] = {c: v * inv for c, v in aug[col].items()}
+        for r, row in enumerate(aug):
+            f = row.get(col) if r != col else None
+            if f:
+                for c, v in pivot.items():
+                    new = row.get(c, 0) - f * v
+                    if new:
+                        row[c] = new
+                    else:
+                        del row[c]
+    zero = Fraction(0)
+    return [[row.get(n + c, zero) for c in range(n)] for row in aug]

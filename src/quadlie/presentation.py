@@ -751,43 +751,43 @@ class _Ring(NamedTuple):
 
 class BalancedData:
     """Self-contragredient odd-module data: the even action pi(x_i)_p^q on
-    the odd module together with an invertible pairing Omega implementing
-    the equivalence with the contragredient action."""
+    the odd module, a sparse map {(i, p, q): value} keyed like cbar,
+    together with an invertible pairing Omega (a square matrix)
+    implementing the equivalence with the contragredient action."""
 
-    def __init__(self, pi: Sequence[Sequence[Sequence]], omega: Sequence[Sequence]):
-        self.pi = [
-            [[Scalar.coerce(entry) for entry in row] for row in mat] for mat in pi
-        ]
-        self.omega = [[Fraction(entry) for entry in row] for row in omega]
+    def __init__(self, pi: Mapping[tuple, object], omega: Sequence[Sequence]):
         from .linalg import invert_matrix
 
-        self.omega_inv = invert_matrix(self.omega)
+        m = len(omega)
+        for i, p, q in pi:
+            if not (0 <= p < m and 0 <= q < m):
+                raise ValueError(f"pi index {(i, p, q)} outside the pairing's size {m}")
+        self.pi = {key: v for key, v in pi.items() if v}
+        self.omega_inv = invert_matrix(omega)
+        # the nonzero Omega_rq of each row r and Omega^{qr} of each column r
+        self.omega_rows = [_nonzeros(row) for row in omega]
+        self._inv_cols = [_nonzeros(col) for col in zip(*self.omega_inv)]
         bad = self.intertwiner_violation()
         if bad is not None:
             raise ValueError(f"pairing is not balanced: violation at {bad}")
 
-    @property
-    def m_odd(self) -> int:
-        return len(self.omega)
-
     def intertwiner_violation(self):
-        """First (i, p, q) where Omega^{qr} pi(x_i)_r^s Omega_{sp} differs
-        from -pi(x_i)_p^q, or None if balanced."""
-        m = self.m_odd
-        # the nonzero Omega^{qr} of each q and Omega_{sp} of each p
-        inv_row = [[(r, x) for r, x in enumerate(row) if x] for row in self.omega_inv]
-        col = [[(s, self.omega[s][p]) for s in range(m) if self.omega[s][p]]
-               for p in range(m)]
-        for i, mat in enumerate(self.pi):
-            for p in range(m):
-                for q in range(m):
-                    acc = Scalar()
-                    for r, x in inv_row[q]:
-                        for s, y in col[p]:
-                            acc = acc + mat[r][s] * (x * y)
-                    if not (acc + mat[p][q]).is_zero():
-                        return (i, p, q)
-        return None
+        """The least (i, p, q) where Omega^{qr} pi(x_i)_r^s Omega_{sp}
+        differs from -pi(x_i)_p^q, or None if balanced: the residual is
+        pi plus the sum over the nonzero pi entries."""
+        residual = dict(self.pi)
+        for (i, r, s), v in self.pi.items():
+            for q, x in self._inv_cols[r]:
+                for p, y in self.omega_rows[s]:
+                    accumulate(residual, (i, p, q), x * v * y)
+        return min(residual, default=None)
+
+
+def _nonzeros(row: Sequence) -> List[Tuple[int, Union[int, Fraction]]]:
+    """(index, entry) of each nonzero entry of a rational row, integral
+    ones as ints."""
+    fracs = ((q, Fraction(x)) for q, x in enumerate(row) if x)
+    return [(q, f.numerator if f.denominator == 1 else f) for q, f in fracs]
 
 
 def build_from_casimirs(c2: Mapping, c3: Mapping, bal: BalancedData) -> Tuple[Dict, Dict]:
@@ -796,25 +796,30 @@ def build_from_casimirs(c2: Mapping, c3: Mapping, bal: BalancedData) -> Tuple[Di
     d_pq^{kl} = C3^{mkl} pi(x_m)_p^r Omega_rq.
 
     c2/c3 are sparse symmetric coefficient tensors of the quadratic and
-    cubic invariants; either may be empty.  Returns (b, d) tensor dicts
-    suitable for a presentation together with the even algebra's c and
-    the cbar implied by pi.
+    cubic invariants; either may be empty.  Returns (b, d) tensor dicts of
+    exact nonzero values (ints, Fractions or Scalars, as the products
+    come), suitable for a presentation together with the even algebra's c
+    and the cbar implied by pi.  pi(x) Omega is formed once per even x,
+    and each Casimir entry contracts with its nonzeros only.
     """
-    m = bal.m_odd
-    b_tensor: Dict[tuple, Scalar] = {}
-    d_tensor: Dict[tuple, Scalar] = {}
+    pi_omega: Dict[int, Dict[Tuple[int, int], Coeff]] = {}
+    for (x, p, r), v in bal.pi.items():
+        for q, om in bal.omega_rows[r]:
+            accumulate(pi_omega.setdefault(x, {}), (p, q), v * om)
+    # the (p, q) of each value of pi(x) Omega, so a coefficient is
+    # multiplied once per value
+    by_value: Dict[int, Dict[Coeff, List[Tuple[int, int]]]] = {}
+    for x, entries in pi_omega.items():
+        for pq, v in entries.items():
+            by_value.setdefault(x, {}).setdefault(v, []).append(pq)
+    b_tensor: Dict[tuple, Coeff] = {}
+    d_tensor: Dict[tuple, Coeff] = {}
     # (even index of pi, trailing even indices of the key, coeff, output)
     jobs = [(j, (i,), coeff, b_tensor) for (i, j), coeff in c2.items()]
     jobs += [(mm, (k, l), coeff, d_tensor) for (mm, k, l), coeff in c3.items()]
     for x, rest, coeff, out in jobs:
-        cval = Scalar.coerce(coeff)
-        mat = bal.pi[x]
-        for p in range(m):
-            for r in range(m):
-                if mat[p][r].is_zero():
-                    continue
-                for q in range(m):
-                    om = bal.omega[r][q]
-                    if om:
-                        accumulate(out, (p, q) + rest, cval * mat[p][r] * om)
+        for v, pqs in by_value.get(x, {}).items():
+            value = coeff * v
+            for pq in pqs:
+                accumulate(out, pq + rest, value)
     return b_tensor, d_tensor

@@ -84,6 +84,10 @@ def test_usage_errors_exit_2(capsys):
     code, _, err = _run(capsys, "family-report", "--n", "3", "--r", "2",
                         "--mu", "x", "--nu", "0", "--c", "0")
     assert code == 2 and "bad value" in err
+    for argv in (("normal-form", "--algebra", "other", "--n", "2", "E[1,1]"),
+                 ("serre-check", "--algebra", "other")):
+        code, out, _ = _run(capsys, *argv)
+        assert code == 2 and out == ""
 
 
 def test_unreadable_file_exits_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """The gl2(n/1) family: brackets, odd-multinomial calculus, adjoint
 operators, Casimirs, characteristic identities and family data."""
 
+import hashlib
 from fractions import Fraction
 from math import comb
 
@@ -23,6 +24,7 @@ from quadlie.gl2n1 import (
     uni_mul,
     uni_trim,
 )
+from quadlie.fock import lambda3_presentation
 from quadlie.ncpoly import NCPoly
 from quadlie.pbw import MAX_RELATIONS
 from quadlie.scalars import Scalar, srat
@@ -55,6 +57,20 @@ def test_n2_bracket_table():
     }
     for (i, j), rhs in expected.items():
         assert _anti(alg, alg.Qbar(i), alg.Q(j)) == _nf(alg, rhs)
+
+
+# dumps of build(n, c) for n = 2..6, c in (None, 1, 5/3), then of the
+# Lambda^3 presentation, hashed in that order
+_BUILTIN_DUMPS_SHA256 = "79050094c44fe7955c345c5b537820023b2871c0dfa75e27adb2f7915b87e951"
+
+
+def test_builtin_presentations_are_pinned():
+    digest = hashlib.sha256()
+    for n in range(2, 7):
+        for c in (None, Fraction(1), Fraction(5, 3)):
+            digest.update(build(n, c).presentation.dumps().encode())
+    digest.update(lambda3_presentation().dumps().encode())
+    assert digest.hexdigest() == _BUILTIN_DUMPS_SHA256
 
 
 # -- odd multinomial calculus -----------------------------------------

@@ -466,10 +466,7 @@ def _gl2n1_balanced(n: int):
     """pi from the family's cbar with the antisymmetric block pairing."""
     pres = build(n).presentation
     m = pres.m_odd
-    pi = [[[Scalar() for _ in range(m)] for _ in range(m)]
-          for _ in range(pres.n_even)]
-    for (i, p, q), v in pres.cbar.items():
-        pi[i][p][q] = pi[i][p][q] - v
+    pi = {key: -v for key, v in pres.cbar.items()}
     omega = [[Fraction(0)] * m for _ in range(m)]
     for t in range(n):
         omega[t][n + t] = Fraction(1)
@@ -490,6 +487,36 @@ def _gl_trace_tensors(n: int):
     return tr2, trtr
 
 
+def _gl_cubic_bases(n: int):
+    """Invariant 3-tensor basis, symmetric in the last two slots:
+    tr(EEE), tr(EE)tr(E), tr(E)tr(EE), tr(E)^3."""
+    def eid(i, j):
+        return n * (i - 1) + (j - 1)
+
+    bases = [{}, {}, {}, {}]
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            for k in range(1, n + 1):
+                for key in ((eid(i, j), eid(j, k), eid(k, i)),
+                            (eid(i, j), eid(k, i), eid(j, k))):
+                    bases[0][key] = bases[0].get(key, Fraction(0)) + Fraction(1, 2)
+                for key in ((eid(i, j), eid(j, i), eid(k, k)),
+                            (eid(i, j), eid(k, k), eid(j, i))):
+                    bases[1][key] = bases[1].get(key, Fraction(0)) + 1
+                bases[2][(eid(k, k), eid(i, j), eid(j, i))] = Fraction(1)
+                bases[3][(eid(i, i), eid(j, j), eid(k, k))] = Fraction(1)
+    return bases
+
+
+def _combination(tensors, coefficients):
+    """The nonzero entries of sum_t coefficients[t] * tensors[t]."""
+    out = {}
+    for tensor, lam in zip(tensors, coefficients):
+        for key, v in tensor.items():
+            out[key] = out.get(key, Fraction(0)) + lam * v
+    return {k: v for k, v in out.items() if v}
+
+
 def test_zero_cubic_invariant_gives_zero_d():
     pres, bal = _gl2n1_balanced(3)
     tr2, _ = _gl_trace_tensors(3)
@@ -500,17 +527,17 @@ def test_zero_cubic_invariant_gives_zero_d():
 
 def test_family_b_tensor_reproduced_from_quadratic_invariants():
     # frozen oracle: with the antisymmetric pairing (+1 upper, -1 lower),
-    # the linear odd-odd tensor is exactly -3/2 tr(E^2) + 3/2 tr(E)^2 at n=3
-    pres, bal = _gl2n1_balanced(3)
-    tr2, trtr = _gl_trace_tensors(3)
-    c2 = {}
-    for tensor, lam in ((tr2, Fraction(-3, 2)), (trtr, Fraction(3, 2))):
-        for key, v in tensor.items():
-            c2[key] = c2.get(key, Fraction(0)) + lam * v
-    c2 = {k: v for k, v in c2.items() if v}
-    b, d = build_from_casimirs(c2, {}, bal)
-    assert d == {}
-    assert b == pres.b
+    # the linear odd-odd tensor is exactly -n/2 tr(E^2) + n/2 tr(E)^2 and
+    # the quadratic one -tr(E^3) + 1/2 tr(E^2)tr(E) + 1/2 tr(E)tr(E^2)
+    # - 1/2 tr(E)^3 (the first slot the one pi acts by), for n = 2..5
+    for n in range(2, 6):
+        pres, bal = _gl2n1_balanced(n)
+        c2 = _combination(_gl_trace_tensors(n), (Fraction(-n, 2), Fraction(n, 2)))
+        c3 = _combination(_gl_cubic_bases(n), (Fraction(-1), Fraction(1, 2),
+                                               Fraction(1, 2), Fraction(-1, 2)))
+        b, d = build_from_casimirs(c2, c3, bal)
+        assert b == pres.b
+        assert d == pres.d
 
 
 def test_sl2_doublet_with_epsilon_pairing():
@@ -521,23 +548,17 @@ def test_sl2_doublet_with_epsilon_pairing():
         (2, 0, 0): srat(1), (0, 2, 0): srat(-1),   # [J3, J+] = J+
         (2, 1, 1): srat(-1), (1, 2, 1): srat(1),   # [J3, J-] = -J-
     }
-    pi = [
-        [[Scalar(), srat(1)], [Scalar(), Scalar()]],        # J+
-        [[Scalar(), Scalar()], [srat(1), Scalar()]],        # J-
-        [[srat(1, 2), Scalar()], [Scalar(), srat(-1, 2)]],  # J3
-    ]
+    pi = {
+        (0, 0, 1): srat(1),                        # J+
+        (1, 1, 0): srat(1),                        # J-
+        (2, 0, 0): srat(1, 2), (2, 1, 1): srat(-1, 2),  # J3
+    }
     omega = [[Fraction(0), Fraction(1)], [Fraction(-1), Fraction(0)]]
     bal = BalancedData(pi, omega)
     c2 = {(0, 1): Fraction(1), (1, 0): Fraction(1), (2, 2): Fraction(2)}
     b, d = build_from_casimirs(c2, {}, bal)
     assert d == {} and b
-    cbar = {}
-    for i in range(3):
-        for p in range(2):
-            for q in range(2):
-                v = pi[i][p][q]
-                if not v.is_zero():
-                    cbar[(i, p, q)] = -v
+    cbar = {key: -v for key, v in pi.items()}
     pres = QlsPresentation(3, 2, c=c, cbar=cbar, b=b)
     assert pres.check_component_jacobi().passed
     assert pres.check_abstract_jacobi().passed
@@ -550,36 +571,11 @@ def test_random_invariants_satisfy_governed_families():
     rng = random.Random(11)
     for n in (2, 3):
         pres, bal = _gl2n1_balanced(n)
-        tr2, trtr = _gl_trace_tensors(n)
-
-        def eid(i, j):
-            return n * (i - 1) + (j - 1)
-
-        # invariant 3-tensor basis, symmetric in the last two slots
-        bases = [{}, {}, {}, {}]
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                for k in range(1, n + 1):
-                    for key in ((eid(i, j), eid(j, k), eid(k, i)),
-                                (eid(i, j), eid(k, i), eid(j, k))):
-                        bases[0][key] = bases[0].get(key, Fraction(0)) + Fraction(1, 2)
-                    for key in ((eid(i, j), eid(j, i), eid(k, k)),
-                                (eid(i, j), eid(k, k), eid(j, i))):
-                        bases[1][key] = bases[1].get(key, Fraction(0)) + 1
-                    bases[2][(eid(k, k), eid(i, j), eid(j, i))] = Fraction(1)
-                    bases[3][(eid(i, i), eid(j, j), eid(k, k))] = Fraction(1)
+        quadratic = _gl_trace_tensors(n)
+        bases = _gl_cubic_bases(n)
         for _ in range(4):
-            c2, c3 = {}, {}
-            for tensor in (tr2, trtr):
-                lam = Fraction(rng.randint(-3, 3))
-                for key, v in tensor.items():
-                    c2[key] = c2.get(key, Fraction(0)) + lam * v
-            for tensor in bases:
-                lam = Fraction(rng.randint(-3, 3))
-                for key, v in tensor.items():
-                    c3[key] = c3.get(key, Fraction(0)) + lam * v
-            c2 = {k: v for k, v in c2.items() if v}
-            c3 = {k: v for k, v in c3.items() if v}
+            c2 = _combination(quadratic, [Fraction(rng.randint(-3, 3)) for _ in quadratic])
+            c3 = _combination(bases, [Fraction(rng.randint(-3, 3)) for _ in bases])
             b, d = build_from_casimirs(c2, c3, bal)
             cand = QlsPresentation(
                 pres.n_even, pres.m_odd, c=pres.c, cbar=pres.cbar, d=d, b=b,
@@ -588,17 +584,30 @@ def test_random_invariants_satisfy_governed_families():
             assert not [v for v in report.violations if v.family in GOVERNED]
 
 
+def _gl2n1_pi(n: int):
+    return {key: -v for key, v in build(n).presentation.cbar.items()}
+
+
 def test_balanced_data_rejects_non_intertwining_pairing():
-    pres = build(3).presentation
-    m = pres.m_odd
-    pi = [[[Scalar() for _ in range(m)] for _ in range(m)]
-          for _ in range(pres.n_even)]
-    for (i, p, q), v in pres.cbar.items():
-        pi[i][p][q] = pi[i][p][q] - v
+    m = 6
     omega = [[Fraction(1) if r == s else Fraction(0) for s in range(m)]
              for r in range(m)]
-    with pytest.raises(ValueError):
-        BalancedData(pi, omega)
+    with pytest.raises(ValueError, match=r"violation at \(0, 0, 0\)$"):
+        BalancedData(_gl2n1_pi(3), omega)
+
+
+def test_balanced_data_rejects_singular_pairing():
+    omega = [[Fraction(0)] * 6 for _ in range(6)]
+    omega[0][3] = omega[3][0] = Fraction(1)
+    with pytest.raises(ValueError, match="singular"):
+        BalancedData(_gl2n1_pi(3), omega)
+
+
+def test_balanced_data_rejects_pi_index_outside_pairing():
+    omega = [[Fraction(0), Fraction(1)], [Fraction(-1), Fraction(0)]]
+    for key in ((0, 0, 2), (0, 2, 0), (0, -1, 1)):
+        with pytest.raises(ValueError, match="outside"):
+            BalancedData({key: Fraction(1)}, omega)
 
 
 # -- the checkers' ring ---------------------------------------------------
