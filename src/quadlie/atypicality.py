@@ -232,17 +232,10 @@ def atypicality_report(params: FamilyParams, central) -> dict:
         zs = "indeterminate"
     else:
         zs = zero_step(params, central)
-    all_vanish = all(v.is_zero() for v in a_values.values())
-    levels: Dict[int, str] = {0: "present"}
-    for lvl in range(1, n + 1):
-        if zs is True or all_vanish:
-            levels[lvl] = "killed"
-        elif lvl == 1:
-            levels[lvl] = "present" if any(
-                not v.is_zero() for v in a_values.values()
-            ) else "killed"
-        else:
-            levels[lvl] = "not analyzed"
+    killed = zs is True or all(v.is_zero() for v in a_values.values())
+    levels: Dict[int, str] = {0: "present", 1: "killed" if killed else "present"}
+    for lvl in range(2, n + 1):
+        levels[lvl] = "killed" if killed else "not analyzed"
     return {
         "params": params,
         "central": Scalar.coerce(central),

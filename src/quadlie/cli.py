@@ -75,7 +75,7 @@ def _jacobi_dict(rep: JacobiReport) -> dict:
 def _load_presentation(path: str) -> QlsPresentation:
     try:
         return QlsPresentation.load(path)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise CliError(f"cannot read presentation {path!r}: {exc}") from exc
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb, factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -188,18 +188,12 @@ def projector(ci: CharIdentity, s: int) -> Uni:
     """Lagrange projector onto the shift with root alpha_s, as a univariate
     polynomial in the symbol E; requires s retained and the retained roots
     pairwise distinct."""
-    retained = ci.retained_roots()
-    target = None
-    for s2, root in retained:
-        if s2 == s:
-            target = root
-    if target is None:
-        if not (1 <= s <= len(ci.roots)) or not ci.retained[s - 1]:
-            raise ValueError(f"root index {s} is not retained")
-        target = ci.roots[s - 1]
+    if not (1 <= s <= len(ci.roots)) or not ci.retained[s - 1]:
+        raise ValueError(f"root index {s} is not retained")
+    target = ci.roots[s - 1]
     num: Uni = [srat(1)]
     den = srat(1)
-    for _, root in retained:
+    for _, root in ci.retained_roots():
         if root == target:
             continue
         diff = target - root
@@ -462,21 +456,17 @@ def _perm_sign(seq: Sequence[int]) -> int:
     return -1 if inv % 2 else 1
 
 
-def gl_structure_constants(n: int) -> Dict[tuple, Fraction]:
+def gl_structure_constants(n: int) -> Dict[tuple, int]:
     """gl(n) brackets on the Gel'fand generators E^a_b, indexed row-major:
-    [E^a_b, E^c_d] = delta(b,c) E^a_d - delta(d,a) E^c_b."""
+    [E^a_b, E^c_d] = delta(b,c) E^a_d - delta(d,a) E^c_b, so only
+    [E^a_b, E^b_x] holds +E^a_x and [E^a_b, E^x_a] holds -E^x_b; the two
+    cancel on [E^a_a, E^a_a]."""
     eid = partial(even_index, n)
-    c_tensor: Dict[tuple, Fraction] = {}
+    c_tensor: Dict[tuple, int] = {}
     rng = range(1, n + 1)
-    for a in rng:
-        for b in rng:
-            for cc in rng:
-                for d in rng:
-                    i, j = eid(a, b), eid(cc, d)
-                    if b == cc:
-                        accumulate(c_tensor, (i, j, eid(a, d)), Fraction(1))
-                    if d == a:
-                        accumulate(c_tensor, (i, j, eid(cc, b)), Fraction(-1))
+    for a, b, x in product(rng, repeat=3):
+        accumulate(c_tensor, (eid(a, b), eid(b, x), eid(a, x)), 1)
+        accumulate(c_tensor, (eid(a, b), eid(x, a), eid(x, b)), -1)
     return c_tensor
 
 

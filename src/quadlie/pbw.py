@@ -26,9 +26,9 @@ compares `_apply((a, b), N)` with `_act(a, b N)` on the rest.  At
 `max_len` 3 it thus covers exactly Bergman's overlap words a b c, with
 both a b and b c out of order.
 
-The action runs in one coefficient ring per system, the presentation's
-scaled table (`QlsPresentation._scaled`, which the Jacobi checkers read
-too), with each odd square halved: Python ints, with the rule
+The action runs in one coefficient ring per system, the bracket table of
+the presentation's ring (`QlsPresentation._ring`, which the Jacobi
+checkers read too), with each odd square halved: Python ints, with the rule
 coefficients that hold an indeterminate (c sits only in a few a terms of
 gl2(n/1)) or stay non-integral (1/2 in an even-even rule, say) kept as
 Scalars; D = 2 for gl2(3/1) at c = 1 or symbolic, 10 at c = 7/5.  The
@@ -146,19 +146,19 @@ class RewriteSystem:
     # lower-order table: unordered adjacent pair (g1, g2) -> list of
     # (middle word, coeff) with g1 g2 = (sign) g2 g1 + sum coeff * middle,
     # and y y = sum coeff * middle = (1/2) {y, y} for an odd square;
-    # returned with D, read from the presentation's scaled table, where
-    # D was chosen so that halving an odd square is exact
+    # returned with D, read from the presentation's ring, where D was
+    # chosen so that halving an odd square is exact
     def _build_rules(self):
-        table, scale = self.presentation._scaled
+        ring = self.presentation._ring
         rules: Table = {}
         size = self.presentation.alphabet.size
         for g1 in range(size):
             for g2 in range(size):
                 if not self._pair_is_ordered(g1, g2):
-                    terms = table.get((g1, g2), [])
+                    terms = ring.table.get((g1, g2), [])
                     rules[(g1, g2)] = ([(w, _half(v)) for w, v in terms] if g1 == g2
                                        else terms)
-        return rules, scale
+        return rules, ring.scale
 
     # -- ordering predicates ------------------------------------------
 

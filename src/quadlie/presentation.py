@@ -11,9 +11,9 @@ brackets
 to close on quadratic expressions, so associativity of the enveloping
 algebra is not automatic.  `TENSORS` is the one description of the five
 tensors, the kind of each index slot: validation, the bracket table, JSON
-I/O, equality, the checkers' ring and the component checker all read it.
-`QlsPresentation.bracket(g1, g2)` is the one place where the bracket of a
-generator pair is read: a table built once from the five tensors.  The
+I/O, equality, the odd rescaling's exponent and the component checker all
+read it.  `QlsPresentation.bracket(g1, g2)` reads the bracket of a
+generator pair from a table made from the five tensors on first use.  The
 defining ideal is generated by
 e(g1, g2) = g1 g2 - (-1)^{|g1||g2|} g2 g1 - bracket(g1, g2), keyed by the
 generator pair itself.  Two independent checkers decide associativity:
@@ -27,13 +27,14 @@ generator pair itself.  Two independent checkers decide associativity:
 Both return a JacobiReport listing every violated identity with its exact
 residual, and how many identities of each family it checked.
 
-Both run in one coefficient ring per presentation (`_ring`), read from
-the one scaled bracket table (`_scaled`) that `pbw`'s module action reads
-too: the whole table, a included, after `odd_rescale`, in Python ints
+Both run in one coefficient ring per presentation (`_ring`), which
+`pbw`'s module action reads too, derived forward from the five tensors:
+`odd_rescale` scales each by D^`odd_exponent` of its kinds, in Python ints
 with the entries that hold an indeterminate or stay non-integral kept as
-Scalars.  The component family (7) multiplies a by cbar, and the
-abstract checker, linear in a, keeps one coefficient per odd pair at the
-empty word and dots them with the ring's a at the end of each triple.
+Scalars, and `_Ring.build` keeps them and makes the bracket table, a
+included, from them.  The component family (7) multiplies a by cbar, and
+the abstract checker, linear in a, keeps one coefficient per odd pair at
+the empty word and dots them with the ring's a at the end of each triple.
 Map-back:
   * families (1) and (2) are products of c and cbar, so unscaled; (3)-(7)
     are linear in d, b or a, so their residuals map back by D^-2;
@@ -213,8 +214,6 @@ class QlsPresentation:
         self.indeterminates = tuple(sorted(inferred))
         self.alphabet = Alphabet(n_even, m_odd, names=names)
         self._validate()
-        table = _bracket_table(n_even, self._tensors())
-        self._brackets = {pair: MappingProxyType(terms) for pair, terms in table.items()}
 
     def _tensors(self) -> List[Tuple[str, str, Dict[tuple, Scalar]]]:
         """(name, slot kinds, entries) of each tensor, in `TENSORS` order."""
@@ -243,6 +242,11 @@ class QlsPresentation:
                                      f"in {_PARITY[k]} pair at {bad}")
 
     # -- bracket table ------------------------------------------------
+
+    @cached_property
+    def _brackets(self) -> Dict[Tuple[int, int], Mapping[Word, Scalar]]:
+        table = _bracket_table(self.n_even, self._tensors())
+        return {pair: MappingProxyType(terms) for pair, terms in table.items()}
 
     def bracket(self, g1: int, g2: int) -> Mapping[Word, Scalar]:
         """[g1, g2} = g1 g2 - (-1)^{|g1||g2|} g2 g1 as a read-only map
@@ -355,25 +359,16 @@ class QlsPresentation:
 
     # -- the checkers' and the action's ring ----------------------------
 
-    def _table(self) -> Table:
-        """The bracket table as (word, coeff) lists, a words included."""
-        return {pair: list(terms.items()) for pair, terms in self._brackets.items()}
-
-    @cached_property
-    def _scaled(self) -> Tuple[Table, int]:
-        """(`odd_rescale` of the bracket table, D): the one ring both
-        checkers and `pbw`'s module action run in."""
-        return odd_rescale(self._table(), self.n_even)
-
     @cached_property
     def _scalar_ring(self) -> "_Ring":
         """The presentation's own Scalars, unscaled: `normalize2`'s basis."""
-        return _Ring.build(self, self._table(), 1)
+        return _Ring.build(self.n_even, self._tensors(), 1)
 
     @cached_property
     def _ring(self) -> "_Ring":
-        """The checkers' ring, read from `_scaled`."""
-        return _Ring.build(self, *self._scaled)
+        """The one ring both checkers and `pbw`'s module action run in:
+        the tensors after `odd_rescale`."""
+        return _Ring.build(self.n_even, *odd_rescale(self._tensors()))
 
     # -- reduction of degree-2 elements --------------------------------
 
@@ -476,8 +471,7 @@ class QlsPresentation:
         found: Dict[str, Tuple[int, List[JacobiViolation]]] = {}
         for name, kinds in TENSORS.items():
             tensor = getattr(ring, name)
-            # the scaling lemma: the ring scales T by D^(o(pair) - o(word))
-            exponent = kinds.count("O") - kinds.count("o")
+            exponent = -odd_exponent(kinds)
             family = "-".join(_PARITY[k] for k in "e" + kinds[:2])
             if kinds[0] == "e":
                 # c and cbar, the even part's own action: (1) and (2) report
@@ -653,47 +647,50 @@ def odd_scale(den: int) -> int:
     return next((d for d in range(1, min(den, 1 << 16) + 1) if d * d % den == 0), den)
 
 
-def odd_rescale(table: Table, n_even: int) -> Tuple[Table, int]:
-    """(table after the odd rescaling by D, D): a plain-rational coefficient
-    whose scaled value is an integer becomes a Python int; one that holds an
-    indeterminate, or a plain rational the factor leaves non-integral (1/2
-    in an even-even bracket, say), stays a Scalar.
+def odd_exponent(kinds: str) -> int:
+    """o(pair) - o(word) of a tensor with these `TENSORS` slot kinds: the
+    power of D the odd rescaling multiplies its entries by (2 on the odd
+    pair tensors d, b and a, 0 on c and cbar)."""
+    return kinds.count("o") - kinds.count("O")
 
-    The table maps a generator pair g1 g2 to (word w, coeff) terms: the
-    presentation's whole bracket table, a included.  Scaling lemma: with
-    o(w) the number of odd letters of w, scaling every odd generator
-    y -> D y (D > 0 an integer) multiplies the coefficient of w by
-    D^(o(g1 g2) - o(w)); brackets keep parity, so the factor is D^2 on
-    odd-odd pairs and 1 elsewhere.  The lemma holds over any commutative
-    coefficient ring, so a Scalar term takes the same factor as an int one.
-    D is `odd_scale` of the lcm of the plain-rational denominators on
-    odd-odd pairs, of v / 2 on an odd square (the module action halves
-    it) and of v elsewhere, so an odd-odd entry becomes an int, even on an
-    odd square, and only a coefficient off those pairs can stay
+
+def odd_rescale(tensors) -> Tuple[list, int]:
+    """((name, kinds, entries) of each tensor after the odd rescaling by D,
+    D), from (name, kinds, entries) as `QlsPresentation._tensors` gives
+    them: a plain-rational entry whose scaled value is an integer becomes a
+    Python int; one that holds an indeterminate, or a plain rational the
+    factor leaves non-integral (1/2 in c, say), stays a Scalar.
+
+    Scaling lemma: with o(w) the number of odd letters of w, scaling every
+    odd generator y -> D y (D > 0 an integer) multiplies the coefficient of
+    w in the bracket of g1 g2 by D^(o(g1 g2) - o(w)), which is
+    D^`odd_exponent(kinds)` on each entry of a tensor.  The lemma holds over any commutative
+    coefficient ring, so a Scalar entry takes the same factor as an int
+    one.  D is `odd_scale` of the lcm of the plain-rational denominators of
+    the odd-pair tensors, of v / 2 on an odd square (the module action
+    halves it) and of v elsewhere, so each of their entries becomes an int,
+    even on an odd square, and only a c or cbar entry can stay
     non-integral.  Each consumer maps its results back by the inverse
     factors (`pbw._ModuleAction.apply_word`, `_Ring.back`).
     """
-    def odd_odd(pair):
-        return pair[0] >= n_even and pair[1] >= n_even
+    def den(idx, f):  # of f, or of f / 2 on an odd square
+        return f.denominator * (2 if idx[0] == idx[1] and f.numerator % 2 else 1)
 
-    def den(pair, f):  # of f, or of f / 2 on an odd square
-        return f.denominator * (2 if pair[0] == pair[1] and f.numerator % 2 else 1)
-
-    scale = odd_scale(lcm(*(den(pair, v.as_rational())
-                            for pair, terms in table.items() if odd_odd(pair)
-                            for _, v in terms if v.is_rational())))
-    out: Table = {}
-    for pair, terms in table.items():
-        factor = scale * scale if odd_odd(pair) else 1
-        row = out[pair] = []
-        for w, v in terms:
+    scale = odd_scale(lcm(*(den(idx, v.as_rational())
+                            for _, kinds, tensor in tensors if kinds[:2] == "oo"
+                            for idx, v in tensor.items() if v.is_rational())))
+    out = []
+    for name, kinds, tensor in tensors:
+        factor = scale ** odd_exponent(kinds)
+        scaled: Dict[tuple, Coeff] = {}
+        for idx, v in tensor.items():
             if v.is_rational():
-                f = v.as_rational()
-                num, den = f.numerator * factor, f.denominator
-                if num % den == 0:  # always where the factor is D^2
-                    row.append((w, num // den))
+                f = v.as_rational() * factor
+                if f.denominator == 1:  # always where the factor is D^2
+                    scaled[idx] = f.numerator
                     continue
-            row.append((w, v * factor if factor != 1 else v))
+            scaled[idx] = v * factor if factor != 1 else v
+        out.append((name, kinds, scaled))
     return out, scale
 
 
@@ -705,13 +702,14 @@ def unscaled(value: Coeff, factor: Fraction) -> Scalar:
 
 
 class _Ring(NamedTuple):
-    """The structure tensors as the checkers read them.
+    """The structure tensors as the checkers and the module action read
+    them.
 
-    The five tensors, keyed as in the presentation, read back from one
-    bracket table: Python ints after the odd rescaling by `scale`, but for
-    the entries `odd_rescale` keeps as Scalars.  a enters the component
-    family (7) and the abstract checker's J3 only.  quad holds the (word,
-    coeff) terms of length 2 of each generator pair, lin its (letter,
+    The five tensors, keyed as in the presentation: Python ints after the
+    odd rescaling by `scale`, but for the entries `odd_rescale` keeps as
+    Scalars.  a enters the component family (7) and the abstract checker's
+    J3 only.  table holds the (word, coeff) terms of each generator pair,
+    a words included; quad its terms of length 2 and lin its (letter,
     coeff) terms.
     """
 
@@ -720,29 +718,28 @@ class _Ring(NamedTuple):
     d: Mapping[tuple, Coeff]
     b: Mapping[tuple, Coeff]
     a: Mapping[tuple, Coeff]
+    table: Table
     lin: Dict[Tuple[int, int], List[Tuple[int, Coeff]]]
     quad: Table
     scale: int
 
     @staticmethod
-    def build(pres: QlsPresentation, table: Table, scale: int) -> "_Ring":
-        """The ring of a bracket table, read back into the tensors of
-        `TENSORS` by the parities of the pair and the word length."""
-        n = pres.n_even
+    def build(n: int, tensors, scale: int) -> "_Ring":
+        """The ring of (name, kinds, entries) of each tensor, scaled by
+        `scale`: the tensors kept as they are, the bracket table made from
+        them and split by word length."""
+        table: Table = {pair: list(terms.items())
+                        for pair, terms in _bracket_table(n, tensors).items()}
         lin: Dict[Tuple[int, int], List[Tuple[int, Coeff]]] = {}
         quad: Table = {}
-        tensors: Dict[str, dict] = {name: {} for name in TENSORS}
-        shape = {(kinds[0] == "o", kinds[1] == "o", len(kinds) - 2): tensors[name]
-                 for name, kinds in TENSORS.items()}
-        for (g1, g2), terms in table.items():
+        for pair, terms in table.items():
             for w, v in terms:
-                if w:  # the a word enters only its tensor
-                    (quad if len(w) == 2 else lin).setdefault((g1, g2), []).append(
-                        (w, v) if len(w) == 2 else (*w, v))
-                tensor = shape.get((g1 >= n, g2 >= n, len(w)))
-                if tensor is not None:  # not the odd-even copy of a mixed pair
-                    tensor[tuple(g - n if g >= n else g for g in (g1, g2, *w))] = v
-        return _Ring(lin=lin, quad=quad, scale=scale, **tensors)
+                if len(w) == 2:
+                    quad.setdefault(pair, []).append((w, v))
+                elif w:  # the a word enters only its tensor and the table
+                    lin.setdefault(pair, []).append((*w, v))
+        return _Ring(table=table, lin=lin, quad=quad, scale=scale,
+                     **{name: tensor for name, _, tensor in tensors})
 
     def back(self, value: Coeff, exponent: int) -> Scalar:
         """value * D**exponent as an exact Scalar."""

@@ -388,8 +388,7 @@ def test_checkers_and_action_share_one_scaled_table():
     for pres in cases:
         rs = RewriteSystem(pres)
         assert rs._odd_scale == pres._ring.scale
-        table, scale = pres._scaled
-        assert scale == rs._odd_scale
+        table = pres._ring.table
         for y in range(pres.n_even, pres.alphabet.size):
             assert rs._rules[(y, y)] == [(w, _half(v)) for w, v in table.get((y, y), [])]
 
@@ -635,7 +634,7 @@ def test_serre_mixed_ring_matches_scalar_ring(monkeypatch):
         got = [serre_module_check(rs, max_len) for max_len in lengths]
         with monkeypatch.context() as mp:
             # the reference: the unscaled Scalar table, D = 1
-            mp.setattr(QlsPresentation, "_scaled", property(lambda p: (p._table(), 1)))
+            mp.setattr(QlsPresentation, "_ring", property(lambda p: p._scalar_ring))
             scalar_rs = _rs(pres)
             assert scalar_rs._rules == _scalar_rules(scalar_rs)
             want = [serre_module_check(scalar_rs, max_len) for max_len in lengths]

@@ -842,6 +842,31 @@ def test_mixed_rings_agree_with_scalar_ring(monkeypatch):
     assert 0 < sum(verdicts) < len(verdicts)  # both verdicts occur
 
 
+def test_ring_table_is_the_bracket_table_scaled_entry_by_entry():
+    # the scaling lemma in table form, its exponent counted on the pair and
+    # the word, not on tensor kinds: the ring's entry at word w of the pair
+    # g1 g2 is bracket(g1, g2)[w] * D^(o(g1 g2) - o(w)), an int exactly
+    # where that value is integral
+    for pres in _sample_presentations() + _mixed_ring_cases():
+        ring, n, size = pres._ring, pres.n_even, pres.alphabet.size
+        assert set(ring.table) <= {(g1, g2) for g1 in range(size) for g2 in range(size)}
+        for g1 in range(size):
+            for g2 in range(size):
+                terms = ring.table.get((g1, g2), [])
+                got = dict(terms)
+                assert len(got) == len(terms)
+                want = pres.bracket(g1, g2)
+                assert got.keys() == want.keys(), (g1, g2)
+                for w, v in want.items():
+                    odd = (g1 >= n) + (g2 >= n) - sum(g >= n for g in w)
+                    value = v * ring.scale ** odd
+                    if value.is_rational() and value.as_rational().denominator == 1:
+                        assert type(got[w]) is int
+                        assert got[w] == value.as_rational().numerator
+                    else:
+                        assert type(got[w]) is Scalar and got[w] == value
+
+
 def test_rings_agree_where_normalize2_halves_an_odd_square(monkeypatch):
     pres = _odd_square_presentation()
     assert pres._ring.scale == 6

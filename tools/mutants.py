@@ -1,0 +1,200 @@
+"""Mutation harness: each listed mutant must make a test fail.
+
+A mutant is one exact text replacement in one file, with the test file
+expected to kill it.  The old text must occur exactly once in its file,
+so a refactor that moves or rewrites the line fails here loudly and
+updates the list in the same change.
+
+The repository is copied once to a temporary directory.  For each mutant
+the replacement is applied there, `pytest -x` runs on the named test
+file and, if that file passes, on the whole tier-1 suite; then the file
+is restored.  A mutant that both runs pass survives.  A survivor is
+mended by a new test, never by loosening a check.
+
+Run from the repository root (about two minutes on two cores); it runs
+every mutant and exits 1 on a survivor:
+
+    python tools/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import List, NamedTuple, Optional, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+PRES = "src/quadlie/presentation.py"
+PBW = "src/quadlie/pbw.py"
+T_PRES = "tests/test_presentation.py"
+T_PBW = "tests/test_pbw.py"
+TIMEOUT_S = 900  # per pytest run; a mutant that runs past it counts as killed
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str  # must occur exactly once in path
+    new: str
+    tests: str  # the test file expected to kill it
+
+
+MUTANTS = [
+    # -- the odd rescaling (DECISIONS.md "Odd rescaling") -------------------
+    Mutant("component family (3) exponent off", PRES,
+           "emit(family, invariance(tensor, kinds), exponent, rises)",
+           "emit(family, invariance(tensor, kinds), exponent + (name == 'd'), rises)",
+           T_PRES),
+    Mutant("component family (6) exponent off", PRES,
+           "emit(family, odd_cyclic(tensor), exponent, ())",
+           "emit(family, odd_cyclic(tensor), exponent + (name == 'd'), ())",
+           T_PRES),
+    Mutant("abstract exponent off by one", PRES,
+           "back(part[w], sum(g >= n for g in w) - odd_abc)",
+           "back(part[w], sum(g >= n for g in w) - odd_abc + 1)",
+           T_PRES),
+    Mutant("rescale a by D, not D^2", PRES,
+           "factor = scale ** odd_exponent(kinds)",
+           "factor = scale ** (odd_exponent(kinds) - (name == 'a'))",
+           T_PRES),
+    Mutant("rescale drops a from the scaled ring", PRES,
+           "out.append((name, kinds, scaled))",
+           "out.append((name, kinds, scaled if name != 'a' else {}))",
+           T_PRES),
+    Mutant("odd square not halved in _reduce2", PRES,
+           "t = _half(coeff)",
+           "t = coeff",
+           T_PRES),
+    Mutant("_build_rules does not halve odd squares", PBW,
+           "[(w, _half(v)) for w, v in terms] if g1 == g2",
+           "[(w, v) for w, v in terms] if g1 == g2",
+           T_PBW),
+    Mutant("rescale D without the half on odd squares", PRES,
+           "return f.denominator * (2 if idx[0] == idx[1] and f.numerator % 2 else 1)",
+           "return f.denominator",
+           T_PBW),
+    Mutant("rescale exponent 1 for every tensor", PRES,
+           "factor = scale ** odd_exponent(kinds)",
+           "factor = scale",
+           T_PRES),
+    Mutant("rescale leaves the factor off a Scalar entry", PRES,
+           "scaled[idx] = v * factor if factor != 1 else v",
+           "scaled[idx] = v",
+           T_PRES),
+    Mutant("rescale truncates a non-integral rational", PRES,
+           "if f.denominator == 1:  # always where the factor is D^2\n"
+           "                    scaled[idx] = f.numerator\n",
+           "if True:\n"
+           "                    scaled[idx] = f.numerator // f.denominator\n",
+           T_PRES),
+    # -- the list-form overlap elements (ROADMAP item 6) --------------------
+    Mutant("overlap zR d-part sign", PRES,
+           "zR.append(((u, k), l, -(s * val)))",
+           "zR.append(((u, k), l, s * val))",
+           T_PRES),
+    Mutant("overlap zL substitution added, not subtracted", PRES,
+           "deg2[g, x] = deg2.get((g, x), 0) - coeff * v",
+           "deg2[g, x] = deg2.get((g, x), 0) + coeff * v",
+           T_PRES),
+    Mutant("overlap zR substituted as (g, x)", PRES,
+           "deg2[x, g] = deg2.get((x, g), 0) + coeff * v",
+           "deg2[g, x] = deg2.get((g, x), 0) + coeff * v",
+           T_PRES),
+    Mutant("overlap graded-cyclic sign flipped", PRES,
+           "s = -1 if (u >= n and w >= n) != (a >= n and c >= n) else 1",
+           "s = 1 if (u >= n and w >= n) != (a >= n and c >= n) else -1",
+           T_PRES),
+    # -- the forward ring ------------------------------------------------------
+    Mutant("rescale D over every tensor, not the odd pairs", PRES,
+           "for _, kinds, tensor in tensors if kinds[:2] == \"oo\"",
+           "for _, kinds, tensor in tensors",
+           T_PBW),
+    Mutant("odd exponent counts upper slots only", PRES,
+           "return kinds.count(\"o\") - kinds.count(\"O\")",
+           "return -kinds.count(\"O\")",
+           T_PRES),
+    # -- the module action (ROADMAP item 6) -----------------------------------
+    Mutant("_act swap sign flipped", PBW,
+           "sign = -1 if self.ab.parity(a) == self.ab.parity(b) == 1 else 1",
+           "sign = 1 if self.ab.parity(a) == self.ab.parity(b) == 1 else -1",
+           T_PBW),
+    Mutant("_first_failure skip rule inverted", PBW,
+           "if not nword or action._before(b, nword[0]):",
+           "if not nword or not action._before(b, nword[0]):",
+           T_PBW),
+]
+
+
+def check_list(mutants: List[Mutant]) -> None:
+    """Exit with a message unless each old text occurs exactly once in its
+    file and each test file exists."""
+    bad = []
+    for m in mutants:
+        count = (ROOT / m.path).read_text().count(m.old)
+        if count != 1:
+            bad.append(f"{m.name}: old text occurs {count} times in {m.path}")
+        if not (ROOT / m.tests).is_file():
+            bad.append(f"{m.name}: no test file {m.tests}")
+    if bad:
+        sys.exit("mutant list out of date:\n  " + "\n  ".join(bad))
+
+
+def run_pytest(copy: Path, args: List[str]) -> Tuple[Optional[bool], str]:
+    """(passed, first failing test) of one pytest run in copy; passed is
+    None when the run timed out.  No bytecode is written, so a restored
+    file is never shadowed by a mutant's cached bytecode."""
+    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *args]
+    try:
+        proc = subprocess.run(cmd, cwd=copy, env=env, capture_output=True,
+                              text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None, "timeout"
+    if proc.returncode not in (0, 1, 2):
+        sys.exit(f"pytest {' '.join(args)} exited {proc.returncode}:\n{proc.stdout}")
+    failed = [line.split(" - ")[0].split(" ", 1)[1] for line in proc.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))]
+    return proc.returncode == 0, failed[0] if failed else ""
+
+
+def main() -> int:
+    check_list(MUTANTS)
+    tier1 = ["--continue-on-collection-errors"]
+    with tempfile.TemporaryDirectory(prefix="quadlie-mutants-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".bench_out"))
+        passed, where = run_pytest(copy, tier1)
+        if not passed:
+            sys.exit(f"tier-1 fails without a mutant: {where}")
+        survivors = []
+        for m in MUTANTS:
+            target = copy / m.path
+            original = target.read_text()
+            target.write_text(original.replace(m.old, m.new))
+            start = time.perf_counter()
+            try:
+                passed, where = run_pytest(copy, [m.tests])
+                stage = m.tests
+                if passed:
+                    passed, where = run_pytest(copy, tier1)
+                    stage = "tier-1"
+            finally:
+                target.write_text(original)
+            took = time.perf_counter() - start
+            if passed:
+                survivors.append(m.name)
+                print(f"SURVIVED  {m.name}  ({took:.1f} s)", flush=True)
+            else:
+                print(f"killed    {m.name}  by {stage}: {where}  ({took:.1f} s)", flush=True)
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
