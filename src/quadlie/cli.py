@@ -228,14 +228,12 @@ def _cmd_zero_step_table(args) -> int:
 
 
 def _cmd_fock_check(args) -> int:
-    if args.n != 4:
-        raise CliError("fock-check is implemented for --n 4")
-    bracket = bracket_polynomial_check(args.n)
-    demo = zero_step_demo(args.n)
+    bracket = bracket_polynomial_check()
+    demo = zero_step_demo()
     passed = bracket["holds"] and demo["passed"]
     report = {
         "command": "fock-check",
-        "n": args.n,
+        "n": 4,
         "bracket_identity": {
             "holds_as_printed": bracket["holds"],
             "components_checked": bracket["components_checked"],
@@ -245,7 +243,7 @@ def _cmd_fock_check(args) -> int:
         },
         "passed": passed,
     }
-    lines = [f"fock-space checks, n = {args.n}"]
+    lines = ["fock-space checks, n = 4"]
     lines.append(f"  bracket identity: {'exact' if bracket['holds'] else 'FAIL'}")
     for key in ("q_annihilates", "qbar_annihilates", "char_identity_holds",
                 "root_1_attained", "root_4_attained", "rhs_vanishes"):
@@ -342,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("fock-check",
                           help="fermionic-realization verification")
-    sub.add_argument("--n", type=int, default=4)
     sub.set_defaults(func=_cmd_fock_check)
 
     sub = subs.add_parser("serre-check",

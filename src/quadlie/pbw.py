@@ -26,20 +26,21 @@ compares `_apply((a, b), N)` with `_act(a, b N)` on the rest.  At
 `max_len` 3 it thus covers exactly Bergman's overlap words a b c, with
 both a b and b c out of order.
 
-The action runs in one coefficient ring per system, the bracket table of
-the presentation's ring (`QlsPresentation._ring`, which the Jacobi
-checkers read too), with each odd square halved: Python ints, with the rule
-coefficients that hold an indeterminate (c sits only in a few a terms of
-gl2(n/1)) or stay non-integral (1/2 in an even-even rule, say) kept as
-Scalars; D = 2 for gl2(3/1) at c = 1 or symbolic, 10 at c = 7/5.  The
-rescaling sends z_N to D^o(N) z_N, o counting odd letters.  Exactness:
-each rule term, int or Scalar, carries the table's factor, so by
-induction over `_act` the scaled coefficient of z_w in w_a ... w_b z_N
-is the unscaled one times D^(o(a ... b N) - o(w)), never 0, in any
-commutative coefficient ring.
+The action reads the bracket table of the presentation's ring
+(`QlsPresentation._ring`, which the Jacobi checkers read too) and `_act`
+halves an odd square's terms, y y = (1/2) {y, y}, where it applies them:
+Python ints, with the coefficients that hold an indeterminate (c sits
+only in a few a terms of gl2(n/1)) or stay non-integral (1/2 in an
+even-even bracket, say) kept as Scalars; D = 2 for gl2(3/1) at c = 1 or
+symbolic, 10 at c = 7/5.  The rescaling sends z_N to D^o(N) z_N, o
+counting odd letters.  Exactness: each table term, int or Scalar, halved
+or not, carries the table's factor, so by induction over `_act` the
+scaled coefficient of z_w in w_a ... w_b z_N is the unscaled one times
+D^(o(a ... b N) - o(w)), never 0, in any commutative coefficient ring.
 So a relation (a, b, N) vanishes in both bases or in neither (same
 verdict, same first witness, no evaluation of an indeterminate), and
-`apply_word` maps back by D^(o(w) - o(a ... b N)).
+`apply_word` maps back by D^(o(w) - o(a ... b N)) through the ring's
+`back`.
 
 Also provided: a witness of linear dependence for inadmissible orders, and
 ordered-monomial counting.
@@ -47,13 +48,12 @@ ordered-monomial counting.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from math import comb
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .ncpoly import Alphabet, NCPoly, Word
-from .presentation import Coeff, QlsPresentation, Table, _half, unscaled
+from .presentation import Coeff, QlsPresentation, _half
 from .scalars import Scalar, accumulate
 
 # (pair, word) relations one `serre_module_check` may run: gl2(5/1) at
@@ -107,17 +107,14 @@ def check_admissible(
 ) -> Tuple[bool, Optional[Tuple[int, int, int, int]]]:
     """True iff every d-entry's even pair strictly precedes its odd pair.
 
-    On failure returns the first violating d-index (p, q, k, l).
+    On failure returns the least violating d-index (p, q, k, l).
     """
-    ab = pres.alphabet
-    if len(order.sequence) != ab.size:
+    if len(order.sequence) != pres.alphabet.size:
         raise ValueError("order size does not match the presentation")
-    for (p, q, k, l) in sorted(pres.d):
-        odd_pos = (order.pos(ab.odd(p)), order.pos(ab.odd(q)))
-        even_pos = (order.pos(ab.even(k)), order.pos(ab.even(l)))
-        if not all(e < o for e in even_pos for o in odd_pos):
-            return False, (p, q, k, l)
-    return True, None
+    pos, n = order.position, pres.n_even
+    bad = [(p, q, k, l) for p, q, k, l in pres.d
+           if max(pos[k], pos[l]) > min(pos[n + p], pos[n + q])]
+    return (False, min(bad)) if bad else (True, None)
 
 
 class RewriteSystem:
@@ -140,25 +137,7 @@ class RewriteSystem:
         self.admissible, self.admissibility_witness = check_admissible(
             pres, self.order
         )
-        self._rules, self._odd_scale = self._build_rules()
         self._action: Optional[_ModuleAction] = None
-
-    # lower-order table: unordered adjacent pair (g1, g2) -> list of
-    # (middle word, coeff) with g1 g2 = (sign) g2 g1 + sum coeff * middle,
-    # and y y = sum coeff * middle = (1/2) {y, y} for an odd square;
-    # returned with D, read from the presentation's ring, where D was
-    # chosen so that halving an odd square is exact
-    def _build_rules(self):
-        ring = self.presentation._ring
-        rules: Table = {}
-        size = self.presentation.alphabet.size
-        for g1 in range(size):
-            for g2 in range(size):
-                if not self._pair_is_ordered(g1, g2):
-                    terms = ring.table.get((g1, g2), [])
-                    rules[(g1, g2)] = ([(w, _half(v)) for w, v in terms] if g1 == g2
-                                       else terms)
-        return rules, ring.scale
 
     # -- ordering predicates ------------------------------------------
 
@@ -227,8 +206,9 @@ def inadmissible_dependence_witness(
 class _ModuleAction:
     """Serre-style action of generators on the free span of ordered words.
 
-    The rules, the cache, `_act` and `_apply` work in the system's ring;
-    `apply_word` maps back to `Scalar`s in the presentation's own basis.
+    The cache, `_act` and `_apply` work in the presentation's ring, read
+    from its table; `apply_word` maps back to `Scalar`s in the
+    presentation's own basis through the ring's `back`.
     `max_len` is ignored: the action is defined on words of any length.
     """
 
@@ -237,17 +217,16 @@ class _ModuleAction:
         self.ab = rs.presentation.alphabet
         self._before = rs._pair_is_ordered
         self._cache: Dict[Tuple[int, Word], Dict[Word, Coeff]] = {}
-        # rules acting on basis vectors z_N, and their D
-        self._lower, self._scale = rs._rules, rs._odd_scale
+        ring = rs.presentation._ring
+        self._table, self._back = ring.table, ring.back
 
     def apply_word(self, gens: Word, word: Word) -> Dict[Word, Scalar]:
         """Act with w_{gens[0]} ... w_{gens[-1]} on z_word; a scaled
         coefficient maps back by D^(odd letters out - odd letters in)."""
         dist = self._apply(gens, word)
-        n, scale = self.ab.n_even, Fraction(self._scale)
+        n, back = self.ab.n_even, self._back
         odd_in = sum(g >= n for g in gens + word)
-        return {w: unscaled(v, scale ** (sum(g >= n for g in w) - odd_in))
-                for w, v in dist.items()}
+        return {w: back(v, sum(g >= n for g in w) - odd_in) for w, v in dist.items()}
 
     def _act(self, a: int, word: Word) -> Dict[Word, Coeff]:
         """w_a z_word as a map ordered word -> coeff.  word[1:] must be
@@ -284,7 +263,9 @@ class _ModuleAction:
                 for w1, v1 in inner.items():
                     for w2, v2 in self._act(b, w1).items():
                         accumulate(out, w2, v2 * v1 * sign)
-            for mid, coeff in self._lower[(a, b)]:
+            for mid, coeff in self._table.get((a, b), ()):
+                if a == b:  # an odd square: y y = (1/2) {y, y}
+                    coeff = _half(coeff)
                 for w2, v2 in self._apply(mid, rest).items():
                     accumulate(out, w2, v2 * coeff)
             cache[(a, word[i:])] = out
@@ -340,12 +321,13 @@ def serre_module_check(
                          "shorter checks cover only the empty word")
     if not rs.admissible:
         raise ValueError("module check requires an admissible order")
-    pairs = list(rs._rules)  # the unordered pairs
+    size = rs.presentation.alphabet.size
+    pairs = [(a, b) for a in range(size) for b in range(size)
+             if not rs._pair_is_ordered(a, b)]
     words: List[Word] = [()]
     frontier: List[Word] = [()]
     for _ in range(max_len - 2):
-        frontier = [(g,) + w for w in frontier
-                    for g in range(rs.presentation.alphabet.size)
+        frontier = [(g,) + w for w in frontier for g in range(size)
                     if not w or rs._pair_is_ordered(g, w[0])]
         words += frontier
         if len(words) * len(pairs) > MAX_RELATIONS:

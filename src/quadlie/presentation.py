@@ -671,7 +671,7 @@ def odd_rescale(tensors) -> Tuple[list, int]:
     halves it) and of v elsewhere, so each of their entries becomes an int,
     even on an odd square, and only a c or cbar entry can stay
     non-integral.  Each consumer maps its results back by the inverse
-    factors (`pbw._ModuleAction.apply_word`, `_Ring.back`).
+    factors through `_Ring.back`.
     """
     def den(idx, f):  # of f, or of f / 2 on an odd square
         return f.denominator * (2 if idx[0] == idx[1] and f.numerator % 2 else 1)
@@ -692,13 +692,6 @@ def odd_rescale(tensors) -> Tuple[list, int]:
             scaled[idx] = v * factor if factor != 1 else v
         out.append((name, kinds, scaled))
     return out, scale
-
-
-def unscaled(value: Coeff, factor: Fraction) -> Scalar:
-    """value * factor as an exact Scalar, for mapping a coefficient of an
-    `odd_rescale`d ring back: an int through one Fraction product, a
-    Scalar multiplied by the factor."""
-    return value * factor if isinstance(value, Scalar) else srat(value * factor)
 
 
 class _Ring(NamedTuple):
@@ -742,8 +735,11 @@ class _Ring(NamedTuple):
                      **{name: tensor for name, _, tensor in tensors})
 
     def back(self, value: Coeff, exponent: int) -> Scalar:
-        """value * D**exponent as an exact Scalar."""
-        return unscaled(value, Fraction(self.scale) ** exponent)
+        """value * D**exponent as an exact Scalar, mapping a coefficient of
+        the ring back: an int through one Fraction product, a Scalar
+        multiplied by the factor."""
+        factor = Fraction(self.scale) ** exponent
+        return value * factor if isinstance(value, Scalar) else srat(value * factor)
 
 
 class BalancedData:

@@ -193,11 +193,11 @@ def test_value_error_in_a_report_exits_2(capsys):
 
 
 def test_fock_check(capsys):
-    code, out, _ = _run(capsys, "fock-check", "--n", "4")
+    code, out, _ = _run(capsys, "fock-check")
     assert code == 0
     assert "bracket identity: exact" in out
     assert "result: PASS" in out
-    code, out, _ = _run(capsys, "--format", "structured", "fock-check", "--n", "4")
+    code, out, _ = _run(capsys, "--format", "structured", "fock-check")
     assert json.loads(out)["bracket_identity"]["holds_as_printed"] is True
 
 

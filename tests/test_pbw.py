@@ -1,6 +1,5 @@
 """Normal-ordering rewrite engine and PBW spanning checks."""
 
-import copy
 import random
 import sys
 import time
@@ -67,6 +66,39 @@ def test_inadmissible_qbar_first():
     pres = build(3).presentation
     ok, witness = check_admissible(pres, _qbar_first_order(pres))
     assert not ok and witness is not None
+
+
+def _reference_admissible(pres, order):
+    """check_admissible by brute force: the d-indices in sorted order,
+    each even position against each odd one."""
+    ab = pres.alphabet
+    for p, q, k, l in sorted(pres.d):
+        if any(order.pos(ab.even(e)) >= order.pos(ab.odd(o))
+               for e in (k, l) for o in (p, q)):
+            return False, (p, q, k, l)
+    return True, None
+
+
+def test_admissibility_matches_sorted_reference():
+    rng = random.Random(20261019)
+    verdicts = []
+    for n in (2, 3, 4):
+        for c in (None, 2):
+            pres = build(n, c).presentation
+            for _ in range(40):
+                order = _shuffled_admissible_order(pres, rng)
+                seq = list(order.sequence)
+                # move one odd before the last even: at most a few violators
+                last_even = max(i for i, g in enumerate(seq) if g < pres.n_even)
+                odd = rng.randrange(pres.n_even, len(seq))
+                seq.remove(odd)
+                seq.insert(rng.randrange(last_even + 1), odd)
+                for candidate in (order, GeneratorOrder(seq),
+                                  GeneratorOrder(rng.sample(seq, len(seq)))):
+                    got = check_admissible(pres, candidate)
+                    assert got == _reference_admissible(pres, candidate)
+                    verdicts.append(got[0])
+    assert 0 < sum(verdicts) < len(verdicts)  # both verdicts occur
 
 
 def test_even_commutator_rewrite():
@@ -366,31 +398,32 @@ def test_serre_module_check_rejects_vacuous_lengths():
 def test_odd_scale_is_the_least_integral_one():
     # a symbolic c sits only in a: D comes from the plain-rational terms
     for c, scale in ((None, 2), (1, 2), (Fraction(7, 5), 10), (Fraction(5, 3), 6)):
-        assert RewriteSystem(build(3, c).presentation)._odd_scale == scale
+        assert build(3, c).presentation._ring.scale == scale
     # the odd square carries 1/2, so y y -> 1/4: D = 2 already clears it
-    assert RewriteSystem(QlsPresentation(1, 1, a={(0, 0): srat(1, 2)}))._odd_scale == 2
+    assert QlsPresentation(1, 1, a={(0, 0): srat(1, 2)})._ring.scale == 2
     # an even-even coefficient 1/2 is untouched by any odd scale: it stays
     # a Scalar beside the ints
-    half = RewriteSystem(QlsPresentation(
-        2, 1, c={(0, 1, 0): srat(1, 2), (1, 0, 0): srat(-1, 2)}))
-    assert half._odd_scale == 1
-    assert half._rules[(1, 0)] == [((0,), srat(-1, 2))]
-    assert type(half._rules[(1, 0)][0][1]) is Scalar
+    half = QlsPresentation(
+        2, 1, c={(0, 1, 0): srat(1, 2), (1, 0, 0): srat(-1, 2)})._ring
+    assert half.scale == 1
+    assert half.table[(1, 0)] == [((0,), srat(-1, 2))]
+    assert type(half.table[(1, 0)][0][1]) is Scalar
 
 
 def test_checkers_and_action_share_one_scaled_table():
-    # one D per presentation, the one the checkers' ring runs in, and each
-    # odd square's rule is the scaled table's entry halved
+    # the action runs in the checkers' scaled ring and halves each odd
+    # square there: y y and (1/2) {y, y} have one normal form
     rng = random.Random(20261023)
     cases = _sample_presentations() + _mixed_ring_cases()
     cases += [_odd_square_presentation(), _half_c_presentation()]
     cases += [_scaled_down(_random_presentation(rng), 6) for _ in range(50)]
     for pres in cases:
         rs = RewriteSystem(pres)
-        assert rs._odd_scale == pres._ring.scale
-        table = pres._ring.table
-        for y in range(pres.n_even, pres.alphabet.size):
-            assert rs._rules[(y, y)] == [(w, _half(v)) for w, v in table.get((y, y), [])]
+        ab = pres.alphabet
+        for y in range(pres.n_even, ab.size):
+            half = {w: v * srat(1, 2) for w, v in pres.bracket(y, y).items()}
+            assert rs.normal_form(NCPoly.monomial(ab, (y, y))) == rs.normal_form(
+                NCPoly(ab, half)), y
 
 
 def test_serre_length_3_matches_abstract_checker():
@@ -402,7 +435,7 @@ def test_serre_length_3_matches_abstract_checker():
         pres = _random_presentation(rng)
         rs = _rs(pres)  # evens first: admissible
         # every one runs on ints alone
-        assert all(type(v) is int for terms in rs._rules.values() for _, v in terms)
+        assert all(type(v) is int for terms in pres._ring.table.values() for _, v in terms)
         ok, _ = serre_module_check(rs, max_len=3)
         assert ok == pres.check_abstract_jacobi().passed
         verdicts.append(ok)
@@ -426,7 +459,7 @@ def test_serre_witnesses_agree_across_rings(c):
         rs = _rs(_orbit_shifted(pres, name, sorted(getattr(pres, name))[pick]))
         # D of the plain-rational terms; at symbolic c the a shift joins c
         scale = {1: 6, Fraction(7, 5): 30, None: 2 if name == "a" else 6}[c]
-        assert rs._odd_scale == scale
+        assert rs.presentation._ring.scale == scale
         for max_len in (3, 4):
             assert serre_module_check(rs, max_len) == (False, witness), (name, pick)
 
@@ -441,8 +474,8 @@ def test_rational_presentation_without_integral_scale_keeps_scalar():
     ]
     for extra, want in cases:
         rs = _rs(QlsPresentation(2, 1, c=c, **extra))
-        assert rs._odd_scale == (2 if extra else 1)  # y y -> b / 2
-        assert isinstance(rs._rules[(1, 0)][0][1], Scalar)
+        assert rs.presentation._ring.scale == (2 if extra else 1)  # y y -> b / 2
+        assert isinstance(rs.presentation._ring.table[(1, 0)][0][1], Scalar)
         for max_len in (3, 4):
             assert serre_module_check(rs, max_len) == want
             assert _scalar_serre(rs, max_len) == want
@@ -470,48 +503,47 @@ def _ordered_words(rs, max_len):
     return words
 
 
+def _out_of_order_pairs(rs):
+    """The generator pairs (a, b) whose word a b is not ordered, odd
+    squares included, in row-major order."""
+    n, size, pos = rs.presentation.n_even, rs.presentation.alphabet.size, rs.order.pos
+    return [(a, b) for a in range(size) for b in range(size)
+            if a == b >= n or pos(a) > pos(b)]
+
+
 def _explicit_rhs(action, a, b, nword):
     """Right side of the relation on (a, b, N), built by hand:
     (sign) w_b w_a z_N + (lower-order terms) z_N; an odd square a = b has
-    no swap term, as its rule already carries the 1/2."""
+    no swap term, and its bracket terms are halved: y y = (1/2) {y, y}."""
     ab = action.ab
     sign = -1 if ab.parity(a) == ab.parity(b) == 1 else 1
     rhs = {}
     if a != b:
         for w, v in action._apply((b, a), nword).items():
             accumulate(rhs, w, v * sign)
-    for mid, coeff in action._lower[(a, b)]:
+    for mid, coeff in action._table.get((a, b), ()):
+        if a == b:
+            coeff = _half(coeff)
         for w, v in action._apply(mid, nword).items():
             accumulate(rhs, w, v * coeff)
     return rhs
 
 
-def _scalar_rules(rs):
-    """The system's rules in Scalars, read from the bracket table with no
-    odd rescaling: g1 g2 -> [g1, g2} for each out-of-order pair, and
-    y y -> (1/2) {y, y} for an odd square."""
-    pres = rs.presentation
-    size = pres.alphabet.size
-    return {(g1, g2): [(w, v * srat(1, 2) if g1 == g2 else v)
-                       for w, v in pres.bracket(g1, g2).items()]
-            for g1 in range(size) for g2 in range(size)
-            if not rs._pair_is_ordered(g1, g2)}
-
-
 def _scalar_action(rs):
-    """The module action on the unscaled Scalar rules, D = 1: the action of
-    a copy of rs with its rules replaced."""
-    scalar_rs = copy.copy(rs)
-    scalar_rs._rules, scalar_rs._odd_scale = _scalar_rules(rs), 1
-    return _ModuleAction(scalar_rs)
+    """The module action on the unscaled Scalar table, D = 1: the table
+    and map-back of the presentation's `_scalar_ring` put into it."""
+    action = _ModuleAction(rs)
+    ring = rs.presentation._scalar_ring
+    action._table, action._back = ring.table, ring.back
+    return action
 
 
 def _scalar_serre(rs, max_len):
     """Reference: every relation, skipped ones included, run once on the
-    unscaled Scalar rules."""
+    unscaled Scalar table."""
     action = _scalar_action(rs)
     for nword in _ordered_words(rs, max_len):
-        for a, b in action._lower:
+        for a, b in _out_of_order_pairs(rs):
             if action._apply((a, b), nword) != _explicit_rhs(action, a, b, nword):
                 return False, (a, b, nword)
     return True, None
@@ -529,7 +561,7 @@ def test_skipped_relations_hold_by_construction():
         rs = _rs(_random_presentation(rng))
         action = _ModuleAction(rs)
         for nword in _ordered_words(rs, 4):
-            for a, b in rs._rules:
+            for a, b in _out_of_order_pairs(rs):
                 if nword and not rs._pair_is_ordered(b, nword[0]):
                     continue  # checked by serre_module_check
                 assert action._apply((a, b), nword) == _explicit_rhs(
@@ -578,7 +610,7 @@ def _symbolic_cases():
 def test_serre_evaluation_matches_scalar_reference(label, pres):
     rs = _rs(pres)
     # D of the plain-rational terms (build(2) has none on odd-odd pairs)
-    assert rs._odd_scale == (1 if label.startswith("n=2")
+    assert rs.presentation._ring.scale == (1 if label.startswith("n=2")
                              else 6 if label[0] in "db" else 2)
     names = set().union(*(v.variables() for t in _TENSORS
                           for v in getattr(pres, t).values()
@@ -629,14 +661,14 @@ def test_serre_mixed_ring_matches_scalar_ring(monkeypatch):
     for pres in _mixed_ring_cases():
         rs = _rs(pres)
         assert any(isinstance(v, Scalar)
-                   for terms in rs._rules.values() for _, v in terms)
+                   for terms in pres._ring.table.values() for _, v in terms)
         lengths = (3, 4) if pres.alphabet.size < 10 else (3,)
         got = [serre_module_check(rs, max_len) for max_len in lengths]
         with monkeypatch.context() as mp:
             # the reference: the unscaled Scalar table, D = 1
             mp.setattr(QlsPresentation, "_ring", property(lambda p: p._scalar_ring))
             scalar_rs = _rs(pres)
-            assert scalar_rs._rules == _scalar_rules(scalar_rs)
+            assert _ModuleAction(scalar_rs)._table is pres._scalar_ring.table
             want = [serre_module_check(scalar_rs, max_len) for max_len in lengths]
         assert got == want
         verdicts.append(got[0][0])
@@ -647,7 +679,7 @@ def test_normal_form_matches_scalar_ring_action():
     rng = random.Random(20261021)
     for pres in (build(3).presentation, _c_plus_u(build(2).presentation)):
         rs = _rs(pres)
-        assert rs._odd_scale == (2 if pres.n_even == 9 else 1)
+        assert rs.presentation._ring.scale == (2 if pres.n_even == 9 else 1)
         scalar = _scalar_action(rs)
         symbolic = 0
         for word in _random_words(rng, pres.alphabet.size, 6, 60):
@@ -674,5 +706,22 @@ def test_rewrite_system_refuses_past_relation_budget():
     # C(3000, 2) = 4,498,500 rules, refused before any is built
     with pytest.raises(ValueError, match="pairs"):
         RewriteSystem(QlsPresentation(3000, 0))
+
+
+def test_serre_check_runs_every_out_of_order_pair(monkeypatch):
+    # the relations handed to _first_failure: every ordered word N, and
+    # for each the C(15, 2) + 6 out-of-order pairs of gl2(3/1), odd
+    # squares included, in row-major order
+    recorded = []
+    first_failure = pbw._first_failure
+
+    def recording(action, relations):
+        recorded.append(list(relations))
+        return first_failure(action, recorded[-1])
+
+    monkeypatch.setattr(pbw, "_first_failure", recording)
     rs = build(3).rewrite
-    assert len(rs._rules) == comb(rs.presentation.alphabet.size, 2) + 6
+    assert serre_module_check(rs, 3) == (True, None)
+    pairs = _out_of_order_pairs(rs)
+    assert len(pairs) == comb(rs.presentation.alphabet.size, 2) + 6
+    assert recorded == [[(w, pair) for w in _ordered_words(rs, 3) for pair in pairs]]

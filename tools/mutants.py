@@ -70,9 +70,9 @@ MUTANTS = [
            "t = _half(coeff)",
            "t = coeff",
            T_PRES),
-    Mutant("_build_rules does not halve odd squares", PBW,
-           "[(w, _half(v)) for w, v in terms] if g1 == g2",
-           "[(w, v) for w, v in terms] if g1 == g2",
+    Mutant("_act does not halve odd squares", PBW,
+           "coeff = _half(coeff)",
+           "coeff = coeff",
            T_PBW),
     Mutant("rescale D without the half on odd squares", PRES,
            "return f.denominator * (2 if idx[0] == idx[1] and f.numerator % 2 else 1)",
@@ -126,6 +126,14 @@ MUTANTS = [
     Mutant("_first_failure skip rule inverted", PBW,
            "if not nword or action._before(b, nword[0]):",
            "if not nword or not action._before(b, nword[0]):",
+           T_PBW),
+    Mutant("serre check leaves out the odd squares", PBW,
+           "if not rs._pair_is_ordered(a, b)",
+           "if a != b and not rs._pair_is_ordered(a, b)",
+           T_PBW),
+    Mutant("check_admissible reads the least even position", PBW,
+           "max(pos[k], pos[l])",
+           "min(pos[k], pos[l])",
            T_PBW),
 ]
 
