@@ -35,7 +35,7 @@ from .gl2n1 import (
     family_data,
     projector,
 )
-from .ncpoly import Alphabet, NCPoly, super_commutator
+from .ncpoly import Alphabet, NCPoly
 from .pbw import (
     GeneratorOrder,
     RewriteSystem,
@@ -92,7 +92,6 @@ __all__ = [
     "projector",
     "serre_module_check",
     "srat",
-    "super_commutator",
     "table_zero_step",
     "zero_step",
     "zero_step_demo",

@@ -124,13 +124,7 @@ def _parse_order(spec: str, alphabet) -> GeneratorOrder:
 def _cmd_normal_form(args) -> int:
     alg = _make_algebra(args)
     if args.order:
-        order = _parse_order(args.order, alg.alphabet)
-        rs = RewriteSystem(alg.presentation, order)
-        if not rs.admissible:
-            raise CliError(
-                "inadmissible order: witness d-index "
-                f"{rs.admissibility_witness}"
-            )
+        rs = RewriteSystem(alg.presentation, _parse_order(args.order, alg.alphabet))
     else:
         rs = alg.rewrite
     try:
@@ -258,10 +252,7 @@ def _cmd_serre_check(args) -> int:
         pres = _load_presentation(args.file)
     else:
         pres = _make_algebra(args).presentation
-    order = (
-        _parse_order(args.order, pres.alphabet)
-        if args.order else GeneratorOrder.default(pres.alphabet)
-    )
+    order = _parse_order(args.order, pres.alphabet) if args.order else None
     rs = RewriteSystem(pres, order)
     ok, witness = serre_module_check(rs, max_len=args.max_len)
     report = {

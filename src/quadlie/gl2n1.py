@@ -28,7 +28,7 @@ from math import comb, factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ncpoly import NCPoly
-from .pbw import GeneratorOrder, RewriteSystem, check_rule_count
+from .pbw import RewriteSystem, check_rule_count
 from .presentation import BalancedData, QlsPresentation, _half, build_from_casimirs
 from .scalars import Scalar, accumulate, srat
 
@@ -230,8 +230,7 @@ class Gl2n1:
     @cached_property
     def rewrite(self) -> RewriteSystem:
         """The rewrite system in the default order, built on first use."""
-        return RewriteSystem(self.presentation,
-                             GeneratorOrder.default(self.alphabet))
+        return RewriteSystem(self.presentation)
 
     # -- generator bookkeeping ----------------------------------------
 
@@ -363,11 +362,6 @@ class Gl2n1:
         rng = range(1, n + 1)
         return {(k, l, i, j): x(k, l, i, j) - x(l, k, i, j)
                 for k in rng for l in rng for i in rng for j in rng}
-
-    # -- family data ---------------------------------------------------
-
-    def family_data(self, params: FamilyParams) -> dict:
-        return family_data(params, self.central)
 
 
 # -- family formulas --------------------------------------------------

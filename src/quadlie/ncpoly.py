@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
-from .scalars import ONE, Scalar, srat
+from .scalars import ONE, Scalar
 
 Word = Tuple[int, ...]
 
@@ -65,9 +65,6 @@ class Alphabet:
         if not 0 <= p < self.m_odd:
             raise IndexError(f"odd index {p} out of range")
         return self.n_even + p
-
-    def word_parity(self, word: Word) -> int:
-        return sum(1 for g in word if g >= self.n_even) % 2
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Alphabet):
@@ -222,11 +219,3 @@ def _ncpoly(alphabet: Alphabet, terms: Dict[Word, Scalar]) -> NCPoly:
     out.alphabet, out._terms = alphabet, terms
     return out
 
-
-def super_commutator(a: Word, b: Word, alphabet: Alphabet) -> NCPoly:
-    """Graded bracket a.b - (-1)^{|a||b|} b.a of two homogeneous words."""
-    sign = (-1) ** (alphabet.word_parity(a) * alphabet.word_parity(b))
-    acc: Dict[Word, Scalar] = {tuple(a) + tuple(b): srat(1)}
-    w2 = tuple(b) + tuple(a)
-    acc[w2] = acc.get(w2, Scalar()) - srat(sign)
-    return NCPoly(alphabet, acc)

@@ -1,10 +1,11 @@
 """Normal ordering for enveloping algebras of quadratic graded
 presentations.
 
-A RewriteSystem pairs a presentation with a total generator order.  The
-order is *admissible* when every even pair in the support of the d-tensor
-strictly precedes the odd pair it rewrites to; under an admissible order
-the ordered monomials (evens weakly increasing, odds strictly increasing)
+A RewriteSystem pairs a presentation with an *admissible* total
+generator order: every even pair in the support of the d-tensor strictly
+precedes the odd pair it rewrites to.  The constructor refuses any other
+order, so a system that exists is admissible.  Under its order the
+ordered monomials (evens weakly increasing, odds strictly increasing)
 form a basis and `normal_form` computes coordinates in it.
 
 There is one normal-ordering engine: the action of the generators on the
@@ -52,7 +53,7 @@ from itertools import product
 from math import comb
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .ncpoly import Alphabet, NCPoly, Word
+from .ncpoly import Alphabet, AlphabetMismatch, NCPoly, Word
 from .presentation import Coeff, QlsPresentation, _half
 from .scalars import Scalar, accumulate
 
@@ -87,9 +88,6 @@ class GeneratorOrder:
     def default(alphabet: Alphabet) -> "GeneratorOrder":
         return GeneratorOrder(range(alphabet.size))
 
-    def pos(self, g: int) -> int:
-        return self.position[g]
-
     def __eq__(self, other):
         if not isinstance(other, GeneratorOrder):
             return NotImplemented
@@ -118,8 +116,11 @@ def check_admissible(
 
 
 class RewriteSystem:
-    """Immutable presentation + generator order.
+    """Immutable presentation + admissible generator order.
 
+    The constructor raises ValueError on an inadmissible order, naming the
+    least violating d-index, and fixes the pair predicate
+    `_pair_is_ordered` that every ordering decision reads.
     `normal_form` folds each word into the empty ordered word through the
     module action `_ModuleAction`; the system owns one action, created
     on first use, so its cache serves every later call.
@@ -134,18 +135,13 @@ class RewriteSystem:
         check_rule_count(pres.alphabet.size, pres.m_odd)
         self.presentation = pres
         self.order = order if order is not None else GeneratorOrder.default(pres.alphabet)
-        self.admissible, self.admissibility_witness = check_admissible(
-            pres, self.order
-        )
+        admissible, witness = check_admissible(pres, self.order)
+        if not admissible:
+            raise ValueError(f"inadmissible order: witness d-index {witness}")
+        pos, n = self.order.position, pres.n_even
+        # the two-letter word a b is ordered: a precedes b, or an even square
+        self._pair_is_ordered = lambda a, b: pos[a] < pos[b] or a == b < n
         self._action: Optional[_ModuleAction] = None
-
-    # -- ordering predicates ------------------------------------------
-
-    def _pair_is_ordered(self, a: int, b: int) -> bool:
-        """True iff the two-letter word (a, b) is ordered."""
-        if a == b:
-            return self.presentation.alphabet.parity(a) == 0
-        return self.order.pos(a) < self.order.pos(b)
 
     def word_is_ordered(self, word: Word) -> bool:
         return all(map(self._pair_is_ordered, word, word[1:]))
@@ -153,11 +149,9 @@ class RewriteSystem:
     # -- normal forms -------------------------------------------------
 
     def normal_form(self, elem: NCPoly) -> NCPoly:
-        if not self.admissible:
-            raise ValueError(
-                f"order is not admissible (witness d-index "
-                f"{self.admissibility_witness}); normal forms not defined"
-            )
+        if elem.alphabet != self.presentation.alphabet:
+            raise AlphabetMismatch(
+                f"{elem.alphabet!r} vs {self.presentation.alphabet!r}")
         if self._action is None:
             self._action = _ModuleAction(self)
         out: Dict[Word, Scalar] = {}
@@ -243,6 +237,7 @@ class _ModuleAction:
         cached = cache.get((a, word))
         if cached is not None:
             return cached
+        n = self.ab.n_even
         stop = 0
         while stop < len(word) and not self._before(a, word[stop]):
             stop += 1
@@ -259,7 +254,7 @@ class _ModuleAction:
             b, rest = word[i], word[i + 1 :]
             inner, out = out, {}
             if a != b:  # an odd square has no swap term
-                sign = -1 if self.ab.parity(a) == self.ab.parity(b) == 1 else 1
+                sign = -1 if a >= n and b >= n else 1
                 for w1, v1 in inner.items():
                     for w2, v2 in self._act(b, w1).items():
                         accumulate(out, w2, v2 * v1 * sign)
@@ -319,8 +314,6 @@ def serre_module_check(
     if max_len < 3:
         raise ValueError(f"max_len must be at least 3, got {max_len}: "
                          "shorter checks cover only the empty word")
-    if not rs.admissible:
-        raise ValueError("module check requires an admissible order")
     size = rs.presentation.alphabet.size
     pairs = [(a, b) for a in range(size) for b in range(size)
              if not rs._pair_is_ordered(a, b)]

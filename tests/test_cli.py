@@ -9,7 +9,7 @@ import pytest
 from quadlie.atypicality import MAX_N
 from quadlie.cli import run
 from quadlie.gl2n1 import build
-from quadlie.pbw import MAX_TERMS
+from quadlie.pbw import MAX_TERMS, GeneratorOrder, check_admissible
 from quadlie.presentation import QlsPresentation
 
 
@@ -205,6 +205,17 @@ def test_serre_check_builtin(capsys):
     code, out, _ = _run(capsys, "serre-check", "--n", "3", "--max-len", "3")
     assert code == 0
     assert "result: PASS" in out
+
+
+def test_serre_check_inadmissible_order_exits_2(capsys):
+    pres = build(3).presentation
+    names = list(pres.alphabet.names)
+    odds_first = GeneratorOrder(list(range(9, 15)) + list(range(9)))
+    witness = check_admissible(pres, odds_first)[1]
+    code, out, err = _run(capsys, "serre-check", "--n", "3", "--max-len", "3",
+                          "--order", ",".join(names[9:] + names[:9]))
+    assert code == 2 and out == ""
+    assert err == f"error: inadmissible order: witness d-index {witness}\n"
 
 
 def test_serre_check_file(tmp_path, capsys):

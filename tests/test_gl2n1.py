@@ -378,12 +378,6 @@ def test_family_reduced_B_form_coefficients():
             assert (data["a0"] - data["b0"] - (data["C1_prime"] - 1)).is_zero()
 
 
-def test_family_data_method_matches_function():
-    alg = build(3, 2)
-    params = FamilyParams(3, 2, 4, 1)
-    assert alg.family_data(params) == family_data(params, 2)
-
-
 def test_build_refuses_past_rule_budget():
     # C(n^2 + 2n, 2) + 2n rules: 522,815 at n = 31, refused before any
     # tensor is built; n = 30 (460,380) is the largest admitted

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadlie.ncpoly import Alphabet, AlphabetMismatch, NCPoly, super_commutator
+from quadlie.ncpoly import Alphabet, AlphabetMismatch, NCPoly
 from quadlie.scalars import Scalar, srat
 
 AB = Alphabet(2, 2)  # x0, x1 even; y0, y1 odd (ids 2, 3)
@@ -35,21 +35,6 @@ def test_bilinearity():
 def test_scalar_coefficients_multiply():
     p = gen(0).scale(srat(2, 3)) * gen(2).scale(srat(3))
     assert p.terms == {(0, 2): srat(2)}
-
-
-def test_super_commutator_even_even():
-    p = super_commutator((0,), (1,), AB)
-    assert p.terms == {(0, 1): srat(1), (1, 0): srat(-1)}
-
-
-def test_super_commutator_odd_odd():
-    p = super_commutator((2,), (3,), AB)
-    assert p.terms == {(2, 3): srat(1), (3, 2): srat(1)}
-
-
-def test_super_commutator_odd_square():
-    p = super_commutator((2,), (2,), AB)
-    assert p.terms == {(2, 2): srat(2)}
 
 
 def test_alphabet_mismatch_rejected():

@@ -10,7 +10,7 @@ import pytest
 
 from quadlie import pbw
 from quadlie.gl2n1 import build
-from quadlie.ncpoly import NCPoly
+from quadlie.ncpoly import AlphabetMismatch, NCPoly
 from quadlie.pbw import (
     MAX_RELATIONS,
     GeneratorOrder,
@@ -73,7 +73,7 @@ def _reference_admissible(pres, order):
     each even position against each odd one."""
     ab = pres.alphabet
     for p, q, k, l in sorted(pres.d):
-        if any(order.pos(ab.even(e)) >= order.pos(ab.odd(o))
+        if any(order.position[ab.even(e)] >= order.position[ab.odd(o)]
                for e in (k, l) for o in (p, q)):
             return False, (p, q, k, l)
     return True, None
@@ -196,14 +196,14 @@ def _reference_rules(pres, order):
     y y = (1/2) {y, y}."""
     ab = pres.alphabet
     n = ab.n_even
-    pos = order.pos
+    pos = order.position
     rules = {}
     for g1 in range(ab.size):
         for g2 in range(ab.size):
             bracket = _reference_bracket(pres, g1, g2)
             if g1 == g2 and g1 >= n:
                 rules[(g1, g2)] = [(w, v * srat(1, 2)) for w, v in bracket]
-            elif g1 != g2 and pos(g1) > pos(g2):
+            elif g1 != g2 and pos[g1] > pos[g2]:
                 sign = -1 if g1 >= n and g2 >= n else 1
                 rules[(g1, g2)] = [((g2, g1), srat(sign))] + bracket
     return rules
@@ -379,11 +379,21 @@ def test_inadmissible_witness_minimal_instance():
 
 
 def test_rewrite_refuses_inadmissible_system():
+    # the order is decided once: no system exists to refuse later
     pres = build(3).presentation
-    with pytest.raises(ValueError):
-        RewriteSystem(pres, _qbar_first_order(pres)).normal_form(
-            NCPoly.one(pres.alphabet)
-        )
+    order = _qbar_first_order(pres)
+    witness = check_admissible(pres, order)[1]
+    with pytest.raises(ValueError) as info:
+        RewriteSystem(pres, order)
+    assert str(info.value) == f"inadmissible order: witness d-index {witness}"
+
+
+def test_normal_form_refuses_another_alphabet():
+    # an n = 3 element is neither rewritten in gl2(2/1) nor an IndexError
+    rs, a3 = build(2).rewrite, build(3)
+    for elem in (a3.E(1, 2) * a3.E(2, 1), a3.Q(3)):
+        with pytest.raises(AlphabetMismatch):
+            rs.normal_form(elem)
 
 
 def test_serre_module_check_rejects_vacuous_lengths():
@@ -506,9 +516,9 @@ def _ordered_words(rs, max_len):
 def _out_of_order_pairs(rs):
     """The generator pairs (a, b) whose word a b is not ordered, odd
     squares included, in row-major order."""
-    n, size, pos = rs.presentation.n_even, rs.presentation.alphabet.size, rs.order.pos
+    n, size, pos = rs.presentation.n_even, rs.presentation.alphabet.size, rs.order.position
     return [(a, b) for a in range(size) for b in range(size)
-            if a == b >= n or pos(a) > pos(b)]
+            if a == b >= n or pos[a] > pos[b]]
 
 
 def _explicit_rhs(action, a, b, nword):

@@ -31,8 +31,10 @@ from typing import List, NamedTuple, Optional, Tuple
 ROOT = Path(__file__).resolve().parent.parent
 PRES = "src/quadlie/presentation.py"
 PBW = "src/quadlie/pbw.py"
+GL2 = "src/quadlie/gl2n1.py"
 T_PRES = "tests/test_presentation.py"
 T_PBW = "tests/test_pbw.py"
+T_GL2 = "tests/test_gl2n1.py"
 TIMEOUT_S = 900  # per pytest run; a mutant that runs past it counts as killed
 
 
@@ -120,8 +122,8 @@ MUTANTS = [
            T_PRES),
     # -- the module action (ROADMAP item 6) -----------------------------------
     Mutant("_act swap sign flipped", PBW,
-           "sign = -1 if self.ab.parity(a) == self.ab.parity(b) == 1 else 1",
-           "sign = 1 if self.ab.parity(a) == self.ab.parity(b) == 1 else -1",
+           "sign = -1 if a >= n and b >= n else 1",
+           "sign = 1 if a >= n and b >= n else -1",
            T_PBW),
     Mutant("_first_failure skip rule inverted", PBW,
            "if not nword or action._before(b, nword[0]):",
@@ -135,6 +137,40 @@ MUTANTS = [
            "max(pos[k], pos[l])",
            "min(pos[k], pos[l])",
            T_PBW),
+    Mutant("pair predicate orders odd squares", PBW,
+           "pos[a] < pos[b] or a == b < n",
+           "pos[a] < pos[b] or a == b",
+           T_PBW),
+    Mutant("pair predicate leaves out even squares", PBW,
+           "pos[a] < pos[b] or a == b < n",
+           "pos[a] < pos[b]",
+           T_PBW),
+    # -- exact arithmetic ------------------------------------------------------
+    Mutant("_half rounds an odd int", PRES,
+           'raise ArithmeticError(f"cannot halve the odd integer {value} exactly")',
+           "return Fraction(value, 2)",
+           "tests/test_atypicality.py"),
+    Mutant("Scalar._merge keeps a cancelled monomial", "src/quadlie/scalars.py",
+           "elif new := (prev + c if sign > 0 else prev - c):",
+           "elif (new := (prev + c if sign > 0 else prev - c)) is not None:",
+           "tests/test_scalars.py"),
+    # -- gl2(n/1) and the Fock oracle -----------------------------------------
+    Mutant("adjoint_B delta-delta constant c - (n - 2)", GL2,
+           "self.central - 2 * (n - 2)",
+           "self.central - (n - 2)",
+           T_GL2),
+    Mutant("gl2(n/1) k2 sign flipped", GL2,
+           "(Fraction(-1), Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2))",
+           "(Fraction(-1), Fraction(-1, 2), Fraction(1, 2), Fraction(-1, 2))",
+           T_GL2),
+    Mutant("_wedge_frame Q-block sign flipped", GL2,
+           "cbar[eid(old, new), m + t, m + tgt] = -sign",
+           "cbar[eid(old, new), m + t, m + tgt] = sign",
+           T_GL2),
+    Mutant("zero_step_demo root 3 for 4", "src/quadlie/fock.py",
+           "m4 = m - one, m - one * 4",
+           "m4 = m - one, m - one * 3",
+           "tests/test_fock.py"),
 ]
 
 
