@@ -82,6 +82,7 @@ def _load_presentation(path: str) -> QlsPresentation:
 def _cmd_verify_presentation(args) -> int:
     pres = _load_presentation(args.file)
     try:
+        pres.check_triple_budget()  # before either checker runs
         comp = pres.check_component_jacobi()
         abst = pres.check_abstract_jacobi()
     except ValueError as exc:

@@ -38,9 +38,7 @@ class Alphabet:
         self.n_even = n_even
         self.m_odd = m_odd
         if names is None:
-            names = [f"x{i + 1}" for i in range(n_even)] + [
-                f"y{p + 1}" for p in range(m_odd)
-            ]
+            names = _default_names(n_even, m_odd)
         if len(names) != n_even + m_odd:
             raise ValueError("wrong number of generator names")
         if len(set(names)) != len(names):
@@ -79,7 +77,13 @@ class Alphabet:
         return hash((self.n_even, self.m_odd, self.names))
 
     def __repr__(self):
-        return f"Alphabet(n_even={self.n_even}, m_odd={self.m_odd})"
+        default = self.names == _default_names(self.n_even, self.m_odd)
+        names = "" if default else f", names={list(self.names)}"
+        return f"Alphabet(n_even={self.n_even}, m_odd={self.m_odd}{names})"
+
+
+def _default_names(n_even: int, m_odd: int) -> Tuple[str, ...]:
+    return (*(f"x{i + 1}" for i in range(n_even)), *(f"y{p + 1}" for p in range(m_odd)))
 
 
 def word_key(word: Word) -> tuple:

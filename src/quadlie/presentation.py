@@ -295,6 +295,8 @@ class QlsPresentation:
                 raise ValueError(f"{key} must be an integer, got {value!r}")
             return value
 
+        parsed: Dict[str, Scalar] = {}  # each distinct entry text, parsed once
+
         def load(key, arity):
             entries = data.get(key, [])
             if not isinstance(entries, list):
@@ -310,7 +312,9 @@ class QlsPresentation:
                 idx = tuple(row[:-1])
                 if idx in out:
                     raise ValueError(f"{key} index {list(idx)} appears twice")
-                out[idx] = parse_scalar(row[-1])
+                if row[-1] not in parsed:
+                    parsed[row[-1]] = parse_scalar(row[-1])
+                out[idx] = parsed[row[-1]]
             return out
 
         def strings(key, default):
@@ -419,43 +423,55 @@ class QlsPresentation:
         ring of `_ring`.  Families (1)-(4) and (7) say that c, cbar, d, b
         and a are invariant under the even part, (5) and (6) are the odd
         cyclic identities of b and d; residuals of the families linear in
-        d, b or a map back by D**-2."""
+        d, b or a map back by D**-2.  Only canonical residual keys, one
+        per identity, are ever formed."""
         ring = self._ring
 
         # x_i on one index slot holding s, by slot kind: lower even (e)
         # -c_ij^s, upper even (E) +c_is^k, lower odd (o) -cbar_ip^s, upper
-        # odd (O) +cbar_is^q; an image is ((i,), (new index,), coeff), its
-        # 1-tuples spliced into the residual key as they are
+        # odd (O) +cbar_is^q, as images (i, new index, coeff).  e keeps i < j
+        # only: every canonical key has it (on c's slot 1, i < slot 0 < j)
         act: Dict[str, Dict[int, list]] = {kind: {} for kind in "eEoO"}
         for lower, upper, tensor in (("e", "E", ring.c), ("o", "O", ring.cbar)):
             for (i, j, k), v in tensor.items():
-                act[lower].setdefault(k, []).append(((i,), (j,), -v))
-                act[upper].setdefault(j, []).append(((i,), (k,), v))
+                if lower == "o" or i < j:
+                    act[lower].setdefault(k, []).append((i, j, -v))
+                act[upper].setdefault(j, []).append((i, k, v))
         cbar_by_even: Dict[int, list] = {}
         for (i, p, q), v in ring.cbar.items():
             cbar_by_even.setdefault(i, []).append((p, q, v))
+        size = self.alphabet.size  # past every index: no bound
 
-        def emit(family, residuals, exponent, rises):
+        def emit(family, residuals, exponent):
             """(identities checked, violations) of one family."""
-            keys = sorted(residuals)
-            for s, t, gap in rises:
-                keys = [idx for idx in keys if idx[t] >= idx[s] + gap]
-            return len(keys), [
+            return len(residuals), [
                 JacobiViolation(family, idx, ring.back(residuals[idx], exponent))
-                for idx in keys if residuals[idx]]
+                for idx in sorted(residuals) if residuals[idx]]
 
         def invariance(tensor, kinds):
-            """x_i . tensor, keyed (i, *index): the sum over the slots of
-            each entry, kinds giving the kind of each slot."""
+            """x_i . tensor at its canonical keys (i, *index), summed over
+            the slots of each entry (kinds: each slot's kind).  A key is
+            canonical if it rises along each pair of "e" + kinds, strictly
+            for x_i and the lower evens, weakly elsewhere; the rises clear of
+            x_i and slot r are tested per entry and slot, the rest per image."""
             res: Dict[tuple, Coeff] = {}
-            slots = list(enumerate(act[kind] for kind in kinds))
+            rises = [(s, t, int(k == "e")) for s, t, k in _pairs(kinds)]
+            slots = [(r, act[kind], [(s, t, g) for s, t, g in rises if r not in (s, t)],
+                      next((g for s, t, g in rises if t == r), None),
+                      next((g for s, t, g in rises if s == r), None))
+                     for r, kind in enumerate(kinds)]
             for idx, v in tensor.items():
-                for slot, table in slots:
-                    images = table.get(idx[slot])
-                    if images:
-                        head, tail = idx[:slot], idx[slot + 1:]
-                        for i, new, w in images:  # _add inlined: the hot loop
-                            key = i + head + new + tail
+                for r, table, far, left, right in slots:
+                    images = table.get(idx[r])
+                    if not images or any(idx[t] < idx[s] + g for s, t, g in far):
+                        continue
+                    lo = 0 if left is None else idx[r - 1] + left
+                    hi = size if right is None else idx[r + 1] - right
+                    top = idx[0] if r and kinds[0] == "e" else size
+                    head, tail = idx[:r], idx[r + 1:]
+                    for i, new, w in images:  # _add inlined: the hot loop
+                        if lo <= new <= hi and i < top:
+                            key = (i, *head, new, *tail)
                             prev = res.get(key)
                             res[key] = v * w if prev is None else prev + v * w
             return res
@@ -485,15 +501,11 @@ class QlsPresentation:
                 # + cbar_iq^s b_ps^k, (7) 0 = cbar_ip^s a_sq + cbar_iq^s a_ps,
                 # the component form of J3
                 family += "-" + name
-            # a residual key is checked if it rises along each pair of its
-            # kinds, x_i's kind e prepended: strictly for x_i and the lower
-            # evens, weakly elsewhere
-            rises = [(s, t, int(k == "e")) for s, t, k in _pairs("e" + kinds)]
-            found[family] = emit(family, invariance(tensor, kinds), exponent, rises)
+            found[family] = emit(family, invariance(tensor, kinds), exponent)
             if kinds.startswith("ooE"):
                 # (5) and (6) sum_cyc cbar_mp^s b_qr^m = 0, sum_cyc cbar_mp^s d_qr^ml = 0
                 family = "odd-odd-odd-" + name
-                found[family] = emit(family, odd_cyclic(tensor), exponent, ())
+                found[family] = emit(family, odd_cyclic(tensor), exponent)
         return JacobiReport(
             "component", [v for family in COMPONENT_FAMILIES for v in found[family][1]],
             {family: found[family][0] for family in COMPONENT_FAMILIES})
@@ -535,10 +547,15 @@ class QlsPresentation:
                     zR.append(((u, k), l, -(s * val)))
             yield (a, b, c), zL, zR
 
-    def _overlap_count(self) -> int:
-        """Number of elements `_overlap_elements` yields, in closed form."""
+    def check_triple_budget(self) -> int:
+        """Number of elements `_overlap_elements` yields, in closed form from
+        n_even and m_odd alone; ValueError if it is past MAX_TRIPLES."""
         n, m = self.n_even, self.m_odd
-        return comb(n, 3) + comb(n, 2) * m + n * comb(m + 1, 2) + comb(m + 2, 3)
+        triples = comb(n, 3) + comb(n, 2) * m + n * comb(m + 1, 2) + comb(m + 2, 3)
+        if triples > MAX_TRIPLES:
+            raise ValueError(f"{triples} overlap triples to check, more than "
+                             f"{MAX_TRIPLES}")
+        return triples
 
     def check_abstract_jacobi(self) -> JacobiReport:
         """Overlap-reduction consistency check on the defining ideal.
@@ -550,12 +567,9 @@ class QlsPresentation:
         of Braverman and Gaitsgory (J. Algebra 181, 1996).  Runs in the
         ring of `_ring`, with the coefficients of a kept as one per odd
         pair and dotted with the ring's a per triple.  Raises ValueError past
-        MAX_TRIPLES overlap elements.
+        MAX_TRIPLES overlap elements (`check_triple_budget`).
         """
-        triples = self._overlap_count()
-        if triples > MAX_TRIPLES:
-            raise ValueError(f"{triples} overlap triples to check, more than "
-                             f"{MAX_TRIPLES}")
+        self.check_triple_budget()
         ring = self._ring
         lin, back = ring.lin, ring.back
         n, names = self.n_even, self.alphabet.names

@@ -10,7 +10,7 @@ from quadlie.atypicality import MAX_N
 from quadlie.cli import run
 from quadlie.gl2n1 import build
 from quadlie.pbw import MAX_TERMS, GeneratorOrder, check_admissible
-from quadlie.presentation import QlsPresentation
+from quadlie.presentation import MAX_TRIPLES, QlsPresentation
 
 
 EXAMPLE = os.path.join(
@@ -377,6 +377,22 @@ def test_verify_presentation_past_triple_budget_exits_2(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "triples" in err
+
+
+def test_triple_budget_refused_before_either_checker(tmp_path, capsys, monkeypatch):
+    # C(86, 3) = 102,340 overlap triples: n_even alone decides the refusal
+    def never(self):
+        raise AssertionError("a checker ran on a file past the triple budget")
+
+    monkeypatch.setattr(QlsPresentation, "check_component_jacobi", never)
+    monkeypatch.setattr(QlsPresentation, "check_abstract_jacobi", never)
+    path = tmp_path / "wide.qls"
+    path.write_text(json.dumps({"format": "quadlie-presentation-1",
+                                "n_even": 86, "m_odd": 0}))
+    code, out, err = _run(capsys, "verify-presentation", str(path))
+    assert code == 2 and out == ""
+    assert err == (f"error: cannot check presentation {str(path)!r}: 102340 overlap "
+                   f"triples to check, more than {MAX_TRIPLES}\n")
 
 
 def test_readme_example_file(capsys):

@@ -396,6 +396,17 @@ def test_normal_form_refuses_another_alphabet():
             rs.normal_form(elem)
 
 
+def test_alphabet_mismatch_names_the_differing_names():
+    # same sizes, different names: the message must tell the two apart
+    named = QlsPresentation(2, 1, names=["u", "v", "w"])
+    with pytest.raises(AlphabetMismatch) as info:
+        RewriteSystem(QlsPresentation(2, 1)).normal_form(NCPoly.generator(named.alphabet, 0))
+    mine, theirs = str(info.value).split(" vs ")
+    assert mine != theirs
+    assert mine == "Alphabet(n_even=2, m_odd=1, names=['u', 'v', 'w'])"
+    assert theirs == "Alphabet(n_even=2, m_odd=1)"
+
+
 def test_serre_module_check_rejects_vacuous_lengths():
     # below length 3 only N = () is checked, where the relations hold by
     # construction: a presentation that fails at length 3 would pass

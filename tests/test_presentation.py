@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadlie import presentation
+from quadlie.exprparse import ParseError, parse_scalar
 from quadlie.fock import lambda3_presentation
 from quadlie.gl2n1 import build
 from quadlie.ncpoly import NCPoly
@@ -710,14 +711,50 @@ def _abstract_pin_cases():
 _ABSTRACT_REPORTS_SHA256 = "11f78ebf33e7427ac833f7d33ccfc23119d6b72eede3657e6ea5e5d006878d4c"
 
 
-def test_abstract_reports_are_pinned():
+# the same digest of every component report, recorded while the checker
+# still filled every residual key and dropped the non-canonical ones after
+_COMPONENT_REPORTS_SHA256 = "7a56fd0f5f86765282313d709f74124bca9e4890ec223a074d145302ffc6e0fa"
+
+
+def _reports_digest(check) -> str:
     digest = hashlib.sha256()
     for pres in _abstract_pin_cases():
-        report = pres.check_abstract_jacobi()
+        report = check(pres)
         for v in report.violations:
             digest.update(repr((v.family, v.indices, str(v.residual), v.detail)).encode())
         digest.update(repr(sorted(report.checked.items())).encode())
-    assert digest.hexdigest() == _ABSTRACT_REPORTS_SHA256
+    return digest.hexdigest()
+
+
+def test_abstract_reports_are_pinned():
+    assert _reports_digest(QlsPresentation.check_abstract_jacobi) == _ABSTRACT_REPORTS_SHA256
+
+
+def test_component_reports_are_pinned():
+    assert _reports_digest(QlsPresentation.check_component_jacobi) == _COMPONENT_REPORTS_SHA256
+
+
+def test_each_distinct_entry_text_is_parsed_once(monkeypatch):
+    texts = []
+
+    def counting(text, *args):
+        texts.append(text)
+        return parse_scalar(text, *args)
+
+    monkeypatch.setattr(presentation, "parse_scalar", counting)
+    for pres in _abstract_pin_cases():
+        doc = pres.to_json_dict()
+        distinct = {row[-1] for name in presentation.TENSORS for row in doc[name]}
+        texts.clear()
+        assert QlsPresentation.loads(pres.dumps()) == pres
+        assert sorted(texts) == sorted(distinct)
+
+
+def test_bad_entry_repeated_raises_the_parser_message():
+    doc = build(2, 1).presentation.to_json_dict()
+    doc["c"][0][-1] = doc["c"][1][-1] = "1/0"
+    with pytest.raises(ParseError, match="^division by zero$"):
+        QlsPresentation.from_json_dict(doc)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -995,6 +1032,6 @@ def test_abstract_checker_refuses_past_triple_budget():
     with pytest.raises(ValueError, match="triples"):
         QlsPresentation(100_000, 0).check_abstract_jacobi()
     for pres in (build(2).presentation, _odd_square_presentation()):
-        assert pres._overlap_count() == sum(1 for _ in pres._overlap_elements())
+        assert pres.check_triple_budget() == sum(1 for _ in pres._overlap_elements())
     # gl2(5/1), the largest presentation the tests and the bench check
-    assert build(5).presentation._overlap_count() == 6895 <= MAX_TRIPLES
+    assert build(5).presentation.check_triple_budget() == 6895 <= MAX_TRIPLES

@@ -49,12 +49,12 @@ class Mutant(NamedTuple):
 MUTANTS = [
     # -- the odd rescaling (DECISIONS.md "Odd rescaling") -------------------
     Mutant("component family (3) exponent off", PRES,
-           "emit(family, invariance(tensor, kinds), exponent, rises)",
-           "emit(family, invariance(tensor, kinds), exponent + (name == 'd'), rises)",
+           "emit(family, invariance(tensor, kinds), exponent)",
+           "emit(family, invariance(tensor, kinds), exponent + (name == 'd'))",
            T_PRES),
     Mutant("component family (6) exponent off", PRES,
-           "emit(family, odd_cyclic(tensor), exponent, ())",
-           "emit(family, odd_cyclic(tensor), exponent + (name == 'd'), ())",
+           "emit(family, odd_cyclic(tensor), exponent)",
+           "emit(family, odd_cyclic(tensor), exponent + (name == 'd'))",
            T_PRES),
     Mutant("abstract exponent off by one", PRES,
            "back(part[w], sum(g >= n for g in w) - odd_abc)",
@@ -119,6 +119,19 @@ MUTANTS = [
     Mutant("odd exponent counts upper slots only", PRES,
            "return kinds.count(\"o\") - kinds.count(\"O\")",
            "return -kinds.count(\"O\")",
+           T_PRES),
+    # -- the verify path: per-file parse, canonical component keys ------------
+    Mutant("component pre-filter lets x_i's rise be weak", PRES,
+           "if lo <= new <= hi and i < top:",
+           "if lo <= new <= hi and i <= top:",
+           T_PRES),
+    Mutant("parse dict keyed by tensor name, not entry text", PRES,
+           "if row[-1] not in parsed:\n"
+           "                    parsed[row[-1]] = parse_scalar(row[-1])\n"
+           "                out[idx] = parsed[row[-1]]",
+           "if key not in parsed:\n"
+           "                    parsed[key] = parse_scalar(row[-1])\n"
+           "                out[idx] = parsed[key]",
            T_PRES),
     # -- the module action (ROADMAP item 6) -----------------------------------
     Mutant("_act swap sign flipped", PBW,
