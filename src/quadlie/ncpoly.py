@@ -8,6 +8,7 @@ bilinearly.
 
 from __future__ import annotations
 
+from hashlib import sha256
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from .scalars import ONE, Scalar
@@ -79,6 +80,8 @@ class Alphabet:
     def __repr__(self):
         default = self.names == _default_names(self.n_even, self.m_odd)
         names = "" if default else f", names={list(self.names)}"
+        if len(names) > 100:  # a digest still tells two long name lists apart
+            names = f", names_sha256={sha256(repr(self.names).encode()).hexdigest()[:16]}"
         return f"Alphabet(n_even={self.n_even}, m_odd={self.m_odd}{names})"
 
 

@@ -38,18 +38,18 @@ the empty word and dots them with the ring's a at the end of each triple.
 Map-back:
   * families (1) and (2) are products of c and cbar, so unscaled; (3)-(7)
     are linear in d, b or a, so their residuals map back by D^-2;
-  * abstract: the entries of the overlap lists and the bracket letters
-    substituted into them carry `odd_rescale`'s factor, and a swap keeps
-    the letters, so by induction over the substitutions and `_reduce2` the
-    scaled coefficient of a word w in the reduction of the overlap element
-    of (a, b, c) is the unscaled one times D^(o(abc) - o(w)); a residual
-    maps back by the nonzero D^(o(w) - o(abc)), so the same identities fail;
-  * odd squares: `_reduce2` halves the coefficient of y y.  Only the
-    overlap of (x_i, y, y') makes one, from the two rotations where an
-    even-odd bracket yields y, whose graded-cyclic signs agree: the
-    coefficient is 2 cbar_{i y'}^{y} (4 cbar_{i y}^{y} if y' = y), even
-    in ints.  Its d-part words are even-even, never halved again; `_half`
-    raises rather than round.
+  * abstract: the bracket letters substituted in place carry
+    `odd_rescale`'s factor, a swap keeps the letters, and a word's cached
+    reduction times its coefficient is `_reduce2`'s; by induction, the
+    scaled coefficient of w in the reduction of the overlap element of
+    (a, b, c) is the unscaled one times D^(o(abc) - o(w)), and a residual
+    maps back by D^(o(w) - o(abc)) != 0, so the same identities fail;
+  * odd squares: y y is reduced at coefficient 2 and the coefficient
+    halved.  Only the overlap of (x_i, y, y') makes one, from the two
+    rotations where an even-odd bracket yields y, whose graded-cyclic
+    signs agree: the coefficient is 2 cbar_{i y'}^{y} (4 cbar_{i y}^{y} if
+    y' = y), even in ints.  Its d-part words are even-even, never halved
+    again; `_half` raises rather than round.
 """
 
 from __future__ import annotations
@@ -351,16 +351,6 @@ class QlsPresentation:
         with open(path) as fh:
             return QlsPresentation.loads(fh.read())
 
-    # -- ideal generators ---------------------------------------------
-
-    def e2(self, g1: int, g2: int) -> NCPoly:
-        """Quadratic part of the ideal generator e(g1, g2)."""
-        terms = {w: -v for w, v in self.bracket(g1, g2).items() if len(w) == 2}
-        accumulate(terms, (g1, g2), srat(1))
-        n = self.n_even
-        accumulate(terms, (g2, g1), srat(1 if g1 >= n and g2 >= n else -1))
-        return NCPoly(self.alphabet, terms)
-
     # -- the checkers' and the action's ring ----------------------------
 
     @cached_property
@@ -512,19 +502,18 @@ class QlsPresentation:
 
     # -- abstract checker ---------------------------------------------
 
-    def _overlap_elements(self, ring: Optional["_Ring"] = None):
-        """Yield (indices, zL, zR) spanning the degree-3 overlap space.
-
-        zL lists (g, pair, coeff) for coeff . g e2(pair) and zR (pair, g,
-        coeff) for coeff . e2(pair) g, unmerged and with zeros kept; the two
-        expand to the same degree-3 element of the free algebra.  One element
-        per triple (a, b, c) of generators, evens first and no even repeated:
-        the graded-cyclic sum of u e(v, w) on the left and of e(u, v) w on
-        the right, plus the terms that carry the d-part of an odd pair (v, w)
-        past u.  Coefficients are in the ring given, by default Scalars.
+    def _overlap_elements(self, ring: "_Ring"):
+        """Yield (indices, deg2) for each triple (a, b, c) of generators,
+        evens first and no even repeated; their overlap elements span the
+        degree-3 overlap space.  Over the rotations (u, v, w) of (a, b, c),
+        the graded-cyclic sum of u e(v, w), plus k e(u, l) for each d-word
+        k l of an odd pair (v, w), equals that of e(u, v) w, minus e(u, k) l,
+        in the free algebra.  deg2 maps each two-letter word to its
+        coefficient, in the ring given and zeros kept, in the right side
+        minus the left with each e replaced by its bracket's letters; the a
+        terms cancel, as e(u, v) g and g e(u, v) carry the same sign.
         """
-        quad = (ring or self._scalar_ring).quad
-        n = self.n_even
+        lin, quad, n = ring.lin, ring.quad, self.n_even
         evens, odds = range(n), range(n, self.alphabet.size)
         triples = chain(
             combinations(evens, 3),
@@ -534,18 +523,20 @@ class QlsPresentation:
             combinations_with_replacement(odds, 3),
         )
         for a, b, c in triples:
-            zL, zR = [], []  # entries (g, pair, coeff) and (pair, g, coeff)
+            deg2: Dict[Word, Coeff] = {}
             for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
                 # graded Jacobi sign (-1)^{|u||w|}, normalized to +1 on (a, b, c)
                 s = -1 if (u >= n and w >= n) != (a >= n and c >= n) else 1
-                zL.append((u, (v, w), s))
-                zR.append(((u, v), w, s))
-                # u d-part(v, w) - d-part(v, w) u, rewritten as
-                # k e2(u, l) + e2(u, k) l for each d-word k l
+                for x, t in lin.get((u, v), ()):  # e(u, v) w; _add inlined
+                    deg2[x, w] = deg2.get((x, w), 0) + s * t
+                for x, t in lin.get((v, w), ()):  # u e(v, w)
+                    deg2[u, x] = deg2.get((u, x), 0) - s * t
                 for (k, l), val in quad.get((v, w), ()):
-                    zL.append((k, (u, l), s * val))
-                    zR.append(((u, k), l, -(s * val)))
-            yield (a, b, c), zL, zR
+                    for x, t in lin.get((u, l), ()):  # k e(u, l)
+                        deg2[k, x] = deg2.get((k, x), 0) - s * val * t
+                    for x, t in lin.get((u, k), ()):  # -e(u, k) l
+                        deg2[x, l] = deg2.get((x, l), 0) - s * val * t
+            yield (a, b, c), deg2
 
     def check_triple_budget(self) -> int:
         """Number of elements `_overlap_elements` yields, in closed form from
@@ -562,64 +553,70 @@ class QlsPresentation:
 
         For each spanning element z of the degree-3 overlap space the two
         ways of substituting bracket values must agree; the obstructions
-        split by degree into J1 (quadratic), J2 (linear), J3 (scalar).
-        These are the PBW conditions for quadratic-linear-scalar algebras
-        of Braverman and Gaitsgory (J. Algebra 181, 1996).  Runs in the
-        ring of `_ring`, with the coefficients of a kept as one per odd
-        pair and dotted with the ring's a per triple.  Raises ValueError past
-        MAX_TRIPLES overlap elements (`check_triple_budget`).
+        split by degree into J1 (quadratic), J2 (linear), J3 (scalar), the
+        PBW conditions for quadratic-linear-scalar algebras of Braverman
+        and Gaitsgory (J. Algebra 181, 1996).  Runs in the ring of `_ring`,
+        a's coefficients one per odd pair, dotted with the ring's a per
+        triple.  ValueError past MAX_TRIPLES elements (`check_triple_budget`).
         """
         self.check_triple_budget()
         ring = self._ring
-        lin, back = ring.lin, ring.back
+        lin, quad, back = ring.lin, ring.quad, ring.back
         n, names = self.n_even, self.alphabet.names
         a_part = {(n + p, n + q): v for (p, q), v in ring.a.items()}
         viols: List[JacobiViolation] = []
-        checked = {"J1": 0, "J2": 0, "J3": 0}
+        j1 = j2 = j3 = 0  # identities checked
+        # word -> (halve, residual and lam items) of `_reduce2` on the word alone
+        # at 1, or 2 on an odd square: DECISIONS.md "One reduction per two-letter word"
+        reduced: Dict[Word, Tuple[bool, tuple, tuple]] = {}
 
-        for indices, zL, zR in self._overlap_elements(ring):
-            odd_abc = sum(g >= n for g in indices)
-            # the letters of the brackets substituted into zR minus zL: (x, g)
-            # from ((g1, g2), g), (g, x) from (g, (g1, g2)) for normalize2,
-            # then degree 1 (J2).  The a part of an odd pair (u, v) would
-            # land on one-letter words and cancel there: ((u, v), g) in zR
-            # and (g, (u, v)) in zL carry the same graded-cyclic sign
-            deg2: Dict[Word, Coeff] = {}
-            low: Dict[Word, Coeff] = {}
-            for pair, g, coeff in zR:  # _add inlined: the hot loop
-                for x, v in lin.get(pair, ()):
-                    deg2[x, g] = deg2.get((x, g), 0) + coeff * v
-            for g, pair, coeff in zL:
-                for x, v in lin.get(pair, ()):
-                    deg2[g, x] = deg2.get((g, x), 0) - coeff * v
-            residual, lam = self._reduce2(deg2, ring.quad)
-            by_a: Dict[Tuple[int, int], Coeff] = {}  # J3: a_pair -> coeff
+        for indices, deg2 in self._overlap_elements(ring):
+            if not deg2:
+                continue
+            residual: Dict[Word, Coeff] = {}
+            lam: Dict[Tuple[int, int], Coeff] = {}
+            for word, coeff in deg2.items():
+                if not coeff:
+                    continue
+                image = reduced.get(word)
+                if image is None:
+                    square = word[0] == word[1] >= n
+                    res, pairs = self._reduce2({word: 1 + square}, quad)
+                    image = reduced[word] = (square, tuple(res.items()), tuple(pairs.items()))
+                halve, res, pairs = image
+                if halve:
+                    coeff = _half(coeff)
+                for w, v in res:  # _add inlined: the hot loop
+                    prev = residual.get(w)
+                    residual[w] = coeff * v if prev is None else prev + coeff * v
+                for pair, v in pairs:
+                    prev = lam.get(pair)
+                    lam[pair] = coeff * v if prev is None else prev + coeff * v
+            low: Dict[Word, Coeff] = {}  # degree 1, J2
             for pair, coeff in lam.items():
                 if not coeff:
                     continue
                 for x, v in lin.get(pair, ()):
-                    _add(low, (x,), coeff * v)
-                if pair in a_part:
-                    _add(by_a, pair, coeff)
+                    prev = low.get((x,))
+                    low[x,] = coeff * v if prev is None else prev + coeff * v
+            by_a = [a_part[pair] * coeff  # J3
+                    for pair, coeff in lam.items() if coeff and pair in a_part]
 
-            checked["J1"] += len(residual)
-            checked["J2"] += len(low)
-            checked["J3"] += bool(by_a)
+            j1 += len(residual)
+            j2 += len(low)
+            j3 += bool(by_a)
+            if not (any(residual.values()) or any(low.values()) or by_a):
+                continue
+            odd_abc = sum(g >= n for g in indices)
             for family, part in (("J1", residual), ("J2", low)):
-                for w in sorted(part):
-                    if part[w]:
-                        viols.append(JacobiViolation(
-                            family, indices,
-                            back(part[w], sum(g >= n for g in w) - odd_abc),
-                            detail="*".join(names[g] for g in w)))
-            j3 = ZERO
-            for pair, coeff in by_a.items():
-                if coeff:
-                    j3 = j3 + a_part[pair] * back(coeff, -odd_abc)
-            if j3:
-                viols.append(JacobiViolation("J3", indices, j3))
+                for w in sorted(w for w, v in part.items() if v):
+                    viols.append(JacobiViolation(
+                        family, indices, back(part[w], sum(g >= n for g in w) - odd_abc),
+                        detail="*".join(names[g] for g in w)))
+            if total := sum(by_a):
+                viols.append(JacobiViolation("J3", indices, back(total, -odd_abc)))
 
-        return JacobiReport("abstract", viols, checked)
+        return JacobiReport("abstract", viols, {"J1": j1, "J2": j2, "J3": j3})
 
 
 def _add(store: dict, key, value) -> None:

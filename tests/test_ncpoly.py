@@ -43,6 +43,19 @@ def test_alphabet_mismatch_rejected():
         gen(0) * NCPoly.generator(other, 0)
 
 
+def test_alphabet_repr_stays_short_and_tells_names_apart():
+    # named like gl2(30/1)'s 960 generators: E1_1 .. E30_30, Qbar1 .., Q1 ..
+    n = 30
+    names = ([f"E{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
+             + [f"Qbar{i}" for i in range(1, n + 1)] + [f"Q{i}" for i in range(1, n + 1)])
+    big = repr(Alphabet(n * n, 2 * n, names))
+    assert len(big) <= 200
+    for k in (0, len(names) - 1):  # one name changed, first or last
+        renamed = names[:k] + ["Z"] + names[k + 1:]
+        assert repr(Alphabet(n * n, 2 * n, renamed)) != big
+    assert repr(Alphabet(n * n, 2 * n)) != big
+
+
 def test_no_zero_terms_kept():
     p = gen(0) - gen(0)
     assert p.is_zero()

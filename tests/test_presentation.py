@@ -5,7 +5,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -220,10 +220,61 @@ def _sample_presentations():
     return samples
 
 
+def _e2(pres: QlsPresentation, g1: int, g2: int) -> NCPoly:
+    """Quadratic part of the ideal generator e(g1, g2), read straight off
+    the structure tensors: g1 g2 - (-1)^{|g1||g2|} g2 g1 minus the d-part
+    of an odd pair."""
+    n = pres.n_even
+    terms = {}
+    accumulate(terms, (g1, g2), srat(1))
+    accumulate(terms, (g2, g1), srat(1 if g1 >= n and g2 >= n else -1))
+    for (p, q, k, l), v in pres.d.items():
+        if (n + p, n + q) == (g1, g2):
+            accumulate(terms, (k, l), -v)
+    return NCPoly(pres.alphabet, terms)
+
+
+def _unscaled_ring(pres: QlsPresentation):
+    """The presentation's unscaled ring, built here from its tensors."""
+    return presentation._Ring.build(pres.n_even, pres._tensors(), 1)
+
+
+def _overlap_reference(pres: QlsPresentation, ring):
+    """Yield (indices, zL, zR) for the triples of `_overlap_elements`, in
+    its order: zL lists (g, pair, coeff) for coeff . g e2(pair) and zR
+    (pair, g, coeff) for coeff . e2(pair) g, unmerged and with zeros kept,
+    the two expanding to the same degree-3 element of the free algebra.
+    The element of (a, b, c) is the graded-cyclic sum of u e(v, w) on the
+    left and of e(u, v) w on the right, plus the terms that carry the
+    d-part of an odd pair (v, w) past u, with the d-part from ring.quad."""
+    n, size = pres.n_even, pres.alphabet.size
+    evens, odds = range(n), range(n, size)
+    triples = chain(
+        combinations(evens, 3),
+        ((i, j, y) for i, j in combinations(evens, 2) for y in odds),
+        ((i, y1, y2) for y1, y2 in combinations_with_replacement(odds, 2)
+         for i in evens),
+        combinations_with_replacement(odds, 3),
+    )
+    for a, b, c in triples:
+        zL, zR = [], []
+        for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
+            # graded Jacobi sign (-1)^{|u||w|}, normalized to +1 on (a, b, c)
+            s = -1 if (u >= n and w >= n) != (a >= n and c >= n) else 1
+            zL.append((u, (v, w), s))
+            zR.append(((u, v), w, s))
+            # u d-part(v, w) - d-part(v, w) u, rewritten as
+            # k e2(u, l) + e2(u, k) l for each d-word k l
+            for (k, l), val in ring.quad.get((v, w), ()):
+                zL.append((k, (u, l), s * val))
+                zR.append(((u, k), l, -(s * val)))
+        yield (a, b, c), zL, zR
+
+
 def _expand(pres: QlsPresentation, e2, z: list, left: bool) -> NCPoly:
     """sum coeff . g e2(pair) over a zL list of (g, pair, coeff), or
     coeff . e2(pair) g over a zR list of (pair, g, coeff), each product
-    multiplied out in NCPoly; e2 is `pres.e2`, memoized per pair by the
+    multiplied out in NCPoly; e2 maps a pair to its `_e2`, memoized by the
     caller."""
     terms = {}
     for first, second, coeff in z:
@@ -237,8 +288,8 @@ def _expand(pres: QlsPresentation, e2, z: list, left: bool) -> NCPoly:
 
 def _overlap_span_rank(pres: QlsPresentation) -> int:
     rows = []
-    e2 = functools.cache(pres.e2)
-    for _, zL, _ in pres._overlap_elements():
+    e2 = functools.cache(functools.partial(_e2, pres))
+    for _, zL, _ in _overlap_reference(pres, _unscaled_ring(pres)):
         poly = _expand(pres, e2, zL, left=True)
         rows.append({w: v.as_rational() for w, v in poly.terms.items()})
     return rank_of_rows(rows)
@@ -246,11 +297,31 @@ def _overlap_span_rank(pres: QlsPresentation) -> int:
 
 def test_overlap_elements_agree_on_both_sides():
     for pres in _sample_presentations() + [_odd_square_presentation()]:
-        e2 = functools.cache(pres.e2)
-        for indices, zL, zR in pres._overlap_elements():
+        e2 = functools.cache(functools.partial(_e2, pres))
+        for indices, zL, zR in _overlap_reference(pres, _unscaled_ring(pres)):
             left = _expand(pres, e2, zL, left=True)
             right = _expand(pres, e2, zR, left=False)
             assert left == right, (indices, (left - right).render())
+
+
+def test_overlap_substitution_matches_reference():
+    # deg2 is zR - zL with the one-letter terms of each bracket substituted
+    # for its e2: (x, g) from ((g1, g2), g), (g, x) from (g, (g1, g2))
+    for pres in _sample_presentations() + [_odd_square_presentation()]:
+        ring = _unscaled_ring(pres)
+        got = list(pres._overlap_elements(ring))
+        want = list(_overlap_reference(pres, ring))
+        assert len(got) == len(want)
+        for (indices, deg2), (ref_indices, zL, zR) in zip(got, want):
+            assert indices == ref_indices
+            ref = {}
+            for pair, g, coeff in zR:
+                for x, v in ring.lin.get(pair, ()):
+                    accumulate(ref, (x, g), coeff * v)
+            for g, pair, coeff in zL:
+                for x, v in ring.lin.get(pair, ()):
+                    accumulate(ref, (g, x), -(coeff * v))
+            assert {w: v for w, v in deg2.items() if v} == ref, indices
 
 
 def _clean(row):
@@ -323,7 +394,7 @@ def _brute_force_intersection_dim(pres: QlsPresentation) -> int:
         gen = NCPoly.generator(ab, g)
         for g1 in range(ab.size):
             for g2 in range(g1, ab.size):
-                e2 = pres.e2(g1, g2)
+                e2 = _e2(pres, g1, g2)
                 left = gen * e2
                 right = e2 * gen
                 rows_a.append({w: v.as_rational() for w, v in left.terms.items()})
@@ -1032,6 +1103,6 @@ def test_abstract_checker_refuses_past_triple_budget():
     with pytest.raises(ValueError, match="triples"):
         QlsPresentation(100_000, 0).check_abstract_jacobi()
     for pres in (build(2).presentation, _odd_square_presentation()):
-        assert pres.check_triple_budget() == sum(1 for _ in pres._overlap_elements())
+        assert pres.check_triple_budget() == sum(1 for _ in pres._overlap_elements(pres._ring))
     # gl2(5/1), the largest presentation the tests and the bench check
     assert build(5).presentation.check_triple_budget() == 6895 <= MAX_TRIPLES

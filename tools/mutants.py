@@ -94,22 +94,34 @@ MUTANTS = [
            "if True:\n"
            "                    scaled[idx] = f.numerator // f.denominator\n",
            T_PRES),
-    # -- the list-form overlap elements (ROADMAP item 6) --------------------
+    # -- the overlap elements, substituted in place ---------------------------
     Mutant("overlap zR d-part sign", PRES,
-           "zR.append(((u, k), l, -(s * val)))",
-           "zR.append(((u, k), l, s * val))",
+           "deg2[x, l] = deg2.get((x, l), 0) - s * val * t",
+           "deg2[x, l] = deg2.get((x, l), 0) + s * val * t",
            T_PRES),
     Mutant("overlap zL substitution added, not subtracted", PRES,
-           "deg2[g, x] = deg2.get((g, x), 0) - coeff * v",
-           "deg2[g, x] = deg2.get((g, x), 0) + coeff * v",
+           "deg2[u, x] = deg2.get((u, x), 0) - s * t",
+           "deg2[u, x] = deg2.get((u, x), 0) + s * t",
            T_PRES),
     Mutant("overlap zR substituted as (g, x)", PRES,
-           "deg2[x, g] = deg2.get((x, g), 0) + coeff * v",
-           "deg2[g, x] = deg2.get((g, x), 0) + coeff * v",
+           "deg2[x, w] = deg2.get((x, w), 0) + s * t",
+           "deg2[w, x] = deg2.get((w, x), 0) + s * t",
            T_PRES),
     Mutant("overlap graded-cyclic sign flipped", PRES,
            "s = -1 if (u >= n and w >= n) != (a >= n and c >= n) else 1",
            "s = 1 if (u >= n and w >= n) != (a >= n and c >= n) else -1",
+           T_PRES),
+    Mutant("reduction cache ignores the odd-square halving", PRES,
+           "coeff = _half(coeff)",
+           "coeff = coeff",
+           T_PRES),
+    Mutant("abstract checker reduces a word whose sum cancels", PRES,
+           "if not coeff:\n"
+           "                    continue\n"
+           "                image = reduced.get(word)",
+           "if False:\n"
+           "                    continue\n"
+           "                image = reduced.get(word)",
            T_PRES),
     # -- the forward ring ------------------------------------------------------
     Mutant("rescale D over every tensor, not the odd pairs", PRES,
