@@ -9,39 +9,33 @@ ordered monomials (evens weakly increasing, odds strictly increasing)
 form a basis and `normal_form` computes coordinates in it.
 
 There is one normal-ordering engine: the action of the generators on the
-free span of ordered words (`_ModuleAction`).  `normal_form` folds a word
-into the empty ordered word through that action, and `serre_module_check`
-verifies the defining relations on the same action (equivalently, the
-Jacobi identities of the presentation).  By Bergman's diamond lemma
-(Adv. Math. 29, 1978) a passing check certifies that the reductions are
-confluent, so the normal forms `normal_form` returns are well defined;
-they are defined only when the check passes.  Words of length 3 carry
-every overlap of the quadratic rules, so `max_len` must be at least 3.
+free span of ordered words (`_ModuleAction`), run on interned word ids.
+`normal_form` folds a word into the empty ordered word through that
+action, and `serre_module_check` verifies the defining relations on the
+same action (equivalently, the Jacobi identities of the presentation).
+By Bergman's diamond lemma (Adv. Math. 29, 1978) a passing check
+certifies that the reductions are confluent, so the normal forms
+`normal_form` returns are well defined; they are defined only when the
+check passes.  Words of length 3 carry every overlap of the quadratic
+rules, so `max_len` must be at least 3.
 
 The relation on (a, b, N), a b out of order and N ordered, reads w_a w_b
-z_N = (sign) w_b w_a z_N + (lower terms) z_N.  Skip rule: the first step
-of `_act(a, b N)` is that right side, and w_b z_N = z_bN when b N is
-ordered, so then both sides are `_act(a, b N)` and the relation holds by
-construction.  The check skips those (N = () or b preceding N[0]) and
-compares `_apply((a, b), N)` with `_act(a, b N)` on the rest.  At
-`max_len` 3 it thus covers exactly Bergman's overlap words a b c, with
-both a b and b c out of order.
+z_N = (sign) w_b w_a z_N + (lower terms) z_N; `_first_failure` forms the
+right side from w_b (w_a z_N) and the lower terms applied to N, so no
+unordered word enters the action.  Skip rule: when b N is ordered, w_b
+z_N = z_bN and the first step of `_act(a, b N)` is that right side, so
+the check skips those (N = () or b preceding N[0]).  At `max_len` 3 it
+thus covers exactly Bergman's overlap words a b c, with both a b and b c
+out of order.
 
-The action reads the bracket table of the presentation's ring
-(`QlsPresentation._ring`, which the Jacobi checkers read too) and `_act`
-halves an odd square's terms, y y = (1/2) {y, y}, where it applies them:
-Python ints, with the coefficients that hold an indeterminate (c sits
-only in a few a terms of gl2(n/1)) or stay non-integral (1/2 in an
-even-even bracket, say) kept as Scalars; D = 2 for gl2(3/1) at c = 1 or
-symbolic, 10 at c = 7/5.  The rescaling sends z_N to D^o(N) z_N, o
-counting odd letters.  Exactness: each table term, int or Scalar, halved
-or not, carries the table's factor, so by induction over `_act` the
-scaled coefficient of z_w in w_a ... w_b z_N is the unscaled one times
-D^(o(a ... b N) - o(w)), never 0, in any commutative coefficient ring.
-So a relation (a, b, N) vanishes in both bases or in neither (same
-verdict, same first witness, no evaluation of an indeterminate), and
-`apply_word` maps back by D^(o(w) - o(a ... b N)) through the ring's
-`back`.
+The action runs in the presentation's ring (`QlsPresentation._ring`, which
+the Jacobi checkers read too), odd-rescaled by z_N -> D^o(N) z_N, o
+counting odd letters, and halves an odd square's terms, y y = (1/2)
+{y, y}, where it applies them.  The scaled coefficient of z_w in w_a ...
+w_b z_N is the unscaled one times D^(o(a ... b N) - o(w)), never 0: a
+relation vanishes in both bases or in neither (same verdict and first
+witness), and `apply_word` maps back through the ring's `back`
+(DECISIONS.md "Odd rescaling").
 
 Also provided: a witness of linear dependence for inadmissible orders, and
 ordered-monomial counting.
@@ -120,15 +114,9 @@ class RewriteSystem:
 
     The constructor raises ValueError on an inadmissible order, naming the
     least violating d-index, and fixes the pair predicate
-    `_pair_is_ordered` that every ordering decision reads.
-    `normal_form` folds each word into the empty ordered word through the
-    module action `_ModuleAction`; the system owns one action, created
-    on first use, so its cache serves every later call.
-    `serre_module_check` verifies the defining relations on the same action
-    (Bergman's diamond lemma, Adv. Math. 29, 1978).  Normal forms are
-    defined only when that check passes: otherwise the action need not
-    vanish on the relations, and the result depends on the word chosen to
-    represent an element.
+    `_pair_is_ordered` that every ordering decision reads.  `normal_form`
+    runs on one `_ModuleAction`, made on first use, whose caches serve
+    every later call; it is defined only when `serre_module_check` passes.
     """
 
     def __init__(self, pres: QlsPresentation, order: Optional[GeneratorOrder] = None):
@@ -200,9 +188,11 @@ def inadmissible_dependence_witness(
 class _ModuleAction:
     """Serre-style action of generators on the free span of ordered words.
 
-    The cache, `_act` and `_apply` work in the presentation's ring, read
-    from its table; `apply_word` maps back to `Scalar`s in the
-    presentation's own basis through the ring's `back`.
+    Id 0 is the empty word; an ordered word a t gets the next id w, with
+    `_head[w]` = a and `_tail[w]` = t, when `_act` caches `_caches[a][t]`
+    = w_a z_t = {w: 1}.  The caches map ids to coefficients in the
+    presentation's ring; `apply_word` spells words out and maps back to
+    `Scalar`s in the presentation's own basis through the ring's `back`.
     `max_len` is ignored: the action is defined on words of any length.
     """
 
@@ -210,89 +200,117 @@ class _ModuleAction:
         self.rs = rs
         self.ab = rs.presentation.alphabet
         self._before = rs._pair_is_ordered
-        self._cache: Dict[Tuple[int, Word], Dict[Word, Coeff]] = {}
+        self._head, self._tail = [-1], [0]
+        self._caches: List[Dict[int, Dict[int, Coeff]]] = [{} for _ in range(self.ab.size)]
         ring = rs.presentation._ring
         self._table, self._back = ring.table, ring.back
 
     def apply_word(self, gens: Word, word: Word) -> Dict[Word, Scalar]:
-        """Act with w_{gens[0]} ... w_{gens[-1]} on z_word; a scaled
-        coefficient maps back by D^(odd letters out - odd letters in)."""
-        dist = self._apply(gens, word)
-        n, back = self.ab.n_even, self._back
+        """Act with w_{gens[0]} ... w_{gens[-1]} on z_word, word ordered; a
+        scaled coefficient maps back by D^(odd letters out - odd letters in)."""
+        n, head, tail = self.ab.n_even, self._head, self._tail
         odd_in = sum(g >= n for g in gens + word)
-        return {w: back(v, sum(g >= n for g in w) - odd_in) for w, v in dist.items()}
-
-    def _act(self, a: int, word: Word) -> Dict[Word, Coeff]:
-        """w_a z_word as a map ordered word -> coeff.  word[1:] must be
-        ordered; word itself need not be: for word = b N out of order,
-        with a b out of order too, this is the right side of the relation
-        on (a, b, N), which `_first_failure` reads.
-
-        The letter a sinks rightwards past the prefix word[:stop] of
-        letters it does not precede.  act(a, word[i:]) is built from
-        act(a, word[i + 1:]) in a loop from the right, so the call depth
-        does not grow with the length of word.
-        """
-        cache = self._cache
-        cached = cache.get((a, word))
-        if cached is not None:
-            return cached
-        n = self.ab.n_even
-        stop = 0
-        while stop < len(word) and not self._before(a, word[stop]):
-            stop += 1
-        # resume from the longest suffix already in the cache
-        for i in range(1, stop + 1):
-            out = cache.get((a, word[i:]))
-            if out is not None:
-                break
-        else:
-            i, out = stop, {(a,) + word[stop:]: 1}
-            cache[(a, word[stop:])] = out
-        while i > 0:
-            i -= 1
-            b, rest = word[i], word[i + 1 :]
-            inner, out = out, {}
-            if a != b:  # an odd square has no swap term
-                sign = -1 if a >= n and b >= n else 1
-                for w1, v1 in inner.items():
-                    for w2, v2 in self._act(b, w1).items():
-                        accumulate(out, w2, v2 * v1 * sign)
-            for mid, coeff in self._table.get((a, b), ()):
-                if a == b:  # an odd square: y y = (1/2) {y, y}
-                    coeff = _half(coeff)
-                for w2, v2 in self._apply(mid, rest).items():
-                    accumulate(out, w2, v2 * coeff)
-            cache[(a, word[i:])] = out
+        out: Dict[Word, Scalar] = {}
+        for w, v in self._apply(gens + word, 0).items():  # z_word = w_word z_()
+            letters = []  # the word of id w, spelled out
+            while w:
+                letters.append(head[w])
+                w = tail[w]
+            out[tuple(letters)] = self._back(v, sum(g >= n for g in letters) - odd_in)
         return out
 
-    def _apply(self, gens: Word, word: Word) -> Dict[Word, Coeff]:
-        """`apply_word` in the system's ring."""
-        dist: Dict[Word, Coeff] = {word: 1}
-        for g in reversed(gens):
-            nxt: Dict[Word, Coeff] = {}
+    def _rule(self, a: int, b: int) -> Tuple[int, Sequence[Tuple[Word, Coeff]]]:
+        """(sign, lower) with a b = sign b a + lower, a b out of order; an odd
+        square has no swap term, sign 0, and halves y y = (1/2) {y, y}."""
+        lower = self._table.get((a, b), ())
+        if a == b:
+            return 0, [(mid, _half(coeff)) for mid, coeff in lower]
+        return (-1 if min(a, b) >= self.ab.n_even else 1), lower
+
+    def _act(self, a: int, word: int) -> Dict[int, Coeff]:
+        """w_a z_word, word ordered: a sinks rightwards past the letters
+        word[:stop] it does not precede, and act(a, word[i:]) is built from
+        act(a, word[i + 1:]) in a loop from the right, resumed from the
+        longest cached suffix, so the call depth does not grow with the
+        word.  A product of nonzeros is nonzero: only a sum is tested."""
+        cache = self._caches[a]
+        out = cache.get(word)
+        if out is not None:
+            return out
+        head, tail, before = self._head, self._tail, self._before
+        walked = []  # the suffixes a sinks past, above the one resumed from
+        while word and not before(a, head[word]):
+            walked.append(word)
+            word = tail[word]
+            out = cache.get(word)
+            if out is not None:
+                break
+        else:  # word is word[stop:] and not cached: intern a word[stop:]
+            out = cache[word] = {len(head): 1}
+            head.append(a)
+            tail.append(word)
+        for word in reversed(walked):
+            b, inner, out = head[word], out, {}
+            sign, lower = self._rule(a, b)
+            if sign:
+                for w1, v1 in inner.items():
+                    v1 = -v1 if sign < 0 else v1
+                    for w2, v2 in self._act(b, w1).items():
+                        old = out.get(w2)
+                        if old is None:
+                            out[w2] = v2 * v1
+                        elif new := old + v2 * v1:
+                            out[w2] = new
+                        else:
+                            del out[w2]
+            for mid, coeff in lower:
+                for w2, v2 in self._apply(mid, tail[word]).items():
+                    accumulate(out, w2, v2 * coeff)
+            cache[word] = out
+        return out
+
+    def _apply(self, gens: Word, word: int) -> Dict[int, Coeff]:
+        """`apply_word` in the system's ring, on word ids; for one letter
+        the result is a cache entry, which callers only read."""
+        dist = self._act(gens[-1], word) if gens else {word: 1}
+        for g in gens[-2::-1]:
+            if len(dist) > MAX_TERMS:
+                break
+            nxt: Dict[int, Coeff] = {}
             for w, v in dist.items():
                 for w2, v2 in self._act(g, w).items():
-                    accumulate(nxt, w2, v * v2)
+                    old = nxt.get(w2)
+                    if old is None:
+                        nxt[w2] = v * v2
+                    elif new := old + v * v2:
+                        nxt[w2] = new
+                    else:
+                        del nxt[w2]
             dist = nxt
-            if len(dist) > MAX_TERMS:
-                raise ValueError(f"more than {MAX_TERMS} terms in one action step")
+        if len(dist) > MAX_TERMS:
+            raise ValueError(f"more than {MAX_TERMS} terms in one action step")
         return dist
 
 
 def _first_failure(action: _ModuleAction,
                    relations: Iterable[Tuple[Word, Tuple[int, int]]]
                    ) -> Optional[Tuple[int, int, Word]]:
-    """The first relation (a, b, N) that fails on the action, or None.
-    Relations with b N ordered hold by construction and are skipped; the
-    right side of the others is `_act(a, b N)`."""
+    """The first relation (a, b, N) that fails on the action, or None;
+    those with b N ordered are skipped (module docstring)."""
+    nid = last = None
     for nword, (a, b) in relations:
         if not nword or action._before(b, nword[0]):
             continue
-        word = (b,) + nword
-        failed = action._apply((a, b), nword) != action._act(a, word)
-        del action._cache[(a, word)]  # the cache keeps ordered words only
-        if failed:
+        if nword is not last:  # the id of N: w_N z_() = z_N
+            (nid,), last = action._apply(nword, 0), nword
+        sign, lower = action._rule(a, b)
+        rhs = action._apply((b, a), nid) if sign else {}
+        if sign < 0:
+            rhs = {w: -v for w, v in rhs.items()}
+        for mid, coeff in lower:
+            for w2, v2 in action._apply(mid, nid).items():
+                accumulate(rhs, w2, v2 * coeff)
+        if action._apply((a, b), nid) != rhs:
             return a, b, nword
     return None
 
@@ -305,8 +323,7 @@ def serre_module_check(
     Checks w_a w_b z_N = (sign) w_b w_a z_N + (lower-order terms) z_N for
     all out-of-order generator pairs a b and all ordered words N of length
     <= max_len - 2, but for those with b N ordered, which hold by
-    construction (module docstring); every relation still counts against
-    the budget and its place in the order.
+    construction yet count against the budget and the order.
     Returns (True, None) or (False, (a, b, N)) on the first failure.
     Raises ValueError for max_len < 3, which would check only N = (), and
     past MAX_RELATIONS relations.

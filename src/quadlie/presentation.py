@@ -748,7 +748,9 @@ class _Ring(NamedTuple):
     def back(self, value: Coeff, exponent: int) -> Scalar:
         """value * D**exponent as an exact Scalar, mapping a coefficient of
         the ring back: an int through one Fraction product, a Scalar
-        multiplied by the factor."""
+        multiplied by the factor; a factor of 1 is skipped."""
+        if not exponent or self.scale == 1:
+            return value if isinstance(value, Scalar) else srat(value)
         factor = Fraction(self.scale) ** exponent
         return value * factor if isinstance(value, Scalar) else srat(value * factor)
 

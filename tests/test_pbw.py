@@ -3,8 +3,10 @@
 import random
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from math import comb
+from unittest import mock
 
 import pytest
 
@@ -275,6 +277,25 @@ def test_long_word_does_not_hit_recursion_limit():
     assert rs.normal_form(e22 * power) == power * e22
 
 
+def test_long_word_memory_grows_linearly():
+    # the action keeps each ordered word as a head letter and a tail id,
+    # so E22 E11^L takes memory linear in L; a tuple per suffix would take
+    # about 29 MB at L = 1,500
+    alg = build(2, 1)
+    rs = RewriteSystem(alg.presentation)
+    (e11,), (e22,) = alg.E(1, 1).terms, alg.E(2, 2).terms
+    length = 1500
+    elem = NCPoly.monomial(alg.alphabet, e22 + e11 * length)
+    tracemalloc.start()
+    try:
+        got = rs.normal_form(elem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == NCPoly.monomial(alg.alphabet, e11 * length + e22)
+    assert peak < 8_000_000, peak
+
+
 def test_idempotence_and_multiplicativity():
     alg = build(2)
     ab = alg.alphabet
@@ -533,30 +554,31 @@ def _out_of_order_pairs(rs):
 
 
 def _explicit_rhs(action, a, b, nword):
-    """Right side of the relation on (a, b, N), built by hand:
-    (sign) w_b w_a z_N + (lower-order terms) z_N; an odd square a = b has
-    no swap term, and its bracket terms are halved: y y = (1/2) {y, y}."""
+    """Right side of the relation on (a, b, N), built by hand in the
+    presentation's own basis: (sign) w_b w_a z_N + (lower-order terms) z_N
+    through `apply_word`, with the unscaled bracket; an odd square a = b
+    has no swap term, and its bracket terms are halved: y y = (1/2) {y, y}."""
     ab = action.ab
     sign = -1 if ab.parity(a) == ab.parity(b) == 1 else 1
     rhs = {}
     if a != b:
-        for w, v in action._apply((b, a), nword).items():
+        for w, v in action.apply_word((b, a), nword).items():
             accumulate(rhs, w, v * sign)
-    for mid, coeff in action._table.get((a, b), ()):
+    for mid, coeff in action.rs.presentation._scalar_ring.table.get((a, b), ()):
         if a == b:
             coeff = _half(coeff)
-        for w, v in action._apply(mid, nword).items():
+        for w, v in action.apply_word(mid, nword).items():
             accumulate(rhs, w, v * coeff)
     return rhs
 
 
 def _scalar_action(rs):
-    """The module action on the unscaled Scalar table, D = 1: the table
-    and map-back of the presentation's `_scalar_ring` put into it."""
-    action = _ModuleAction(rs)
-    ring = rs.presentation._scalar_ring
-    action._table, action._back = ring.table, ring.back
-    return action
+    """The module action on the unscaled Scalar table, D = 1: built while
+    the presentation's `_scalar_ring` stands in for its `_ring`, so
+    `apply_word` returns the unscaled action."""
+    with mock.patch.object(QlsPresentation, "_ring",
+                           property(lambda p: p._scalar_ring)):
+        return _ModuleAction(rs)
 
 
 def _scalar_serre(rs, max_len):
@@ -565,7 +587,7 @@ def _scalar_serre(rs, max_len):
     action = _scalar_action(rs)
     for nword in _ordered_words(rs, max_len):
         for a, b in _out_of_order_pairs(rs):
-            if action._apply((a, b), nword) != _explicit_rhs(action, a, b, nword):
+            if action.apply_word((a, b), nword) != _explicit_rhs(action, a, b, nword):
                 return False, (a, b, nword)
     return True, None
 
@@ -585,7 +607,7 @@ def test_skipped_relations_hold_by_construction():
             for a, b in _out_of_order_pairs(rs):
                 if nword and not rs._pair_is_ordered(b, nword[0]):
                     continue  # checked by serre_module_check
-                assert action._apply((a, b), nword) == _explicit_rhs(
+                assert action.apply_word((a, b), nword) == _explicit_rhs(
                     action, a, b, nword), (a, b, nword)
                 skipped += 1
     assert skipped > 0
@@ -606,8 +628,11 @@ def test_serre_check_caches_only_ordered_words(monkeypatch):
         serre_module_check(rs, max_len=4)
     assert len(actions) == 3  # one pass per system, symbolic c included
     for action in actions:
-        assert action._cache
-        assert all(action.rs.word_is_ordered(w) for _, w in action._cache)
+        words = [()]  # by id: each word's tail was interned before it
+        for head, tail in zip(action._head[1:], action._tail[1:]):
+            words.append((head,) + words[tail])
+        assert len(words) > 1
+        assert all(action.rs.word_is_ordered(w) for w in words)
 
 
 def _symbolic_cases():
@@ -689,7 +714,7 @@ def test_serre_mixed_ring_matches_scalar_ring(monkeypatch):
             # the reference: the unscaled Scalar table, D = 1
             mp.setattr(QlsPresentation, "_ring", property(lambda p: p._scalar_ring))
             scalar_rs = _rs(pres)
-            assert _ModuleAction(scalar_rs)._table is pres._scalar_ring.table
+            assert scalar_rs.presentation._ring is pres._scalar_ring
             want = [serre_module_check(scalar_rs, max_len) for max_len in lengths]
         assert got == want
         verdicts.append(got[0][0])

@@ -73,8 +73,8 @@ MUTANTS = [
            "t = coeff",
            T_PRES),
     Mutant("_act does not halve odd squares", PBW,
-           "coeff = _half(coeff)",
-           "coeff = coeff",
+           "return 0, [(mid, _half(coeff)) for mid, coeff in lower]",
+           "return 0, [(mid, coeff) for mid, coeff in lower]",
            T_PBW),
     Mutant("rescale D without the half on odd squares", PRES,
            "return f.denominator * (2 if idx[0] == idx[1] and f.numerator % 2 else 1)",
@@ -147,8 +147,16 @@ MUTANTS = [
            T_PRES),
     # -- the module action (ROADMAP item 6) -----------------------------------
     Mutant("_act swap sign flipped", PBW,
-           "sign = -1 if a >= n and b >= n else 1",
-           "sign = 1 if a >= n and b >= n else -1",
+           "(-1 if min(a, b) >= self.ab.n_even else 1)",
+           "(1 if min(a, b) >= self.ab.n_even else -1)",
+           T_PBW),
+    Mutant("_first_failure swap term reads w_a(w_b z_N)", PBW,
+           "rhs = action._apply((b, a), nid) if sign else {}",
+           "rhs = action._apply((a, b), nid) if sign else {}",
+           T_PBW),
+    Mutant("_act suffix walk resumes one suffix too short", PBW,
+           "out = cache.get(word)\n            if out is not None:\n                break",
+           "out = cache.get(tail[word])\n            if out is not None:\n                break",
            T_PBW),
     Mutant("_first_failure skip rule inverted", PBW,
            "if not nword or action._before(b, nword[0]):",
