@@ -19,12 +19,15 @@ from .gl2n1 import (
     FamilyParams,
     Weight,
     _adjoint_coeffs,
+    _casimirs,
     _composite_coeffs,
+    _family_values,
+    _lifted,
+    _lower,
     _rect_casimirs,
-    casimirs,
-    family_data,
     lam_prime,
 )
+from .presentation import _half
 from .scalars import Scalar
 
 ZeroStepResult = Union[bool, Scalar]
@@ -50,15 +53,13 @@ def level1_poly(w: Weight, central, s: int) -> Scalar:
         raise ValueError("weight is not dominant integral")
     if not 1 <= s <= n:
         raise ValueError(f"root index {s} out of range")
-    shifted = list(w.components)
-    shifted[s - 1] -= 1
-    if not Weight(shifted).is_dominant_integral():
+    lam = w.components
+    if not Weight(lam[:s - 1] + (lam[s - 1] - 1,) + lam[s:]).is_dominant_integral():
         raise ValueError(f"root {s} is not retained (shift not dominant)")
-    wp = lam_prime(w)
-    c1p, c2p = casimirs(wp)
-    a1, a0, _, _ = _adjoint_coeffs(n, c1p, c2p, Scalar.coerce(central))
-    alpha = Scalar.coerce(w.components[s - 1] - 1 + n - s)
-    return alpha * alpha - a1 * alpha + a0
+    c1p, c2p = _casimirs(lam_prime(w))
+    a1, a0, _, _ = _adjoint_coeffs(n, c1p, c2p, _lower(central))
+    alpha = lam[s - 1] - 1 + n - s
+    return Scalar.coerce(alpha * alpha - a1 * alpha + a0)
 
 
 def zero_step(params: FamilyParams, central) -> ZeroStepResult:
@@ -72,27 +73,24 @@ def zero_step(params: FamilyParams, central) -> ZeroStepResult:
     n, r = params.n, params.r
     if n < 3:
         raise ValueError("zero-step analysis requires n >= 3")
-    c = Scalar.coerce(central)
+    c = _lower(central)
     if r == n:
-        mu = params.mu
         half_n = Fraction(n, 2) / (n - 2)
-        lhs = (mu - half_n) ** 2
-        rhs = Scalar.coerce(half_n * half_n) - c * Fraction(2, (n - 1) * (n - 2))
-        residual = lhs - rhs
+        lhs = (_lower(params.mu) - half_n) ** 2
+        residual = lhs - (half_n * half_n - c * Fraction(2, (n - 1) * (n - 2)))
     else:
-        mb, nb = params.mubar, params.nubar
-        if (mb - nb).is_zero():
+        if params.mubar == params.nubar:
             raise ValueError("mubar = nubar: zero-step analysis indeterminate")
         # zero-step <=> both reduced adjoint coefficients vanish:
         # the E-coefficient gives (r-1) mubar + (n-r-1) nubar = r(n-r),
         # the delta-coefficient gives the condition on the central charge
-        data = family_data(params, c)
-        if not data["A_E"].is_zero():
+        data = _family_values(params, c)
+        if data["A_E"]:
             return False
         residual = data["A_delta"]
-    if residual.is_zero():
+    if not residual:
         return True
-    if residual.is_rational():
+    if not isinstance(residual, Scalar) or residual.is_rational():
         return False
     return residual
 
@@ -108,18 +106,19 @@ def zero_step_equivalence_check(params: FamilyParams, central) -> bool:
     n = params.n
     if n < 3:
         raise ValueError("analysis requires n >= 3")
-    if (params.mubar - params.nubar).is_zero():
+    if params.mubar == params.nubar:
         raise ValueError("mubar = nubar: analysis inapplicable as printed")
-    data = family_data(params, central)
-    c = Scalar.coerce(central)
+    c = _lower(central)
+    data = _family_values(params, c)
     s_p, p_p = data["s_prime"], data["p_prime"]
     c1 = data["C1_prime"] + n
     c2 = data["C2_prime"] + data["C1_prime"] * 2 + n
     # bracket = E^2 - <E> E - (1/2)(<E^2> - <E>^2 + (n-1)<E>) + c,
-    # with E^2 = (s'+2) E - (p'+s'+1) on V_0(Lambda)
+    # with E^2 = (s'+2) E - (p'+s'+1) on V_0(Lambda); the halved quantity
+    # is C2' - C1'^2 - C1'(n - 3) - 2 C1', even on int input
     e_coeff = (s_p + 2) - c1
-    d_coeff = -(p_p + s_p + 1) - (c2 - c1 * c1 + c1 * (n - 1)) / 2 + c
-    return e_coeff.is_zero() and d_coeff.is_zero()
+    d_coeff = -(p_p + s_p + 1) - _half(c2 - c1 * c1 + c1 * (n - 1)) + c
+    return not e_coeff and not d_coeff
 
 
 def one_step_analysis(n: int, scan_bound: Optional[int] = None) -> dict:
@@ -177,11 +176,12 @@ def one_step_analysis(n: int, scan_bound: Optional[int] = None) -> dict:
                 for nbv in span:
                     sp, ppv, c1pv, c2pv = _rect_casimirs(n, rr, mbv, nbv)
                     # (EE) does not involve c: skip the c loop when nonzero
-                    a1v, _, b1v, _ = _adjoint_coeffs(n, c1pv, c2pv, 0)
+                    a1v, a0c, b1v, b0c = _adjoint_coeffs(n, c1pv, c2pv, 0)
                     if _composite_coeffs(sp, ppv, a1v, 0, b1v, 0)[0]:
                         continue
+                    # a0 and b0 are c plus their values at c = 0
                     for cv in span:
-                        a1v, a0v, b1v, b0v = _adjoint_coeffs(n, c1pv, c2pv, cv)
+                        a0v, b0v = a0c + cv, b0c + cv
                         if any(_composite_coeffs(sp, ppv, a1v, a0v, b1v, b0v)):
                             continue
                         # exclude zero-step degenerations (s'=a1, a0=p')
@@ -215,33 +215,29 @@ def atypicality_report(params: FamilyParams, central) -> dict:
     the rectangular family.  Raises ValueError past n = MAX_N."""
     n, r = params.n, params.r
     _budget("n", n)
-    data = family_data(params, central)
-    a_values: Dict[int, Scalar] = {}
-    roots: Dict[int, Scalar] = {}
+    data = _family_values(params, central)
     # retained shift roots: s=r at mubar-1 and (r<n) s=n at nubar-1
-    targets = [(r, data["mubar"] - 1)]
+    targets = {r: data["mubar"] - 1}
     if r < n:
-        targets.append((n, data["nubar"] - 1))
-    for s, root in targets:
-        roots[s] = root
-        a_values[s] = data["A_E"] * root + data["A_delta"]
+        targets[n] = data["nubar"] - 1
+    values = [data["A_E"] * root + data["A_delta"] for root in targets.values()]
     zs: Union[ZeroStepResult, str]
     if n < 3:
         zs = False
-    elif r < n and (data["mubar"] - data["nubar"]).is_zero():
+    elif r < n and params.mubar == params.nubar:
         zs = "indeterminate"
     else:
         zs = zero_step(params, central)
-    killed = zs is True or all(v.is_zero() for v in a_values.values())
+    killed = zs is True or not any(values)
     levels: Dict[int, str] = {0: "present", 1: "killed" if killed else "present"}
     for lvl in range(2, n + 1):
         levels[lvl] = "killed" if killed else "not analyzed"
     return {
         "params": params,
         "central": Scalar.coerce(central),
-        "family": data,
-        "roots": roots,
-        "a_values": a_values,
+        "family": _lifted(params, data),
+        "roots": {s: Scalar.coerce(root) for s, root in targets.items()},
+        "a_values": {s: Scalar.coerce(v) for s, v in zip(targets, values)},
         "zero_step": zs,
         "levels": levels,
     }

@@ -155,20 +155,18 @@ def composite_generators(n: int) -> dict:
         raise ValueError("composite triples need n >= 3")
     ann, cre = fermion_ops(n)
     dim = 1 << n
-    e = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            e[(i, j)] = cre[i - 1] * ann[j - 1]
-    num = SparseOp(dim)
-    for i in range(1, n + 1):
-        num = num + e[(i, i)]
-    q = {}
-    qbar = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                q[(i, j, k)] = ann[i - 1] * ann[j - 1] * ann[k - 1]
-                qbar[(i, j, k)] = cre[i - 1] * cre[j - 1] * cre[k - 1]
+    rng = range(1, n + 1)
+    e = {(i, j): cre[i - 1] * ann[j - 1] for i in rng for j in rng}
+    num = sum((e[(i, i)] for i in rng), SparseOp(dim))
+    q, qbar = {}, {}
+    for i in rng:
+        for j in rng:
+            # (a_i a_j) a_k with the pair formed once: the products of a_i a_j a_k
+            # in their order, no antisymmetry shortcut, so the oracle stays independent
+            aa, cc = ann[i - 1] * ann[j - 1], cre[i - 1] * cre[j - 1]
+            for k in rng:
+                q[(i, j, k)] = aa * ann[k - 1]
+                qbar[(i, j, k)] = cc * cre[k - 1]
     return {"n": n, "dim": dim, "a": ann, "adag": cre, "E": e, "N": num,
             "Q": q, "Qbar": qbar}
 
@@ -303,14 +301,9 @@ def presentation_cross_check() -> dict:
     gens = composite_generators(n)
     dim = gens["dim"]
     triples = list(combinations(range(1, n + 1), 3))
-    mats: List[SparseOp] = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            mats.append(gens["E"][(i, j)])
-    for u in triples:
-        mats.append(gens["Qbar"][u])
-    for u in triples:
-        mats.append(gens["Q"][u])
+    # E^i_j row-major, then Qbar^u and Q_u over the ordered triples
+    mats = [*gens["E"].values(), *(gens["Qbar"][u] for u in triples),
+            *(gens["Q"][u] for u in triples)]
 
     failures = []
     ne = pres.n_even

@@ -40,11 +40,26 @@ def even_index(n: int, i: int, j: int) -> int:
     return n * (i - 1) + (j - 1)
 
 
+def _lower(value):
+    """A rational Scalar or a Fraction as an int when integral, else as a
+    Fraction; an int or a symbolic Scalar as it is.  For a formula's inputs
+    only, never its intermediate values (DECISIONS.md "Integral data stays in ints")."""
+    if isinstance(value, Scalar):
+        if not value.is_rational():
+            return value
+        value = value.as_rational()
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 class Weight:
-    """gl(n) weight with exact rational components (lambda_1..lambda_n)."""
+    """gl(n) weight with exact rational components (lambda_1..lambda_n),
+    an integral component held as an int."""
 
     def __init__(self, components: Sequence):
-        self.components = tuple(Fraction(x) for x in components)
+        self.components = tuple(x if type(x) is int else _lower(Fraction(x)) for x in components)
 
     @property
     def n(self) -> int:
@@ -57,9 +72,8 @@ class Weight:
         )
 
     def shifted(self, other: "Weight", factor=1) -> "Weight":
-        return Weight(
-            [a + Fraction(factor) * b for a, b in zip(self.components, other.components)]
-        )
+        factor = _lower(factor)
+        return Weight([a + factor * b for a, b in zip(self.components, other.components)])
 
     def __eq__(self, other):
         if not isinstance(other, Weight):
@@ -73,14 +87,10 @@ class Weight:
         return f"Weight({list(self.components)})"
 
 
-def rho1(n: int) -> Weight:
-    """Half-sum of positive odd weights: (1/2, ..., 1/2)."""
-    return Weight([Fraction(1, 2)] * n)
-
-
 def lam_prime(w: Weight) -> Weight:
-    """The shifted weight Lambda' = Lambda - 2 rho_1 (subtract 1 throughout)."""
-    return w.shifted(rho1(w.n), -2)
+    """The shifted weight Lambda' = Lambda - 2 rho_1, rho_1 = (1/2, ..., 1/2)
+    the half-sum of the positive odd weights: subtract 1 throughout."""
+    return Weight([a - 1 for a in w.components])
 
 
 class FamilyParams:
@@ -101,8 +111,7 @@ class FamilyParams:
     def weight(self) -> Weight:
         if not (self.mu.is_rational() and self.nu.is_rational()):
             raise ValueError("symbolic parameters have no concrete weight")
-        mu, nu = self.mu.as_rational(), self.nu.as_rational()
-        return Weight([mu] * self.r + [nu] * (self.n - self.r))
+        return Weight([_lower(self.mu)] * self.r + [_lower(self.nu)] * (self.n - self.r))
 
     def __repr__(self):
         return f"FamilyParams(n={self.n}, r={self.r}, mu={self.mu}, nu={self.nu})"
@@ -118,17 +127,11 @@ class CharIdentity:
         n = weight.n
         lam = weight.components
         self.weight = weight
-        self.roots: List[Scalar] = [
-            Scalar.coerce(lam[s - 1] + n - s) for s in range(1, n + 1)
-        ]
-        self.dual_roots: List[Scalar] = [
-            Scalar.coerce(n - 1 - lam[s - 1]) for s in range(1, n + 1)
-        ]
-        self.retained: List[bool] = []
-        for s in range(1, n + 1):
-            shifted = list(lam)
-            shifted[s - 1] -= 1
-            self.retained.append(Weight(shifted).is_dominant_integral())
+        self.roots: List[Scalar] = [Scalar.coerce(lam[s - 1] + n - s) for s in range(1, n + 1)]
+        self.dual_roots: List[Scalar] = [Scalar.coerce(n - 1 - x) for x in lam]
+        self.retained: List[bool] = [
+            Weight(lam[:s - 1] + (lam[s - 1] - 1,) + lam[s:]).is_dominant_integral()
+            for s in range(1, n + 1)]
 
     def retained_roots(self) -> List[Tuple[int, Scalar]]:
         """Distinct retained (s, alpha_s) pairs, first occurrence per value."""
@@ -206,15 +209,18 @@ def projector(ci: CharIdentity, s: int) -> Uni:
     return [coeff / den.as_rational() for coeff in num]
 
 
+def _casimirs(w: Weight) -> tuple:
+    """(C1, C2) of `casimirs` as an int or a Fraction each."""
+    n = w.n
+    c1 = sum(w.components)
+    c2 = sum(lam * (lam + n + 1 - 2 * r) for r, lam in enumerate(w.components, start=1))
+    return c1, c2
+
+
 def casimirs(w: Weight) -> Tuple[Scalar, Scalar]:
     """Eigenvalues C1 = sum lambda_r, C2 = sum lambda_r (lambda_r+n+1-2r)."""
-    n = w.n
-    c1 = Scalar()
-    c2 = Scalar()
-    for r, lam in enumerate(w.components, start=1):
-        c1 = c1 + Scalar.coerce(lam)
-        c2 = c2 + Scalar.coerce(lam * (lam + n + 1 - 2 * r))
-    return c1, c2
+    c1, c2 = _casimirs(w)
+    return Scalar.coerce(c1), Scalar.coerce(c2)
 
 
 class Gl2n1:
@@ -366,12 +372,12 @@ class Gl2n1:
 
 # -- family formulas --------------------------------------------------
 #
-# Each takes Scalar, int or Fraction arguments and keeps int input in ints.
-# The two halved quantities C2' - C1'^2 - C1'(n - k), k = 3 and 5, are even
-# for all integer (n, r, mubar, nubar): their parity depends only on the
-# arguments mod 2, and all 16 residue classes give an even value.  So
-# `_half` halves ints exactly (an odd int raises, never rounds) and divides
-# a Scalar or Fraction by 2.
+# Each takes Scalar, int or Fraction arguments; callers pass their inputs
+# through `_lower`, so rational data runs in ints and Fractions and a Scalar
+# appears only where an input is symbolic.  The two halved quantities
+# C2' - C1'^2 - C1'(n - k), k = 3 and 5, are even on every integral weight
+# (DECISIONS.md "Integral data stays in ints"), so `_half` halves ints
+# exactly (an odd int raises, never rounds) and divides a Scalar or Fraction.
 
 
 def _rect_casimirs(n: int, r, mubar, nubar) -> tuple:
@@ -409,17 +415,15 @@ def _composite_coeffs(s_prime, p_prime, a1, a0, b1, b0) -> tuple:
     )
 
 
-def family_data(params: FamilyParams, central) -> dict:
-    """All printed closed-form quantities for Lambda = (mu^r, nu^{n-r}),
-    as exact polynomials in mubar, nubar and the central charge."""
+def _family_values(params: FamilyParams, central) -> dict:
+    """The values of `family_data` but n and r, computed on the lowered
+    mubar, nubar and central charge: ints and Fractions for rational input,
+    Scalars only where an input is symbolic."""
     n, r = params.n, params.r
-    mb, nb = params.mubar, params.nubar
+    mb, nb = _lower(params.mubar), _lower(params.nubar)
     s_prime, p_prime, c1p, c2p = _rect_casimirs(n, r, mb, nb)
-    a1, a0, b1, b0 = _adjoint_coeffs(n, c1p, c2p, Scalar.coerce(central))
-    bbar1 = Scalar.coerce(-1)
+    a1, a0, b1, b0 = _adjoint_coeffs(n, c1p, c2p, _lower(central))
     return {
-        "n": n,
-        "r": r,
         "mubar": mb,
         "nubar": nb,
         "s_prime": s_prime,
@@ -429,16 +433,29 @@ def family_data(params: FamilyParams, central) -> dict:
         "a1": a1,
         "a0": a0,
         "b1": b1,
-        "bbar1": bbar1,
+        "bbar1": -1,
         "b0": b0,
         # reduced operator forms on V_0(Lambda'):
         # A = A_E * E + A_delta,  B = B_Edelta (Ed) + B_deltaE (dE) + B_dd (dd)
         "A_E": s_prime - a1,
         "A_delta": a0 - p_prime,
         "B_Edelta": s_prime - b1,
-        "B_deltaE": -bbar1,
+        "B_deltaE": 1,
         "B_deltadelta": b0 - p_prime,
     }
+
+
+def family_data(params: FamilyParams, central) -> dict:
+    """All printed closed-form quantities for Lambda = (mu^r, nu^{n-r}),
+    as exact polynomials in mubar, nubar and the central charge."""
+    return _lifted(params, _family_values(params, central))
+
+
+def _lifted(params: FamilyParams, values: dict) -> dict:
+    """The `family_data` dict of `_family_values`: n, r, then each value
+    as a Scalar."""
+    return {"n": params.n, "r": params.r,
+            **{key: Scalar.coerce(v) for key, v in values.items()}}
 
 
 def _perm_sign(seq: Sequence[int]) -> int:

@@ -726,6 +726,7 @@ class _Ring(NamedTuple):
     lin: Dict[Tuple[int, int], List[Tuple[int, Coeff]]]
     quad: Table
     scale: int
+    powers: Dict[int, Fraction]  # exponent -> D**exponent, filled by `back`
 
     @staticmethod
     def build(n: int, tensors, scale: int) -> "_Ring":
@@ -742,16 +743,19 @@ class _Ring(NamedTuple):
                     quad.setdefault(pair, []).append((w, v))
                 elif w:  # the a word enters only its tensor and the table
                     lin.setdefault(pair, []).append((*w, v))
-        return _Ring(table=table, lin=lin, quad=quad, scale=scale,
+        return _Ring(table=table, lin=lin, quad=quad, scale=scale, powers={},
                      **{name: tensor for name, _, tensor in tensors})
 
     def back(self, value: Coeff, exponent: int) -> Scalar:
         """value * D**exponent as an exact Scalar, mapping a coefficient of
         the ring back: an int through one Fraction product, a Scalar
-        multiplied by the factor; a factor of 1 is skipped."""
+        multiplied by the factor; a factor of 1 is skipped, any other is
+        formed once per exponent and kept in `powers`."""
         if not exponent or self.scale == 1:
             return value if isinstance(value, Scalar) else srat(value)
-        factor = Fraction(self.scale) ** exponent
+        factor = self.powers.get(exponent)
+        if factor is None:
+            factor = self.powers[exponent] = Fraction(self.scale) ** exponent
         return value * factor if isinstance(value, Scalar) else srat(value * factor)
 
 

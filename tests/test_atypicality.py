@@ -15,13 +15,18 @@ from quadlie.atypicality import (
     zero_step,
     zero_step_equivalence_check,
 )
+import quadlie.atypicality
 from quadlie.gl2n1 import (
     FamilyParams,
     Weight,
     _adjoint_coeffs,
+    _casimirs,
     _composite_coeffs,
     _rect_casimirs,
+    casimirs,
+    char_roots,
     family_data,
+    lam_prime,
 )
 from quadlie.scalars import Scalar
 
@@ -284,3 +289,174 @@ def test_atypicality_report_levels():
     assert generic["zero_step"] is False
     assert generic["levels"][1] == "present"
     assert generic["levels"][2] == "not analyzed"
+
+
+# -- the lowered path: ints and Fractions inside, Scalars at the edge ---------
+
+MU, NU, C = (Scalar.var(v) for v in ("mu", "nu", "c"))
+
+
+def _value(rng):
+    """An integer, a non-integral third or a half-integer, in turn at random."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.randint(-4, 4)
+    if kind == 1:
+        return Fraction(3 * rng.randint(-3, 3) + rng.choice((1, 2)), 3)
+    return Fraction(2 * rng.randint(-4, 4) + 1, 2)
+
+
+def _family_grid(seed, count):
+    """Seeded (n, r, mu, nu, c): nu is often mu less an integer, so that the
+    weight is dominant, and for r >= 2 some points solve both zero-step
+    conditions, so that zero_step holds at non-integral data too."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(3, 6)
+        r = rng.randint(1, n)
+        mu, c = _value(rng), _value(rng)
+        nu = mu - rng.randint(0, 3) if rng.random() < 0.5 else _value(rng)
+        if 2 <= r < n and rng.random() < 0.3:
+            # (r-1) mubar + (n-r-1) nubar = r(n-r), then the solved charge
+            mu = Fraction(r * (n - r) - (n - r - 1) * nu, r - 1) - (n - r)
+            c = -family_data(FamilyParams(n, r, mu, nu), 0)["A_delta"].as_rational()
+        yield n, r, mu, nu, c
+
+
+def test_lowered_family_path_equals_the_symbolic_one():
+    """family_data, atypicality_report, zero_step, the equivalence check and
+    level1_poly on rational input equal the all-Scalar values that symbolic
+    mu, nu and c give after substitution, and every value is a Scalar."""
+    holds = 0
+    for n, r, mu, nu, c in _family_grid(26, 300):
+        point = {"mu": mu, "nu": nu, "c": c}
+        params, symbolic_params = FamilyParams(n, r, mu, nu), FamilyParams(n, r, MU, NU)
+        symbolic = family_data(symbolic_params, C)
+        data = family_data(params, c)
+        assert list(data) == list(symbolic)
+        assert (data["n"], data["r"]) == (n, r)
+        for key in list(data)[2:]:
+            assert isinstance(data[key], Scalar)
+            assert data[key] == symbolic[key].substitute(point), key
+
+        report = atypicality_report(params, c)
+        symbolic_report = atypicality_report(symbolic_params, C)
+        assert report["family"] == data and isinstance(report["central"], Scalar)
+        for key in ("roots", "a_values"):
+            assert list(report[key]) == list(symbolic_report[key])
+            for s, v in report[key].items():
+                assert isinstance(v, Scalar)
+                assert v == symbolic_report[key][s].substitute(point)
+
+        if r == n:
+            want = zero_step(symbolic_params, C).substitute(point).is_zero()
+        elif params.mubar != params.nubar:
+            want = all(symbolic[k].substitute(point).is_zero() for k in ("A_E", "A_delta"))
+            assert zero_step_equivalence_check(params, c) is want
+        else:
+            continue
+        assert zero_step(params, c) is want
+        assert report["zero_step"] is want
+        holds += want
+
+        if (mu - nu).denominator == 1 and mu >= nu:
+            w = params.weight()
+            roots = {n: symbolic["nubar"] - 1, r: symbolic["mubar"] - 1}  # s = r wins at r = n
+            retained = char_roots(w).retained
+            for s, root in roots.items():
+                if not retained[s - 1]:
+                    continue
+                got = level1_poly(w, c, s)
+                assert isinstance(got, Scalar)
+                assert got == (symbolic["A_E"] * root + symbolic["A_delta"]).substitute(point)
+    assert holds >= 10
+
+
+def test_level1_poly_on_half_integral_weights_matches_the_scalar_path():
+    """level1_poly never halves an int that is not proven even: on
+    half-integral dominant weights it equals the same formula run on
+    Scalars (which divide, never raise).  (1/2)^4 has integral C1' = -2,
+    C2' = 1 and an odd halved quantity -1."""
+    rng = random.Random(6)
+    weights = [Weight([Fraction(1, 2)] * 4)]
+    for _ in range(60):
+        base = Fraction(rng.choice((-3, -1, 1, 3)), rng.choice((2, 2, 3)))
+        n = rng.randint(2, 6)
+        weights.append(Weight(sorted((base + rng.randint(-2, 2) for _ in range(n)),
+                                     reverse=True)))
+    checked = 0
+    for w in weights:
+        n = w.n
+        a1, a0, _, _ = _adjoint_coeffs(n, *casimirs(lam_prime(w)), C)
+        for s, keep in enumerate(char_roots(w).retained, start=1):
+            if not keep:
+                continue
+            alpha = Scalar.coerce(w.components[s - 1] - 1 + n - s)
+            want = alpha * alpha - a1 * alpha + a0
+            for c in (0, Fraction(3, 2), Fraction(-7, 3), C):
+                got = level1_poly(w, c, s)
+                assert isinstance(got, Scalar)
+                assert got == (want if c is C else want.substitute({"c": c}))
+                checked += 1
+    assert checked > 200
+
+
+def test_weight_stores_integral_components_as_ints():
+    """casimirs and char_roots compute on a weight's ints and Fractions and
+    return the same Scalars as sums formed in Scalars."""
+    assert Weight([Fraction(2), 1]) == Weight([2, 1])
+    assert hash(Weight([Fraction(2), 1])) == hash(Weight([2, 1]))
+    assert [type(x) for x in Weight([Fraction(4, 2), 1, Fraction(1, 2)]).components] \
+        == [int, int, Fraction]
+    rng = random.Random(3)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        lam = [_value(rng) for _ in range(n)]
+        w = Weight(lam)
+        scalars = [Scalar.coerce(x) for x in lam]
+        c1 = sum(scalars, Scalar())
+        c2 = sum((x * (x + n + 1 - 2 * r) for r, x in enumerate(scalars, start=1)), Scalar())
+        got = casimirs(w)
+        assert all(isinstance(v, Scalar) for v in got) and got == (c1, c2)
+        ci = char_roots(w)
+        assert ci.roots == [x + (n - s) for s, x in enumerate(scalars, start=1)]
+        assert ci.dual_roots == [(n - 1) - x for x in scalars]
+        assert all(isinstance(v, Scalar) for v in ci.roots + ci.dual_roots)
+
+
+def test_halved_level1_quantity_is_even_on_every_integral_weight():
+    """C2' - C1'^2 - C1'(n - k), k = 3 and 5, is even for every integral
+    weight: mod 2, lambda^2 = lambda and (sum lambda)^2 = sum lambda, so
+    C2 = n C1 and C1^2 = C1.  Its parity depends only on lambda mod 2,
+    so lambda in {0, 1}^n covers every integral weight of each n."""
+    for n in range(2, 7):
+        for lam in itertools.product(range(2), repeat=n):
+            c1, c2 = _casimirs(Weight(lam))
+            assert type(c1) is int and type(c2) is int
+            for k in (3, 5):
+                assert (c2 - c1 * c1 - c1 * (n - k)) % 2 == 0, (lam, k)
+
+
+def test_one_step_scan_evaluates_the_per_charge_coefficients(monkeypatch):
+    """The scan adds c to a0 and b0 at c = 0 rather than forming the
+    adjoint coefficients for each c; every B o A it evaluates is the one
+    `_adjoint_coeffs` gives at that c."""
+    seen = []
+
+    def record(*args):
+        seen.append(args)
+        return _composite_coeffs(*args)
+
+    monkeypatch.setattr(quadlie.atypicality, "_composite_coeffs", record)
+    n, bound = 4, 3
+    one_step_analysis(n, scan_bound=bound)
+    span = range(-bound, bound + 1)
+    want = []
+    for r, mubar, nubar in itertools.product(range(1, n), span, span):
+        s_p, p_p, c1p, c2p = _rect_casimirs(n, r, mubar, nubar)
+        a1, _, b1, _ = _adjoint_coeffs(n, c1p, c2p, 0)
+        want.append((s_p, p_p, a1, 0, b1, 0))
+        if not _composite_coeffs(*want[-1])[0]:
+            want.extend((s_p, p_p, *_adjoint_coeffs(n, c1p, c2p, c)) for c in span)
+    assert len(want) > len(range(1, n)) * len(span) ** 2  # some c loops ran
+    assert seen[1:] == want  # the first call is the symbolic expansion

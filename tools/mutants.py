@@ -35,6 +35,7 @@ GL2 = "src/quadlie/gl2n1.py"
 T_PRES = "tests/test_presentation.py"
 T_PBW = "tests/test_pbw.py"
 T_GL2 = "tests/test_gl2n1.py"
+T_ATYP = "tests/test_atypicality.py"
 TIMEOUT_S = 900  # per pytest run; a mutant that runs past it counts as killed
 
 
@@ -182,7 +183,7 @@ MUTANTS = [
     Mutant("_half rounds an odd int", PRES,
            'raise ArithmeticError(f"cannot halve the odd integer {value} exactly")',
            "return Fraction(value, 2)",
-           "tests/test_atypicality.py"),
+           T_ATYP),
     Mutant("Scalar._merge keeps a cancelled monomial", "src/quadlie/scalars.py",
            "elif new := (prev + c if sign > 0 else prev - c):",
            "elif (new := (prev + c if sign > 0 else prev - c)) is not None:",
@@ -200,6 +201,14 @@ MUTANTS = [
            "cbar[eid(old, new), m + t, m + tgt] = -sign",
            "cbar[eid(old, new), m + t, m + tgt] = sign",
            T_GL2),
+    Mutant("_lower drops the denominator", GL2,
+           "return value.numerator if value.denominator == 1 else value",
+           "return value.numerator",
+           T_ATYP),
+    Mutant("one-step scan hoist adds c + 1", "src/quadlie/atypicality.py",
+           "a0v, b0v = a0c + cv, b0c + cv",
+           "a0v, b0v = a0c + cv + 1, b0c + cv + 1",
+           T_ATYP),
     Mutant("zero_step_demo root 3 for 4", "src/quadlie/fock.py",
            "m4 = m - one, m - one * 4",
            "m4 = m - one, m - one * 3",
