@@ -13,10 +13,9 @@ arithmetic) and Fractions otherwise.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations, permutations
+from math import lcm
 from typing import Dict, List, Optional, Tuple, Union
 
 from .gl2n1 import _perm_sign, type_one_presentation
@@ -51,17 +50,11 @@ class SparseOp:
 
     def __add__(self, other: "SparseOp") -> "SparseOp":
         self._same_dim(other)
-        out = dict(self.data)
-        for key, val in other.data.items():
-            new = out.get(key, 0) + val
-            if new:
-                out[key] = new
-            else:
-                del out[key]
-        return _op(self.dim, out)
+        return _op(self.dim, _axpy(dict(self.data), 1, other.data))
 
     def __sub__(self, other: "SparseOp") -> "SparseOp":
-        return self + other * -1
+        self._same_dim(other)
+        return _op(self.dim, _axpy(dict(self.data), -1, other.data))
 
     def __mul__(self, other):
         if isinstance(other, SparseOp):
@@ -112,6 +105,17 @@ def _op(dim: int, data: Dict[Tuple[int, int], Entry]) -> SparseOp:
     return out
 
 
+def _axpy(out: dict, coeff: Entry, data: Dict[Tuple[int, int], Entry]) -> dict:
+    """out += coeff * data entry by entry, dropping an entry that cancels."""
+    for key, val in data.items():
+        new = out.get(key, 0) + coeff * val
+        if new:
+            out[key] = new
+        else:
+            del out[key]
+    return out
+
+
 def _jw_sign(bits: int, mode: int) -> int:
     """(-1)^(number of occupied modes below `mode`), modes 1-based."""
     below = bits & ((1 << (mode - 1)) - 1)
@@ -141,10 +145,6 @@ def fermion_ops(n: int) -> Tuple[List[SparseOp], List[SparseOp]]:
 
 def anticommutator(x: SparseOp, y: SparseOp) -> SparseOp:
     return x * y + y * x
-
-
-def commutator(x: SparseOp, y: SparseOp) -> SparseOp:
-    return x * y - y * x
 
 
 def composite_generators(n: int) -> dict:
@@ -295,7 +295,10 @@ def lambda3_presentation():
 
 def presentation_cross_check() -> dict:
     """Verify every defining relation of the triple-composite presentation
-    as an exact matrix identity in the n=4 Fock realization."""
+    as an exact matrix identity in the n=4 Fock realization.  A relation
+    [g1, g2} = sum_w v_w w is checked scaled by L, the lcm of the
+    denominators of its v_w: L [g1, g2} - sum_w (L v_w) w, an int matrix
+    accumulated entry by entry, must vanish."""
     pres = lambda3_presentation()
     n = 4
     gens = composite_generators(n)
@@ -305,22 +308,29 @@ def presentation_cross_check() -> dict:
     mats = [*gens["E"].values(), *(gens["Qbar"][u] for u in triples),
             *(gens["Q"][u] for u in triples)]
 
+    # each word's matrix, formed once in this call from its prefix's (a
+    # bracket word has at most two letters)
+    words = {(g,): op for g, op in enumerate(mats)}
+    words[()] = SparseOp.identity(dim)
     failures = []
     ne = pres.n_even
     evens, odds = range(ne), range(ne, ne + pres.m_odd)
-    # {y_p, y_q} for odd pairs, [., .] otherwise; pairs (odd, even) are
-    # the (even, odd) relations again
+    # {y_p, y_q} = y_p y_q + y_q y_p for odd pairs, [., .] otherwise; pairs
+    # (odd, even) are the (even, odd) relations again
     for kind, firsts, seconds in (("ee", evens, evens), ("mx", evens, odds),
                                   ("oo", odds, odds)):
-        bracket_op = anticommutator if kind == "oo" else commutator
+        swap = 1 if kind == "oo" else -1
         for g1 in firsts:
             for g2 in seconds:
-                rhs = SparseOp(dim)
-                for word, val in pres.bracket(g1, g2).items():
-                    op = (reduce(operator.mul, (mats[g] for g in word))
-                          if word else SparseOp.identity(dim))
-                    rhs = rhs + op * val.as_rational()
-                if bracket_op(mats[g1], mats[g2]) != rhs:
+                rhs = [(w, v.as_rational()) for w, v in pres.bracket(g1, g2).items()]
+                scale = lcm(*(v.denominator for _, v in rhs))
+                acc = _axpy({}, scale, (mats[g1] * mats[g2]).data)
+                _axpy(acc, swap * scale, (mats[g2] * mats[g1]).data)
+                for word, v in rhs:
+                    if word not in words:
+                        words[word] = words[word[:-1]] * mats[word[-1]]
+                    _axpy(acc, -v.numerator * (scale // v.denominator), words[word].data)
+                if acc:
                     failures.append((kind, g1 - firsts.start, g2 - seconds.start))
     return {"n": n, "relations_hold": not failures, "failures": failures,
             "presentation": pres}

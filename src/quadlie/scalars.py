@@ -9,6 +9,7 @@ operations return new objects; Scalars are immutable and hashable.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
 Monomial = Tuple[Tuple[str, int], ...]
@@ -24,8 +25,11 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
         return a
     acc: Dict[str, int] = dict(a)
     for name, exp in b:
-        acc[name] = acc.get(name, 0) + exp
-    return tuple(sorted((n, e) for n, e in acc.items() if e != 0))
+        if exp := acc.get(name, 0) + exp:
+            acc[name] = exp
+        else:
+            del acc[name]
+    return tuple(sorted(acc.items()))
 
 
 def _mono_key(m: Monomial):
@@ -141,12 +145,21 @@ class Scalar:
         if self.is_rational():
             c0 = self._terms[_ONE_MONO]
             return _wrap({m: c * c0 for m, c in other._terms.items()})
-        acc: Dict[Monomial, Fraction] = {}
+        # over one denominator: c1 = n1/d1 and c2 = n2/d2 with d1, d2 the
+        # lcm of each side's denominators, so sums run in ints and each
+        # monomial takes one Fraction(sum, d1*d2), which reduces it
+        d1 = lcm(*(c.denominator for c in self._terms.values()))
+        d2 = lcm(*(c.denominator for c in other._terms.values()))
+        right = [(m2, c2.numerator * (d2 // c2.denominator))
+                 for m2, c2 in other._terms.items()]
+        acc: Dict[Monomial, int] = {}
         for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
+            n1 = c1.numerator * (d1 // c1.denominator)
+            for m2, n2 in right:
                 m = _mono_mul(m1, m2)
-                acc[m] = acc.get(m, Fraction(0)) + c1 * c2
-        return Scalar(acc)
+                acc[m] = acc.get(m, 0) + n1 * n2
+        den = d1 * d2
+        return _wrap({m: Fraction(v, den) for m, v in acc.items() if v})
 
     __rmul__ = __mul__
 

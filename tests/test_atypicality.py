@@ -1,6 +1,7 @@
 """Level-1 atypicality: zero-step conditions, the zero-step table, and
 the one-step exclusion."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -460,3 +461,29 @@ def test_one_step_scan_evaluates_the_per_charge_coefficients(monkeypatch):
             want.extend((s_p, p_p, *_adjoint_coeffs(n, c1p, c2p, c)) for c in span)
     assert len(want) > len(range(1, n)) * len(span) ** 2  # some c loops ran
     assert seen[1:] == want  # the first call is the symbolic expansion
+
+
+# repr(one_step_analysis(n, scan_bound=10)) for n = 3..8, hashed in order
+_ONE_STEP_SHA256 = "c58e51ab7092569fb920db4d4843fe640b932a7435fa363dee65286865bbedc4"
+# str of every value of family_data, then of atypicality_report, for
+# FamilyParams(n, r, mu, nu) at symbolic mu, nu and c, n = 3..8, r = 1..n
+_SYMBOLIC_FAMILY_SHA256 = "e8bee96ad8050078fbe3561bffc1400d43d751efadb74822c1bb915f8d5e37f7"
+
+
+def test_one_step_analysis_is_pinned():
+    digest = hashlib.sha256()
+    for n in range(3, 9):
+        digest.update(repr(one_step_analysis(n, scan_bound=10)).encode())
+    assert digest.hexdigest() == _ONE_STEP_SHA256
+
+
+def test_symbolic_family_outputs_are_pinned():
+    mu, nu, c = (Scalar.var(v) for v in ("mu", "nu", "c"))
+    digest = hashlib.sha256()
+    for n in range(3, 9):
+        for r in range(1, n + 1):
+            params = FamilyParams(n, r, mu, nu)
+            for out in (family_data(params, c), atypicality_report(params, c)):
+                for value in out.values():
+                    digest.update(str(value).encode())
+    assert digest.hexdigest() == _SYMBOLIC_FAMILY_SHA256

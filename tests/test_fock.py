@@ -1,15 +1,19 @@
 """Fermionic Fock-space oracle: exact CAR, composite generators, the
 bracket identity, and the occupation-2 zero-step demonstration."""
 
+import operator
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations
+from unittest import mock
 
 import pytest
 
+from quadlie import fock
 from quadlie.fock import (
     SparseOp,
     anticommutator,
     bracket_polynomial_check,
-    commutator,
     composite_generators,
     fermion_ops,
     lambda3_presentation,
@@ -17,6 +21,11 @@ from quadlie.fock import (
     presentation_cross_check,
     zero_step_demo,
 )
+from quadlie.gl2n1 import type_one_presentation
+
+
+def commutator(x, y):
+    return x * y - y * x
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
@@ -135,6 +144,57 @@ def test_presentation_matches_fock_matrices():
     report = presentation_cross_check()
     assert report["relations_hold"] is True
     assert report["failures"] == []
+
+
+def _reference_failures(pres):
+    """The cross-check done relation by relation on SparseOps: each bracket
+    word's product formed anew, the right side summed as a SparseOp with
+    rational entries and compared with the bracket's matrix."""
+    n = 4
+    gens = composite_generators(n)
+    dim = gens["dim"]
+    triples = list(combinations(range(1, n + 1), 3))
+    mats = [*gens["E"].values(), *(gens["Qbar"][u] for u in triples),
+            *(gens["Q"][u] for u in triples)]
+    ne = pres.n_even
+    evens, odds = range(ne), range(ne, ne + pres.m_odd)
+    failures = []
+    for kind, firsts, seconds in (("ee", evens, evens), ("mx", evens, odds),
+                                  ("oo", odds, odds)):
+        bracket_op = anticommutator if kind == "oo" else commutator
+        for g1 in firsts:
+            for g2 in seconds:
+                rhs = SparseOp(dim)
+                for word, val in pres.bracket(g1, g2).items():
+                    op = (reduce(operator.mul, (mats[g] for g in word))
+                          if word else SparseOp.identity(dim))
+                    rhs = rhs + op * val.as_rational()
+                if bracket_op(mats[g1], mats[g2]) != rhs:
+                    failures.append((kind, g1 - firsts.start, g2 - seconds.start))
+    return failures
+
+
+def _lambda3_variant(k1=Fraction(-3, 4), a_value=Fraction(-1)):
+    """`lambda3_presentation()` with k1 or the constant a replaced."""
+    return type_one_presentation(
+        4, 3, (k1, Fraction(1, 8), Fraction(1, 8), Fraction(-1, 24)),
+        (Fraction(1, 4), Fraction(-1, 12)), a_value)
+
+
+@pytest.mark.parametrize("change, count", [
+    ({}, 0), ({"k1": Fraction(-1, 2)}, 32), ({"a_value": Fraction(-2)}, 8)])
+def test_cross_check_failures_match_the_sparse_reference(change, count):
+    """The cross-check's failure list equals the relation-by-relation
+    reference, order included: empty on the Lambda^3 presentation, and
+    32 and 8 odd-odd failures with k1 = -1/2 or a = -2 put in for it."""
+    pres = _lambda3_variant(**change)
+    assert pres.dumps() != lambda3_presentation().dumps() or not change
+    with mock.patch.object(fock, "lambda3_presentation", lambda: pres):
+        report = presentation_cross_check()
+    want = _reference_failures(pres)
+    assert report["failures"] == want and report["presentation"] is pres
+    assert len(want) == count and all(kind == "oo" for kind, _, _ in want)
+    assert report["relations_hold"] is (count == 0)
 
 
 @pytest.mark.parametrize("op", [

@@ -1,6 +1,8 @@
 """Exact scalar ring: rationals and multivariate polynomials."""
 
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import operator
 
@@ -101,3 +103,55 @@ def test_mixed_operand_chains_stay_canonical(start, steps):
     assert got.substitute({"x": 3}) == at3
     if got.is_rational():
         assert hash(got) == hash(Scalar.from_rational(got.as_rational()))
+
+
+names = st.sets(st.sampled_from("xyz"), min_size=2, max_size=3).map(sorted)
+
+
+@st.composite
+def polynomials(draw, variables):
+    """A Scalar of up to five terms in the given indeterminates, exponents
+    0..3 (an exponent 0 leaves the name out), coefficients with mixed
+    denominators up to 12."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 5))):
+        mono = tuple((v, e) for v in variables if (e := draw(st.integers(0, 3))))
+        terms[mono] = draw(rationals.filter(bool))
+    return Scalar(terms)
+
+
+def _reference_product(p, q):
+    """p * q expanded term by term: exponents merged with a Counter,
+    coefficients summed as Fractions, cancelled monomials dropped."""
+    out = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            mono = tuple(sorted((Counter(dict(m1)) + Counter(dict(m2))).items()))
+            out[mono] = out.get(mono, Fraction(0)) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+@given(names.flatmap(lambda v: st.tuples(polynomials(v), polynomials(v))))
+@settings(max_examples=150, deadline=None)
+def test_general_product_matches_term_by_term_expansion(pair):
+    """Products of Scalars in 2-3 indeterminates with mixed denominators,
+    and (p + q)(p - q), whose cross terms cancel, equal the reference
+    expansion; every stored coefficient is a nonzero Fraction in lowest
+    terms on a sorted monomial with no exponent 0."""
+    p, q = pair
+    for a, b in ((p, q), (q, p), (p + q, p - q), (p * 3 - q, p * 3 + q)):
+        got = a * b
+        assert got.terms == _reference_product(a, b)
+        for mono, coeff in got.terms.items():
+            assert type(coeff) is Fraction and coeff != 0
+            assert gcd(coeff.numerator, coeff.denominator) == 1 and coeff.denominator > 0
+            assert list(mono) == sorted(mono) and all(e != 0 for _, e in mono)
+
+
+def test_general_product_drops_cancelled_monomials():
+    x, y = Scalar.var("x"), Scalar.var("y")
+    p = x * srat(1, 2) + y * srat(1, 3)
+    q = x * srat(2, 3) - y
+    got = (p * q) * (p * 3 - q)
+    assert got.terms == _reference_product(p * q, p * 3 - q)
+    assert ((x + y) * (x - y)).terms == {(("x", 2),): 1, (("y", 2),): -1}

@@ -32,10 +32,12 @@ ROOT = Path(__file__).resolve().parent.parent
 PRES = "src/quadlie/presentation.py"
 PBW = "src/quadlie/pbw.py"
 GL2 = "src/quadlie/gl2n1.py"
+FOCK = "src/quadlie/fock.py"
 T_PRES = "tests/test_presentation.py"
 T_PBW = "tests/test_pbw.py"
 T_GL2 = "tests/test_gl2n1.py"
 T_ATYP = "tests/test_atypicality.py"
+T_FOCK = "tests/test_fock.py"
 TIMEOUT_S = 900  # per pytest run; a mutant that runs past it counts as killed
 
 
@@ -188,6 +190,10 @@ MUTANTS = [
            "elif new := (prev + c if sign > 0 else prev - c):",
            "elif (new := (prev + c if sign > 0 else prev - c)) is not None:",
            "tests/test_scalars.py"),
+    Mutant("Scalar product divides by d1 only", "src/quadlie/scalars.py",
+           "den = d1 * d2",
+           "den = d1",
+           "tests/test_scalars.py"),
     # -- gl2(n/1) and the Fock oracle -----------------------------------------
     Mutant("adjoint_B delta-delta constant c - (n - 2)", GL2,
            "self.central - 2 * (n - 2)",
@@ -209,10 +215,20 @@ MUTANTS = [
            "a0v, b0v = a0c + cv, b0c + cv",
            "a0v, b0v = a0c + cv + 1, b0c + cv + 1",
            T_ATYP),
-    Mutant("zero_step_demo root 3 for 4", "src/quadlie/fock.py",
+    Mutant("zero_step_demo root 3 for 4", FOCK,
            "m4 = m - one, m - one * 4",
            "m4 = m - one, m - one * 3",
-           "tests/test_fock.py"),
+           T_FOCK),
+    Mutant("cross-check uses the commutator sign on odd-odd relations", FOCK,
+           'swap = 1 if kind == "oo" else -1',
+           "swap = -1",
+           T_FOCK),
+    Mutant("cross-check drops the scale L on the left side", FOCK,
+           "acc = _axpy({}, scale, (mats[g1] * mats[g2]).data)\n"
+           "                _axpy(acc, swap * scale, (mats[g2] * mats[g1]).data)",
+           "acc = _axpy({}, 1, (mats[g1] * mats[g2]).data)\n"
+           "                _axpy(acc, swap, (mats[g2] * mats[g1]).data)",
+           T_FOCK),
 ]
 
 
