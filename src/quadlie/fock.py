@@ -19,6 +19,7 @@ from math import lcm
 from typing import Dict, List, Optional, Tuple, Union
 
 from .gl2n1 import _perm_sign, type_one_presentation
+from .scalars import axpy
 
 Entry = Union[int, Fraction]
 
@@ -50,11 +51,11 @@ class SparseOp:
 
     def __add__(self, other: "SparseOp") -> "SparseOp":
         self._same_dim(other)
-        return _op(self.dim, _axpy(dict(self.data), 1, other.data))
+        return _op(self.dim, axpy(dict(self.data), 1, other.data))
 
     def __sub__(self, other: "SparseOp") -> "SparseOp":
         self._same_dim(other)
-        return _op(self.dim, _axpy(dict(self.data), -1, other.data))
+        return _op(self.dim, axpy(dict(self.data), -1, other.data))
 
     def __mul__(self, other):
         if isinstance(other, SparseOp):
@@ -102,17 +103,6 @@ def _op(dim: int, data: Dict[Tuple[int, int], Entry]) -> SparseOp:
     out = object.__new__(SparseOp)
     out.dim = dim
     out.data = data
-    return out
-
-
-def _axpy(out: dict, coeff: Entry, data: Dict[Tuple[int, int], Entry]) -> dict:
-    """out += coeff * data entry by entry, dropping an entry that cancels."""
-    for key, val in data.items():
-        new = out.get(key, 0) + coeff * val
-        if new:
-            out[key] = new
-        else:
-            del out[key]
     return out
 
 
@@ -324,12 +314,12 @@ def presentation_cross_check() -> dict:
             for g2 in seconds:
                 rhs = [(w, v.as_rational()) for w, v in pres.bracket(g1, g2).items()]
                 scale = lcm(*(v.denominator for _, v in rhs))
-                acc = _axpy({}, scale, (mats[g1] * mats[g2]).data)
-                _axpy(acc, swap * scale, (mats[g2] * mats[g1]).data)
+                acc = axpy({}, scale, (mats[g1] * mats[g2]).data)
+                axpy(acc, swap * scale, (mats[g2] * mats[g1]).data)
                 for word, v in rhs:
                     if word not in words:
                         words[word] = words[word[:-1]] * mats[word[-1]]
-                    _axpy(acc, -v.numerator * (scale // v.denominator), words[word].data)
+                    axpy(acc, -v.numerator * (scale // v.denominator), words[word].data)
                 if acc:
                     failures.append((kind, g1 - firsts.start, g2 - seconds.start))
     return {"n": n, "relations_hold": not failures, "failures": failures,

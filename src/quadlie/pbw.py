@@ -20,8 +20,9 @@ check passes.  Words of length 3 carry every overlap of the quadratic
 rules, so `max_len` must be at least 3.
 
 The relation on (a, b, N), a b out of order and N ordered, reads w_a w_b
-z_N = (sign) w_b w_a z_N + (lower terms) z_N; `_first_failure` forms the
-right side from w_b (w_a z_N) and the lower terms applied to N, so no
+z_N = (sign) w_b w_a z_N + (lower terms) z_N.  One rewrite step,
+`_ModuleAction._step`, forms that right side from w_a z_N, for `_act` at
+each letter a sinks past and for `_first_failure` on each relation, so no
 unordered word enters the action.  Skip rule: when b N is ordered, w_b
 z_N = z_bN and the first step of `_act(a, b N)` is that right side, so
 the check skips those (N = () or b preceding N[0]).  At `max_len` 3 it
@@ -49,13 +50,13 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .ncpoly import Alphabet, AlphabetMismatch, NCPoly, Word
 from .presentation import Coeff, QlsPresentation, _half
-from .scalars import Scalar, accumulate
+from .scalars import Scalar, axpy
 
 # (pair, word) relations one `serre_module_check` may run: gl2(5/1) at
 # length 4 has 396,880, gl2(3/1) at length 6 341,325 and at length 7
 # 1,204,128
 MAX_RELATIONS = 500_000
-# terms after one generator step of `_ModuleAction._apply` (inputs seen: <= 138)
+# terms in or out of one `_ModuleAction._times` step (serre-check --n 5 reaches 326)
 MAX_TERMS = 20_000
 
 
@@ -144,8 +145,7 @@ class RewriteSystem:
             self._action = _ModuleAction(self)
         out: Dict[Word, Scalar] = {}
         for word, coeff in elem.terms.items():
-            for w, v in self._action.apply_word(word, ()).items():
-                accumulate(out, w, v * coeff)
+            axpy(out, coeff, self._action.apply_word(word, ()))
         return NCPoly(self.presentation.alphabet, out)
 
 
@@ -219,20 +219,11 @@ class _ModuleAction:
             out[tuple(letters)] = self._back(v, sum(g >= n for g in letters) - odd_in)
         return out
 
-    def _rule(self, a: int, b: int) -> Tuple[int, Sequence[Tuple[Word, Coeff]]]:
-        """(sign, lower) with a b = sign b a + lower, a b out of order; an odd
-        square has no swap term, sign 0, and halves y y = (1/2) {y, y}."""
-        lower = self._table.get((a, b), ())
-        if a == b:
-            return 0, [(mid, _half(coeff)) for mid, coeff in lower]
-        return (-1 if min(a, b) >= self.ab.n_even else 1), lower
-
     def _act(self, a: int, word: int) -> Dict[int, Coeff]:
         """w_a z_word, word ordered: a sinks rightwards past the letters
-        word[:stop] it does not precede, and act(a, word[i:]) is built from
-        act(a, word[i + 1:]) in a loop from the right, resumed from the
-        longest cached suffix, so the call depth does not grow with the
-        word.  A product of nonzeros is nonzero: only a sum is tested."""
+        word[:stop] it does not precede, and act(a, word[i:]) is the
+        `_step` from act(a, word[i + 1:]), in a loop from the right resumed
+        from the longest cached suffix, so the call depth does not grow."""
         cache = self._caches[a]
         out = cache.get(word)
         if out is not None:
@@ -250,46 +241,48 @@ class _ModuleAction:
             head.append(a)
             tail.append(word)
         for word in reversed(walked):
-            b, inner, out = head[word], out, {}
-            sign, lower = self._rule(a, b)
-            if sign:
-                for w1, v1 in inner.items():
-                    v1 = -v1 if sign < 0 else v1
-                    for w2, v2 in self._act(b, w1).items():
-                        old = out.get(w2)
-                        if old is None:
-                            out[w2] = v2 * v1
-                        elif new := old + v2 * v1:
-                            out[w2] = new
-                        else:
-                            del out[w2]
-            for mid, coeff in lower:
-                for w2, v2 in self._apply(mid, tail[word]).items():
-                    accumulate(out, w2, v2 * coeff)
-            cache[word] = out
+            out = cache[word] = self._step(a, head[word], out, tail[word])
         return out
 
+    def _step(self, a: int, b: int, inner: Dict[int, Coeff], rest: int) -> Dict[int, Coeff]:
+        """w_a w_b z_rest, a b out of order, from inner = w_a z_rest: sign
+        w_b(inner) + lower z_rest as a new dict, by a b = sign b a + lower;
+        an odd square has no swap term and halves, y y = (1/2) {y, y}."""
+        out = {} if a == b else self._times(b, inner, min(a, b) >= self.ab.n_even)
+        for mid, coeff in self._table.get((a, b), ()):
+            axpy(out, _half(coeff) if a == b else coeff, self._apply(mid, rest))
+        return out
+
+    def _times(self, g: int, dist: Dict[int, Coeff], negate: bool = False) -> Dict[int, Coeff]:
+        """w_g on dist, negated if asked, as a new dict, at most MAX_TERMS
+        terms in and out: the one product step.  Only sums can vanish."""
+        out: Dict[int, Coeff] = {}
+        for w, v in _within_budget(dist).items():
+            if negate:
+                v = -v
+            for w2, v2 in self._act(g, w).items():
+                old = out.get(w2)
+                if old is None:
+                    out[w2] = v2 * v
+                elif new := old + v2 * v:
+                    out[w2] = new
+                else:
+                    del out[w2]
+        return _within_budget(out)
+
     def _apply(self, gens: Word, word: int) -> Dict[int, Coeff]:
-        """`apply_word` in the system's ring, on word ids; for one letter
-        the result is a cache entry, which callers only read."""
+        """`apply_word` in the system's ring, on word ids; a one-letter
+        result is a cache entry, read only, and no `_times` has budgeted it."""
         dist = self._act(gens[-1], word) if gens else {word: 1}
         for g in gens[-2::-1]:
-            if len(dist) > MAX_TERMS:
-                break
-            nxt: Dict[int, Coeff] = {}
-            for w, v in dist.items():
-                for w2, v2 in self._act(g, w).items():
-                    old = nxt.get(w2)
-                    if old is None:
-                        nxt[w2] = v * v2
-                    elif new := old + v * v2:
-                        nxt[w2] = new
-                    else:
-                        del nxt[w2]
-            dist = nxt
-        if len(dist) > MAX_TERMS:
-            raise ValueError(f"more than {MAX_TERMS} terms in one action step")
-        return dist
+            dist = self._times(g, dist)
+        return _within_budget(dist)
+
+
+def _within_budget(dist: Dict[int, Coeff]) -> Dict[int, Coeff]:
+    if len(dist) > MAX_TERMS:
+        raise ValueError(f"more than {MAX_TERMS} terms in one action step")
+    return dist
 
 
 def _first_failure(action: _ModuleAction,
@@ -303,14 +296,7 @@ def _first_failure(action: _ModuleAction,
             continue
         if nword is not last:  # the id of N: w_N z_() = z_N
             (nid,), last = action._apply(nword, 0), nword
-        sign, lower = action._rule(a, b)
-        rhs = action._apply((b, a), nid) if sign else {}
-        if sign < 0:
-            rhs = {w: -v for w, v in rhs.items()}
-        for mid, coeff in lower:
-            for w2, v2 in action._apply(mid, nid).items():
-                accumulate(rhs, w2, v2 * coeff)
-        if action._apply((a, b), nid) != rhs:
+        if action._step(a, b, action._act(a, nid), nid) != action._apply((a, b), nid):
             return a, b, nword
     return None
 

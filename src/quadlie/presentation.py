@@ -354,11 +354,6 @@ class QlsPresentation:
     # -- the checkers' and the action's ring ----------------------------
 
     @cached_property
-    def _scalar_ring(self) -> "_Ring":
-        """The presentation's own Scalars, unscaled: `normalize2`'s basis."""
-        return _Ring.build(self.n_even, self._tensors(), 1)
-
-    @cached_property
     def _ring(self) -> "_Ring":
         """The one ring both checkers and `pbw`'s module action run in:
         the tensors after `odd_rescale`."""
@@ -375,7 +370,8 @@ class QlsPresentation:
         Returns the residual and the bookkeeping coefficients lam, keyed by
         generator pairs (g, h) with g < h, or g = h odd.
         """
-        residual, lam = self._reduce2(poly.terms, self._scalar_ring.quad)
+        quad = _Ring.build(self.n_even, self._tensors(), 1).quad
+        residual, lam = self._reduce2(poly.terms, quad)
         return NCPoly(self.alphabet, residual), {k: v for k, v in lam.items() if v}
 
     def _reduce2(self, terms: Mapping[Word, Coeff], quad: Mapping) -> Tuple[dict, dict]:

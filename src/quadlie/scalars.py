@@ -265,3 +265,17 @@ def accumulate(store: dict, key, value) -> None:
         store[key] = new
     else:
         store.pop(key, None)
+
+
+def axpy(out: dict, coeff, data: Mapping) -> dict:
+    """out += coeff * data entry by entry, dropping an entry that cancels;
+    coeff and data's values are nonzero, so only a sum is tested; returns out."""
+    for key, val in data.items():
+        old = out.get(key)
+        if old is None:
+            out[key] = coeff * val
+        elif new := old + coeff * val:
+            out[key] = new
+        else:
+            del out[key]
+    return out

@@ -36,6 +36,7 @@ from test_presentation import (
     _random_presentation,
     _sample_presentations,
     _scaled_down,
+    _unscaled_ring,
     rank_of_rows,
 )
 
@@ -564,7 +565,7 @@ def _explicit_rhs(action, a, b, nword):
     if a != b:
         for w, v in action.apply_word((b, a), nword).items():
             accumulate(rhs, w, v * sign)
-    for mid, coeff in action.rs.presentation._scalar_ring.table.get((a, b), ()):
+    for mid, coeff in _unscaled_ring(action.rs.presentation).table.get((a, b), ()):
         if a == b:
             coeff = _half(coeff)
         for w, v in action.apply_word(mid, nword).items():
@@ -574,10 +575,9 @@ def _explicit_rhs(action, a, b, nword):
 
 def _scalar_action(rs):
     """The module action on the unscaled Scalar table, D = 1: built while
-    the presentation's `_scalar_ring` stands in for its `_ring`, so
+    the presentation's unscaled ring stands in for its `_ring`, so
     `apply_word` returns the unscaled action."""
-    with mock.patch.object(QlsPresentation, "_ring",
-                           property(lambda p: p._scalar_ring)):
+    with mock.patch.object(QlsPresentation, "_ring", property(_unscaled_ring)):
         return _ModuleAction(rs)
 
 
@@ -712,9 +712,9 @@ def test_serre_mixed_ring_matches_scalar_ring(monkeypatch):
         got = [serre_module_check(rs, max_len) for max_len in lengths]
         with monkeypatch.context() as mp:
             # the reference: the unscaled Scalar table, D = 1
-            mp.setattr(QlsPresentation, "_ring", property(lambda p: p._scalar_ring))
+            mp.setattr(QlsPresentation, "_ring", property(_unscaled_ring))
             scalar_rs = _rs(pres)
-            assert scalar_rs.presentation._ring is pres._scalar_ring
+            assert scalar_rs.presentation._ring is _unscaled_ring(pres)
             want = [serre_module_check(scalar_rs, max_len) for max_len in lengths]
         assert got == want
         verdicts.append(got[0][0])
@@ -746,6 +746,29 @@ def test_serre_check_refuses_past_relation_budget():
     # admitted: gl2(5/1) at the default length 4 (396,880), gl2(3/1) at
     # length 6 (341,325), rational or symbolic
     assert MAX_RELATIONS >= max(396_880, 341_325)
+
+
+def test_term_budget_covers_every_product_step(monkeypatch):
+    # MAX_TERMS bounds each product step of the action: a swap step inside
+    # _act, and a relation's right side in serre_module_check, are refused
+    # with one message
+    monkeypatch.setattr(pbw, "MAX_TERMS", 1)
+    message = "more than 1 terms in one action step"
+    rs = build(3, 1).rewrite
+    action = _ModuleAction(rs)
+    (word,) = action._apply((0, 1), 0)  # z_{E1_1 E1_2}, ordered: one term
+    # E2_2 sinks past E1_2 into z_{E1_2 E2_2} - z_{E1_2}, two terms, which
+    # the step past E1_1 may not take in
+    with pytest.raises(ValueError) as info:
+        action._act(4, word)
+    assert str(info.value) == message
+    frames = [entry.name for entry in info.traceback]
+    assert frames[frames.index("_act"):][:3] == ["_act", "_step", "_times"]
+    with pytest.raises(ValueError) as info:
+        serre_module_check(rs, 3)
+    assert str(info.value) == message
+    frames = [entry.name for entry in info.traceback]
+    assert frames[frames.index("_first_failure") + 1] == "_step"
 
 
 def test_rewrite_system_refuses_past_relation_budget():

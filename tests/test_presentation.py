@@ -234,8 +234,10 @@ def _e2(pres: QlsPresentation, g1: int, g2: int) -> NCPoly:
     return NCPoly(pres.alphabet, terms)
 
 
+@functools.cache
 def _unscaled_ring(pres: QlsPresentation):
-    """The presentation's unscaled ring, built here from its tensors."""
+    """The presentation's unscaled ring, built here from its tensors, once
+    per presentation."""
     return presentation._Ring.build(pres.n_even, pres._tensors(), 1)
 
 
@@ -489,7 +491,11 @@ def test_repeated_generator_name_rejected():
         QlsPresentation.from_json_dict(doc)
 
 
-_GL2_2_1 = build(2, 1).presentation.dumps()
+@functools.cache
+def _gl2_2_1_dumps() -> str:
+    """gl2(2/1)'s document, built on first use in a test, not at import."""
+    return build(2, 1).presentation.dumps()
+
 
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 10)
@@ -515,7 +521,7 @@ def _value_paths(doc, prefix=()):
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_loader_raises_only_value_errors(data):
-    doc = json.loads(_GL2_2_1)
+    doc = json.loads(_gl2_2_1_dumps())
     path = data.draw(st.sampled_from(list(_value_paths(doc))))
     value = data.draw(_json_values)
     if path:
@@ -721,7 +727,7 @@ def _assert_rings_agree(pres, monkeypatch):
     assert type(pres._ring.scale) is int
     got = _reports(pres)
     with monkeypatch.context() as mp:
-        mp.setattr(QlsPresentation, "_ring", property(lambda pres: pres._scalar_ring))
+        mp.setattr(QlsPresentation, "_ring", property(_unscaled_ring))
         want = _reports(pres)
     assert got == want
     for _, violations, _ in got:
@@ -1018,9 +1024,10 @@ COMPONENT_FAMILIES = (
     "odd-odd-odd-b", "odd-odd-odd-d", "even-odd-odd-a")
 
 
-@pytest.mark.parametrize("pres", [build(3).presentation, lambda3_presentation()],
+@pytest.mark.parametrize("make", [lambda: build(3).presentation, lambda3_presentation],
                          ids=["gl2(3/1)", "lambda3"])
-def test_reports_count_every_family(pres):
+def test_reports_count_every_family(make):
+    pres = make()  # built in the test, so a broken build fails it
     component = pres.check_component_jacobi()
     abstract = pres.check_abstract_jacobi()
     assert sorted(component.checked) == sorted(COMPONENT_FAMILIES)

@@ -9,7 +9,7 @@ import operator
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadlie.scalars import Scalar, srat
+from quadlie.scalars import Scalar, axpy, srat
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -155,3 +155,13 @@ def test_general_product_drops_cancelled_monomials():
     got = (p * q) * (p * 3 - q)
     assert got.terms == _reference_product(p * q, p * 3 - q)
     assert ((x + y) * (x - y)).terms == {(("x", 2),): 1, (("y", 2),): -1}
+
+
+def test_axpy_adds_in_place_and_drops_cancelled_entries():
+    x, y = Scalar.var("x"), Scalar.var("y")
+    for u, v in ((3, -2), (Fraction(1, 3), Fraction(-5, 2)), (x + 1, srat(2, 3) * y)):
+        out = {"kept": u, "cancels": v * u}
+        got = axpy(out, v, {"cancels": -u, "new": v})
+        assert got is out
+        assert out == {"kept": u, "new": v * v}
+        assert "cancels" not in out

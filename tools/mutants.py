@@ -76,8 +76,8 @@ MUTANTS = [
            "t = coeff",
            T_PRES),
     Mutant("_act does not halve odd squares", PBW,
-           "return 0, [(mid, _half(coeff)) for mid, coeff in lower]",
-           "return 0, [(mid, coeff) for mid, coeff in lower]",
+           "axpy(out, _half(coeff) if a == b else coeff, self._apply(mid, rest))",
+           "axpy(out, coeff, self._apply(mid, rest))",
            T_PBW),
     Mutant("rescale D without the half on odd squares", PRES,
            "return f.denominator * (2 if idx[0] == idx[1] and f.numerator % 2 else 1)",
@@ -140,6 +140,10 @@ MUTANTS = [
            "if lo <= new <= hi and i < top:",
            "if lo <= new <= hi and i <= top:",
            T_PRES),
+    Mutant("intertwiner_violation drops the pi seed", PRES,
+           "residual = dict(self.pi)",
+           "residual = {}",
+           T_PRES),
     Mutant("parse dict keyed by tensor name, not entry text", PRES,
            "if row[-1] not in parsed:\n"
            "                    parsed[row[-1]] = parse_scalar(row[-1])\n"
@@ -150,12 +154,16 @@ MUTANTS = [
            T_PRES),
     # -- the module action (ROADMAP item 6) -----------------------------------
     Mutant("_act swap sign flipped", PBW,
-           "(-1 if min(a, b) >= self.ab.n_even else 1)",
-           "(1 if min(a, b) >= self.ab.n_even else -1)",
+           "self._times(b, inner, min(a, b) >= self.ab.n_even)",
+           "self._times(b, inner, min(a, b) < self.ab.n_even)",
            T_PBW),
-    Mutant("_first_failure swap term reads w_a(w_b z_N)", PBW,
-           "rhs = action._apply((b, a), nid) if sign else {}",
-           "rhs = action._apply((a, b), nid) if sign else {}",
+    Mutant("_times ignores negate", PBW,
+           "if negate:\n                v = -v",
+           "if False:\n                v = -v",
+           T_PBW),
+    Mutant("_first_failure swap term reads w_b(w_b z_N)", PBW,
+           "action._step(a, b, action._act(a, nid), nid)",
+           "action._step(a, b, action._act(b, nid), nid)",
            T_PBW),
     Mutant("_act suffix walk resumes one suffix too short", PBW,
            "out = cache.get(word)\n            if out is not None:\n                break",
@@ -189,6 +197,10 @@ MUTANTS = [
     Mutant("Scalar._merge keeps a cancelled monomial", "src/quadlie/scalars.py",
            "elif new := (prev + c if sign > 0 else prev - c):",
            "elif (new := (prev + c if sign > 0 else prev - c)) is not None:",
+           "tests/test_scalars.py"),
+    Mutant("axpy keeps a cancelled entry", "src/quadlie/scalars.py",
+           "elif new := old + coeff * val:",
+           "elif (new := old + coeff * val) is not None:",
            "tests/test_scalars.py"),
     Mutant("Scalar product divides by d1 only", "src/quadlie/scalars.py",
            "den = d1 * d2",
@@ -224,10 +236,10 @@ MUTANTS = [
            "swap = -1",
            T_FOCK),
     Mutant("cross-check drops the scale L on the left side", FOCK,
-           "acc = _axpy({}, scale, (mats[g1] * mats[g2]).data)\n"
-           "                _axpy(acc, swap * scale, (mats[g2] * mats[g1]).data)",
-           "acc = _axpy({}, 1, (mats[g1] * mats[g2]).data)\n"
-           "                _axpy(acc, swap, (mats[g2] * mats[g1]).data)",
+           "acc = axpy({}, scale, (mats[g1] * mats[g2]).data)\n"
+           "                axpy(acc, swap * scale, (mats[g2] * mats[g1]).data)",
+           "acc = axpy({}, 1, (mats[g1] * mats[g2]).data)\n"
+           "                axpy(acc, swap, (mats[g2] * mats[g1]).data)",
            T_FOCK),
 ]
 
