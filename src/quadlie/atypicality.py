@@ -68,25 +68,32 @@ def zero_step(params: FamilyParams, central) -> ZeroStepResult:
     With rational central charge, returns a boolean.  With a symbolic
     central charge, returns the polynomial in it whose vanishing is the
     zero-step condition (or False when the charge-independent condition
-    already fails).
+    already fails).  Raises for n < 3 and for mubar = nubar at r < n.
     """
-    n, r = params.n, params.r
-    if n < 3:
+    if params.n < 3:
         raise ValueError("zero-step analysis requires n >= 3")
-    c = _lower(central)
-    if r == n:
-        half_n = Fraction(n, 2) / (n - 2)
-        lhs = (_lower(params.mu) - half_n) ** 2
-        residual = lhs - (half_n * half_n - c * Fraction(2, (n - 1) * (n - 2)))
+    if params.r < params.n and params.mubar == params.nubar:
+        raise ValueError("mubar = nubar: zero-step analysis indeterminate")
+    return _zero_step(params, _family_values(params, central))
+
+
+def _zero_step(params: FamilyParams, data: dict) -> ZeroStepResult:
+    """`zero_step` on the `_family_values` of its input, without the guards.
+
+    At r < n, zero-step <=> both reduced adjoint coefficients vanish: the
+    E-coefficient gives (r-1) mubar + (n-r-1) nubar = r(n-r), the
+    delta-coefficient the condition on the central charge.  At r = n the
+    condition is 2/((n-1)(n-2)) times the level-1 value at alpha'_n,
+    A_E (mubar - 1) + A_delta, which is the printed form
+    (mu - h)^2 - h^2 + 2c/((n-1)(n-2)), h = (n/2)/(n-2).
+    """
+    n = params.n
+    if n == params.r:
+        value = data["A_E"] * (data["mubar"] - 1) + data["A_delta"]
+        residual = Fraction(2, (n - 1) * (n - 2)) * value
+    elif data["A_E"]:
+        return False
     else:
-        if params.mubar == params.nubar:
-            raise ValueError("mubar = nubar: zero-step analysis indeterminate")
-        # zero-step <=> both reduced adjoint coefficients vanish:
-        # the E-coefficient gives (r-1) mubar + (n-r-1) nubar = r(n-r),
-        # the delta-coefficient gives the condition on the central charge
-        data = _family_values(params, c)
-        if data["A_E"]:
-            return False
         residual = data["A_delta"]
     if not residual:
         return True
@@ -227,8 +234,8 @@ def atypicality_report(params: FamilyParams, central) -> dict:
     elif r < n and params.mubar == params.nubar:
         zs = "indeterminate"
     else:
-        zs = zero_step(params, central)
-    killed = zs is True or not any(values)
+        zs = _zero_step(params, data)
+    killed = not any(values)
     levels: Dict[int, str] = {0: "present", 1: "killed" if killed else "present"}
     for lvl in range(2, n + 1):
         levels[lvl] = "killed" if killed else "not analyzed"

@@ -89,9 +89,6 @@ class SparseOp:
     def is_zero(self) -> bool:
         return not self.data
 
-    def apply_basis(self, col: int) -> Dict[int, Entry]:
-        return {r: v for (r, c), v in self.data.items() if c == col}
-
     def __repr__(self):
         entries = ", ".join(f"({r},{c}): {v}" for (r, c), v in sorted(self.data.items()))
         return f"SparseOp(dim={self.dim}, {{{entries}}})"
@@ -194,19 +191,12 @@ def bracket_polynomial_check(n: int = 4) -> dict:
                 acc = acc + script[(u, m)] * script[(m, l)]
             script2[(u, l)] = acc
     coeff = SparseOp.identity(dim) * (n + 3) - num
-    lhs = {}
-    rhs = {}
-    for u in triples:
-        for l in triples:
-            lhs[(u, l)] = anticommutator(gens["Q"][l], gens["Qbar"][u])
-            # on sorted triples the antisymmetrized delta is u == l
-            rhs[(u, l)] = (script2[(u, l)] - coeff * script[(u, l)]
-                           + SparseOp.identity(dim) * (4 * (u == l))) * Fraction(-1, 4)
-    return {
-        "n": n,
-        "holds": all(lhs[key] == rhs[key] for key in lhs),
-        "components_checked": len(lhs),
-    }
+    # on sorted triples the antisymmetrized delta is u == l
+    checked = [anticommutator(gens["Q"][l], gens["Qbar"][u])
+               == (script2[(u, l)] - coeff * script[(u, l)]
+                   + SparseOp.identity(dim) * (4 * (u == l))) * Fraction(-1, 4)
+               for u in triples for l in triples]
+    return {"n": n, "holds": all(checked), "components_checked": len(checked)}
 
 
 def occupation_basis(n: int, k: int) -> List[int]:
@@ -221,16 +211,15 @@ def zero_step_demo(n: int = 4) -> dict:
     satisfies (M-1)(M-4) = 0 with both roots attained."""
     gens = composite_generators(n)
     basis2 = occupation_basis(n, 2)
-    killed_q = all(
-        all(op.apply_basis(b) == {} for b in basis2) for op in gens["Q"].values()
-    )
-    killed_qbar = all(
-        all(op.apply_basis(b) == {} for b in basis2) for op in gens["Qbar"].values()
-    )
+    pos = {b: i for i, b in enumerate(basis2)}
+    # an operator annihilates the occ-2 states iff none of its entries
+    # lies in their columns
+    killed_q, killed_qbar = (
+        not any(c in pos for op in gens[name].values() for _, c in op.data)
+        for name in ("Q", "Qbar"))
     triples = list(combinations(range(1, n + 1), 3))
     # block operator of the adjoint array on (ordered triples) x (occ-2 states)
     size = len(triples) * len(basis2)
-    pos = {b: i for i, b in enumerate(basis2)}
     big = {}
     for ui, u in enumerate(triples):
         for li, l in enumerate(triples):
@@ -298,8 +287,8 @@ def presentation_cross_check() -> dict:
     mats = [*gens["E"].values(), *(gens["Qbar"][u] for u in triples),
             *(gens["Q"][u] for u in triples)]
 
-    # each word's matrix, formed once in this call from its prefix's (a
-    # bracket word has at most two letters)
+    # each word's matrix, g1 g2 and g2 g1 included, formed once in this call
+    # from its prefix's (a word of a relation has at most two letters)
     words = {(g,): op for g, op in enumerate(mats)}
     words[()] = SparseOp.identity(dim)
     failures = []
@@ -314,12 +303,13 @@ def presentation_cross_check() -> dict:
             for g2 in seconds:
                 rhs = [(w, v.as_rational()) for w, v in pres.bracket(g1, g2).items()]
                 scale = lcm(*(v.denominator for _, v in rhs))
-                acc = axpy({}, scale, (mats[g1] * mats[g2]).data)
-                axpy(acc, swap * scale, (mats[g2] * mats[g1]).data)
-                for word, v in rhs:
+                terms = [((g1, g2), scale), ((g2, g1), swap * scale),
+                         *((w, -v.numerator * (scale // v.denominator)) for w, v in rhs)]
+                acc = {}
+                for word, k in terms:
                     if word not in words:
                         words[word] = words[word[:-1]] * mats[word[-1]]
-                    axpy(acc, -v.numerator * (scale // v.denominator), words[word].data)
+                    axpy(acc, k, words[word].data)
                 if acc:
                     failures.append((kind, g1 - firsts.start, g2 - seconds.start))
     return {"n": n, "relations_hold": not failures, "failures": failures,

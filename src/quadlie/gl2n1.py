@@ -197,15 +197,9 @@ def projector(ci: CharIdentity, s: int) -> Uni:
     num: Uni = [srat(1)]
     den = srat(1)
     for _, root in ci.retained_roots():
-        if root == target:
-            continue
-        diff = target - root
-        if diff.is_zero():
-            raise ValueError("coincident retained roots; projector undefined")
-        num = uni_mul(num, [-root, srat(1)])
-        den = den * diff
-    if not den.is_rational():
-        raise ValueError("projector denominators must be rational")
+        if root != target:
+            num = uni_mul(num, [-root, srat(1)])
+            den = den * (target - root)
     return [coeff / den.as_rational() for coeff in num]
 
 

@@ -6,6 +6,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Sequence
 
+from .scalars import axpy
+
 
 def invert_matrix(mat: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
     """Exact inverse of a square rational matrix; raises on singular input.
@@ -25,11 +27,6 @@ def invert_matrix(mat: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
         for r, row in enumerate(aug):
             f = row.get(col) if r != col else None
             if f:
-                for c, v in pivot.items():
-                    new = row.get(c, 0) - f * v
-                    if new:
-                        row[c] = new
-                    else:
-                        del row[c]
+                axpy(row, -f, pivot)
     zero = Fraction(0)
     return [[row.get(n + c, zero) for c in range(n)] for row in aug]

@@ -109,6 +109,37 @@ def test_zero_step_full_rectangle():
     assert zero_step(FamilyParams(4, 4, 1, 0), 2) is False
 
 
+@pytest.mark.parametrize("n", range(3, 9))
+def test_full_rectangle_condition_is_the_printed_form(n):
+    """At r = n and symbolic mu, nu, c, zero_step equals the printed form
+    (mu - h)^2 - h^2 + 2c/((n-1)(n-2)), h = (n/2)/(n-2), and also
+    2/((n-1)(n-2)) times the level-1 value at alpha'_n, as Scalars and as text."""
+    params = FamilyParams(n, n, MU, NU)
+    h = Fraction(n, 2) / (n - 2)
+    scale = Fraction(2, (n - 1) * (n - 2))
+    printed = (MU - h) ** 2 - (h * h - C * scale)
+    level1 = atypicality_report(params, C)["a_values"][n] * scale
+    got = zero_step(params, C)
+    assert got == printed == level1
+    assert str(got) == str(printed) == str(level1)
+
+
+@pytest.mark.parametrize("params", [FamilyParams(4, 2, 2, 0), FamilyParams(4, 4, 1, 0),
+                                    FamilyParams(3, 2, Scalar.var("mu"), 0)])
+def test_atypicality_report_forms_the_family_values_once(params, monkeypatch):
+    """One `_family_values` call per report, also where it decides zero_step."""
+    calls = []
+    inner = quadlie.atypicality._family_values
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(quadlie.atypicality, "_family_values", counted)
+    atypicality_report(params, Scalar.var("c"))
+    assert len(calls) == 1
+
+
 def test_zero_step_requires_n_at_least_three():
     with pytest.raises(ValueError):
         zero_step(FamilyParams(2, 1, 1, 0), 0)

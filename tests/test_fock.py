@@ -102,8 +102,11 @@ def test_zero_step_demo_passes():
     assert demo["roots"] == (1, 4)
     assert demo["root_1_attained"] and demo["root_4_attained"]
     assert demo["rhs_vanishes"]
-    # at n = 5 the right side reads M^2 - 6 M + 4, which M does not satisfy
-    assert not zero_step_demo(5)["rhs_vanishes"]
+    # at n = 5 the right side reads M^2 - 6 M + 4, which M does not satisfy,
+    # and Qbar maps occupation 2 to occupation 5
+    demo5 = zero_step_demo(5)
+    assert not demo5["rhs_vanishes"] and not demo5["passed"]
+    assert demo5["q_annihilates"] is True and demo5["qbar_annihilates"] is False
 
 
 def restrict(op, basis):
@@ -144,6 +147,24 @@ def test_presentation_matches_fock_matrices():
     report = presentation_cross_check()
     assert report["relations_hold"] is True
     assert report["failures"] == []
+
+
+def test_cross_check_multiplies_each_pair_of_matrices_once(monkeypatch):
+    """No two SparseOp objects are multiplied twice in one cross-check; the
+    operands are kept alive so that an id is never reused."""
+    seen, operands = set(), []
+    inner = SparseOp.__mul__
+
+    def recorded(x, y):
+        if isinstance(y, SparseOp):
+            assert (id(x), id(y)) not in seen
+            seen.add((id(x), id(y)))
+            operands.append((x, y))
+        return inner(x, y)
+
+    monkeypatch.setattr(SparseOp, "__mul__", recorded)
+    assert presentation_cross_check()["relations_hold"] is True
+    assert len(seen) == 752
 
 
 def _reference_failures(pres):

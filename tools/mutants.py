@@ -236,11 +236,17 @@ MUTANTS = [
            "swap = -1",
            T_FOCK),
     Mutant("cross-check drops the scale L on the left side", FOCK,
-           "acc = axpy({}, scale, (mats[g1] * mats[g2]).data)\n"
-           "                axpy(acc, swap * scale, (mats[g2] * mats[g1]).data)",
-           "acc = axpy({}, 1, (mats[g1] * mats[g2]).data)\n"
-           "                axpy(acc, swap, (mats[g2] * mats[g1]).data)",
+           "terms = [((g1, g2), scale), ((g2, g1), swap * scale),",
+           "terms = [((g1, g2), 1), ((g2, g1), swap),",
            T_FOCK),
+    Mutant("zero_step_demo tests rows for columns", FOCK,
+           "for _, c in op.data)",
+           "for c, _ in op.data)",
+           T_FOCK),
+    Mutant("_zero_step at r = n drops 2/((n-1)(n-2))", "src/quadlie/atypicality.py",
+           "residual = Fraction(2, (n - 1) * (n - 2)) * value",
+           "residual = value",
+           T_ATYP),
 ]
 
 
