@@ -23,12 +23,11 @@ from .gl2n1 import (
     _composite_coeffs,
     _family_values,
     _lifted,
-    _lower,
     _rect_casimirs,
     lam_prime,
 )
 from .presentation import _half
-from .scalars import Scalar
+from .scalars import Scalar, lower
 
 ZeroStepResult = Union[bool, Scalar]
 
@@ -53,12 +52,11 @@ def level1_poly(w: Weight, central, s: int) -> Scalar:
         raise ValueError("weight is not dominant integral")
     if not 1 <= s <= n:
         raise ValueError(f"root index {s} out of range")
-    lam = w.components
-    if not Weight(lam[:s - 1] + (lam[s - 1] - 1,) + lam[s:]).is_dominant_integral():
+    if not w.retained(s):
         raise ValueError(f"root {s} is not retained (shift not dominant)")
     c1p, c2p = _casimirs(lam_prime(w))
-    a1, a0, _, _ = _adjoint_coeffs(n, c1p, c2p, _lower(central))
-    alpha = lam[s - 1] - 1 + n - s
+    a1, a0, _, _ = _adjoint_coeffs(n, c1p, c2p, lower(central))
+    alpha = w.components[s - 1] - 1 + n - s
     return Scalar.coerce(alpha * alpha - a1 * alpha + a0)
 
 
@@ -115,7 +113,7 @@ def zero_step_equivalence_check(params: FamilyParams, central) -> bool:
         raise ValueError("analysis requires n >= 3")
     if params.mubar == params.nubar:
         raise ValueError("mubar = nubar: analysis inapplicable as printed")
-    c = _lower(central)
+    c = lower(central)
     data = _family_values(params, c)
     s_p, p_p = data["s_prime"], data["p_prime"]
     c1 = data["C1_prime"] + n

@@ -19,7 +19,7 @@ from math import lcm
 from typing import Dict, List, Optional, Tuple, Union
 
 from .gl2n1 import _perm_sign, type_one_presentation
-from .scalars import axpy
+from .scalars import axpy, lower
 
 Entry = Union[int, Fraction]
 
@@ -74,9 +74,7 @@ class SparseOp:
                         del out[key]
             return _op(self.dim, out)
         if not isinstance(other, int):
-            other = Fraction(other)
-            if other.denominator == 1:
-                other = other.numerator
+            other = lower(Fraction(other))
         if not other:
             return _op(self.dim, {})
         return _op(self.dim, {k: v * other for k, v in self.data.items()})

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .ncpoly import NCPoly
 from .pbw import RewriteSystem, check_rule_count
 from .presentation import BalancedData, QlsPresentation, _half, build_from_casimirs
-from .scalars import Scalar, accumulate, srat
+from .scalars import Scalar, accumulate, lower, srat
 
 Uni = List[Scalar]  # univariate polynomial, coefficients low to high
 
@@ -40,26 +40,12 @@ def even_index(n: int, i: int, j: int) -> int:
     return n * (i - 1) + (j - 1)
 
 
-def _lower(value):
-    """A rational Scalar or a Fraction as an int when integral, else as a
-    Fraction; an int or a symbolic Scalar as it is.  For a formula's inputs
-    only, never its intermediate values (DECISIONS.md "Integral data stays in ints")."""
-    if isinstance(value, Scalar):
-        if not value.is_rational():
-            return value
-        value = value.as_rational()
-    if type(value) is int:
-        return value
-    value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
-
-
 class Weight:
     """gl(n) weight with exact rational components (lambda_1..lambda_n),
     an integral component held as an int."""
 
     def __init__(self, components: Sequence):
-        self.components = tuple(x if type(x) is int else _lower(Fraction(x)) for x in components)
+        self.components = tuple(x if type(x) is int else lower(Fraction(x)) for x in components)
 
     @property
     def n(self) -> int:
@@ -71,9 +57,11 @@ class Weight:
             for a, b in zip(self.components, self.components[1:])
         )
 
-    def shifted(self, other: "Weight", factor=1) -> "Weight":
-        factor = _lower(factor)
-        return Weight([a + factor * b for a, b in zip(self.components, other.components)])
+    def retained(self, s: int) -> bool:
+        """Whether Lambda - epsilon_s (component s less 1, 1 <= s <= n) is
+        dominant integral."""
+        lam = self.components
+        return Weight(lam[:s - 1] + (lam[s - 1] - 1,) + lam[s:]).is_dominant_integral()
 
     def __eq__(self, other):
         if not isinstance(other, Weight):
@@ -111,7 +99,7 @@ class FamilyParams:
     def weight(self) -> Weight:
         if not (self.mu.is_rational() and self.nu.is_rational()):
             raise ValueError("symbolic parameters have no concrete weight")
-        return Weight([_lower(self.mu)] * self.r + [_lower(self.nu)] * (self.n - self.r))
+        return Weight([lower(self.mu)] * self.r + [lower(self.nu)] * (self.n - self.r))
 
     def __repr__(self):
         return f"FamilyParams(n={self.n}, r={self.r}, mu={self.mu}, nu={self.nu})"
@@ -129,9 +117,7 @@ class CharIdentity:
         self.weight = weight
         self.roots: List[Scalar] = [Scalar.coerce(lam[s - 1] + n - s) for s in range(1, n + 1)]
         self.dual_roots: List[Scalar] = [Scalar.coerce(n - 1 - x) for x in lam]
-        self.retained: List[bool] = [
-            Weight(lam[:s - 1] + (lam[s - 1] - 1,) + lam[s:]).is_dominant_integral()
-            for s in range(1, n + 1)]
+        self.retained: List[bool] = [weight.retained(s) for s in range(1, n + 1)]
 
     def retained_roots(self) -> List[Tuple[int, Scalar]]:
         """Distinct retained (s, alpha_s) pairs, first occurrence per value."""
@@ -280,14 +266,6 @@ class Gl2n1:
                 return self.qbar_id(indices[0])
             if name == "Q" and indices and len(indices) == 1:
                 return self.q_id(indices[0])
-            if name == "x" and indices and len(indices) == 1:
-                if not 1 <= indices[0] <= self.n * self.n:
-                    return None
-                return indices[0] - 1
-            if name == "y" and indices and len(indices) == 1:
-                if not 1 <= indices[0] <= 2 * self.n:
-                    return None
-                return self.n * self.n + indices[0] - 1
         except IndexError:
             return None
         return None
@@ -367,7 +345,7 @@ class Gl2n1:
 # -- family formulas --------------------------------------------------
 #
 # Each takes Scalar, int or Fraction arguments; callers pass their inputs
-# through `_lower`, so rational data runs in ints and Fractions and a Scalar
+# through `scalars.lower`, so rational data runs in ints and Fractions and a Scalar
 # appears only where an input is symbolic.  The two halved quantities
 # C2' - C1'^2 - C1'(n - k), k = 3 and 5, are even on every integral weight
 # (DECISIONS.md "Integral data stays in ints"), so `_half` halves ints
@@ -414,9 +392,9 @@ def _family_values(params: FamilyParams, central) -> dict:
     mubar, nubar and central charge: ints and Fractions for rational input,
     Scalars only where an input is symbolic."""
     n, r = params.n, params.r
-    mb, nb = _lower(params.mubar), _lower(params.nubar)
+    mb, nb = lower(params.mubar), lower(params.nubar)
     s_prime, p_prime, c1p, c2p = _rect_casimirs(n, r, mb, nb)
-    a1, a0, b1, b0 = _adjoint_coeffs(n, c1p, c2p, _lower(central))
+    a1, a0, b1, b0 = _adjoint_coeffs(n, c1p, c2p, lower(central))
     return {
         "mubar": mb,
         "nubar": nb,

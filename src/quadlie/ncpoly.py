@@ -11,7 +11,7 @@ from __future__ import annotations
 from hashlib import sha256
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
-from .scalars import ONE, Scalar
+from .scalars import ONE, Scalar, join_terms
 
 Word = Tuple[int, ...]
 
@@ -209,10 +209,7 @@ class NCPoly:
                 parts.append(f"{ctext}*{word_text}" if w else ctext)
             else:
                 parts.append(f"({ctext})*{word_text}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return join_terms(parts)
 
     __str__ = render
 

@@ -65,7 +65,7 @@ from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence
 
 from .exprparse import parse_scalar
 from .ncpoly import Alphabet, NCPoly, Word
-from .scalars import ZERO, Scalar, accumulate, srat
+from .scalars import ZERO, Scalar, accumulate, lower, srat
 
 FORMAT_TAG = "quadlie-presentation-1"
 
@@ -384,8 +384,6 @@ class QlsPresentation:
         work = list(terms.items())
         while work:
             word, coeff = work.pop()
-            if not coeff:
-                continue
             if len(word) != 2 or word[0] < word[1] or word[0] == word[1] < n:
                 _add(residual, word, coeff)
                 continue
@@ -691,12 +689,11 @@ def odd_rescale(tensors) -> Tuple[list, int]:
         factor = scale ** odd_exponent(kinds)
         scaled: Dict[tuple, Coeff] = {}
         for idx, v in tensor.items():
-            if v.is_rational():
-                f = v.as_rational() * factor
-                if f.denominator == 1:  # always where the factor is D^2
-                    scaled[idx] = f.numerator
-                    continue
-            scaled[idx] = v * factor if factor != 1 else v
+            if v.is_rational():  # an int always where the factor is D^2
+                f = lower(v.as_rational() * factor)
+                scaled[idx] = f if type(f) is int else srat(f)
+            else:
+                scaled[idx] = v * factor if factor != 1 else v
         out.append((name, kinds, scaled))
     return out, scale
 
@@ -790,10 +787,8 @@ class BalancedData:
 
 
 def _nonzeros(row: Sequence) -> List[Tuple[int, Union[int, Fraction]]]:
-    """(index, entry) of each nonzero entry of a rational row, integral
-    ones as ints."""
-    fracs = ((q, Fraction(x)) for q, x in enumerate(row) if x)
-    return [(q, f.numerator if f.denominator == 1 else f) for q, f in fracs]
+    """(index, entry) of each nonzero entry of a rational row, lowered."""
+    return [(q, lower(x)) for q, x in enumerate(row) if x]
 
 
 def build_from_casimirs(c2: Mapping, c3: Mapping, bal: BalancedData) -> Tuple[Dict, Dict]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Mapping, Sequence, Tuple, Union
 
 Monomial = Tuple[Tuple[str, int], ...]
 RationalLike = Union[int, Fraction, "Scalar"]
@@ -229,10 +229,7 @@ class Scalar:
             else:
                 text = f"{c}*{mono}"
             parts.append(text)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return join_terms(parts)
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
@@ -249,6 +246,30 @@ def _wrap(terms: Dict[Monomial, Fraction]) -> Scalar:
 
 ZERO = Scalar()
 ONE = Scalar.from_rational(1)
+
+
+def join_terms(parts: Sequence[str]) -> str:
+    """Rendered terms as one sum, a term that starts with "-" joined by " - "."""
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
+
+
+def lower(value):
+    """value as an int when integral, else as a Fraction, and as a Scalar only
+    when it holds an indeterminate: for inputs, never intermediate values
+    (DECISIONS.md "Integral data stays in ints")."""
+    if type(value) is not Fraction:  # the common case goes straight through
+        if type(value) is int:
+            return value
+        if isinstance(value, Scalar):
+            if not value.is_rational():
+                return value
+            value = value.as_rational()
+        else:
+            value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 def srat(num: Union[int, Fraction], den: int = 1) -> Scalar:

@@ -518,3 +518,73 @@ def test_symbolic_family_outputs_are_pinned():
                 for value in out.values():
                     digest.update(str(value).encode())
     assert digest.hexdigest() == _SYMBOLIC_FAMILY_SHA256
+
+
+# -- guards and the retention rule ------------------------------------------
+
+
+def test_zero_step_equivalence_check_refuses_what_the_analysis_excludes():
+    with pytest.raises(ValueError, match="n >= 3"):
+        zero_step_equivalence_check(FamilyParams(2, 1, 1, 0), 0)
+    params = FamilyParams(4, 2, 0, 2)
+    assert params.mubar == params.nubar
+    with pytest.raises(ValueError, match="mubar = nubar"):
+        zero_step_equivalence_check(params, 0)
+
+
+@pytest.mark.parametrize("args, c, a_values, levels", [
+    ((2, 1, 2, 0), 0, {1: 1, 2: -2}, ["present", "present", "not analyzed"]),
+    ((2, 1, 3, 1), 5, {1: 5, 2: 2}, ["present", "present", "not analyzed"]),
+    ((2, 2, 1, 1), 0, {2: -1}, ["present", "present", "not analyzed"]),
+    ((2, 2, 1, 1), 1, {2: 0}, ["present", "killed", "killed"]),
+])
+def test_atypicality_report_at_n_2_has_no_zero_step(args, c, a_values, levels):
+    """At n = 2 the zero-step analysis does not apply, so the report gives
+    zero_step False even where every level-1 value vanishes."""
+    rep = atypicality_report(FamilyParams(*args), c)
+    assert rep["zero_step"] is False
+    assert rep["a_values"] == a_values
+    assert rep["levels"] == dict(enumerate(levels))
+
+
+def _shift_is_dominant_integral(lam, s):
+    """Lambda - epsilon_s dominant integral, from the differences of Lambda:
+    the shift adds 1 to lambda_{s-1} - lambda_s and takes 1 from
+    lambda_s - lambda_{s+1}."""
+    diffs = [a - b for a, b in zip(lam, lam[1:])]
+    if s > 1:
+        diffs[s - 2] += 1
+    if s < len(lam):
+        diffs[s - 1] -= 1
+    return all(Fraction(d).denominator == 1 and d >= 0 for d in diffs)
+
+
+def test_weight_retained_is_the_char_identity_flag_and_the_level1_guard():
+    """Weight.retained(s) is the one test of Lambda - epsilon_s: it matches
+    the rule on differences, CharIdentity.retained reads it, and on a
+    dominant integral weight level1_poly raises exactly where it is False."""
+    rng = random.Random(30)
+    raised = kept = 0
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        base = _value(rng)
+        lam = [base + rng.randint(-2, 2) for _ in range(n)]
+        if rng.random() < 0.6:
+            lam.sort(reverse=True)
+        if rng.random() < 0.2:
+            lam[rng.randrange(n)] += Fraction(1, 2)
+        w = Weight(lam)
+        flags = [w.retained(s) for s in range(1, n + 1)]
+        assert flags == [_shift_is_dominant_integral(lam, s) for s in range(1, n + 1)]
+        assert char_roots(w).retained == flags
+        if not w.is_dominant_integral():
+            continue
+        for s, keep in enumerate(flags, start=1):
+            if keep:
+                assert isinstance(level1_poly(w, 0, s), Scalar)
+                kept += 1
+            else:
+                with pytest.raises(ValueError, match="not retained"):
+                    level1_poly(w, 0, s)
+                raised += 1
+    assert kept > 100 and raised > 50

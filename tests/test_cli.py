@@ -434,3 +434,30 @@ def test_half_c_presentation_output_is_pinned(tmp_path, capsys):
     assert (code, out) == (1, _HALF_C_VERIFY.format(path=path))
     code, out, _ = _run(capsys, "serre-check", path, "--max-len", "3")
     assert (code, out) == (1, _HALF_C_SERRE)
+
+
+def test_normal_form_refuses_the_x_y_aliases(capsys):
+    code, out, err = _run(capsys, "normal-form", "--n", "2", "x[1]")
+    assert code == 2 and out == ""
+    assert err == "error: malformed expression: unknown generator x[1]\n"
+
+
+_NAMES = list(build(3).alphabet.names)
+
+
+@pytest.mark.parametrize("command", [
+    ["normal-form", "--n", "3", "E[1,1]"],
+    ["serre-check", "--n", "3", "--max-len", "3"],
+], ids=["normal-form", "serre-check"])
+@pytest.mark.parametrize("order, message", [
+    (_NAMES[:1] + _NAMES[:1] + _NAMES[2:], "order must be a permutation of 0..size-1"),
+    (_NAMES[:-1], "order size does not match the presentation"),
+    (_NAMES[1:2], "order must be a permutation of 0..size-1"),
+], ids=["duplicate", "short-prefix", "short"])
+def test_order_that_is_not_a_permutation_exits_2(capsys, command, order, message):
+    """A duplicated name fails in GeneratorOrder; a short list fails there,
+    or in check_admissible's size check when it is a permutation of a
+    prefix.  Each exits 2 with one error line."""
+    code, out, err = _run(capsys, *command, "--order", ",".join(order))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"

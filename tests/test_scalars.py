@@ -9,7 +9,9 @@ import operator
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadlie.scalars import Scalar, axpy, srat
+import pytest
+
+from quadlie.scalars import Scalar, axpy, join_terms, lower, srat
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -165,3 +167,32 @@ def test_axpy_adds_in_place_and_drops_cancelled_entries():
         assert got is out
         assert out == {"kept": u, "new": v * v}
         assert "cancels" not in out
+
+
+@pytest.mark.parametrize("value, want, kind", [
+    (7, 7, int),
+    (Fraction(-6, 3), -2, int),
+    (Fraction(5, 4), Fraction(5, 4), Fraction),
+    (srat(3), 3, int),
+    (srat(-2, 3), Fraction(-2, 3), Fraction),
+    (Scalar.var("c") + 1, Scalar.var("c") + 1, Scalar),
+    (Scalar(), 0, int),
+    (Fraction(0), 0, int),
+])
+def test_lower_keeps_integral_values_in_ints(value, want, kind):
+    got = lower(value)
+    assert type(got) is kind
+    assert got == want
+
+
+def test_lower_returns_a_fraction_and_a_symbolic_scalar_as_given():
+    f, s = Fraction(1, 3), Scalar.var("c") * 2
+    assert lower(f) is f
+    assert lower(s) is s
+
+
+def test_join_terms_folds_a_leading_minus_into_the_joiner():
+    assert join_terms(["x"]) == "x"
+    assert join_terms(["-x"]) == "-x"
+    assert join_terms(["x", "-2*y", "z", "-1/2"]) == "x - 2*y + z - 1/2"
+    assert str(Scalar.var("x") - Scalar.var("y") * 2 + 1) == "1 + x - 2*y"

@@ -11,7 +11,7 @@ file and, if that file passes, on the whole tier-1 suite; then the file
 is restored.  A mutant that both runs pass survives.  A survivor is
 mended by a new test, never by loosening a check.
 
-Run from the repository root (about two minutes on two cores); it runs
+Run from the repository root (about three minutes on two cores); it runs
 every mutant and exits 1 on a survivor:
 
     python tools/mutants.py
@@ -32,12 +32,14 @@ ROOT = Path(__file__).resolve().parent.parent
 PRES = "src/quadlie/presentation.py"
 PBW = "src/quadlie/pbw.py"
 GL2 = "src/quadlie/gl2n1.py"
+SCAL = "src/quadlie/scalars.py"
 FOCK = "src/quadlie/fock.py"
 T_PRES = "tests/test_presentation.py"
 T_PBW = "tests/test_pbw.py"
 T_GL2 = "tests/test_gl2n1.py"
 T_ATYP = "tests/test_atypicality.py"
 T_FOCK = "tests/test_fock.py"
+T_SCAL = "tests/test_scalars.py"
 TIMEOUT_S = 900  # per pytest run; a mutant that runs past it counts as killed
 
 
@@ -92,10 +94,8 @@ MUTANTS = [
            "scaled[idx] = v",
            T_PRES),
     Mutant("rescale truncates a non-integral rational", PRES,
-           "if f.denominator == 1:  # always where the factor is D^2\n"
-           "                    scaled[idx] = f.numerator\n",
-           "if True:\n"
-           "                    scaled[idx] = f.numerator // f.denominator\n",
+           "scaled[idx] = f if type(f) is int else srat(f)",
+           "scaled[idx] = f if type(f) is int else f.numerator // f.denominator",
            T_PRES),
     # -- the overlap elements, substituted in place ---------------------------
     Mutant("overlap zR d-part sign", PRES,
@@ -194,18 +194,30 @@ MUTANTS = [
            'raise ArithmeticError(f"cannot halve the odd integer {value} exactly")',
            "return Fraction(value, 2)",
            T_ATYP),
-    Mutant("Scalar._merge keeps a cancelled monomial", "src/quadlie/scalars.py",
+    Mutant("Scalar._merge keeps a cancelled monomial", SCAL,
            "elif new := (prev + c if sign > 0 else prev - c):",
            "elif (new := (prev + c if sign > 0 else prev - c)) is not None:",
-           "tests/test_scalars.py"),
-    Mutant("axpy keeps a cancelled entry", "src/quadlie/scalars.py",
+           T_SCAL),
+    Mutant("axpy keeps a cancelled entry", SCAL,
            "elif new := old + coeff * val:",
            "elif (new := old + coeff * val) is not None:",
-           "tests/test_scalars.py"),
-    Mutant("Scalar product divides by d1 only", "src/quadlie/scalars.py",
+           T_SCAL),
+    Mutant("Scalar product divides by d1 only", SCAL,
            "den = d1 * d2",
            "den = d1",
-           "tests/test_scalars.py"),
+           T_SCAL),
+    Mutant("lower drops the denominator", SCAL,
+           "return value.numerator if value.denominator == 1 else value",
+           "return value.numerator",
+           T_SCAL),
+    Mutant("join_terms drops the minus sign", SCAL,
+           'out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"',
+           'out += f" + {p[1:]}" if p.startswith("-") else f" + {p}"',
+           T_SCAL),
+    Mutant("invert_matrix adds the pivot row", "src/quadlie/linalg.py",
+           "axpy(row, -f, pivot)",
+           "axpy(row, f, pivot)",
+           "tests/test_linalg.py"),
     # -- gl2(n/1) and the Fock oracle -----------------------------------------
     Mutant("adjoint_B delta-delta constant c - (n - 2)", GL2,
            "self.central - 2 * (n - 2)",
@@ -219,9 +231,9 @@ MUTANTS = [
            "cbar[eid(old, new), m + t, m + tgt] = -sign",
            "cbar[eid(old, new), m + t, m + tgt] = sign",
            T_GL2),
-    Mutant("_lower drops the denominator", GL2,
-           "return value.numerator if value.denominator == 1 else value",
-           "return value.numerator",
+    Mutant("Weight.retained drops the dominance test", GL2,
+           "return Weight(lam[:s - 1] + (lam[s - 1] - 1,) + lam[s:]).is_dominant_integral()",
+           "return True",
            T_ATYP),
     Mutant("one-step scan hoist adds c + 1", "src/quadlie/atypicality.py",
            "a0v, b0v = a0c + cv, b0c + cv",
