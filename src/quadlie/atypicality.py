@@ -45,13 +45,12 @@ def level1_poly(w: Weight, central, s: int) -> Scalar:
     """Adjoint polynomial value at the retained root alpha'_s of Lambda'.
 
     Vanishing means the level-1 module V_0(Lambda + delta_s) is absent.
-    Raises for non-dominant Lambda or a non-retained root.
+    Raises for non-dominant Lambda, a root index outside 1..n or a
+    non-retained root.
     """
     n = w.n
     if not w.is_dominant_integral():
         raise ValueError("weight is not dominant integral")
-    if not 1 <= s <= n:
-        raise ValueError(f"root index {s} out of range")
     if not w.retained(s):
         raise ValueError(f"root {s} is not retained (shift not dominant)")
     c1p, c2p = _casimirs(lam_prime(w))

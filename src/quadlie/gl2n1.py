@@ -58,8 +58,10 @@ class Weight:
         )
 
     def retained(self, s: int) -> bool:
-        """Whether Lambda - epsilon_s (component s less 1, 1 <= s <= n) is
-        dominant integral."""
+        """Whether Lambda - epsilon_s (component s less 1) is dominant
+        integral; ValueError unless 1 <= s <= n."""
+        if not 1 <= s <= self.n:
+            raise ValueError(f"root index {s} out of range")
         lam = self.components
         return Weight(lam[:s - 1] + (lam[s - 1] - 1,) + lam[s:]).is_dominant_integral()
 

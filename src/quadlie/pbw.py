@@ -44,6 +44,7 @@ ordered-monomial counting.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product
 from math import comb
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -130,7 +131,10 @@ class RewriteSystem:
         pos, n = self.order.position, pres.n_even
         # the two-letter word a b is ordered: a precedes b, or an even square
         self._pair_is_ordered = lambda a, b: pos[a] < pos[b] or a == b < n
-        self._action: Optional[_ModuleAction] = None
+
+    @cached_property
+    def _action(self) -> "_ModuleAction":
+        return _ModuleAction(self)
 
     def word_is_ordered(self, word: Word) -> bool:
         return all(map(self._pair_is_ordered, word, word[1:]))
@@ -141,8 +145,6 @@ class RewriteSystem:
         if elem.alphabet != self.presentation.alphabet:
             raise AlphabetMismatch(
                 f"{elem.alphabet!r} vs {self.presentation.alphabet!r}")
-        if self._action is None:
-            self._action = _ModuleAction(self)
         out: Dict[Word, Scalar] = {}
         for word, coeff in elem.terms.items():
             axpy(out, coeff, self._action.apply_word(word, ()))
@@ -176,12 +178,11 @@ def inadmissible_dependence_witness(
     ab = pres.alphabet
     ya, yb = ab.odd(p), ab.odd(q)
     out = NCPoly.monomial(ab, (ya, yb, ya))
-    for w, v in pres.bracket(ya, ya).items():
-        if len(w) == 2:
-            out = out + NCPoly.monomial(ab, w + (yb,), v / 2)
-    for w, v in pres.bracket(ya, yb).items():
-        if len(w) == 2:
-            out = out - NCPoly.monomial(ab, (ya,) + w, v)
+    quad = pres._plain.quad
+    for w, v in quad.get((ya, ya), ()):
+        out = out + NCPoly.monomial(ab, w + (yb,), v / 2)
+    for w, v in quad.get((ya, yb), ()):
+        out = out - NCPoly.monomial(ab, (ya,) + w, v)
     return out
 
 

@@ -12,9 +12,10 @@ to close on quadratic expressions, so associativity of the enveloping
 algebra is not automatic.  `TENSORS` is the one description of the five
 tensors, the kind of each index slot: validation, the bracket table, JSON
 I/O, equality, the odd rescaling's exponent and the component checker all
-read it.  `QlsPresentation.bracket(g1, g2)` reads the bracket of a
-generator pair from a table made from the five tensors on first use.  The
-defining ideal is generated by
+read it.  `_Ring.build` is the one builder of bracket tables.
+`QlsPresentation.bracket(g1, g2)` copies the bracket of a generator pair
+out of `_plain`, the tensors' own ring at D = 1, made on first use;
+`normalize2` reads that ring too.  The defining ideal is generated by
 e(g1, g2) = g1 g2 - (-1)^{|g1||g2|} g2 g1 - bracket(g1, g2), keyed by the
 generator pair itself.  Two independent checkers decide associativity:
 
@@ -60,7 +61,6 @@ from functools import cached_property
 from itertools import chain, combinations, combinations_with_replacement
 from math import comb, lcm
 from operator import itemgetter
-from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exprparse import parse_scalar
@@ -95,8 +95,6 @@ COMPONENT_FAMILIES = ("even-even-even", "even-even-odd", "even-odd-odd-d",
                       "even-odd-odd-b", "odd-odd-odd-b", "odd-odd-odd-d",
                       "even-odd-odd-a")
 
-_NO_TERMS: Mapping[Word, Scalar] = MappingProxyType({})
-
 
 class JacobiViolation(NamedTuple):
     family: str
@@ -114,10 +112,10 @@ class JacobiReport:
     """
 
     def __init__(self, method: str, violations: Sequence[JacobiViolation],
-                 checked: Optional[Mapping[str, int]] = None):
+                 checked: Mapping[str, int]):
         self.method = method
         self.violations = list(violations)
-        self.checked = dict(checked or {})
+        self.checked = dict(checked)
 
     @property
     def passed(self) -> bool:
@@ -147,24 +145,6 @@ def _is_json_int(value) -> bool:
 def _pairs(kinds: str) -> List[Tuple[int, int, str]]:
     """(slot, slot + 1, kind) for each two adjacent slots of one kind."""
     return [(s, s + 1, k) for s, k in enumerate(kinds[:-1]) if kinds[s + 1] == k]
-
-
-def _bracket_table(n: int, tensors) -> Dict[Tuple[int, int], Dict[Word, Coeff]]:
-    """Bracket words of each generator pair, from (name, kinds, entries) of
-    each tensor: an entry's two lower slots give the pair and its upper
-    slots the word, odd indices shifted past the n evens; a mixed pair also
-    gives the bracket the other way round, negated."""
-    table: Dict[Tuple[int, int], Dict[Word, Coeff]] = {}
-    for _, kinds, tensor in tensors:
-        s1, s2 = (n if k == "o" else 0 for k in kinds[:2])
-        up = n if "O" in kinds else 0  # the upper slots share one parity
-        for idx, v in tensor.items():
-            g1, g2 = idx[0] + s1, idx[1] + s2
-            word = tuple(g + up for g in idx[2:]) if up else idx[2:]
-            table.setdefault((g1, g2), {})[word] = v
-            if s1 != s2:
-                table.setdefault((g2, g1), {})[word] = -v
-    return table
 
 
 def _coerce_tensor(entries, arity: int, label: str) -> Dict[tuple, Scalar]:
@@ -244,14 +224,15 @@ class QlsPresentation:
     # -- bracket table ------------------------------------------------
 
     @cached_property
-    def _brackets(self) -> Dict[Tuple[int, int], Mapping[Word, Scalar]]:
-        table = _bracket_table(self.n_even, self._tensors())
-        return {pair: MappingProxyType(terms) for pair, terms in table.items()}
+    def _plain(self) -> "_Ring":
+        """The tensors' own ring, D = 1 and every entry a Scalar: the
+        bracket table `bracket`, `normalize2` and `pbw` read."""
+        return _Ring.build(self.n_even, self._tensors(), 1)
 
-    def bracket(self, g1: int, g2: int) -> Mapping[Word, Scalar]:
-        """[g1, g2} = g1 g2 - (-1)^{|g1||g2|} g2 g1 as a read-only map
+    def bracket(self, g1: int, g2: int) -> Dict[Word, Scalar]:
+        """[g1, g2} = g1 g2 - (-1)^{|g1||g2|} g2 g1 as a new dict
         word -> coeff over words of length 0, 1 or 2."""
-        return self._brackets.get((g1, g2), _NO_TERMS)
+        return dict(self._plain.table.get((g1, g2), ()))
 
     # -- equality / serialization -------------------------------------
 
@@ -370,8 +351,7 @@ class QlsPresentation:
         Returns the residual and the bookkeeping coefficients lam, keyed by
         generator pairs (g, h) with g < h, or g = h odd.
         """
-        quad = _Ring.build(self.n_even, self._tensors(), 1).quad
-        residual, lam = self._reduce2(poly.terms, quad)
+        residual, lam = self._reduce2(poly.terms, self._plain.quad)
         return NCPoly(self.alphabet, residual), {k: v for k, v in lam.items() if v}
 
     def _reduce2(self, terms: Mapping[Word, Coeff], quad: Mapping) -> Tuple[dict, dict]:
@@ -699,15 +679,17 @@ def odd_rescale(tensors) -> Tuple[list, int]:
 
 
 class _Ring(NamedTuple):
-    """The structure tensors as the checkers and the module action read
-    them.
+    """The structure tensors with the bracket table made from them.
 
-    The five tensors, keyed as in the presentation: Python ints after the
-    odd rescaling by `scale`, but for the entries `odd_rescale` keeps as
-    Scalars.  a enters the component family (7) and the abstract checker's
-    J3 only.  table holds the (word, coeff) terms of each generator pair,
-    a words included; quad its terms of length 2 and lin its (letter,
-    coeff) terms.
+    Two rings per presentation come from `build`: `_ring`, which the
+    checkers and the module action read, holds Python ints after the odd
+    rescaling by `scale`, but for the entries `odd_rescale` keeps as
+    Scalars; `_plain`, which `bracket` and `normalize2` read, holds the
+    tensors' own Scalars at scale 1.  The five tensors are keyed as in the
+    presentation; a enters the component family (7) and the abstract
+    checker's J3 only.  table holds the (word, coeff) terms of each
+    generator pair, a words included; quad its terms of length 2 and lin
+    its (letter, coeff) terms.
     """
 
     c: Mapping[tuple, Coeff]
@@ -724,18 +706,28 @@ class _Ring(NamedTuple):
     @staticmethod
     def build(n: int, tensors, scale: int) -> "_Ring":
         """The ring of (name, kinds, entries) of each tensor, scaled by
-        `scale`: the tensors kept as they are, the bracket table made from
-        them and split by word length."""
-        table: Table = {pair: list(terms.items())
-                        for pair, terms in _bracket_table(n, tensors).items()}
+        `scale`: the tensors kept as they are, and the bracket table made
+        from them and split by word length in one pass.  An entry's two
+        lower slots give the pair and its upper slots the word, odd indices
+        shifted past the n evens; a mixed pair also gives the bracket the
+        other way round, negated."""
+        table: Table = {}
         lin: Dict[Tuple[int, int], List[Tuple[int, Coeff]]] = {}
         quad: Table = {}
-        for pair, terms in table.items():
-            for w, v in terms:
-                if len(w) == 2:
-                    quad.setdefault(pair, []).append((w, v))
-                elif w:  # the a word enters only its tensor and the table
-                    lin.setdefault(pair, []).append((*w, v))
+        for _, kinds, tensor in tensors:
+            s1, s2 = (n if k == "o" else 0 for k in kinds[:2])
+            up = n if "O" in kinds else 0  # the upper slots share one parity
+            for idx, v in tensor.items():
+                g1, g2 = idx[0] + s1, idx[1] + s2
+                word = tuple(g + up for g in idx[2:]) if up else idx[2:]
+                terms = [((g1, g2), v), ((g2, g1), -v)] if s1 != s2 else [((g1, g2), v)]
+                for pair, coeff in terms:
+                    term = (word, coeff)
+                    table.setdefault(pair, []).append(term)
+                    if len(word) == 2:
+                        quad.setdefault(pair, []).append(term)
+                    elif word:  # the a word enters only its tensor and the table
+                        lin.setdefault(pair, []).append((*word, coeff))
         return _Ring(table=table, lin=lin, quad=quad, scale=scale, powers={},
                      **{name: tensor for name, _, tensor in tensors})
 

@@ -588,3 +588,11 @@ def test_weight_retained_is_the_char_identity_flag_and_the_level1_guard():
                     level1_poly(w, 0, s)
                 raised += 1
     assert kept > 100 and raised > 50
+
+
+@pytest.mark.parametrize("components", [[1, 0], [2, 1, 0], [Fraction(1, 2)]])
+def test_weight_retained_refuses_an_index_outside_1_to_n(components):
+    w = Weight(components)
+    for s in (0, w.n + 1):
+        with pytest.raises(ValueError, match=f"root index {s} out of range"):
+            w.retained(s)

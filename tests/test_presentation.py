@@ -16,6 +16,7 @@ from quadlie.exprparse import ParseError, parse_scalar
 from quadlie.fock import lambda3_presentation
 from quadlie.gl2n1 import build
 from quadlie.ncpoly import NCPoly
+from quadlie.pbw import GeneratorOrder, inadmissible_dependence_witness
 from quadlie.presentation import (
     MAX_TRIPLES,
     BalancedData,
@@ -234,11 +235,10 @@ def _e2(pres: QlsPresentation, g1: int, g2: int) -> NCPoly:
     return NCPoly(pres.alphabet, terms)
 
 
-@functools.cache
 def _unscaled_ring(pres: QlsPresentation):
-    """The presentation's unscaled ring, built here from its tensors, once
-    per presentation."""
-    return presentation._Ring.build(pres.n_even, pres._tensors(), 1)
+    """The presentation's unscaled ring, `_plain`, where a test stands it
+    in for `_ring`."""
+    return pres._plain
 
 
 def _overlap_reference(pres: QlsPresentation, ring):
@@ -979,6 +979,42 @@ def test_ring_table_is_the_bracket_table_scaled_entry_by_entry():
                         assert got[w] == value.as_rational().numerator
                     else:
                         assert type(got[w]) is Scalar and got[w] == value
+
+
+def test_bracket_returns_a_new_dict_each_call():
+    pres = build(3).presentation
+    qbar1, q1 = pres.n_even, pres.n_even + 3  # {Qbar^1, Q_1}
+    first = pres.bracket(qbar1, q1)
+    assert any(len(w) == 2 for w in first) and () in first
+    want = dict(first)
+    first.clear()
+    first[(0,)] = srat(5)
+    assert pres.bracket(qbar1, q1) == want
+    absent = pres.bracket(0, 0)
+    assert absent == {}
+    absent[(0,)] = srat(1)
+    assert pres.bracket(0, 0) == {}
+
+
+def test_plain_ring_is_built_once_per_presentation(monkeypatch):
+    # bracket, normalize2 and the dependence witness read one cached D = 1
+    # ring; the checkers read the scaled one and never build it
+    builds = []
+    build_ring = presentation._Ring.build
+    monkeypatch.setattr(presentation._Ring, "build", staticmethod(
+        lambda n, tensors, scale: builds.append(scale) or build_ring(n, tensors, scale)))
+    pres = build(3).presentation
+    assert pres.check_component_jacobi().passed and pres.check_abstract_jacobi().passed
+    assert builds == [pres._ring.scale]
+    ab, n = pres.alphabet, pres.n_even
+    for g1, g2 in ((n + 1, n), (n, n), (1, 0), (n, 0)):
+        pres.normalize2(NCPoly.monomial(ab, (g1, g2)))
+        pres.bracket(g1, g2)
+    odds_first = GeneratorOrder([*range(n, ab.size), *range(n)])
+    assert not inadmissible_dependence_witness(pres, odds_first).is_zero()
+    assert builds == [pres._ring.scale, 1]
+    assert pres._plain.scale == 1
+    assert all(type(v) is Scalar for terms in pres._plain.table.values() for _, v in terms)
 
 
 def test_rings_agree_where_normalize2_halves_an_odd_square(monkeypatch):

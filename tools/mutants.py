@@ -97,6 +97,15 @@ MUTANTS = [
            "scaled[idx] = f if type(f) is int else srat(f)",
            "scaled[idx] = f if type(f) is int else f.numerator // f.denominator",
            T_PRES),
+    # -- the one bracket-table builder, `_Ring.build` -------------------------
+    Mutant("bracket table keeps the reverse of a mixed pair unnegated", PRES,
+           "((g2, g1), -v)",
+           "((g2, g1), v)",
+           T_PBW),
+    Mutant("bracket table leaves odd upper indices unshifted", PRES,
+           'up = n if "O" in kinds else 0',
+           "up = 0",
+           T_PBW),
     # -- the overlap elements, substituted in place ---------------------------
     Mutant("overlap zR d-part sign", PRES,
            "deg2[x, l] = deg2.get((x, l), 0) - s * val * t",
