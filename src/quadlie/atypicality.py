@@ -100,29 +100,26 @@ def _zero_step(params: FamilyParams, data: dict) -> ZeroStepResult:
 
 
 def zero_step_equivalence_check(params: FamilyParams, central) -> bool:
-    """Check directly that the anticommutator operator {Qbar^i, Q_j}
-    vanishes on V_0(Lambda), using the level-Lambda quadratic identity.
-
-    On V_0(Lambda) the identity has sum s'+2 and product p'+s'+1, and the
-    Casimirs shift as C1 = C1'+n, C2 = C2'+2C1'+n.  True iff both the
-    E-coefficient and the delta-coefficient of the bracket vanish.
-    """
+    """Check directly that {Qbar^i, Q_j} = E^2 - <E> E - (1/2)(<E^2> -
+    <E>^2 + (n-1)<E>) + c vanishes on V_0(Lambda), with Casimirs C1 =
+    C1'+n and C2 = C2'+2C1'+n.  At r < n the quadratic identity there is
+    E^2 = (s'+2) E - (p'+s'+1), and both the E- and the delta-coefficient
+    must vanish; at r = n, V_0(Lambda) is one-dimensional and E acts as
+    mubar, which leaves one delta-coefficient."""
     n = params.n
     if n < 3:
         raise ValueError("analysis requires n >= 3")
-    if params.mubar == params.nubar:
+    if params.r < n and params.mubar == params.nubar:
         raise ValueError("mubar = nubar: analysis inapplicable as printed")
-    c = lower(central)
-    data = _family_values(params, c)
-    s_p, p_p = data["s_prime"], data["p_prime"]
+    data = _family_values(params, central)
+    s_p, p_p, mb = data["s_prime"], data["p_prime"], data["mubar"]
     c1 = data["C1_prime"] + n
     c2 = data["C2_prime"] + data["C1_prime"] * 2 + n
-    # bracket = E^2 - <E> E - (1/2)(<E^2> - <E>^2 + (n-1)<E>) + c,
-    # with E^2 = (s'+2) E - (p'+s'+1) on V_0(Lambda); the halved quantity
-    # is C2' - C1'^2 - C1'(n - 3) - 2 C1', even on int input
-    e_coeff = (s_p + 2) - c1
-    d_coeff = -(p_p + s_p + 1) - _half(c2 - c1 * c1 + c1 * (n - 1)) + c
-    return not e_coeff and not d_coeff
+    # the halved quantity is C2' - C1'^2 - C1'(n - 1), even on int input
+    constant = lower(central) - _half(c2 - c1 * c1 + c1 * (n - 1))
+    if params.r == n:
+        return not mb * mb - c1 * mb + constant
+    return not (s_p + 2) - c1 and not constant - (p_p + s_p + 1)
 
 
 def one_step_analysis(n: int, scan_bound: Optional[int] = None) -> dict:

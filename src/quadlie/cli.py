@@ -108,7 +108,7 @@ def _cmd_verify_presentation(args) -> int:
 
 def _make_algebra(args):
     central = _parse_value(args.c, "c") if args.c is not None else None
-    return build(args.n, central)
+    return build(3 if args.n is None else args.n, central)  # serre-check's default
 
 
 def _parse_order(spec: str, alphabet) -> GeneratorOrder:
@@ -248,6 +248,8 @@ def _cmd_fock_check(args) -> int:
 
 def _cmd_serre_check(args) -> int:
     if args.file:
+        if args.n is not None or args.c is not None:
+            raise CliError("--n and --c choose the built-in algebra, not a file")
         pres = _load_presentation(args.file)
     else:
         pres = _make_algebra(args).presentation
@@ -336,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="defining relations on ordered words")
     sub.add_argument("file", nargs="?",
                      help="presentation file (default: built-in algebra)")
-    sub.add_argument("--n", type=int, default=3)
-    sub.add_argument("--c", help="central charge: rational or 'symbolic'")
+    sub.add_argument("--n", type=int, help="default 3; not with a file")
+    sub.add_argument("--c", help="central charge: rational or 'symbolic'; not with a file")
     sub.add_argument("--order", help="comma-separated generator names")
     sub.add_argument("--max-len", type=int, default=4)
     sub.set_defaults(func=_cmd_serre_check)

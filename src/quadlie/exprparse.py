@@ -78,7 +78,7 @@ class _Parser:
         """The whole input as one expression; trailing input is refused."""
         out = self.parse_expr()
         if self.pos != len(self.tokens):
-            raise ParseError(f"trailing input near {self.tokens[self.pos]}")
+            raise ParseError(f"trailing input near {self.tokens[self.pos][1]!r}")
         return out
 
     def peek(self):
@@ -188,7 +188,7 @@ class _Parser:
                     if v3 != ",":
                         raise ParseError(f"expected , or ] in index list, got {v3!r}")
             return self.atom(val, indices)
-        raise ParseError(f"unexpected token {val!r}")
+        raise ParseError(f"unexpected token {val!r}" if kind else "unexpected end of input")
 
 
 def _rational(value: Scalar) -> Optional[Fraction]:

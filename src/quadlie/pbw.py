@@ -9,10 +9,11 @@ ordered monomials (evens weakly increasing, odds strictly increasing)
 form a basis and `normal_form` computes coordinates in it.
 
 There is one normal-ordering engine: the action of the generators on the
-free span of ordered words (`_ModuleAction`), run on interned word ids.
-`normal_form` folds a word into the empty ordered word through that
-action, and `serre_module_check` verifies the defining relations on the
-same action (equivalently, the Jacobi identities of the presentation).
+free span of ordered words, run on interned word ids: one
+`_ModuleAction` per system, whose caches `normal_form` and
+`serre_module_check` share.  `normal_form` folds a word into the empty
+ordered word through it; the check verifies the defining relations on it
+(equivalently, the Jacobi identities of the presentation).
 By Bergman's diamond lemma (Adv. Math. 29, 1978) a passing check
 certifies that the reductions are confluent, so the normal forms
 `normal_form` returns are well defined; they are defined only when the
@@ -54,10 +55,9 @@ from .presentation import Coeff, QlsPresentation, _half
 from .scalars import Scalar, axpy
 
 # (pair, word) relations one `serre_module_check` may run: gl2(5/1) at
-# length 4 has 396,880, gl2(3/1) at length 6 341,325 and at length 7
-# 1,204,128
+# length 4 has 396,880, gl2(3/1) at length 6 341,325 and at 7 1,204,128
 MAX_RELATIONS = 500_000
-# terms in or out of one `_ModuleAction._times` step (serre-check --n 5 reaches 326)
+# terms in one `_times` or `_step` result (serre-check --n 5 reaches 326)
 MAX_TERMS = 20_000
 
 
@@ -116,9 +116,9 @@ class RewriteSystem:
 
     The constructor raises ValueError on an inadmissible order, naming the
     least violating d-index, and fixes the pair predicate
-    `_pair_is_ordered` that every ordering decision reads.  `normal_form`
-    runs on one `_ModuleAction`, made on first use, whose caches serve
-    every later call; it is defined only when `serre_module_check` passes.
+    `_pair_is_ordered` that every ordering decision reads.  Its one
+    `_ModuleAction`, made on first use, serves every `normal_form` and
+    `serre_module_check` call; normal forms need the check to pass.
     """
 
     def __init__(self, pres: QlsPresentation, order: Optional[GeneratorOrder] = None):
@@ -198,7 +198,6 @@ class _ModuleAction:
     """
 
     def __init__(self, rs: RewriteSystem, max_len: Optional[int] = None):
-        self.rs = rs
         self.ab = rs.presentation.alphabet
         self._before = rs._pair_is_ordered
         self._head, self._tail = [-1], [0]
@@ -252,13 +251,15 @@ class _ModuleAction:
         out = {} if a == b else self._times(b, inner, min(a, b) >= self.ab.n_even)
         for mid, coeff in self._table.get((a, b), ()):
             axpy(out, _half(coeff) if a == b else coeff, self._apply(mid, rest))
-        return out
+        return _within_budget(out)
 
     def _times(self, g: int, dist: Dict[int, Coeff], negate: bool = False) -> Dict[int, Coeff]:
-        """w_g on dist, negated if asked, as a new dict, at most MAX_TERMS
-        terms in and out: the one product step.  Only sums can vanish."""
+        """w_g on dist, negated if asked, as a new dict: the one product
+        step.  Only sums can vanish.  The budget is checked on each
+        distribution where it is made, the result here and `_step`'s: every
+        dist taken in is one of those or a one-term intern."""
         out: Dict[int, Coeff] = {}
-        for w, v in _within_budget(dist).items():
+        for w, v in dist.items():
             if negate:
                 v = -v
             for w2, v2 in self._act(g, w).items():
@@ -273,11 +274,11 @@ class _ModuleAction:
 
     def _apply(self, gens: Word, word: int) -> Dict[int, Coeff]:
         """`apply_word` in the system's ring, on word ids; a one-letter
-        result is a cache entry, read only, and no `_times` has budgeted it."""
+        result is a cache entry, read only.  Budgeted where it was made."""
         dist = self._act(gens[-1], word) if gens else {word: 1}
         for g in gens[-2::-1]:
             dist = self._times(g, dist)
-        return _within_budget(dist)
+        return dist
 
 
 def _within_budget(dist: Dict[int, Coeff]) -> Dict[int, Coeff]:
@@ -331,5 +332,5 @@ def serre_module_check(
             raise ValueError(
                 f"max_len {max_len} gives more than {MAX_RELATIONS} "
                 "(pair, word) relations to check")
-    first = _first_failure(_ModuleAction(rs), product(words, pairs))
+    first = _first_failure(rs._action, product(words, pairs))
     return first is None, first

@@ -24,6 +24,7 @@ from quadlie.gl2n1 import (
     _casimirs,
     _composite_coeffs,
     _rect_casimirs,
+    build,
     casimirs,
     char_roots,
     family_data,
@@ -184,6 +185,40 @@ def test_zero_step_equivalence_sweep():
         assert zs == both_vanish
         trues += zs
     assert trues >= 10
+
+
+def test_zero_step_equivalence_at_r_equal_n():
+    # V_0(mu^n) is one-dimensional: the check agrees with zero_step at the
+    # charge that kills the level-1 value and one past it, and nu (absent
+    # from the weight) changes nothing, nu = mubar included
+    for n in range(3, 8):
+        for mu in range(5):
+            c = -atypicality_report(FamilyParams(n, n, mu, 0), 0)["a_values"][n].as_rational()
+            for charge, want in ((c, True), (c + 1, False)):
+                for nu in (-2, 0, 7):
+                    params = FamilyParams(n, n, mu, nu)
+                    assert zero_step(params, charge) is want
+                    assert zero_step_equivalence_check(params, charge) is want
+
+
+@pytest.mark.parametrize("n, mu, c", [(3, 1, 2), (4, 3, -9), (5, 2, -4)])
+def test_zero_step_equivalence_at_r_equal_n_matches_the_bracket(n, mu, c):
+    # {Qbar^i, Q_j} read from the presentation, with E^i_j acting as
+    # mu delta^i_j on V_0(mu^n): zero for every i, j at c, not at c + 1
+    for charge, want in ((c, True), (c + 1, False)):
+        alg = build(n, charge)
+        diagonal = {alg.resolve("E", [i, i]) for i in range(1, n + 1)}
+
+        def on_v0(word):
+            return mu ** len(word) if set(word) <= diagonal else 0
+
+        values = {
+            sum(v.as_rational() * on_v0(w) for w, v in alg.presentation.bracket(
+                alg.resolve("Qbar", [i]), alg.resolve("Q", [j])).items())
+            for i in range(1, n + 1) for j in range(1, n + 1)
+        }
+        assert (values == {0}) is want
+        assert zero_step_equivalence_check(FamilyParams(n, n, mu, 0), charge) is want
 
 
 def test_level1_poly_validation():

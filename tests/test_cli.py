@@ -130,6 +130,13 @@ def test_normal_form_bad_expression(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("expression", ["", "2 +", "(", "E[1,1] *", "2/"])
+def test_normal_form_truncated_expression_exits_2(capsys, expression):
+    code, out, err = _run(capsys, "normal-form", "--n", "2", expression)
+    assert code == 2 and out == ""
+    assert err == "error: malformed expression: unexpected end of input\n"
+
+
 def test_normal_form_inadmissible_order_rejected(capsys):
     alg = build(3)
     names = list(alg.alphabet.names)
@@ -223,6 +230,18 @@ def test_serre_check_file(tmp_path, capsys):
     code, out, _ = _run(capsys, "serre-check", path, "--max-len", "3")
     assert code == 1
     assert "result: FAIL" in out
+
+
+@pytest.mark.parametrize("flags", [
+    ("--n", "5", "--c", "7"), ("--n", "3"), ("--c", "1"), ("--n", "3", "--c", "symbolic"),
+])
+def test_serre_check_file_refuses_algebra_flags(capsys, flags):
+    # --n and --c choose the built-in algebra; a file is checked as it is
+    code, out, err = _run(capsys, "serre-check", EXAMPLE, *flags, "--max-len", "3")
+    assert code == 2 and out == ""
+    assert err == "error: --n and --c choose the built-in algebra, not a file\n"
+    code, out, _ = _run(capsys, "serre-check", "--max-len", "3")
+    assert code == 0 and out == _run(capsys, "serre-check", "--n", "3", "--max-len", "3")[1]
 
 
 @pytest.mark.parametrize("max_len", ["2", "1", "0"])

@@ -74,3 +74,29 @@ def test_parse_ncpoly_raises_only_value_errors(text):
         assert isinstance(poly, NCPoly)
     except ValueError:  # ParseError included
         pass
+
+
+@pytest.mark.parametrize("text", ["", "  ", "2 +", "(", "3 *", "2/", "-", "2^", "(2", "(2 + 3"])
+def test_truncated_input_is_refused_as_end_of_input(text):
+    with pytest.raises(ParseError) as info:
+        parse_scalar(text)
+    assert str(info.value) == "unexpected end of input"
+    alg = build(2, 1)
+    with pytest.raises(ParseError) as info:
+        parse_ncpoly(text, alg.alphabet, alg.resolve)
+    assert str(info.value) == "unexpected end of input"
+
+
+@pytest.mark.parametrize("text, token", [
+    ("2 ^ 3 ^ 2", "^"), ("c)", ")"), ("2 ]", "]"), ("3, 4", ","),
+])
+def test_trailing_input_names_the_token_text(text, token):
+    with pytest.raises(ParseError) as info:
+        parse_scalar(text)
+    assert str(info.value) == f"trailing input near {token!r}"
+
+
+def test_misplaced_token_is_named():
+    with pytest.raises(ParseError) as info:
+        parse_scalar("2 + *")
+    assert str(info.value) == "unexpected token '*'"

@@ -1,9 +1,11 @@
 """Normal-ordering rewrite engine and PBW spanning checks."""
 
+import gc
 import random
 import sys
 import time
 import tracemalloc
+import weakref
 from fractions import Fraction
 from math import comb
 from unittest import mock
@@ -554,7 +556,7 @@ def _out_of_order_pairs(rs):
             if a == b >= n or pos[a] > pos[b]]
 
 
-def _explicit_rhs(action, a, b, nword):
+def _explicit_rhs(rs, action, a, b, nword):
     """Right side of the relation on (a, b, N), built by hand in the
     presentation's own basis: (sign) w_b w_a z_N + (lower-order terms) z_N
     through `apply_word`, with the unscaled bracket; an odd square a = b
@@ -565,7 +567,7 @@ def _explicit_rhs(action, a, b, nword):
     if a != b:
         for w, v in action.apply_word((b, a), nword).items():
             accumulate(rhs, w, v * sign)
-    for mid, coeff in _unscaled_ring(action.rs.presentation).table.get((a, b), ()):
+    for mid, coeff in _unscaled_ring(rs.presentation).table.get((a, b), ()):
         if a == b:
             coeff = _half(coeff)
         for w, v in action.apply_word(mid, nword).items():
@@ -587,7 +589,7 @@ def _scalar_serre(rs, max_len):
     action = _scalar_action(rs)
     for nword in _ordered_words(rs, max_len):
         for a, b in _out_of_order_pairs(rs):
-            if action.apply_word((a, b), nword) != _explicit_rhs(action, a, b, nword):
+            if action.apply_word((a, b), nword) != _explicit_rhs(rs, action, a, b, nword):
                 return False, (a, b, nword)
     return True, None
 
@@ -608,7 +610,7 @@ def test_skipped_relations_hold_by_construction():
                 if nword and not rs._pair_is_ordered(b, nword[0]):
                     continue  # checked by serre_module_check
                 assert action.apply_word((a, b), nword) == _explicit_rhs(
-                    action, a, b, nword), (a, b, nword)
+                    rs, action, a, b, nword), (a, b, nword)
                 skipped += 1
     assert skipped > 0
 
@@ -624,15 +626,16 @@ def test_serre_check_caches_only_ordered_words(monkeypatch):
     monkeypatch.setattr(pbw, "_first_failure", recording)
     pres = build(3, 1).presentation
     shifted = _orbit_shifted(pres, "d", sorted(pres.d)[0])
-    for rs in (build(3).rewrite, _rs(pres), _rs(shifted)):
+    systems = (build(3).rewrite, _rs(pres), _rs(shifted))
+    for rs in systems:
         serre_module_check(rs, max_len=4)
     assert len(actions) == 3  # one pass per system, symbolic c included
-    for action in actions:
+    for rs, action in zip(systems, actions):
         words = [()]  # by id: each word's tail was interned before it
         for head, tail in zip(action._head[1:], action._tail[1:]):
             words.append((head,) + words[tail])
         assert len(words) > 1
-        assert all(action.rs.word_is_ordered(w) for w in words)
+        assert all(rs.word_is_ordered(w) for w in words)
 
 
 def _symbolic_cases():
@@ -749,26 +752,65 @@ def test_serre_check_refuses_past_relation_budget():
 
 
 def test_term_budget_covers_every_product_step(monkeypatch):
-    # MAX_TERMS bounds each product step of the action: a swap step inside
-    # _act, and a relation's right side in serre_module_check, are refused
-    # with one message
+    # MAX_TERMS bounds each distribution the action makes, where it is
+    # made: a swap step inside _act, and a step inside serre_module_check,
+    # are refused with one message
     monkeypatch.setattr(pbw, "MAX_TERMS", 1)
     message = "more than 1 terms in one action step"
     rs = build(3, 1).rewrite
     action = _ModuleAction(rs)
     (word,) = action._apply((0, 1), 0)  # z_{E1_1 E1_2}, ordered: one term
-    # E2_2 sinks past E1_2 into z_{E1_2 E2_2} - z_{E1_2}, two terms, which
-    # the step past E1_1 may not take in
+    # E2_2 sinks past E1_2 into z_{E1_2 E2_2} - z_{E1_2}: the step that
+    # makes those two terms refuses them
     with pytest.raises(ValueError) as info:
         action._act(4, word)
     assert str(info.value) == message
     frames = [entry.name for entry in info.traceback]
-    assert frames[frames.index("_act"):][:3] == ["_act", "_step", "_times"]
+    assert frames[frames.index("_act"):] == ["_act", "_step", "_within_budget"]
     with pytest.raises(ValueError) as info:
         serre_module_check(rs, 3)
     assert str(info.value) == message
     frames = [entry.name for entry in info.traceback]
-    assert frames[frames.index("_first_failure") + 1] == "_step"
+    start = frames.index("_first_failure")
+    assert frames[start:] == ["_first_failure", "_act", "_step", "_within_budget"]
+
+
+def test_check_and_normal_forms_share_one_action(monkeypatch):
+    # serre_module_check runs on the system's cached action: a check and the
+    # normal forms after it build one action, and the words the check
+    # interned serve the normal form
+    built = []
+    init = _ModuleAction.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_ModuleAction, "__init__", counting)
+    alg = build(3, 1)
+    rs = RewriteSystem(alg.presentation)
+    assert serre_module_check(rs, 4) == (True, None)
+    action = rs._action
+    assert built == [action]
+    words = [()]  # by id: each word's tail was interned before it
+    for head, tail in zip(action._head[1:], action._tail[1:]):
+        words.append((head,) + words[tail])
+    assert set(_ordered_words(rs, 4)) <= set(words)
+    elem = NCPoly.monomial(alg.alphabet, (alg.resolve("E", [2, 1]), alg.resolve("E", [1, 2])))
+    nf = rs.normal_form(elem)
+    assert built == [action] and len(action._head) == len(words)  # no new word
+    assert nf == RewriteSystem(alg.presentation).normal_form(elem)
+    assert len(built) == 2
+    # the action holds no reference back to its system, so dropping the
+    # system frees both at once, without waiting for the cycle collector
+    freed = weakref.ref(action)
+    del action, built[:]
+    gc.disable()
+    try:
+        del rs
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_rewrite_system_refuses_past_relation_budget():

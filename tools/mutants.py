@@ -40,6 +40,7 @@ T_GL2 = "tests/test_gl2n1.py"
 T_ATYP = "tests/test_atypicality.py"
 T_FOCK = "tests/test_fock.py"
 T_SCAL = "tests/test_scalars.py"
+T_CLI = "tests/test_cli.py"
 TIMEOUT_S = 900  # per pytest run; a mutant that runs past it counts as killed
 
 
@@ -170,6 +171,18 @@ MUTANTS = [
            "if negate:\n                v = -v",
            "if False:\n                v = -v",
            T_PBW),
+    Mutant("_step returns its distribution unbudgeted", PBW,
+           "        return _within_budget(out)\n\n    def _times",
+           "        return out\n\n    def _times",
+           T_PBW),
+    Mutant("serre_module_check builds a second action", PBW,
+           "_first_failure(rs._action, product(words, pairs))",
+           "_first_failure(_ModuleAction(rs), product(words, pairs))",
+           T_PBW),
+    Mutant("action keeps a reference back to its system", PBW,
+           "        self.ab = rs.presentation.alphabet",
+           "        self.rs = rs\n        self.ab = rs.presentation.alphabet",
+           T_PBW),
     Mutant("_first_failure swap term reads w_b(w_b z_N)", PBW,
            "action._step(a, b, action._act(a, nid), nid)",
            "action._step(a, b, action._act(b, nid), nid)",
@@ -268,6 +281,19 @@ MUTANTS = [
            "residual = Fraction(2, (n - 1) * (n - 2)) * value",
            "residual = value",
            T_ATYP),
+    Mutant("equivalence check treats r = n like r < n", "src/quadlie/atypicality.py",
+           "if params.r == n:\n        return not mb * mb",
+           "if False:\n        return not mb * mb",
+           T_ATYP),
+    # -- the command line --------------------------------------------------
+    Mutant("parser reports truncated input as a token", "src/quadlie/exprparse.py",
+           'f"unexpected token {val!r}" if kind else "unexpected end of input"',
+           'f"unexpected token {val!r}"',
+           "tests/test_exprparse.py"),
+    Mutant("serre-check takes --n with a file", "src/quadlie/cli.py",
+           "if args.n is not None or args.c is not None:",
+           "if args.c is not None:",
+           T_CLI),
 ]
 
 
