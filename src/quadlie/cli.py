@@ -10,7 +10,10 @@ Subcommands map one-to-one onto library operations:
   fock-check           fermionic-realization checks (n = 4)
   serre-check          defining relations on the module of ordered words
 
-Exit codes: 0 on pass, 1 on verification failure, 2 on usage errors.
+Each command returns its report and its text lines; `run` alone prints
+one or the other and picks the exit code from the report's "passed":
+0 when it is true or absent, 1 when a verification fails, and 2 on usage
+errors or refused input.
 All numbers are exact rationals or polynomials; output is deterministic.
 """
 
@@ -20,7 +23,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .atypicality import atypicality_report, table_zero_step
 from .exprparse import ParseError, parse_ncpoly
@@ -48,14 +51,6 @@ def _parse_value(text: str, symbol: str) -> Scalar:
         raise CliError(f"bad value for --{symbol}: {text!r}") from exc
 
 
-def _emit(report: dict, fmt: str, lines: List[str]) -> None:
-    if fmt == "structured":
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
-
-
 def _jacobi_dict(rep: JacobiReport) -> dict:
     return {
         "method": rep.method,
@@ -79,7 +74,7 @@ def _load_presentation(path: str) -> QlsPresentation:
         raise CliError(f"cannot read presentation {path!r}: {exc}") from exc
 
 
-def _cmd_verify_presentation(args) -> int:
+def _cmd_verify_presentation(args) -> Tuple[dict, List[str]]:
     pres = _load_presentation(args.file)
     try:
         pres.check_triple_budget()  # before either checker runs
@@ -89,7 +84,6 @@ def _cmd_verify_presentation(args) -> int:
         raise CliError(f"cannot check presentation {args.file!r}: {exc}") from exc
     passed = comp.passed and abst.passed
     report = {
-        "command": "verify-presentation",
         "file": args.file,
         "n_even": pres.n_even,
         "m_odd": pres.m_odd,
@@ -97,13 +91,12 @@ def _cmd_verify_presentation(args) -> int:
         "abstract": _jacobi_dict(abst),
         "passed": passed,
     }
-    _emit(report, args.format, [
+    return report, [
         f"presentation: {args.file} ({pres.n_even} even, {pres.m_odd} odd)",
         comp.summary(),
         abst.summary(),
         f"result: {'PASS' if passed else 'FAIL'}",
-    ])
-    return PASS if passed else FAIL
+    ]
 
 
 def _make_algebra(args):
@@ -120,12 +113,10 @@ def _parse_order(spec: str, alphabet) -> GeneratorOrder:
     return GeneratorOrder(seq)
 
 
-def _cmd_normal_form(args) -> int:
+def _cmd_normal_form(args) -> Tuple[dict, List[str]]:
     alg = _make_algebra(args)
-    if args.order:
-        rs = RewriteSystem(alg.presentation, _parse_order(args.order, alg.alphabet))
-    else:
-        rs = alg.rewrite
+    order = _parse_order(args.order, alg.alphabet) if args.order else None
+    rs = RewriteSystem(alg.presentation, order)
     try:
         elem = parse_ncpoly(
             args.expression, alg.alphabet, alg.resolve,
@@ -135,7 +126,6 @@ def _cmd_normal_form(args) -> int:
     except ParseError as exc:
         raise CliError(f"malformed expression: {exc}") from exc
     report = {
-        "command": "normal-form",
         "algebra": "gl2n1",
         "n": args.n,
         "input": args.expression,
@@ -148,8 +138,7 @@ def _cmd_normal_form(args) -> int:
             for word, coeff in sorted(nf.terms.items(), key=lambda t: word_key(t[0]))
         ],
     }
-    _emit(report, args.format, [str(nf)])
-    return PASS
+    return report, [str(nf)]
 
 
 def _family_params(args) -> FamilyParams:
@@ -158,29 +147,24 @@ def _family_params(args) -> FamilyParams:
     return FamilyParams(args.n, args.r, mu, nu)
 
 
-def _cmd_family_report(args) -> int:
+def _cmd_family_report(args) -> Tuple[dict, List[str]]:
     params = _family_params(args)
     central = _parse_value(args.c, "c")
     data = family_data(params, central)
-    report = {
-        "command": "family-report",
-        **{k: (v if isinstance(v, int) else str(v)) for k, v in data.items()},
-    }
+    report = {k: (v if isinstance(v, int) else str(v)) for k, v in data.items()}
     lines = [f"family (mu^r, nu^(n-r)) with n={data['n']}, r={data['r']}"]
     for key in sorted(data):
         if key not in ("n", "r"):
             lines.append(f"  {key} = {data[key]}")
-    _emit(report, args.format, lines)
-    return PASS
+    return report, lines
 
 
-def _cmd_atypicality_report(args) -> int:
+def _cmd_atypicality_report(args) -> Tuple[dict, List[str]]:
     params = _family_params(args)
     central = _parse_value(args.c, "c")
     rep = atypicality_report(params, central)
     zs = rep["zero_step"]
     report = {
-        "command": "atypicality-report",
         "n": params.n,
         "r": params.r,
         "mu": str(params.mu),
@@ -202,30 +186,26 @@ def _cmd_atypicality_report(args) -> int:
     lines.append(f"  zero-step: {report['zero_step']}")
     for lvl in sorted(rep["levels"]):
         lines.append(f"  level {lvl}: {rep['levels'][lvl]}")
-    _emit(report, args.format, lines)
-    return PASS
+    return report, lines
 
 
-def _cmd_zero_step_table(args) -> int:
+def _cmd_zero_step_table(args) -> Tuple[dict, List[str]]:
     rows = table_zero_step(args.n_max)
     report = {
-        "command": "zero-step-table",
         "n_max": args.n_max,
         "rows": [{"n": n, "r": r, "mu": k} for n, r, k in rows],
     }
     lines = ["  n  r  mu"]
     lines += [f"{n:3d}{r:3d}{k:4d}" for n, r, k in rows]
     lines.append(f"{len(rows)} zero-step modules V(mu^r, 0^(n-r))")
-    _emit(report, args.format, lines)
-    return PASS
+    return report, lines
 
 
-def _cmd_fock_check(args) -> int:
+def _cmd_fock_check(args) -> Tuple[dict, List[str]]:
     bracket = bracket_polynomial_check()
     demo = zero_step_demo()
     passed = bracket["holds"] and demo["passed"]
     report = {
-        "command": "fock-check",
         "n": 4,
         "bracket_identity": {
             "holds_as_printed": bracket["holds"],
@@ -242,11 +222,10 @@ def _cmd_fock_check(args) -> int:
                 "root_1_attained", "root_4_attained", "rhs_vanishes"):
         lines.append(f"  {key}: {'pass' if demo[key] else 'FAIL'}")
     lines.append(f"result: {'PASS' if passed else 'FAIL'}")
-    _emit(report, args.format, lines)
-    return PASS if passed else FAIL
+    return report, lines
 
 
-def _cmd_serre_check(args) -> int:
+def _cmd_serre_check(args) -> Tuple[dict, List[str]]:
     if args.file:
         if args.n is not None or args.c is not None:
             raise CliError("--n and --c choose the built-in algebra, not a file")
@@ -257,7 +236,6 @@ def _cmd_serre_check(args) -> int:
     rs = RewriteSystem(pres, order)
     ok, witness = serre_module_check(rs, max_len=args.max_len)
     report = {
-        "command": "serre-check",
         "max_len": args.max_len,
         "passed": ok,
         "witness": None if witness is None else {
@@ -277,8 +255,7 @@ def _cmd_serre_check(args) -> int:
             + " ".join(pres.alphabet.names[g] for g in word)
         )
         lines.append("result: FAIL")
-    _emit(report, args.format, lines)
-    return PASS if ok else FAIL
+    return report, lines
 
 
 def _add_family_flags(sub):
@@ -348,16 +325,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Optional[List[str]] = None) -> int:
+    """Run one command and print its report (structured) or its lines."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code else PASS
     try:
-        return args.func(args)
+        report, lines = args.func(args)
+        report["command"] = args.command
+        if args.format == "structured":
+            print(json.dumps(report, indent=2, sort_keys=True))
+        else:
+            print("\n".join(lines))
     except (CliError, ValueError) as exc:  # ValueError: refused input or budget
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
+    return PASS if report.get("passed", True) else FAIL
 
 
 def main() -> None:

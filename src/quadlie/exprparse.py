@@ -1,19 +1,27 @@
-"""Parsers for scalar polynomial strings and small generator expressions.
+"""One parser for scalar entries and generator expressions.
 
-Two entry points:
-  parse_scalar  -- "3/4*c^2 - 1" -> Scalar
-  parse_ncpoly  -- "2 Q[1] Qbar[1] - E[1,2]" -> NCPoly, given a name->generator
-                   resolver; adjacency means multiplication.
+One grammar (sums, products by `*` or adjacency, division by a rational
+constant, `^` with a number, parentheses, unary minus) is always parsed to
+an NCPoly.  `parse_ncpoly` parses "2 Q[1] Qbar[1] - E[1,2]" over the
+algebra's alphabet; `parse_scalar` parses "3/4*c^2 - 1" over Alphabet(0, 0)
+and returns the coefficient of the empty word.
+
+One name rule: a name the resolver maps, with its index list, is a
+generator; else a bare name that the admitted names include (None admits
+any) is an indeterminate; else it is refused as "unknown name x[1]".
+
+One work bound: before each product, size(a) * size(b) is added to a count
+kept for the parse, a size being a number of (word, monomial) pairs; past
+MAX_WORK pair products the input is refused, so (a+b+c+d)^1000 fails at once.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .ncpoly import Alphabet, NCPoly
-from .scalars import ZERO, Scalar, srat
+from .scalars import ZERO, Scalar
 
 
 class ParseError(ValueError):
@@ -28,6 +36,12 @@ MAX_NESTING = 100
 # largest exponent after ^: a power is computed by repeated squaring, and
 # this bounds its size (c^1000, or a word of 1000 letters) before any work
 MAX_EXPONENT = 1000
+
+# most (word, monomial) pair products one parse may form; (c + 1)^1000
+# takes 415,666 and the squaring to (a+b+c+d)^32 would take 938,961
+MAX_WORK = 500_000
+
+GeneratorResolver = Callable[[str, Optional[List[int]]], Optional[int]]
 
 
 _TOKEN_RE = re.compile(
@@ -61,18 +75,19 @@ def _tokenize(text: str) -> List[Tuple[str, str]]:
 
 
 class _Parser:
-    """Recursive-descent parser of one grammar: `number(n)` is the value of
-    the integer n (number(1) the unit), `atom(name, indices)` resolves a
-    name with its optional index list, and `constant(b)` gives a divisor b
-    as a Fraction, or None if b is not a rational constant."""
+    """Recursive-descent parser of the grammar into NCPolys over alphabet;
+    `resolver` and `names` apply the name rule."""
 
-    def __init__(self, text: str, number, atom, constant):
+    def __init__(self, text: str, alphabet: Alphabet, resolver: GeneratorResolver,
+                 names: Optional[Sequence[str]]):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
-        self.number = number
-        self.atom = atom
-        self.constant = constant
+        self.work = 0  # pair products formed so far, against MAX_WORK
+        self.alphabet = alphabet
+        self.one = NCPoly.one(alphabet)
+        self.resolver = resolver
+        self.names = names
 
     def parse(self):
         """The whole input as one expression; trailing input is refused."""
@@ -115,18 +130,18 @@ class _Parser:
             kind, val = self.peek()
             if val == "*":
                 self.take()
-                acc = acc * self.parse_power()
+                acc = self._mul(acc, self.parse_power())
             elif val == "/":
                 self.take()
-                div = self.constant(self.parse_power())
-                if div is None:
+                div = self.parse_power().terms
+                if div.keys() - {()} or not div.get((), ZERO).is_rational():
                     raise ParseError("division only by rational constants")
                 if not div:
                     raise ParseError("division by zero")
-                acc = acc * (1 / div)
+                acc = acc * (1 / div[()].as_rational())
             elif kind in ("num", "name") or val == "(":
                 # adjacency: implicit multiplication
-                acc = acc * self.parse_power()
+                acc = self._mul(acc, self.parse_power())
             else:
                 return acc
 
@@ -145,14 +160,22 @@ class _Parser:
 
     def _power(self, base, exp: int):
         """base^exp by repeated squaring."""
-        result = self.number(1)
+        result = self.one
         while exp:
             if exp & 1:
-                result = result * base
+                result = self._mul(result, base)
             exp >>= 1
             if exp:
-                base = base * base
+                base = self._mul(base, base)
         return result
+
+    def _mul(self, a: NCPoly, b: NCPoly) -> NCPoly:
+        """a * b, its size(a) * size(b) pair products counted against
+        MAX_WORK before any is formed."""
+        self.work += _size(a) * _size(b)
+        if self.work > MAX_WORK:
+            raise ParseError(f"expression takes more than {MAX_WORK} term products")
+        return a * b
 
     def parse_atom(self):
         kind, val = self.peek()
@@ -170,7 +193,7 @@ class _Parser:
             return inner
         if kind == "num":
             self.take()
-            return self.number(_integer(val))
+            return self.one.scale(_integer(val))
         if kind == "name":
             self.take()
             indices: Optional[List[int]] = None
@@ -187,28 +210,29 @@ class _Parser:
                         break
                     if v3 != ",":
                         raise ParseError(f"expected , or ] in index list, got {v3!r}")
-            return self.atom(val, indices)
+            g = self.resolver(val, indices)
+            if g is not None:
+                return NCPoly.generator(self.alphabet, g)
+            if indices is None and (self.names is None or val in self.names):
+                return self.one.scale(Scalar.var(val))
+            suffix = "" if indices is None else f"[{','.join(map(str, indices))}]"
+            raise ParseError(f"unknown name {val}{suffix}")
         raise ParseError(f"unexpected token {val!r}" if kind else "unexpected end of input")
 
 
-def _rational(value: Scalar) -> Optional[Fraction]:
-    return value.as_rational() if value.is_rational() else None
+def _size(poly: NCPoly) -> int:
+    """The number of (word, monomial) pairs of poly."""
+    return sum(len(coeff.terms) for coeff in poly.terms.values())
+
+
+_NO_GENERATORS = Alphabet(0, 0)
 
 
 def parse_scalar(text: str, indeterminates: Optional[Sequence[str]] = None) -> Scalar:
-    """Parse a polynomial string with rational coefficients."""
-
-    def atom(name, indices) -> Scalar:
-        if indices is not None:
-            raise ParseError(f"indexed name {name} not allowed in scalars")
-        if indeterminates is not None and name not in indeterminates:
-            raise ParseError(f"unknown indeterminate {name!r}")
-        return Scalar.var(name)
-
-    return _Parser(text, srat, atom, _rational).parse()
-
-
-GeneratorResolver = Callable[[str, Optional[List[int]]], Optional[int]]
+    """Parse a polynomial string with rational coefficients in the named
+    indeterminates (None admits any name)."""
+    poly = _Parser(text, _NO_GENERATORS, lambda name, indices: None, indeterminates).parse()
+    return poly.terms.get((), ZERO)
 
 
 def parse_ncpoly(
@@ -217,21 +241,6 @@ def parse_ncpoly(
     resolver: GeneratorResolver,
     indeterminates: Sequence[str] = (),
 ) -> NCPoly:
-    """Parse a generator expression; names not resolved as generators are
-    treated as scalar indeterminates when declared."""
-
-    def atom(name, indices) -> NCPoly:
-        g = resolver(name, indices)
-        if g is not None:
-            return NCPoly.generator(alphabet, g)
-        if indices is None and name in indeterminates:
-            return NCPoly.one(alphabet).scale(Scalar.var(name))
-        suffix = "" if indices is None else f"[{','.join(map(str, indices))}]"
-        raise ParseError(f"unknown generator {name}{suffix}")
-
-    def constant(poly: NCPoly) -> Optional[Fraction]:
-        if set(poly.terms) - {()}:
-            return None
-        return _rational(poly.terms.get((), ZERO))
-
-    return _Parser(text, NCPoly.one(alphabet).scale, atom, constant).parse()
+    """Parse a generator expression; a bare name the resolver does not map
+    is a scalar indeterminate when it is one of `indeterminates`."""
+    return _Parser(text, alphabet, resolver, indeterminates).parse()

@@ -263,8 +263,9 @@ class QlsPresentation:
     @staticmethod
     def from_json_dict(data: dict) -> "QlsPresentation":
         """The presentation a JSON document describes; ValueError if the
-        document is malformed, declares more than MAX_GENERATORS generators
-        or breaks a rule of `TENSORS`."""
+        document is malformed, declares more than MAX_GENERATORS generators,
+        has an entry naming an indeterminate it does not declare or breaks a
+        rule of `TENSORS`."""
         if not isinstance(data, dict):
             raise ValueError("presentation must be a JSON object")
         if data.get("format") != FORMAT_TAG:
@@ -294,7 +295,7 @@ class QlsPresentation:
                 if idx in out:
                     raise ValueError(f"{key} index {list(idx)} appears twice")
                 if row[-1] not in parsed:
-                    parsed[row[-1]] = parse_scalar(row[-1])
+                    parsed[row[-1]] = parse_scalar(row[-1], declared)
                 out[idx] = parsed[row[-1]]
             return out
 
@@ -310,12 +311,13 @@ class QlsPresentation:
         if n_even + m_odd > MAX_GENERATORS:
             raise ValueError(f"{n_even + m_odd} generators declared, more than "
                              f"{MAX_GENERATORS}")
+        declared = strings("indeterminates", [])  # the only names an entry may use
         tensors = {name: load(name, len(kinds)) for name, kinds in TENSORS.items()}
         return QlsPresentation(
             n_even,
             m_odd,
             names=strings("names", None),
-            indeterminates=strings("indeterminates", ()),
+            indeterminates=declared,
             **tensors,
         )
 

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, determinism, structured output."""
 
+import hashlib
 import json
 import os
 import time
@@ -8,6 +9,7 @@ import pytest
 
 from quadlie.atypicality import MAX_N
 from quadlie.cli import run
+from quadlie.exprparse import MAX_WORK
 from quadlie.gl2n1 import build
 from quadlie.pbw import MAX_TERMS, GeneratorOrder, check_admissible
 from quadlie.presentation import MAX_TRIPLES, QlsPresentation
@@ -388,6 +390,46 @@ def test_normal_form_past_term_budget_exits_2(capsys):
     assert f"more than {MAX_TERMS} terms" in err
 
 
+def test_normal_form_past_work_bound_exits_2(capsys):
+    # 2^30 words: refused by the parser's work bound before they are formed
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "normal-form", "--n", "2", "(E[1,2]+E[2,1])^30")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == (f"error: malformed expression: expression takes more than "
+                   f"{MAX_WORK} term products\n")
+
+
+def test_verify_presentation_entry_past_work_bound_exits_2(tmp_path, capsys):
+    data = build(2, 1).presentation.to_json_dict()
+    data["indeterminates"] = ["a", "b", "c", "d"]
+    data["c"][0][-1] = "(a+b+c+d)^1000"  # about 1.7e8 terms
+    path = tmp_path / "big_entry.qls"
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "verify-presentation", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"more than {MAX_WORK} term products" in err
+
+
+def test_entry_naming_an_undeclared_indeterminate_exits_2(tmp_path, capsys):
+    # "1e-3" tokenizes as 1 e - 3: read over the file's empty list of
+    # indeterminates it is refused, not taken as the polynomial e - 3
+    data = build(2, 1).presentation.to_json_dict()
+    assert data["indeterminates"] == []
+    for row in data["a"]:
+        row[-1] = "1e-3"
+    path = tmp_path / "misread.qls"
+    path.write_text(json.dumps(data))
+    for command in ("verify-presentation", "serre-check"):
+        code, out, err = _run(capsys, command, str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert err.endswith(": unknown name e\n")
+
+
 def test_verify_presentation_past_triple_budget_exits_2(tmp_path, capsys):
     path = tmp_path / "wide.qls"
     path.write_text(json.dumps({"format": "quadlie-presentation-1",
@@ -458,7 +500,7 @@ def test_half_c_presentation_output_is_pinned(tmp_path, capsys):
 def test_normal_form_refuses_the_x_y_aliases(capsys):
     code, out, err = _run(capsys, "normal-form", "--n", "2", "x[1]")
     assert code == 2 and out == ""
-    assert err == "error: malformed expression: unknown generator x[1]\n"
+    assert err == "error: malformed expression: unknown name x[1]\n"
 
 
 _NAMES = list(build(3).alphabet.names)
@@ -480,3 +522,70 @@ def test_order_that_is_not_a_permutation_exits_2(capsys, command, order, message
     code, out, err = _run(capsys, *command, "--order", ",".join(order))
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+# every command in both formats, with exit-1 and exit-2 runs: the SHA-256 of
+# (exit code, stdout, stderr) of each, recorded before the commands shared
+# one output path.  Files are written to the working directory and named
+# relative to it, so the printed paths do not depend on where tests run.
+_ALL_COMMANDS = {
+    "verify-pass": ["verify-presentation", "good.qls"],
+    "verify-fail": ["verify-presentation", "shifted.qls"],
+    "verify-missing-file": ["verify-presentation", "missing.qls"],
+    "normal-form": ["normal-form", "--n", "2", "Q[1] Qbar[1] + 1/2 E[2,1] E[1,2]"],
+    "normal-form-order": ["normal-form", "--n", "2", "--c", "3", "--order",
+                          "E2_2,E1_1,E1_2,E2_1,Qbar1,Qbar2,Q1,Q2", "(E[1,2] E[2,1])^2"],
+    "family-report": ["family-report", "--n", "4", "--r", "2", "--mu", "3",
+                      "--nu", "0", "--c", "symbolic"],
+    "atypicality-report": ["atypicality-report", "--n", "3", "--r", "2", "--mu", "1",
+                           "--nu", "0", "--c", "2"],
+    "zero-step-table": ["zero-step-table", "--n-max", "6"],
+    "fock-check": ["fock-check"],
+    "serre-pass": ["serre-check", "--n", "2", "--max-len", "3"],
+    "serre-fail": ["serre-check", "shifted.qls", "--max-len", "3"],
+    "serre-max-len-2": ["serre-check", "--n", "2", "--max-len", "2"],
+}
+_ALL_COMMANDS_SHA256 = {
+    "atypicality-report-text": "6a40a2a61680ac69c5468917dffc2dd1be7c26d2c2b2d8f2dd3e03b7b7ac84fe",
+    "atypicality-report-structured": "6867319c3ee8c7e7766e4808d37ae17f75210b73602c6d186f49ac3d25a924af",
+    "family-report-text": "96fb8c2a6d6ebc837e2b56af1cda6d9a4229c5940d7d2e406b4e520a465dd2bf",
+    "family-report-structured": "a463a35fcd0ab9b99d3b32b9c1f8c88675ec936ebef6d48684cef3d7c337d32e",
+    "fock-check-text": "7bcf6f523e6dfa111212a15aa3a75f16ecb70ba73e7fa34c874b174a0c9b6744",
+    "fock-check-structured": "46ae88b017d329ed0669e6f799c9d11a11e4f53188b13dbdf18d3d7c07d257f6",
+    "normal-form-text": "d6885b9132c53a4a84fe2caf6c154039b245637ef34b810724aeed7c0e802be7",
+    "normal-form-structured": "02f1bec05596fa2f7ab48209ae9efc6a237c27dde0b22ed42e2e569e672aa7fa",
+    "normal-form-order-text": "89e9a6e0b506638fb46856a5afdf6d71983cdd2eba491eecb80af29643db9216",
+    "normal-form-order-structured": "1c454d4973285468668994ccb044d92de68725c737405d420142a328577ef92e",
+    "serre-fail-text": "dba5de7f4d7eccb5079e81231788f07f7eb38fc782c035704f5a1465c86cbbaf",
+    "serre-fail-structured": "ef3f2e0ce062774fc665e71db5d78e5e4588e56f0bf5840c50544d20c8af28b6",
+    "serre-max-len-2-text": "b99a2413fc1642b129481b2df9abc9c58ac28ea29db69d4e6944313be654d26f",
+    "serre-max-len-2-structured": "b99a2413fc1642b129481b2df9abc9c58ac28ea29db69d4e6944313be654d26f",
+    "serre-pass-text": "1752f0fb6d989554c23a7af950df7bbb199c82a102eb53c6b5209436d6a4bc05",
+    "serre-pass-structured": "aa68f0420042bef9f5042e2da5ddef99143c696b9d34056f1ead9c9a3acd3836",
+    "verify-fail-text": "8bbb2649830c6636ddadcfceb2c3dcdeec3732a7bfdfe584518437c7195b8119",
+    "verify-fail-structured": "4c2091d57b0784618f7cf22a6d3736b4a78fa391426d49b93dd7912a49926a3e",
+    "verify-missing-file-text": "1357b6d8edcecca995c05adb41c5aab99fc5759a459eb06289c8af5d7150fce3",
+    "verify-missing-file-structured": "1357b6d8edcecca995c05adb41c5aab99fc5759a459eb06289c8af5d7150fce3",
+    "verify-pass-text": "843eb889f2c917150d1a7122bb582c62c7e7c8352b319f214f202b355b4f2827",
+    "verify-pass-structured": "12e850ef4b2e88263870f220e21a32b2b8006a3442875234c04ac0aad2f8fd83",
+    "zero-step-table-text": "d3c65d191381e4f8581fc6b771b6da444335d4bab8e66f94c29497e1ba7a5d2b",
+    "zero-step-table-structured": "1d6afa5899615464714d3a2cccd01b961566d8805229f2209b98240737dba803",
+}
+
+
+def _all_commands_digest(code, out, err):
+    return hashlib.sha256(repr((code, out, err)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize("case", sorted(_ALL_COMMANDS))
+def test_every_command_output_is_pinned(tmp_path, monkeypatch, capsys, case, fmt):
+    from test_presentation import _orbit_shifted
+
+    pres = build(2, 1).presentation
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "good.qls").write_text(pres.dumps())
+    (tmp_path / "shifted.qls").write_text(
+        _orbit_shifted(pres, "b", sorted(pres.b)[0]).dumps())
+    result = _run(capsys, "--format", fmt, *_ALL_COMMANDS[case])
+    assert _all_commands_digest(*result) == _ALL_COMMANDS_SHA256[f"{case}-{fmt}"]

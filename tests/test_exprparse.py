@@ -1,4 +1,5 @@
-"""Parser budgets (exponents, number literals) and fuzzing."""
+"""Parser budgets (exponents, number literals, work), the name rule and
+fuzzing."""
 
 import time
 
@@ -6,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadlie.exprparse import MAX_EXPONENT, ParseError, parse_ncpoly, parse_scalar
+from quadlie import exprparse
+from quadlie.exprparse import (
+    MAX_EXPONENT, MAX_WORK, ParseError, parse_ncpoly, parse_scalar,
+)
 from quadlie.gl2n1 import build
 from quadlie.ncpoly import NCPoly
 from quadlie.scalars import Scalar, srat
@@ -38,6 +42,62 @@ def test_exponent_past_budget_is_refused_at_once(text):
     with pytest.raises(ParseError, match="exponent"):
         parse_scalar(text)
     assert time.perf_counter() - start < 1.0
+
+
+def test_work_bound_counts_every_product_of_a_power(monkeypatch):
+    # (c + 1)^10 by squaring: squares of sizes 2, 3 and 5 (4 + 9 + 25) and
+    # products 1 * 3 and 3 * 9 into the result, 68 pair products in all
+    monkeypatch.setattr(exprparse, "MAX_WORK", 68)
+    assert len(parse_scalar("(c + 1)^10").terms) == 11
+    monkeypatch.setattr(exprparse, "MAX_WORK", 67)
+    with pytest.raises(ParseError, match="more than 67 term products"):
+        parse_scalar("(c + 1)^10")
+
+
+def test_work_bound_counts_written_and_adjacent_products(monkeypatch):
+    # (a + b)(c + d) * (e + f): 2 * 2 pairs, then 4 * 2
+    monkeypatch.setattr(exprparse, "MAX_WORK", 12)
+    assert len(parse_scalar("(a + b)(c + d) * (e + f)").terms) == 8
+    monkeypatch.setattr(exprparse, "MAX_WORK", 11)
+    with pytest.raises(ParseError, match="term products"):
+        parse_scalar("(a + b)(c + d) * (e + f)")
+
+
+def test_power_at_the_work_bound_still_parses():
+    # (c + 1)^1000 takes 415,666 pair products, within MAX_WORK
+    assert MAX_WORK >= 415_666
+    assert len(parse_scalar("(c + 1)^1000").terms) == 1001
+
+
+@pytest.mark.parametrize("parse", [
+    pytest.param(lambda: parse_scalar("(a+b+c+d)^1000"), id="scalar"),
+    pytest.param(lambda alg=build(2, 1): parse_ncpoly(
+        "(E[1,2]+E[2,1])^30", alg.alphabet, alg.resolve), id="generators"),
+])
+def test_product_past_work_bound_is_refused_at_once(parse):
+    # about 1.7e8 terms and 2^30 words: refused before the product that
+    # passes MAX_WORK pair products is formed
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match=f"more than {MAX_WORK} term products"):
+        parse()
+    assert time.perf_counter() - start < 1.0
+
+
+def test_one_name_rule_in_both_parsers():
+    alg = build(2, 1)
+    assert parse_scalar("x", None) == Scalar.var("x")
+    assert parse_scalar("x", ["x"]) == Scalar.var("x")
+    e12 = NCPoly.generator(alg.alphabet, alg.resolve("E", [1, 2]))
+    assert parse_ncpoly("u E[1,2]", alg.alphabet, alg.resolve, ["u"]) == \
+        e12.scale(Scalar.var("u"))
+    for text, names in (("x", ["c"]), ("x", ()), ("E[1,2]", None), ("c[1]", None)):
+        with pytest.raises(ParseError) as info:
+            parse_scalar(text, names)
+        assert str(info.value) == f"unknown name {text}"
+    for text in ("x[1]", "u", "E[3,1]", "E", "Q[1,1]"):
+        with pytest.raises(ParseError) as info:
+            parse_ncpoly(text, alg.alphabet, alg.resolve)
+        assert str(info.value) == f"unknown name {text}"
 
 
 def test_overlong_number_is_a_parse_error():

@@ -827,6 +827,22 @@ def test_each_distinct_entry_text_is_parsed_once(monkeypatch):
         assert sorted(texts) == sorted(distinct)
 
 
+def test_entries_may_name_only_the_declared_indeterminates():
+    pres = build(2).presentation  # symbolic c, declared as ["c"]
+    doc = pres.to_json_dict()
+    assert doc["indeterminates"] == ["c"]
+    assert QlsPresentation.from_json_dict(doc) == pres
+    for row in doc["a"]:  # every a entry alike keeps a symmetric
+        row[-1] = "c + u"
+    with pytest.raises(ParseError, match="^unknown name u$"):
+        QlsPresentation.from_json_dict(doc)
+    doc["indeterminates"] = ["c", "u"]
+    assert QlsPresentation.from_json_dict(doc).indeterminates == ("c", "u")
+    del doc["indeterminates"]  # an absent list declares none
+    with pytest.raises(ParseError, match="^unknown name c$"):
+        QlsPresentation.from_json_dict(doc)
+
+
 def test_bad_entry_repeated_raises_the_parser_message():
     doc = build(2, 1).presentation.to_json_dict()
     doc["c"][0][-1] = doc["c"][1][-1] = "1/0"

@@ -156,11 +156,15 @@ MUTANTS = [
            T_PRES),
     Mutant("parse dict keyed by tensor name, not entry text", PRES,
            "if row[-1] not in parsed:\n"
-           "                    parsed[row[-1]] = parse_scalar(row[-1])\n"
+           "                    parsed[row[-1]] = parse_scalar(row[-1], declared)\n"
            "                out[idx] = parsed[row[-1]]",
            "if key not in parsed:\n"
-           "                    parsed[key] = parse_scalar(row[-1])\n"
+           "                    parsed[key] = parse_scalar(row[-1], declared)\n"
            "                out[idx] = parsed[key]",
+           T_PRES),
+    Mutant("from_json_dict ignores the declared indeterminates", PRES,
+           "parse_scalar(row[-1], declared)",
+           "parse_scalar(row[-1])",
            T_PRES),
     # -- the module action (ROADMAP item 6) -----------------------------------
     Mutant("_act swap sign flipped", PBW,
@@ -294,6 +298,24 @@ MUTANTS = [
            "if args.n is not None or args.c is not None:",
            "if args.c is not None:",
            T_CLI),
+    Mutant("run exits 0 whatever passed says", "src/quadlie/cli.py",
+           'return PASS if report.get("passed", True) else FAIL',
+           "return PASS",
+           T_CLI),
+    Mutant("_power's products are not counted", "src/quadlie/exprparse.py",
+           "result = self._mul(result, base)\n"
+           "            exp >>= 1\n"
+           "            if exp:\n"
+           "                base = self._mul(base, base)",
+           "result = result * base\n"
+           "            exp >>= 1\n"
+           "            if exp:\n"
+           "                base = base * base",
+           "tests/test_exprparse.py"),
+    Mutant("the work bound compares against 1000x the constant", "src/quadlie/exprparse.py",
+           "if self.work > MAX_WORK:",
+           "if self.work > 1000 * MAX_WORK:",
+           "tests/test_exprparse.py"),
 ]
 
 
