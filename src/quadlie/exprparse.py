@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .ncpoly import Alphabet, NCPoly
+from .ncpoly import Alphabet, NCPoly, _ncpoly
 from .scalars import ZERO, Scalar
 
 
@@ -45,7 +45,8 @@ GeneratorResolver = Callable[[str, Optional[List[int]]], Optional[int]]
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()\[\],]))"
+    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()\[\],])"
+    r"|(?P<bad>\S))"
 )
 
 
@@ -57,20 +58,14 @@ def _integer(text: str) -> int:
 
 
 def _tokenize(text: str) -> List[Tuple[str, str]]:
+    """(kind, text) of each token in one pass; the matches abut, as every
+    character that is not whitespace matches, and trailing whitespace is
+    left unmatched."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"bad character at {text[pos:]!r}")
-        pos = m.end()
-        for kind in ("num", "name", "op"):
-            val = m.group(kind)
-            if val is not None:
-                tokens.append((kind, val))
-                break
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            raise ParseError(f"bad character at {text[m.start():]!r}")
+        tokens.append((m.lastgroup, m.group(m.lastgroup)))
     return tokens
 
 
@@ -171,11 +166,18 @@ class _Parser:
 
     def _mul(self, a: NCPoly, b: NCPoly) -> NCPoly:
         """a * b, its size(a) * size(b) pair products counted against
-        MAX_WORK before any is formed."""
-        self.work += _size(a) * _size(b)
+        MAX_WORK before any is formed; two monomials are concatenated."""
+        if len(a.terms) == 1 == len(b.terms):
+            ((w1, c1),), ((w2, c2),) = a.terms.items(), b.terms.items()
+            self._count(len(c1.terms) * len(c2.terms))
+            return _ncpoly(self.alphabet, {w1 + w2: c1 * c2})
+        self._count(_size(a) * _size(b))
+        return a * b
+
+    def _count(self, products: int) -> None:
+        self.work += products
         if self.work > MAX_WORK:
             raise ParseError(f"expression takes more than {MAX_WORK} term products")
-        return a * b
 
     def parse_atom(self):
         kind, val = self.peek()

@@ -11,7 +11,7 @@ form a basis and `normal_form` computes coordinates in it.
 There is one normal-ordering engine: the action of the generators on the
 free span of ordered words, run on interned word ids: one
 `_ModuleAction` per system, whose caches `normal_form` and
-`serre_module_check` share.  `normal_form` folds a word into the empty
+`serre_module_check` share.  `normal_form` folds each word into the empty
 ordered word through it; the check verifies the defining relations on it
 (equivalently, the Jacobi identities of the presentation).
 By Bergman's diamond lemma (Adv. Math. 29, 1978) a passing check
@@ -36,8 +36,9 @@ counting odd letters, and halves an odd square's terms, y y = (1/2)
 {y, y}, where it applies them.  The scaled coefficient of z_w in w_a ...
 w_b z_N is the unscaled one times D^(o(a ... b N) - o(w)), never 0: a
 relation vanishes in both bases or in neither (same verdict and first
-witness), and `apply_word` maps back through the ring's `back`
-(DECISIONS.md "Odd rescaling").
+witness); `back`, being linear, maps each output word of a ring sum back
+once (DECISIONS.md "Odd rescaling", "normal_form maps back once per
+output word").
 
 Also provided: a witness of linear dependence for inadmissible orders, and
 ordered-monomial counting.
@@ -52,7 +53,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .ncpoly import Alphabet, AlphabetMismatch, NCPoly, Word
 from .presentation import Coeff, QlsPresentation, _half
-from .scalars import Scalar, axpy
+from .scalars import Scalar, accumulate, axpy, lower
 
 # (pair, word) relations one `serre_module_check` may run: gl2(5/1) at
 # length 4 has 396,880, gl2(3/1) at length 6 341,325 and at 7 1,204,128
@@ -142,12 +143,20 @@ class RewriteSystem:
     # -- normal forms -------------------------------------------------
 
     def normal_form(self, elem: NCPoly) -> NCPoly:
+        """Coordinates of elem in the ordered monomials: the words' images
+        summed in the ring, one sum per odd-letter count of the input
+        words, then mapped back once per (count, output word)."""
         if elem.alphabet != self.presentation.alphabet:
             raise AlphabetMismatch(
                 f"{elem.alphabet!r} vs {self.presentation.alphabet!r}")
-        out: Dict[Word, Scalar] = {}
+        action, n = self._action, self.presentation.n_even
+        sums: Dict[int, Dict[int, Coeff]] = {}
         for word, coeff in elem.terms.items():
-            axpy(out, coeff, self._action.apply_word(word, ()))
+            axpy(sums.setdefault(sum(g >= n for g in word), {}), lower(coeff),
+                 action._apply(word, 0))
+        out: Dict[Word, Scalar] = {}
+        for odd_in, dist in sums.items():
+            action._spell(dist, odd_in, out)
         return NCPoly(self.presentation.alphabet, out)
 
 
@@ -192,8 +201,9 @@ class _ModuleAction:
     Id 0 is the empty word; an ordered word a t gets the next id w, with
     `_head[w]` = a and `_tail[w]` = t, when `_act` caches `_caches[a][t]`
     = w_a z_t = {w: 1}.  The caches map ids to coefficients in the
-    presentation's ring; `apply_word` spells words out and maps back to
-    `Scalar`s in the presentation's own basis through the ring's `back`.
+    presentation's ring; `_spell`, for `apply_word` and `normal_form`,
+    spells ids out as words and maps a sum of images back to `Scalar`s in
+    the presentation's own basis through the ring's `back`.
     `max_len` is ignored: the action is defined on words of any length.
     """
 
@@ -206,17 +216,23 @@ class _ModuleAction:
         self._table, self._back = ring.table, ring.back
 
     def apply_word(self, gens: Word, word: Word) -> Dict[Word, Scalar]:
-        """Act with w_{gens[0]} ... w_{gens[-1]} on z_word, word ordered; a
-        scaled coefficient maps back by D^(odd letters out - odd letters in)."""
+        """Act with w_{gens[0]} ... w_{gens[-1]} on z_word, word ordered."""
+        odd_in = sum(g >= self.ab.n_even for g in gens + word)
+        return self._spell(self._apply(gens + word, 0), odd_in, {})  # z_word = w_word z_()
+
+    def _spell(self, dist: Dict[int, Coeff], odd_in: int,
+               out: Dict[Word, Scalar]) -> Dict[Word, Scalar]:
+        """Add dist, a sum of images of words with odd_in odd letters, to
+        out: each id spelled out as a word, its scaled coefficient mapped
+        back by D^(odd letters out - odd_in), a sum that cancels dropped."""
         n, head, tail = self.ab.n_even, self._head, self._tail
-        odd_in = sum(g >= n for g in gens + word)
-        out: Dict[Word, Scalar] = {}
-        for w, v in self._apply(gens + word, 0).items():  # z_word = w_word z_()
+        for w, v in dist.items():
             letters = []  # the word of id w, spelled out
             while w:
                 letters.append(head[w])
                 w = tail[w]
-            out[tuple(letters)] = self._back(v, sum(g >= n for g in letters) - odd_in)
+            accumulate(out, tuple(letters),
+                       self._back(v, sum(g >= n for g in letters) - odd_in))
         return out
 
     def _act(self, a: int, word: int) -> Dict[int, Coeff]:

@@ -63,7 +63,7 @@ from math import comb, lcm
 from operator import itemgetter
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .exprparse import parse_scalar
+from .exprparse import ParseError, parse_scalar
 from .ncpoly import Alphabet, NCPoly, Word
 from .scalars import ZERO, Scalar, accumulate, lower, srat
 
@@ -295,7 +295,10 @@ class QlsPresentation:
                 if idx in out:
                     raise ValueError(f"{key} index {list(idx)} appears twice")
                 if row[-1] not in parsed:
-                    parsed[row[-1]] = parse_scalar(row[-1], declared)
+                    try:
+                        parsed[row[-1]] = parse_scalar(row[-1], declared)
+                    except ParseError as exc:  # say where the entry is
+                        raise ParseError(f"{key} entry {list(idx)}: {exc}") from None
                 out[idx] = parsed[row[-1]]
             return out
 

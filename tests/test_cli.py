@@ -427,7 +427,7 @@ def test_entry_naming_an_undeclared_indeterminate_exits_2(tmp_path, capsys):
         code, out, err = _run(capsys, command, str(path))
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
-        assert err.endswith(": unknown name e\n")
+        assert err.endswith(f": a entry {data['a'][0][:-1]}: unknown name e\n")
 
 
 def test_verify_presentation_past_triple_budget_exits_2(tmp_path, capsys):

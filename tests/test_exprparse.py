@@ -1,6 +1,7 @@
 """Parser budgets (exponents, number literals, work), the name rule and
 fuzzing."""
 
+import random
 import time
 
 import pytest
@@ -160,3 +161,67 @@ def test_misplaced_token_is_named():
     with pytest.raises(ParseError) as info:
         parse_scalar("2 + *")
     assert str(info.value) == "unexpected token '*'"
+
+
+@pytest.mark.parametrize("text, rest", [
+    ("E[1,1] $", " $"),  # the rest from the end of the last token, spaces included
+    ("$1", "$1"),
+    ("c +\t§ 2", "\t§ 2"),
+    ("2 . 5", " . 5"),
+])
+def test_bad_character_names_the_rest_of_the_input(text, rest):
+    with pytest.raises(ParseError) as info:
+        parse_scalar(text)
+    assert str(info.value) == f"bad character at {rest!r}"
+    alg = build(2, 1)
+    with pytest.raises(ParseError) as info:
+        parse_ncpoly(text, alg.alphabet, alg.resolve)
+    assert str(info.value) == f"bad character at {rest!r}"
+
+
+def test_trailing_whitespace_is_accepted():
+    c = Scalar.var("c")
+    assert parse_scalar("c + 1 \t\n ") == c + 1
+    assert parse_scalar("\n c") == c
+    alg = build(2, 1)
+    e12 = NCPoly.generator(alg.alphabet, alg.resolve("E", [1, 2]))
+    assert parse_ncpoly(" E[1,2]\n", alg.alphabet, alg.resolve) == e12
+
+
+def _general_parse(text, alphabet, resolver, names):
+    """parse_ncpoly with every product through NCPoly.__mul__, and the
+    parser's work count, for the reference."""
+    parser = exprparse._Parser(text, alphabet, resolver, names)
+    parser._mul = lambda a, b: _general_mul(parser, a, b)
+    return parser.parse(), parser.work
+
+
+def _general_mul(parser, a, b):
+    parser.work += exprparse._size(a) * exprparse._size(b)
+    return a * b
+
+
+def test_monomial_products_match_the_general_product():
+    # products and powers of generators with integer, rational and symbolic
+    # factors: the same NCPoly and the same work count as the general
+    # product, whose count is the sum of size(a) * size(b)
+    alg = build(2)
+    names = alg.presentation.indeterminates
+    gens = ["E[1,1]", "E[1,2]", "E[2,1]", "E[2,2]", "Q[1]", "Q[2]", "Qbar[1]", "Qbar[2]"]
+    factors = gens + ["3", "2/3", "c", "(c + 1)", "(2 - c)", "(E[1,2] + Q[1])", "0"]
+    rng = random.Random(34)
+    for _ in range(300):
+        parts = []
+        for _ in range(rng.randint(1, 6)):
+            part = rng.choice(factors)
+            if rng.random() < 0.25:
+                part += f"^{rng.randint(0, 4)}"
+            parts.append(part)
+        text = rng.choice([" ", " * "]).join(parts)
+        if rng.random() < 0.3:
+            text = f"-{text} + {rng.choice(gens)} {rng.choice(factors)}"
+        parser = exprparse._Parser(text, alg.alphabet, alg.resolve, names)
+        got = parser.parse()
+        want, work = _general_parse(text, alg.alphabet, alg.resolve, names)
+        assert got == want, text
+        assert parser.work == work, text

@@ -13,6 +13,7 @@ from unittest import mock
 import pytest
 
 from quadlie import pbw
+from quadlie.fock import lambda3_presentation
 from quadlie.gl2n1 import build
 from quadlie.ncpoly import AlphabetMismatch, NCPoly
 from quadlie.pbw import (
@@ -737,6 +738,68 @@ def test_normal_form_matches_scalar_ring_action():
             assert got.terms == want, word
             symbolic += any(not v.is_rational() for v in want.values())
         assert symbolic
+
+
+def _multi_term_elements(rs, rng, count):
+    """Seeded sums of a word, a shuffle of it and an ordered word in its
+    normal form, of another odd count where there is one, so words of
+    different odd counts land on shared output words, with int, rational
+    and symbolic coefficients; and last, the first sum that is not its own
+    normal form minus that normal form, which cancels to zero."""
+    ab, n = rs.presentation.alphabet, rs.presentation.n_even
+    c = Scalar.var("c")
+    coeffs = [3, -2, Fraction(1, 3), c, c + Scalar.var("u")]
+    out = []
+    for _ in range(count):
+        word = tuple(rng.randrange(ab.size) for _ in range(rng.randint(2, 4)))
+        shuffled = tuple(rng.sample(word, len(word)))
+        odd = sum(g >= n for g in word)
+        image = rs._action.apply_word(word, ())
+        ordered = min(image, default=(), key=lambda w: (sum(g >= n for g in w) == odd, w))
+        terms = {}
+        for w in (word, shuffled, ordered):
+            terms[w] = terms.get(w, Scalar()) + Scalar.coerce(rng.choice(coeffs))
+        out.append(NCPoly(ab, terms))
+    first = next(e for e in out if rs.normal_form(e) != e)
+    return out + [first - rs.normal_form(first)]
+
+
+def _sum_of_images(elem, image):
+    """Sum of coeff * image(word) over elem's terms, in Scalars."""
+    out = {}
+    for word, coeff in elem.terms.items():
+        for w, v in image(word).items():
+            out[w] = out.get(w, srat(0)) + coeff * v
+    return {w: v for w, v in out.items() if v}
+
+
+@pytest.mark.parametrize("pres, scale", [
+    pytest.param(build(2).presentation, 1, id="gl2(2/1)-symbolic"),
+    pytest.param(build(3).presentation, 2, id="gl2(3/1)-symbolic"),
+    pytest.param(build(3, Fraction(7, 5)).presentation, 10, id="gl2(3/1)-c=7/5"),
+    pytest.param(lambda3_presentation(), 4, id="lambda3"),
+])
+def test_multi_term_normal_form_is_the_sum_over_its_words(pres, scale):
+    # normal_form sums the words' images in the ring, one sum per odd
+    # count, and maps each sum back once: it must equal the per-word
+    # normal forms summed in Scalars, unscaled and through apply_word
+    assert pres._ring.scale == scale
+    rs = _rs(pres)
+    rules = _reference_rules(pres, rs.order)
+    memo = {}
+    elems = _multi_term_elements(rs, random.Random(f"multi-term {scale}"), 25)
+    mixed = 0  # output words reached from input words of two odd counts
+    for elem in elems:
+        want = _sum_of_images(elem, lambda w: _reference_normal_form(rules, w, memo))
+        assert rs.normal_form(elem).terms == want, elem
+        assert _sum_of_images(elem, lambda w: rs._action.apply_word(w, ())) == want
+        reached = {}
+        for word in elem.terms:
+            for w in _reference_normal_form(rules, word, memo):
+                reached.setdefault(w, set()).add(sum(g >= pres.n_even for g in word))
+        mixed += sum(len(counts) > 1 for counts in reached.values())
+    assert mixed
+    assert len(elems[-1].terms) > 1 and rs.normal_form(elems[-1]).is_zero()
 
 
 def test_serre_check_refuses_past_relation_budget():

@@ -156,10 +156,16 @@ MUTANTS = [
            T_PRES),
     Mutant("parse dict keyed by tensor name, not entry text", PRES,
            "if row[-1] not in parsed:\n"
-           "                    parsed[row[-1]] = parse_scalar(row[-1], declared)\n"
+           "                    try:\n"
+           "                        parsed[row[-1]] = parse_scalar(row[-1], declared)\n"
+           "                    except ParseError as exc:  # say where the entry is\n"
+           "                        raise ParseError(f\"{key} entry {list(idx)}: {exc}\") from None\n"
            "                out[idx] = parsed[row[-1]]",
            "if key not in parsed:\n"
-           "                    parsed[key] = parse_scalar(row[-1], declared)\n"
+           "                    try:\n"
+           "                        parsed[key] = parse_scalar(row[-1], declared)\n"
+           "                    except ParseError as exc:  # say where the entry is\n"
+           "                        raise ParseError(f\"{key} entry {list(idx)}: {exc}\") from None\n"
            "                out[idx] = parsed[key]",
            T_PRES),
     Mutant("from_json_dict ignores the declared indeterminates", PRES,
@@ -186,6 +192,14 @@ MUTANTS = [
     Mutant("action keeps a reference back to its system", PBW,
            "        self.ab = rs.presentation.alphabet",
            "        self.rs = rs\n        self.ab = rs.presentation.alphabet",
+           T_PBW),
+    Mutant("normal_form maps back by the output's odd count only", PBW,
+           "sum(g >= n for g in letters) - odd_in)",
+           "sum(g >= n for g in letters))",
+           T_PBW),
+    Mutant("normal_form sums every word in one odd count", PBW,
+           "sums.setdefault(sum(g >= n for g in word), {})",
+           "sums.setdefault(0, {})",
            T_PBW),
     Mutant("_first_failure swap term reads w_b(w_b z_N)", PBW,
            "action._step(a, b, action._act(a, nid), nid)",
@@ -311,6 +325,14 @@ MUTANTS = [
            "            exp >>= 1\n"
            "            if exp:\n"
            "                base = base * base",
+           "tests/test_exprparse.py"),
+    Mutant("monomial fast path drops the second coefficient", "src/quadlie/exprparse.py",
+           "{w1 + w2: c1 * c2}",
+           "{w1 + w2: c1}",
+           "tests/test_exprparse.py"),
+    Mutant("monomial fast path counts no work", "src/quadlie/exprparse.py",
+           "self._count(len(c1.terms) * len(c2.terms))",
+           "self._count(0)",
            "tests/test_exprparse.py"),
     Mutant("the work bound compares against 1000x the constant", "src/quadlie/exprparse.py",
            "if self.work > MAX_WORK:",
