@@ -13,6 +13,7 @@ any) is an indeterminate; else it is refused as "unknown name x[1]".
 One work bound: before each product, size(a) * size(b) is added to a count
 kept for the parse, a size being a number of (word, monomial) pairs; past
 MAX_WORK pair products the input is refused, so (a+b+c+d)^1000 fails at once.
+An error message quotes at most MAX_QUOTE characters of the input.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import re
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .ncpoly import Alphabet, NCPoly, _ncpoly
+from .ncpoly import Alphabet, NCPoly
 from .scalars import ZERO, Scalar
 
 
@@ -41,6 +42,9 @@ MAX_EXPONENT = 1000
 # takes 415,666 and the squaring to (a+b+c+d)^32 would take 938,961
 MAX_WORK = 500_000
 
+# most characters of the input an error message quotes
+MAX_QUOTE = 40
+
 GeneratorResolver = Callable[[str, Optional[List[int]]], Optional[int]]
 
 
@@ -57,6 +61,14 @@ def _integer(text: str) -> int:
         raise ParseError(f"number of {len(text)} digits is too long") from exc
 
 
+def _quote(text: str, show=repr) -> str:
+    """show(text) for an error message; past MAX_QUOTE characters, show of
+    its first MAX_QUOTE and the length of the whole, so the message is short."""
+    if len(text) <= MAX_QUOTE:
+        return show(text)
+    return f"{show(text[:MAX_QUOTE])}... ({len(text)} characters)"
+
+
 def _tokenize(text: str) -> List[Tuple[str, str]]:
     """(kind, text) of each token in one pass; the matches abut, as every
     character that is not whitespace matches, and trailing whitespace is
@@ -64,7 +76,7 @@ def _tokenize(text: str) -> List[Tuple[str, str]]:
     tokens = []
     for m in _TOKEN_RE.finditer(text):
         if m.lastgroup == "bad":
-            raise ParseError(f"bad character at {text[m.start():]!r}")
+            raise ParseError(f"bad character at {_quote(text[m.start():])}")
         tokens.append((m.lastgroup, m.group(m.lastgroup)))
     return tokens
 
@@ -88,7 +100,7 @@ class _Parser:
         """The whole input as one expression; trailing input is refused."""
         out = self.parse_expr()
         if self.pos != len(self.tokens):
-            raise ParseError(f"trailing input near {self.tokens[self.pos][1]!r}")
+            raise ParseError(f"trailing input near {_quote(self.tokens[self.pos][1])}")
         return out
 
     def peek(self):
@@ -99,7 +111,7 @@ class _Parser:
         if kind is None:
             raise ParseError("unexpected end of input")
         if expect is not None and val != expect:
-            raise ParseError(f"expected {expect!r}, got {val!r}")
+            raise ParseError(f"expected {expect!r}, got {_quote(val)}")
         self.pos += 1
         return kind, val
 
@@ -123,10 +135,7 @@ class _Parser:
         acc = self.parse_power()
         while True:
             kind, val = self.peek()
-            if val == "*":
-                self.take()
-                acc = self._mul(acc, self.parse_power())
-            elif val == "/":
+            if val == "/":
                 self.take()
                 div = self.parse_power().terms
                 if div.keys() - {()} or not div.get((), ZERO).is_rational():
@@ -134,8 +143,9 @@ class _Parser:
                 if not div:
                     raise ParseError("division by zero")
                 acc = acc * (1 / div[()].as_rational())
-            elif kind in ("num", "name") or val == "(":
-                # adjacency: implicit multiplication
+            elif val == "*" or kind in ("num", "name") or val == "(":
+                if val == "*":  # else adjacency: implicit multiplication
+                    self.take()
                 acc = self._mul(acc, self.parse_power())
             else:
                 return acc
@@ -166,18 +176,11 @@ class _Parser:
 
     def _mul(self, a: NCPoly, b: NCPoly) -> NCPoly:
         """a * b, its size(a) * size(b) pair products counted against
-        MAX_WORK before any is formed; two monomials are concatenated."""
-        if len(a.terms) == 1 == len(b.terms):
-            ((w1, c1),), ((w2, c2),) = a.terms.items(), b.terms.items()
-            self._count(len(c1.terms) * len(c2.terms))
-            return _ncpoly(self.alphabet, {w1 + w2: c1 * c2})
-        self._count(_size(a) * _size(b))
-        return a * b
-
-    def _count(self, products: int) -> None:
-        self.work += products
+        MAX_WORK before any is formed."""
+        self.work += _size(a) * _size(b)
         if self.work > MAX_WORK:
             raise ParseError(f"expression takes more than {MAX_WORK} term products")
+        return a * b
 
     def parse_atom(self):
         kind, val = self.peek()
@@ -211,20 +214,23 @@ class _Parser:
                     if v3 == "]":
                         break
                     if v3 != ",":
-                        raise ParseError(f"expected , or ] in index list, got {v3!r}")
+                        raise ParseError(f"expected , or ] in index list, got {_quote(v3)}")
             g = self.resolver(val, indices)
             if g is not None:
                 return NCPoly.generator(self.alphabet, g)
             if indices is None and (self.names is None or val in self.names):
                 return self.one.scale(Scalar.var(val))
             suffix = "" if indices is None else f"[{','.join(map(str, indices))}]"
-            raise ParseError(f"unknown name {val}{suffix}")
+            raise ParseError(f"unknown name {_quote(val + suffix, str)}")
         raise ParseError(f"unexpected token {val!r}" if kind else "unexpected end of input")
 
 
 def _size(poly: NCPoly) -> int:
-    """The number of (word, monomial) pairs of poly."""
-    return sum(len(coeff.terms) for coeff in poly.terms.values())
+    """The number of (word, monomial) pairs of poly; a plain loop, run twice per product."""
+    n = 0
+    for coeff in poly._terms.values():
+        n += len(coeff._terms)
+    return n
 
 
 _NO_GENERATORS = Alphabet(0, 0)

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .ncpoly import NCPoly
 from .pbw import RewriteSystem, check_rule_count
 from .presentation import BalancedData, QlsPresentation, _half, build_from_casimirs
-from .scalars import Scalar, accumulate, lower, srat
+from .scalars import ONE, Scalar, accumulate, lower, srat
 
 Uni = List[Scalar]  # univariate polynomial, coefficients low to high
 
@@ -248,16 +248,11 @@ class Gl2n1:
         return NCPoly.generator(self.alphabet, self.q_id(i))
 
     def E_trace(self) -> NCPoly:
-        out = NCPoly.zero(self.alphabet)
-        for i in range(1, self.n + 1):
-            out = out + self.E(i, i)
-        return out
+        return NCPoly(self.alphabet, {(self.even_id(i, i),): ONE for i in range(1, self.n + 1)})
 
     def E2(self, i: int, j: int) -> NCPoly:
-        out = NCPoly.zero(self.alphabet)
-        for k in range(1, self.n + 1):
-            out = out + self.E(i, k) * self.E(k, j)
-        return out
+        e = self.even_id
+        return NCPoly(self.alphabet, {(e(i, k), e(k, j)): ONE for k in range(1, self.n + 1)})
 
     def resolve(self, name: str, indices) -> Optional[int]:
         """Generator resolver for the expression parser."""
@@ -285,12 +280,10 @@ class Gl2n1:
         if len(set(indices)) != k:
             return NCPoly.zero(self.alphabet)
         rest = [i for i in range(1, n + 1) if i not in set(indices)]
-        pref = Fraction((-1) ** ((k * (k - 1)) // 2), factorial(n - k))
-        out = NCPoly.zero(self.alphabet)
-        for perm in permutations(rest):
-            eps = _perm_sign(tuple(indices) + perm)
-            word = tuple(self.qbar_id(i) for i in perm)
-            out = out + NCPoly.monomial(self.alphabet, word, pref * eps)
+        pref = srat(Fraction((-1) ** ((k * (k - 1)) // 2), factorial(n - k)))
+        out = NCPoly(self.alphabet, {
+            tuple(map(self.qbar_id, perm)): pref * _perm_sign(tuple(indices) + perm)
+            for perm in permutations(rest)})
         return self.rewrite.normal_form(out)
 
     # -- adjoint operators --------------------------------------------

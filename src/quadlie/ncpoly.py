@@ -11,7 +11,7 @@ from __future__ import annotations
 from hashlib import sha256
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
-from .scalars import ONE, Scalar, join_terms
+from .scalars import ONE, Scalar, accumulate, join_terms
 
 Word = Tuple[int, ...]
 
@@ -128,7 +128,7 @@ class NCPoly:
         return NCPoly.monomial(alphabet, (g,))
 
     def _check(self, other: "NCPoly") -> None:
-        if self.alphabet != other.alphabet:
+        if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
             raise AlphabetMismatch(
                 f"{self.alphabet!r} vs {other.alphabet!r}"
             )
@@ -165,17 +165,19 @@ class NCPoly:
         return _ncpoly(self.alphabet, {w: c * c0 for w, c in self._terms.items()})
 
     def __mul__(self, other: Union["NCPoly", int, Scalar]) -> "NCPoly":
+        """Words concatenate and coefficients multiply, summed per word; one
+        term times one term is one concatenation (Scalars have no zero divisors)."""
         if not isinstance(other, NCPoly):
             return self.scale(other)
         self._check(other)
+        if len(self._terms) == 1 == len(other._terms):
+            ((w1, c1),), ((w2, c2),) = self._terms.items(), other._terms.items()
+            return _ncpoly(self.alphabet, {w1 + w2: c1 * c2})
         acc: Dict[Word, Scalar] = {}
         for w1, c1 in self._terms.items():
             for w2, c2 in other._terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                prev = acc.get(w)
-                acc[w] = c if prev is None else prev + c
-        return _ncpoly(self.alphabet, {w: c for w, c in acc.items() if c})
+                accumulate(acc, w1 + w2, c1 * c2)
+        return _ncpoly(self.alphabet, acc)
 
     def __rmul__(self, other) -> "NCPoly":
         if isinstance(other, NCPoly):

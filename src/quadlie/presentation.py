@@ -202,13 +202,17 @@ class QlsPresentation:
     # -- validation ---------------------------------------------------
 
     def _validate(self) -> None:
-        """Each index in range for its slots' kinds, and each tensor mapped
+        """Each index an int (not a float or bool, which dumps() would write
+        and loads() refuse) in range for its slots' kinds, each tensor mapped
         onto itself by swapping the two slots of each pair, negated on ee."""
         n, m = self.n_even, self.m_odd
         for name, kinds, tensor in self._tensors():
             for s, k in enumerate(kinds):  # a slot at a time, in C
                 bound = n if k in "eE" else m
                 column = list(map(itemgetter(s), tensor))
+                if not set(map(type, column)) <= {int}:
+                    bad = next(idx for idx in tensor if type(idx[s]) is not int)
+                    raise ValueError(f"{name} index {bad} is not an integer")
                 if column and not 0 <= min(column) <= max(column) < bound:
                     bad = next(idx for idx in tensor if not 0 <= idx[s] < bound)
                     raise ValueError(f"{name} index {bad} out of range")
@@ -694,7 +698,7 @@ class _Ring(NamedTuple):
     presentation; a enters the component family (7) and the abstract
     checker's J3 only.  table holds the (word, coeff) terms of each
     generator pair, a words included; quad its terms of length 2 and lin
-    its (letter, coeff) terms.
+    its (letter, coeff) terms.  scale is D; a ring holds no cache.
     """
 
     c: Mapping[tuple, Coeff]
@@ -706,7 +710,6 @@ class _Ring(NamedTuple):
     lin: Dict[Tuple[int, int], List[Tuple[int, Coeff]]]
     quad: Table
     scale: int
-    powers: Dict[int, Fraction]  # exponent -> D**exponent, filled by `back`
 
     @staticmethod
     def build(n: int, tensors, scale: int) -> "_Ring":
@@ -733,20 +736,20 @@ class _Ring(NamedTuple):
                         quad.setdefault(pair, []).append(term)
                     elif word:  # the a word enters only its tensor and the table
                         lin.setdefault(pair, []).append((*word, coeff))
-        return _Ring(table=table, lin=lin, quad=quad, scale=scale, powers={},
+        return _Ring(table=table, lin=lin, quad=quad, scale=scale,
                      **{name: tensor for name, _, tensor in tensors})
 
     def back(self, value: Coeff, exponent: int) -> Scalar:
         """value * D**exponent as an exact Scalar, mapping a coefficient of
-        the ring back: an int through one Fraction product, a Scalar
-        multiplied by the factor; a factor of 1 is skipped, any other is
-        formed once per exponent and kept in `powers`."""
-        if not exponent or self.scale == 1:
-            return value if isinstance(value, Scalar) else srat(value)
-        factor = self.powers.get(exponent)
-        if factor is None:
-            factor = self.powers[exponent] = Fraction(self.scale) ** exponent
-        return value * factor if isinstance(value, Scalar) else srat(value * factor)
+        the ring back: D**exponent is an int that multiplies when exponent
+        > 0; when exponent < 0 a Scalar is divided by D**-exponent and an
+        int makes one Fraction(value, D**-exponent); D = 1 is skipped."""
+        if exponent > 0 and self.scale != 1:
+            value = value * self.scale ** exponent
+        elif exponent < 0 and self.scale != 1:
+            den = self.scale ** -exponent
+            value = value / den if isinstance(value, Scalar) else Fraction(value, den)
+        return value if isinstance(value, Scalar) else srat(value)
 
 
 class BalancedData:

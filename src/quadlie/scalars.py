@@ -40,12 +40,10 @@ def _mono_key(m: Monomial):
 class Scalar:
     """Element of Q[indeterminates], stored in canonical sparse form."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, Fraction] = ()):  # type: ignore[assignment]
-        clean = {m: c for m, c in dict(terms).items() if c != 0}
-        self._terms: Dict[Monomial, Fraction] = clean
-        self._hash = None
+        self._terms: Dict[Monomial, Fraction] = {m: c for m, c in dict(terms).items() if c != 0}
 
     # -- constructors -------------------------------------------------
 
@@ -204,9 +202,7 @@ class Scalar:
         return self._terms == other._terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+        return hash(frozenset(self._terms.items()))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -240,7 +236,6 @@ def _wrap(terms: Dict[Monomial, Fraction]) -> Scalar:
     filter: for a fresh dict whose values are all nonzero Fractions."""
     out = object.__new__(Scalar)
     out._terms = terms
-    out._hash = None
     return out
 
 

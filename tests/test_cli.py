@@ -503,6 +503,15 @@ def test_normal_form_refuses_the_x_y_aliases(capsys):
     assert err == "error: malformed expression: unknown name x[1]\n"
 
 
+@pytest.mark.parametrize("text", ["$" + "E[1,1] " * 10_000, "x" * 60_000],
+                         ids=["bad-character", "unknown-name"])
+def test_long_malformed_expression_gives_one_short_line(capsys, text):
+    code, out, err = _run(capsys, "normal-form", "--n", "2", text)
+    assert code == 2 and out == ""
+    assert err.startswith("error: malformed expression: ") and err.count("\n") == 1
+    assert len(err) < 200
+
+
 _NAMES = list(build(3).alphabet.names)
 
 

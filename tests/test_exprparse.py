@@ -179,6 +179,23 @@ def test_bad_character_names_the_rest_of_the_input(text, rest):
     assert str(info.value) == f"bad character at {rest!r}"
 
 
+@pytest.mark.parametrize("text, start", [
+    ("$" + "E[1,1] " * 10_000, "bad character at '$E[1,1] "),
+    ("x" * 60_000, "unknown name xxx"),
+    ("c[1" + ",1" * 30_000 + "]", "unknown name c[1,1"),
+    ("c[1 " + "2" * 60_000 + "]", "expected , or ] in index list, got '222"),
+], ids=["bad-character", "unknown-name", "unknown-indices", "index-list"])
+def test_long_input_is_quoted_in_a_short_message(text, start):
+    # whatever the input's length, an error message quotes at most
+    # MAX_QUOTE characters of it and then gives the length of the whole
+    with pytest.raises(ParseError) as info:
+        parse_scalar(text, ["c"])
+    message = str(info.value)
+    assert message.startswith(start), message
+    assert message.endswith(" characters)") and "\n" not in message
+    assert len(message) < 3 * exprparse.MAX_QUOTE
+
+
 def test_trailing_whitespace_is_accepted():
     c = Scalar.var("c")
     assert parse_scalar("c + 1 \t\n ") == c + 1
@@ -188,27 +205,25 @@ def test_trailing_whitespace_is_accepted():
     assert parse_ncpoly(" E[1,2]\n", alg.alphabet, alg.resolve) == e12
 
 
-def _general_parse(text, alphabet, resolver, names):
-    """parse_ncpoly with every product through NCPoly.__mul__, and the
-    parser's work count, for the reference."""
-    parser = exprparse._Parser(text, alphabet, resolver, names)
-    parser._mul = lambda a, b: _general_mul(parser, a, b)
-    return parser.parse(), parser.work
-
-
-def _general_mul(parser, a, b):
-    parser.work += exprparse._size(a) * exprparse._size(b)
-    return a * b
-
-
-def test_monomial_products_match_the_general_product():
+def test_parse_work_is_the_sum_of_product_sizes(monkeypatch):
     # products and powers of generators with integer, rational and symbolic
-    # factors: the same NCPoly and the same work count as the general
-    # product, whose count is the sum of size(a) * size(b)
+    # factors: the parser's work count is the sum of size(a) * size(b) over
+    # the NCPoly products it forms, a size being a number of (word,
+    # monomial) pairs, each product seen where NCPoly.__mul__ is called
     alg = build(2)
     names = alg.presentation.indeterminates
     gens = ["E[1,1]", "E[1,2]", "E[2,1]", "E[2,2]", "Q[1]", "Q[2]", "Qbar[1]", "Qbar[2]"]
     factors = gens + ["3", "2/3", "c", "(c + 1)", "(2 - c)", "(E[1,2] + Q[1])", "0"]
+    sizes = []
+    general = NCPoly.__mul__
+
+    def recording_mul(a, b):
+        if isinstance(b, NCPoly):
+            sizes.append(sum(len(c.terms) for c in a.terms.values())
+                         * sum(len(c.terms) for c in b.terms.values()))
+        return general(a, b)
+
+    monkeypatch.setattr(NCPoly, "__mul__", recording_mul)
     rng = random.Random(34)
     for _ in range(300):
         parts = []
@@ -220,8 +235,7 @@ def test_monomial_products_match_the_general_product():
         text = rng.choice([" ", " * "]).join(parts)
         if rng.random() < 0.3:
             text = f"-{text} + {rng.choice(gens)} {rng.choice(factors)}"
+        sizes.clear()
         parser = exprparse._Parser(text, alg.alphabet, alg.resolve, names)
-        got = parser.parse()
-        want, work = _general_parse(text, alg.alphabet, alg.resolve, names)
-        assert got == want, text
-        assert parser.work == work, text
+        parser.parse()
+        assert parser.work == sum(sizes), text

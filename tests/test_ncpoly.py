@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadlie.ncpoly import Alphabet, AlphabetMismatch, NCPoly
-from quadlie.scalars import Scalar, srat
+from quadlie.scalars import Scalar, accumulate, srat
 
 AB = Alphabet(2, 2)  # x0, x1 even; y0, y1 odd (ids 2, 3)
 
@@ -19,6 +19,30 @@ def gen(g):
 def test_free_product_words():
     p = gen(0) * gen(1)
     assert p.terms == {(0, 1): srat(1)}
+
+
+def _product_by_terms(a, b):
+    """a * b summed pair by pair over the terms, for the reference."""
+    acc = {}
+    for w1, c1 in a.terms.items():
+        for w2, c2 in b.terms.items():
+            accumulate(acc, w1 + w2, c1 * c2)
+    return NCPoly(a.alphabet, acc)
+
+
+def test_one_term_products_match_the_term_by_term_product():
+    # integer, rational, symbolic and multi-monomial coefficients on words
+    # of length 0 to 3, each product one concatenation; and a two-term
+    # operand, which takes the general loop
+    c = Scalar.var("c")
+    coeffs = [1, -1, 3, srat(2, 3), c, -c * srat(1, 2), c + 1, 2 - c * c * srat(1, 3)]
+    words = [(), (0,), (2, 1), (3, 3, 0)]
+    monos = [NCPoly.monomial(AB, w, k) for w in words for k in coeffs]
+    for a in monos + [monos[9] + monos[-1]]:
+        for b in monos:
+            got = a * b
+            assert got == _product_by_terms(a, b)
+            assert all(type(v) is Scalar and not v.is_zero() for v in got.terms.values())
 
 
 def test_alphabet_rejects_repeated_names():

@@ -65,6 +65,19 @@ def test_index_out_of_range_rejected(name):
                 QlsPresentation(_N, _M, **{name: {tuple(idx): 1}})
 
 
+@pytest.mark.parametrize("name", list(_LAYOUT))
+def test_index_that_is_not_an_int_rejected(name):
+    # a float or bool component would be written by dumps() and refused by
+    # loads(), so it is refused where the tensor is made
+    arity = len(_LAYOUT[name][0])
+    for bad in (0.0, True):
+        idx = (0, bad) + (0,) * (arity - 2)
+        with pytest.raises(ValueError, match=rf"^{name} index \(0, {bad}[,)].* is not an integer"):
+            QlsPresentation(_N, _M, **{name: {idx: 1}})
+    pres = QlsPresentation(2, 1, cbar={(0, 0, 0): 1})
+    assert QlsPresentation.loads(pres.dumps()) == pres
+
+
 @pytest.mark.parametrize("name", [name for name in _LAYOUT if _LAYOUT[name][1]])
 def test_missing_or_wrong_sign_mirror_rejected(name):
     slots, pairs = _LAYOUT[name]

@@ -303,6 +303,14 @@ MUTANTS = [
            "if params.r == n:\n        return not mb * mb",
            "if False:\n        return not mb * mb",
            T_ATYP),
+    Mutant("tensor index check accepts a float", PRES,
+           "if not set(map(type, column)) <= {int}:",
+           "if not set(map(type, column)) <= {int, float}:",
+           T_PRES),
+    Mutant("sbar drops its permutation sign", GL2,
+           "pref * _perm_sign(tuple(indices) + perm)",
+           "pref",
+           T_GL2),
     # -- the command line --------------------------------------------------
     Mutant("parser reports truncated input as a token", "src/quadlie/exprparse.py",
            'f"unexpected token {val!r}" if kind else "unexpected end of input"',
@@ -326,13 +334,17 @@ MUTANTS = [
            "            if exp:\n"
            "                base = base * base",
            "tests/test_exprparse.py"),
-    Mutant("monomial fast path drops the second coefficient", "src/quadlie/exprparse.py",
+    Mutant("one-term product drops the second coefficient", "src/quadlie/ncpoly.py",
            "{w1 + w2: c1 * c2}",
            "{w1 + w2: c1}",
+           "tests/test_ncpoly.py"),
+    Mutant("parser counts words, not (word, monomial) pairs", "src/quadlie/exprparse.py",
+           "self.work += _size(a) * _size(b)",
+           "self.work += len(a.terms) * len(b.terms)",
            "tests/test_exprparse.py"),
-    Mutant("monomial fast path counts no work", "src/quadlie/exprparse.py",
-           "self._count(len(c1.terms) * len(c2.terms))",
-           "self._count(0)",
+    Mutant("error quote ignores MAX_QUOTE", "src/quadlie/exprparse.py",
+           "if len(text) <= MAX_QUOTE:",
+           "if True:",
            "tests/test_exprparse.py"),
     Mutant("the work bound compares against 1000x the constant", "src/quadlie/exprparse.py",
            "if self.work > MAX_WORK:",
