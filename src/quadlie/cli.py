@@ -64,6 +64,7 @@ def _jacobi_dict(rep: JacobiReport) -> dict:
             }
             for v in rep.violations
         ],
+        "checked": rep.checked,  # identities checked per family
     }
 
 

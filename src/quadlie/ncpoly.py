@@ -148,15 +148,18 @@ class NCPoly:
         self._check(other)
         acc = dict(self._terms)
         for w, c in other._terms.items():
-            prev = acc.get(w)
-            acc[w] = c if prev is None else prev + c
-        return _ncpoly(self.alphabet, {w: c for w, c in acc.items() if c})
+            accumulate(acc, w, c)
+        return _ncpoly(self.alphabet, acc)
 
     def __neg__(self) -> "NCPoly":
         return _ncpoly(self.alphabet, {w: -c for w, c in self._terms.items()})
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
-        return self + (-other)
+        self._check(other)
+        acc = dict(self._terms)
+        for w, c in other._terms.items():
+            accumulate(acc, w, -c)
+        return _ncpoly(self.alphabet, acc)
 
     def scale(self, coeff) -> "NCPoly":
         c0 = Scalar.coerce(coeff)

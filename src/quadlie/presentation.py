@@ -491,13 +491,16 @@ class QlsPresentation:
         degree-3 overlap space.  Over the rotations (u, v, w) of (a, b, c),
         the graded-cyclic sum of u e(v, w), plus k e(u, l) for each d-word
         k l of an odd pair (v, w), equals that of e(u, v) w, minus e(u, k) l,
-        in the free algebra.  deg2 maps each two-letter word to its
-        coefficient, in the ring given and zeros kept, in the right side
-        minus the left with each e replaced by its bracket's letters; the a
-        terms cancel, as e(u, v) g and g e(u, v) carry the same sign.
+        in the free algebra.  deg2 maps each word g h, keyed g * size + h,
+        to its coefficient, in the ring given and zeros kept, in the right
+        side minus the left with each e replaced by its bracket's letters;
+        the a terms cancel, as e(u, v) g and g e(u, v) carry the same sign.
         """
-        lin, quad, n = ring.lin, ring.quad, self.n_even
-        evens, odds = range(n), range(n, self.alphabet.size)
+        self.check_triple_budget()  # bounds size, so the rows of lin and quad
+        n, size = self.n_even, self.alphabet.size
+        lin = [[ring.lin.get((g, h), ()) for h in range(size)] for g in range(size)]
+        quad = [[ring.quad.get((g, h), ()) for h in range(size)] for g in range(size)]
+        evens, odds = range(n), range(n, size)
         triples = chain(
             combinations(evens, 3),
             ((i, j, y) for i, j in combinations(evens, 2) for y in odds),
@@ -506,19 +509,23 @@ class QlsPresentation:
             combinations_with_replacement(odds, 3),
         )
         for a, b, c in triples:
-            deg2: Dict[Word, Coeff] = {}
+            deg2: Dict[int, Coeff] = {}
             for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
                 # graded Jacobi sign (-1)^{|u||w|}, normalized to +1 on (a, b, c)
                 s = -1 if (u >= n and w >= n) != (a >= n and c >= n) else 1
-                for x, t in lin.get((u, v), ()):  # e(u, v) w; _add inlined
-                    deg2[x, w] = deg2.get((x, w), 0) + s * t
-                for x, t in lin.get((v, w), ()):  # u e(v, w)
-                    deg2[u, x] = deg2.get((u, x), 0) - s * t
-                for (k, l), val in quad.get((v, w), ()):
-                    for x, t in lin.get((u, l), ()):  # k e(u, l)
-                        deg2[k, x] = deg2.get((k, x), 0) - s * val * t
-                    for x, t in lin.get((u, k), ()):  # -e(u, k) l
-                        deg2[x, l] = deg2.get((x, l), 0) - s * val * t
+                for x, t in lin[u][v]:  # e(u, v) w; _add inlined
+                    key = x * size + w
+                    deg2[key] = deg2.get(key, 0) + s * t
+                for x, t in lin[v][w]:  # u e(v, w)
+                    key = u * size + x
+                    deg2[key] = deg2.get(key, 0) - s * t
+                for (k, l), val in quad[v][w]:
+                    for x, t in lin[u][l]:  # k e(u, l)
+                        key = k * size + x
+                        deg2[key] = deg2.get(key, 0) - s * val * t
+                    for x, t in lin[u][k]:  # -e(u, k) l
+                        key = x * size + l
+                        deg2[key] = deg2.get(key, 0) - s * val * t
             yield (a, b, c), deg2
 
     def check_triple_budget(self) -> int:
@@ -538,57 +545,56 @@ class QlsPresentation:
         ways of substituting bracket values must agree; the obstructions
         split by degree into J1 (quadratic), J2 (linear), J3 (scalar), the
         PBW conditions for quadratic-linear-scalar algebras of Braverman
-        and Gaitsgory (J. Algebra 181, 1996).  Runs in the ring of `_ring`,
-        a's coefficients one per odd pair, dotted with the ring's a per
-        triple.  ValueError past MAX_TRIPLES elements (`check_triple_budget`).
+        and Gaitsgory (J. Algebra 181, 1996).  Runs in the ring of `_ring` on
+        int keys: a word's from `_overlap_elements`, a lam pair g h's size**2 +
+        g * size + h.  ValueError past MAX_TRIPLES (`check_triple_budget`).
         """
-        self.check_triple_budget()
         ring = self._ring
         lin, quad, back = ring.lin, ring.quad, ring.back
-        n, names = self.n_even, self.alphabet.names
-        a_part = {(n + p, n + q): v for (p, q), v in ring.a.items()}
+        n, names, size = self.n_even, self.alphabet.names, self.alphabet.size
+        lam0 = size * size  # the least lam key
+        a_part = {lam0 + (n + p) * size + n + q: v for (p, q), v in ring.a.items()}
+        lam_lin = {lam0 + g * size + h: terms for (g, h), terms in lin.items()}
         viols: List[JacobiViolation] = []
         j1 = j2 = j3 = 0  # identities checked
-        # word -> (halve, residual and lam items) of `_reduce2` on the word alone
+        # key -> (halve, residual and lam items) of `_reduce2` on the word alone
         # at 1, or 2 on an odd square: DECISIONS.md "One reduction per two-letter word"
-        reduced: Dict[Word, Tuple[bool, tuple, tuple]] = {}
+        reduced: Dict[int, Tuple[bool, tuple]] = {}
 
         for indices, deg2 in self._overlap_elements(ring):
-            if not deg2:
-                continue
-            residual: Dict[Word, Coeff] = {}
-            lam: Dict[Tuple[int, int], Coeff] = {}
-            for word, coeff in deg2.items():
+            acc: Dict[int, Coeff] = {}  # residual and lam
+            for key, coeff in deg2.items():
                 if not coeff:
                     continue
-                image = reduced.get(word)
+                image = reduced.get(key)
                 if image is None:
+                    word = divmod(key, size)
                     square = word[0] == word[1] >= n
-                    res, pairs = self._reduce2({word: 1 + square}, quad)
-                    image = reduced[word] = (square, tuple(res.items()), tuple(pairs.items()))
-                halve, res, pairs = image
+                    image = reduced[key] = (square, tuple(
+                        (lam * lam0 + g * size + h, v) for lam, part in
+                        enumerate(self._reduce2({word: 1 + square}, quad))
+                        for (g, h), v in part.items()))
+                halve, terms = image
                 if halve:
                     coeff = _half(coeff)
-                for w, v in res:  # _add inlined: the hot loop
-                    prev = residual.get(w)
-                    residual[w] = coeff * v if prev is None else prev + coeff * v
-                for pair, v in pairs:
-                    prev = lam.get(pair)
-                    lam[pair] = coeff * v if prev is None else prev + coeff * v
-            low: Dict[Word, Coeff] = {}  # degree 1, J2
-            for pair, coeff in lam.items():
-                if not coeff:
-                    continue
-                for x, v in lin.get(pair, ()):
-                    prev = low.get((x,))
-                    low[x,] = coeff * v if prev is None else prev + coeff * v
-            by_a = [a_part[pair] * coeff  # J3
-                    for pair, coeff in lam.items() if coeff and pair in a_part]
-
-            j1 += len(residual)
+                for k, v in terms:  # _add inlined: the hot loop
+                    prev = acc.get(k)
+                    acc[k] = coeff * v if prev is None else prev + coeff * v
+            residual, low, by_a = {}, {}, []  # J1's nonzero words, J2 (degree 1), J3
+            for key, coeff in acc.items():
+                if key < lam0:
+                    j1 += 1
+                    if coeff:
+                        residual[divmod(key, size)] = coeff
+                elif coeff:
+                    for x, v in lam_lin.get(key, ()):
+                        prev = low.get((x,))
+                        low[x,] = coeff * v if prev is None else prev + coeff * v
+                    if key in a_part:
+                        by_a.append(a_part[key] * coeff)
             j2 += len(low)
             j3 += bool(by_a)
-            if not (any(residual.values()) or any(low.values()) or by_a):
+            if not (residual or any(low.values()) or by_a):
                 continue
             odd_abc = sum(g >= n for g in indices)
             for family, part in (("J1", residual), ("J2", low)):

@@ -78,6 +78,19 @@ def test_output_is_deterministic(tmp_path, capsys):
     assert len(outputs) == 1
 
 
+def test_structured_verify_prints_checked_counts(tmp_path, capsys):
+    # each checker's `checked` next to its violations; text output unchanged
+    path, pres = _presentation_file(tmp_path, perturb=True)
+    code, out, _ = _run(capsys, "--format", "structured", "verify-presentation", path)
+    assert code == 1
+    doc = json.loads(out)
+    for rep in (pres.check_component_jacobi(), pres.check_abstract_jacobi()):
+        assert doc[rep.method]["checked"] == rep.checked
+        assert len(doc[rep.method]["violations"]) == len(rep.violations) > 0
+    _, text, _ = _run(capsys, "verify-presentation", path)
+    assert "checked" not in text
+
+
 def test_usage_errors_exit_2(capsys):
     code, _, _ = _run(capsys, "no-such-command")
     assert code == 2
@@ -535,7 +548,8 @@ def test_order_that_is_not_a_permutation_exits_2(capsys, command, order, message
 
 # every command in both formats, with exit-1 and exit-2 runs: the SHA-256 of
 # (exit code, stdout, stderr) of each, recorded before the commands shared
-# one output path.  Files are written to the working directory and named
+# one output path; verify's structured pair re-recorded when it gained the
+# `checked` counts.  Files are written to the working directory and named
 # relative to it, so the printed paths do not depend on where tests run.
 _ALL_COMMANDS = {
     "verify-pass": ["verify-presentation", "good.qls"],
@@ -572,11 +586,11 @@ _ALL_COMMANDS_SHA256 = {
     "serre-pass-text": "1752f0fb6d989554c23a7af950df7bbb199c82a102eb53c6b5209436d6a4bc05",
     "serre-pass-structured": "aa68f0420042bef9f5042e2da5ddef99143c696b9d34056f1ead9c9a3acd3836",
     "verify-fail-text": "8bbb2649830c6636ddadcfceb2c3dcdeec3732a7bfdfe584518437c7195b8119",
-    "verify-fail-structured": "4c2091d57b0784618f7cf22a6d3736b4a78fa391426d49b93dd7912a49926a3e",
+    "verify-fail-structured": "45971967daae498d70fdab80ca90feb5628d74e959b0085324667c730be04ef7",
     "verify-missing-file-text": "1357b6d8edcecca995c05adb41c5aab99fc5759a459eb06289c8af5d7150fce3",
     "verify-missing-file-structured": "1357b6d8edcecca995c05adb41c5aab99fc5759a459eb06289c8af5d7150fce3",
     "verify-pass-text": "843eb889f2c917150d1a7122bb582c62c7e7c8352b319f214f202b355b4f2827",
-    "verify-pass-structured": "12e850ef4b2e88263870f220e21a32b2b8006a3442875234c04ac0aad2f8fd83",
+    "verify-pass-structured": "241bc71c783420b223da8c927f0ade5595af36b9cabf6267f88e07f8f19592af",
     "zero-step-table-text": "d3c65d191381e4f8581fc6b771b6da444335d4bab8e66f94c29497e1ba7a5d2b",
     "zero-step-table-structured": "1d6afa5899615464714d3a2cccd01b961566d8805229f2209b98240737dba803",
 }

@@ -321,9 +321,10 @@ def test_overlap_elements_agree_on_both_sides():
 
 def test_overlap_substitution_matches_reference():
     # deg2 is zR - zL with the one-letter terms of each bracket substituted
-    # for its e2: (x, g) from ((g1, g2), g), (g, x) from (g, (g1, g2))
+    # for its e2: (x, g) from ((g1, g2), g), (g, x) from (g, (g1, g2)); a
+    # deg2 key is the int g * size + h of the word g h
     for pres in _sample_presentations() + [_odd_square_presentation()]:
-        ring = _unscaled_ring(pres)
+        ring, size = _unscaled_ring(pres), pres.alphabet.size
         got = list(pres._overlap_elements(ring))
         want = list(_overlap_reference(pres, ring))
         assert len(got) == len(want)
@@ -336,7 +337,7 @@ def test_overlap_substitution_matches_reference():
             for g, pair, coeff in zL:
                 for x, v in ring.lin.get(pair, ()):
                     accumulate(ref, (g, x), -(coeff * v))
-            assert {w: v for w, v in deg2.items() if v} == ref, indices
+            assert {divmod(w, size): v for w, v in deg2.items() if v} == ref, indices
 
 
 def _clean(row):
@@ -806,9 +807,9 @@ _ABSTRACT_REPORTS_SHA256 = "11f78ebf33e7427ac833f7d33ccfc23119d6b72eede3657e6ea5
 _COMPONENT_REPORTS_SHA256 = "7a56fd0f5f86765282313d709f74124bca9e4890ec223a074d145302ffc6e0fa"
 
 
-def _reports_digest(check) -> str:
+def _reports_digest(check, cases) -> str:
     digest = hashlib.sha256()
-    for pres in _abstract_pin_cases():
+    for pres in cases:
         report = check(pres)
         for v in report.violations:
             digest.update(repr((v.family, v.indices, str(v.residual), v.detail)).encode())
@@ -817,11 +818,28 @@ def _reports_digest(check) -> str:
 
 
 def test_abstract_reports_are_pinned():
-    assert _reports_digest(QlsPresentation.check_abstract_jacobi) == _ABSTRACT_REPORTS_SHA256
+    assert _reports_digest(QlsPresentation.check_abstract_jacobi,
+                           _abstract_pin_cases()) == _ABSTRACT_REPORTS_SHA256
+
+
+# the same digest over symbolic gl2(6/1) and a copy with one d-orbit shifted:
+# 48 generators, past the 35 of `_abstract_pin_cases`' widest, so a fault in
+# the checker's int word keys shows at a larger alphabet too; recorded from
+# the checker while it still keyed words by tuples, before the int keys
+_WIDE_ABSTRACT_REPORTS_SHA256 = "648d70ce16288536752826de10b2d718f2ad07543c5b75c246d3f0d04cc95c74"
+
+
+def test_abstract_reports_past_35_generators_are_pinned():
+    pres = build(6).presentation
+    assert (pres.alphabet.size, pres.check_triple_budget()) == (48, 17872)
+    cases = [pres, _orbit_shifted(pres, "d", sorted(pres.d)[0])]
+    assert _reports_digest(QlsPresentation.check_abstract_jacobi,
+                           cases) == _WIDE_ABSTRACT_REPORTS_SHA256
 
 
 def test_component_reports_are_pinned():
-    assert _reports_digest(QlsPresentation.check_component_jacobi) == _COMPONENT_REPORTS_SHA256
+    assert _reports_digest(QlsPresentation.check_component_jacobi,
+                           _abstract_pin_cases()) == _COMPONENT_REPORTS_SHA256
 
 
 def test_each_distinct_entry_text_is_parsed_once(monkeypatch):

@@ -109,16 +109,20 @@ MUTANTS = [
            T_PBW),
     # -- the overlap elements, substituted in place ---------------------------
     Mutant("overlap zR d-part sign", PRES,
-           "deg2[x, l] = deg2.get((x, l), 0) - s * val * t",
-           "deg2[x, l] = deg2.get((x, l), 0) + s * val * t",
+           "key = x * size + l\n"
+           "                        deg2[key] = deg2.get(key, 0) - s * val * t",
+           "key = x * size + l\n"
+           "                        deg2[key] = deg2.get(key, 0) + s * val * t",
            T_PRES),
     Mutant("overlap zL substitution added, not subtracted", PRES,
-           "deg2[u, x] = deg2.get((u, x), 0) - s * t",
-           "deg2[u, x] = deg2.get((u, x), 0) + s * t",
+           "key = u * size + x\n"
+           "                    deg2[key] = deg2.get(key, 0) - s * t",
+           "key = u * size + x\n"
+           "                    deg2[key] = deg2.get(key, 0) + s * t",
            T_PRES),
     Mutant("overlap zR substituted as (g, x)", PRES,
-           "deg2[x, w] = deg2.get((x, w), 0) + s * t",
-           "deg2[w, x] = deg2.get((w, x), 0) + s * t",
+           "key = x * size + w",
+           "key = w * size + x",
            T_PRES),
     Mutant("overlap graded-cyclic sign flipped", PRES,
            "s = -1 if (u >= n and w >= n) != (a >= n and c >= n) else 1",
@@ -131,10 +135,14 @@ MUTANTS = [
     Mutant("abstract checker reduces a word whose sum cancels", PRES,
            "if not coeff:\n"
            "                    continue\n"
-           "                image = reduced.get(word)",
+           "                image = reduced.get(key)",
            "if False:\n"
            "                    continue\n"
-           "                image = reduced.get(word)",
+           "                image = reduced.get(key)",
+           T_PRES),
+    Mutant("lam keys not offset by size**2", PRES,
+           "(lam * lam0 + g * size + h, v)",
+           "(g * size + h, v)",
            T_PRES),
     # -- the forward ring ------------------------------------------------------
     Mutant("rescale D over every tensor, not the odd pairs", PRES,
