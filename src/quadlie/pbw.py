@@ -22,13 +22,13 @@ rules, so `max_len` must be at least 3.
 
 The relation on (a, b, N), a b out of order and N ordered, reads w_a w_b
 z_N = (sign) w_b w_a z_N + (lower terms) z_N.  One rewrite step,
-`_ModuleAction._step`, forms that right side from w_a z_N, for `_act` at
-each letter a sinks past and for `_first_failure` on each relation, so no
-unordered word enters the action.  Skip rule: when b N is ordered, w_b
-z_N = z_bN and the first step of `_act(a, b N)` is that right side, so
-the check skips those (N = () or b preceding N[0]).  At `max_len` 3 it
-thus covers exactly Bergman's overlap words a b c, with both a b and b c
-out of order.
+`_ModuleAction._step`, forms that right side from w_a z_N, each lower
+term added in place, for `_act` at each letter a sinks past and for
+`_first_failure` on each relation, so no unordered word enters the
+action.  Skip rule: when b N is ordered, w_b z_N = z_bN and the first
+step of `_act(a, b N)` is that right side, so the check skips those (N =
+() or b preceding N[0]).  At `max_len` 3 it thus covers exactly
+Bergman's overlap words a b c, with both a b and b c out of order.
 
 The action runs in the presentation's ring (`QlsPresentation._ring`, which
 the Jacobi checkers read too), odd-rescaled by z_N -> D^o(N) z_N, o
@@ -116,8 +116,8 @@ class RewriteSystem:
     """Immutable presentation + admissible generator order.
 
     The constructor raises ValueError on an inadmissible order, naming the
-    least violating d-index, and fixes the pair predicate
-    `_pair_is_ordered` that every ordering decision reads.  Its one
+    least violating d-index, and fixes the ranks `_lo`, `_hi` that every
+    ordering decision reads: a b is ordered iff lo[a] < hi[b].  Its one
     `_ModuleAction`, made on first use, serves every `normal_form` and
     `serre_module_check` call; normal forms need the check to pass.
     """
@@ -130,8 +130,10 @@ class RewriteSystem:
         if not admissible:
             raise ValueError(f"inadmissible order: witness d-index {witness}")
         pos, n = self.order.position, pres.n_even
-        # the two-letter word a b is ordered: a precedes b, or an even square
-        self._pair_is_ordered = lambda a, b: pos[a] < pos[b] or a == b < n
+        # a precedes b, or a b is an even square
+        self._hi = hi = [2 * pos[g] for g in range(len(pos))]
+        self._lo = lo = [h - (g < n) for g, h in enumerate(hi)]
+        self._pair_is_ordered = lambda a, b: lo[a] < hi[b]
 
     @cached_property
     def _action(self) -> "_ModuleAction":
@@ -209,7 +211,7 @@ class _ModuleAction:
 
     def __init__(self, rs: RewriteSystem, max_len: Optional[int] = None):
         self.ab = rs.presentation.alphabet
-        self._before = rs._pair_is_ordered
+        self._lo, self._hi = rs._lo, rs._hi
         self._head, self._tail = [-1], [0]
         self._caches: List[Dict[int, Dict[int, Coeff]]] = [{} for _ in range(self.ab.size)]
         ring = rs.presentation._ring
@@ -244,9 +246,9 @@ class _ModuleAction:
         out = cache.get(word)
         if out is not None:
             return out
-        head, tail, before = self._head, self._tail, self._before
+        head, tail, hi, lo_a = self._head, self._tail, self._hi, self._lo[a]
         walked = []  # the suffixes a sinks past, above the one resumed from
-        while word and not before(a, head[word]):
+        while word and lo_a >= hi[head[word]]:
             walked.append(word)
             word = tail[word]
             out = cache.get(word)
@@ -262,23 +264,39 @@ class _ModuleAction:
 
     def _step(self, a: int, b: int, inner: Dict[int, Coeff], rest: int) -> Dict[int, Coeff]:
         """w_a w_b z_rest, a b out of order, from inner = w_a z_rest: sign
-        w_b(inner) + lower z_rest as a new dict, by a b = sign b a + lower;
-        an odd square has no swap term and halves, y y = (1/2) {y, y}."""
+        w_b(inner) + lower z_rest as a new dict, by a b = sign b a + lower,
+        each lower term c mid added in place (for mid = k l, c v w_k z_w per
+        term v z_w of w_l z_rest); an odd square has no swap term and halves."""
         out = {} if a == b else self._times(b, inner, min(a, b) >= self.ab.n_even)
+        caches, act = self._caches, self._act
         for mid, coeff in self._table.get((a, b), ()):
-            axpy(out, _half(coeff) if a == b else coeff, self._apply(mid, rest))
-        return _within_budget(out)
+            c = _half(coeff) if a == b else coeff
+            if not mid:
+                accumulate(out, rest, c)
+            elif len(mid) == 1:
+                axpy(out, c, caches[mid[0]].get(rest) or act(mid[0], rest))
+            else:
+                k, l = mid
+                for w, v in (caches[l].get(rest) or act(l, rest)).items():
+                    axpy(out, c * v, caches[k].get(w) or act(k, w))
+        return _within_budget(out) if len(out) > MAX_TERMS else out
 
     def _times(self, g: int, dist: Dict[int, Coeff], negate: bool = False) -> Dict[int, Coeff]:
         """w_g on dist, negated if asked, as a new dict: the one product
-        step.  Only sums can vanish.  The budget is checked on each
-        distribution where it is made, the result here and `_step`'s: every
-        dist taken in is one of those or a one-term intern."""
-        out: Dict[int, Coeff] = {}
+        step, on images read from the cache in place.  Only sums can vanish,
+        so the first image is copied or scaled whole.  The budget is checked
+        on each distribution where it is made, the result here and `_step`'s:
+        every dist taken in is one of those or a one-term intern."""
+        cache, out = self._caches[g], {}
         for w, v in dist.items():
             if negate:
                 v = -v
-            for w2, v2 in self._act(g, w).items():
+            image = cache.get(w) or self._act(g, w)
+            if not out:
+                out = dict(image) if type(v) is int and v == 1 else {
+                    w2: v2 * v for w2, v2 in image.items()}
+                continue
+            for w2, v2 in image.items():
                 old = out.get(w2)
                 if old is None:
                     out[w2] = v2 * v
@@ -286,7 +304,7 @@ class _ModuleAction:
                     out[w2] = new
                 else:
                     del out[w2]
-        return _within_budget(out)
+        return _within_budget(out) if len(out) > MAX_TERMS else out
 
     def _apply(self, gens: Word, word: int) -> Dict[int, Coeff]:
         """`apply_word` in the system's ring, on word ids; a one-letter
@@ -308,13 +326,15 @@ def _first_failure(action: _ModuleAction,
                    ) -> Optional[Tuple[int, int, Word]]:
     """The first relation (a, b, N) that fails on the action, or None;
     those with b N ordered are skipped (module docstring)."""
+    caches, act, lo, hi = action._caches, action._act, action._lo, action._hi
     nid = last = None
     for nword, (a, b) in relations:
-        if not nword or action._before(b, nword[0]):
+        if not nword or lo[b] < hi[nword[0]]:
             continue
         if nword is not last:  # the id of N: w_N z_() = z_N
             (nid,), last = action._apply(nword, 0), nword
-        if action._step(a, b, action._act(a, nid), nid) != action._apply((a, b), nid):
+        left = action._step(a, b, caches[a].get(nid) or act(a, nid), nid)
+        if left != action._times(a, caches[b].get(nid) or act(b, nid)):  # _apply((a, b), N)
             return a, b, nword
     return None
 

@@ -27,7 +27,7 @@ from quadlie.pbw import (
     serre_module_check,
 )
 from quadlie.presentation import QlsPresentation, _half
-from quadlie.scalars import Scalar, accumulate, srat
+from quadlie.scalars import Scalar, accumulate, axpy, srat
 
 from test_presentation import (
     _TENSORS,
@@ -298,6 +298,46 @@ def test_long_word_memory_grows_linearly():
         tracemalloc.stop()
     assert got == NCPoly.monomial(alg.alphabet, e11 * length + e22)
     assert peak < 8_000_000, peak
+
+
+def _deepest_action_frame(call):
+    """The most frames above this function that a `pbw` frame sits at
+    while call() runs, call's own included, recorded with sys.setprofile."""
+    caller, deepest = sys._getframe(), 0
+
+    def profile(frame, event, arg):
+        nonlocal deepest
+        if event == "call" and frame.f_code.co_filename == pbw.__file__:
+            depth = 0
+            while frame is not caller:
+                frame, depth = frame.f_back, depth + 1
+            deepest = max(deepest, depth)
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return deepest
+
+
+def test_action_depth_does_not_grow_with_the_word_or_the_algebra():
+    # the action resumes each sink from a cache in a loop, so its call
+    # depth is one constant bound on E22 E11^1500 at gl2(2/1) and on
+    # seeded 6-letter words at gl2(12/1)
+    bound = 10
+    alg = build(2, 1)
+    rs = RewriteSystem(alg.presentation)
+    (e11,), (e22,) = alg.E(1, 1).terms, alg.E(2, 2).terms
+    elem = NCPoly.monomial(alg.alphabet, e22 + e11 * 1500)
+    assert 0 < _deepest_action_frame(lambda: rs.normal_form(elem)) <= bound
+    alg = build(12, 1)
+    rs = RewriteSystem(alg.presentation)
+    rng = random.Random(12)
+    for _ in range(5):
+        word = tuple(rng.randrange(alg.alphabet.size) for _ in range(6))
+        elem = NCPoly.monomial(alg.alphabet, word)
+        assert 0 < _deepest_action_frame(lambda: rs.normal_form(elem)) <= bound, word
 
 
 def test_idempotence_and_multiplicativity():
@@ -616,6 +656,38 @@ def test_skipped_relations_hold_by_construction():
     assert skipped > 0
 
 
+def _unfused_step(action, a, b, rest):
+    """Reference rewrite step: the swap term through `_times`, then each
+    lower term's own `_apply` dict added with axpy, halved on an odd square."""
+    swap = min(a, b) >= action.ab.n_even
+    out = {} if a == b else action._times(b, action._act(a, rest), swap)
+    for mid, coeff in action._table.get((a, b), ()):
+        axpy(out, _half(coeff) if a == b else coeff, action._apply(mid, rest))
+    return out
+
+
+def test_fused_step_matches_one_dict_per_lower_term():
+    # _step adds each lower term in place; it must equal the sum of the
+    # terms' own distributions on every out-of-order pair and every ordered
+    # N up to length 2: the seeded presentations of the skipped-relations
+    # test, symbolic gl2(3/1) and Lambda^3 (odd squares, D = 4)
+    rng = random.Random(300)
+    cases = [_random_presentation(rng) for _ in range(300)]
+    cases += [build(3).presentation, lambda3_presentation()]
+    assert cases[-1]._ring.scale == 4
+    mids = set()
+    for pres in cases:
+        rs = _rs(pres)
+        action = _ModuleAction(rs)
+        for nword in _ordered_words(rs, 4):
+            (nid,) = action._apply(nword, 0)
+            for a, b in _out_of_order_pairs(rs):
+                mids.update((len(mid), a == b) for mid, _ in action._table.get((a, b), ()))
+                want = _unfused_step(action, a, b, nid)
+                assert action._step(a, b, action._act(a, nid), nid) == want, (a, b, nword)
+    assert mids >= {(0, False), (1, False), (2, False), (0, True), (1, True), (2, True)}
+
+
 def test_serre_check_caches_only_ordered_words(monkeypatch):
     actions = []
     first_failure = pbw._first_failure
@@ -698,7 +770,7 @@ def test_symbolic_serre_check_stays_off_scalar_multiplication(monkeypatch):
     monkeypatch.setattr(Scalar, "__rmul__", counting)
     assert serre_module_check(rs, max_len=4) == (True, None)
     # every Scalar product has a c-carrying operand: the a terms and what
-    # they reach (about 4,100 products; the Scalar engine made 255,899)
+    # they reach (1,789 products; the Scalar engine made 255,899)
     assert 0 < len(calls) < 5000
     assert all("c" in Scalar.coerce(x).variables() | Scalar.coerce(y).variables()
                for x, y in calls)

@@ -79,8 +79,8 @@ MUTANTS = [
            "t = coeff",
            T_PRES),
     Mutant("_act does not halve odd squares", PBW,
-           "axpy(out, _half(coeff) if a == b else coeff, self._apply(mid, rest))",
-           "axpy(out, coeff, self._apply(mid, rest))",
+           "c = _half(coeff) if a == b else coeff",
+           "c = coeff",
            T_PBW),
     Mutant("rescale D without the half on odd squares", PRES,
            "return f.denominator * (2 if idx[0] == idx[1] and f.numerator % 2 else 1)",
@@ -190,8 +190,16 @@ MUTANTS = [
            "if False:\n                v = -v",
            T_PBW),
     Mutant("_step returns its distribution unbudgeted", PBW,
-           "        return _within_budget(out)\n\n    def _times",
+           "        return _within_budget(out) if len(out) > MAX_TERMS else out\n\n    def _times",
            "        return out\n\n    def _times",
+           T_PBW),
+    Mutant("fused two-letter term drops its inner coefficient v", PBW,
+           "axpy(out, c * v, caches[k].get(w) or act(k, w))",
+           "axpy(out, c, caches[k].get(w) or act(k, w))",
+           T_PBW),
+    Mutant("one-term _times ignores its coefficient", PBW,
+           "out = dict(image) if type(v) is int and v == 1 else {",
+           "out = dict(image) if True else {",
            T_PBW),
     Mutant("serre_module_check builds a second action", PBW,
            "_first_failure(rs._action, product(words, pairs))",
@@ -210,16 +218,16 @@ MUTANTS = [
            "sums.setdefault(0, {})",
            T_PBW),
     Mutant("_first_failure swap term reads w_b(w_b z_N)", PBW,
-           "action._step(a, b, action._act(a, nid), nid)",
-           "action._step(a, b, action._act(b, nid), nid)",
+           "action._step(a, b, caches[a].get(nid) or act(a, nid), nid)",
+           "action._step(a, b, caches[b].get(nid) or act(b, nid), nid)",
            T_PBW),
     Mutant("_act suffix walk resumes one suffix too short", PBW,
            "out = cache.get(word)\n            if out is not None:\n                break",
            "out = cache.get(tail[word])\n            if out is not None:\n                break",
            T_PBW),
     Mutant("_first_failure skip rule inverted", PBW,
-           "if not nword or action._before(b, nword[0]):",
-           "if not nword or not action._before(b, nword[0]):",
+           "if not nword or lo[b] < hi[nword[0]]:",
+           "if not nword or lo[b] >= hi[nword[0]]:",
            T_PBW),
     Mutant("serre check leaves out the odd squares", PBW,
            "if not rs._pair_is_ordered(a, b)",
@@ -230,12 +238,16 @@ MUTANTS = [
            "min(pos[k], pos[l])",
            T_PBW),
     Mutant("pair predicate orders odd squares", PBW,
-           "pos[a] < pos[b] or a == b < n",
-           "pos[a] < pos[b] or a == b",
+           "lambda a, b: lo[a] < hi[b]",
+           "lambda a, b: lo[a] < hi[b] or a == b",
            T_PBW),
     Mutant("pair predicate leaves out even squares", PBW,
-           "pos[a] < pos[b] or a == b < n",
-           "pos[a] < pos[b]",
+           "lambda a, b: lo[a] < hi[b]",
+           "lambda a, b: lo[a] < hi[b] and a != b",
+           T_PBW),
+    Mutant("lo treats an even square as unordered", PBW,
+           "[h - (g < n) for g, h in enumerate(hi)]",
+           "[h for g, h in enumerate(hi)]",
            T_PBW),
     # -- exact arithmetic ------------------------------------------------------
     Mutant("_half rounds an odd int", PRES,
