@@ -35,10 +35,19 @@ ZeroStepResult = Union[bool, Scalar]
 # `table_zero_step` (quadratic in n_max: 0.68 s at 4,000) take
 MAX_N = 5_000
 
+MAX_SCAN_CELLS = 1_000_000  # (n - 1)(2 scan_bound + 1)^2 one-step scan cells, ~2 us each
+
 
 def _budget(name: str, n: int) -> None:
     if n > MAX_N:
         raise ValueError(f"{name} = {n} is more than {MAX_N}")
+
+
+def _require_retained_shift(params: FamilyParams, data: dict) -> None:
+    """Refuse an integer mu - nu <= 0 at r < n: the shift s = r is not retained."""
+    gap = lower(data["mubar"] - data["nubar"] - (params.n - params.r))  # mu - nu
+    if params.r < params.n and type(gap) is int and gap <= 0:
+        raise ValueError(f"mu - nu = {gap} <= 0 at r < n: the shift s = r is not retained")
 
 
 def level1_poly(w: Weight, central, s: int) -> Scalar:
@@ -65,13 +74,13 @@ def zero_step(params: FamilyParams, central) -> ZeroStepResult:
     With rational central charge, returns a boolean.  With a symbolic
     central charge, returns the polynomial in it whose vanishing is the
     zero-step condition (or False when the charge-independent condition
-    already fails).  Raises for n < 3 and for mubar = nubar at r < n.
+    already fails).  Raises for n < 3 and for integer mu - nu <= 0 at r < n.
     """
     if params.n < 3:
         raise ValueError("zero-step analysis requires n >= 3")
-    if params.r < params.n and params.mubar == params.nubar:
-        raise ValueError("mubar = nubar: zero-step analysis indeterminate")
-    return _zero_step(params, _family_values(params, central))
+    data = _family_values(params, central)
+    _require_retained_shift(params, data)
+    return _zero_step(params, data)
 
 
 def _zero_step(params: FamilyParams, data: dict) -> ZeroStepResult:
@@ -109,9 +118,8 @@ def zero_step_equivalence_check(params: FamilyParams, central) -> bool:
     n = params.n
     if n < 3:
         raise ValueError("analysis requires n >= 3")
-    if params.r < n and params.mubar == params.nubar:
-        raise ValueError("mubar = nubar: analysis inapplicable as printed")
     data = _family_values(params, central)
+    _require_retained_shift(params, data)
     s_p, p_p, mb = data["s_prime"], data["p_prime"], data["mubar"]
     c1 = data["C1_prime"] + n
     c2 = data["C2_prime"] + data["C1_prime"] * 2 + n
@@ -129,12 +137,14 @@ def one_step_analysis(n: int, scan_bound: Optional[int] = None) -> dict:
     (delta delta) in the reduced coefficients and walks the two branches of
     the (EE) coefficient.  Optionally scans integer (r, mubar, nubar, c) in
     [-scan_bound, scan_bound] for counterexamples; a negative bound would
-    scan nothing and raises.
+    scan nothing and raises, as does one past MAX_SCAN_CELLS cells.
     """
     if n < 3:
         raise ValueError("analysis requires n >= 3")
     if scan_bound is not None and scan_bound < 0:
         raise ValueError(f"scan_bound must be >= 0, got {scan_bound}")
+    if scan_bound is not None and (n - 1) * (2 * scan_bound + 1) ** 2 > MAX_SCAN_CELLS:
+        raise ValueError(f"scan_bound = {scan_bound} scans more than {MAX_SCAN_CELLS} cells")
     mb, nb, r, c = (Scalar.var(v) for v in ("mubar", "nubar", "r", "c"))
     s_p, p_p, c1p, c2p = _rect_casimirs(n, r, mb, nb)
     a1, a0, b1, b0 = _adjoint_coeffs(n, c1p, c2p, c)
@@ -212,23 +222,17 @@ def table_zero_step(n_max: int) -> List[Tuple[int, int, int]]:
 
 
 def atypicality_report(params: FamilyParams, central) -> dict:
-    """Per-root level-1 values, zero-step status and level occupancy for
-    the rectangular family.  Raises ValueError past n = MAX_N."""
+    """Per-root level-1 values, zero-step status and level occupancy for the
+    family.  Raises past n = MAX_N and for integer mu - nu <= 0 at r < n."""
     n, r = params.n, params.r
     _budget("n", n)
     data = _family_values(params, central)
+    _require_retained_shift(params, data)
     # retained shift roots: s=r at mubar-1 and (r<n) s=n at nubar-1
     targets = {r: data["mubar"] - 1}
     if r < n:
         targets[n] = data["nubar"] - 1
     values = [data["A_E"] * root + data["A_delta"] for root in targets.values()]
-    zs: Union[ZeroStepResult, str]
-    if n < 3:
-        zs = False
-    elif r < n and params.mubar == params.nubar:
-        zs = "indeterminate"
-    else:
-        zs = _zero_step(params, data)
     killed = not any(values)
     levels: Dict[int, str] = {0: "present", 1: "killed" if killed else "present"}
     for lvl in range(2, n + 1):
@@ -239,6 +243,6 @@ def atypicality_report(params: FamilyParams, central) -> dict:
         "family": _lifted(params, data),
         "roots": {s: Scalar.coerce(root) for s, root in targets.items()},
         "a_values": {s: Scalar.coerce(v) for s, v in zip(targets, values)},
-        "zero_step": zs,
+        "zero_step": n >= 3 and _zero_step(params, data),
         "levels": levels,
     }

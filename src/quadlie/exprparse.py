@@ -1,10 +1,12 @@
 """One parser for scalar entries and generator expressions.
 
-One grammar (sums, products by `*` or adjacency, division by a rational
-constant, `^` with a number, parentheses, unary minus) is always parsed to
-an NCPoly.  `parse_ncpoly` parses "2 Q[1] Qbar[1] - E[1,2]" over the
-algebra's alphabet; `parse_scalar` parses "3/4*c^2 - 1" over Alphabet(0, 0)
-and returns the coefficient of the empty word.
+One grammar is always parsed to an NCPoly; from loosest to tightest: sums,
+products by `*` or adjacency and division by a rational constant, one `+`
+or `-` sign before a signed operand, `^` with a number, parentheses.  A
+sign binds as in Python: -c^2 is -(c^2), 2*-c^2 is -2c^2, (-c)^2 is c^2.
+`parse_ncpoly` parses "2 Q[1] Qbar[1] - E[1,2]" over the algebra's
+alphabet; `parse_scalar` parses "3/4*c^2 - 1" over Alphabet(0, 0) and
+returns the coefficient of the empty word.
 
 One name rule: a name the resolver maps, with its index list, is a
 generator; else a bare name that the admitted names include (None admits
@@ -29,9 +31,9 @@ class ParseError(ValueError):
     pass
 
 
-# deepest nesting of parentheses and unary minus signs the parser accepts;
-# each level costs a few Python frames, so this keeps parsing well inside
-# the interpreter's recursion limit
+# deepest nesting the parser accepts, each ( and each sign opening a level;
+# a level costs a few Python frames, so this keeps parsing well inside the
+# interpreter's recursion limit
 MAX_NESTING = 100
 
 # largest exponent after ^: a power is computed by repeated squaring, and
@@ -69,15 +71,16 @@ def _quote(text: str, show=repr) -> str:
     return f"{show(text[:MAX_QUOTE])}... ({len(text)} characters)"
 
 
-def _tokenize(text: str) -> List[Tuple[str, str]]:
-    """(kind, text) of each token in one pass; the matches abut, as every
-    character that is not whitespace matches, and trailing whitespace is
-    left unmatched."""
+def _tokenize(text: str) -> List[Tuple[Optional[str], Optional[str]]]:
+    """(kind, text) of each token in one pass, then the end token (None,
+    None), which is never taken; the matches abut, as every character that
+    is not whitespace matches, and trailing whitespace is left unmatched."""
     tokens = []
     for m in _TOKEN_RE.finditer(text):
         if m.lastgroup == "bad":
             raise ParseError(f"bad character at {_quote(text[m.start():])}")
         tokens.append((m.lastgroup, m.group(m.lastgroup)))
+    tokens.append((None, None))
     return tokens
 
 
@@ -99,15 +102,12 @@ class _Parser:
     def parse(self):
         """The whole input as one expression; trailing input is refused."""
         out = self.parse_expr()
-        if self.pos != len(self.tokens):
+        if self.tokens[self.pos][0] is not None:
             raise ParseError(f"trailing input near {_quote(self.tokens[self.pos][1])}")
         return out
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
-
     def take(self, expect: Optional[str] = None):
-        kind, val = self.peek()
+        kind, val = self.tokens[self.pos]
         if kind is None:
             raise ParseError("unexpected end of input")
         if expect is not None and val != expect:
@@ -115,29 +115,27 @@ class _Parser:
         self.pos += 1
         return kind, val
 
+    def _open(self):
+        """Take a sign or (, which opens one of MAX_NESTING levels."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels")
+        self.pos += 1
+        self.depth += 1
+
     def parse_expr(self):
-        kind, val = self.peek()
-        if val in ("+", "-"):
-            self.take()
-            first = self.parse_term()
-            acc = first if val == "+" else -first
-        else:
-            acc = self.parse_term()
-        while True:
-            kind, val = self.peek()
-            if val not in ("+", "-"):
-                return acc
-            self.take()
-            term = self.parse_term()
-            acc = acc + term if val == "+" else acc - term
+        acc = self.parse_term()
+        while (val := self.tokens[self.pos][1]) == "+" or val == "-":
+            self.pos += 1
+            acc = acc + self.parse_term() if val == "+" else acc - self.parse_term()
+        return acc
 
     def parse_term(self):
-        acc = self.parse_power()
+        acc = self.parse_signed()
         while True:
-            kind, val = self.peek()
+            kind, val = self.tokens[self.pos]
             if val == "/":
-                self.take()
-                div = self.parse_power().terms
+                self.pos += 1
+                div = self.parse_signed().terms
                 if div.keys() - {()} or not div.get((), ZERO).is_rational():
                     raise ParseError("division only by rational constants")
                 if not div:
@@ -145,23 +143,32 @@ class _Parser:
                 acc = acc * (1 / div[()].as_rational())
             elif val == "*" or kind in ("num", "name") or val == "(":
                 if val == "*":  # else adjacency: implicit multiplication
-                    self.take()
-                acc = self._mul(acc, self.parse_power())
+                    self.pos += 1
+                acc = self._mul(acc, self.parse_signed())
             else:
                 return acc
 
-    def parse_power(self):
-        base = self.parse_atom()
-        kind, val = self.peek()
-        if val == "^":
-            self.take()
-            k2, v2 = self.take()
-            if k2 != "num":
-                raise ParseError("exponent must be a number")
-            if len(v2) > len(str(MAX_EXPONENT)) or int(v2) > MAX_EXPONENT:
-                raise ParseError(f"exponent after ^ is larger than {MAX_EXPONENT}")
-            return self._power(base, int(v2))
-        return base
+    def parse_signed(self):
+        """A sign and a signed operand, or a power: looser than ^, tighter than *."""
+        val = self.tokens[self.pos][1]
+        if val != "+" and val != "-":
+            return self.parse_power(self.parse_atom())
+        self._open()
+        inner = self.parse_signed()
+        self.depth -= 1
+        return inner if val == "+" else -inner
+
+    def parse_power(self, base):
+        """base, or base ^ number when ^ follows."""
+        if self.tokens[self.pos][1] != "^":
+            return base
+        self.pos += 1
+        kind, val = self.take()
+        if kind != "num":
+            raise ParseError("exponent must be a number")
+        if len(val) > len(str(MAX_EXPONENT)) or int(val) > MAX_EXPONENT:
+            raise ParseError(f"exponent after ^ is larger than {MAX_EXPONENT}")
+        return self._power(base, int(val))
 
     def _power(self, base, exp: int):
         """base^exp by repeated squaring."""
@@ -183,38 +190,30 @@ class _Parser:
         return a * b
 
     def parse_atom(self):
-        kind, val = self.peek()
-        if val in ("(", "-"):
-            if self.depth == MAX_NESTING:
-                raise ParseError(f"expression nested deeper than {MAX_NESTING} levels")
-            self.take()
-            self.depth += 1
-            if val == "(":
-                inner = self.parse_expr()
-                self.take(")")
-            else:
-                inner = -self.parse_atom()
+        kind, val = self.tokens[self.pos]
+        if val == "(":
+            self._open()
+            inner = self.parse_expr()
+            self.take(")")
             self.depth -= 1
             return inner
         if kind == "num":
-            self.take()
+            self.pos += 1
             return self.one.scale(_integer(val))
         if kind == "name":
-            self.take()
+            self.pos += 1
             indices: Optional[List[int]] = None
-            if self.peek()[1] == "[":
-                self.take("[")
-                indices = []
-                while True:
+            if self.tokens[self.pos][1] == "[":
+                self.pos += 1
+                indices, sep = [], ","
+                while sep != "]":
+                    if sep != ",":
+                        raise ParseError(f"expected , or ] in index list, got {_quote(sep)}")
                     k2, v2 = self.take()
                     if k2 != "num":
                         raise ParseError("index must be a number")
                     indices.append(_integer(v2))
-                    k3, v3 = self.take()
-                    if v3 == "]":
-                        break
-                    if v3 != ",":
-                        raise ParseError(f"expected , or ] in index list, got {_quote(v3)}")
+                    sep = self.take()[1]
             g = self.resolver(val, indices)
             if g is not None:
                 return NCPoly.generator(self.alphabet, g)

@@ -201,7 +201,9 @@ class Scalar:
             return NotImplemented
         return self._terms == other._terms
 
-    def __hash__(self):
+    def __hash__(self):  # a plain rational hashes as the int or Fraction it equals
+        if self.is_rational():
+            return hash(self._terms.get(_ONE_MONO, 0))
         return hash(frozenset(self._terms.items()))
 
     def __bool__(self) -> bool:

@@ -4,6 +4,7 @@ the one-step exclusion."""
 import hashlib
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -152,7 +153,28 @@ def test_zero_step_equal_barred_labels_rejected():
     assert (params.mubar - params.nubar).is_zero()
     with pytest.raises(ValueError):
         zero_step(params, 0)
-    assert atypicality_report(params, 0)["zero_step"] == "indeterminate"
+    with pytest.raises(ValueError, match="not retained"):
+        atypicality_report(params, 0)
+
+
+def test_trivial_weight_verdicts_need_the_shift_s_equal_r_retained():
+    """Lambda = (0,0,0), c = 0: at r = 3 it is zero-step, as level1_poly at
+    alpha'_3 vanishes; at r = 1 and 2, mu - nu = 0 and s = r is not retained,
+    so every verdict refuses.  family_data stays total, and a non-integral
+    or symbolic mu - nu is still the polynomial continuation."""
+    assert level1_poly(Weight([0, 0, 0]), 0, 3) == 0
+    full = FamilyParams(3, 3, 0, 0)
+    assert zero_step(full, 0) is True and zero_step_equivalence_check(full, 0) is True
+    assert atypicality_report(full, 0)["zero_step"] is True
+    for params in (FamilyParams(3, 1, 0, 0), FamilyParams(3, 2, 0, 0),
+                   FamilyParams(3, 1, -2, 1), FamilyParams(4, 2, MU, MU)):
+        for verdict in (atypicality_report, zero_step, zero_step_equivalence_check):
+            with pytest.raises(ValueError, match="shift s = r is not retained"):
+                verdict(params, 0)
+        assert family_data(params, 0)["r"] == params.r
+    for mu, nu in ((Fraction(1, 2), 1), (1, 0), (MU, NU), (MU, 0)):
+        for verdict in (atypicality_report, zero_step, zero_step_equivalence_check):
+            verdict(FamilyParams(3, 1, mu, nu), 0)  # no refusal
 
 
 def test_zero_step_equivalence_sweep():
@@ -316,6 +338,23 @@ def test_one_step_scan_rejects_negative_bound():
     assert one_step_analysis(3, scan_bound=0)["scan_counterexamples"] == []
 
 
+def test_one_step_scan_past_its_cell_budget_is_refused_at_once(monkeypatch):
+    # the scan visits (n - 1)(2 scan_bound + 1)^2 cells: 18 at n = 3, bound 1
+    monkeypatch.setattr(quadlie.atypicality, "MAX_SCAN_CELLS", 18)
+    assert one_step_analysis(3, scan_bound=1)["scan_counterexamples"] == []
+    monkeypatch.setattr(quadlie.atypicality, "MAX_SCAN_CELLS", 17)
+    with pytest.raises(ValueError, match="more than 17 cells"):
+        one_step_analysis(3, scan_bound=1)
+    monkeypatch.undo()
+    # the largest scan in the repository, n = 8 at bound 10, is 3,087 cells
+    assert 7 * 21 ** 2 <= quadlie.atypicality.MAX_SCAN_CELLS
+    # about 16 s of scanning, refused before the first cell
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="cells"):
+        one_step_analysis(3, scan_bound=1000)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_one_step_scan_gate_can_fail():
     """Zero-step rows inside the scan grid make every B o A coefficient
     vanish, so only the zero-step exclusion keeps the scan empty."""
@@ -394,7 +433,7 @@ def test_lowered_family_path_equals_the_symbolic_one():
     """family_data, atypicality_report, zero_step, the equivalence check and
     level1_poly on rational input equal the all-Scalar values that symbolic
     mu, nu and c give after substitution, and every value is a Scalar."""
-    holds = 0
+    holds = refused = 0
     for n, r, mu, nu, c in _family_grid(26, 300):
         point = {"mu": mu, "nu": nu, "c": c}
         params, symbolic_params = FamilyParams(n, r, mu, nu), FamilyParams(n, r, MU, NU)
@@ -406,6 +445,13 @@ def test_lowered_family_path_equals_the_symbolic_one():
             assert isinstance(data[key], Scalar)
             assert data[key] == symbolic[key].substitute(point), key
 
+        if r < n and (mu - nu).denominator == 1 and mu <= nu:
+            # the shift s = r is not retained: no verdict, whatever c is
+            for verdict in (atypicality_report, zero_step, zero_step_equivalence_check):
+                with pytest.raises(ValueError, match="shift s = r is not retained"):
+                    verdict(params, c)
+            refused += 1
+            continue
         report = atypicality_report(params, c)
         symbolic_report = atypicality_report(symbolic_params, C)
         assert report["family"] == data and isinstance(report["central"], Scalar)
@@ -417,11 +463,9 @@ def test_lowered_family_path_equals_the_symbolic_one():
 
         if r == n:
             want = zero_step(symbolic_params, C).substitute(point).is_zero()
-        elif params.mubar != params.nubar:
+        else:
             want = all(symbolic[k].substitute(point).is_zero() for k in ("A_E", "A_delta"))
             assert zero_step_equivalence_check(params, c) is want
-        else:
-            continue
         assert zero_step(params, c) is want
         assert report["zero_step"] is want
         holds += want
@@ -436,7 +480,7 @@ def test_lowered_family_path_equals_the_symbolic_one():
                 got = level1_poly(w, c, s)
                 assert isinstance(got, Scalar)
                 assert got == (symbolic["A_E"] * root + symbolic["A_delta"]).substitute(point)
-    assert holds >= 10
+    assert holds >= 10 and refused >= 10
 
 
 def test_level1_poly_on_half_integral_weights_matches_the_scalar_path():
@@ -563,7 +607,7 @@ def test_zero_step_equivalence_check_refuses_what_the_analysis_excludes():
         zero_step_equivalence_check(FamilyParams(2, 1, 1, 0), 0)
     params = FamilyParams(4, 2, 0, 2)
     assert params.mubar == params.nubar
-    with pytest.raises(ValueError, match="mubar = nubar"):
+    with pytest.raises(ValueError, match="shift s = r is not retained"):
         zero_step_equivalence_check(params, 0)
 
 

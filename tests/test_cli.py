@@ -182,6 +182,19 @@ def test_atypicality_report_zero_step_row(capsys):
     assert set(data["a_values"].values()) == {"0"}
 
 
+@pytest.mark.parametrize("r, code", [(1, 2), (2, 2), (3, 0)])
+def test_atypicality_report_refuses_an_unretained_shift(capsys, r, code):
+    # Lambda = (0,0,0): at r < n, mu - nu = 0 leaves s = r unretained
+    got, out, err = _run(capsys, "atypicality-report", "--n", "3", "--r", str(r),
+                         "--mu", "0", "--nu", "0", "--c", "0")
+    assert got == code
+    if code:
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error:") and "shift s = r is not retained" in err
+    else:
+        assert "zero-step: True" in out and "level 1: killed" in out
+
+
 def test_zero_step_table(capsys):
     code, out, _ = _run(capsys, "--format", "structured",
                         "zero-step-table", "--n-max", "10")

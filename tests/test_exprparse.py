@@ -3,6 +3,7 @@ fuzzing."""
 
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from quadlie import exprparse
 from quadlie.exprparse import (
-    MAX_EXPONENT, MAX_WORK, ParseError, parse_ncpoly, parse_scalar,
+    MAX_EXPONENT, MAX_NESTING, MAX_WORK, ParseError, parse_ncpoly, parse_scalar,
 )
 from quadlie.gl2n1 import build
 from quadlie.ncpoly import NCPoly
@@ -239,3 +240,86 @@ def test_parse_work_is_the_sum_of_product_sizes(monkeypatch):
         parser = exprparse._Parser(text, alg.alphabet, alg.resolve, names)
         parser.parse()
         assert parser.work == sum(sizes), text
+
+
+def _random_expression(rng, depth):
+    """(quadlie text, Python text) of one random expression tree over small
+    integers with + - * / ^, parentheses and signs: no chained ^, no sign
+    inside an exponent, no adjacency.  The Python text writes ^ as ** and
+    each literal as a Fraction, so Python's own precedence evaluates it."""
+    def atom(depth):
+        if depth and rng.random() < 0.3:
+            q, py = expr(depth - 1)
+            return f"({q})", f"({py})"
+        k = rng.randint(0, 4)
+        return str(k), f"Fraction({k})"
+
+    def power(depth):
+        q, py = atom(depth)
+        if rng.random() < 0.3:
+            k = rng.randint(0, 3)
+            return f"{q}^{k}", f"{py}**{k}"
+        return q, py
+
+    def signed(depth):
+        if rng.random() < 0.35:
+            sign = rng.choice("+-")
+            q, py = signed(depth)
+            return sign + q, f"{sign}{py}"
+        return power(depth)
+
+    def term(depth):
+        q, py = signed(depth)
+        for _ in range(rng.randint(0, 2)):
+            op = rng.choice("*/")
+            q2, py2 = signed(depth)
+            q, py = f"{q} {op} {q2}", f"{py} {op} {py2}"
+        return q, py
+
+    def expr(depth):
+        q, py = term(depth)
+        for _ in range(rng.randint(0, 2)):
+            op = rng.choice("+-")
+            q2, py2 = term(depth)
+            q, py = f"{q} {op} {q2}", f"{py} {op} {py2}"
+        return q, py
+
+    return expr(depth)
+
+
+def test_parse_scalar_agrees_with_python_precedence():
+    """Seeded differential test: parse_scalar equals Python's evaluation of
+    the same tree, and a division by zero raises in both."""
+    rng = random.Random(38)
+    after_operator = zero_divisions = 0
+    for _ in range(3000):
+        text, python = _random_expression(rng, 3)
+        try:
+            want = eval(python, {"Fraction": Fraction})  # text built above
+        except ZeroDivisionError:
+            zero_divisions += 1
+            with pytest.raises(ParseError, match="division by zero"):
+                parse_scalar(text)
+            continue
+        assert parse_scalar(text) == want, (text, python)
+        after_operator += any(f"{op} -" in text for op in "*/")
+    assert after_operator > 300 and zero_divisions > 30
+
+
+@pytest.mark.parametrize("text, want", [
+    ("-c^2", "-c^2"), ("2*-c^2", "-2*c^2"), ("3*-2^2", "-12"), ("c/-2^2", "-1/4*c"),
+    ("(-c)^2", "c^2"), ("-(c)^2", "-c^2"), ("--c", "c"), ("2*+c", "2*c"),
+    ("1/2*-c^2", "-1/2*c^2"), ("-2 c - -c", "-c"),
+])
+def test_a_sign_binds_looser_than_a_power_and_tighter_than_a_product(text, want):
+    assert str(parse_scalar(text)) == want
+
+
+def test_each_sign_opens_one_nesting_level():
+    assert parse_scalar("-" * MAX_NESTING + "c") == Scalar.var("c")
+    assert parse_scalar("2 * " + "+" * MAX_NESTING + "c") == Scalar.var("c") * 2
+    for text in ("-" * (MAX_NESTING + 1) + "c",
+                 "-" + "(" * MAX_NESTING + "c" + ")" * MAX_NESTING,
+                 "(" * MAX_NESTING + "-c" + ")" * MAX_NESTING):
+        with pytest.raises(ParseError, match=f"nested deeper than {MAX_NESTING} levels"):
+            parse_scalar(text)

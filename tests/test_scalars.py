@@ -196,3 +196,13 @@ def test_join_terms_folds_a_leading_minus_into_the_joiner():
     assert join_terms(["-x"]) == "-x"
     assert join_terms(["x", "-2*y", "z", "-1/2"]) == "x - 2*y + z - 1/2"
     assert str(Scalar.var("x") - Scalar.var("y") * 2 + 1) == "1 + x - 2*y"
+
+
+def test_plain_rational_hashes_as_the_rational_it_equals():
+    for value in (0, 1, -3, 10**30, Fraction(1, 2), Fraction(-7, 3)):
+        scalar = srat(value)
+        assert scalar == value and hash(scalar) == hash(value)
+        assert len({scalar, value}) == 1 and {value: 1}[scalar] == 1
+    assert hash(Scalar()) == hash(srat(0)) == 0
+    c = Scalar.var("c")
+    assert hash(c + 1) == hash(1 + c) and len({c + 1, 1 + c, c}) == 2

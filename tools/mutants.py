@@ -270,6 +270,10 @@ MUTANTS = [
            "return value.numerator if value.denominator == 1 else value",
            "return value.numerator",
            T_SCAL),
+    Mutant("Scalar's hash ignores the rational rule", SCAL,
+           "if self.is_rational():\n            return hash(",
+           "if False:\n            return hash(",
+           T_SCAL),
     Mutant("join_terms drops the minus sign", SCAL,
            'out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"',
            'out += f" + {p[1:]}" if p.startswith("-") else f" + {p}"',
@@ -323,6 +327,14 @@ MUTANTS = [
            "if params.r == n:\n        return not mb * mb",
            "if False:\n        return not mb * mb",
            T_ATYP),
+    Mutant("family guard accepts mu = nu at r < n", "src/quadlie/atypicality.py",
+           "type(gap) is int and gap <= 0",
+           "type(gap) is int and gap < 0",
+           T_ATYP),
+    Mutant("one-step budget is not checked", "src/quadlie/atypicality.py",
+           "(2 * scan_bound + 1) ** 2 > MAX_SCAN_CELLS",
+           "(2 * scan_bound + 1) ** 2 > MAX_SCAN_CELLS and False",
+           T_ATYP),
     Mutant("tensor index check accepts a float", PRES,
            "if not set(map(type, column)) <= {int}:",
            "if not set(map(type, column)) <= {int, float}:",
@@ -335,6 +347,15 @@ MUTANTS = [
     Mutant("parser reports truncated input as a token", "src/quadlie/exprparse.py",
            'f"unexpected token {val!r}" if kind else "unexpected end of input"',
            'f"unexpected token {val!r}"',
+           "tests/test_exprparse.py"),
+    Mutant("the sign binds tighter than ^", "src/quadlie/exprparse.py",
+           "inner = self.parse_signed()\n"
+           "        self.depth -= 1\n"
+           '        return inner if val == "+" else -inner',
+           'inner = self.parse_signed() if self.tokens[self.pos][1] in ("+", "-") '
+           "else self.parse_atom()\n"
+           "        self.depth -= 1\n"
+           '        return self.parse_power(inner if val == "+" else -inner)',
            "tests/test_exprparse.py"),
     Mutant("serre-check takes --n with a file", "src/quadlie/cli.py",
            "if args.n is not None or args.c is not None:",
