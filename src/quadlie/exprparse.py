@@ -1,12 +1,11 @@
 """One parser for scalar entries and generator expressions.
 
-One grammar is always parsed to an NCPoly; from loosest to tightest: sums,
-products by `*` or adjacency and division by a rational constant, one `+`
-or `-` sign before a signed operand, `^` with a number, parentheses.  A
-sign binds as in Python: -c^2 is -(c^2), 2*-c^2 is -2c^2, (-c)^2 is c^2.
-`parse_ncpoly` parses "2 Q[1] Qbar[1] - E[1,2]" over the algebra's
-alphabet; `parse_scalar` parses "3/4*c^2 - 1" over Alphabet(0, 0) and
-returns the coefficient of the empty word.
+One grammar is always parsed to an NCPoly.  Loosest first: sums; products
+by `*` or adjacency, and division by a rational constant; one `+` or `-`
+sign; `^` with a number; parentheses.  So -c^2 is -(c^2) and 2*-c^2 is
+-2c^2, as in Python.  `parse_ncpoly` parses "2 Q[1] Qbar[1] - E[1,2]" over
+the algebra's alphabet; `parse_scalar` parses "3/4*c^2 - 1" over
+Alphabet(0, 0) and returns the coefficient of the empty word.
 
 One name rule: a name the resolver maps, with its index list, is a
 generator; else a bare name that the admitted names include (None admits
@@ -31,9 +30,8 @@ class ParseError(ValueError):
     pass
 
 
-# deepest nesting the parser accepts, each ( and each sign opening a level;
-# a level costs a few Python frames, so this keeps parsing well inside the
-# interpreter's recursion limit
+# deepest nesting of ( and signs the parser accepts; a level costs a few
+# Python frames, so this keeps parsing well inside the recursion limit
 MAX_NESTING = 100
 
 # largest exponent after ^: a power is computed by repeated squaring, and
@@ -116,7 +114,6 @@ class _Parser:
         return kind, val
 
     def _open(self):
-        """Take a sign or (, which opens one of MAX_NESTING levels."""
         if self.depth == MAX_NESTING:
             raise ParseError(f"expression nested deeper than {MAX_NESTING} levels")
         self.pos += 1
@@ -124,10 +121,13 @@ class _Parser:
 
     def parse_expr(self):
         acc = self.parse_term()
-        while (val := self.tokens[self.pos][1]) == "+" or val == "-":
+        while True:
+            val = self.tokens[self.pos][1]
+            if val != "+" and val != "-":
+                return acc
             self.pos += 1
-            acc = acc + self.parse_term() if val == "+" else acc - self.parse_term()
-        return acc
+            term = self.parse_term()
+            acc = acc + term if val == "+" else acc - term
 
     def parse_term(self):
         acc = self.parse_signed()
@@ -149,7 +149,6 @@ class _Parser:
                 return acc
 
     def parse_signed(self):
-        """A sign and a signed operand, or a power: looser than ^, tighter than *."""
         val = self.tokens[self.pos][1]
         if val != "+" and val != "-":
             return self.parse_power(self.parse_atom())
@@ -159,7 +158,6 @@ class _Parser:
         return inner if val == "+" else -inner
 
     def parse_power(self, base):
-        """base, or base ^ number when ^ follows."""
         if self.tokens[self.pos][1] != "^":
             return base
         self.pos += 1
@@ -204,16 +202,18 @@ class _Parser:
             self.pos += 1
             indices: Optional[List[int]] = None
             if self.tokens[self.pos][1] == "[":
-                self.pos += 1
-                indices, sep = [], ","
-                while sep != "]":
-                    if sep != ",":
-                        raise ParseError(f"expected , or ] in index list, got {_quote(sep)}")
+                self.take("[")
+                indices = []
+                while True:
                     k2, v2 = self.take()
                     if k2 != "num":
                         raise ParseError("index must be a number")
                     indices.append(_integer(v2))
-                    sep = self.take()[1]
+                    k3, v3 = self.take()
+                    if v3 == "]":
+                        break
+                    if v3 != ",":
+                        raise ParseError(f"expected , or ] in index list, got {_quote(v3)}")
             g = self.resolver(val, indices)
             if g is not None:
                 return NCPoly.generator(self.alphabet, g)

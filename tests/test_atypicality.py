@@ -445,6 +445,17 @@ def test_lowered_family_path_equals_the_symbolic_one():
             assert isinstance(data[key], Scalar)
             assert data[key] == symbolic[key].substitute(point), key
 
+        if (mu - nu).denominator == 1 and mu >= nu:
+            w = params.weight()
+            roots = {n: symbolic["nubar"] - 1, r: symbolic["mubar"] - 1}  # s = r wins at r = n
+            retained = char_roots(w).retained
+            for s, root in roots.items():
+                if not retained[s - 1]:
+                    continue
+                got = level1_poly(w, c, s)
+                assert isinstance(got, Scalar)
+                assert got == (symbolic["A_E"] * root + symbolic["A_delta"]).substitute(point)
+
         if r < n and (mu - nu).denominator == 1 and mu <= nu:
             # the shift s = r is not retained: no verdict, whatever c is
             for verdict in (atypicality_report, zero_step, zero_step_equivalence_check):
@@ -469,17 +480,6 @@ def test_lowered_family_path_equals_the_symbolic_one():
         assert zero_step(params, c) is want
         assert report["zero_step"] is want
         holds += want
-
-        if (mu - nu).denominator == 1 and mu >= nu:
-            w = params.weight()
-            roots = {n: symbolic["nubar"] - 1, r: symbolic["mubar"] - 1}  # s = r wins at r = n
-            retained = char_roots(w).retained
-            for s, root in roots.items():
-                if not retained[s - 1]:
-                    continue
-                got = level1_poly(w, c, s)
-                assert isinstance(got, Scalar)
-                assert got == (symbolic["A_E"] * root + symbolic["A_delta"]).substitute(point)
     assert holds >= 10 and refused >= 10
 
 
@@ -624,6 +624,14 @@ def test_atypicality_report_at_n_2_has_no_zero_step(args, c, a_values, levels):
     assert rep["zero_step"] is False
     assert rep["a_values"] == a_values
     assert rep["levels"] == dict(enumerate(levels))
+
+
+@pytest.mark.parametrize("args", [(2, 1, 0, 0), (2, 1, 1, 3), (2, 1, -1, -1)])
+def test_atypicality_report_at_n_2_refuses_an_unretained_shift(args):
+    """The retention rule holds at n = 2 as well: at r = 1 an integer
+    mu - nu <= 0 leaves s = r unretained, so the report refuses."""
+    with pytest.raises(ValueError, match="shift s = r is not retained"):
+        atypicality_report(FamilyParams(*args), 0)
 
 
 def _shift_is_dominant_integral(lam, s):

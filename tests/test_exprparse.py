@@ -309,7 +309,7 @@ def test_parse_scalar_agrees_with_python_precedence():
 @pytest.mark.parametrize("text, want", [
     ("-c^2", "-c^2"), ("2*-c^2", "-2*c^2"), ("3*-2^2", "-12"), ("c/-2^2", "-1/4*c"),
     ("(-c)^2", "c^2"), ("-(c)^2", "-c^2"), ("--c", "c"), ("2*+c", "2*c"),
-    ("1/2*-c^2", "-1/2*c^2"), ("-2 c - -c", "-c"),
+    ("1/2*-c^2", "-1/2*c^2"), ("-2 c - -c", "-c"), ("c/+2", "1/2*c"), ("c + +c", "2*c"),
 ])
 def test_a_sign_binds_looser_than_a_power_and_tighter_than_a_product(text, want):
     assert str(parse_scalar(text)) == want
