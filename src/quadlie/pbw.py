@@ -189,11 +189,11 @@ def inadmissible_dependence_witness(
     ab = pres.alphabet
     ya, yb = ab.odd(p), ab.odd(q)
     out = NCPoly.monomial(ab, (ya, yb, ya))
-    quad = pres._plain.quad
-    for w, v in quad.get((ya, ya), ()):
-        out = out + NCPoly.monomial(ab, w + (yb,), v / 2)
-    for w, v in quad.get((ya, yb), ()):
-        out = out - NCPoly.monomial(ab, (ya,) + w, v)
+    for (r, s, k, l), v in pres.d.items():
+        if r == s == p:  # when p = q, the next term applies as well
+            out = out + NCPoly.monomial(ab, (k, l, yb), v / 2)
+        if (r, s) == (p, q):
+            out = out - NCPoly.monomial(ab, (ya, k, l), v)
     return out
 
 

@@ -12,7 +12,8 @@ to close on quadratic expressions, so associativity of the enveloping
 algebra is not automatic.  `TENSORS` is the one description of the five
 tensors, the kind of each index slot: validation, the bracket table, JSON
 I/O, equality, the odd rescaling's exponent and the component checker all
-read it.  `_Ring.build` is the one builder of bracket tables.
+read it.  `_Ring.build` is the one builder of bracket tables, each term
+kept once: a reader of one part picks it out by word length.
 `QlsPresentation.bracket(g1, g2)` copies the bracket of a generator pair
 out of `_plain`, the tensors' own ring at D = 1, made on first use;
 `normalize2` reads that ring too.  The defining ideal is generated by
@@ -64,7 +65,7 @@ from operator import itemgetter
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exprparse import ParseError, parse_scalar
-from .ncpoly import Alphabet, NCPoly, Word
+from .ncpoly import Alphabet, AlphabetMismatch, NCPoly, Word
 from .scalars import ZERO, Scalar, accumulate, lower, srat
 
 FORMAT_TAG = "quadlie-presentation-1"
@@ -230,12 +231,14 @@ class QlsPresentation:
     @cached_property
     def _plain(self) -> "_Ring":
         """The tensors' own ring, D = 1 and every entry a Scalar: the
-        bracket table `bracket`, `normalize2` and `pbw` read."""
+        bracket table `bracket` and `normalize2` read."""
         return _Ring.build(self.n_even, self._tensors(), 1)
 
     def bracket(self, g1: int, g2: int) -> Dict[Word, Scalar]:
         """[g1, g2} = g1 g2 - (-1)^{|g1||g2|} g2 g1 as a new dict
-        word -> coeff over words of length 0, 1 or 2."""
+        word -> coeff over words of length 0, 1 or 2; IndexError off the alphabet."""
+        for g in (g1, g2):
+            self.alphabet.parity(g)  # IndexError outside the alphabet
         return dict(self._plain.table.get((g1, g2), ()))
 
     # -- equality / serialization -------------------------------------
@@ -360,13 +363,15 @@ class QlsPresentation:
         Returns the residual and the bookkeeping coefficients lam, keyed by
         generator pairs (g, h) with g < h, or g = h odd.
         """
-        residual, lam = self._reduce2(poly.terms, self._plain.quad)
+        if poly.alphabet != self.alphabet:
+            raise AlphabetMismatch(f"{poly.alphabet!r} vs {self.alphabet!r}")
+        residual, lam = self._reduce2(poly.terms, self._plain.table)
         return NCPoly(self.alphabet, residual), {k: v for k, v in lam.items() if v}
 
-    def _reduce2(self, terms: Mapping[Word, Coeff], quad: Mapping) -> Tuple[dict, dict]:
+    def _reduce2(self, terms: Mapping[Word, Coeff], table: Table) -> Tuple[dict, dict]:
         """`normalize2` on a word -> coeff map in the checkers' ring, with
-        the d-part words of each pair from quad; entries that cancel stay
-        in the result as zeros."""
+        the d-part, the two-letter words, of each pair from a ring's table;
+        entries that cancel stay in the result as zeros."""
         n = self.n_even
         residual: Dict[Word, Coeff] = {}
         lam: Dict[Tuple[int, int], Coeff] = {}
@@ -384,8 +389,7 @@ class QlsPresentation:
                 # h g = s g h - s d-part - s e(g,h), s the swap sign
                 t = coeff if g >= n else -coeff
                 work.append(((g, h), -t))
-            for w, v in quad.get((g, h), ()):
-                work.append((w, t * v))
+            work += [(w, t * v) for w, v in table.get((g, h), ()) if len(w) == 2]
             _add(lam, (g, h), t)
         return residual, lam
 
@@ -498,8 +502,10 @@ class QlsPresentation:
         """
         self.check_triple_budget()  # bounds size, so the rows of lin and quad
         n, size = self.n_even, self.alphabet.size
-        lin = [[ring.lin.get((g, h), ()) for h in range(size)] for g in range(size)]
-        quad = [[ring.quad.get((g, h), ()) for h in range(size)] for g in range(size)]
+        lin, quad = ([[()] * size for _ in range(size)] for _ in range(2))
+        for (g, h), terms in ring.table.items():  # by word length
+            lin[g][h] = [(*w, t) for w, t in terms if len(w) == 1]
+            quad[g][h] = [t for t in terms if len(t[0]) == 2]
         evens, odds = range(n), range(n, size)
         triples = chain(
             combinations(evens, 3),
@@ -550,11 +556,12 @@ class QlsPresentation:
         g * size + h.  ValueError past MAX_TRIPLES (`check_triple_budget`).
         """
         ring = self._ring
-        lin, quad, back = ring.lin, ring.quad, ring.back
+        table, back = ring.table, ring.back
         n, names, size = self.n_even, self.alphabet.names, self.alphabet.size
         lam0 = size * size  # the least lam key
         a_part = {lam0 + (n + p) * size + n + q: v for (p, q), v in ring.a.items()}
-        lam_lin = {lam0 + g * size + h: terms for (g, h), terms in lin.items()}
+        lam_lin = {lam0 + g * size + h: [t for t in terms if len(t[0]) == 1]
+                   for (g, h), terms in table.items()}
         viols: List[JacobiViolation] = []
         j1 = j2 = j3 = 0  # identities checked
         # key -> (halve, residual and lam items) of `_reduce2` on the word alone
@@ -572,7 +579,7 @@ class QlsPresentation:
                     square = word[0] == word[1] >= n
                     image = reduced[key] = (square, tuple(
                         (lam * lam0 + g * size + h, v) for lam, part in
-                        enumerate(self._reduce2({word: 1 + square}, quad))
+                        enumerate(self._reduce2({word: 1 + square}, table))
                         for (g, h), v in part.items()))
                 halve, terms = image
                 if halve:
@@ -587,9 +594,9 @@ class QlsPresentation:
                     if coeff:
                         residual[divmod(key, size)] = coeff
                 elif coeff:
-                    for x, v in lam_lin.get(key, ()):
-                        prev = low.get((x,))
-                        low[x,] = coeff * v if prev is None else prev + coeff * v
+                    for w, v in lam_lin.get(key, ()):
+                        prev = low.get(w)
+                        low[w] = coeff * v if prev is None else prev + coeff * v
                     if key in a_part:
                         by_a.append(a_part[key] * coeff)
             j2 += len(low)
@@ -703,8 +710,8 @@ class _Ring(NamedTuple):
     tensors' own Scalars at scale 1.  The five tensors are keyed as in the
     presentation; a enters the component family (7) and the abstract
     checker's J3 only.  table holds the (word, coeff) terms of each
-    generator pair, a words included; quad its terms of length 2 and lin
-    its (letter, coeff) terms.  scale is D; a ring holds no cache.
+    generator pair, a words included, the one copy of them: a reader of
+    one word length filters it.  scale is D; a ring holds no cache.
     """
 
     c: Mapping[tuple, Coeff]
@@ -713,36 +720,26 @@ class _Ring(NamedTuple):
     b: Mapping[tuple, Coeff]
     a: Mapping[tuple, Coeff]
     table: Table
-    lin: Dict[Tuple[int, int], List[Tuple[int, Coeff]]]
-    quad: Table
     scale: int
 
     @staticmethod
     def build(n: int, tensors, scale: int) -> "_Ring":
         """The ring of (name, kinds, entries) of each tensor, scaled by
         `scale`: the tensors kept as they are, and the bracket table made
-        from them and split by word length in one pass.  An entry's two
-        lower slots give the pair and its upper slots the word, odd indices
-        shifted past the n evens; a mixed pair also gives the bracket the
-        other way round, negated."""
+        from them.  An entry's two lower slots give the pair and its upper
+        slots the word, odd indices shifted past the n evens; a mixed pair
+        also gives the bracket the other way round, negated."""
         table: Table = {}
-        lin: Dict[Tuple[int, int], List[Tuple[int, Coeff]]] = {}
-        quad: Table = {}
         for _, kinds, tensor in tensors:
             s1, s2 = (n if k == "o" else 0 for k in kinds[:2])
             up = n if "O" in kinds else 0  # the upper slots share one parity
             for idx, v in tensor.items():
                 g1, g2 = idx[0] + s1, idx[1] + s2
                 word = tuple(g + up for g in idx[2:]) if up else idx[2:]
-                terms = [((g1, g2), v), ((g2, g1), -v)] if s1 != s2 else [((g1, g2), v)]
-                for pair, coeff in terms:
-                    term = (word, coeff)
-                    table.setdefault(pair, []).append(term)
-                    if len(word) == 2:
-                        quad.setdefault(pair, []).append(term)
-                    elif word:  # the a word enters only its tensor and the table
-                        lin.setdefault(pair, []).append((*word, coeff))
-        return _Ring(table=table, lin=lin, quad=quad, scale=scale,
+                table.setdefault((g1, g2), []).append((word, v))
+                if s1 != s2:
+                    table.setdefault((g2, g1), []).append((word, -v))
+        return _Ring(table=table, scale=scale,
                      **{name: tensor for name, _, tensor in tensors})
 
     def back(self, value: Coeff, exponent: int) -> Scalar:

@@ -443,6 +443,30 @@ def test_inadmissible_witness_minimal_instance():
     assert not poly.is_zero()
 
 
+def test_witness_normal_form_has_no_word_of_length_three():
+    # the witness holds in the enveloping algebra up to words of length
+    # at most 2, so its normal form in an admissible order that passes the
+    # Serre check has no word of length 3: a witness that drops the
+    # d_aa term when p = q, or its 1/2, leaves one
+    p_is_q = QlsPresentation(1, 2, d={(0, 0, 0, 0): 1})
+    p_not_q = QlsPresentation(2, 2, d={(0, 0, 0, 0): 1, (0, 1, 1, 1): 1, (1, 0, 1, 1): 1})
+    gl = build(3).presentation
+    n, size = gl.n_even, gl.alphabet.size
+    cases = [(p_is_q, [1, 2, 0], (0, 0)),  # y1 y2 x1
+             (p_not_q, [0, 2, 3, 1], (0, 1)),  # x1 y1 y2 x2: d_00 admissible, d_01 not
+             (gl, [*range(n, size), *range(n)], None)]  # the odds first
+    for pres, sequence, pq in cases:
+        order = GeneratorOrder(sequence)
+        ok, index = check_admissible(pres, order)
+        assert not ok and (pq is None or index[:2] == pq)
+        witness = inadmissible_dependence_witness(pres, order)
+        rs = _rs(pres)
+        assert serre_module_check(rs, 3) == (True, None)
+        assert not any(len(w) == 3 for w in rs.normal_form(witness).terms), sequence
+    witness = inadmissible_dependence_witness(p_is_q, GeneratorOrder([1, 2, 0]))
+    assert str(witness) == "1/2*x1*x1*y1 - y1*x1*x1 + y1*y1*y1"
+
+
 def test_rewrite_refuses_inadmissible_system():
     # the order is decided once: no system exists to refuse later
     pres = build(3).presentation

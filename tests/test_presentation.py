@@ -15,7 +15,7 @@ from quadlie import presentation
 from quadlie.exprparse import ParseError, parse_scalar
 from quadlie.fock import lambda3_presentation
 from quadlie.gl2n1 import build
-from quadlie.ncpoly import NCPoly
+from quadlie.ncpoly import AlphabetMismatch, NCPoly
 from quadlie.pbw import GeneratorOrder, inadmissible_dependence_witness
 from quadlie.presentation import (
     MAX_TRIPLES,
@@ -254,6 +254,12 @@ def _unscaled_ring(pres: QlsPresentation):
     return pres._plain
 
 
+def _terms(ring, pair, length):
+    """The (word, coeff) terms of a pair in ring.table whose words have
+    the given length."""
+    return [(w, v) for w, v in ring.table.get(pair, ()) if len(w) == length]
+
+
 def _overlap_reference(pres: QlsPresentation, ring):
     """Yield (indices, zL, zR) for the triples of `_overlap_elements`, in
     its order: zL lists (g, pair, coeff) for coeff . g e2(pair) and zR
@@ -261,7 +267,8 @@ def _overlap_reference(pres: QlsPresentation, ring):
     the two expanding to the same degree-3 element of the free algebra.
     The element of (a, b, c) is the graded-cyclic sum of u e(v, w) on the
     left and of e(u, v) w on the right, plus the terms that carry the
-    d-part of an odd pair (v, w) past u, with the d-part from ring.quad."""
+    d-part of an odd pair (v, w) past u, with the d-part the two-letter
+    words of ring.table."""
     n, size = pres.n_even, pres.alphabet.size
     evens, odds = range(n), range(n, size)
     triples = chain(
@@ -280,7 +287,7 @@ def _overlap_reference(pres: QlsPresentation, ring):
             zR.append(((u, v), w, s))
             # u d-part(v, w) - d-part(v, w) u, rewritten as
             # k e2(u, l) + e2(u, k) l for each d-word k l
-            for (k, l), val in ring.quad.get((v, w), ()):
+            for (k, l), val in _terms(ring, (v, w), 2):
                 zL.append((k, (u, l), s * val))
                 zR.append(((u, k), l, -(s * val)))
         yield (a, b, c), zL, zR
@@ -332,10 +339,10 @@ def test_overlap_substitution_matches_reference():
             assert indices == ref_indices
             ref = {}
             for pair, g, coeff in zR:
-                for x, v in ring.lin.get(pair, ()):
+                for (x,), v in _terms(ring, pair, 1):
                     accumulate(ref, (x, g), coeff * v)
             for g, pair, coeff in zL:
-                for x, v in ring.lin.get(pair, ()):
+                for (x,), v in _terms(ring, pair, 1):
                     accumulate(ref, (g, x), -(coeff * v))
             assert {divmod(w, size): v for w, v in deg2.items() if v} == ref, indices
 
@@ -1034,6 +1041,19 @@ def test_ring_table_is_the_bracket_table_scaled_entry_by_entry():
                         assert type(got[w]) is Scalar and got[w] == value
 
 
+def test_normalize2_and_bracket_refuse_foreign_input():
+    # a gl2(2/1) element is not read as gl2(3/1) generators, nor is a
+    # gl2(4/1) one an IndexError; an id outside the alphabet has no bracket
+    pres = build(3).presentation
+    for other in (build(2), build(4)):
+        with pytest.raises(AlphabetMismatch):
+            pres.normalize2(other.Q(1) * other.Qbar(1))
+    size = pres.alphabet.size
+    for g1, g2 in ((99, 0), (-1, 0), (0, size), (0, -1), (size, size)):
+        with pytest.raises(IndexError, match="out of range"):
+            pres.bracket(g1, g2)
+
+
 def test_bracket_returns_a_new_dict_each_call():
     pres = build(3).presentation
     qbar1, q1 = pres.n_even, pres.n_even + 3  # {Qbar^1, Q_1}
@@ -1050,8 +1070,9 @@ def test_bracket_returns_a_new_dict_each_call():
 
 
 def test_plain_ring_is_built_once_per_presentation(monkeypatch):
-    # bracket, normalize2 and the dependence witness read one cached D = 1
-    # ring; the checkers read the scaled one and never build it
+    # bracket and normalize2 read one cached D = 1 ring; the checkers read
+    # the scaled one and never build it; the dependence witness reads d
+    # and builds no ring
     builds = []
     build_ring = presentation._Ring.build
     monkeypatch.setattr(presentation._Ring, "build", staticmethod(
@@ -1060,11 +1081,12 @@ def test_plain_ring_is_built_once_per_presentation(monkeypatch):
     assert pres.check_component_jacobi().passed and pres.check_abstract_jacobi().passed
     assert builds == [pres._ring.scale]
     ab, n = pres.alphabet, pres.n_even
+    odds_first = GeneratorOrder([*range(n, ab.size), *range(n)])
+    assert not inadmissible_dependence_witness(pres, odds_first).is_zero()
+    assert builds == [pres._ring.scale]
     for g1, g2 in ((n + 1, n), (n, n), (1, 0), (n, 0)):
         pres.normalize2(NCPoly.monomial(ab, (g1, g2)))
         pres.bracket(g1, g2)
-    odds_first = GeneratorOrder([*range(n, ab.size), *range(n)])
-    assert not inadmissible_dependence_witness(pres, odds_first).is_zero()
     assert builds == [pres._ring.scale, 1]
     assert pres._plain.scale == 1
     assert all(type(v) is Scalar for terms in pres._plain.table.values() for _, v in terms)

@@ -78,6 +78,10 @@ MUTANTS = [
            "t = _half(coeff)",
            "t = coeff",
            T_PRES),
+    Mutant("_reduce2 pushes a non-d-part word", PRES,
+           "table.get((g, h), ()) if len(w) == 2]",
+           "table.get((g, h), ()) if w]",
+           T_PRES),
     Mutant("_act does not halve odd squares", PBW,
            "c = _half(coeff) if a == b else coeff",
            "c = coeff",
@@ -100,8 +104,8 @@ MUTANTS = [
            T_PRES),
     # -- the one bracket-table builder, `_Ring.build` -------------------------
     Mutant("bracket table keeps the reverse of a mixed pair unnegated", PRES,
-           "((g2, g1), -v)",
-           "((g2, g1), v)",
+           "append((word, -v))",
+           "append((word, v))",
            T_PBW),
     Mutant("bracket table leaves odd upper indices unshifted", PRES,
            'up = n if "O" in kinds else 0',
@@ -236,6 +240,14 @@ MUTANTS = [
     Mutant("check_admissible reads the least even position", PBW,
            "max(pos[k], pos[l])",
            "min(pos[k], pos[l])",
+           T_PBW),
+    Mutant("witness drops the p = q term", PBW,
+           "        if (r, s) == (p, q):",
+           "        elif (r, s) == (p, q):",
+           T_PBW),
+    Mutant("witness drops the 1/2 of the d_aa term", PBW,
+           "(k, l, yb), v / 2)",
+           "(k, l, yb), v)",
            T_PBW),
     Mutant("pair predicate orders odd squares", PBW,
            "lambda a, b: lo[a] < hi[b]",
