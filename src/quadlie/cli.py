@@ -107,11 +107,10 @@ def _make_algebra(args):
 
 def _parse_order(spec: str, alphabet) -> GeneratorOrder:
     names = [s.strip() for s in spec.split(",")]
-    try:
-        seq = [list(alphabet.names).index(nm) for nm in names]
-    except ValueError as exc:
-        raise CliError(f"unknown generator in --order: {exc}") from exc
-    return GeneratorOrder(seq)
+    for name in names:
+        if name not in alphabet.names:
+            raise CliError(f"unknown generator in --order: {name!r}")
+    return GeneratorOrder([alphabet.names.index(name) for name in names])
 
 
 def _cmd_normal_form(args) -> Tuple[dict, List[str]]:

@@ -7,9 +7,9 @@ sign; `^` with a number; parentheses.  So -c^2 is -(c^2) and 2*-c^2 is
 the algebra's alphabet; `parse_scalar` parses "3/4*c^2 - 1" over
 Alphabet(0, 0) and returns the coefficient of the empty word.
 
-One name rule: a name the resolver maps, with its index list, is a
-generator; else a bare name that the admitted names include (None admits
-any) is an indeterminate; else it is refused as "unknown name x[1]".
+One name rule: a name the resolver maps, with its index list (one token,
+blanks in the brackets allowed), is a generator; else a bare name that the
+admitted names include (None admits any) is an indeterminate; else "unknown name".
 
 One work bound: before each product, size(a) * size(b) is added to a count
 kept for the parse, a size being a number of (word, monomial) pairs; past
@@ -22,8 +22,8 @@ from __future__ import annotations
 import re
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .ncpoly import Alphabet, NCPoly
-from .scalars import ZERO, Scalar
+from .ncpoly import Alphabet, NCPoly, _ncpoly
+from .scalars import ONE, ZERO, Scalar
 
 
 class ParseError(ValueError):
@@ -49,8 +49,8 @@ GeneratorResolver = Callable[[str, Optional[List[int]]], Optional[int]]
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()\[\],])"
-    r"|(?P<bad>\S))"
+    r"\s*(?:(?P<num>\d+)|(?P<gen>(?P<gname>[A-Za-z_][A-Za-z_0-9]*)\s*\[(?P<gidx>\s*\d+"
+    r"(?:\s*,\s*\d+)*)\s*\])|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()\[\],])|(?P<bad>\S))"
 )
 
 
@@ -69,15 +69,15 @@ def _quote(text: str, show=repr) -> str:
     return f"{show(text[:MAX_QUOTE])}... ({len(text)} characters)"
 
 
-def _tokenize(text: str) -> List[Tuple[Optional[str], Optional[str]]]:
-    """(kind, text) of each token in one pass, then the end token (None,
-    None), which is never taken; the matches abut, as every character that
-    is not whitespace matches, and trailing whitespace is left unmatched."""
+def _tokenize(text: str) -> List[Tuple[Optional[str], object]]:
+    """(kind, text) of each token in one pass, (name, index list) for a "gen",
+    then the end token (None, None), which is never taken; the matches abut,
+    as every non-blank character matches, and trailing whitespace is left."""
     tokens = []
     for m in _TOKEN_RE.finditer(text):
-        if m.lastgroup == "bad":
+        if (kind := m.lastgroup) == "bad":
             raise ParseError(f"bad character at {_quote(text[m.start():])}")
-        tokens.append((m.lastgroup, m.group(m.lastgroup)))
+        tokens.append((kind, m.group("gname", "gidx") if kind == "gen" else m.group(kind)))
     tokens.append((None, None))
     return tokens
 
@@ -130,9 +130,18 @@ class _Parser:
             acc = acc + term if val == "+" else acc - term
 
     def parse_term(self):
-        acc = self.parse_signed()
-        while True:
-            kind, val = self.tokens[self.pos]
+        acc, letters, tokens = self.parse_signed(), [], self.tokens
+        while True:  # letters: a run of generators, by adjacency or `*`, for acc's one word
+            kind, val = tokens[self.pos]
+            at = self.pos + 1 if val == "*" else self.pos
+            if tokens[at][0] == "gen" and tokens[at + 1][1] != "^" and len(acc._terms) == 1:
+                letters.append(self._letter(*tokens[at][1]))
+                self._count(_size(acc))  # acc times one letter
+                self.pos = at + 1
+                continue
+            if letters:
+                [(word, coeff)] = acc._terms.items()
+                acc, letters = _ncpoly(self.alphabet, {word + tuple(letters): coeff}), []
             if val == "/":
                 self.pos += 1
                 div = self.parse_signed().terms
@@ -141,7 +150,7 @@ class _Parser:
                 if not div:
                     raise ParseError("division by zero")
                 acc = acc * (1 / div[()].as_rational())
-            elif val == "*" or kind in ("num", "name") or val == "(":
+            elif val == "*" or kind in ("num", "name", "gen") or val == "(":
                 if val == "*":  # else adjacency: implicit multiplication
                     self.pos += 1
                 acc = self._mul(acc, self.parse_signed())
@@ -180,12 +189,23 @@ class _Parser:
         return result
 
     def _mul(self, a: NCPoly, b: NCPoly) -> NCPoly:
-        """a * b, its size(a) * size(b) pair products counted against
-        MAX_WORK before any is formed."""
-        self.work += _size(a) * _size(b)
+        """a * b, its size(a) * size(b) pair products counted before any is formed."""
+        self._count(_size(a) * _size(b))
+        return a * b
+
+    def _count(self, products: int) -> None:
+        self.work += products
         if self.work > MAX_WORK:
             raise ParseError(f"expression takes more than {MAX_WORK} term products")
-        return a * b
+
+    def _letter(self, name: str, index_list: str) -> int:
+        indices = [_integer(text.strip()) for text in index_list.split(",")]
+        g = self.resolver(name, indices)
+        if g is None:
+            shown = f"{name}[{','.join(map(str, indices))}]"
+            raise ParseError(f"unknown name {_quote(shown, str)}")
+        self.alphabet.parity(g)  # bounds check
+        return g
 
     def parse_atom(self):
         kind, val = self.tokens[self.pos]
@@ -198,29 +218,28 @@ class _Parser:
         if kind == "num":
             self.pos += 1
             return self.one.scale(_integer(val))
+        if kind == "gen":
+            self.pos += 1
+            return _ncpoly(self.alphabet, {(self._letter(*val),): ONE})
         if kind == "name":
             self.pos += 1
-            indices: Optional[List[int]] = None
-            if self.tokens[self.pos][1] == "[":
-                self.take("[")
-                indices = []
+            if self.tokens[self.pos][1] == "[":  # a malformed list: find its error
+                self.pos += 1
                 while True:
                     k2, v2 = self.take()
                     if k2 != "num":
                         raise ParseError("index must be a number")
-                    indices.append(_integer(v2))
+                    _integer(v2)
                     k3, v3 = self.take()
-                    if v3 == "]":
-                        break
                     if v3 != ",":
-                        raise ParseError(f"expected , or ] in index list, got {_quote(v3)}")
-            g = self.resolver(val, indices)
+                        got = v3[0] if k3 == "gen" else v3  # a gen is quoted by its name
+                        raise ParseError(f"expected , or ] in index list, got {_quote(got)}")
+            g = self.resolver(val, None)
             if g is not None:
                 return NCPoly.generator(self.alphabet, g)
-            if indices is None and (self.names is None or val in self.names):
+            if self.names is None or val in self.names:
                 return self.one.scale(Scalar.var(val))
-            suffix = "" if indices is None else f"[{','.join(map(str, indices))}]"
-            raise ParseError(f"unknown name {_quote(val + suffix, str)}")
+            raise ParseError(f"unknown name {_quote(val, str)}")
         raise ParseError(f"unexpected token {val!r}" if kind else "unexpected end of input")
 
 

@@ -51,6 +51,8 @@ class Alphabet:
         return self.n_even + self.m_odd
 
     def parity(self, g: int) -> int:
+        if type(g) is not int:
+            raise TypeError(f"generator id {g!r} is not an int")
         if not 0 <= g < self.size:
             raise IndexError(f"generator {g} out of range")
         return EVEN if g < self.n_even else ODD

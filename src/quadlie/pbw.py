@@ -76,10 +76,10 @@ class GeneratorOrder:
     """Total order on generators, given as a sequence from least to greatest."""
 
     def __init__(self, sequence: Sequence[int]):
-        self.sequence = tuple(sequence)
-        if sorted(self.sequence) != list(range(len(self.sequence))):
+        seq = self.sequence = tuple(sequence)
+        if sorted(seq) != list(range(len(seq))) or set(map(type, seq)) - {int}:
             raise ValueError("order must be a permutation of 0..size-1")
-        self.position = {g: i for i, g in enumerate(self.sequence)}
+        self.position = {g: i for i, g in enumerate(seq)}
 
     @staticmethod
     def default(alphabet: Alphabet) -> "GeneratorOrder":
@@ -176,11 +176,11 @@ def pbw_monomial_count(rs: RewriteSystem, degree: int) -> int:
 def inadmissible_dependence_witness(
     pres: QlsPresentation, order: GeneratorOrder
 ) -> NCPoly:
-    """Degree-3 combination that vanishes in the enveloping algebra but is a
-    nonzero sum of monomials over the inadmissible ordered set:
+    """Nonzero sum of monomials over the inadmissible ordered set whose degree-3
+    part vanishes in the enveloping algebra (with b, a or cbar nonzero, words of
+    length <= 2 remain; test_witness_normal_form_has_no_word_of_length_three):
 
-        0 = (1/2) d_aa^{cd} x_c x_d y_b + y_a y_b y_a - d_ab^{cd} y_a x_c x_d
-    """
+        (1/2) d_aa^{cd} x_c x_d y_b + y_a y_b y_a - d_ab^{cd} y_a x_c x_d"""
     ok, witness = check_admissible(pres, order)
     if ok:
         raise ValueError("order is admissible; no dependence witness exists")

@@ -559,6 +559,16 @@ def test_order_that_is_not_a_permutation_exits_2(capsys, command, order, message
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", [
+    ["normal-form", "--n", "2", "E[1,1]"],
+    ["serre-check", "--n", "2", "--max-len", "2"],
+], ids=["normal-form", "serre-check"])
+def test_order_with_an_unknown_generator_names_it(capsys, command):
+    code, out, err = _run(capsys, *command, "--order", "E1_1, 0,1")
+    assert code == 2 and out == ""
+    assert err == "error: unknown generator in --order: '0'\n"
+
+
 # every command in both formats, with exit-1 and exit-2 runs: the SHA-256 of
 # (exit code, stdout, stderr) of each, recorded before the commands shared
 # one output path; verify's structured pair re-recorded when it gained the

@@ -2,6 +2,7 @@
 fuzzing."""
 
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -11,11 +12,163 @@ from hypothesis import strategies as st
 
 from quadlie import exprparse
 from quadlie.exprparse import (
-    MAX_EXPONENT, MAX_NESTING, MAX_WORK, ParseError, parse_ncpoly, parse_scalar,
+    MAX_EXPONENT, MAX_NESTING, MAX_WORK, ParseError, _integer, _quote, _size,
+    parse_ncpoly, parse_scalar,
 )
 from quadlie.gl2n1 import build
-from quadlie.ncpoly import NCPoly
-from quadlie.scalars import Scalar, srat
+from quadlie.ncpoly import Alphabet, NCPoly
+from quadlie.scalars import ZERO, Scalar, srat
+
+
+# -- the reference parser: the grammar as parsed before an indexed generator
+# became one token, with a token per name, bracket, comma and number and an
+# NCPoly product per factor; the differential test holds the parser to it
+
+_REF_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()\[\],])"
+    r"|(?P<bad>\S))"
+)
+
+
+def _ref_tokenize(text):
+    tokens = []
+    for m in _REF_TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            raise ParseError(f"bad character at {_quote(text[m.start():])}")
+        tokens.append((m.lastgroup, m.group(m.lastgroup)))
+    tokens.append((None, None))
+    return tokens
+
+
+class _RefParser:
+    def __init__(self, text, alphabet, resolver, names):
+        self.tokens = _ref_tokenize(text)
+        self.pos = 0
+        self.depth = 0
+        self.work = 0
+        self.alphabet = alphabet
+        self.one = NCPoly.one(alphabet)
+        self.resolver = resolver
+        self.names = names
+
+    def parse(self):
+        out = self.parse_expr()
+        if self.tokens[self.pos][0] is not None:
+            raise ParseError(f"trailing input near {_quote(self.tokens[self.pos][1])}")
+        return out
+
+    def take(self, expect=None):
+        kind, val = self.tokens[self.pos]
+        if kind is None:
+            raise ParseError("unexpected end of input")
+        if expect is not None and val != expect:
+            raise ParseError(f"expected {expect!r}, got {_quote(val)}")
+        self.pos += 1
+        return kind, val
+
+    def _open(self):
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels")
+        self.pos += 1
+        self.depth += 1
+
+    def parse_expr(self):
+        acc = self.parse_term()
+        while True:
+            val = self.tokens[self.pos][1]
+            if val != "+" and val != "-":
+                return acc
+            self.pos += 1
+            term = self.parse_term()
+            acc = acc + term if val == "+" else acc - term
+
+    def parse_term(self):
+        acc = self.parse_signed()
+        while True:
+            kind, val = self.tokens[self.pos]
+            if val == "/":
+                self.pos += 1
+                div = self.parse_signed().terms
+                if div.keys() - {()} or not div.get((), ZERO).is_rational():
+                    raise ParseError("division only by rational constants")
+                if not div:
+                    raise ParseError("division by zero")
+                acc = acc * (1 / div[()].as_rational())
+            elif val == "*" or kind in ("num", "name") or val == "(":
+                if val == "*":
+                    self.pos += 1
+                acc = self._mul(acc, self.parse_signed())
+            else:
+                return acc
+
+    def parse_signed(self):
+        val = self.tokens[self.pos][1]
+        if val != "+" and val != "-":
+            return self.parse_power(self.parse_atom())
+        self._open()
+        inner = self.parse_signed()
+        self.depth -= 1
+        return inner if val == "+" else -inner
+
+    def parse_power(self, base):
+        if self.tokens[self.pos][1] != "^":
+            return base
+        self.pos += 1
+        kind, val = self.take()
+        if kind != "num":
+            raise ParseError("exponent must be a number")
+        if len(val) > len(str(MAX_EXPONENT)) or int(val) > MAX_EXPONENT:
+            raise ParseError(f"exponent after ^ is larger than {MAX_EXPONENT}")
+        result, exp = self.one, int(val)
+        while exp:
+            if exp & 1:
+                result = self._mul(result, base)
+            exp >>= 1
+            if exp:
+                base = self._mul(base, base)
+        return result
+
+    def _mul(self, a, b):
+        self.work += _size(a) * _size(b)
+        if self.work > MAX_WORK:
+            raise ParseError(f"expression takes more than {MAX_WORK} term products")
+        return a * b
+
+    def parse_atom(self):
+        kind, val = self.tokens[self.pos]
+        if val == "(":
+            self._open()
+            inner = self.parse_expr()
+            self.take(")")
+            self.depth -= 1
+            return inner
+        if kind == "num":
+            self.pos += 1
+            return self.one.scale(_integer(val))
+        if kind == "name":
+            self.pos += 1
+            indices = None
+            if self.tokens[self.pos][1] == "[":
+                self.take("[")
+                indices = []
+                while True:
+                    k2, v2 = self.take()
+                    if k2 != "num":
+                        raise ParseError("index must be a number")
+                    indices.append(_integer(v2))
+                    k3, v3 = self.take()
+                    if v3 == "]":
+                        break
+                    if v3 != ",":
+                        raise ParseError(f"expected , or ] in index list, got {_quote(v3)}")
+            g = self.resolver(val, indices)
+            if g is not None:
+                return NCPoly.generator(self.alphabet, g)
+            if indices is None and (self.names is None or val in self.names):
+                return self.one.scale(Scalar.var(val))
+            suffix = "" if indices is None else f"[{','.join(map(str, indices))}]"
+            raise ParseError(f"unknown name {_quote(val + suffix, str)}")
+        raise ParseError(f"unexpected token {val!r}" if kind else "unexpected end of input")
 
 
 def test_powers_by_squaring_match_repeated_products():
@@ -209,8 +362,9 @@ def test_trailing_whitespace_is_accepted():
 def test_parse_work_is_the_sum_of_product_sizes(monkeypatch):
     # products and powers of generators with integer, rational and symbolic
     # factors: the parser's work count is the sum of size(a) * size(b) over
-    # the NCPoly products it forms, a size being a number of (word,
-    # monomial) pairs, each product seen where NCPoly.__mul__ is called
+    # the products the grammar forms, a size being a number of (word,
+    # monomial) pairs, each product seen where the reference parser calls
+    # NCPoly.__mul__ (the parser appends a run of generators to one word)
     alg = build(2)
     names = alg.presentation.indeterminates
     gens = ["E[1,1]", "E[1,2]", "E[2,1]", "E[2,2]", "Q[1]", "Q[2]", "Qbar[1]", "Qbar[2]"]
@@ -224,7 +378,6 @@ def test_parse_work_is_the_sum_of_product_sizes(monkeypatch):
                          * sum(len(c.terms) for c in b.terms.values()))
         return general(a, b)
 
-    monkeypatch.setattr(NCPoly, "__mul__", recording_mul)
     rng = random.Random(34)
     for _ in range(300):
         parts = []
@@ -237,9 +390,126 @@ def test_parse_work_is_the_sum_of_product_sizes(monkeypatch):
         if rng.random() < 0.3:
             text = f"-{text} + {rng.choice(gens)} {rng.choice(factors)}"
         sizes.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(NCPoly, "__mul__", recording_mul)
+            _RefParser(text, alg.alphabet, alg.resolve, names).parse()
         parser = exprparse._Parser(text, alg.alphabet, alg.resolve, names)
         parser.parse()
         assert parser.work == sum(sizes), text
+
+
+# pieces of the differential test's strings: indexed generators of gl2(2/1)
+# and gl2(3/1) with and without whitespace in the brackets, unknown and
+# malformed index lists, bare names, small numbers, every operator and a
+# bad character
+_GENERATORS = ["E[1,2]", "E[2,1]", "E[1,1]", "E [ 2 ,\t1 ]", "Q[1]", "Q[2]", "Qbar[1]",
+               "Qbar[ 2]", "Q[01]"]
+_N3_GENERATORS = ["E[3,1]", "E[2,3]", "Q[3]", "Qbar[3]"]
+_SOUP = _GENERATORS + _N3_GENERATORS + [
+    "X[1]", "Q[1,1]", "E[1]", "c[1]", "E[0,1]",
+    "E[1,", "E[", "Q[1 2]", "E[,1]", "Q[]", "E[1,2", "Qbar[x]", "E[1,2,]", "E[1 E[1,2]]",
+    "c", "u", "x", "E", "Q", "Qbar", "0", "1", "2", "3",
+    "+", "-", "*", "/", "^", "(", ")", "[", "]", ",", "$",
+]
+_FACTORS = _GENERATORS + ["c", "2", "(c + 1)", "(E[1,2] - Q[1])", "-Q[2]"]
+_SCALAR_FACTORS = ["c", "u", "2", "3", "(c + 1)", "-c", "1/2"]
+
+
+def _differential_text(rng):
+    """A seeded random string: two in five a soup of any pieces, the rest
+    sums of products of generators, names and numbers, or of names and
+    numbers only, some factors with a power."""
+    mode = rng.random()
+    if mode < 0.4:
+        return "".join(rng.choice(_SOUP) + rng.choice(["", " ", "\t"])
+                       for _ in range(rng.randint(0, 8)))
+    terms = []
+    for _ in range(rng.randint(1, 2)):
+        factors = []
+        for _ in range(rng.randint(1, 4)):
+            if mode < 0.8:
+                pool = _N3_GENERATORS if rng.random() < 0.05 else _FACTORS
+            else:
+                pool = _SCALAR_FACTORS
+            factor = rng.choice(pool)
+            if rng.random() < 0.15:
+                factor += f"^{rng.randint(0, 2)}"
+            factors.append(factor)
+        terms.append(rng.choice([" ", " * ", "*"]).join(factors))
+    return rng.choice([" + ", " - ", "-"]).join(terms)
+
+
+def test_parser_agrees_with_the_reference_parser(monkeypatch):
+    """Seeded differential test over 20,000 strings, parsed in turn through
+    parse_ncpoly over gl2(2/1), over gl2(3/1) and through parse_scalar: the
+    parser and the reference give the same value and the same work, or the
+    same exception type and message."""
+    parsers = []
+
+    class Recorded(exprparse._Parser):
+        def parse(self):
+            parsers.append(self)
+            return super().parse()
+
+    monkeypatch.setattr(exprparse, "_Parser", Recorded)
+
+    def outcome(parse, *args):
+        try:
+            return parse(*args)
+        except Exception as exc:  # compared by type and message
+            return type(exc), str(exc)
+
+    references = []
+
+    def reference(text, alphabet, resolver, names):
+        # recorded once tokenized, as a parser is when its parse() is called
+        ref = _RefParser(text, alphabet, resolver, names)
+        references.append(ref)
+        return ref.parse()
+
+    def reference_scalar(text, names):
+        poly = reference(text, no_generators, lambda name, indices: None, names)
+        return poly.terms.get((), ZERO)
+
+    no_generators = Alphabet(0, 0)
+    contexts = [(parse_ncpoly, reference, (alg.alphabet, alg.resolve, ("c",)))
+                for alg in (build(2), build(3))]
+    contexts.append((parse_scalar, reference_scalar, (("c", "u"),)))
+    rng = random.Random(40)
+    parsed = [0, 0, 0]
+    for i in range(20_000):
+        text = _differential_text(rng)
+        parse, ref, args = contexts[i % 3]
+        parsers.clear()
+        references.clear()
+        got = outcome(parse, text, *args)
+        assert got == outcome(ref, text, *args), text
+        assert [p.work for p in parsers] == [r.work for r in references], text
+        parsed[i % 3] += not isinstance(got, tuple)
+    assert min(parsed) > 1_000
+
+
+def test_an_indexed_generator_is_one_token():
+    assert exprparse._tokenize("Qbar[1] Q[2] E[2,1]") == [
+        ("gen", ("Qbar", "1")), ("gen", ("Q", "2")), ("gen", ("E", "2,1")), (None, None)]
+    alg = build(2)
+    spaced = parse_ncpoly("E [ 1 ,\t2 ]\nQ[ 1] * Qbar [2 ]", alg.alphabet, alg.resolve)
+    assert spaced == parse_ncpoly("E[1,2] Q[1] Qbar[2]", alg.alphabet, alg.resolve)
+
+
+@pytest.mark.parametrize("text", ["X[1]", "E[1,1] X[1]", "E[1,1] * X[1] E[1,2]"])
+def test_an_indexed_generator_is_checked_against_the_alphabet(text):
+    # a resolver may map a name outside the alphabet; each letter, first or
+    # in a run, is checked before it is multiplied
+    alg = build(2)
+
+    def resolver(name, indices):
+        return {"X": 99, "Y": 1.0}.get(name, alg.resolve(name, indices))
+
+    with pytest.raises(IndexError, match="generator 99 out of range"):
+        parse_ncpoly(text, alg.alphabet, resolver)
+    with pytest.raises(TypeError, match="generator id 1.0 is not an int"):
+        parse_ncpoly(text.replace("X", "Y"), alg.alphabet, resolver)
 
 
 def _random_expression(rng, depth):

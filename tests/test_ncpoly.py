@@ -51,6 +51,18 @@ def test_alphabet_rejects_repeated_names():
     assert Alphabet(1, 1, names=["g", "h"]).names == ("g", "h")
 
 
+def test_generator_ids_must_be_ints():
+    # 1.0 and True hash and compare equal to 1, so a range check alone
+    # would take them for generator 1
+    ab = Alphabet(2, 1)
+    for g in (1.0, True, 1.5, "1"):
+        with pytest.raises(TypeError, match="is not an int"):
+            ab.parity(g)
+        with pytest.raises(TypeError, match="is not an int"):
+            NCPoly.monomial(ab, (0, g))
+    assert [ab.parity(g) for g in range(3)] == [0, 0, 1]
+
+
 def test_bilinearity():
     p = (gen(0) + gen(1)) * gen(0)
     assert p.terms == {(0, 0): srat(1), (1, 0): srat(1)}

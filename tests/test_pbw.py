@@ -55,6 +55,14 @@ def test_admissible_lie_superalgebra_any_order():
     assert ok and witness is None
 
 
+def test_generator_order_entries_must_be_ints():
+    # [1.0, 0] sorts to a permutation of 0..1, and True == 1
+    for seq in ([1.0, 0], [True, 0], [0, 1, 2.0], [0, 2]):
+        with pytest.raises(ValueError, match="order must be a permutation of 0..size-1"):
+            GeneratorOrder(seq)
+    assert GeneratorOrder([1, 0]).position == {1: 0, 0: 1}
+
+
 def test_admissible_evens_first():
     pres = build(3).presentation
     ok, witness = check_admissible(pres, GeneratorOrder.default(pres.alphabet))

@@ -1043,7 +1043,8 @@ def test_ring_table_is_the_bracket_table_scaled_entry_by_entry():
 
 def test_normalize2_and_bracket_refuse_foreign_input():
     # a gl2(2/1) element is not read as gl2(3/1) generators, nor is a
-    # gl2(4/1) one an IndexError; an id outside the alphabet has no bracket
+    # gl2(4/1) one an IndexError; an id outside the alphabet, or not an
+    # int, has no bracket
     pres = build(3).presentation
     for other in (build(2), build(4)):
         with pytest.raises(AlphabetMismatch):
@@ -1051,6 +1052,9 @@ def test_normalize2_and_bracket_refuse_foreign_input():
     size = pres.alphabet.size
     for g1, g2 in ((99, 0), (-1, 0), (0, size), (0, -1), (size, size)):
         with pytest.raises(IndexError, match="out of range"):
+            pres.bracket(g1, g2)
+    for g1, g2 in ((1.0, 0), (True, 0), (0, 2.5)):
+        with pytest.raises(TypeError, match="is not an int"):
             pres.bracket(g1, g2)
 
 

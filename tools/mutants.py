@@ -392,9 +392,30 @@ MUTANTS = [
            "{w1 + w2: c1}",
            "tests/test_ncpoly.py"),
     Mutant("parser counts words, not (word, monomial) pairs", "src/quadlie/exprparse.py",
-           "self.work += _size(a) * _size(b)",
-           "self.work += len(a.terms) * len(b.terms)",
+           "self._count(_size(a) * _size(b))",
+           "self._count(len(a.terms) * len(b.terms))",
            "tests/test_exprparse.py"),
+    Mutant("a run of generators does not count a letter's product", "src/quadlie/exprparse.py",
+           "self._count(_size(acc))",
+           "pass",
+           "tests/test_exprparse.py"),
+    Mutant("a run of generators takes one that a ^ follows", "src/quadlie/exprparse.py",
+           'tokens[at][0] == "gen" and tokens[at + 1][1] != "^" and',
+           'tokens[at][0] == "gen" and',
+           "tests/test_exprparse.py"),
+    Mutant("an indexed generator token skips the alphabet's bounds check",
+           "src/quadlie/exprparse.py",
+           "self.alphabet.parity(g)  # bounds check\n",
+           "",
+           "tests/test_exprparse.py"),
+    Mutant("a generator id need not be an int", "src/quadlie/ncpoly.py",
+           "if type(g) is not int:",
+           "if False:",
+           "tests/test_ncpoly.py"),
+    Mutant("an order entry need not be an int", PBW,
+           "or set(map(type, seq)) - {int}:",
+           ":",
+           T_PBW),
     Mutant("error quote ignores MAX_QUOTE", "src/quadlie/exprparse.py",
            "if len(text) <= MAX_QUOTE:",
            "if True:",
