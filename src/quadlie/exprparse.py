@@ -131,13 +131,12 @@ class _Parser:
 
     def parse_term(self):
         acc, letters, tokens = self.parse_signed(), [], self.tokens
-        while True:  # letters: a run of generators, by adjacency or `*`, for acc's one word
+        while True:  # letters: a run of adjacent generators, for acc's one word
             kind, val = tokens[self.pos]
-            at = self.pos + 1 if val == "*" else self.pos
-            if tokens[at][0] == "gen" and tokens[at + 1][1] != "^" and len(acc._terms) == 1:
-                letters.append(self._letter(*tokens[at][1]))
+            if kind == "gen" and tokens[self.pos + 1][1] != "^" and len(acc._terms) == 1:
+                letters.append(self._letter(*val))
                 self._count(_size(acc))  # acc times one letter
-                self.pos = at + 1
+                self.pos += 1
                 continue
             if letters:
                 [(word, coeff)] = acc._terms.items()

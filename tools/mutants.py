@@ -400,8 +400,8 @@ MUTANTS = [
            "pass",
            "tests/test_exprparse.py"),
     Mutant("a run of generators takes one that a ^ follows", "src/quadlie/exprparse.py",
-           'tokens[at][0] == "gen" and tokens[at + 1][1] != "^" and',
-           'tokens[at][0] == "gen" and',
+           'kind == "gen" and tokens[self.pos + 1][1] != "^" and',
+           'kind == "gen" and',
            "tests/test_exprparse.py"),
     Mutant("an indexed generator token skips the alphabet's bounds check",
            "src/quadlie/exprparse.py",
