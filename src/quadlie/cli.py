@@ -107,9 +107,14 @@ def _make_algebra(args):
 
 def _parse_order(spec: str, alphabet) -> GeneratorOrder:
     names = [s.strip() for s in spec.split(",")]
-    for name in names:
+    for i, name in enumerate(names):
         if name not in alphabet.names:
             raise CliError(f"unknown generator in --order: {name!r}")
+        if name in names[:i]:
+            raise CliError(f"--order names {name} twice")
+    if missing := [name for name in alphabet.names if name not in names]:
+        more = ", ..." if len(missing) > 3 else ""
+        raise CliError(f"--order leaves out {', '.join(missing[:3])}{more}")
     return GeneratorOrder([alphabet.names.index(name) for name in names])
 
 

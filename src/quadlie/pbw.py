@@ -36,9 +36,9 @@ counting odd letters, and halves an odd square's terms, y y = (1/2)
 {y, y}, where it applies them.  The scaled coefficient of z_w in w_a ...
 w_b z_N is the unscaled one times D^(o(a ... b N) - o(w)), never 0: a
 relation vanishes in both bases or in neither (same verdict and first
-witness); `back`, being linear, maps each output word of a ring sum back
-once (DECISIONS.md "Odd rescaling", "normal_form maps back once per
-output word").
+witness); `back`, being linear, maps each output word of a ring sum, taken
+over one common denominator L, back by D^e / L once (DECISIONS.md "Odd
+rescaling", "normal_form maps back once per output word").
 
 Also provided: a witness of linear dependence for inadmissible orders, and
 ordered-monomial counting.
@@ -48,10 +48,10 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import product
-from math import comb
+from math import comb, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .ncpoly import Alphabet, AlphabetMismatch, NCPoly, Word
+from .ncpoly import Alphabet, AlphabetMismatch, NCPoly, Word, _ncpoly
 from .presentation import Coeff, QlsPresentation, _half
 from .scalars import Scalar, accumulate, axpy, lower
 
@@ -145,21 +145,24 @@ class RewriteSystem:
     # -- normal forms -------------------------------------------------
 
     def normal_form(self, elem: NCPoly) -> NCPoly:
-        """Coordinates of elem in the ordered monomials: the words' images
-        summed in the ring, one sum per odd-letter count of the input
-        words, then mapped back once per (count, output word)."""
-        if elem.alphabet != self.presentation.alphabet:
-            raise AlphabetMismatch(
-                f"{elem.alphabet!r} vs {self.presentation.alphabet!r}")
+        """Coordinates of elem in the ordered monomials: with L the lcm of the
+        coefficients' denominators, the words' images times L * coeff (an int,
+        or a Scalar with an indeterminate) summed in the ring per odd-letter
+        count o_in, mapped back by D^(o(w) - o_in) / L once per output word."""
+        ab = self.presentation.alphabet
+        if elem.alphabet is not ab and elem.alphabet != ab:
+            raise AlphabetMismatch(f"{elem.alphabet!r} vs {ab!r}")
         action, n = self._action, self.presentation.n_even
+        coeffs = [lower(c) for c in elem.terms.values()]
+        den = lcm(*(c.denominator for c in coeffs if type(c) is not Scalar))
         sums: Dict[int, Dict[int, Coeff]] = {}
-        for word, coeff in elem.terms.items():
-            axpy(sums.setdefault(sum(g >= n for g in word), {}), lower(coeff),
-                 action._apply(word, 0))
+        for word, c in zip(elem.terms, coeffs):
+            c = c * den if type(c) is Scalar else c.numerator * (den // c.denominator)
+            axpy(sums.setdefault(sum(g >= n for g in word), {}), c, action._apply(word, 0))
         out: Dict[Word, Scalar] = {}
         for odd_in, dist in sums.items():
-            action._spell(dist, odd_in, out)
-        return NCPoly(self.presentation.alphabet, out)
+            action._spell(dist, odd_in, out, den)
+        return _ncpoly(ab, out)
 
 
 def pbw_monomial_count(rs: RewriteSystem, degree: int) -> int:
@@ -205,7 +208,8 @@ class _ModuleAction:
     = w_a z_t = {w: 1}.  The caches map ids to coefficients in the
     presentation's ring; `_spell`, for `apply_word` and `normal_form`,
     spells ids out as words and maps a sum of images back to `Scalar`s in
-    the presentation's own basis through the ring's `back`.
+    the presentation's own basis through the ring's `back`; `_backs`
+    keeps the `Scalar` of each int (value, exponent, den) with the caches.
     `max_len` is ignored: the action is defined on words of any length.
     """
 
@@ -215,7 +219,7 @@ class _ModuleAction:
         self._head, self._tail = [-1], [0]
         self._caches: List[Dict[int, Dict[int, Coeff]]] = [{} for _ in range(self.ab.size)]
         ring = rs.presentation._ring
-        self._table, self._back = ring.table, ring.back
+        self._table, self._back, self._backs = ring.table, ring.back, {}
 
     def apply_word(self, gens: Word, word: Word) -> Dict[Word, Scalar]:
         """Act with w_{gens[0]} ... w_{gens[-1]} on z_word, word ordered."""
@@ -223,18 +227,22 @@ class _ModuleAction:
         return self._spell(self._apply(gens + word, 0), odd_in, {})  # z_word = w_word z_()
 
     def _spell(self, dist: Dict[int, Coeff], odd_in: int,
-               out: Dict[Word, Scalar]) -> Dict[Word, Scalar]:
-        """Add dist, a sum of images of words with odd_in odd letters, to
-        out: each id spelled out as a word, its scaled coefficient mapped
-        back by D^(odd letters out - odd_in), a sum that cancels dropped."""
-        n, head, tail = self.ab.n_even, self._head, self._tail
+               out: Dict[Word, Scalar], den: int = 1) -> Dict[Word, Scalar]:
+        """Add dist, den times a sum of images of words with odd_in odd
+        letters, to out: each id spelled out, its coefficient mapped back by
+        D^(o(w) - odd_in) / den once (an int's via `_backs`), zero sums dropped."""
+        n, head, tail, backs = self.ab.n_even, self._head, self._tail, self._backs
         for w, v in dist.items():
             letters = []  # the word of id w, spelled out
             while w:
                 letters.append(head[w])
                 w = tail[w]
-            accumulate(out, tuple(letters),
-                       self._back(v, sum(g >= n for g in letters) - odd_in))
+            e = sum(g >= n for g in letters) - odd_in
+            if type(v) is not int:
+                c = self._back(v, e, den)
+            elif (c := backs.get((v, e, den))) is None:
+                c = backs[v, e, den] = self._back(v, e, den)
+            accumulate(out, tuple(letters), c)
         return out
 
     def _act(self, a: int, word: int) -> Dict[int, Coeff]:

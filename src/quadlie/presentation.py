@@ -742,17 +742,18 @@ class _Ring(NamedTuple):
         return _Ring(table=table, scale=scale,
                      **{name: tensor for name, _, tensor in tensors})
 
-    def back(self, value: Coeff, exponent: int) -> Scalar:
-        """value * D**exponent as an exact Scalar, mapping a coefficient of
-        the ring back: D**exponent is an int that multiplies when exponent
-        > 0; when exponent < 0 a Scalar is divided by D**-exponent and an
-        int makes one Fraction(value, D**-exponent); D = 1 is skipped."""
+    def back(self, value: Coeff, exponent: int, den: int = 1) -> Scalar:
+        """value * D**exponent / den as an exact Scalar, mapping a ring
+        coefficient back: the int D**exponent multiplies when exponent > 0
+        and joins den when exponent < 0; then an int makes one
+        Fraction(value, den) and a Scalar is divided by den but for den = 1."""
         if exponent > 0 and self.scale != 1:
             value = value * self.scale ** exponent
         elif exponent < 0 and self.scale != 1:
-            den = self.scale ** -exponent
-            value = value / den if isinstance(value, Scalar) else Fraction(value, den)
-        return value if isinstance(value, Scalar) else srat(value)
+            den *= self.scale ** -exponent
+        if not isinstance(value, Scalar):
+            return srat(value, den)
+        return value if den == 1 else value / den
 
 
 class BalancedData:

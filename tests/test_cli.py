@@ -546,14 +546,14 @@ _NAMES = list(build(3).alphabet.names)
     ["serre-check", "--n", "3", "--max-len", "3"],
 ], ids=["normal-form", "serre-check"])
 @pytest.mark.parametrize("order, message", [
-    (_NAMES[:1] + _NAMES[:1] + _NAMES[2:], "order must be a permutation of 0..size-1"),
-    (_NAMES[:-1], "order size does not match the presentation"),
-    (_NAMES[1:2], "order must be a permutation of 0..size-1"),
+    (_NAMES[:1] + _NAMES[:1] + _NAMES[2:], "--order names E1_1 twice"),
+    (_NAMES[:-1], "--order leaves out Q3"),
+    (_NAMES[1:2], "--order leaves out E1_1, E1_3, E2_1, ..."),
 ], ids=["duplicate", "short-prefix", "short"])
 def test_order_that_is_not_a_permutation_exits_2(capsys, command, order, message):
-    """A duplicated name fails in GeneratorOrder; a short list fails there,
-    or in check_admissible's size check when it is a permutation of a
-    prefix.  Each exits 2 with one error line."""
+    """A repeated name, and the names left out, are named by the CLI before
+    any order is built, the first three of those left out.  Each exits 2
+    with one error line."""
     code, out, err = _run(capsys, *command, "--order", ",".join(order))
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"

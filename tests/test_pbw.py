@@ -554,8 +554,12 @@ def test_serre_length_3_matches_abstract_checker():
         rs = _rs(pres)  # evens first: admissible
         # every one runs on ints alone
         assert all(type(v) is int for terms in pres._ring.table.values() for _, v in terms)
-        ok, _ = serre_module_check(rs, max_len=3)
+        ok, first = serre_module_check(rs, max_len=3)
         assert ok == pres.check_abstract_jacobi().passed
+        # length 3 decides (DECISIONS.md "Length 3 decides"): lengths 4
+        # and 5 give the same verdict and the same first witness
+        for max_len in (4, 5):
+            assert serre_module_check(rs, max_len) == (ok, first), max_len
         verdicts.append(ok)
     assert 0 < sum(verdicts) < len(verdicts)  # both verdicts occur
 
@@ -868,6 +872,32 @@ def _multi_term_elements(rs, rng, count):
     return out + [first - rs.normal_form(first)]
 
 
+def _common_denominator_elements(rs, rng, count):
+    """Seeded sums with the coefficients 1/2, 1/3, 5/6 and 7/4 on words of
+    different odd counts, each also with c/3 + 1/2 on one more word, so
+    normal_form puts them over L = 12; and last, the first of them that is
+    not its own normal form minus that normal form, which cancels to zero."""
+    ab, n = rs.presentation.alphabet, rs.presentation.n_even
+    by_odd = {}
+    for _ in range(200):
+        word = tuple(rng.randrange(ab.size) for _ in range(rng.randint(2, 4)))
+        by_odd.setdefault(sum(g >= n for g in word), []).append(word)
+    counts = sorted(by_odd)
+    assert len(counts) > 2
+    rationals = [Fraction(1, 2), Fraction(1, 3), Fraction(5, 6), Fraction(7, 4)]
+    symbolic = Scalar.var("c") / 3 + Fraction(1, 2)
+    out = []
+    for _ in range(count):
+        first = rng.randrange(len(counts))
+        terms = {}
+        for i, coeff in enumerate(rationals + [symbolic]):
+            w = rng.choice(by_odd[counts[(first + i) % len(counts)]])
+            terms[w] = terms.get(w, Scalar()) + Scalar.coerce(coeff)
+        out.append(NCPoly(ab, terms))
+    first = next(e for e in out if rs.normal_form(e) != e)
+    return out + [first - rs.normal_form(first)]
+
+
 def _sum_of_images(elem, image):
     """Sum of coeff * image(word) over elem's terms, in Scalars."""
     out = {}
@@ -884,18 +914,23 @@ def _sum_of_images(elem, image):
     pytest.param(lambda3_presentation(), 4, id="lambda3"),
 ])
 def test_multi_term_normal_form_is_the_sum_over_its_words(pres, scale):
-    # normal_form sums the words' images in the ring, one sum per odd
-    # count, and maps each sum back once: it must equal the per-word
-    # normal forms summed in Scalars, unscaled and through apply_word
+    # normal_form sums the words' images in the ring over one common
+    # denominator, one sum per odd count, and maps each sum back once: it
+    # must equal the per-word normal forms summed in Scalars, unscaled and
+    # through apply_word, and a fresh system's result
     assert pres._ring.scale == scale
     rs = _rs(pres)
     rules = _reference_rules(pres, rs.order)
     memo = {}
     elems = _multi_term_elements(rs, random.Random(f"multi-term {scale}"), 25)
+    over_l = _common_denominator_elements(rs, random.Random(f"over L {scale}"), 8)
     mixed = 0  # output words reached from input words of two odd counts
-    for elem in elems:
+    for elem in elems + over_l:
         want = _sum_of_images(elem, lambda w: _reference_normal_form(rules, w, memo))
-        assert rs.normal_form(elem).terms == want, elem
+        got = rs.normal_form(elem)
+        assert got.terms == want, elem
+        assert all(type(v) is Scalar and v for v in got.terms.values())
+        assert _rs(pres).normal_form(elem) == got, elem
         assert _sum_of_images(elem, lambda w: rs._action.apply_word(w, ())) == want
         reached = {}
         for word in elem.terms:
@@ -903,7 +938,8 @@ def test_multi_term_normal_form_is_the_sum_over_its_words(pres, scale):
                 reached.setdefault(w, set()).add(sum(g >= pres.n_even for g in word))
         mixed += sum(len(counts) > 1 for counts in reached.values())
     assert mixed
-    assert len(elems[-1].terms) > 1 and rs.normal_form(elems[-1]).is_zero()
+    for zero in (elems[-1], over_l[-1]):
+        assert len(zero.terms) > 1 and rs.normal_form(zero).is_zero()
 
 
 def test_serre_check_refuses_past_relation_budget():

@@ -214,8 +214,20 @@ MUTANTS = [
            "        self.rs = rs\n        self.ab = rs.presentation.alphabet",
            T_PBW),
     Mutant("normal_form maps back by the output's odd count only", PBW,
-           "sum(g >= n for g in letters) - odd_in)",
-           "sum(g >= n for g in letters))",
+           "e = sum(g >= n for g in letters) - odd_in",
+           "e = sum(g >= n for g in letters)",
+           T_PBW),
+    Mutant("normal_form map-back forgets the division by L", PBW,
+           "action._spell(dist, odd_in, out, den)",
+           "action._spell(dist, odd_in, out)",
+           T_PBW),
+    Mutant("normal_form leaves a Scalar coefficient off the common denominator", PBW,
+           "c = c * den if type(c) is Scalar else",
+           "c = c if type(c) is Scalar else",
+           T_PBW),
+    Mutant("map-back memo keyed without the exponent", PBW,
+           "backs.get((v, e, den))) is None:\n                c = backs[v, e, den]",
+           "backs.get((v, den))) is None:\n                c = backs[v, den]",
            T_PBW),
     Mutant("normal_form sums every word in one odd count", PBW,
            "sums.setdefault(sum(g >= n for g in word), {})",
