@@ -22,11 +22,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .atypicality import atypicality_report, table_zero_step
-from .exprparse import ParseError, parse_ncpoly
+from .exprparse import ParseError, parse_ncpoly, parse_scalar
 from .fock import bracket_polynomial_check, zero_step_demo
 from .gl2n1 import FamilyParams, build, family_data
 from .ncpoly import word_key
@@ -42,12 +41,13 @@ class CliError(Exception):
 
 
 def _parse_value(text: str, symbol: str) -> Scalar:
-    """A rational like '3' or '5/2', or the word 'symbolic'."""
+    """A rational in the syntax of a .qls entry, like '3', '-5/2' or
+    '2^10', or the word 'symbolic'."""
     if text == "symbolic":
         return Scalar.var(symbol)
     try:
-        return Scalar.from_rational(Fraction(text))
-    except (ValueError, ZeroDivisionError) as exc:
+        return parse_scalar(text, ())
+    except ParseError as exc:
         raise CliError(f"bad value for --{symbol}: {text!r}") from exc
 
 
@@ -323,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n", type=int, help="default 3; not with a file")
     sub.add_argument("--c", help="central charge: rational or 'symbolic'; not with a file")
     sub.add_argument("--order", help="comma-separated generator names")
-    sub.add_argument("--max-len", type=int, default=4)
+    sub.add_argument("--max-len", type=int, default=3)
     sub.set_defaults(func=_cmd_serre_check)
 
     return parser

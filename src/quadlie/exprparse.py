@@ -14,12 +14,16 @@ admitted names include (None admits any) is an indeterminate; else "unknown name
 One work bound: before each product, size(a) * size(b) is added to a count
 kept for the parse, a size being a number of (word, monomial) pairs; past
 MAX_WORK pair products the input is refused, so (a+b+c+d)^1000 fails at once.
+A power whose coefficients could pass MAX_BITS bits is refused before it is
+formed, so ((10^1000)^1000)^10 fails at once too.
 An error message quotes at most MAX_QUOTE characters of the input.
 """
 
 from __future__ import annotations
 
 import re
+import sys
+from math import lcm, log2
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .ncpoly import Alphabet, NCPoly, _ncpoly
@@ -41,6 +45,10 @@ MAX_EXPONENT = 1000
 # most (word, monomial) pair products one parse may form; (c + 1)^1000
 # takes 415,666 and the squaring to (a+b+c+d)^32 would take 938,961
 MAX_WORK = 500_000
+
+# most bits in a numerator or denominator a power may make: str() stops at
+# 4,300 digits, about 14,284 bits, so a larger one could not be printed
+MAX_BITS = int(sys.int_info.default_max_str_digits * log2(10))
 
 # most characters of the input an error message quotes
 MAX_QUOTE = 40
@@ -174,6 +182,8 @@ class _Parser:
             raise ParseError("exponent must be a number")
         if len(val) > len(str(MAX_EXPONENT)) or int(val) > MAX_EXPONENT:
             raise ParseError(f"exponent after ^ is larger than {MAX_EXPONENT}")
+        if int(val) * _bits(base) > MAX_BITS:
+            raise ParseError(f"power makes coefficients of more than {MAX_BITS} bits")
         return self._power(base, int(val))
 
     def _power(self, base, exp: int):
@@ -248,6 +258,15 @@ def _size(poly: NCPoly) -> int:
     for coeff in poly._terms.values():
         n += len(coeff._terms)
     return n
+
+
+def _bits(poly: NCPoly) -> float:
+    """log2 max(L, sum of |L c|), L the lcm of the denominators of poly's
+    rational coefficients c: poly^e = (L poly)^e / L^e has no numerator or
+    denominator past e times this many bits."""
+    fracs = [c for coeff in poly._terms.values() for c in coeff._terms.values()]
+    den = lcm(*(c.denominator for c in fracs))
+    return log2(max(den, sum(abs(c.numerator) * (den // c.denominator) for c in fracs)))
 
 
 _NO_GENERATORS = Alphabet(0, 0)

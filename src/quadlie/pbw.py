@@ -25,9 +25,10 @@ z_N = (sign) w_b w_a z_N + (lower terms) z_N.  One rewrite step,
 `_ModuleAction._step`, forms that right side from w_a z_N, each lower
 term added in place, for `_act` at each letter a sinks past and for
 `_first_failure` on each relation, so no unordered word enters the
-action.  Skip rule: when b N is ordered, w_b z_N = z_bN and the first
-step of `_act(a, b N)` is that right side, so the check skips those (N =
-() or b preceding N[0]).  At `max_len` 3 it thus covers exactly
+action.  Skip rule: when b N is ordered (N = () or b preceding N[0]),
+w_b z_N = z_bN and the first step of `_act(a, b N)` is that right side,
+so the check's stream of relations, and its budget, leave the relation
+out.  At `max_len` 3, the default, the stream thus covers exactly
 Bergman's overlap words a b c, with both a b and b c out of order.
 
 The action runs in the presentation's ring (`QlsPresentation._ring`, which
@@ -47,7 +48,6 @@ ordered-monomial counting.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product
 from math import comb, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -55,8 +55,8 @@ from .ncpoly import Alphabet, AlphabetMismatch, NCPoly, Word, _ncpoly
 from .presentation import Coeff, QlsPresentation, _half
 from .scalars import Scalar, accumulate, axpy, lower
 
-# (pair, word) relations one `serre_module_check` may run: gl2(5/1) at
-# length 4 has 396,880, gl2(3/1) at length 6 341,325 and at 7 1,204,128
+# relations one `serre_module_check` may run: gl2(11/1) at length 3 runs
+# 480,337, gl2(12/1) would run 780,248 and gl2(3/1) at length 7 798,147
 MAX_RELATIONS = 500_000
 # terms in one `_times` or `_step` result (serre-check --n 5 reaches 326)
 MAX_TERMS = 20_000
@@ -332,13 +332,10 @@ def _within_budget(dist: Dict[int, Coeff]) -> Dict[int, Coeff]:
 def _first_failure(action: _ModuleAction,
                    relations: Iterable[Tuple[Word, Tuple[int, int]]]
                    ) -> Optional[Tuple[int, int, Word]]:
-    """The first relation (a, b, N) that fails on the action, or None;
-    those with b N ordered are skipped (module docstring)."""
-    caches, act, lo, hi = action._caches, action._act, action._lo, action._hi
+    """The first relation (a, b, N) of the stream (N, (a, b)) to fail, or None."""
+    caches, act = action._caches, action._act
     nid = last = None
     for nword, (a, b) in relations:
-        if not nword or lo[b] < hi[nword[0]]:
-            continue
         if nword is not last:  # the id of N: w_N z_() = z_N
             (nid,), last = action._apply(nword, 0), nword
         left = action._step(a, b, caches[a].get(nid) or act(a, nid), nid)
@@ -348,33 +345,35 @@ def _first_failure(action: _ModuleAction,
 
 
 def serre_module_check(
-    rs: RewriteSystem, max_len: int = 4
+    rs: RewriteSystem, max_len: int = 3
 ) -> Tuple[bool, Optional[Tuple[int, int, Word]]]:
     """Verify the defining relations on the module of ordered words.
 
-    Checks w_a w_b z_N = (sign) w_b w_a z_N + (lower-order terms) z_N for
-    all out-of-order generator pairs a b and all ordered words N of length
-    <= max_len - 2, but for those with b N ordered, which hold by
-    construction yet count against the budget and the order.
-    Returns (True, None) or (False, (a, b, N)) on the first failure.
-    Raises ValueError for max_len < 3, which would check only N = (), and
-    past MAX_RELATIONS relations.
+    Checks w_a w_b z_N = (sign) w_b w_a z_N + (lower-order terms) z_N on
+    one stream: nonempty ordered N of length <= max_len - 2 by length, each
+    with the out-of-order pairs a b, row-major, whose b N is not ordered
+    (the rest hold by construction).  Returns (True, None) or (False, (a,
+    b, N)) for the first failure.  Raises ValueError for max_len < 3 (only
+    N = ()) and past MAX_RELATIONS relations, counted before any runs.
     """
     if max_len < 3:
         raise ValueError(f"max_len must be at least 3, got {max_len}: "
                          "shorter checks cover only the empty word")
-    size = rs.presentation.alphabet.size
-    pairs = [(a, b) for a in range(size) for b in range(size)
-             if not rs._pair_is_ordered(a, b)]
-    words: List[Word] = [()]
-    frontier: List[Word] = [()]
-    for _ in range(max_len - 2):
-        frontier = [(g,) + w for w in frontier for g in range(size)
-                    if not w or rs._pair_is_ordered(g, w[0])]
-        words += frontier
-        if len(words) * len(pairs) > MAX_RELATIONS:
-            raise ValueError(
-                f"max_len {max_len} gives more than {MAX_RELATIONS} "
-                "(pair, word) relations to check")
-    first = _first_failure(rs._action, product(words, pairs))
+    size, ordered, lo = rs.presentation.alphabet.size, rs._pair_is_ordered, rs._lo
+    pairs = [(a, b) for a in range(size) for b in range(size) if not ordered(a, b)]
+    # the skip rule, once: runs[g] holds the pairs (a, b) with b g not ordered
+    runs = [[(a, b) for a, b in pairs if lo[b] >= h] for h in rs._hi]
+    def levels():  # the words N by length; each pass makes them anew, holding one length
+        frontier: List[Word] = [()]
+        for _ in range(max_len - 2 if any(runs) else 0):  # else none runs at any length
+            frontier = [(g,) + w for w in frontier for g in range(size)
+                        if not w or ordered(g, w[0])]
+            yield frontier
+    count = 0
+    for frontier in levels():
+        count += sum(len(runs[w[0]]) for w in frontier)
+        if count > MAX_RELATIONS:
+            raise ValueError(f"max_len {max_len} gives more than {MAX_RELATIONS} relations to run")
+    first = _first_failure(rs._action, ((w, pair) for frontier in levels()
+                                        for w in frontier for pair in runs[w[0]]))
     return first is None, first

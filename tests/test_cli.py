@@ -9,7 +9,7 @@ import pytest
 
 from quadlie.atypicality import MAX_N
 from quadlie.cli import run
-from quadlie.exprparse import MAX_WORK
+from quadlie.exprparse import MAX_BITS, MAX_WORK
 from quadlie.gl2n1 import build
 from quadlie.pbw import MAX_TERMS, GeneratorOrder, check_admissible
 from quadlie.presentation import MAX_TRIPLES, QlsPresentation
@@ -103,6 +103,26 @@ def test_usage_errors_exit_2(capsys):
                  ("serre-check", "--algebra", "other")):
         code, out, _ = _run(capsys, *argv)
         assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("value", ["1e3000000", "1.5", "nan", "1/0", "x", "2 +"])
+def test_bad_value_exits_2_at_once(capsys, value):
+    # --mu takes the syntax of a .qls entry: no decimal, exponent or nan
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "family-report", "--n", "3", "--r", "1",
+                          "--mu", value, "--nu", "0", "--c", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == f"error: bad value for --mu: {value!r}\n"
+
+
+def test_values_take_the_entry_syntax(capsys):
+    # --c, --mu and --nu read "5/2", "10/4" and "(1 + 3/2)" alike
+    outs = {_run(capsys, "family-report", "--n", "3", "--r", "1", "--mu", mu,
+                 "--nu", nu, "--c", c)[1]
+            for mu, nu, c in (("5/2", "1/2", "3"), ("10/4", "2/4", "6/2"),
+                              ("(1 + 3/2)", "1/(1+1)", "1+2"))}
+    assert len(outs) == 1 and "n=3, r=1" in outs.pop()
 
 
 def test_unreadable_file_exits_2(tmp_path, capsys):
@@ -242,6 +262,13 @@ def test_serre_check_builtin(capsys):
     assert "result: PASS" in out
 
 
+def test_serre_check_default_length_is_3(capsys):
+    # length 3 decides (DECISIONS.md): gl2(6/1) runs 16,140 relations there
+    code, out, err = _run(capsys, "serre-check", "--n", "6")
+    assert code == 0 and err == ""
+    assert out == "module relation check up to length 3\nresult: PASS\n"
+
+
 def test_serre_check_inadmissible_order_exits_2(capsys):
     pres = build(3).presentation
     names = list(pres.alphabet.names)
@@ -281,7 +308,7 @@ def test_serre_check_vacuous_length_exits_2(capsys, max_len):
 
 
 def test_serre_check_past_relation_budget_exits_2(capsys):
-    # gl2(3/1) at length 7 has 1,204,128 relations; refused before any work
+    # gl2(3/1) at length 7 runs 798,147 relations; refused before any work
     start = time.perf_counter()
     code, out, err = _run(capsys, "serre-check", "--n", "3", "--c", "1",
                           "--max-len", "7")
@@ -292,7 +319,7 @@ def test_serre_check_past_relation_budget_exits_2(capsys):
 
 
 def test_symbolic_serre_check_past_relation_budget_exits_2(capsys):
-    # symbolic gl2(3/1) at length 7: 1,204,128 relations, as at any c
+    # symbolic gl2(3/1) at length 7: 798,147 relations, as at any c
     start = time.perf_counter()
     code, out, err = _run(capsys, "serre-check", "--n", "3", "--max-len", "7")
     assert time.perf_counter() - start < 1
@@ -424,6 +451,31 @@ def test_normal_form_past_work_bound_exits_2(capsys):
     assert code == 2 and out == ""
     assert err == (f"error: malformed expression: expression takes more than "
                    f"{MAX_WORK} term products\n")
+
+
+POWER_PAST_BITS = "((10^1000)^1000)^10"  # each 10^1000 alone has 3,322 bits
+
+
+def test_normal_form_power_past_bit_bound_exits_2(capsys):
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "normal-form", "--n", "2", f"{POWER_PAST_BITS} E[1,2]")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == (f"error: malformed expression: power makes coefficients of "
+                   f"more than {MAX_BITS} bits\n")
+
+
+def test_verify_presentation_power_past_bit_bound_exits_2(tmp_path, capsys):
+    data = build(2, 1).presentation.to_json_dict()
+    data["c"][0][-1] = POWER_PAST_BITS
+    path = tmp_path / "big_power.qls"
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "verify-presentation", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"more than {MAX_BITS} bits" in err
 
 
 def test_verify_presentation_entry_past_work_bound_exits_2(tmp_path, capsys):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from quadlie import exprparse
 from quadlie.exprparse import (
-    MAX_EXPONENT, MAX_NESTING, MAX_WORK, ParseError, _integer, _quote, _size,
+    MAX_BITS, MAX_EXPONENT, MAX_NESTING, MAX_WORK, ParseError, _integer, _quote, _size,
     parse_ncpoly, parse_scalar,
 )
 from quadlie.gl2n1 import build
@@ -236,6 +236,30 @@ def test_product_past_work_bound_is_refused_at_once(parse):
     with pytest.raises(ParseError, match=f"more than {MAX_WORK} term products"):
         parse()
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("text", [
+    "((10^1000)^1000)^10", "((10^1000)^1000)^30", "(10^1000)^5",
+    "(1/10^1000)^5", "(2^1000 * 2^1000)^8", "(10^1000 c + 1)^5",
+])
+def test_power_past_bit_bound_is_refused_at_once(text):
+    # 10^1000 has 3,322 bits: five of them pass MAX_BITS, in a numerator
+    # or a denominator, refused before the power is formed
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match=f"^power makes coefficients of more than {MAX_BITS} bits$"):
+        parse_scalar(text)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_power_within_bit_bound_parses_and_prints():
+    # MAX_BITS comes from the 4,300 digits str() prints
+    assert 10 ** 4299 < 2 ** MAX_BITS < 10 ** 4300
+    assert parse_scalar("(10^1000)^4") == srat(10 ** 4000)
+    assert parse_scalar("(1/10^1000)^4") == srat(Fraction(1, 10 ** 4000))
+    assert parse_scalar("(2^1000 * 2^1000)^7") == srat(2 ** 14000)
+    assert parse_scalar("(2/3)^1000") == srat(Fraction(2, 3) ** 1000)
+    for text in ("(10^1000)^4", "(2^1000 * 2^1000)^7", "(10^1000 c + 1)^4"):
+        str(parse_scalar(text))
 
 
 def test_one_name_rule_in_both_parsers():

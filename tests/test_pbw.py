@@ -943,15 +943,74 @@ def test_multi_term_normal_form_is_the_sum_over_its_words(pres, scale):
 
 
 def test_serre_check_refuses_past_relation_budget():
-    # gl2(3/1) at length 7 has 1,204,128 relations, at c = 1 and symbolic
-    for rs in (build(3, 1).rewrite, build(3).rewrite):
+    # gl2(3/1) at length 7 runs 798,147 relations, at c = 1 and symbolic,
+    # and gl2(6/1) at length 4 runs 667,534
+    for rs, max_len in ((build(3, 1).rewrite, 7), (build(3).rewrite, 7),
+                        (build(6, 1).rewrite, 4)):
         start = time.perf_counter()
         with pytest.raises(ValueError, match="relations"):
-            serre_module_check(rs, max_len=7)
+            serre_module_check(rs, max_len=max_len)
         assert time.perf_counter() - start < 1
-    # admitted: gl2(5/1) at the default length 4 (396,880), gl2(3/1) at
-    # length 6 (341,325), rational or symbolic
-    assert MAX_RELATIONS >= max(396_880, 341_325)
+    # admitted, rational or symbolic: gl2(11/1) at the default length 3
+    # (480,337 relations run), gl2(5/1) at length 4 (189,855) and gl2(3/1)
+    # at length 6 (211,632)
+    assert MAX_RELATIONS >= max(480_337, 189_855, 211_632)
+
+
+def _counting_first_failure(monkeypatch):
+    """Stub _first_failure to record how many relations it is handed and
+    run none; returns the list of counts."""
+    counts = []
+
+    def counting(action, relations):
+        counts.append(sum(1 for _ in relations))
+        return None
+
+    monkeypatch.setattr(pbw, "_first_failure", counting)
+    return counts
+
+
+def test_relation_budget_counts_the_relations_that_run(monkeypatch):
+    # the budget's count is the number of relations _first_failure is
+    # handed: a budget of exactly that many admits the check, one fewer
+    # refuses it, on seeded presentations at lengths 3, 4 and 5
+    counts = _counting_first_failure(monkeypatch)
+    rng = random.Random(300)  # the presentations of the length-3 test
+    for _ in range(300):
+        rs = _rs(_random_presentation(rng))
+        for max_len in (3, 4, 5):
+            assert serre_module_check(rs, max_len) == (True, None)
+            ran = counts[-1]
+            assert ran > 0
+            monkeypatch.setattr(pbw, "MAX_RELATIONS", ran)
+            assert serre_module_check(rs, max_len) == (True, None)
+            assert counts[-1] == ran
+            monkeypatch.setattr(pbw, "MAX_RELATIONS", ran - 1)
+            with pytest.raises(ValueError, match=f"more than {ran - 1} relations to run"):
+                serre_module_check(rs, max_len)
+            monkeypatch.setattr(pbw, "MAX_RELATIONS", MAX_RELATIONS)
+
+
+@pytest.mark.parametrize("n, max_len, ran", [
+    (10, 3, 283_240), (12, 3, 780_248), (6, 4, 667_534), (3, 7, 798_147)])
+def test_relations_run_on_gl2n1(monkeypatch, n, max_len, ran):
+    # the relations the check runs, with _first_failure stubbed: gl2(10/1)
+    # at length 3 is admitted; the others pass MAX_RELATIONS, so they are
+    # counted under a larger budget
+    counts = _counting_first_failure(monkeypatch)
+    if ran > MAX_RELATIONS:
+        monkeypatch.setattr(pbw, "MAX_RELATIONS", ran)
+    assert serre_module_check(build(n, 1).rewrite, max_len) == (True, None)
+    assert counts == [ran]
+
+
+def test_serre_check_with_no_relation_to_run_passes_at_any_length():
+    # two commuting evens: E1 E0 is out of order, but E0 N is ordered for
+    # every N, so no relation runs at any length and no word is made
+    for pres in (QlsPresentation(2, 0), QlsPresentation(1, 0), QlsPresentation(0, 0)):
+        start = time.perf_counter()
+        assert serre_module_check(_rs(pres), 1000) == (True, None)
+        assert time.perf_counter() - start < 1
 
 
 def test_term_budget_covers_every_product_step(monkeypatch):
@@ -1023,9 +1082,11 @@ def test_rewrite_system_refuses_past_relation_budget():
 
 
 def test_serre_check_runs_every_out_of_order_pair(monkeypatch):
-    # the relations handed to _first_failure: every ordered word N, and
-    # for each the C(15, 2) + 6 out-of-order pairs of gl2(3/1), odd
-    # squares included, in row-major order
+    # the relations handed to _first_failure: each nonempty ordered word N
+    # by length, with those of the C(15, 2) + 6 out-of-order pairs (a, b)
+    # of gl2(3/1), odd squares included, in row-major order, whose b N is
+    # not ordered; the rest hold by construction
+    # (test_skipped_relations_hold_by_construction)
     recorded = []
     first_failure = pbw._first_failure
 
@@ -1035,7 +1096,12 @@ def test_serre_check_runs_every_out_of_order_pair(monkeypatch):
 
     monkeypatch.setattr(pbw, "_first_failure", recording)
     rs = build(3).rewrite
-    assert serre_module_check(rs, 3) == (True, None)
     pairs = _out_of_order_pairs(rs)
     assert len(pairs) == comb(rs.presentation.alphabet.size, 2) + 6
-    assert recorded == [[(w, pair) for w in _ordered_words(rs, 3) for pair in pairs]]
+    for max_len in (3, 4):
+        assert serre_module_check(rs, max_len) == (True, None)
+        assert recorded.pop() == [(w, (a, b)) for w in _ordered_words(rs, max_len) if w
+                                  for a, b in pairs if not rs._pair_is_ordered(b, w[0])]
+    assert serre_module_check(rs) == (True, None)  # the default length, 3
+    assert recorded.pop() == [(w, (a, b)) for w in _ordered_words(rs, 3) if w
+                              for a, b in pairs if not rs._pair_is_ordered(b, w[0])]

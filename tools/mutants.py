@@ -206,8 +206,8 @@ MUTANTS = [
            "out = dict(image) if True else {",
            T_PBW),
     Mutant("serre_module_check builds a second action", PBW,
-           "_first_failure(rs._action, product(words, pairs))",
-           "_first_failure(_ModuleAction(rs), product(words, pairs))",
+           "_first_failure(rs._action, ((w, pair)",
+           "_first_failure(_ModuleAction(rs), ((w, pair)",
            T_PBW),
     Mutant("action keeps a reference back to its system", PBW,
            "        self.ab = rs.presentation.alphabet",
@@ -241,13 +241,25 @@ MUTANTS = [
            "out = cache.get(word)\n            if out is not None:\n                break",
            "out = cache.get(tail[word])\n            if out is not None:\n                break",
            T_PBW),
-    Mutant("_first_failure skip rule inverted", PBW,
-           "if not nword or lo[b] < hi[nword[0]]:",
-           "if not nword or lo[b] >= hi[nword[0]]:",
+    Mutant("serre stream's skip rule inverted", PBW,
+           "if lo[b] >= h] for h in rs._hi]",
+           "if lo[b] < h] for h in rs._hi]",
            T_PBW),
     Mutant("serre check leaves out the odd squares", PBW,
-           "if not rs._pair_is_ordered(a, b)",
-           "if a != b and not rs._pair_is_ordered(a, b)",
+           "for b in range(size) if not ordered(a, b)]",
+           "for b in range(size) if a != b and not ordered(a, b)]",
+           T_PBW),
+    Mutant("serre budget counts the skipped relations too", PBW,
+           "count += sum(len(runs[w[0]]) for w in frontier)",
+           "count += len(frontier) * len(pairs)",
+           T_PBW),
+    Mutant("serre_module_check defaults to length 4", PBW,
+           "rs: RewriteSystem, max_len: int = 3",
+           "rs: RewriteSystem, max_len: int = 4",
+           T_PBW),
+    Mutant("serre check builds words when none can run", PBW,
+           "range(max_len - 2 if any(runs) else 0)",
+           "range(max_len - 2)",
            T_PBW),
     Mutant("check_admissible reads the least even position", PBW,
            "max(pos[k], pos[l])",
@@ -385,6 +397,10 @@ MUTANTS = [
            "if args.n is not None or args.c is not None:",
            "if args.c is not None:",
            T_CLI),
+    Mutant("serre-check defaults to length 4", "src/quadlie/cli.py",
+           'sub.add_argument("--max-len", type=int, default=3)',
+           'sub.add_argument("--max-len", type=int, default=4)',
+           T_CLI),
     Mutant("run exits 0 whatever passed says", "src/quadlie/cli.py",
            'return PASS if report.get("passed", True) else FAIL',
            "return PASS",
@@ -432,6 +448,19 @@ MUTANTS = [
            "if len(text) <= MAX_QUOTE:",
            "if True:",
            "tests/test_exprparse.py"),
+    Mutant("the power bound reads the base's bits, not times the exponent",
+           "src/quadlie/exprparse.py",
+           "if int(val) * _bits(base) > MAX_BITS:",
+           "if _bits(base) > MAX_BITS:",
+           "tests/test_exprparse.py"),
+    Mutant("the power bound leaves out the denominators", "src/quadlie/exprparse.py",
+           "return log2(max(den, sum(",
+           "return log2(max(1, sum(",
+           "tests/test_exprparse.py"),
+    Mutant("a --mu value is read as a Python Fraction", "src/quadlie/cli.py",
+           "        return parse_scalar(text, ())",
+           "        return Scalar.from_rational(__import__('fractions').Fraction(text))",
+           T_CLI),
     Mutant("the work bound compares against 1000x the constant", "src/quadlie/exprparse.py",
            "if self.work > MAX_WORK:",
            "if self.work > 1000 * MAX_WORK:",
