@@ -22,7 +22,6 @@ An error message quotes at most MAX_QUOTE characters of the input.
 from __future__ import annotations
 
 import re
-import sys
 from math import lcm, log2
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -47,8 +46,9 @@ MAX_EXPONENT = 1000
 MAX_WORK = 500_000
 
 # most bits in a numerator or denominator a power may make: str() stops at
-# 4,300 digits, about 14,284 bits, so a larger one could not be printed
-MAX_BITS = int(sys.int_info.default_max_str_digits * log2(10))
+# 4,300 digits by default (CPython 3.10.7 on), about 14,284 bits, so a
+# larger one could not be printed
+MAX_BITS = int(4300 * log2(10))
 
 # most characters of the input an error message quotes
 MAX_QUOTE = 40

@@ -167,8 +167,7 @@ class RewriteSystem:
 
 def pbw_monomial_count(rs: RewriteSystem, degree: int) -> int:
     """Number of ordered monomials of exactly the given degree."""
-    n = rs.presentation.n_even
-    m = rs.presentation.m_odd
+    n, m = rs.presentation.n_even, rs.presentation.m_odd
     return sum(
         (1 if j == 0 else comb(n + j - 1, j)) * comb(m, degree - j)
         for j in range(degree + 1)
@@ -359,21 +358,22 @@ def serre_module_check(
     if max_len < 3:
         raise ValueError(f"max_len must be at least 3, got {max_len}: "
                          "shorter checks cover only the empty word")
-    size, ordered, lo = rs.presentation.alphabet.size, rs._pair_is_ordered, rs._lo
+    size, ordered, lo, hi = rs.presentation.alphabet.size, rs._pair_is_ordered, rs._lo, rs._hi
     pairs = [(a, b) for a in range(size) for b in range(size) if not ordered(a, b)]
-    # the skip rule, once: runs[g] holds the pairs (a, b) with b g not ordered
-    runs = [[(a, b) for a, b in pairs if lo[b] >= h] for h in rs._hi]
-    def levels():  # the words N by length; each pass makes them anew, holding one length
-        frontier: List[Word] = [()]
-        for _ in range(max_len - 2 if any(runs) else 0):  # else none runs at any length
-            frontier = [(g,) + w for w in frontier for g in range(size)
-                        if not w or ordered(g, w[0])]
-            yield frontier
+    too_many = ValueError(f"max_len {max_len} gives more than {MAX_RELATIONS} relations to run")
+    # the skip rule, once: runs[g] holds the pairs (a, b) with b g not ordered, the
+    # relations on N = (g,), made longest first to stop soon past the budget
+    runs: List[List[Tuple[int, int]]] = [[] for _ in range(size)]
     count = 0
-    for frontier in levels():
-        count += sum(len(runs[w[0]]) for w in frontier)
-        if count > MAX_RELATIONS:
-            raise ValueError(f"max_len {max_len} gives more than {MAX_RELATIONS} relations to run")
-    first = _first_failure(rs._action, ((w, pair) for frontier in levels()
-                                        for w in frontier for pair in runs[w[0]]))
+    for g in rs.order.sequence:
+        runs[g] = [(a, b) for a, b in pairs if lo[b] >= hi[g]]
+        if (count := count + len(runs[g])) > MAX_RELATIONS:
+            raise too_many
+    words = frontier = [(g,) for g in range(size)] if count else []  # none when none runs
+    for _ in range(max_len - 3):
+        frontier = [(g,) + w for w in frontier for g in range(size) if ordered(g, w[0])]
+        if (count := count + sum(len(runs[w[0]]) for w in frontier)) > MAX_RELATIONS:
+            raise too_many
+        words += frontier  # the first pass rebinds frontier before words grows
+    first = _first_failure(rs._action, ((w, pair) for w in words for pair in runs[w[0]]))
     return first is None, first

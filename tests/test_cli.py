@@ -328,6 +328,20 @@ def test_symbolic_serre_check_past_relation_budget_exits_2(capsys):
     assert "relations" in err
 
 
+def test_serre_check_file_past_relation_budget_exits_2_at_once(tmp_path, capsys):
+    # 1,000 evens give 499,500 rules, within that budget, but about 166
+    # million relations on one-letter N: refused before they are made
+    path = tmp_path / "wide.qls"
+    path.write_text(json.dumps({"format": "quadlie-presentation-1",
+                                "n_even": 1000, "m_odd": 0}))
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "serre-check", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "relations" in err
+
+
 def test_serre_check_file_past_rule_budget_exits_2(tmp_path, capsys):
     # 3,000 evens give C(3000, 2) = 4,498,500 rules, refused before any
     path = tmp_path / "wide.qls"

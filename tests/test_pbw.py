@@ -1004,13 +1004,35 @@ def test_relations_run_on_gl2n1(monkeypatch, n, max_len, ran):
     assert counts == [ran]
 
 
+@pytest.mark.parametrize("n_even, m_odd, order", [
+    (1000, 0, None), (1000, 0, "reversed"), (0, 999, None), (900, 100, None)])
+def test_serre_check_on_many_generators_is_refused_at_once(n_even, m_odd, order):
+    # within the rule budget, but the relations on one-letter N alone pass
+    # MAX_RELATIONS: refused long before they are all made, in either order
+    # of the generators (the pairs themselves are within the budget)
+    pres = QlsPresentation(n_even, m_odd)
+    size = pres.alphabet.size
+    rs = _rs(pres) if order is None else RewriteSystem(
+        pres, GeneratorOrder(range(size - 1, -1, -1)))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="relations to run"):
+        serre_module_check(rs)
+    assert time.perf_counter() - start < 1
+
+
 def test_serre_check_with_no_relation_to_run_passes_at_any_length():
     # two commuting evens: E1 E0 is out of order, but E0 N is ordered for
-    # every N, so no relation runs at any length and no word is made
+    # every N, so no relation runs at any length and no word is made (the
+    # ordered words of two evens up to length 300 would take tens of MB)
     for pres in (QlsPresentation(2, 0), QlsPresentation(1, 0), QlsPresentation(0, 0)):
-        start = time.perf_counter()
-        assert serre_module_check(_rs(pres), 1000) == (True, None)
-        assert time.perf_counter() - start < 1
+        rs = _rs(pres)
+        tracemalloc.start()
+        try:
+            assert serre_module_check(rs, 300) == (True, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
 
 
 def test_term_budget_covers_every_product_step(monkeypatch):

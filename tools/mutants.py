@@ -242,24 +242,28 @@ MUTANTS = [
            "out = cache.get(tail[word])\n            if out is not None:\n                break",
            T_PBW),
     Mutant("serre stream's skip rule inverted", PBW,
-           "if lo[b] >= h] for h in rs._hi]",
-           "if lo[b] < h] for h in rs._hi]",
+           "if lo[b] >= hi[g]]",
+           "if lo[b] < hi[g]]",
            T_PBW),
     Mutant("serre check leaves out the odd squares", PBW,
            "for b in range(size) if not ordered(a, b)]",
            "for b in range(size) if a != b and not ordered(a, b)]",
            T_PBW),
     Mutant("serre budget counts the skipped relations too", PBW,
-           "count += sum(len(runs[w[0]]) for w in frontier)",
-           "count += len(frontier) * len(pairs)",
+           "count + sum(len(runs[w[0]]) for w in frontier)",
+           "count + len(frontier) * len(pairs)",
+           T_PBW),
+    Mutant("serre runs made in index order, not longest first", PBW,
+           "for g in rs.order.sequence:",
+           "for g in range(size):",
            T_PBW),
     Mutant("serre_module_check defaults to length 4", PBW,
            "rs: RewriteSystem, max_len: int = 3",
            "rs: RewriteSystem, max_len: int = 4",
            T_PBW),
     Mutant("serre check builds words when none can run", PBW,
-           "range(max_len - 2 if any(runs) else 0)",
-           "range(max_len - 2)",
+           "[(g,) for g in range(size)] if count else []",
+           "[(g,) for g in range(size)]",
            T_PBW),
     Mutant("check_admissible reads the least even position", PBW,
            "max(pos[k], pos[l])",
