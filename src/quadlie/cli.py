@@ -263,19 +263,28 @@ def _cmd_serre_check(args) -> Tuple[dict, List[str]]:
     return report, lines
 
 
+C_HELP = "central charge: rational or 'symbolic'; a negative one as --c=-3/2"
+
+
 def _add_family_flags(sub):
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--r", type=int, required=True)
     sub.add_argument("--mu", required=True,
-                     help="rational or 'symbolic'")
+                     help="rational or 'symbolic'; a negative one as --mu=-5/2")
     sub.add_argument("--nu", required=True,
-                     help="rational or 'symbolic'")
-    sub.add_argument("--c", required=True,
-                     help="central charge: rational or 'symbolic'")
+                     help="rational or 'symbolic'; a negative one as --nu=-1")
+    sub.add_argument("--c", required=True, help=C_HELP)
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse with a usage error on one line, as every refusal is."""
+
+    def error(self, message):
+        self.exit(USAGE, f"error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="quadlie",
         description="Exact computer algebra for quadratic Lie superalgebras.",
     )
@@ -291,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("normal-form",
                           help="ordered-monomial form of an expression")
     sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--c", help="central charge: rational or 'symbolic'")
+    sub.add_argument("--c", help=C_HELP)
     sub.add_argument("--order",
                      help="comma-separated generator names")
     sub.add_argument("expression")
@@ -321,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("file", nargs="?",
                      help="presentation file (default: built-in algebra)")
     sub.add_argument("--n", type=int, help="default 3; not with a file")
-    sub.add_argument("--c", help="central charge: rational or 'symbolic'; not with a file")
+    sub.add_argument("--c", help=f"{C_HELP}; not with a file")
     sub.add_argument("--order", help="comma-separated generator names")
     sub.add_argument("--max-len", type=int, default=3)
     sub.set_defaults(func=_cmd_serre_check)

@@ -14,8 +14,9 @@ admitted names include (None admits any) is an indeterminate; else "unknown name
 One work bound: before each product, size(a) * size(b) is added to a count
 kept for the parse, a size being a number of (word, monomial) pairs; past
 MAX_WORK pair products the input is refused, so (a+b+c+d)^1000 fails at once.
-A power whose coefficients could pass MAX_BITS bits is refused before it is
-formed, so ((10^1000)^1000)^10 fails at once too.
+A power or product whose coefficients could pass MAX_BITS bits is refused
+before it is formed, so ((10^1000)^1000)^10 and 10^1000 10^1000 10^1000
+10^1000 10^1000 fail at once too.
 An error message quotes at most MAX_QUOTE characters of the input.
 """
 
@@ -45,9 +46,9 @@ MAX_EXPONENT = 1000
 # takes 415,666 and the squaring to (a+b+c+d)^32 would take 938,961
 MAX_WORK = 500_000
 
-# most bits in a numerator or denominator a power may make: str() stops at
-# 4,300 digits by default (CPython 3.10.7 on), about 14,284 bits, so a
-# larger one could not be printed
+# most bits in a numerator or denominator a power or product may make:
+# str() stops at 4,300 digits by default (CPython 3.10.7 on), about 14,284
+# bits, so a larger one could not be printed
 MAX_BITS = int(4300 * log2(10))
 
 # most characters of the input an error message quotes
@@ -151,11 +152,13 @@ class _Parser:
                 acc, letters = _ncpoly(self.alphabet, {word + tuple(letters): coeff}), []
             if val == "/":
                 self.pos += 1
-                div = self.parse_signed().terms
+                divisor = self.parse_signed()
+                div = divisor.terms
                 if div.keys() - {()} or not div.get((), ZERO).is_rational():
                     raise ParseError("division only by rational constants")
                 if not div:
                     raise ParseError("division by zero")
+                self._check_bits(acc, divisor)  # 1/r has the bits of r
                 acc = acc * (1 / div[()].as_rational())
             elif val == "*" or kind in ("num", "name", "gen") or val == "(":
                 if val == "*":  # else adjacency: implicit multiplication
@@ -198,9 +201,15 @@ class _Parser:
         return result
 
     def _mul(self, a: NCPoly, b: NCPoly) -> NCPoly:
-        """a * b, its size(a) * size(b) pair products counted before any is formed."""
+        """a * b, its size(a) * size(b) pair products counted and its
+        coefficients' bits bounded before any is formed."""
         self._count(_size(a) * _size(b))
+        self._check_bits(a, b)
         return a * b
+
+    def _check_bits(self, a: NCPoly, b: NCPoly) -> None:
+        if _bits(a) + _bits(b) > MAX_BITS:
+            raise ParseError(f"product makes coefficients of more than {MAX_BITS} bits")
 
     def _count(self, products: int) -> None:
         self.work += products
@@ -263,7 +272,8 @@ def _size(poly: NCPoly) -> int:
 def _bits(poly: NCPoly) -> float:
     """log2 max(L, sum of |L c|), L the lcm of the denominators of poly's
     rational coefficients c: poly^e = (L poly)^e / L^e has no numerator or
-    denominator past e times this many bits."""
+    denominator past e times this many bits, and a product no more than
+    the sum of its factors' bits."""
     fracs = [c for coeff in poly._terms.values() for c in coeff._terms.values()]
     den = lcm(*(c.denominator for c in fracs))
     return log2(max(den, sum(abs(c.numerator) * (den // c.denominator) for c in fracs)))

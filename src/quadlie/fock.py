@@ -299,7 +299,7 @@ def presentation_cross_check() -> dict:
         swap = 1 if kind == "oo" else -1
         for g1 in firsts:
             for g2 in seconds:
-                rhs = [(w, v.as_rational()) for w, v in pres.bracket(g1, g2).items()]
+                rhs = [(w, lower(v)) for w, v in pres.bracket(g1, g2).items()]
                 scale = lcm(*(v.denominator for _, v in rhs))
                 terms = [((g1, g2), scale), ((g2, g1), swap * scale),
                          *((w, -v.numerator * (scale // v.denominator)) for w, v in rhs)]

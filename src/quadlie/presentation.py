@@ -683,7 +683,7 @@ def odd_rescale(tensors) -> Tuple[list, int]:
     def den(idx, f):  # of f, or of f / 2 on an odd square
         return f.denominator * (2 if idx[0] == idx[1] and f.numerator % 2 else 1)
 
-    scale = odd_scale(lcm(*(den(idx, v.as_rational())
+    scale = odd_scale(lcm(*(den(idx, v.terms[()])
                             for _, kinds, tensor in tensors if kinds[:2] == "oo"
                             for idx, v in tensor.items() if v.is_rational())))
     out = []
@@ -692,7 +692,7 @@ def odd_rescale(tensors) -> Tuple[list, int]:
         scaled: Dict[tuple, Coeff] = {}
         for idx, v in tensor.items():
             if v.is_rational():  # an int always where the factor is D^2
-                f = lower(v.as_rational() * factor)
+                f = lower(v.terms[()] * factor)
                 scaled[idx] = f if type(f) is int else srat(f)
             else:
                 scaled[idx] = v * factor if factor != 1 else v

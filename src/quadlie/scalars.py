@@ -1,9 +1,11 @@
 """Exact scalar ring: multivariate polynomials over arbitrary-precision rationals.
 
-A Scalar is a canonical finite map from monomials to nonzero Fractions.  A
-monomial is a sorted tuple of (name, exponent) pairs; the empty tuple is the
-constant monomial, so a Scalar with support {()} is a plain rational.  All
-operations return new objects; Scalars are immutable and hashable.
+A Scalar is a canonical finite map from monomials to nonzero coefficients:
+each is an int when integral, else a Fraction in lowest terms with
+denominator > 1 (DECISIONS.md "Integral data stays in ints").  A monomial is
+a sorted tuple of (name, exponent) pairs; the empty tuple is the constant
+monomial, so a Scalar with support {()} is a plain rational.  All operations
+return new objects; Scalars are immutable and hashable.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from math import lcm
 from typing import Dict, Mapping, Sequence, Tuple, Union
 
 Monomial = Tuple[Tuple[str, int], ...]
-RationalLike = Union[int, Fraction, "Scalar"]
+Rational = Union[int, Fraction]  # a stored coefficient: an int where integral
+RationalLike = Union[Rational, "Scalar"]
 
 _ONE_MONO: Monomial = ()
 
@@ -32,6 +35,11 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(acc.items()))
 
 
+def _canon(v: Rational) -> Rational:
+    """v as an int when integral, else the Fraction v."""
+    return v.numerator if v.denominator == 1 else v
+
+
 def _mono_key(m: Monomial):
     # total degree, then lexicographic: stable canonical printing order
     return (sum(e for _, e in m), m)
@@ -42,21 +50,22 @@ class Scalar:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] = ()):  # type: ignore[assignment]
-        self._terms: Dict[Monomial, Fraction] = {m: c for m, c in dict(terms).items() if c != 0}
+    def __init__(self, terms: Mapping[Monomial, Rational] = ()):  # type: ignore[assignment]
+        self._terms: Dict[Monomial, Rational] = {m: _canon(c) for m, c in dict(terms).items() if c}
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def from_rational(value: Union[int, Fraction]) -> "Scalar":
-        f = value if isinstance(value, Fraction) else Fraction(value)
-        return _wrap({_ONE_MONO: f}) if f else ZERO
+    def from_rational(value: Rational) -> "Scalar":
+        if type(value) is not int:
+            value = _canon(value if isinstance(value, Fraction) else Fraction(value))
+        return _wrap({_ONE_MONO: value}) if value else ZERO
 
     @staticmethod
     def var(name: str, exp: int = 1) -> "Scalar":
         if exp == 0:
             return ONE
-        return Scalar({((name, exp),): Fraction(1)})
+        return _wrap({((name, exp),): 1})
 
     @staticmethod
     def coerce(value: RationalLike) -> "Scalar":
@@ -67,7 +76,7 @@ class Scalar:
     # -- queries ------------------------------------------------------
 
     @property
-    def terms(self) -> Mapping[Monomial, Fraction]:
+    def terms(self) -> Mapping[Monomial, Rational]:
         return self._terms
 
     def is_zero(self) -> bool:
@@ -81,7 +90,7 @@ class Scalar:
             return Fraction(0)
         if not self.is_rational():
             raise ValueError(f"not a plain rational: {self}")
-        return self._terms[_ONE_MONO]
+        return Fraction(self._terms[_ONE_MONO])
 
     def variables(self) -> set:
         out = set()
@@ -111,14 +120,15 @@ class Scalar:
                 return other
             items = other._terms.items()
         else:
-            items = ((_ONE_MONO, f),) if (f := Fraction(other)) else ()
+            f = other if type(other) is int else _canon(Fraction(other))
+            items = ((_ONE_MONO, f),) if f else ()
         acc = dict(self._terms)
         for m, c in items:
             prev = acc.pop(m, None)
             if prev is None:
                 acc[m] = c if sign > 0 else -c
             elif new := (prev + c if sign > 0 else prev - c):
-                acc[m] = new
+                acc[m] = _canon(new)
         return _wrap(acc)
 
     def __rsub__(self, other: RationalLike) -> "Scalar":
@@ -130,7 +140,7 @@ class Scalar:
         if isinstance(other, (int, Fraction)):
             if not other or not self._terms:
                 return ZERO
-            return _wrap({m: c * other for m, c in self._terms.items()})
+            return _wrap({m: _canon(c * other) for m, c in self._terms.items()})
         other = Scalar.coerce(other)
         if self is ONE:
             return other
@@ -139,31 +149,34 @@ class Scalar:
         # fast path: multiplication by a plain rational
         if other.is_rational():
             c0 = other._terms[_ONE_MONO]
-            return _wrap({m: c * c0 for m, c in self._terms.items()})
+            return _wrap({m: _canon(c * c0) for m, c in self._terms.items()})
         if self.is_rational():
             c0 = self._terms[_ONE_MONO]
-            return _wrap({m: c * c0 for m, c in other._terms.items()})
+            return _wrap({m: _canon(c * c0) for m, c in other._terms.items()})
         # over one denominator: c1 = n1/d1 and c2 = n2/d2 with d1, d2 the
         # lcm of each side's denominators, so sums run in ints and each
-        # monomial takes one Fraction(sum, d1*d2), which reduces it
+        # monomial takes one Fraction(sum, d1*d2), which reduces it; with
+        # only ints on both sides there is nothing to scale or reduce
         d1 = lcm(*(c.denominator for c in self._terms.values()))
         d2 = lcm(*(c.denominator for c in other._terms.values()))
-        right = [(m2, c2.numerator * (d2 // c2.denominator))
-                 for m2, c2 in other._terms.items()]
+        den = d1 * d2
+        left, right = self._terms.items(), other._terms.items()
+        if den != 1:
+            left = [(m, c.numerator * (d1 // c.denominator)) for m, c in left]
+            right = [(m, c.numerator * (d2 // c.denominator)) for m, c in right]
         acc: Dict[Monomial, int] = {}
-        for m1, c1 in self._terms.items():
-            n1 = c1.numerator * (d1 // c1.denominator)
+        for m1, n1 in left:
             for m2, n2 in right:
                 m = _mono_mul(m1, m2)
                 acc[m] = acc.get(m, 0) + n1 * n2
-        den = d1 * d2
-        return _wrap({m: Fraction(v, den) for m, v in acc.items() if v})
+        return _wrap({m: v if den == 1 else _canon(Fraction(v, den))
+                      for m, v in acc.items() if v})
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: Union[int, Fraction]) -> "Scalar":
+    def __truediv__(self, other: Rational) -> "Scalar":
         f = Fraction(other)
-        return _wrap({m: c / f for m, c in self._terms.items()})
+        return _wrap({m: _canon(c / f) for m, c in self._terms.items()})
 
     def __pow__(self, exp: int) -> "Scalar":
         if exp < 0:
@@ -233,9 +246,9 @@ class Scalar:
         return f"Scalar({self})"
 
 
-def _wrap(terms: Dict[Monomial, Fraction]) -> Scalar:
-    """A Scalar around `terms` as given, without `__init__`'s copy and zero
-    filter: for a fresh dict whose values are all nonzero Fractions."""
+def _wrap(terms: Dict[Monomial, Rational]) -> Scalar:
+    """A Scalar around `terms` as given, without `__init__`'s copy, zero
+    filter and coercion: for a fresh dict of canonical nonzero coefficients."""
     out = object.__new__(Scalar)
     out._terms = terms
     return out
@@ -260,16 +273,13 @@ def lower(value):
     if type(value) is not Fraction:  # the common case goes straight through
         if type(value) is int:
             return value
-        if isinstance(value, Scalar):
-            if not value.is_rational():
-                return value
-            value = value.as_rational()
-        else:
-            value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
+        if isinstance(value, Scalar):  # its stored coefficient is canonical
+            return value._terms.get(_ONE_MONO, 0) if value.is_rational() else value
+        value = Fraction(value)
+    return _canon(value)
 
 
-def srat(num: Union[int, Fraction], den: int = 1) -> Scalar:
+def srat(num: Rational, den: int = 1) -> Scalar:
     """Shorthand for a rational scalar num/den."""
     return Scalar.from_rational(num if den == 1 else Fraction(num, den))
 

@@ -125,6 +125,19 @@ def test_values_take_the_entry_syntax(capsys):
     assert len(outs) == 1 and "n=3, r=1" in outs.pop()
 
 
+def test_negative_values_go_after_an_equals_sign(capsys):
+    # a negative value after "=" runs; given as its own argument, argparse
+    # reads -5/2 as an option, and the command exits 2 with one line
+    code, out, err = _run(capsys, "family-report", "--n", "3", "--r", "1",
+                          "--mu=-5/2", "--nu=-1", "--c=-3/2")
+    assert code == 0 and err == ""
+    assert "mubar = -1/2" in out and "nubar = -1" in out
+    code, out, err = _run(capsys, "family-report", "--n", "3", "--r", "1",
+                          "--mu", "-5/2", "--nu", "0", "--c", "1")
+    assert code == 2 and out == ""
+    assert err == "error: argument --mu: expected one argument\n"
+
+
 def test_unreadable_file_exits_2(tmp_path, capsys):
     path = tmp_path / "junk.qls"
     path.write_text("not a presentation")
@@ -476,6 +489,18 @@ def test_normal_form_power_past_bit_bound_exits_2(capsys):
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert err == (f"error: malformed expression: power makes coefficients of "
+                   f"more than {MAX_BITS} bits\n")
+
+
+def test_normal_form_product_past_bit_bound_exits_2(capsys):
+    # five factors of 3,322 bits: refused before the fifth product is
+    # formed, not when str() meets the interpreter's digit limit
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "normal-form", "--n", "2",
+                          "10^1000 10^1000 10^1000 10^1000 10^1000 E[1,1]")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == (f"error: malformed expression: product makes coefficients of "
                    f"more than {MAX_BITS} bits\n")
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from quadlie import exprparse
 from quadlie.exprparse import (
-    MAX_BITS, MAX_EXPONENT, MAX_NESTING, MAX_WORK, ParseError, _integer, _quote, _size,
+    MAX_BITS, MAX_EXPONENT, MAX_NESTING, MAX_WORK, ParseError, _bits, _integer, _quote, _size,
     parse_ncpoly, parse_scalar,
 )
 from quadlie.gl2n1 import build
@@ -249,6 +249,32 @@ def test_power_past_bit_bound_is_refused_at_once(text):
     with pytest.raises(ParseError, match=f"^power makes coefficients of more than {MAX_BITS} bits$"):
         parse_scalar(text)
     assert time.perf_counter() - start < 1.0
+
+
+PRODUCT_PAST_BITS = "10^1000 10^1000 10^1000 10^1000 10^1000"  # 5 * 3,322 bits
+
+
+@pytest.mark.parametrize("text", [
+    PRODUCT_PAST_BITS, "10^1000 * 10^1000 * 10^1000 * 10^1000 * 10^1000 c",
+    "(10^1000)^4 * 10^1000", "(10^1000 c + 1)^4 (10^1000 c + 1)",
+    "1/10^1000/10^1000/10^1000/10^1000/10^1000",
+])
+def test_product_past_bit_bound_is_refused_before_it_is_formed(text, monkeypatch):
+    # the bound covers a product and a division as it covers a power: the
+    # last factor would pass MAX_BITS, so it is refused before it is formed
+    formed = []
+    general = NCPoly.__mul__
+    monkeypatch.setattr(NCPoly, "__mul__",
+                        lambda a, b: formed.append(general(a, b)) or formed[-1])
+    with pytest.raises(ParseError, match=f"^product makes coefficients of more than {MAX_BITS} bits$"):
+        parse_scalar(text)
+    assert all(_bits(a) <= MAX_BITS for a in formed)
+
+
+def test_product_within_bit_bound_parses():
+    assert parse_scalar("10^1000 10^1000 10^1000 10^1000") == srat(10 ** 4000)
+    assert parse_scalar("1/10^1000/10^1000/10^1000/10^1000") == srat(Fraction(1, 10 ** 4000))
+    assert parse_scalar("(10^1000)^2 * 10^1000 / 10^1000") == srat(10 ** 2000)
 
 
 def test_power_within_bit_bound_parses_and_prints():

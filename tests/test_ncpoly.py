@@ -183,7 +183,8 @@ def _step(acc, op, x, via_mul):
 
 def _assert_canonical(p: NCPoly) -> None:
     assert all(type(v) is Scalar and not v.is_zero()
-               and all(type(f) is Fraction and f for f in v.terms.values())
+               and all((type(f) is int and f) or (type(f) is Fraction and f.denominator > 1)
+                       for f in v.terms.values())
                for v in p.terms.values())
     rebuilt = NCPoly(AB, dict(p.terms))
     assert p == rebuilt and hash(p) == hash(rebuilt)

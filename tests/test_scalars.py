@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 
 import pytest
 
+from quadlie.exprparse import parse_scalar
 from quadlie.scalars import Scalar, axpy, join_terms, lower, srat
+
+def _canonical(c) -> bool:
+    """The stored form of a Scalar coefficient: a nonzero int when
+    integral, else a Fraction with denominator > 1."""
+    return (type(c) is int and c != 0) or (type(c) is Fraction and c.denominator > 1)
+
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -94,11 +101,12 @@ def _run_chain(start, steps, lift):
 def test_mixed_operand_chains_stay_canonical(start, steps):
     """Chains of +, -, * and negation over int, Fraction and Scalar
     operands, with and without an indeterminate: the int and Fraction fast
-    paths store only nonzero Fractions and agree with the chain run on
-    Scalars throughout, and with plain Fractions at x = 3."""
+    paths store a nonzero int where integral, else a Fraction with
+    denominator > 1, and agree with the chain run on Scalars throughout,
+    and with plain Fractions at x = 3."""
     got = _run_chain(start, steps, lambda v: v)
     want = _run_chain(start, steps, Scalar.coerce)
-    assert all(type(c) is Fraction and c != 0 for c in got.terms.values())
+    assert all(_canonical(c) for c in got.terms.values())
     assert got == want and hash(got) == hash(want)
     at3 = _run_chain(start, steps, lambda v: (
         v.substitute({"x": 3}).as_rational() if isinstance(v, Scalar) else Fraction(v)))
@@ -138,15 +146,16 @@ def _reference_product(p, q):
 def test_general_product_matches_term_by_term_expansion(pair):
     """Products of Scalars in 2-3 indeterminates with mixed denominators,
     and (p + q)(p - q), whose cross terms cancel, equal the reference
-    expansion; every stored coefficient is a nonzero Fraction in lowest
-    terms on a sorted monomial with no exponent 0."""
+    expansion; every stored coefficient is a nonzero int where integral,
+    else a Fraction in lowest terms with denominator > 1, on a sorted
+    monomial with no exponent 0."""
     p, q = pair
     for a, b in ((p, q), (q, p), (p + q, p - q), (p * 3 - q, p * 3 + q)):
         got = a * b
         assert got.terms == _reference_product(a, b)
         for mono, coeff in got.terms.items():
-            assert type(coeff) is Fraction and coeff != 0
-            assert gcd(coeff.numerator, coeff.denominator) == 1 and coeff.denominator > 0
+            assert _canonical(coeff)
+            assert gcd(coeff.numerator, coeff.denominator) == 1
             assert list(mono) == sorted(mono) and all(e != 0 for _, e in mono)
 
 
@@ -206,3 +215,127 @@ def test_plain_rational_hashes_as_the_rational_it_equals():
     assert hash(Scalar()) == hash(srat(0)) == 0
     c = Scalar.var("c")
     assert hash(c + 1) == hash(1 + c) and len({c + 1, 1 + c, c}) == 2
+
+
+# -- differential test: every operation against a dict of Fractions ---------
+
+def _ref(value) -> dict:
+    """The reference form of an int, Fraction or Scalar: monomial -> nonzero
+    Fraction, with no int anywhere."""
+    if isinstance(value, Scalar):
+        return {m: Fraction(c) for m, c in value.terms.items()}
+    return {(): Fraction(value)} if value else {}
+
+
+def _ref_add(p: dict, q: dict, sign: int = 1) -> dict:
+    out = dict(p)
+    for m, c in q.items():
+        out[m] = out.get(m, Fraction(0)) + sign * c
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_mul(p: dict, q: dict) -> dict:
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            mono = tuple(sorted((Counter(dict(m1)) + Counter(dict(m2))).items()))
+            out[mono] = out.get(mono, Fraction(0)) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_pow(p: dict, exp: int) -> dict:
+    out = {(): Fraction(1)}
+    for _ in range(exp):
+        out = _ref_mul(out, p)
+    return out
+
+
+def _ref_substitute(p: dict, name: str, q: dict) -> dict:
+    out = {}
+    for m, c in p.items():
+        rest = tuple((v, e) for v, e in m if v != name)
+        term = _ref_mul({rest: c}, _ref_pow(q, dict(m).get(name, 0)))
+        out = _ref_add(out, term)
+    return out
+
+
+# coefficients: integral ones as ints and as integral Fractions, and not
+# integral ones
+coefficients = (st.integers(-6, 6).filter(bool)
+                | st.integers(-6, 6).filter(bool).map(Fraction)
+                | rationals.filter(bool))
+
+
+@st.composite
+def small_polynomials(draw):
+    """A Scalar of up to four terms in x and y, exponents 0..2, built through
+    the public constructor from mixed int and Fraction coefficients."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        mono = tuple((v, e) for v in "xy" if (e := draw(st.integers(0, 2))))
+        terms[mono] = draw(coefficients)
+    return Scalar(terms)
+
+
+numbers = st.integers(-6, 6) | rationals | st.integers(-6, 6).map(Fraction)
+steps = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["+", "-", "*", "r+", "r-", "r*"]), numbers | small_polynomials()),
+    st.tuples(st.just("/"), numbers.filter(bool)),
+    st.tuples(st.just("**"), st.integers(0, 3)),
+    st.tuples(st.just("neg"), st.none()),
+    st.tuples(st.just("subst"), numbers | small_polynomials()),
+), max_size=6)
+
+
+REF_OPS = {"+": _ref_add, "-": lambda p, q: _ref_add(p, q, -1), "*": _ref_mul}
+
+
+def _step(acc, op, x):
+    """One step on a Scalar and on its reference form."""
+    got, ref = acc
+    if op.lstrip("r") in REF_OPS:  # "r-" is x - acc
+        f = REF_OPS[op.lstrip("r")]
+        return OPS[op](got, x), f(_ref(x), ref) if op[0] == "r" else f(ref, _ref(x))
+    if op == "/":
+        return got / x, {m: c / Fraction(x) for m, c in ref.items()}
+    if op == "**":
+        return got ** x, _ref_pow(ref, x)
+    if op == "neg":
+        return -got, {m: -c for m, c in ref.items()}
+    return got.substitute({"x": x}), _ref_substitute(ref, "x", _ref(x))
+
+
+@given(small_polynomials(), steps)
+@settings(max_examples=150, deadline=None)
+def test_operations_match_a_fraction_reference_and_store_ints_where_integral(start, chain):
+    """Chains of + - * / ** negation and substitution over polynomials with
+    integral and non-integral coefficients, mixed with int and Fraction
+    operands: each result equals the reference computed in Fractions alone,
+    stores an int exactly where a coefficient is integral, and hands out
+    its rational value as a Fraction."""
+    acc = (start, _ref(start))
+    for op, x in [(None, None), *chain]:
+        if op is not None:
+            acc = _step(acc, op, x)
+        got, ref = acc
+        assert got.terms == ref
+        assert all(_canonical(c) for c in got.terms.values())
+        assert all(list(m) == sorted(m) and all(e for _, e in m) for m in got.terms)
+        assert got == Scalar(ref) and hash(got) == hash(Scalar(ref))
+        if got.is_rational():
+            value = got.as_rational()
+            assert type(value) is Fraction and value == ref.get((), 0)
+
+
+def test_rational_inputs_come_out_exact():
+    # the parser divides by as_rational(), a Fraction: 1/3 stays exact
+    for text in ("1/3", "(2)/(6)"):
+        got = parse_scalar(text)
+        assert got == Fraction(1, 3) and type(got.terms[()]) is Fraction
+        assert type(got.as_rational()) is Fraction
+    x = Scalar.var("x")
+    assert (x / 3).terms == {(("x", 1),): Fraction(1, 3)}
+    assert (x * 6 / 3).terms == {(("x", 1),): 2} and type((x * 6 / 3).terms[(("x", 1),)]) is int
+    assert type(srat(Fraction(6, 3)).terms[()]) is int
+    assert type(Scalar.from_rational(Fraction(4, 2)).as_rational()) is Fraction
+    assert type(Scalar.from_rational(0).as_rational()) is Fraction

@@ -306,9 +306,34 @@ MUTANTS = [
            "den = d1 * d2",
            "den = d1",
            T_SCAL),
-    Mutant("lower drops the denominator", SCAL,
-           "return value.numerator if value.denominator == 1 else value",
-           "return value.numerator",
+    Mutant("_canon drops the denominator", SCAL,
+           "return v.numerator if v.denominator == 1 else v",
+           "return v.numerator",
+           T_SCAL),
+    # -- a stored coefficient is an int exactly when integral ------------------
+    Mutant("from_rational keeps an integral Fraction", SCAL,
+           "value = _canon(value if isinstance(value, Fraction) else Fraction(value))",
+           "value = value if isinstance(value, Fraction) else Fraction(value)",
+           T_SCAL),
+    Mutant("__truediv__ leaves an integral Fraction", SCAL,
+           "return _wrap({m: _canon(c / f) for m, c in self._terms.items()})",
+           "return _wrap({m: c / f for m, c in self._terms.items()})",
+           T_SCAL),
+    Mutant("as_rational returns the raw int", SCAL,
+           "return Fraction(self._terms[_ONE_MONO])",
+           "return self._terms[_ONE_MONO]",
+           T_SCAL),
+    Mutant("_merge leaves an integral Fraction sum", SCAL,
+           "acc[m] = _canon(new)",
+           "acc[m] = new",
+           T_SCAL),
+    Mutant("general product leaves an integral Fraction", SCAL,
+           "v if den == 1 else _canon(Fraction(v, den))",
+           "v if den == 1 else Fraction(v, den)",
+           T_SCAL),
+    Mutant("lower makes a rational Scalar a Fraction", SCAL,
+           "return value._terms.get(_ONE_MONO, 0) if value.is_rational() else value",
+           "return value.as_rational() if value.is_rational() else value",
            T_SCAL),
     Mutant("Scalar's hash ignores the rational rule", SCAL,
            "if self.is_rational():\n            return hash(",
@@ -457,6 +482,18 @@ MUTANTS = [
            "if int(val) * _bits(base) > MAX_BITS:",
            "if _bits(base) > MAX_BITS:",
            "tests/test_exprparse.py"),
+    Mutant("a product's bits are not bounded", "src/quadlie/exprparse.py",
+           "if _bits(a) + _bits(b) > MAX_BITS:",
+           "if False:",
+           "tests/test_exprparse.py"),
+    Mutant("a division's bits are not bounded", "src/quadlie/exprparse.py",
+           "self._check_bits(acc, divisor)  # 1/r has the bits of r",
+           "pass",
+           "tests/test_exprparse.py"),
+    Mutant("a usage error prints argparse's usage lines", "src/quadlie/cli.py",
+           'self.exit(USAGE, f"error: {message}\\n")',
+           "super().error(message)",
+           T_CLI),
     Mutant("the power bound leaves out the denominators", "src/quadlie/exprparse.py",
            "return log2(max(den, sum(",
            "return log2(max(1, sum(",
