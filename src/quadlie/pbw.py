@@ -58,6 +58,10 @@ from .scalars import Scalar, accumulate, axpy, lower
 # relations one `serre_module_check` may run: gl2(11/1) at length 3 runs
 # 480,337, gl2(12/1) would run 780,248 and gl2(3/1) at length 7 798,147
 MAX_RELATIONS = 500_000
+# letters of the words N longer than one letter it may make, each word
+# costing its length to make and apply: QlsPresentation(1, 1) runs 2
+# relations per length, but its words pass this at max_len 709
+MAX_LETTERS = 500_000
 # terms in one `_times` or `_step` result (serre-check --n 5 reaches 326)
 MAX_TERMS = 20_000
 
@@ -353,7 +357,8 @@ def serre_module_check(
     with the out-of-order pairs a b, row-major, whose b N is not ordered
     (the rest hold by construction).  Returns (True, None) or (False, (a,
     b, N)) for the first failure.  Raises ValueError for max_len < 3 (only
-    N = ()) and past MAX_RELATIONS relations, counted before any runs.
+    N = ()), past MAX_RELATIONS relations and past MAX_LETTERS letters of
+    the words N longer than one letter, each counted before any runs.
     """
     if max_len < 3:
         raise ValueError(f"max_len must be at least 3, got {max_len}: "
@@ -370,10 +375,14 @@ def serre_module_check(
         if (count := count + len(runs[g])) > MAX_RELATIONS:
             raise too_many
     words = frontier = [(g,) for g in range(size)] if count else []  # none when none runs
-    for _ in range(max_len - 3):
+    letters = 0
+    for length in range(2, max_len - 1):
         frontier = [(g,) + w for w in frontier for g in range(size) if ordered(g, w[0])]
         if (count := count + sum(len(runs[w[0]]) for w in frontier)) > MAX_RELATIONS:
             raise too_many
+        if (letters := letters + length * len(frontier)) > MAX_LETTERS:
+            raise ValueError(f"max_len {max_len} gives more than {MAX_LETTERS} "
+                             "letters of words N to make")
         words += frontier  # the first pass rebinds frontier before words grows
     first = _first_failure(rs._action, ((w, pair) for w in words for pair in runs[w[0]]))
     return first is None, first

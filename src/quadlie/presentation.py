@@ -59,7 +59,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import comb, lcm
 from operator import itemgetter
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
@@ -137,10 +137,6 @@ class JacobiReport:
 
     def __repr__(self):
         return f"JacobiReport({self.method}, passed={self.passed})"
-
-
-def _is_json_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _pairs(kinds: str) -> List[Tuple[int, int, str]]:
@@ -280,7 +276,7 @@ class QlsPresentation:
 
         def count(key):
             value = data.get(key)
-            if not _is_json_int(value):
+            if type(value) is not int:  # not a float or a bool
                 raise ValueError(f"{key} must be an integer, got {value!r}")
             return value
 
@@ -294,7 +290,7 @@ class QlsPresentation:
             for row in entries:
                 if not isinstance(row, list) or len(row) != arity + 1:
                     raise ValueError(f"bad tensor row {row}")
-                if not all(_is_json_int(t) for t in row[:-1]):
+                if not set(map(type, row[:-1])) <= {int}:
                     raise ValueError(f"tensor index in row {row} is not an integer")
                 if not isinstance(row[-1], str):
                     raise ValueError(f"tensor entry in row {row} is not a string")
@@ -429,18 +425,19 @@ class QlsPresentation:
             """x_i . tensor at its canonical keys (i, *index), summed over
             the slots of each entry (kinds: each slot's kind).  A key is
             canonical if it rises along each pair of "e" + kinds, strictly
-            for x_i and the lower evens, weakly elsewhere; the rises clear of
-            x_i and slot r are tested per entry and slot, the rest per image."""
+            for x_i and the lower evens, weakly elsewhere; the one rise clear of
+            x_i and slot r ((0, 0, 0) if none) is tested per entry and slot,
+            the rest per image."""
             res: Dict[tuple, Coeff] = {}
             rises = [(s, t, int(k == "e")) for s, t, k in _pairs(kinds)]
-            slots = [(r, act[kind], [(s, t, g) for s, t, g in rises if r not in (s, t)],
+            slots = [(r, act[kind], *next((x for x in rises if r not in x[:2]), (0, 0, 0)),
                       next((g for s, t, g in rises if t == r), None),
                       next((g for s, t, g in rises if s == r), None))
                      for r, kind in enumerate(kinds)]
             for idx, v in tensor.items():
-                for r, table, far, left, right in slots:
+                for r, table, fs, ft, fg, left, right in slots:
                     images = table.get(idx[r])
-                    if not images or any(idx[t] < idx[s] + g for s, t, g in far):
+                    if not images or idx[ft] < idx[fs] + fg:
                         continue
                     lo = 0 if left is None else idx[r - 1] + left
                     hi = size if right is None else idx[r + 1] - right
@@ -500,39 +497,47 @@ class QlsPresentation:
         side minus the left with each e replaced by its bracket's letters;
         the a terms cancel, as e(u, v) g and g e(u, v) carry the same sign.
         """
-        self.check_triple_budget()  # bounds size, so the rows of lin and quad
+        self.check_triple_budget()  # bounds size, so the rows of cells and lin
         n, size = self.n_even, self.alphabet.size
-        lin, quad = ([[()] * size for _ in range(size)] for _ in range(2))
-        for (g, h), terms in ring.table.items():  # by word length
-            lin[g][h] = [(*w, t) for w, t in terms if len(w) == 1]
-            quad[g][h] = [t for t in terms if len(t[0]) == 2]
+        cells: List[list] = [[None] * size for _ in range(size)]  # None: no bracket
+        for (g, h), terms in ring.table.items():  # (one-letter, d-word) terms
+            cells[g][h] = ([(*w, t) for w, t in terms if len(w) == 1],
+                           [t for t in terms if len(t[0]) == 2])
+        lin = [[cell[0] if cell else () for cell in row] for row in cells]
         evens, odds = range(n), range(n, size)
-        triples = chain(
-            combinations(evens, 3),
-            ((i, j, y) for i, j in combinations(evens, 2) for y in odds),
-            ((i, y1, y2) for y1, y2 in combinations_with_replacement(odds, 2)
-             for i in evens),
-            combinations_with_replacement(odds, 3),
+        # each family's triples, with the graded sign of (c, a, b): -1 on (y2, i, y1) alone
+        families = (
+            (combinations(evens, 3), 1),
+            (((i, j, y) for i, j in combinations(evens, 2) for y in odds), 1),
+            (((i, y1, y2) for y1, y2 in combinations_with_replacement(odds, 2)
+              for i in evens), -1),
+            (combinations_with_replacement(odds, 3), 1),
         )
-        for a, b, c in triples:
-            deg2: Dict[int, Coeff] = {}
-            for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
-                # graded Jacobi sign (-1)^{|u||w|}, normalized to +1 on (a, b, c)
-                s = -1 if (u >= n and w >= n) != (a >= n and c >= n) else 1
-                for x, t in lin[u][v]:  # e(u, v) w; _add inlined
-                    key = x * size + w
-                    deg2[key] = deg2.get(key, 0) + s * t
-                for x, t in lin[v][w]:  # u e(v, w)
-                    key = u * size + x
-                    deg2[key] = deg2.get(key, 0) - s * t
-                for (k, l), val in quad[v][w]:
-                    for x, t in lin[u][l]:  # k e(u, l)
-                        key = k * size + x
-                        deg2[key] = deg2.get(key, 0) - s * val * t
-                    for x, t in lin[u][k]:  # -e(u, k) l
-                        key = x * size + l
-                        deg2[key] = deg2.get(key, 0) - s * val * t
-            yield (a, b, c), deg2
+        for triples, sign in families:
+            for a, b, c in triples:
+                deg2: Dict[int, Coeff] = {}
+                ab, bc, ca = cells[a][b], cells[b][c], cells[c][a]
+                if ab is None and bc is None and ca is None:
+                    yield (a, b, c), deg2  # every term below reads one of the three
+                    continue
+                for u, w, uv, vw, s in ((a, c, ab, bc, 1), (b, a, bc, ca, 1),
+                                        (c, b, ca, ab, sign)):  # rotations (u, v, w)
+                    if uv is not None:
+                        for x, t in uv[0]:  # e(u, v) w; _add inlined
+                            key = x * size + w
+                            deg2[key] = deg2.get(key, 0) + s * t
+                    if vw is not None:
+                        for x, t in vw[0]:  # u e(v, w)
+                            key = u * size + x
+                            deg2[key] = deg2.get(key, 0) - s * t
+                        for (k, l), val in vw[1]:
+                            for x, t in lin[u][l]:  # k e(u, l)
+                                key = k * size + x
+                                deg2[key] = deg2.get(key, 0) - s * val * t
+                            for x, t in lin[u][k]:  # -e(u, k) l
+                                key = x * size + l
+                                deg2[key] = deg2.get(key, 0) - s * val * t
+                yield (a, b, c), deg2
 
     def check_triple_budget(self) -> int:
         """Number of elements `_overlap_elements` yields, in closed form from
@@ -564,23 +569,28 @@ class QlsPresentation:
                    for (g, h), terms in table.items()}
         viols: List[JacobiViolation] = []
         j1 = j2 = j3 = 0  # identities checked
-        # key -> (halve, residual and lam items) of `_reduce2` on the word alone
-        # at 1, or 2 on an odd square: DECISIONS.md "One reduction per two-letter word"
-        reduced: Dict[int, Tuple[bool, tuple]] = {}
+        # key -> True on an ordered word, else (halve, residual and lam items) of `_reduce2`
+        # on it at 1, or 2 on an odd square: DECISIONS.md "One reduction per two-letter word"
+        reduced: Dict[int, Union[bool, Tuple[bool, tuple]]] = {}
 
         for indices, deg2 in self._overlap_elements(ring):
+            if not deg2:
+                continue
             acc: Dict[int, Coeff] = {}  # residual and lam
             for key, coeff in deg2.items():
                 if not coeff:
                     continue
                 image = reduced.get(key)
                 if image is None:
-                    word = divmod(key, size)
-                    square = word[0] == word[1] >= n
-                    image = reduced[key] = (square, tuple(
+                    g, h = word = divmod(key, size)
+                    square = g == h >= n
+                    image = reduced[key] = g < h or g == h < n or (square, tuple(
                         (lam * lam0 + g * size + h, v) for lam, part in
                         enumerate(self._reduce2({word: 1 + square}, table))
                         for (g, h), v in part.items()))
+                if image is True:  # the word is its own reduction
+                    acc[key] = acc[key] + coeff if key in acc else coeff
+                    continue
                 halve, terms = image
                 if halve:
                     coeff = _half(coeff)
@@ -690,11 +700,11 @@ def odd_rescale(tensors) -> Tuple[list, int]:
     for name, kinds, tensor in tensors:
         factor = scale ** odd_exponent(kinds)
         scaled: Dict[tuple, Coeff] = {}
-        for idx, v in tensor.items():
-            if v.is_rational():  # an int always where the factor is D^2
-                f = lower(v.terms[()] * factor)
-                scaled[idx] = f if type(f) is int else srat(f)
-            else:
+        for idx, v in tensor.items():  # an int always where the factor is D^2
+            f = v.terms[()] if v.is_rational() else None  # an int or a Fraction
+            if f is not None and factor % f.denominator == 0:
+                scaled[idx] = f.numerator * (factor // f.denominator)
+            else:  # an indeterminate, or a rational the factor leaves non-integral
                 scaled[idx] = v * factor if factor != 1 else v
         out.append((name, kinds, scaled))
     return out, scale

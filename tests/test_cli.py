@@ -355,6 +355,20 @@ def test_serre_check_file_past_relation_budget_exits_2_at_once(tmp_path, capsys)
     assert "relations" in err
 
 
+def test_serre_check_file_past_letter_budget_exits_2_at_once(tmp_path, capsys):
+    # one even and one odd run 2 relations per length, but the words N of
+    # length up to 3,998 hold millions of letters: refused before they are made
+    path = tmp_path / "small.qls"
+    path.write_text(json.dumps({"format": "quadlie-presentation-1",
+                                "n_even": 1, "m_odd": 1}))
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "serre-check", str(path), "--max-len", "4000")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "letters" in err
+
+
 def test_serre_check_file_past_rule_budget_exits_2(tmp_path, capsys):
     # 3,000 evens give C(3000, 2) = 4,498,500 rules, refused before any
     path = tmp_path / "wide.qls"

@@ -17,6 +17,7 @@ from quadlie.fock import lambda3_presentation
 from quadlie.gl2n1 import build
 from quadlie.ncpoly import AlphabetMismatch, NCPoly
 from quadlie.pbw import (
+    MAX_LETTERS,
     MAX_RELATIONS,
     GeneratorOrder,
     RewriteSystem,
@@ -1018,6 +1019,28 @@ def test_serre_check_on_many_generators_is_refused_at_once(n_even, m_odd, order)
     with pytest.raises(ValueError, match="relations to run"):
         serre_module_check(rs)
     assert time.perf_counter() - start < 1
+
+
+def test_serre_check_refuses_past_letter_budget():
+    # one even and one odd: 2 relations per length, so the relation budget
+    # admits max_len up to about 250,000, but the letters of the words N
+    # grow with the square of max_len and pass MAX_LETTERS at 709
+    rs = _rs(QlsPresentation(1, 1))
+    assert serre_module_check(rs, 708) == (True, None)
+    for max_len in (709, 4_000):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"more than {MAX_LETTERS} letters"):
+            serre_module_check(rs, max_len)
+        assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("n, max_len", [(11, 3), (5, 4), (4, 5), (3, 6), (2, 7)])
+def test_letter_budget_admits_the_longest_gl2n1_checks(monkeypatch, n, max_len):
+    # the longest length each gl2(n/1) is admitted at stays admitted, with
+    # _first_failure stubbed so that no relation runs
+    counts = _counting_first_failure(monkeypatch)
+    assert serre_module_check(build(n, 1).rewrite, max_len) == (True, None)
+    assert counts[0] > 0
 
 
 def test_serre_check_with_no_relation_to_run_passes_at_any_length():

@@ -23,7 +23,7 @@ from quadlie.presentation import (
     QlsPresentation,
     build_from_casimirs,
 )
-from quadlie.scalars import Scalar, accumulate, srat
+from quadlie.scalars import Scalar, accumulate, lower, srat
 
 
 def test_zero_tensors_pass_both_checkers():
@@ -76,6 +76,23 @@ def test_index_that_is_not_an_int_rejected(name):
             QlsPresentation(_N, _M, **{name: {idx: 1}})
     pres = QlsPresentation(2, 1, cbar={(0, 0, 0): 1})
     assert QlsPresentation.loads(pres.dumps()) == pres
+
+
+def test_row_index_or_count_that_is_not_an_int_rejected():
+    # loads refuses a row whose index holds a float, a bool or a string,
+    # naming the row, before any entry is parsed; and such a generator count
+    doc = QlsPresentation(2, 1, cbar={(0, 0, 0): 1}).to_json_dict()
+    assert doc["cbar"] == [[0, 0, 0, "1"]]
+    for bad in (0.0, True, "0"):
+        doc["cbar"] = [[0, bad, 0, "1"]]
+        with pytest.raises(ValueError) as info:
+            QlsPresentation.from_json_dict(doc)
+        assert str(info.value) == f"tensor index in row {doc['cbar'][0]} is not an integer"
+    doc["cbar"] = [[0, 0, 0, "1"]]
+    for bad in (1.0, True):
+        with pytest.raises(ValueError, match=rf"^m_odd must be an integer, got {bad}$"):
+            QlsPresentation.from_json_dict({**doc, "m_odd": bad})
+    assert QlsPresentation.from_json_dict(doc).m_odd == 1
 
 
 @pytest.mark.parametrize("name", [name for name in _LAYOUT if _LAYOUT[name][1]])
@@ -1214,6 +1231,53 @@ def test_cyclic_families_match_full_index_loops():
         got = [v[:3] for v in pres.check_component_jacobi().violations
                if v.family.startswith("odd-odd-odd")]
         assert got == _cyclic_reference(pres)
+
+
+def _far_rises(kinds, r):
+    """The rises of kinds clear of slot r, as `invariance` reads them."""
+    return [(s, t) for s, t, _ in presentation._pairs(kinds) if r not in (s, t)]
+
+
+def test_no_slot_has_two_far_rises():
+    # the component checker tests one far rise per slot and would skip a
+    # second without any error: a tensor with three pairs must fail here
+    for name, kinds in presentation.TENSORS.items():
+        for r in range(len(kinds)):
+            assert len(_far_rises(kinds, r)) <= 1, (name, r)
+    assert [len(_far_rises("ooEE", r)) for r in range(4)] == [1, 1, 1, 1]
+    assert len(_far_rises("ooEEOO", 0)) == 2
+
+
+def test_odd_rescale_matches_the_fraction_products():
+    # each scaled entry equals, with the same type, the product the rescale
+    # took in Fractions: lower(v * factor), an int where integral and a
+    # Scalar otherwise, and v * factor on an entry with an indeterminate
+    rng = random.Random(20261021)
+    cases = _sample_presentations() + _mixed_ring_cases()
+    cases += [_scaled_down(_random_presentation(rng), den)
+              for den in (2, 3, 6) for _ in range(30)]
+    cases += [_odd_square_presentation(), _half_c_presentation()]
+    seen = set()
+    for pres in cases:
+        tensors = pres._tensors()
+        out, scale = presentation.odd_rescale(tensors)
+        for (name, kinds, tensor), (_, _, scaled) in zip(tensors, out):
+            factor = scale ** presentation.odd_exponent(kinds)
+            assert scaled.keys() == tensor.keys()
+            for idx, v in tensor.items():
+                if v.is_rational():
+                    f = lower(v.terms[()] * factor)
+                    want = f if type(f) is int else srat(f)
+                    den = v.as_rational().denominator
+                    seen.add(("scalar" if type(want) is Scalar else "int", den > 1))
+                    if kinds[:2] == "oo" and idx[0] == idx[1] and den > 1:
+                        seen.add("odd square")
+                else:
+                    want = v * factor
+                    seen.add("indeterminate")
+                assert scaled[idx] == want and type(scaled[idx]) is type(want), (name, idx)
+    assert seen == {("int", False), ("int", True), ("scalar", True),
+                    "odd square", "indeterminate"}
 
 
 def test_checker_cost_follows_the_tensors():

@@ -98,9 +98,9 @@ MUTANTS = [
            "scaled[idx] = v * factor if factor != 1 else v",
            "scaled[idx] = v",
            T_PRES),
-    Mutant("rescale truncates a non-integral rational", PRES,
-           "scaled[idx] = f if type(f) is int else srat(f)",
-           "scaled[idx] = f if type(f) is int else f.numerator // f.denominator",
+    Mutant("rescale's int path drops the divisibility test", PRES,
+           "if f is not None and factor % f.denominator == 0:",
+           "if f is not None:",
            T_PRES),
     # -- the one bracket-table builder, `_Ring.build` -------------------------
     Mutant("bracket table keeps the reverse of a mixed pair unnegated", PRES,
@@ -114,23 +114,23 @@ MUTANTS = [
     # -- the overlap elements, substituted in place ---------------------------
     Mutant("overlap zR d-part sign", PRES,
            "key = x * size + l\n"
-           "                        deg2[key] = deg2.get(key, 0) - s * val * t",
+           "                                deg2[key] = deg2.get(key, 0) - s * val * t",
            "key = x * size + l\n"
-           "                        deg2[key] = deg2.get(key, 0) + s * val * t",
+           "                                deg2[key] = deg2.get(key, 0) + s * val * t",
            T_PRES),
     Mutant("overlap zL substitution added, not subtracted", PRES,
            "key = u * size + x\n"
-           "                    deg2[key] = deg2.get(key, 0) - s * t",
+           "                            deg2[key] = deg2.get(key, 0) - s * t",
            "key = u * size + x\n"
-           "                    deg2[key] = deg2.get(key, 0) + s * t",
+           "                            deg2[key] = deg2.get(key, 0) + s * t",
            T_PRES),
     Mutant("overlap zR substituted as (g, x)", PRES,
            "key = x * size + w",
            "key = w * size + x",
            T_PRES),
-    Mutant("overlap graded-cyclic sign flipped", PRES,
-           "s = -1 if (u >= n and w >= n) != (a >= n and c >= n) else 1",
-           "s = 1 if (u >= n and w >= n) != (a >= n and c >= n) else -1",
+    Mutant("overlap graded-cyclic sign of (b, c, a) flipped", PRES,
+           "(b, a, bc, ca, 1)",
+           "(b, a, bc, ca, -1)",
            T_PRES),
     Mutant("reduction cache ignores the odd-square halving", PRES,
            "coeff = _half(coeff)",
@@ -148,6 +148,18 @@ MUTANTS = [
            "(lam * lam0 + g * size + h, v)",
            "(g * size + h, v)",
            T_PRES),
+    Mutant("dead-triple test reads two of the three pairs", PRES,
+           "if ab is None and bc is None and ca is None:",
+           "if ab is None and bc is None:",
+           T_PRES),
+    Mutant("overlap sign of (y2, i, y1) taken as +1", PRES,
+           "for i in evens), -1),",
+           "for i in evens), 1),",
+           T_PRES),
+    Mutant("identity fast path taken for an odd square", PRES,
+           "g < h or g == h < n or (square",
+           "g <= h or (square",
+           T_PRES),
     # -- the forward ring ------------------------------------------------------
     Mutant("rescale D over every tensor, not the odd pairs", PRES,
            "for _, kinds, tensor in tensors if kinds[:2] == \"oo\"",
@@ -161,6 +173,18 @@ MUTANTS = [
     Mutant("component pre-filter lets x_i's rise be weak", PRES,
            "if lo <= new <= hi and i < top:",
            "if lo <= new <= hi and i <= top:",
+           T_PRES),
+    Mutant("generator count accepts a bool", PRES,
+           "if type(value) is not int:  # not a float or a bool",
+           "if type(value) not in (int, bool):",
+           T_PRES),
+    Mutant("invariance reads the wrong slot of its far rise", PRES,
+           "idx[ft] < idx[fs] + fg",
+           "idx[fs] < idx[fs] + fg",
+           T_PRES),
+    Mutant("row index check accepts a bool", PRES,
+           "if not set(map(type, row[:-1])) <= {int}:",
+           "if not set(map(type, row[:-1])) <= {int, bool}:",
            T_PRES),
     Mutant("intertwiner_violation drops the pi seed", PRES,
            "residual = dict(self.pi)",
@@ -256,6 +280,10 @@ MUTANTS = [
     Mutant("serre runs made in index order, not longest first", PBW,
            "for g in rs.order.sequence:",
            "for g in range(size):",
+           T_PBW),
+    Mutant("serre letters counted one per word", PBW,
+           "letters := letters + length * len(frontier)",
+           "letters := letters + len(frontier)",
            T_PBW),
     Mutant("serre_module_check defaults to length 4", PBW,
            "rs: RewriteSystem, max_len: int = 3",
