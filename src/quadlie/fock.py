@@ -50,12 +50,17 @@ class SparseOp:
             raise ValueError(f"dimension mismatch: {self.dim} and {other.dim}")
 
     def __add__(self, other: "SparseOp") -> "SparseOp":
-        self._same_dim(other)
-        return _op(self.dim, axpy(dict(self.data), 1, other.data))
+        return self._merge(other, 1)
 
     def __sub__(self, other: "SparseOp") -> "SparseOp":
+        return self._merge(other, -1)
+
+    def _merge(self, other: "SparseOp", sign: int) -> "SparseOp":
+        """self + sign * other; NotImplemented for an operand that is not a SparseOp."""
+        if not isinstance(other, SparseOp):
+            return NotImplemented
         self._same_dim(other)
-        return _op(self.dim, axpy(dict(self.data), -1, other.data))
+        return _op(self.dim, axpy(dict(self.data), sign, other.data))
 
     def __mul__(self, other):
         if isinstance(other, SparseOp):
@@ -75,9 +80,7 @@ class SparseOp:
             return _op(self.dim, out)
         if not isinstance(other, int):
             other = lower(Fraction(other))
-        if not other:
-            return _op(self.dim, {})
-        return _op(self.dim, {k: v * other for k, v in self.data.items()})
+        return _op(self.dim, {k: v * other for k, v in self.data.items()} if other else {})
 
     __rmul__ = __mul__
 
@@ -116,8 +119,7 @@ def fermion_ops(n: int) -> Tuple[List[SparseOp], List[SparseOp]]:
     ann, cre = [], []
     for i in range(1, n + 1):
         bit = 1 << (i - 1)
-        a_data = {}
-        c_data = {}
+        a_data, c_data = {}, {}
         for b in range(dim):
             if b & bit:
                 sign = _jw_sign(b, i)
@@ -176,8 +178,7 @@ def bracket_polynomial_check(n: int = 4) -> dict:
     """Verify {Q_{ijk}, Qbar^{pqr}} = -1/4 (E_script^2 - (n+3-N) E_script
     + 4 delta) component-wise as exact matrices."""
     gens = composite_generators(n)
-    dim = gens["dim"]
-    num = gens["N"]
+    dim, num = gens["dim"], gens["N"]
     triples = list(combinations(range(1, n + 1), 3))
     script = {(u, l): _script_e(gens, u, l) for u in triples for l in triples}
     # (E_script^2): matrix product over the ordered-triple basis
@@ -290,8 +291,7 @@ def presentation_cross_check() -> dict:
     words = {(g,): op for g, op in enumerate(mats)}
     words[()] = SparseOp.identity(dim)
     failures = []
-    ne = pres.n_even
-    evens, odds = range(ne), range(ne, ne + pres.m_odd)
+    evens, odds = range(pres.n_even), range(pres.n_even, pres.alphabet.size)
     # {y_p, y_q} = y_p y_q + y_q y_p for odd pairs, [., .] otherwise; pairs
     # (odd, even) are the (even, odd) relations again
     for kind, firsts, seconds in (("ee", evens, evens), ("mx", evens, odds),

@@ -147,21 +147,23 @@ class NCPoly:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "NCPoly") -> "NCPoly":
+        return self._merge(other, 1)
+
+    def __sub__(self, other: "NCPoly") -> "NCPoly":
+        return self._merge(other, -1)
+
+    def _merge(self, other: "NCPoly", sign: int) -> "NCPoly":
+        """self + sign * other; NotImplemented for an operand that is not an NCPoly."""
+        if not isinstance(other, NCPoly):
+            return NotImplemented
         self._check(other)
         acc = dict(self._terms)
         for w, c in other._terms.items():
-            accumulate(acc, w, c)
+            accumulate(acc, w, c if sign > 0 else -c)
         return _ncpoly(self.alphabet, acc)
 
     def __neg__(self) -> "NCPoly":
         return _ncpoly(self.alphabet, {w: -c for w, c in self._terms.items()})
-
-    def __sub__(self, other: "NCPoly") -> "NCPoly":
-        self._check(other)
-        acc = dict(self._terms)
-        for w, c in other._terms.items():
-            accumulate(acc, w, -c)
-        return _ncpoly(self.alphabet, acc)
 
     def scale(self, coeff) -> "NCPoly":
         c0 = Scalar.coerce(coeff)
@@ -184,10 +186,7 @@ class NCPoly:
                 accumulate(acc, w1 + w2, c1 * c2)
         return _ncpoly(self.alphabet, acc)
 
-    def __rmul__(self, other) -> "NCPoly":
-        if isinstance(other, NCPoly):
-            return NotImplemented
-        return self.scale(other)
+    __rmul__ = scale  # an NCPoly left operand is handled by its __mul__
 
     # -- comparisons / rendering --------------------------------------
 

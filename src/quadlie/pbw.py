@@ -290,7 +290,9 @@ class _ModuleAction:
                 k, l = mid
                 for w, v in (caches[l].get(rest) or act(l, rest)).items():
                     axpy(out, c * v, caches[k].get(w) or act(k, w))
-        return _within_budget(out) if len(out) > MAX_TERMS else out
+        if len(out) > MAX_TERMS:
+            raise ValueError(f"more than {MAX_TERMS} terms in one action step")
+        return out
 
     def _times(self, g: int, dist: Dict[int, Coeff], negate: bool = False) -> Dict[int, Coeff]:
         """w_g on dist, negated if asked, as a new dict: the one product
@@ -315,7 +317,9 @@ class _ModuleAction:
                     out[w2] = new
                 else:
                     del out[w2]
-        return _within_budget(out) if len(out) > MAX_TERMS else out
+        if len(out) > MAX_TERMS:
+            raise ValueError(f"more than {MAX_TERMS} terms in one action step")
+        return out
 
     def _apply(self, gens: Word, word: int) -> Dict[int, Coeff]:
         """`apply_word` in the system's ring, on word ids; a one-letter
@@ -324,12 +328,6 @@ class _ModuleAction:
         for g in gens[-2::-1]:
             dist = self._times(g, dist)
         return dist
-
-
-def _within_budget(dist: Dict[int, Coeff]) -> Dict[int, Coeff]:
-    if len(dist) > MAX_TERMS:
-        raise ValueError(f"more than {MAX_TERMS} terms in one action step")
-    return dist
 
 
 def _first_failure(action: _ModuleAction,

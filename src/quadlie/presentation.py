@@ -721,7 +721,8 @@ class _Ring(NamedTuple):
     presentation; a enters the component family (7) and the abstract
     checker's J3 only.  table holds the (word, coeff) terms of each
     generator pair, a words included, the one copy of them: a reader of
-    one word length filters it.  scale is D; a ring holds no cache.
+    one word length filters it.  scale is D; `back` maps by D to an exponent
+    <= 0, as no bracket raises the odd-letter count.  A ring holds no cache.
     """
 
     c: Mapping[tuple, Coeff]
@@ -754,12 +755,11 @@ class _Ring(NamedTuple):
 
     def back(self, value: Coeff, exponent: int, den: int = 1) -> Scalar:
         """value * D**exponent / den as an exact Scalar, mapping a ring
-        coefficient back: the int D**exponent multiplies when exponent > 0
-        and joins den when exponent < 0; then an int makes one
-        Fraction(value, den) and a Scalar is divided by den but for den = 1."""
-        if exponent > 0 and self.scale != 1:
-            value = value * self.scale ** exponent
-        elif exponent < 0 and self.scale != 1:
+        coefficient back, exponent <= 0: it is o(w) - o(input) for a result
+        word w, and a bracket never raises the odd-letter count.  The int
+        D**-exponent joins den; then an int makes one Fraction(value, den)
+        and a Scalar is divided by den but for den = 1."""
+        if exponent and self.scale != 1:
             den *= self.scale ** -exponent
         if not isinstance(value, Scalar):
             return srat(value, den)

@@ -114,14 +114,18 @@ class Scalar:
 
     def _merge(self, other: RationalLike, sign: int) -> "Scalar":
         """self + sign * other in one pass, dropping a monomial that
-        cancels; an int or Fraction goes straight to the constant term."""
-        if isinstance(other, Scalar):
-            if not self._terms and sign > 0:
-                return other
-            items = other._terms.items()
-        else:
-            f = other if type(other) is int else _canon(Fraction(other))
+        cancels; a constant, read through `lower`, goes to the constant term.
+        NotImplemented for an operand `lower` refuses, as in `__mul__`."""
+        if not isinstance(other, Scalar):
+            try:
+                f = lower(other)
+            except TypeError:
+                return NotImplemented
             items = ((_ONE_MONO, f),) if f else ()
+        elif not self._terms and sign > 0:
+            return other
+        else:
+            items = other._terms.items()
         acc = dict(self._terms)
         for m, c in items:
             prev = acc.pop(m, None)
@@ -132,35 +136,29 @@ class Scalar:
         return _wrap(acc)
 
     def __rsub__(self, other: RationalLike) -> "Scalar":
-        return -self + other
+        return (-self)._merge(other, 1)
 
     def __mul__(self, other: RationalLike) -> "Scalar":
-        if other is ONE:
-            return self
-        if isinstance(other, (int, Fraction)):
-            if not other or not self._terms:
-                return ZERO
-            return _wrap({m: _canon(c * other) for m, c in self._terms.items()})
-        other = Scalar.coerce(other)
-        if self is ONE:
-            return other
-        if not self._terms or not other._terms:
-            return ZERO
-        # fast path: multiplication by a plain rational
-        if other.is_rational():
-            c0 = other._terms[_ONE_MONO]
-            return _wrap({m: _canon(c * c0) for m, c in self._terms.items()})
-        if self.is_rational():
-            c0 = self._terms[_ONE_MONO]
-            return _wrap({m: _canon(c * c0) for m, c in other._terms.items()})
+        """The product; a constant factor, read through `lower`, takes the one
+        constant-factor path, and a plain-rational left operand moves right.
+        NotImplemented for an operand `lower` refuses, so `srat(2) * poly`
+        reaches the other operand's `__rmul__`."""
+        try:
+            f = lower(other)
+        except TypeError:
+            return NotImplemented
+        if isinstance(f, Scalar) and self.is_rational():  # the product commutes
+            self, f = f, lower(self)
+        if not isinstance(f, Scalar):
+            return _wrap({m: _canon(c * f) for m, c in self._terms.items()}) if f else ZERO
         # over one denominator: c1 = n1/d1 and c2 = n2/d2 with d1, d2 the
         # lcm of each side's denominators, so sums run in ints and each
         # monomial takes one Fraction(sum, d1*d2), which reduces it; with
         # only ints on both sides there is nothing to scale or reduce
         d1 = lcm(*(c.denominator for c in self._terms.values()))
-        d2 = lcm(*(c.denominator for c in other._terms.values()))
+        d2 = lcm(*(c.denominator for c in f._terms.values()))
         den = d1 * d2
-        left, right = self._terms.items(), other._terms.items()
+        left, right = self._terms.items(), f._terms.items()
         if den != 1:
             left = [(m, c.numerator * (d1 // c.denominator)) for m, c in left]
             right = [(m, c.numerator * (d2 // c.denominator)) for m, c in right]
@@ -175,8 +173,7 @@ class Scalar:
     __rmul__ = __mul__
 
     def __truediv__(self, other: Rational) -> "Scalar":
-        f = Fraction(other)
-        return _wrap({m: _canon(c / f) for m, c in self._terms.items()})
+        return self * (1 / Fraction(other))
 
     def __pow__(self, exp: int) -> "Scalar":
         if exp < 0:

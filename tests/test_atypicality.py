@@ -338,6 +338,25 @@ def test_one_step_scan_rejects_negative_bound():
     assert one_step_analysis(3, scan_bound=0)["scan_counterexamples"] == []
 
 
+def test_one_step_scan_reports_the_cells_a_broken_closed_form_makes(monkeypatch):
+    # with the constant n - 2 of b0 counted twice, a0 - b0 - s' vanishes on
+    # the branch s' = b1, so the exclusion fails and the scan finds the cells
+    # where (delta delta) = (a0 - p')(b0 - p') - p' vanishes too
+    def broken(n, c1p, c2p, central):
+        a1, a0, b1, b0 = _adjoint_coeffs(n, c1p, c2p, central)
+        return a1, a0, b1, b0 - (n - 2)
+
+    monkeypatch.setattr(quadlie.atypicality, "_adjoint_coeffs", broken)
+    res = one_step_analysis(3, scan_bound=4)
+    assert res["conclusion"] == "inconclusive" and res["one_step_exists"] is None
+    hits = res["scan_counterexamples"]
+    assert hits == [(1, 1, 3, 2), (1, 1, 3, 4), (1, 4, 3, -2),
+                    (2, 3, 1, 2), (2, 3, 1, 4), (2, 3, 4, -2)]
+    for r, mubar, nubar, c in hits:  # each a zero of the symbolic coefficients
+        point = {"r": r, "mubar": mubar, "nubar": nubar, "c": c}
+        assert all(v.substitute(point) == 0 for v in res["coefficients"].values())
+
+
 def test_one_step_scan_past_its_cell_budget_is_refused_at_once(monkeypatch):
     # the scan visits (n - 1)(2 scan_bound + 1)^2 cells: 18 at n = 3, bound 1
     monkeypatch.setattr(quadlie.atypicality, "MAX_SCAN_CELLS", 18)

@@ -564,6 +564,21 @@ def test_an_indexed_generator_is_checked_against_the_alphabet(text):
         parse_ncpoly(text.replace("X", "Y"), alg.alphabet, resolver)
 
 
+def test_a_resolver_may_map_a_bare_name():
+    # a bare name the resolver maps is a generator, before the indeterminates
+    # are asked; one it does not map stays an indeterminate or is unknown
+    ab = Alphabet(1, 1)
+
+    def resolver(name, indices):
+        return {"X": 0, "c": 1}.get(name) if indices is None else None
+
+    got = parse_ncpoly("2 X c + X u", ab, resolver, ("c", "u"))
+    assert got == NCPoly(ab, {(0, 1): srat(2), (0,): Scalar.var("u")})
+    with pytest.raises(ParseError) as info:
+        parse_ncpoly("X v", ab, resolver, ("c", "u"))
+    assert str(info.value) == "unknown name v"
+
+
 def _random_expression(rng, depth):
     """(quadlie text, Python text) of one random expression tree over small
     integers with + - * / ^, parentheses and signs: no chained ^, no sign

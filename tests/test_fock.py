@@ -225,6 +225,23 @@ def test_dimension_mismatch_raises(op):
         op(SparseOp.identity(2), SparseOp.identity(4))
 
 
+@pytest.mark.parametrize("op, sign", [(operator.add, "+"), (operator.sub, "-")])
+def test_adding_a_number_to_an_operator_is_a_type_error(op, sign):
+    one = SparseOp.identity(2)
+    for left, right, names in ((one, 1, "'SparseOp' and 'int'"),
+                               (1, one, "'int' and 'SparseOp'")):
+        with pytest.raises(TypeError) as info:
+            op(left, right)
+        assert str(info.value) == f"unsupported operand type(s) for {sign}: {names}"
+    assert one + one == one * 2 and (one - one).is_zero()
+
+
+def test_composite_triples_need_three_modes():
+    with pytest.raises(ValueError) as info:
+        composite_generators(2)
+    assert str(info.value) == "composite triples need n >= 3"
+
+
 def test_constructor_rejects_index_outside_dimension():
     for key in ((5, 7), (0, 2), (-1, 0)):
         with pytest.raises(ValueError, match="outside dimension 2"):

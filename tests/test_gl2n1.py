@@ -85,6 +85,23 @@ def test_sbar_repeated_index_vanishes():
     assert alg.sbar((2, 2)).is_zero()
 
 
+def test_sbar_index_out_of_range_rejected():
+    alg = build(3)
+    for idx in ((4,), (1, 0), (2, -1)):
+        with pytest.raises(IndexError) as info:
+            alg.sbar(idx)
+        assert str(info.value) == f"index {idx[-1]} out of range 1..3"
+
+
+def test_uni_mod_needs_a_monic_modulus():
+    p = [srat(1), srat(2), srat(3)]  # 3 x^2 + 2 x + 1
+    for modulus in ([srat(1), srat(2)], [srat(1), srat(1, 2)], []):
+        with pytest.raises(ValueError) as info:
+            uni_mod(p, modulus)
+        assert str(info.value) == "modulus must be monic"
+    assert uni_mod(p, [srat(1), srat(1)]) == [srat(2)]  # p(-1)
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_qbar_annihilates_sbar(n):
     alg = build(n)

@@ -1,5 +1,6 @@
 """Noncommutative polynomials over a graded alphabet."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,27 @@ def test_alphabet_rejects_repeated_names():
     assert Alphabet(1, 1, names=["g", "h"]).names == ("g", "h")
 
 
+@pytest.mark.parametrize("args, kind, message", [
+    ((-1, 0), ValueError, "dimensions must be nonnegative"),
+    ((0, -1), ValueError, "dimensions must be nonnegative"),
+    ((1, 1, ["g"]), ValueError, "wrong number of generator names"),
+    ((1, 1, ["g", "h", "k"]), ValueError, "wrong number of generator names"),
+])
+def test_alphabet_rejects_negative_counts_and_a_wrong_name_count(args, kind, message):
+    with pytest.raises(kind) as info:
+        Alphabet(*args)
+    assert str(info.value) == message
+
+
+def test_even_and_odd_indices_out_of_range_rejected():
+    for method, kind, bad in ((AB.even, "even", (2, -1)), (AB.odd, "odd", (2, -1))):
+        for i in bad:
+            with pytest.raises(IndexError) as info:
+                method(i)
+            assert str(info.value) == f"{kind} index {i} out of range"
+    assert (AB.even(1), AB.odd(0), AB.odd(1)) == (1, 2, 3)
+
+
 def test_generator_ids_must_be_ints():
     # 1.0 and True hash and compare equal to 1, so a range check alone
     # would take them for generator 1
@@ -71,6 +93,25 @@ def test_bilinearity():
 def test_scalar_coefficients_multiply():
     p = gen(0).scale(srat(2, 3)) * gen(2).scale(srat(3))
     assert p.terms == {(0, 2): srat(2)}
+
+
+def test_a_scalar_left_operand_scales_like_a_right_one():
+    c = Scalar.var("c")
+    p = gen(0) * gen(2) * srat(1, 2) + gen(1) - gen(3).scale(c)
+    assert srat(2) * p == p * srat(2) == p.scale(2) == 2 * p
+    assert c * p == p.scale(c) == p * c
+    assert Fraction(1, 3) * p == p.scale(Fraction(1, 3)) and srat(0) * p == NCPoly.zero(AB)
+
+
+@pytest.mark.parametrize("op, sign", [(operator.add, "+"), (operator.sub, "-")])
+def test_adding_a_number_to_a_poly_is_a_type_error(op, sign):
+    # only an NCPoly adds to an NCPoly; a constant goes in as NCPoly.one(ab).scale(k)
+    for left, right, names in ((gen(0), 1, "'NCPoly' and 'int'"),
+                               (1, gen(0), "'int' and 'NCPoly'"),
+                               (gen(0), srat(1), "'NCPoly' and 'Scalar'")):
+        with pytest.raises(TypeError) as info:
+            op(left, right)
+        assert str(info.value) == f"unsupported operand type(s) for {sign}: {names}"
 
 
 def test_alphabet_mismatch_rejected():

@@ -27,7 +27,7 @@ from quadlie.pbw import (
     pbw_monomial_count,
     serre_module_check,
 )
-from quadlie.presentation import QlsPresentation, _half
+from quadlie.presentation import QlsPresentation, _half, _Ring
 from quadlie.scalars import Scalar, accumulate, axpy, srat
 
 from test_presentation import (
@@ -62,6 +62,14 @@ def test_generator_order_entries_must_be_ints():
         with pytest.raises(ValueError, match="order must be a permutation of 0..size-1"):
             GeneratorOrder(seq)
     assert GeneratorOrder([1, 0]).position == {1: 0, 0: 1}
+
+
+def test_order_of_the_wrong_size_rejected():
+    pres = build(2).presentation
+    for seq in ([0], list(range(pres.alphabet.size + 1))):
+        with pytest.raises(ValueError) as info:
+            check_admissible(pres, GeneratorOrder(seq))
+        assert str(info.value) == "order size does not match the presentation"
 
 
 def test_admissible_evens_first():
@@ -1058,6 +1066,32 @@ def test_serre_check_with_no_relation_to_run_passes_at_any_length():
         assert peak < 1_000_000, peak
 
 
+def test_ring_maps_back_with_no_positive_exponent(monkeypatch):
+    # a result word never has more odd letters than its input, as no bracket
+    # raises the odd-letter count: `_Ring.back` sees exponents <= 0 from both
+    # checkers, normal_form and apply_word
+    seen = []
+    back = _Ring.back
+
+    def recording(ring, value, exponent, den=1):
+        seen.append((exponent, ring.scale))
+        return back(ring, value, exponent, den)
+
+    monkeypatch.setattr(_Ring, "back", recording)
+    for pres in _sample_presentations() + [_odd_square_presentation(), _half_c_presentation()]:
+        pres.check_component_jacobi()
+        pres.check_abstract_jacobi()
+        rs, size, n = RewriteSystem(pres), pres.alphabet.size, pres.n_even
+        for g in range(size):
+            for h in range(size):
+                rs.normal_form(NCPoly.monomial(pres.alphabet, (g, h), srat(1, 3)))
+        # two odd letters out of order, then the last even ahead of the first
+        rs._action.apply_word((size - 1, n, n - 1, 0), (0,))
+    exponents = {e for e, _ in seen}
+    assert max(exponents) == 0 and min(exponents) <= -2
+    assert any(e < 0 and scale > 1 for e, scale in seen)
+
+
 def test_term_budget_covers_every_product_step(monkeypatch):
     # MAX_TERMS bounds each distribution the action makes, where it is
     # made: a swap step inside _act, and a step inside serre_module_check,
@@ -1073,13 +1107,13 @@ def test_term_budget_covers_every_product_step(monkeypatch):
         action._act(4, word)
     assert str(info.value) == message
     frames = [entry.name for entry in info.traceback]
-    assert frames[frames.index("_act"):] == ["_act", "_step", "_within_budget"]
+    assert frames[frames.index("_act"):] == ["_act", "_step"]
     with pytest.raises(ValueError) as info:
         serre_module_check(rs, 3)
     assert str(info.value) == message
     frames = [entry.name for entry in info.traceback]
     start = frames.index("_first_failure")
-    assert frames[start:] == ["_first_failure", "_act", "_step", "_within_budget"]
+    assert frames[start:] == ["_first_failure", "_act", "_step"]
 
 
 def test_check_and_normal_forms_share_one_action(monkeypatch):

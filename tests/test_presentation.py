@@ -78,6 +78,26 @@ def test_index_that_is_not_an_int_rejected(name):
     assert QlsPresentation.loads(pres.dumps()) == pres
 
 
+@pytest.mark.parametrize("name", list(_LAYOUT))
+def test_index_of_the_wrong_arity_rejected(name):
+    arity = len(_LAYOUT[name][0])
+    for idx in ((0,) * (arity - 1), (0,) * (arity + 1)):
+        with pytest.raises(ValueError) as info:
+            QlsPresentation(_N, _M, **{name: {idx: 1}})
+        assert str(info.value) == f"{name} index {idx} must have {arity} components"
+
+
+def test_unknown_tensor_keyword_and_format_tag_rejected():
+    with pytest.raises(TypeError) as info:
+        QlsPresentation(_N, _M, e={(0, 0): 1}, cc={})
+    assert str(info.value) == "unknown structure tensors ['cc', 'e']"
+    doc = QlsPresentation(2, 1, cbar={(0, 0, 0): 1}).to_json_dict()
+    for tag in ("qls-0", None):
+        with pytest.raises(ValueError) as info:
+            QlsPresentation.from_json_dict({**doc, "format": tag})
+        assert str(info.value) == f"unrecognized presentation format {tag!r}"
+
+
 def test_row_index_or_count_that_is_not_an_int_rejected():
     # loads refuses a row whose index holds a float, a bool or a string,
     # naming the row, before any entry is parsed; and such a generator count

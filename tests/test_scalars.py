@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import pytest
 
 from quadlie.exprparse import parse_scalar
-from quadlie.scalars import Scalar, axpy, join_terms, lower, srat
+from quadlie.scalars import ONE, ZERO, Scalar, axpy, join_terms, lower, srat
 
 def _canonical(c) -> bool:
     """The stored form of a Scalar coefficient: a nonzero int when
@@ -67,6 +67,26 @@ def test_division_by_rational():
     c = Scalar.var("c")
     assert (c * 2) / 2 == c
     assert srat(1, 2) + srat(1, 3) == srat(5, 6)
+
+
+def test_a_constant_factor_never_reaches_the_general_product(monkeypatch):
+    # an int, Fraction, float or plain-rational factor, on either side,
+    # scales term by term, integral results as ints: the general product's
+    # monomial merge never runs
+    x = Scalar.var("x")
+    p = x * srat(1, 2) + srat(3, 2)
+
+    def merge(a, b):
+        raise AssertionError("the general product ran")
+
+    monkeypatch.setattr("quadlie.scalars._mono_mul", merge)
+    for k in (2, Fraction(2), Fraction(4, 2), 2.0, srat(2), srat(4, 2)):
+        for got in (p * k, k * p):
+            assert got.terms == {(("x", 1),): 1, (): 3}
+            assert all(type(v) is int for v in got.terms.values())
+    assert (ONE * p).terms == (p * ONE).terms == p.terms and (p / 3 * 3).terms == p.terms
+    assert all(not (k * p) and not (p * k) for k in (0, Fraction(0), 0.0, ZERO))
+    assert (ZERO * x).is_zero() and (x * ZERO).is_zero()
 
 
 def test_string_rendering_deterministic():
@@ -327,6 +347,26 @@ def test_operations_match_a_fraction_reference_and_store_ints_where_integral(sta
             assert type(value) is Fraction and value == ref.get((), 0)
 
 
+@pytest.mark.parametrize("operand", [
+    0, 1, -2, Fraction(3, 4), Fraction(6, 3), 0.5, -1.25, srat(5, 3), srat(2), ZERO, ONE,
+    Scalar.var("x") + 1, Scalar.var("x") * srat(1, 3), Scalar.var("y") * Scalar.var("x")])
+def test_every_operand_type_matches_the_fraction_reference(operand):
+    """int, Fraction, float, plain-rational and symbolic operands on either
+    side of * + - and, for a nonzero constant, under /: each result equals
+    the reference in Fractions and stores an int where integral."""
+    x = Scalar.var("x")
+    k = _ref(operand)
+    for s in (ZERO, ONE, srat(-3, 4), x * srat(1, 2) + 3, x * x - x * srat(2, 3)):
+        cases = [(s * operand, _ref_mul(_ref(s), k)), (operand * s, _ref_mul(k, _ref(s))),
+                 (s + operand, _ref_add(_ref(s), k)), (operand + s, _ref_add(k, _ref(s))),
+                 (s - operand, _ref_add(_ref(s), k, -1)), (operand - s, _ref_add(k, _ref(s), -1))]
+        if not isinstance(operand, Scalar) and operand:
+            cases.append((s / operand, {m: c / Fraction(operand) for m, c in _ref(s).items()}))
+        for got, want in cases:
+            assert type(got) is Scalar and got.terms == want, (s, operand)
+            assert all(_canonical(c) for c in got.terms.values())
+
+
 def test_rational_inputs_come_out_exact():
     # the parser divides by as_rational(), a Fraction: 1/3 stays exact
     for text in ("1/3", "(2)/(6)"):
@@ -339,3 +379,13 @@ def test_rational_inputs_come_out_exact():
     assert type(srat(Fraction(6, 3)).terms[()]) is int
     assert type(Scalar.from_rational(Fraction(4, 2)).as_rational()) is Fraction
     assert type(Scalar.from_rational(0).as_rational()) is Fraction
+
+
+def test_a_symbolic_value_has_no_rational_and_no_negative_power():
+    with pytest.raises(ValueError) as info:
+        (Scalar.var("c") + 1).as_rational()
+    assert str(info.value) == "not a plain rational: 1 + c"
+    for base in (srat(2), Scalar.var("c")):
+        with pytest.raises(ValueError) as info:
+            base ** -1
+        assert str(info.value) == "negative powers not supported"

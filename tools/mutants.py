@@ -218,7 +218,8 @@ MUTANTS = [
            "if False:\n                v = -v",
            T_PBW),
     Mutant("_step returns its distribution unbudgeted", PBW,
-           "        return _within_budget(out) if len(out) > MAX_TERMS else out\n\n    def _times",
+           "        if len(out) > MAX_TERMS:\n            raise ValueError(f\"more than {MAX_TERMS} "
+           "terms in one action step\")\n        return out\n\n    def _times",
            "        return out\n\n    def _times",
            T_PBW),
     Mutant("fused two-letter term drops its inner coefficient v", PBW,
@@ -343,10 +344,37 @@ MUTANTS = [
            "value = _canon(value if isinstance(value, Fraction) else Fraction(value))",
            "value = value if isinstance(value, Fraction) else Fraction(value)",
            T_SCAL),
-    Mutant("__truediv__ leaves an integral Fraction", SCAL,
-           "return _wrap({m: _canon(c / f) for m, c in self._terms.items()})",
-           "return _wrap({m: c / f for m, c in self._terms.items()})",
+    Mutant("the constant-factor path leaves an integral Fraction", SCAL,
+           "return _wrap({m: _canon(c * f) for m, c in self._terms.items()}) if f else ZERO",
+           "return _wrap({m: c * f for m, c in self._terms.items()}) if f else ZERO",
            T_SCAL),
+    Mutant("__truediv__ takes a float reciprocal", SCAL,
+           "return self * (1 / Fraction(other))",
+           "return self * (1 / other)",
+           T_SCAL),
+    # -- one path per operation in the coefficient layer ---------------------
+    Mutant("a plain-rational left operand moves right unlowered", SCAL,
+           "self, f = f, lower(self)",
+           "self, f = f, self",
+           T_SCAL),
+    Mutant("Scalar * NCPoly raises again", SCAL,
+           "            f = lower(other)\n        except TypeError:\n            return NotImplemented\n"
+           "        if isinstance(f, Scalar)",
+           "            f = lower(other)\n        except TypeError:\n            raise\n"
+           "        if isinstance(f, Scalar)",
+           "tests/test_ncpoly.py"),
+    Mutant("NCPoly merge ignores the sign", "src/quadlie/ncpoly.py",
+           "accumulate(acc, w, c if sign > 0 else -c)",
+           "accumulate(acc, w, c)",
+           "tests/test_ncpoly.py"),
+    Mutant("SparseOp merge ignores the sign", FOCK,
+           "axpy(dict(self.data), sign, other.data)",
+           "axpy(dict(self.data), 1, other.data)",
+           T_FOCK),
+    Mutant("back multiplies by D where it divides", PRES,
+           "            den *= self.scale ** -exponent",
+           "            value = value * self.scale ** -exponent",
+           T_PRES),
     Mutant("as_rational returns the raw int", SCAL,
            "return Fraction(self._terms[_ONE_MONO])",
            "return self._terms[_ONE_MONO]",
