@@ -23,11 +23,12 @@ An error message quotes at most MAX_QUOTE characters of the input.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from math import lcm, log2
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .ncpoly import Alphabet, NCPoly, _ncpoly
-from .scalars import ONE, ZERO, Scalar
+from .scalars import Scalar
 
 
 class ParseError(ValueError):
@@ -154,12 +155,12 @@ class _Parser:
                 self.pos += 1
                 divisor = self.parse_signed()
                 div = divisor.terms
-                if div.keys() - {()} or not div.get((), ZERO).is_rational():
+                if div.keys() - {()} or type(div.get(())) is Scalar:
                     raise ParseError("division only by rational constants")
                 if not div:
                     raise ParseError("division by zero")
                 self._check_bits(acc, divisor)  # 1/r has the bits of r
-                acc = acc * (1 / div[()].as_rational())
+                acc = acc * (1 / Fraction(div[()]))  # 1 / an int is a float
             elif val == "*" or kind in ("num", "name", "gen") or val == "(":
                 if val == "*":  # else adjacency: implicit multiplication
                     self.pos += 1
@@ -238,7 +239,7 @@ class _Parser:
             return self.one.scale(_integer(val))
         if kind == "gen":
             self.pos += 1
-            return _ncpoly(self.alphabet, {(self._letter(*val),): ONE})
+            return _ncpoly(self.alphabet, {(self._letter(*val),): 1})
         if kind == "name":
             self.pos += 1
             if self.tokens[self.pos][1] == "[":  # a malformed list: find its error
@@ -265,7 +266,7 @@ def _size(poly: NCPoly) -> int:
     """The number of (word, monomial) pairs of poly; a plain loop, run twice per product."""
     n = 0
     for coeff in poly._terms.values():
-        n += len(coeff._terms)
+        n += len(coeff._terms) if type(coeff) is Scalar else 1
     return n
 
 
@@ -274,7 +275,8 @@ def _bits(poly: NCPoly) -> float:
     rational coefficients c: poly^e = (L poly)^e / L^e has no numerator or
     denominator past e times this many bits, and a product no more than
     the sum of its factors' bits."""
-    fracs = [c for coeff in poly._terms.values() for c in coeff._terms.values()]
+    fracs = [c for coeff in poly._terms.values()
+             for c in (coeff._terms.values() if type(coeff) is Scalar else (coeff,))]
     den = lcm(*(c.denominator for c in fracs))
     return log2(max(den, sum(abs(c.numerator) * (den // c.denominator) for c in fracs)))
 
@@ -286,7 +288,7 @@ def parse_scalar(text: str, indeterminates: Optional[Sequence[str]] = None) -> S
     """Parse a polynomial string with rational coefficients in the named
     indeterminates (None admits any name)."""
     poly = _Parser(text, _NO_GENERATORS, lambda name, indices: None, indeterminates).parse()
-    return poly.terms.get((), ZERO)
+    return Scalar.coerce(poly.terms.get((), 0))
 
 
 def parse_ncpoly(

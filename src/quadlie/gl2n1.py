@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .ncpoly import NCPoly
 from .pbw import RewriteSystem, check_rule_count
 from .presentation import BalancedData, QlsPresentation, _half, build_from_casimirs
-from .scalars import ONE, Scalar, accumulate, lower, srat
+from .scalars import Scalar, accumulate, lower, srat
 
 Uni = List[Scalar]  # univariate polynomial, coefficients low to high
 
@@ -248,11 +248,11 @@ class Gl2n1:
         return NCPoly.generator(self.alphabet, self.q_id(i))
 
     def E_trace(self) -> NCPoly:
-        return NCPoly(self.alphabet, {(self.even_id(i, i),): ONE for i in range(1, self.n + 1)})
+        return NCPoly(self.alphabet, {(self.even_id(i, i),): 1 for i in range(1, self.n + 1)})
 
     def E2(self, i: int, j: int) -> NCPoly:
         e = self.even_id
-        return NCPoly(self.alphabet, {(e(i, k), e(k, j)): ONE for k in range(1, self.n + 1)})
+        return NCPoly(self.alphabet, {(e(i, k), e(k, j)): 1 for k in range(1, self.n + 1)})
 
     def resolve(self, name: str, indices) -> Optional[int]:
         """Generator resolver for the expression parser."""
@@ -280,7 +280,7 @@ class Gl2n1:
         if len(set(indices)) != k:
             return NCPoly.zero(self.alphabet)
         rest = [i for i in range(1, n + 1) if i not in set(indices)]
-        pref = srat(Fraction((-1) ** ((k * (k - 1)) // 2), factorial(n - k)))
+        pref = Fraction((-1) ** ((k * (k - 1)) // 2), factorial(n - k))
         out = NCPoly(self.alphabet, {
             tuple(map(self.qbar_id, perm)): pref * _perm_sign(tuple(indices) + perm)
             for perm in permutations(rest)})
@@ -296,7 +296,7 @@ class Gl2n1:
         e2 = {(a, b): self.E2(a, b) for a in rng for b in rng}
         tr, one = self.E_trace(), NCPoly.one(self.alphabet)
         tr2 = sum((e2[a, a] for a in rng), NCPoly.zero(self.alphabet))
-        scalar = (tr2 - tr * tr - tr.scale(k)).scale(srat(-1, 2))
+        scalar = (tr2 - tr * tr - tr.scale(k)).scale(Fraction(-1, 2))
         return e2, tr + one.scale(shift), scalar + one.scale(const)
 
     def adjoint_A(self) -> List[List[NCPoly]]:

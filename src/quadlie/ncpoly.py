@@ -1,9 +1,10 @@
 """Noncommutative polynomials over a Z2-graded generator alphabet.
 
 Generators are integers 0..n+m-1: the first n are even, the remaining m odd.
-A word is a tuple of generators; an NCPoly is a canonical map word -> Scalar
-with no zero entries.  Multiplication is word concatenation, extended
-bilinearly.
+A word is a tuple of generators; an NCPoly is a canonical map word ->
+coefficient with no zero entries, each in `scalars.lower`'s form (a Scalar
+only where an indeterminate appears).  Multiplication is word
+concatenation, extended bilinearly.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from hashlib import sha256
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
-from .scalars import ONE, Scalar, accumulate, join_terms
+from .scalars import RationalLike, Scalar, join_terms, lower
 
 Word = Tuple[int, ...]
 
@@ -97,15 +98,14 @@ def word_key(word: Word) -> tuple:
 
 
 class NCPoly:
-    """Finite Scalar-linear combination of words over a fixed alphabet."""
+    """Finite linear combination of words over a fixed alphabet."""
 
     __slots__ = ("alphabet", "_terms")
 
-    def __init__(self, alphabet: Alphabet, terms: Mapping[Word, Scalar] = ()):  # type: ignore[assignment]
+    def __init__(self, alphabet: Alphabet, terms: Mapping[Word, RationalLike] = ()):  # type: ignore[assignment]
         self.alphabet = alphabet
-        self._terms: Dict[Word, Scalar] = {
-            w: c for w, c in dict(terms).items() if not c.is_zero()
-        }
+        self._terms: Dict[Word, RationalLike] = {
+            w: c for w, c in ((w, lower(c)) for w, c in dict(terms).items()) if c}
 
     # -- constructors -------------------------------------------------
 
@@ -115,14 +115,14 @@ class NCPoly:
 
     @staticmethod
     def one(alphabet: Alphabet) -> "NCPoly":
-        return _ncpoly(alphabet, {(): ONE})
+        return _ncpoly(alphabet, {(): 1})
 
     @staticmethod
     def monomial(alphabet: Alphabet, word: Iterable[int], coeff=1) -> "NCPoly":
         w = tuple(word)
         for g in w:
             alphabet.parity(g)  # bounds check
-        c = ONE if type(coeff) is int and coeff == 1 else Scalar.coerce(coeff)
+        c = lower(coeff)
         return _ncpoly(alphabet, {w: c} if c else {})
 
     @staticmethod
@@ -131,14 +131,12 @@ class NCPoly:
 
     def _check(self, other: "NCPoly") -> None:
         if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
-            raise AlphabetMismatch(
-                f"{self.alphabet!r} vs {other.alphabet!r}"
-            )
+            raise AlphabetMismatch(f"{self.alphabet!r} vs {other.alphabet!r}")
 
     # -- queries ------------------------------------------------------
 
     @property
-    def terms(self) -> Mapping[Word, Scalar]:
+    def terms(self) -> Mapping[Word, RationalLike]:
         return self._terms
 
     def is_zero(self) -> bool:
@@ -159,31 +157,31 @@ class NCPoly:
         self._check(other)
         acc = dict(self._terms)
         for w, c in other._terms.items():
-            accumulate(acc, w, c if sign > 0 else -c)
+            add_term(acc, w, c if sign > 0 else -c)
         return _ncpoly(self.alphabet, acc)
 
     def __neg__(self) -> "NCPoly":
         return _ncpoly(self.alphabet, {w: -c for w, c in self._terms.items()})
 
     def scale(self, coeff) -> "NCPoly":
-        c0 = Scalar.coerce(coeff)
-        if c0.is_zero():
+        c0 = lower(coeff)
+        if not c0:
             return NCPoly.zero(self.alphabet)
-        return _ncpoly(self.alphabet, {w: c * c0 for w, c in self._terms.items()})
+        return _ncpoly(self.alphabet, {w: lower(c * c0) for w, c in self._terms.items()})
 
-    def __mul__(self, other: Union["NCPoly", int, Scalar]) -> "NCPoly":
+    def __mul__(self, other: Union["NCPoly", RationalLike]) -> "NCPoly":
         """Words concatenate and coefficients multiply, summed per word; one
-        term times one term is one concatenation (Scalars have no zero divisors)."""
+        term times one term is one concatenation (no zero divisors)."""
         if not isinstance(other, NCPoly):
             return self.scale(other)
         self._check(other)
         if len(self._terms) == 1 == len(other._terms):
             ((w1, c1),), ((w2, c2),) = self._terms.items(), other._terms.items()
-            return _ncpoly(self.alphabet, {w1 + w2: c1 * c2})
-        acc: Dict[Word, Scalar] = {}
+            return _ncpoly(self.alphabet, {w1 + w2: lower(c1 * c2)})
+        acc: Dict[Word, RationalLike] = {}
         for w1, c1 in self._terms.items():
             for w2, c2 in other._terms.items():
-                accumulate(acc, w1 + w2, c1 * c2)
+                add_term(acc, w1 + w2, c1 * c2)
         return _ncpoly(self.alphabet, acc)
 
     __rmul__ = scale  # an NCPoly left operand is handled by its __mul__
@@ -211,7 +209,7 @@ class NCPoly:
                 parts.append(word_text)
             elif ctext == "-1" and w:
                 parts.append(f"-{word_text}")
-            elif c.is_rational() or not w:
+            elif type(c) is not Scalar or not w:
                 parts.append(f"{ctext}*{word_text}" if w else ctext)
             else:
                 parts.append(f"({ctext})*{word_text}")
@@ -223,9 +221,18 @@ class NCPoly:
         return f"NCPoly({self.render()})"
 
 
-def _ncpoly(alphabet: Alphabet, terms: Dict[Word, Scalar]) -> NCPoly:
-    """An NCPoly on a fresh dict of nonzero Scalars, not copied or filtered."""
+def _ncpoly(alphabet: Alphabet, terms: Dict[Word, RationalLike]) -> NCPoly:
+    """An NCPoly on a fresh dict of nonzero `lower`ed coefficients, as is."""
     out = object.__new__(NCPoly)
     out.alphabet, out._terms = alphabet, terms
     return out
+
+
+def add_term(acc: Dict[Word, RationalLike], w: Word, c: RationalLike) -> None:
+    """acc[w] += c for a nonzero c, the result lowered (a sum c + (1 - c) is
+    the int 1); an entry whose sum cancels is dropped."""
+    if new := lower(c if (prev := acc.get(w)) is None else prev + c):
+        acc[w] = new
+    else:
+        del acc[w]
 

@@ -37,8 +37,8 @@ counting odd letters, and halves an odd square's terms, y y = (1/2)
 {y, y}, where it applies them.  The scaled coefficient of z_w in w_a ...
 w_b z_N is the unscaled one times D^(o(a ... b N) - o(w)), never 0: a
 relation vanishes in both bases or in neither (same verdict and first
-witness); `back`, being linear, maps each output word of a ring sum, taken
-over one common denominator L, back by D^e / L once (DECISIONS.md "Odd
+witness); each output word of a ring sum, taken over one common
+denominator L, is mapped back by D^e / L once (DECISIONS.md "Odd
 rescaling", "normal_form maps back once per output word").
 
 Also provided: a witness of linear dependence for inadmissible orders, and
@@ -47,13 +47,14 @@ ordered-monomial counting.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
 from math import comb, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .ncpoly import Alphabet, AlphabetMismatch, NCPoly, Word, _ncpoly
+from .ncpoly import Alphabet, AlphabetMismatch, NCPoly, Word, _ncpoly, add_term
 from .presentation import Coeff, QlsPresentation, _half
-from .scalars import Scalar, accumulate, axpy, lower
+from .scalars import RationalLike, Scalar, accumulate, axpy
 
 # relations one `serre_module_check` may run: gl2(11/1) at length 3 runs
 # 480,337, gl2(12/1) would run 780,248 and gl2(3/1) at length 7 798,147
@@ -88,17 +89,6 @@ class GeneratorOrder:
     @staticmethod
     def default(alphabet: Alphabet) -> "GeneratorOrder":
         return GeneratorOrder(range(alphabet.size))
-
-    def __eq__(self, other):
-        if not isinstance(other, GeneratorOrder):
-            return NotImplemented
-        return self.sequence == other.sequence
-
-    def __hash__(self):
-        return hash(self.sequence)
-
-    def __repr__(self):
-        return f"GeneratorOrder({self.sequence})"
 
 
 def check_admissible(
@@ -157,13 +147,12 @@ class RewriteSystem:
         if elem.alphabet is not ab and elem.alphabet != ab:
             raise AlphabetMismatch(f"{elem.alphabet!r} vs {ab!r}")
         action, n = self._action, self.presentation.n_even
-        coeffs = [lower(c) for c in elem.terms.values()]
-        den = lcm(*(c.denominator for c in coeffs if type(c) is not Scalar))
+        den = lcm(*(c.denominator for c in elem.terms.values() if type(c) is not Scalar))
         sums: Dict[int, Dict[int, Coeff]] = {}
-        for word, c in zip(elem.terms, coeffs):
+        for word, c in elem.terms.items():
             c = c * den if type(c) is Scalar else c.numerator * (den // c.denominator)
             axpy(sums.setdefault(sum(g >= n for g in word), {}), c, action._apply(word, 0))
-        out: Dict[Word, Scalar] = {}
+        out: Dict[Word, RationalLike] = {}
         for odd_in, dist in sums.items():
             action._spell(dist, odd_in, out, den)
         return _ncpoly(ab, out)
@@ -210,10 +199,9 @@ class _ModuleAction:
     `_head[w]` = a and `_tail[w]` = t, when `_act` caches `_caches[a][t]`
     = w_a z_t = {w: 1}.  The caches map ids to coefficients in the
     presentation's ring; `_spell`, for `apply_word` and `normal_form`,
-    spells ids out as words and maps a sum of images back to `Scalar`s in
-    the presentation's own basis through the ring's `back`; `_backs`
-    keeps the `Scalar` of each int (value, exponent, den) with the caches.
-    `max_len` is ignored: the action is defined on words of any length.
+    spells ids out as words and maps a sum of images back to coefficients
+    in `lower`'s form in the presentation's own basis.  `max_len` is
+    ignored: the action is defined on words of any length.
     """
 
     def __init__(self, rs: RewriteSystem, max_len: Optional[int] = None):
@@ -222,30 +210,31 @@ class _ModuleAction:
         self._head, self._tail = [-1], [0]
         self._caches: List[Dict[int, Dict[int, Coeff]]] = [{} for _ in range(self.ab.size)]
         ring = rs.presentation._ring
-        self._table, self._back, self._backs = ring.table, ring.back, {}
+        self._table, self._back, self._scale = ring.table, ring.back, ring.scale
 
-    def apply_word(self, gens: Word, word: Word) -> Dict[Word, Scalar]:
+    def apply_word(self, gens: Word, word: Word) -> Dict[Word, RationalLike]:
         """Act with w_{gens[0]} ... w_{gens[-1]} on z_word, word ordered."""
         odd_in = sum(g >= self.ab.n_even for g in gens + word)
         return self._spell(self._apply(gens + word, 0), odd_in, {})  # z_word = w_word z_()
 
-    def _spell(self, dist: Dict[int, Coeff], odd_in: int,
-               out: Dict[Word, Scalar], den: int = 1) -> Dict[Word, Scalar]:
+    def _spell(self, dist: Dict[int, Coeff], odd_in: int, out: Dict[Word, RationalLike],
+               den: int = 1) -> Dict[Word, RationalLike]:
         """Add dist, den times a sum of images of words with odd_in odd
-        letters, to out: each id spelled out, its coefficient mapped back by
-        D^(o(w) - odd_in) / den once (an int's via `_backs`), zero sums dropped."""
-        n, head, tail, backs = self.ab.n_even, self._head, self._tail, self._backs
+        letters, to out in `lower`'s form: each id spelled out, its
+        coefficient v mapped back once to v D^(o(w) - odd_in) / den, an int
+        divided in ints or made one Fraction, zero sums dropped."""
+        n, head, tail, scale = self.ab.n_even, self._head, self._tail, self._scale
         for w, v in dist.items():
-            letters = []  # the word of id w, spelled out
+            letters, e = [], -odd_in  # the word of id w, spelled out, and o(w) - odd_in
             while w:
-                letters.append(head[w])
+                letters.append(g := head[w])
+                e += g >= n
                 w = tail[w]
-            e = sum(g >= n for g in letters) - odd_in
             if type(v) is not int:
-                c = self._back(v, e, den)
-            elif (c := backs.get((v, e, den))) is None:
-                c = backs[v, e, den] = self._back(v, e, den)
-            accumulate(out, tuple(letters), c)
+                v = self._back(v, e, den)
+            elif (d := den * scale ** -e) != 1:  # e <= 0
+                v = Fraction(v, d) if v % d else v // d
+            add_term(out, tuple(letters), v)
         return out
 
     def _act(self, a: int, word: int) -> Dict[int, Coeff]:

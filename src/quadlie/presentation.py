@@ -361,7 +361,8 @@ class QlsPresentation:
         """
         if poly.alphabet != self.alphabet:
             raise AlphabetMismatch(f"{poly.alphabet!r} vs {self.alphabet!r}")
-        residual, lam = self._reduce2(poly.terms, self._plain.table)
+        residual, lam = self._reduce2(  # in Scalars: _half refuses an odd int
+            {w: Scalar.coerce(c) for w, c in poly.terms.items()}, self._plain.table)
         return NCPoly(self.alphabet, residual), {k: v for k, v in lam.items() if v}
 
     def _reduce2(self, terms: Mapping[Word, Coeff], table: Table) -> Tuple[dict, dict]:

@@ -27,11 +27,8 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     if not b:
         return a
     acc: Dict[str, int] = dict(a)
-    for name, exp in b:
-        if exp := acc.get(name, 0) + exp:
-            acc[name] = exp
-        else:
-            del acc[name]
+    for name, exp in b:  # exponents are positive, so none cancels
+        acc[name] = acc.get(name, 0) + exp
     return tuple(sorted(acc.items()))
 
 
@@ -57,12 +54,14 @@ class Scalar:
 
     @staticmethod
     def from_rational(value: Rational) -> "Scalar":
-        if type(value) is not int:
-            value = _canon(value if isinstance(value, Fraction) else Fraction(value))
+        if type(value) is not int and isinstance(value := lower(value), Scalar):
+            raise TypeError(f"{value} is not a rational")
         return _wrap({_ONE_MONO: value}) if value else ZERO
 
     @staticmethod
     def var(name: str, exp: int = 1) -> "Scalar":
+        if exp < 0:
+            raise ValueError("negative powers not supported")
         if exp == 0:
             return ONE
         return _wrap({((name, exp),): 1})
@@ -252,7 +251,7 @@ def _wrap(terms: Dict[Monomial, Rational]) -> Scalar:
 
 
 ZERO = Scalar()
-ONE = Scalar.from_rational(1)
+ONE = _wrap({_ONE_MONO: 1})
 
 
 def join_terms(parts: Sequence[str]) -> str:
@@ -265,13 +264,15 @@ def join_terms(parts: Sequence[str]) -> str:
 
 def lower(value):
     """value as an int when integral, else as a Fraction, and as a Scalar only
-    when it holds an indeterminate: for inputs, never intermediate values
-    (DECISIONS.md "Integral data stays in ints")."""
+    when it holds an indeterminate; a str is refused.  The form of an NCPoly
+    coefficient (DECISIONS.md "Integral data stays in ints")."""
     if type(value) is not Fraction:  # the common case goes straight through
         if type(value) is int:
             return value
         if isinstance(value, Scalar):  # its stored coefficient is canonical
             return value._terms.get(_ONE_MONO, 0) if value.is_rational() else value
+        if isinstance(value, str):  # Fraction would parse it
+            raise TypeError(f"a str is not a coefficient: {value!r}")
         value = Fraction(value)
     return _canon(value)
 

@@ -17,7 +17,7 @@ from quadlie.exprparse import (
 )
 from quadlie.gl2n1 import build
 from quadlie.ncpoly import Alphabet, NCPoly
-from quadlie.scalars import ZERO, Scalar, srat
+from quadlie.scalars import Scalar, srat
 
 
 # -- the reference parser: the grammar as parsed before an indexed generator
@@ -89,11 +89,11 @@ class _RefParser:
             if val == "/":
                 self.pos += 1
                 div = self.parse_signed().terms
-                if div.keys() - {()} or not div.get((), ZERO).is_rational():
+                if div.keys() - {()} or type(div.get(())) is Scalar:
                     raise ParseError("division only by rational constants")
                 if not div:
                     raise ParseError("division by zero")
-                acc = acc * (1 / div[()].as_rational())
+                acc = acc * (1 / Fraction(div[()]))
             elif val == "*" or kind in ("num", "name") or val == "(":
                 if val == "*":
                     self.pos += 1
@@ -287,6 +287,19 @@ def test_power_within_bit_bound_parses_and_prints():
     for text in ("(10^1000)^4", "(2^1000 * 2^1000)^7", "(10^1000 c + 1)^4"):
         str(parse_scalar(text))
 
+def test_a_division_by_a_constant_is_exact():
+    # 1 / an int is a float: 1/3 would come back as 3002399751580331/9007199254740992
+    alg = build(2)
+    poly = parse_ncpoly("E[1,1]/3 + 2/4 Q[1] - 6/3 + E[1,2] / (4/6) + c Q[2] / -7",
+                        alg.alphabet, alg.resolve, ("c",))
+    e11, e12, q1, q2 = (alg.even_id(1, 1),), (alg.even_id(1, 2),), (alg.q_id(1),), (alg.q_id(2),)
+    assert poly.terms == {e11: Fraction(1, 3), q1: Fraction(1, 2), (): -2,
+                          e12: Fraction(3, 2), q2: Scalar.var("c") * Fraction(-1, 7)}
+    assert [type(poly.terms[w]) for w in (e11, q1, (), e12, q2)] == [
+        Fraction, Fraction, int, Fraction, Scalar]
+    assert parse_scalar("1/3") == Fraction(1, 3) and type(parse_scalar("6/3")) is Scalar
+
+
 
 def test_one_name_rule_in_both_parsers():
     alg = build(2, 1)
@@ -424,8 +437,8 @@ def test_parse_work_is_the_sum_of_product_sizes(monkeypatch):
 
     def recording_mul(a, b):
         if isinstance(b, NCPoly):
-            sizes.append(sum(len(c.terms) for c in a.terms.values())
-                         * sum(len(c.terms) for c in b.terms.values()))
+            sizes.append(sum(len(Scalar.coerce(c).terms) for c in a.terms.values())
+                         * sum(len(Scalar.coerce(c).terms) for c in b.terms.values()))
         return general(a, b)
 
     rng = random.Random(34)
@@ -521,7 +534,7 @@ def test_parser_agrees_with_the_reference_parser(monkeypatch):
 
     def reference_scalar(text, names):
         poly = reference(text, no_generators, lambda name, indices: None, names)
-        return poly.terms.get((), ZERO)
+        return Scalar.coerce(poly.terms.get((), 0))
 
     no_generators = Alphabet(0, 0)
     contexts = [(parse_ncpoly, reference, (alg.alphabet, alg.resolve, ("c",)))

@@ -1,12 +1,15 @@
 """Noncommutative polynomials over a graded alphabet."""
 
 import operator
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadlie.exprparse import parse_ncpoly
+from quadlie.gl2n1 import build
 from quadlie.ncpoly import Alphabet, AlphabetMismatch, NCPoly
 from quadlie.scalars import Scalar, accumulate, srat
 
@@ -20,6 +23,17 @@ def gen(g):
 def test_free_product_words():
     p = gen(0) * gen(1)
     assert p.terms == {(0, 1): srat(1)}
+
+
+def is_canonical_coeff(v) -> bool:
+    """v is in `lower`'s form: a nonzero int, a Fraction with denominator >
+    1, or a Scalar with an indeterminate whose own coefficients are in that
+    form; never a float, a rational Scalar or a zero."""
+    if type(v) is Scalar:
+        return not v.is_rational() and all(
+            (type(f) is int and f) or (type(f) is Fraction and f.denominator > 1)
+            for f in v.terms.values())
+    return (type(v) is int and v != 0) or (type(v) is Fraction and v.denominator > 1)
 
 
 def _product_by_terms(a, b):
@@ -43,7 +57,7 @@ def test_one_term_products_match_the_term_by_term_product():
         for b in monos:
             got = a * b
             assert got == _product_by_terms(a, b)
-            assert all(type(v) is Scalar and not v.is_zero() for v in got.terms.values())
+            assert all(map(is_canonical_coeff, got.terms.values()))
 
 
 def test_alphabet_rejects_repeated_names():
@@ -223,10 +237,7 @@ def _step(acc, op, x, via_mul):
 
 
 def _assert_canonical(p: NCPoly) -> None:
-    assert all(type(v) is Scalar and not v.is_zero()
-               and all((type(f) is int and f) or (type(f) is Fraction and f.denominator > 1)
-                       for f in v.terms.values())
-               for v in p.terms.values())
+    assert all(map(is_canonical_coeff, p.terms.values()))
     rebuilt = NCPoly(AB, dict(p.terms))
     assert p == rebuilt and hash(p) == hash(rebuilt)
 
@@ -237,7 +248,8 @@ def test_ops_stay_canonical(start, chain):
     """Monomials and chains of +, -, *, negation and scaling over int,
     Fraction and Scalar coefficients, with and without c and including 0,
     1 and -1.  The constructors that skip the zero filter store only
-    nonzero Scalars: every result equals (and hashes as) its rebuild
+    nonzero coefficients in `lower`'s form: every result equals (and
+    hashes as) its rebuild
     through the public constructor, and agrees with the chain that scales
     and negates through a product with a constant."""
     _assert_canonical(start)
@@ -246,3 +258,102 @@ def test_ops_stay_canonical(start, chain):
         got, want = _step(got, op, x, False), _step(want, op, x, True)
         _assert_canonical(got)
         assert got == want and hash(got) == hash(want)
+
+
+def test_a_sum_that_cancels_every_indeterminate_is_lowered():
+    # c x1 + (1 - c) x1 is 1 x1 with an int 1, equal to and hashing as the
+    # monomial; likewise a difference and a product's sum over words
+    c = Scalar.var("c")
+    x1 = NCPoly.monomial(AB, (0,), 1)
+    summed = NCPoly.monomial(AB, (0,), c) + NCPoly.monomial(AB, (0,), 1 - c)
+    halves = NCPoly.monomial(AB, (0,), c + srat(1, 2)) - NCPoly.monomial(AB, (0,), c - srat(1, 2))
+    # the general product sums c x1 x1 and (1 - c) x1 x1 on one word
+    product = (gen(0) + gen(1)) * (NCPoly.monomial(AB, (0,), c) + NCPoly.monomial(AB, (1,), 1))
+    product = product + (gen(0) + gen(2)) * NCPoly.monomial(AB, (0,), 1 - c)
+    for got, want in ((summed, x1), (halves, x1), (product, gen(0) * gen(0) + (gen(1) * gen(0)).scale(c)
+                                                   + gen(0) * gen(1) + gen(1) * gen(1)
+                                                   + (gen(2) * gen(0)).scale(1 - c))):
+        assert got == want and hash(got) == hash(want)
+        assert all(map(is_canonical_coeff, got.terms.values())), got.terms
+    assert type(summed.terms[(0,)]) is int and type(product.terms[(0, 0)]) is int
+
+
+@pytest.mark.parametrize("make", [
+    lambda: NCPoly.monomial(AB, (0,), "3"),
+    lambda: NCPoly(AB, {(0,): "3"}),
+    lambda: gen(0).scale("1/2"),
+    lambda: gen(0) * "2",
+    lambda: "2" * gen(0),
+])
+def test_a_str_coefficient_is_refused(make):
+    # Fraction would parse "3" and "1/2"; an NCPoly coefficient must be a number
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_render_paths():
+    c = Scalar.var("c")
+    assert NCPoly.zero(AB).render() == "0" and str(gen(0) - gen(0)) == "0"
+    assert NCPoly.monomial(AB, (0, 2), c - 1).render() == "(-1 + c)*x1*y1"
+    assert NCPoly.monomial(AB, (1,), c).render() == "(c)*x2"
+    assert NCPoly.monomial(AB, (), c - 1).render() == "-1 + c"
+    p = (gen(0).scale(c * c - 2) + gen(3).scale(srat(-1, 2) * c) + NCPoly.one(AB).scale(3)
+         - gen(1) * gen(2))
+    assert p.render() == "3 + (-2 + c^2)*x1 + (-1/2*c)*y2 - x2*y1"
+    assert repr(gen(2).scale(c + 1)) == "NCPoly((1 + c)*y1)"
+
+
+@pytest.mark.parametrize("coeff, on_word, alone", [
+    (1, "x1*y2", "1"), (-1, "-x1*y2", "-1"), (3, "3*x1*y2", "3"), (-3, "-3*x1*y2", "-3"),
+    (Fraction(1, 2), "1/2*x1*y2", "1/2"), (Fraction(-7, 3), "-7/3*x1*y2", "-7/3"),
+])
+def test_int_and_fraction_coefficients_render_as_scalars_did(coeff, on_word, alone):
+    # a rational coefficient is stored as an int or a Fraction, and prints as
+    # the Scalar of the same value did: str of both agree, on a word and alone
+    assert str(coeff) == str(Scalar.coerce(coeff))
+    assert NCPoly.monomial(AB, (0, 3), coeff).render() == on_word
+    assert NCPoly.monomial(AB, (), coeff).render() == alone
+    assert (NCPoly.monomial(AB, (0, 3), coeff) + NCPoly.monomial(AB, (), coeff)).render() \
+        == f"{alone} {'-' if on_word[0] == '-' else '+'} {on_word.lstrip('-')}"
+
+
+def _gl2_text(rng):
+    """A random parser input over gl2(3/1): products of generators and
+    constant factors, divisions by constants, sums and a power."""
+    gens = [f"E[{i},{j}]" for i in range(1, 4) for j in range(1, 4)] + [
+        f"{q}[{i}]" for q in ("Q", "Qbar") for i in range(1, 4)]
+    factors = ["2", "1/2", "-3/4", "6/3", "c", "(c - 1)", "(1 - c)/3", "(c + 1/2)^2", "c/c^0"]
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        term = " ".join(rng.choice(gens + factors) for _ in range(rng.randint(1, 4)))
+        terms.append(term + rng.choice(["", " / 3", " / -2", " / (4/6)"]))
+    return " + ".join(terms) + rng.choice(["", " - (c E[1,1] + (1 - c) E[1,1])", " + 2/4"])
+
+
+def test_every_coefficient_is_in_lower_form():
+    """Seeded: parsed expressions (divisions by constants included), sums and
+    products, sbar and the adjoint operators, and normal forms of symbolic
+    and rational gl2(3/1).  Every coefficient is a nonzero int, a Fraction
+    with denominator > 1 or a Scalar with an indeterminate, never a float."""
+    rng = random.Random(46)
+    for central in (None, Fraction(5, 3)):
+        alg = build(3, central)
+        names = ("c",) if central is None else ()
+        texts = [_gl2_text(rng) for _ in range(40)]
+        if central is not None:  # no indeterminate: c is the number 5/3
+            texts = [t.replace("c", "(5/3)") for t in texts]
+        parsed = [parse_ncpoly(t, alg.alphabet, alg.resolve, names) for t in texts]
+        pairs = list(zip(parsed, parsed[1:]))
+        built = [p + q for p, q in pairs] + [p - q for p, q in pairs] + [
+            p * q for p, q in pairs[:12]] + [p.scale(Fraction(3, 2)) - p for p in parsed]
+        sbars = [alg.sbar(()), *(alg.sbar((j,)) for j in (1, 2, 3)), alg.sbar((1, 3))]
+        adjoint = [x for row in alg.adjoint_A() for x in row] + list(alg.adjoint_B().values())
+        normal = [alg.rewrite.normal_form(p) for p in parsed + built[:20] + sbars]
+        normal += [alg.rewrite.normal_form(alg.Qbar(i) * s) for i in (1, 2) for s in sbars]
+        kinds = set()
+        for poly in parsed + built + sbars + adjoint + normal:
+            for v in poly.terms.values():
+                assert is_canonical_coeff(v), (poly, v)
+                kinds.add(type(v).__name__ if type(v) is not Fraction else "Fraction")
+        assert kinds == ({"int", "Fraction", "Scalar"} if central is None else {"int", "Fraction"})
+        assert not any(poly.is_zero() for poly in parsed[:5])

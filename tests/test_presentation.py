@@ -78,6 +78,14 @@ def test_index_that_is_not_an_int_rejected(name):
     assert QlsPresentation.loads(pres.dumps()) == pres
 
 
+def test_a_str_entry_is_refused():
+    # Fraction would parse "3"; entry text is read by loads(), not here
+    with pytest.raises(TypeError):
+        QlsPresentation(1, 2, a={(0, 1): "3", (1, 0): "3"})
+    with pytest.raises(TypeError):
+        QlsPresentation(2, 1, cbar={(0, 0, 0): "1/2"})
+
+
 @pytest.mark.parametrize("name", list(_LAYOUT))
 def test_index_of_the_wrong_arity_rejected(name):
     arity = len(_LAYOUT[name][0])
@@ -350,7 +358,7 @@ def _overlap_span_rank(pres: QlsPresentation) -> int:
     e2 = functools.cache(functools.partial(_e2, pres))
     for _, zL, _ in _overlap_reference(pres, _unscaled_ring(pres)):
         poly = _expand(pres, e2, zL, left=True)
-        rows.append({w: v.as_rational() for w, v in poly.terms.items()})
+        rows.append({w: Fraction(v) for w, v in poly.terms.items()})
     return rank_of_rows(rows)
 
 
@@ -457,8 +465,8 @@ def _brute_force_intersection_dim(pres: QlsPresentation) -> int:
                 e2 = _e2(pres, g1, g2)
                 left = gen * e2
                 right = e2 * gen
-                rows_a.append({w: v.as_rational() for w, v in left.terms.items()})
-                rows_b.append({w: v.as_rational() for w, v in right.terms.items()})
+                rows_a.append({w: Fraction(v) for w, v in left.terms.items()})
+                rows_b.append({w: Fraction(v) for w, v in right.terms.items()})
     return intersection_dimension(rows_b, rows_a)
 
 

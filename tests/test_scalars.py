@@ -61,6 +61,9 @@ def test_canonical_form_idempotent():
     assert p.is_rational()
     assert p.as_rational() == Fraction(2, 3)
     assert str(p) == str(Scalar.coerce(Fraction(2, 3)))
+    # an integral Fraction comes in as an int
+    for made in (Scalar.from_rational(Fraction(4, 2)), srat(6, 3), Scalar.coerce(Fraction(-3, 3))):
+        assert type(made.terms[()]) is int
 
 
 def test_division_by_rational():
@@ -218,6 +221,30 @@ def test_lower_returns_a_fraction_and_a_symbolic_scalar_as_given():
     f, s = Fraction(1, 3), Scalar.var("c") * 2
     assert lower(f) is f
     assert lower(s) is s
+
+
+@pytest.mark.parametrize("make", [
+    lambda: lower("1/2"),
+    lambda: lower("3"),
+    lambda: Scalar.from_rational("1/2"),
+    lambda: Scalar.coerce("2"),
+    lambda: srat("1", 2),
+    lambda: Scalar.var("c") * "2",
+    lambda: "2" * Scalar.var("c"),
+    lambda: Scalar.var("c") + "2",
+    lambda: "x" - Scalar.var("c"),
+    lambda: Scalar.var("c") * "x",
+])
+def test_a_str_is_not_a_coefficient(make):
+    # Fraction parses "1/2"; lower and from_rational refuse a str before it can
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_from_rational_refuses_an_indeterminate():
+    with pytest.raises(TypeError, match="c is not a rational"):
+        Scalar.from_rational(Scalar.var("c"))
+    assert Scalar.from_rational(srat(3, 6)) == Fraction(1, 2)
 
 
 def test_join_terms_folds_a_leading_minus_into_the_joiner():
@@ -389,3 +416,9 @@ def test_a_symbolic_value_has_no_rational_and_no_negative_power():
         with pytest.raises(ValueError) as info:
             base ** -1
         assert str(info.value) == "negative powers not supported"
+    # nor a negative exponent of var, whose product with var(name) would
+    # cancel the indeterminate: var("c") * var("c", -1) was once 1
+    with pytest.raises(ValueError) as info:
+        Scalar.var("c", -1)
+    assert str(info.value) == "negative powers not supported"
+    assert Scalar.var("c", 0) == 1 and Scalar.var("c", 2) == Scalar.var("c") ** 2

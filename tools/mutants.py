@@ -239,8 +239,8 @@ MUTANTS = [
            "        self.rs = rs\n        self.ab = rs.presentation.alphabet",
            T_PBW),
     Mutant("normal_form maps back by the output's odd count only", PBW,
-           "e = sum(g >= n for g in letters) - odd_in",
-           "e = sum(g >= n for g in letters)",
+           "letters, e = [], -odd_in",
+           "letters, e = [], 0",
            T_PBW),
     Mutant("normal_form map-back forgets the division by L", PBW,
            "action._spell(dist, odd_in, out, den)",
@@ -250,9 +250,13 @@ MUTANTS = [
            "c = c * den if type(c) is Scalar else",
            "c = c if type(c) is Scalar else",
            T_PBW),
-    Mutant("map-back memo keyed without the exponent", PBW,
-           "backs.get((v, e, den))) is None:\n                c = backs[v, e, den]",
-           "backs.get((v, den))) is None:\n                c = backs[v, den]",
+    Mutant("map-back of an int ignores the exponent", PBW,
+           "(d := den * scale ** -e)",
+           "(d := den)",
+           T_PBW),
+    Mutant("_spell drops its den on an int", PBW,
+           "(d := den * scale ** -e)",
+           "(d := scale ** -e)",
            T_PBW),
     Mutant("normal_form sums every word in one odd count", PBW,
            "sums.setdefault(sum(g >= n for g in word), {})",
@@ -341,8 +345,12 @@ MUTANTS = [
            T_SCAL),
     # -- a stored coefficient is an int exactly when integral ------------------
     Mutant("from_rational keeps an integral Fraction", SCAL,
-           "value = _canon(value if isinstance(value, Fraction) else Fraction(value))",
-           "value = value if isinstance(value, Fraction) else Fraction(value)",
+           "isinstance(value := lower(value), Scalar)",
+           "isinstance(value := value if type(value) is Fraction else lower(value), Scalar)",
+           T_SCAL),
+    Mutant("lower accepts a str", SCAL,
+           "if isinstance(value, str):  # Fraction would parse it",
+           "if False:",
            T_SCAL),
     Mutant("the constant-factor path leaves an integral Fraction", SCAL,
            "return _wrap({m: _canon(c * f) for m, c in self._terms.items()}) if f else ZERO",
@@ -364,9 +372,25 @@ MUTANTS = [
            "        if isinstance(f, Scalar)",
            "tests/test_ncpoly.py"),
     Mutant("NCPoly merge ignores the sign", "src/quadlie/ncpoly.py",
-           "accumulate(acc, w, c if sign > 0 else -c)",
-           "accumulate(acc, w, c)",
+           "add_term(acc, w, c if sign > 0 else -c)",
+           "add_term(acc, w, c)",
            "tests/test_ncpoly.py"),
+    Mutant("render drops the parentheses of a symbolic coefficient", "src/quadlie/ncpoly.py",
+           'parts.append(f"({ctext})*{word_text}")',
+           'parts.append(f"{ctext}*{word_text}")',
+           "tests/test_ncpoly.py"),
+    Mutant("render prints the zero polynomial as an empty string", "src/quadlie/ncpoly.py",
+           'if not self._terms:\n            return "0"',
+           'if not self._terms:\n            return ""',
+           "tests/test_ncpoly.py"),
+    Mutant("a cancelled symbolic sum is kept as a rational Scalar", "src/quadlie/ncpoly.py",
+           "if new := lower(c if (prev := acc.get(w)) is None else prev + c):",
+           "if new := (lower(c) if (prev := acc.get(w)) is None else prev + c):",
+           "tests/test_ncpoly.py"),
+    Mutant("the parser divides by 1 / an int", "src/quadlie/exprparse.py",
+           "acc = acc * (1 / Fraction(div[()]))",
+           "acc = acc * (1 / div[()])",
+           "tests/test_exprparse.py"),
     Mutant("SparseOp merge ignores the sign", FOCK,
            "axpy(dict(self.data), sign, other.data)",
            "axpy(dict(self.data), 1, other.data)",
@@ -501,8 +525,8 @@ MUTANTS = [
            "                base = base * base",
            "tests/test_exprparse.py"),
     Mutant("one-term product drops the second coefficient", "src/quadlie/ncpoly.py",
-           "{w1 + w2: c1 * c2}",
-           "{w1 + w2: c1}",
+           "{w1 + w2: lower(c1 * c2)}",
+           "{w1 + w2: lower(c1)}",
            "tests/test_ncpoly.py"),
     Mutant("parser counts words, not (word, monomial) pairs", "src/quadlie/exprparse.py",
            "self._count(_size(a) * _size(b))",
